@@ -1,0 +1,5 @@
+"""End-to-end and per-layer benchmark of the bibliorank pipeline.
+
+Run ``python3 perfbench/run.py --help`` from the repository root; see
+``perfbench/README.md`` for the workloads and metrics.
+"""

@@ -38,7 +38,8 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
             values[parts[a_col]] = float(parts[s_col])
     if not values:
         raise DataError(f"{path}: no score rows")
-    return ind_mod.ScoreVector(Path(path).stem, values)
+    authors = sorted(values)
+    return ind_mod.ScoreVector(Path(path).stem, authors, [values[a] for a in authors])
 
 
 def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVector]:
@@ -53,7 +54,7 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
 
 
 def _build_table(vectors, subset_size: int) -> stats_mod.IndicatorTable:
-    n = len(vectors[0].values)
+    n = len(vectors[0].authors)
     subset, _ = ind_mod.top_k(vectors[0], min(subset_size, n))
     return stats_mod.IndicatorTable.from_scores(vectors, subset)
 
@@ -120,47 +121,35 @@ def cmd_rank(args) -> int:
             f"no convergence in {cfg.max_iterations} iterations "
             f"(residual {result.final_residual:.3e})"
         )
+    scores = ind_mod.ScoreVector(pipe_mod.pagerank_label(args.teleport, args.damping),
+                                 graph.authors, result.scores)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("author\tscore\n")
-        pr_mod.dump_scores(graph, result, fh)
+        ind_mod.dump_indicator(scores, fh)
     print(f"{'converged' if result.converged else 'NOT converged'} "
           f"after {result.iterations} iterations (residual {result.final_residual:.3e})")
     return 0
 
 
 def cmd_indicators(args) -> int:
+    prestige = pipe_mod.parse_prestige(args.prestige)
     with open(args.corpus, encoding="utf-8") as fh:
         c = corpus_mod.parse_corpus(fh, provenance=args.corpus)
     filtered, _ = corpus_mod.filter_with_references(c)
     graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
-    counts = ind_mod.internal_citation_counts(filtered)
-    mode, _, raw = args.prestige.partition(":")
-    if mode == "top_fraction":
-        hc = ind_mod.highly_cited_papers(filtered, top_fraction=float(raw), counts=counts)
-    elif mode == "min_citations":
-        hc = ind_mod.highly_cited_papers(filtered, min_citations=int(raw), counts=counts)
-    else:
-        raise ConfigError(f"invalid prestige spec {args.prestige!r}")
-
-    scores = [
-        ind_mod.popularity_scores(graph),
-        ind_mod.prestige_scores(graph, filtered, hc),
-        ind_mod.extend_scores(ind_mod.h_index_scores(filtered, counts=counts), graph.authors),
-    ]
+    table = None
     if args.if_table:
         with open(args.if_table, encoding="utf-8") as fh:
             table = ind_mod.load_impact_factors(fh)
-        ifs, misses = ind_mod.if_scores(filtered, table)
-        scores.append(ind_mod.extend_scores(ifs, graph.authors))
-        print(f"impact-factor misses: {misses}", file=sys.stderr)
+    scores, diagnostics = pipe_mod.classical_indicators(filtered, graph, prestige, table)
+    if table is not None:
+        print(f"impact-factor misses: {diagnostics['impact_factor_misses']}", file=sys.stderr)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for sv in scores:
-        rv = ind_mod.to_ranks(sv)
         name = f"indicator_{args.tag}_{sv.name}.tsv" if args.tag else f"indicator_{sv.name}.tsv"
         with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-            ind_mod.dump_indicator(rv, sv, fh)
+            ind_mod.dump_indicator(sv, fh)
         print(f"wrote {outdir / name}")
     return 0
 
@@ -193,11 +182,10 @@ def cmd_pca(args) -> int:
 
 def cmd_evaluate(args) -> int:
     vectors = _score_vectors(args.scores, args.labels)
-    rank_vectors = [ind_mod.to_ranks(sv) for sv in vectors]
     with open(args.winners, encoding="utf-8") as fh:
         winners = load_winners(fh, provenance=args.winners)
     ks = [int(k) for k in args.ks.split(",")]
-    res = coverage(rank_vectors, winners, ks=ks)
+    res = coverage(vectors, winners, ks=ks)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         pipe_mod.write_coverage(res, fh)
     if res.missing_winners:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from bibliorank.corpus import normalize_author
 from bibliorank.errors import ConfigError
-from bibliorank.indicators import RankVector, top_k
+from bibliorank.indicators import ScoreVector, top_k
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +48,7 @@ class CoverageResult:
 
 
 def coverage(
-    rank_vectors: list[RankVector], winners: WinnerList, ks=(5, 10, 20, 50)
+    score_vectors: list[ScoreVector], winners: WinnerList, ks=(5, 10, 20, 50)
 ) -> CoverageResult:
     """Count winners inside each indicator's top-k list.
 
@@ -60,21 +60,23 @@ def coverage(
     ks = list(ks)
     if ks != sorted(ks):
         raise ConfigError("ks must be sorted ascending")
-    if not rank_vectors:
-        raise ConfigError("no rank vectors given")
-    universe = set(rank_vectors[0].ranks)
+    if not ks or ks[0] < 1:
+        raise ConfigError("ks must be integers >= 1")
+    if not score_vectors:
+        raise ConfigError("no score vectors given")
+    universe = set(score_vectors[0].authors)
     missing = sorted(set(winners.authors) - universe)
     if missing:
         log.warning("coverage: %d winner(s) not in the author universe: %s",
                     len(missing), ", ".join(missing[:5]))
-    present = [w for w in winners.authors if w in universe]
+    present = set(winners.authors) & universe
     counts = {}
-    for rv in rank_vectors:
+    for sv in score_vectors:
+        chosen, _ = top_k(sv, ks[-1])
         for k in ks:
-            chosen, _ = top_k(rv, k)
-            counts[(rv.name, k)] = len(set(chosen) & set(present))
+            counts[(sv.name, k)] = len(present.intersection(chosen[:k]))
     return CoverageResult(
-        indicators=[rv.name for rv in rank_vectors],
+        indicators=[sv.name for sv in score_vectors],
         ks=ks,
         counts=counts,
         missing_winners=missing,

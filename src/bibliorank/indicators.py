@@ -23,24 +23,26 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ScoreVector:
-    """A named real-valued score per author; higher is always better here."""
+    """A named score per author; higher is always better here.
+
+    ``values[i]`` is the score of ``authors[i]``, and ``authors`` is sorted
+    and unique: in the pipeline it is the phase graph's author list, so the
+    array index is the node id.
+    """
 
     name: str
-    values: dict[str, float]
-    higher_is_better: bool = True
+    authors: list[str]
+    values: np.ndarray
 
     def __post_init__(self):
-        for a, v in self.values.items():
-            if not math.isfinite(v):
-                raise DataError(f"non-finite score {v!r} for author {a!r} in {self.name!r}")
-
-
-@dataclass
-class RankVector:
-    """Fractional ranks (1 = best), average ranks on ties."""
-
-    name: str
-    ranks: dict[str, float]
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != (len(self.authors),):
+            raise DataError(f"{self.name!r}: {self.values.shape} scores "
+                            f"for {len(self.authors)} authors")
+        if not np.isfinite(self.values).all():
+            i = int(np.flatnonzero(~np.isfinite(self.values))[0])
+            raise DataError(f"non-finite score {float(self.values[i])!r} for author "
+                            f"{self.authors[i]!r} in {self.name!r}")
 
 
 @dataclass
@@ -80,10 +82,7 @@ def load_impact_factors(stream) -> ImpactFactorTable:
 
 def popularity_scores(g: AuthorCitationGraph) -> ScoreVector:
     """Total citations received per author (in-edge weight sums)."""
-    return ScoreVector(
-        "popularity",
-        {a: float(g.citations_received[i]) for i, a in enumerate(g.authors)},
-    )
+    return ScoreVector("popularity", g.authors, g.citations_received)
 
 
 def internal_citation_counts(corpus: Corpus) -> dict[str, int]:
@@ -136,25 +135,31 @@ def highly_cited_papers(
 def prestige_scores(
     g: AuthorCitationGraph, corpus: Corpus, highly_cited: set[str]
 ) -> ScoreVector:
-    """Citations each author receives from the highly cited papers."""
-    scores = {a: 0.0 for a in g.authors}
-    for p in corpus.papers:
-        if p.paper_id not in highly_cited:
-            continue
-        for ref in p.references:
-            if ref.first_author in scores:
-                scores[ref.first_author] += 1.0
-    return ScoreVector("prestige", scores)
+    """Citations each author receives from the highly cited papers.
+
+    ``corpus`` is the one ``g`` was built from, so every cited author is a
+    node.
+    """
+    cited = [g.index[ref.first_author] for p in corpus.papers
+             if p.paper_id in highly_cited for ref in p.references]
+    return ScoreVector("prestige", g.authors,
+                       np.bincount(np.array(cited, dtype=np.int64), minlength=g.n_nodes))
 
 
-def h_index_scores(corpus: Corpus, counts: dict[str, int] | None = None) -> ScoreVector:
-    """h-index per publishing author over internal citation counts."""
+def h_index_scores(
+    g: AuthorCitationGraph, corpus: Corpus, counts: dict[str, int] | None = None
+) -> ScoreVector:
+    """h-index per author over internal citation counts (0 if unpublished).
+
+    ``corpus`` is the one ``g`` was built from, so every first author is a
+    node.
+    """
     if counts is None:
         counts = internal_citation_counts(corpus)
     per_author: dict[str, list[int]] = {}
     for p in corpus.papers:
         per_author.setdefault(p.first_author, []).append(counts[p.paper_id])
-    scores = {}
+    scores = np.zeros(g.n_nodes)
     for author, cites in per_author.items():
         cites.sort(reverse=True)
         h = 0
@@ -163,72 +168,63 @@ def h_index_scores(corpus: Corpus, counts: dict[str, int] | None = None) -> Scor
                 h = i
             else:
                 break
-        scores[author] = float(h)
-    return ScoreVector("h_index", scores)
+        scores[g.index[author]] = h
+    return ScoreVector("h_index", g.authors, scores)
 
 
-def if_scores(corpus: Corpus, table: ImpactFactorTable) -> tuple[ScoreVector, int]:
+def if_scores(
+    g: AuthorCitationGraph, corpus: Corpus, table: ImpactFactorTable
+) -> tuple[ScoreVector, int]:
     """Sum of citing-paper impact factors per cited author.
 
     Each reference contributes IF(citing venue, citing year) to its target
-    author; missing table entries contribute 0 and are counted.  Returns
-    (scores, miss count).
+    author; missing table entries contribute 0 and are counted.  ``corpus``
+    is the one ``g`` was built from.  Returns (scores, miss count).
     """
-    scores: dict[str, float] = {}
+    cited: list[int] = []
+    weights: list[float] = []
     misses = 0
     for p in corpus.papers:
         impact = table.get(p.source, p.year)
+        if impact is None:
+            misses += len(p.references)
+            impact = 0.0
         for ref in p.references:
-            if impact is None:
-                misses += 1
-                scores.setdefault(ref.first_author, 0.0)
-            else:
-                scores[ref.first_author] = scores.get(ref.first_author, 0.0) + impact
-    return ScoreVector("impact_factor", scores), misses
+            cited.append(g.index[ref.first_author])
+            weights.append(impact)
+    # bincount adds the weights in reference order, as a running sum would.
+    scores = np.bincount(np.array(cited, dtype=np.int64), weights=weights, minlength=g.n_nodes)
+    return ScoreVector("impact_factor", g.authors, scores), misses
 
 
-def extend_scores(s: ScoreVector, authors, default: float = 0.0) -> ScoreVector:
-    """Restrict/extend a score vector to an author universe (0 when absent)."""
-    return ScoreVector(s.name, {a: s.values.get(a, default) for a in authors})
-
-
-def to_ranks(s: ScoreVector) -> RankVector:
+def to_ranks(s: ScoreVector) -> np.ndarray:
     """Average-rank transform of descending scores (rank 1 = best)."""
-    authors = sorted(s.values)
-    vals = np.array([s.values[a] for a in authors], dtype=np.float64)
-    ranks = rankdata(-vals, method="average")
-    return RankVector(s.name, dict(zip(authors, ranks)))
+    return rankdata(-s.values, method="average")
 
 
-def top_k(sv, k: int) -> tuple[list[str], bool]:
-    """First k authors by rank; boundary ties broken lexicographically.
+def top_k(s: ScoreVector, k: int) -> tuple[list[str], bool]:
+    """First k authors by descending score; boundary ties broken lexicographically.
 
-    Accepts a ScoreVector or RankVector.  Returns (authors, flag) where
-    the flag reports a lexicographic tie-break at the k boundary.  k > n
-    returns all authors with a warning.
+    Returns (authors, flag) where the flag reports a lexicographic tie-break
+    at the k boundary.  k > n returns all authors with a warning.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if isinstance(sv, RankVector):
-        keyed = sorted(sv.ranks.items(), key=lambda kv: (kv[1], kv[0]))
-        key_of = dict(keyed)
-    else:
-        keyed = sorted(sv.values.items(), key=lambda kv: (-kv[1], kv[0]))
-        key_of = {a: -v for a, v in keyed}
-    n = len(keyed)
+    n = len(s.authors)
     if k > n:
         log.warning("top_k: k=%d exceeds author count %d; returning all", k, n)
-        return [a for a, _ in keyed], False
-    chosen = [a for a, _ in keyed[:k]]
-    boundary_tie = k < n and key_of[keyed[k - 1][0]] == key_of[keyed[k][0]]
+        k = n
+    order = np.argsort(-s.values, kind="stable")  # ties stay in author order
+    boundary_tie = k < n and s.values[order[k - 1]] == s.values[order[k]]
     if boundary_tie:
         log.info("top_k: tie at rank %d broken lexicographically", k)
-    return chosen, boundary_tie
+    return [s.authors[i] for i in order[:k]], bool(boundary_tie)
 
 
-def dump_indicator(rank_vec: RankVector, score_vec: ScoreVector, stream) -> None:
-    """Write `author<TAB>score<TAB>rank`, best rank first."""
-    stream.write("author\tscore\trank\n")
-    order = sorted(rank_vec.ranks.items(), key=lambda kv: (kv[1], kv[0]))
-    for author, rank in order:
-        stream.write(f"{author}\t{score_vec.values[author]:.17g}\t{rank:.17g}\n")
+def dump_indicator(s: ScoreVector, stream) -> None:
+    """Write `author<TAB>score<TAB>rank`, best rank first, ties by author."""
+    order = np.argsort(-s.values, kind="stable")
+    authors = s.authors
+    rows = zip(order.tolist(), s.values[order].tolist(), to_ranks(s)[order].tolist())
+    stream.write("author\tscore\trank\n" + "".join(
+        f"{authors[i]}\t{score:.17g}\t{rank:.17g}\n" for i, score, rank in rows))

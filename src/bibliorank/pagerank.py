@@ -151,9 +151,3 @@ def weighted_pagerank(
         )
     return _power_iteration(g, teleport, cfg)
 
-
-def dump_scores(g: AuthorCitationGraph, result: PageRankResult, stream) -> None:
-    """Write `author<TAB>score` (17 significant digits), best score first."""
-    order = sorted(range(g.n_nodes), key=lambda i: (-result.scores[i], g.authors[i]))
-    for i in order:
-        stream.write(f"{g.authors[i]}\t{result.scores[i]:.17g}\n")

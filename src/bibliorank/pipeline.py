@@ -68,11 +68,15 @@ class RunConfig:
     def validate(self) -> None:
         if self.corpus is None and self.seed is None:
             raise ConfigError("either a corpus path or a synthetic seed is required")
+        if self.corpus is None:
+            if self.n_papers < 1 or self.n_authors < 1:
+                raise ConfigError("n_papers and n_authors must be >= 1")
+            if self.skew <= 0:
+                raise ConfigError("skew must be positive")
         # Disjointness (and lo <= hi) checked by split_phases/Phase.
         corpus_mod.split_phases(corpus_mod.Corpus(), self.phases)
         for d in self.dampings:
-            if not (0.0 <= d < 1.0):
-                raise ConfigError(f"damping {d} outside [0, 1)")
+            self.pagerank_config(d)  # checks damping, tolerance, iterations, policy
         for kind in self.teleports:
             if kind not in _TELEPORT_TAGS:
                 raise ConfigError(f"unknown teleport kind {kind!r}")
@@ -90,6 +94,16 @@ class RunConfig:
             raise ConfigError("fixed pca retention needs pca_fixed_k >= 1")
         if list(self.coverage_ks) != sorted(self.coverage_ks):
             raise ConfigError("coverage_ks must be ascending")
+        if not self.coverage_ks or self.coverage_ks[0] < 1:
+            raise ConfigError("coverage_ks must be integers >= 1")
+
+    def pagerank_config(self, damping: float) -> pr_mod.PageRankConfig:
+        return pr_mod.PageRankConfig(
+            damping=damping,
+            tolerance=self.tolerance,
+            max_iterations=self.max_iterations,
+            dangling_policy=self.dangling_policy,
+        )
 
     def canonical(self) -> dict:
         d = asdict(self)
@@ -126,6 +140,20 @@ def parse_phases(text: str) -> tuple[corpus_mod.Phase, ...]:
     return tuple(phases)
 
 
+def parse_prestige(text: str) -> tuple[str, float]:
+    """`top_fraction:F` or `min_citations:M` -> (mode, value)."""
+    mode, _, raw = text.partition(":")
+    mode = mode.strip()
+    try:
+        if mode == "top_fraction":
+            return mode, float(raw)
+        if mode == "min_citations":
+            return mode, int(raw)
+    except ValueError:
+        pass
+    raise ConfigError(f"invalid prestige spec {text!r}")
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -141,41 +169,38 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
     value = value.strip()
     if key not in _CONFIG_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    if key == "phases":
-        cfg.phases = parse_phases(value)
-    elif key == "dampings":
-        cfg.dampings = tuple(float(x) for x in value.split(","))
-    elif key == "teleports":
-        cfg.teleports = tuple(x.strip() for x in value.split(","))
-    elif key == "prestige":
-        mode, _, raw = value.partition(":")
-        if mode.strip() == "top_fraction":
-            cfg.prestige_mode, cfg.prestige_value = "top_fraction", float(raw)
-        elif mode.strip() == "min_citations":
-            cfg.prestige_mode, cfg.prestige_value = "min_citations", int(raw)
-        else:
-            raise ConfigError(f"invalid prestige spec {value!r}")
-    elif key == "pca_retention":
-        mode, _, raw = value.partition(":")
-        mode = mode.strip()
-        if mode == "kaiser":
-            cfg.pca_retention, cfg.pca_fixed_k = "kaiser", None
-        elif mode == "fixed":
-            cfg.pca_retention, cfg.pca_fixed_k = "fixed", int(raw)
-        else:
-            raise ConfigError(f"invalid pca_retention {value!r}")
-    elif key == "coverage_ks":
-        cfg.coverage_ks = tuple(int(x) for x in value.split(","))
-    elif key in ("subset_size", "max_iterations", "n_papers", "n_authors"):
-        setattr(cfg, key, int(value))
-    elif key == "seed":
-        cfg.seed = int(value)
-    elif key in ("loading_cutoff", "tolerance", "skew"):
-        setattr(cfg, key, float(value))
-    elif key in ("allow_self_citation", "strict"):
-        setattr(cfg, key, _parse_bool(value))
-    else:  # corpus, outdir, if_table, winners, dangling_policy
-        setattr(cfg, key, value)
+    try:
+        if key == "phases":
+            cfg.phases = parse_phases(value)
+        elif key == "dampings":
+            cfg.dampings = tuple(float(x) for x in value.split(","))
+        elif key == "teleports":
+            cfg.teleports = tuple(x.strip() for x in value.split(","))
+        elif key == "prestige":
+            cfg.prestige_mode, cfg.prestige_value = parse_prestige(value)
+        elif key == "pca_retention":
+            mode, _, raw = value.partition(":")
+            mode = mode.strip()
+            if mode == "kaiser":
+                cfg.pca_retention, cfg.pca_fixed_k = "kaiser", None
+            elif mode == "fixed":
+                cfg.pca_retention, cfg.pca_fixed_k = "fixed", int(raw)
+            else:
+                raise ConfigError(f"invalid pca_retention {value!r}")
+        elif key == "coverage_ks":
+            cfg.coverage_ks = tuple(int(x) for x in value.split(","))
+        elif key in ("subset_size", "max_iterations", "n_papers", "n_authors"):
+            setattr(cfg, key, int(value))
+        elif key == "seed":
+            cfg.seed = int(value)
+        elif key in ("loading_cutoff", "tolerance", "skew"):
+            setattr(cfg, key, float(value))
+        elif key in ("allow_self_citation", "strict"):
+            setattr(cfg, key, _parse_bool(value))
+        else:  # corpus, outdir, if_table, winners, dangling_policy
+            setattr(cfg, key, value)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value {value!r} for config key {key!r}: {exc}") from None
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
@@ -289,37 +314,49 @@ def phase_tag(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
+def classical_indicators(
+    corpus, graph, prestige: tuple[str, float], if_table=None
+) -> tuple[list[ind_mod.ScoreVector], dict]:
+    """Popularity, prestige, h-index and, given a table, impact-factor scores.
+
+    ``prestige`` is a (mode, value) pair from ``parse_prestige``.  Returns
+    the score vectors in that order, over the graph's authors, and
+    diagnostics.
+    """
+    counts = ind_mod.internal_citation_counts(corpus)
+    mode, value = prestige
+    if mode == "top_fraction":
+        hc = ind_mod.highly_cited_papers(corpus, top_fraction=value, counts=counts)
+    else:
+        hc = ind_mod.highly_cited_papers(corpus, min_citations=int(value), counts=counts)
+    diagnostics = {"highly_cited_papers": len(hc)}
+    scores = [
+        ind_mod.popularity_scores(graph),
+        ind_mod.prestige_scores(graph, corpus, hc),
+        ind_mod.h_index_scores(graph, corpus, counts=counts),
+    ]
+    if if_table is not None:
+        ifs, misses = ind_mod.if_scores(graph, corpus, if_table)
+        diagnostics["impact_factor_misses"] = misses
+        scores.append(ifs)
+    return scores, diagnostics
+
+
 def compute_phase_indicators(cfg: RunConfig, phase_corpus, graph, if_table=None):
     """All 13 score vectors (paper-order labels) for one phase graph.
 
-    Returns (ordered score vectors over the graph's author set, diagnostics).
+    Returns (ordered score vectors over the graph's author set, PageRank
+    results by label, diagnostics).
     """
-    diagnostics = {}
-    scores: list[ind_mod.ScoreVector] = []
-
-    scores.append(ind_mod.popularity_scores(graph))
-
-    counts = ind_mod.internal_citation_counts(phase_corpus)
-    if cfg.prestige_mode == "top_fraction":
-        hc = ind_mod.highly_cited_papers(phase_corpus, top_fraction=cfg.prestige_value,
-                                         counts=counts)
-    else:
-        hc = ind_mod.highly_cited_papers(phase_corpus, min_citations=int(cfg.prestige_value),
-                                         counts=counts)
-    diagnostics["highly_cited_papers"] = len(hc)
-    scores.append(ind_mod.prestige_scores(graph, phase_corpus, hc))
-
+    classical, diagnostics = classical_indicators(
+        phase_corpus, graph, (cfg.prestige_mode, cfg.prestige_value), if_table
+    )
+    pagerank_scores = []
     pr_results = {}
     for kind in cfg.teleports:
         teleport = pr_mod.make_teleport(graph, kind)
         for d in cfg.dampings:
-            pr_cfg = pr_mod.PageRankConfig(
-                damping=d,
-                tolerance=cfg.tolerance,
-                max_iterations=cfg.max_iterations,
-                dangling_policy=cfg.dangling_policy,
-            )
-            result = pr_mod.weighted_pagerank(graph, teleport, pr_cfg)
+            result = pr_mod.weighted_pagerank(graph, teleport, cfg.pagerank_config(d))
             label = pagerank_label(kind, d)
             pr_results[label] = result
             diagnostics[label] = {
@@ -327,20 +364,9 @@ def compute_phase_indicators(cfg: RunConfig, phase_corpus, graph, if_table=None)
                 "final_residual": result.final_residual,
                 "converged": result.converged,
             }
-            scores.append(
-                ind_mod.ScoreVector(
-                    label, dict(zip(graph.authors, (float(x) for x in result.scores)))
-                )
-            )
+            pagerank_scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
 
-    hidx = ind_mod.h_index_scores(phase_corpus, counts=counts)
-    scores.append(ind_mod.extend_scores(hidx, graph.authors))
-
-    if if_table is not None:
-        ifs, misses = ind_mod.if_scores(phase_corpus, if_table)
-        diagnostics["impact_factor_misses"] = misses
-        scores.append(ind_mod.extend_scores(ifs, graph.authors))
-
+    scores = classical[:2] + pagerank_scores + classical[2:]
     return scores, pr_results, diagnostics
 
 
@@ -428,17 +454,9 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
                     f"power iteration did not converge: {', '.join(stalled)}"
                 )
 
-        for label, result in pr_results.items():
-            with tracker.open(f"scores_{tag}_{label}.tsv") as fh:
-                fh.write("author\tscore\n")
-                pr_mod.dump_scores(graph, result, fh)
-
-        rank_vectors = []
         for sv in scores:
-            rv = ind_mod.to_ranks(sv)
-            rank_vectors.append(rv)
             with tracker.open(f"indicator_{tag}_{sv.name}.tsv") as fh:
-                ind_mod.dump_indicator(rv, sv, fh)
+                ind_mod.dump_indicator(sv, fh)
 
         pop = scores[0]
         subset_size = min(cfg.subset_size, graph.n_nodes)
@@ -470,7 +488,7 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
             info["stats_skipped"] = str(exc)
 
         if winners is not None:
-            cov = coverage(rank_vectors, winners, ks=cfg.coverage_ks)
+            cov = coverage(scores, winners, ks=cfg.coverage_ks)
             with tracker.open(f"coverage_{tag}.csv") as fh:
                 write_coverage(cov, fh)
             info["winners_missing"] = cov.missing_winners

@@ -4,6 +4,7 @@ varimax rotation over an authors x indicators rank matrix."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,34 +12,18 @@ from scipy.stats import rankdata
 from scipy.stats import t as student_t
 
 from bibliorank.errors import ConfigError, StatsError
-from bibliorank.indicators import RankVector, ScoreVector
+from bibliorank.indicators import ScoreVector
 
 
-def _rerank(values: np.ndarray) -> np.ndarray:
-    """Average ranks of ascending values (rank direction cancels in r)."""
-    return rankdata(values, method="average")
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
+    """Spearman r of two rank columns, with a two-tailed t-approximation p.
 
-
-def spearman(x, y, subset: list[str] | None = None) -> tuple[float, float]:
-    """Spearman rank correlation with a two-tailed t-approximation p-value.
-
-    ``x`` and ``y`` are RankVectors (or author->value dicts); both are
-    restricted to ``subset`` (default: x's author set) and re-ranked
-    within it.  Tie-safe: r is the Pearson correlation of the re-ranked
-    values, which reduces to 1 - 6*sum(d^2)/(n(n^2-1)) without ties.
+    r is the Pearson correlation of the ranks, which reduces to
+    1 - 6*sum(d^2)/(n(n^2-1)) without ties.
     """
-    xs = x.ranks if isinstance(x, RankVector) else x
-    ys = y.ranks if isinstance(y, RankVector) else y
-    if subset is None:
-        subset = sorted(xs)
-    missing = [a for a in subset if a not in xs or a not in ys]
-    if missing:
-        raise StatsError(f"authors missing from a rank vector: {missing[:5]!r}")
-    n = len(subset)
+    n = len(rx)
     if n < 3:
         raise StatsError(f"need at least 3 authors, got {n}")
-    rx = _rerank(np.array([xs[a] for a in subset], dtype=np.float64))
-    ry = _rerank(np.array([ys[a] for a in subset], dtype=np.float64))
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     vx = float(dx @ dx)
@@ -52,6 +37,20 @@ def spearman(x, y, subset: list[str] | None = None) -> tuple[float, float]:
     t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
     p = 2.0 * float(student_t.sf(abs(t_stat), n - 2))
     return r, p
+
+
+def spearman(x, y) -> tuple[float, float]:
+    """Spearman rank correlation with a two-tailed t-approximation p-value.
+
+    ``x`` and ``y`` are aligned value arrays (scores or ranks); each is
+    ranked on its own, so the direction of the values cancels.  Tie-safe:
+    tied values share their average rank.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise StatsError(f"value arrays differ in shape: {x.shape} vs {y.shape}")
+    return _rank_correlation(rankdata(x, method="average"), rankdata(y, method="average"))
 
 
 @dataclass
@@ -72,22 +71,20 @@ class IndicatorTable:
             raise StatsError("subset contains duplicate authors")
         cols = []
         for sv in score_vectors:
-            missing = [a for a in subset if a not in sv.values]
+            # sv.authors is sorted, so a binary search finds each subset author.
+            pos = [bisect_left(sv.authors, a) for a in subset]
+            missing = [a for a, i in zip(subset, pos)
+                       if i == len(sv.authors) or sv.authors[i] != a]
             if missing:
                 raise StatsError(
                     f"indicator {sv.name!r} missing authors: {missing[:5]!r}"
                 )
-            vals = np.array([sv.values[a] for a in subset], dtype=np.float64)
-            cols.append(rankdata(-vals, method="average"))
+            cols.append(rankdata(-sv.values[pos], method="average"))
         return cls(
             authors=list(subset),
             indicators=[sv.name for sv in score_vectors],
             ranks=np.column_stack(cols),
         )
-
-    def column(self, name: str) -> RankVector:
-        j = self.indicators.index(name)
-        return RankVector(name, dict(zip(self.authors, self.ranks[:, j])))
 
 
 @dataclass
@@ -113,11 +110,9 @@ def correlation_matrix(table: IndicatorTable) -> CorrelationMatrix:
     r = np.eye(m)
     p = np.zeros((m, m))
     flags = [["" for _ in range(m)] for _ in range(m)]
-    cols = {name: table.column(name) for name in table.indicators}
     for i in range(m):
         for j in range(i + 1, m):
-            rij, pij = spearman(cols[table.indicators[i]], cols[table.indicators[j]],
-                                subset=table.authors)
+            rij, pij = _rank_correlation(table.ranks[:, i], table.ranks[:, j])
             r[i, j] = r[j, i] = rij
             p[i, j] = p[j, i] = pij
             flags[i][j] = flags[j][i] = significance_flag(pij)

@@ -75,6 +75,19 @@ class TestExitCodes:
         assert rc == 1
         assert not outdir.exists() or not any(outdir.iterdir())
 
+    @pytest.mark.parametrize("entry", ["subset_size=abc", "dampings=0.5,x", "phases=1990"])
+    def test_malformed_set_value_exit_1(self, entry, capsys):
+        assert main(["pipeline", "--set", "seed=1", "--set", entry]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and entry.split("=")[0] in err
+        assert "Traceback" not in err
+
+    def test_invalid_field_exit_1_before_corpus_is_opened(self, tmp_path):
+        rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
+                   "--set", f"outdir={tmp_path / 'out'}",
+                   "--set", "dangling_policy=bogus"])
+        assert rc == 1
+
     def test_strict_nonconvergence_exit_3(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         main(["generate", "--seed", "1", "--papers", "200", "--authors", "80",
@@ -98,7 +111,7 @@ class TestRankCommand:
         assert main(["rank", "--edges", str(edges), "--damping", "0.85",
                      "--out", str(out)]) == 0
         lines = _read(out).splitlines()
-        assert lines[0] == "author\tscore"
+        assert lines[0] == "author\tscore\trank"
         scores = {ln.split("\t")[0]: float(ln.split("\t")[1]) for ln in lines[1:]}
         assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
 
@@ -221,8 +234,24 @@ class TestStageComposition:
             assert main(["rank", "--edges", str(edges), "--nodes", str(nodes),
                          "--damping", "0.5", "--teleport", teleport,
                          "--out", str(out)]) == 0
-            pipeline_file = Path(outdir) / f"scores_{tag}_{name}_d0.5.tsv"
+            pipeline_file = Path(outdir) / f"indicator_{tag}_{name}_d0.5.tsv"
             assert out.read_bytes() == pipeline_file.read_bytes()
+
+    def test_indicators_stage_matches_pipeline(self, small_run, tmp_path):
+        _, _, if_table, outdir = small_run
+        edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
+        tag = edges.stem.removeprefix("edges_")
+        stage_dir = tmp_path / "stage"
+        assert main(["indicators", "--corpus", str(Path(outdir) / f"corpus_{tag}.jsonl"),
+                     "--outdir", str(stage_dir), "--tag", tag,
+                     "--if-table", str(if_table)]) == 0
+        names = ("popularity", "prestige", "h_index", "impact_factor")
+        assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
+            f"indicator_{tag}_{name}.tsv" for name in names)
+        for name in names:
+            stage_file = stage_dir / f"indicator_{tag}_{name}.tsv"
+            assert stage_file.read_bytes() == (
+                Path(outdir) / f"indicator_{tag}_{name}.tsv").read_bytes()
 
     def test_correlate_stage_matches_pipeline(self, small_run, tmp_path):
         _, _, _, outdir = small_run

@@ -4,12 +4,13 @@ import pytest
 
 from bibliorank.errors import ConfigError
 from bibliorank.evaluation import WinnerList, coverage, load_winners
-from bibliorank.indicators import RankVector
+from bibliorank.indicators import ScoreVector
 
 
 def _ranking(n):
-    """Rank vector a001 (best) .. a{n} (worst)."""
-    return RankVector("ind", {f"A{i:03d}": float(i) for i in range(1, n + 1)})
+    """Score vector a001 (best) .. a{n} (worst)."""
+    return ScoreVector("ind", [f"A{i:03d}" for i in range(1, n + 1)],
+                       [float(n - i) for i in range(1, n + 1)])
 
 
 class TestWinnerList:
@@ -50,7 +51,7 @@ class TestCoverage:
 
         rng = random.Random(13)
         rv = _ranking(100)
-        universe = list(rv.ranks)
+        universe = rv.authors
         for _ in range(50):
             winners = WinnerList(authors=rng.sample(universe, rng.randint(1, 15)))
             res = coverage([rv], winners, ks=[3, 7, 20, 60, 100])

@@ -1,13 +1,13 @@
 import io
 
+import numpy as np
 import pytest
 
 from bibliorank.corpus import Corpus, filter_with_references, generate_synthetic
-from bibliorank.errors import ConfigError, ParseError
+from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import (
     ImpactFactorTable,
     ScoreVector,
-    extend_scores,
     h_index_scores,
     highly_cited_papers,
     if_scores,
@@ -51,11 +51,12 @@ class TestPopularity:
     def test_counts(self, two_paper_corpus):
         g = build_graph(two_paper_corpus)
         s = popularity_scores(g)
-        assert s.values == {"X": 0.0, "Y": 3.0, "Z": 1.0}
+        assert s.authors == ["X", "Y", "Z"]
+        assert s.values.tolist() == [0.0, 3.0, 1.0]
 
     def test_never_cited_publishing_author(self, two_paper_corpus):
         g = build_graph(two_paper_corpus)
-        assert popularity_scores(g).values["X"] == 0.0
+        assert popularity_scores(g).values[g.node_id("X")] == 0.0
 
 
 class TestHighlyCited:
@@ -99,13 +100,13 @@ class TestPrestige:
         c = _corpus_with_internal_citations()
         g = build_graph(c)
         s = prestige_scores(g, c, set())
-        assert all(v == 0.0 for v in s.values.values())
+        assert np.all(s.values == 0.0)
 
     def test_hc_all_papers_equals_popularity(self):
         c = _corpus_with_internal_citations()
         g = build_graph(c)
         prestige = prestige_scores(g, c, {p.paper_id for p in c.papers})
-        assert prestige.values == popularity_scores(g).values
+        assert np.array_equal(prestige.values, popularity_scores(g).values)
 
     def test_single_highly_cited_paper(self):
         c = Corpus(
@@ -117,9 +118,9 @@ class TestPrestige:
         )
         g = build_graph(c)
         s = prestige_scores(g, c, {"P"})
-        assert s.values["A"] == 2.0
-        assert s.values["B"] == 1.0
-        assert s.values["X"] == 0.0
+        assert s.values[g.node_id("A")] == 2.0
+        assert s.values[g.node_id("B")] == 1.0
+        assert s.values[g.node_id("X")] == 0.0
 
     def test_prestige_le_popularity_pointwise(self):
         c, _ = filter_with_references(generate_synthetic(seed=4, n_papers=400, n_authors=120))
@@ -127,7 +128,7 @@ class TestPrestige:
         hc = highly_cited_papers(c, top_fraction=0.1)
         prest = prestige_scores(g, c, hc)
         pop = popularity_scores(g)
-        assert all(prest.values[a] <= pop.values[a] for a in g.authors)
+        assert np.all(prest.values <= pop.values)
 
 
 class TestHIndex:
@@ -136,38 +137,43 @@ class TestHIndex:
         assert h_index([10, 8, 5, 4, 3]) == 4
         counts = {"p0": 10, "p1": 8, "p2": 5, "p3": 4, "p4": 3}
         c = Corpus(papers=[paper(pid, "A", refs=[ref("Z")]) for pid in counts])
-        s = h_index_scores(c, counts=counts)
-        assert s.values["A"] == 4.0
+        g = build_graph(c)
+        s = h_index_scores(g, c, counts=counts)
+        assert s.values[g.node_id("A")] == 4.0
 
     def test_zero_and_ones(self):
         assert h_index([0]) == 0
         assert h_index([1, 1, 1]) == 1
         c = Corpus(papers=[paper("p1", "A", refs=[ref("Z")])])
-        assert h_index_scores(c, counts={"p1": 0}).values["A"] == 0.0
+        g = build_graph(c)
+        assert h_index_scores(g, c, counts={"p1": 0}).values[g.node_id("A")] == 0.0
 
     def test_matches_oracle_on_synthetic(self):
         c, _ = filter_with_references(generate_synthetic(seed=8, n_papers=300, n_authors=60))
         counts = internal_citation_counts(c)
-        s = h_index_scores(c, counts=counts)
+        g = build_graph(c)
+        s = h_index_scores(g, c, counts=counts)
         per_author = {}
         for p in c.papers:
             per_author.setdefault(p.first_author, []).append(counts[p.paper_id])
         for author, cites in per_author.items():
-            assert s.values[author] == h_index(cites)
+            assert s.values[g.node_id(author)] == h_index(cites)
 
 
 class TestIfScores:
     def test_single_citation(self):
         c = Corpus(papers=[paper("p1", "A", 2005, "J", refs=[ref("B")])])
         table = ImpactFactorTable({("J", 2005): 2.5})
-        s, misses = if_scores(c, table)
-        assert s.values["B"] == 2.5
+        g = build_graph(c)
+        s, misses = if_scores(g, c, table)
+        assert s.values[g.node_id("B")] == 2.5
         assert misses == 0
 
     def test_missing_venue_counts_miss(self):
         c = Corpus(papers=[paper("p1", "A", 2005, "J", refs=[ref("B")])])
-        s, misses = if_scores(c, ImpactFactorTable({}))
-        assert s.values["B"] == 0.0
+        g = build_graph(c)
+        s, misses = if_scores(g, c, ImpactFactorTable({}))
+        assert s.values[g.node_id("B")] == 0.0
         assert misses == 1
 
     def test_additivity(self):
@@ -178,18 +184,17 @@ class TestIfScores:
             ]
         )
         table = ImpactFactorTable({("J", 2005): 2.5, ("K", 2006): 1.0})
-        s, _ = if_scores(c, table)
-        assert s.values["B"] == 3.5
+        g = build_graph(c)
+        s, _ = if_scores(g, c, table)
+        assert s.values[g.node_id("B")] == 3.5
 
     def test_unit_ifs_equal_popularity(self):
         c, _ = filter_with_references(generate_synthetic(seed=2, n_papers=200, n_authors=80))
         table = ImpactFactorTable({(p.source, p.year): 1.0 for p in c.papers})
-        s, misses = if_scores(c, table)
-        assert misses == 0
         g = build_graph(c)
-        pop = popularity_scores(g)
-        ext = extend_scores(s, g.authors)
-        assert all(ext.values[a] == pop.values[a] for a in g.authors)
+        s, misses = if_scores(g, c, table)
+        assert misses == 0
+        assert np.array_equal(s.values, popularity_scores(g).values)
 
     def test_load_table_duplicate_key(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -198,16 +203,16 @@ class TestIfScores:
 
 class TestToRanks:
     def test_distinct(self):
-        r = to_ranks(ScoreVector("s", {"A": 5, "B": 3, "C": 1}))
-        assert r.ranks == {"A": 1, "B": 2, "C": 3}
+        r = to_ranks(ScoreVector("s", ["A", "B", "C"], [5, 3, 1]))
+        assert r.tolist() == [1, 2, 3]
 
     def test_tie_average(self):
-        r = to_ranks(ScoreVector("s", {"A": 5, "B": 5, "C": 1}))
-        assert r.ranks == {"A": 1.5, "B": 1.5, "C": 3}
+        r = to_ranks(ScoreVector("s", ["A", "B", "C"], [5, 5, 1]))
+        assert r.tolist() == [1.5, 1.5, 3]
 
     def test_all_equal(self):
-        r = to_ranks(ScoreVector("s", {c: 7 for c in "ABCD"}))
-        assert all(v == 2.5 for v in r.ranks.values())
+        r = to_ranks(ScoreVector("s", list("ABCD"), [7] * 4))
+        assert np.all(r == 2.5)
 
     def test_rank_sum_identity_random(self):
         import random
@@ -215,36 +220,43 @@ class TestToRanks:
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randint(1, 40)
-            s = ScoreVector("s", {f"a{i}": rng.randint(0, 5) for i in range(n)})
+            s = ScoreVector("s", [f"a{i:02d}" for i in range(n)],
+                            [rng.randint(0, 5) for _ in range(n)])
             r = to_ranks(s)
-            assert sum(r.ranks.values()) == pytest.approx(n * (n + 1) / 2)
+            assert sum(r) == pytest.approx(n * (n + 1) / 2)
 
     def test_strict_monotonicity(self):
-        s = ScoreVector("s", {"A": 9, "B": 4, "C": 4, "D": 1})
-        r = to_ranks(s)
-        assert r.ranks["A"] < r.ranks["B"] == r.ranks["C"] < r.ranks["D"]
+        s = ScoreVector("s", list("ABCD"), [9, 4, 4, 1])
+        a, b, c, d = to_ranks(s)
+        assert a < b == c < d
 
 
 class TestTopK:
     def test_argmax(self):
-        s = ScoreVector("s", {"A": 1, "B": 5, "C": 3})
+        s = ScoreVector("s", ["A", "B", "C"], [1, 5, 3])
         assert top_k(s, 1) == (["B"], False)
 
     def test_full_ordering(self):
-        s = ScoreVector("s", {"A": 1, "B": 5, "C": 3})
+        s = ScoreVector("s", ["A", "B", "C"], [1, 5, 3])
         assert top_k(s, 3)[0] == ["B", "C", "A"]
 
     def test_boundary_tie_lexicographic_and_flagged(self):
-        s = ScoreVector("s", {"A": 5, "D": 3, "B": 3, "C": 1})
+        s = ScoreVector("s", list("ABCD"), [5, 3, 1, 3])
         chosen, tie = top_k(s, 2)
         assert chosen == ["A", "B"]
         assert tie
 
     def test_k_exceeds_n(self):
-        s = ScoreVector("s", {"A": 1, "B": 2})
+        s = ScoreVector("s", ["A", "B"], [1, 2])
         chosen, _ = top_k(s, 10)
         assert chosen == ["B", "A"]
 
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):
-            top_k(ScoreVector("s", {"A": 1}), 0)
+            top_k(ScoreVector("s", ["A"], [1]), 0)
+
+
+class TestScoreVector:
+    def test_non_finite_score_names_first_bad_author(self):
+        with pytest.raises(DataError, match="'B'"):
+            ScoreVector("s", ["A", "B", "C"], [1.0, float("nan"), float("inf")])

@@ -1,10 +1,9 @@
-import math
 
 import numpy as np
 import pytest
 
 from bibliorank.errors import ConfigError, StatsError
-from bibliorank.indicators import RankVector, ScoreVector
+from bibliorank.indicators import ScoreVector
 from bibliorank.stats import (
     IndicatorTable,
     correlation_matrix,
@@ -22,27 +21,19 @@ from tests.oracles import (
 )
 
 
-def _rv(name, values):
-    return RankVector(name, values)
-
-
 class TestSpearman:
     def test_identical(self):
-        x = _rv("x", {"a": 1, "b": 2, "c": 3, "d": 4})
+        x = [1, 2, 3, 4]
         r, p = spearman(x, x)
         assert r == 1.0 and p == 0.0
 
     def test_reversed(self):
-        x = _rv("x", {"a": 1, "b": 2, "c": 3})
-        y = _rv("y", {"a": 3, "b": 2, "c": 1})
-        r, p = spearman(x, y)
+        r, p = spearman([1, 2, 3], [3, 2, 1])
         assert r == -1.0 and p == 0.0
 
     def test_closed_form_example(self):
         # 1 - 6*2/(3*8) = 0.5, cross-checked with Pearson on ranks
-        x = _rv("x", {"a": 1, "b": 2, "c": 3})
-        y = _rv("y", {"a": 1, "b": 3, "c": 2})
-        r, _ = spearman(x, y)
+        r, _ = spearman([1, 2, 3], [1, 3, 2])
         assert r == pytest.approx(0.5, abs=1e-15)
         assert r == pytest.approx(pearson([1, 2, 3], [1, 3, 2]), abs=1e-15)
 
@@ -52,17 +43,13 @@ class TestSpearman:
             n = int(rng.integers(3, 30))
             xs = rng.permutation(n) + 1
             ys = rng.permutation(n) + 1
-            x = _rv("x", {f"a{i}": int(xs[i]) for i in range(n)})
-            y = _rv("y", {f"a{i}": int(ys[i]) for i in range(n)})
-            r, _ = spearman(x, y)
+            r, _ = spearman(xs, ys)
             assert abs(r - spearman_closed_form(xs, ys)) < 1e-12
 
     def test_tie_safe_equals_pearson_on_ranks(self):
         xs = [1.0, 2.5, 2.5, 4.0]
         ys = [2.0, 1.0, 3.5, 3.5]
-        x = _rv("x", {f"a{i}": xs[i] for i in range(4)})
-        y = _rv("y", {f"a{i}": ys[i] for i in range(4)})
-        r, _ = spearman(x, y)
+        r, _ = spearman(xs, ys)
         assert r == pytest.approx(pearson(rank_average([-v for v in xs]),
                                           rank_average([-v for v in ys])), abs=1e-12)
 
@@ -71,13 +58,10 @@ class TestSpearman:
         scores = rng.random(20)
         from bibliorank.indicators import to_ranks
 
-        base = to_ranks(ScoreVector("b", {f"a{i}": scores[i] for i in range(20)}))
-        transformed = to_ranks(
-            ScoreVector("t", {f"a{i}": math.exp(3 * scores[i]) for i in range(20)})
-        )
-        other = to_ranks(
-            ScoreVector("o", {f"a{i}": float(rng.random()) for i in range(20)})
-        )
+        authors = [f"a{i:02d}" for i in range(20)]
+        base = to_ranks(ScoreVector("b", authors, scores))
+        transformed = to_ranks(ScoreVector("t", authors, np.exp(3 * scores)))
+        other = to_ranks(ScoreVector("o", authors, rng.random(20)))
         r1, _ = spearman(base, other)
         r2, _ = spearman(transformed, other)
         assert r1 == pytest.approx(r2, abs=1e-14)
@@ -86,8 +70,8 @@ class TestSpearman:
         rng = np.random.default_rng(17)
         for _ in range(20):
             n = int(rng.integers(3, 15))
-            x = _rv("x", {f"a{i}": float(rng.integers(0, 5)) for i in range(n)})
-            y = _rv("y", {f"a{i}": float(rng.integers(0, 5)) for i in range(n)})
+            x = [float(rng.integers(0, 5)) for i in range(n)]
+            y = [float(rng.integers(0, 5)) for i in range(n)]
             try:
                 rxy, _ = spearman(x, y)
             except StatsError:
@@ -104,28 +88,27 @@ class TestSpearman:
             n = int(rng.integers(7, 9))
             xs = list(rng.permutation(n) + 1)
             ys = list(rng.permutation(n) + 1)
-            x = _rv("x", {f"a{i}": xs[i] for i in range(n)})
-            y = _rv("y", {f"a{i}": ys[i] for i in range(n)})
-            r, p = spearman(x, y)
+            r, p = spearman(xs, ys)
             if abs(r) == 1.0:
                 continue
             exact = exact_spearman_pvalue(xs, ys)
             assert abs(p - exact) < 0.02
 
     def test_errors(self):
-        x = _rv("x", {"a": 1, "b": 2})
+        x = [1, 2]
         with pytest.raises(StatsError):
             spearman(x, x)
-        const = _rv("c", {"a": 1, "b": 1, "c": 1})
-        var = _rv("v", {"a": 1, "b": 2, "c": 3})
+        const = [1, 1, 1]
+        var = [1, 2, 3]
         with pytest.raises(StatsError, match="degenerate"):
             spearman(const, var)
 
 
 class TestCorrelationMatrix:
     def _table(self, cols):
-        svs = [ScoreVector(name, vals) for name, vals in cols.items()]
-        subset = sorted(svs[0].values)
+        svs = [ScoreVector(name, sorted(vals), [vals[a] for a in sorted(vals)])
+               for name, vals in cols.items()]
+        subset = svs[0].authors
         return IndicatorTable.from_scores(svs, subset)
 
     def test_identical_columns(self):
@@ -151,8 +134,7 @@ class TestCorrelationMatrix:
             for j in range(3):
                 if i == j:
                     continue
-                want, wantp = spearman(table.column(labels[i]), table.column(labels[j]),
-                                       subset=table.authors)
+                want, wantp = spearman(table.ranks[:, i], table.ranks[:, j])
                 assert cm.r[i, j] == want
                 assert cm.p_two_tailed[i, j] == wantp
         assert np.array_equal(cm.r, cm.r.T)
@@ -206,11 +188,9 @@ ZERO_CORR_PERM = [
 def _table_from_matrix(data, labels=None):
     n, m = data.shape
     labels = labels or [f"v{j}" for j in range(m)]
-    svs = [
-        ScoreVector(labels[j], {f"a{i:03d}": float(data[i, j]) for i in range(n)})
-        for j in range(m)
-    ]
-    return IndicatorTable.from_scores(svs, [f"a{i:03d}" for i in range(n)])
+    authors = [f"a{i:03d}" for i in range(n)]
+    svs = [ScoreVector(labels[j], authors, data[:, j]) for j in range(m)]
+    return IndicatorTable.from_scores(svs, authors)
 
 
 class TestPcaVarimax:
@@ -309,6 +289,6 @@ class TestIndicatorTable:
             assert table.ranks[:, j].sum() == pytest.approx(n * (n + 1) / 2)
 
     def test_missing_author_rejected(self):
-        sv = ScoreVector("x", {"a": 1.0})
+        sv = ScoreVector("x", ["a"], [1.0])
         with pytest.raises(StatsError, match="missing"):
             IndicatorTable.from_scores([sv], ["a", "b"])

@@ -18,7 +18,13 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import BiblioRankError, ConfigError, DataError, NonConvergenceError
+from bibliorank.errors import (
+    BiblioRankError,
+    ConfigError,
+    DataError,
+    NonConvergenceError,
+    ParseError,
+)
 from bibliorank.evaluation import coverage, load_winners
 
 
@@ -31,11 +37,14 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
             raise DataError(f"{path}: expected an 'author'/'score' header row")
         a_col = header.index("author")
         s_col = header.index("score")
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue
             parts = raw.rstrip("\n").split("\t")
-            values[parts[a_col]] = float(parts[s_col])
+            try:
+                values[parts[a_col]] = float(parts[s_col])
+            except (IndexError, ValueError):
+                raise ParseError(f"malformed score row in {path}", line=lineno) from None
     if not values:
         raise DataError(f"{path}: no score rows")
     authors = sorted(values)
@@ -165,10 +174,9 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    retention, fixed_k = pipe_mod.parse_retention(args.retention)
     vectors = _score_vectors(args.scores, args.labels)
     table = _build_table(vectors, args.subset_size)
-    retention, _, raw = args.retention.partition(":")
-    fixed_k = int(raw) if retention == "fixed" else None
     res = stats_mod.pca_varimax(
         table, retention=retention, fixed_k=fixed_k, loading_cutoff=args.cutoff
     )
@@ -181,10 +189,13 @@ def cmd_pca(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        ks = [int(k) for k in args.ks.split(",")]
+    except ValueError:
+        raise ConfigError(f"invalid --ks {args.ks!r}: expected integers") from None
     vectors = _score_vectors(args.scores, args.labels)
     with open(args.winners, encoding="utf-8") as fh:
         winners = load_winners(fh, provenance=args.winners)
-    ks = [int(k) for k in args.ks.split(",")]
     res = coverage(vectors, winners, ks=ks)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         pipe_mod.write_coverage(res, fh)
@@ -196,16 +207,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.config:
-        cfg = pipe_mod.load_config(args.config, overrides=args.set)
-    else:
-        cfg = pipe_mod.RunConfig()
-        for item in args.set or []:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} is not key=value")
-            key, value = item.split("=", 1)
-            pipe_mod.apply_config_entry(cfg, key, value)
-        cfg.validate()
+    cfg = pipe_mod.load_config(args.config, overrides=args.set)
     manifest = pipe_mod.run_pipeline(cfg)
     print(f"pipeline complete: {len(manifest['files'])} files in {cfg.outdir} "
           f"(config hash {manifest['config_hash'][:12]})")

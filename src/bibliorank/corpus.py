@@ -21,6 +21,17 @@ YEAR_MIN = 1000
 YEAR_MAX = 3000
 
 
+def _normalize_key(raw: str, what: str) -> str:
+    if raw is None:
+        raise DataError(f"{what} string is missing")
+    key = raw.upper().replace(".", "").replace(",", " ")
+    key = " ".join(key.split())
+    key = key.rstrip(_TRAILING_PUNCT)
+    if not key:
+        raise DataError(f"{what} string {raw!r} is empty after normalization")
+    return key
+
+
 def normalize_author(raw: str) -> str:
     """Normalize a raw author string into a canonical author key.
 
@@ -31,26 +42,12 @@ def normalize_author(raw: str) -> str:
     >>> normalize_author("Salton, G.")
     'SALTON G'
     """
-    if raw is None:
-        raise DataError("author string is missing")
-    key = raw.upper().replace(".", "").replace(",", " ")
-    key = " ".join(key.split())
-    key = key.rstrip(_TRAILING_PUNCT)
-    if not key:
-        raise DataError(f"author string {raw!r} is empty after normalization")
-    return key
+    return _normalize_key(raw, "author")
 
 
 def normalize_venue(raw: str) -> str:
     """Normalize a venue string; same rule as author keys for stable joins."""
-    if raw is None:
-        raise DataError("venue string is missing")
-    key = raw.upper().replace(".", "").replace(",", " ")
-    key = " ".join(key.split())
-    key = key.rstrip(_TRAILING_PUNCT)
-    if not key:
-        raise DataError(f"venue string {raw!r} is empty after normalization")
-    return key
+    return _normalize_key(raw, "venue")
 
 
 @dataclass(frozen=True)

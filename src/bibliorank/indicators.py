@@ -51,9 +51,6 @@ class ImpactFactorTable:
 
     factors: dict[tuple[str, int], float] = field(default_factory=dict)
 
-    def get(self, venue: str, year: int) -> float | None:
-        return self.factors.get((venue, year))
-
 
 def load_impact_factors(stream) -> ImpactFactorTable:
     """Read a `venue<TAB>year<TAB>impact_factor` table; duplicates error."""
@@ -71,6 +68,8 @@ def load_impact_factors(stream) -> ImpactFactorTable:
             impact = float(parts[2])
         except ValueError:
             raise ParseError("invalid year or impact factor", line=lineno) from None
+        if not math.isfinite(impact):
+            raise ParseError(f"non-finite impact factor {parts[2]!r}", line=lineno)
         if impact < 0:
             raise ParseError(f"negative impact factor {impact}", line=lineno)
         key = (venue, year)
@@ -85,91 +84,73 @@ def popularity_scores(g: AuthorCitationGraph) -> ScoreVector:
     return ScoreVector("popularity", g.authors, g.citations_received)
 
 
-def internal_citation_counts(corpus: Corpus) -> dict[str, int]:
+def internal_citation_counts(corpus: Corpus) -> np.ndarray:
     """Citations each corpus paper receives from other corpus papers.
 
-    A reference matches a paper on exact (author, year, source, volume,
-    page); a missing volume/page only matches a missing one.
+    Returns an int64 array aligned to ``corpus.papers``.  A reference
+    matches a paper on exact (author, year, source, volume, page); a
+    missing volume/page only matches a missing one.  A reference whose key
+    several papers share counts for each of them.
     """
-    by_key: dict[tuple, list[str]] = {}
-    for p in corpus.papers:
-        by_key.setdefault(p.match_key(), []).append(p.paper_id)
-    counts = {p.paper_id: 0 for p in corpus.papers}
-    for p in corpus.papers:
-        for ref in p.references:
-            for pid in by_key.get(ref.match_key(), ()):
-                counts[pid] += 1
-    return counts
+    by_key: dict[tuple, list[int]] = {}
+    for k, p in enumerate(corpus.papers):
+        by_key.setdefault(p.match_key(), []).append(k)
+    matched = [k for p in corpus.papers for ref in p.references
+               for k in by_key.get(ref.match_key(), ())]
+    return np.bincount(np.array(matched, dtype=np.int64), minlength=len(corpus.papers))
 
 
 def highly_cited_papers(
-    corpus: Corpus,
+    counts: np.ndarray,
     top_fraction: float | None = None,
     min_citations: int | None = None,
-    counts: dict[str, int] | None = None,
-) -> set[str]:
-    """Paper ids clearing the highly-cited threshold.
+) -> np.ndarray:
+    """Boolean mask of the papers clearing the highly-cited threshold.
 
-    Exactly one of ``top_fraction`` (cut at the (1 - f) quantile of
-    internal citation counts, ties included, uncited papers never
-    qualify) or ``min_citations`` must be given.
+    ``counts`` are internal citation counts aligned to the corpus papers.
+    Exactly one of ``top_fraction`` (cut at the (1 - f) quantile of the
+    counts, ties included, uncited papers never qualify) or
+    ``min_citations`` must be given.
     """
     if (top_fraction is None) == (min_citations is None):
         raise ConfigError("give exactly one of top_fraction or min_citations")
-    if counts is None:
-        counts = internal_citation_counts(corpus)
+    counts = np.asarray(counts)
     if min_citations is not None:
         if min_citations < 1:
             raise ConfigError("min_citations must be >= 1")
-        return {pid for pid, c in counts.items() if c >= min_citations}
+        return counts >= min_citations
     if not (0.0 < top_fraction <= 1.0):
         raise ConfigError(f"top_fraction {top_fraction} outside (0, 1]")
-    if not counts:
-        return set()
-    ordered = sorted(counts.values(), reverse=True)
-    k = max(1, math.ceil(top_fraction * len(ordered)))
-    threshold = max(ordered[k - 1], 1)
-    return {pid for pid, c in counts.items() if c >= threshold}
+    if not len(counts):
+        return np.zeros(0, dtype=bool)
+    k = max(1, math.ceil(top_fraction * len(counts)))
+    threshold = max(np.sort(counts)[-k], 1)  # the k-th largest count
+    return counts >= threshold
 
 
-def prestige_scores(
-    g: AuthorCitationGraph, corpus: Corpus, highly_cited: set[str]
-) -> ScoreVector:
+def prestige_scores(g: AuthorCitationGraph, highly_cited: np.ndarray) -> ScoreVector:
     """Citations each author receives from the highly cited papers.
 
-    ``corpus`` is the one ``g`` was built from, so every cited author is a
-    node.
+    ``highly_cited`` is a mask over the papers of the corpus ``g`` was
+    built from.
     """
-    cited = [g.index[ref.first_author] for p in corpus.papers
-             if p.paper_id in highly_cited for ref in p.references]
-    return ScoreVector("prestige", g.authors,
-                       np.bincount(np.array(cited, dtype=np.int64), minlength=g.n_nodes))
+    refs = g.references
+    cited = refs.cited[np.asarray(highly_cited, dtype=bool)[refs.citing]]
+    return ScoreVector("prestige", g.authors, np.bincount(cited, minlength=g.n_nodes))
 
 
-def h_index_scores(
-    g: AuthorCitationGraph, corpus: Corpus, counts: dict[str, int] | None = None
-) -> ScoreVector:
+def h_index_scores(g: AuthorCitationGraph, counts: np.ndarray) -> ScoreVector:
     """h-index per author over internal citation counts (0 if unpublished).
 
-    ``corpus`` is the one ``g`` was built from, so every first author is a
-    node.
+    ``counts`` are aligned to the papers of the corpus ``g`` was built from.
     """
-    if counts is None:
-        counts = internal_citation_counts(corpus)
-    per_author: dict[str, list[int]] = {}
-    for p in corpus.papers:
-        per_author.setdefault(p.first_author, []).append(counts[p.paper_id])
-    scores = np.zeros(g.n_nodes)
-    for author, cites in per_author.items():
-        cites.sort(reverse=True)
-        h = 0
-        for i, c in enumerate(cites, start=1):
-            if c >= i:
-                h = i
-            else:
-                break
-        scores[g.index[author]] = h
-    return ScoreVector("h_index", g.authors, scores)
+    counts = np.asarray(counts)
+    order = np.lexsort((-counts, g.references.paper_author))
+    author = g.references.paper_author[order]
+    # 1-based position of each paper in its author's descending count list
+    position = np.arange(1, len(order) + 1) - np.searchsorted(author, author)
+    h = np.bincount(author[counts[order] >= position], minlength=g.n_nodes)
+    return ScoreVector("h_index", g.authors, h)
 
 
 def if_scores(
@@ -181,20 +162,15 @@ def if_scores(
     author; missing table entries contribute 0 and are counted.  ``corpus``
     is the one ``g`` was built from.  Returns (scores, miss count).
     """
-    cited: list[int] = []
-    weights: list[float] = []
-    misses = 0
-    for p in corpus.papers:
-        impact = table.get(p.source, p.year)
-        if impact is None:
-            misses += len(p.references)
-            impact = 0.0
-        for ref in p.references:
-            cited.append(g.index[ref.first_author])
-            weights.append(impact)
+    refs = g.references
+    # load_impact_factors rejects NaN factors, so NaN marks a table miss.
+    impact = np.array([table.factors.get((p.source, p.year), np.nan) for p in corpus.papers])
+    missed = np.isnan(impact)
+    impact[missed] = 0.0
     # bincount adds the weights in reference order, as a running sum would.
-    scores = np.bincount(np.array(cited, dtype=np.int64), weights=weights, minlength=g.n_nodes)
-    return ScoreVector("impact_factor", g.authors, scores), misses
+    scores = np.bincount(refs.cited, weights=impact[refs.citing], minlength=g.n_nodes)
+    return (ScoreVector("impact_factor", g.authors, scores),
+            int(np.count_nonzero(missed[refs.citing])))
 
 
 def to_ranks(s: ScoreVector) -> np.ndarray:

@@ -11,6 +11,20 @@ from bibliorank.corpus import Corpus
 from bibliorank.errors import GraphError, ParseError
 
 
+@dataclass(frozen=True)
+class ReferenceTable:
+    """One phase corpus's references as node-id arrays, built with its graph.
+
+    ``paper_author[k]`` is the node id of the first author of
+    ``corpus.papers[k]``.  Reference r, in corpus order, goes from paper
+    ``citing[r]`` to the work of node ``cited[r]``; self-citations are kept.
+    """
+
+    paper_author: np.ndarray
+    citing: np.ndarray
+    cited: np.ndarray
+
+
 @dataclass
 class AuthorCitationGraph:
     """Author citation network.
@@ -18,12 +32,14 @@ class AuthorCitationGraph:
     Nodes are author keys (lexicographic order = node id); the sparse
     adjacency holds entry (citer j, cited i) with the positive integer
     number of times j's papers cite works first-authored by i.
+    ``references`` is set when the graph was built from a corpus.
     """
 
     authors: list[str]
     adjacency: sparse.csr_matrix  # shape (N, N), row = citer, col = cited
     citations_received: np.ndarray  # in-edge weight sums, int64
     publications: np.ndarray  # first-authored corpus papers, int64
+    references: ReferenceTable | None = None
 
     def __post_init__(self):
         self.index = {a: i for i, a in enumerate(self.authors)}
@@ -59,54 +75,47 @@ class GraphStats:
     n_dangling: int
 
 
+def _graph(authors, citer, cited, weights, publications, references=None):
+    """Graph over sorted ``authors``; duplicate (citer, cited) pairs add up."""
+    n = len(authors)
+    adjacency = sparse.coo_matrix((weights, (citer, cited)), shape=(n, n)).tocsr()
+    return AuthorCitationGraph(
+        authors=authors,
+        adjacency=adjacency,
+        citations_received=np.asarray(adjacency.sum(axis=0)).ravel().astype(np.int64),
+        publications=publications,
+        references=references,
+    )
+
+
 def build_graph(corpus: Corpus, allow_self_citation: bool = True) -> AuthorCitationGraph:
-    """Build the author citation graph for one (filtered) phase corpus.
+    """Build the author citation graph and reference table of one phase corpus.
 
     One node per distinct author appearing as a paper's first author or as
     a reference's first author.  Each reference from a paper by A to a work
     by B adds 1 to edge A->B; self-citations (A == B) are skipped when
     ``allow_self_citation`` is false.
     """
-    if not corpus.papers:
+    papers = corpus.papers
+    if not papers:
         raise GraphError("empty graph: corpus has no papers")
 
-    names = set()
-    for p in corpus.papers:
-        names.add(p.first_author)
-        for r in p.references:
-            names.add(r.first_author)
-    authors = sorted(names)
+    first_authors = [p.first_author for p in papers]
+    cited_authors = [r.first_author for p in papers for r in p.references]
+    authors = sorted(set(first_authors).union(cited_authors))
     index = {a: i for i, a in enumerate(authors)}
-    n = len(authors)
-
-    weights: dict[tuple[int, int], int] = {}
-    publications = np.zeros(n, dtype=np.int64)
-    for p in corpus.papers:
-        citer = index[p.first_author]
-        publications[citer] += 1
-        for r in p.references:
-            cited = index[r.first_author]
-            if not allow_self_citation and citer == cited:
-                continue
-            key = (citer, cited)
-            weights[key] = weights.get(key, 0) + 1
-
-    if weights:
-        keys = sorted(weights)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-        data = np.fromiter((weights[k] for k in keys), dtype=np.int64, count=len(keys))
-    else:
-        rows = cols = data = np.zeros(0, dtype=np.int64)
-    adjacency = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    citations_received = np.asarray(adjacency.sum(axis=0)).ravel().astype(np.int64)
-
-    return AuthorCitationGraph(
-        authors=authors,
-        adjacency=adjacency,
-        citations_received=citations_received,
-        publications=publications,
+    table = ReferenceTable(
+        paper_author=np.array([index[a] for a in first_authors], dtype=np.int64),
+        citing=np.repeat(np.arange(len(papers)), [len(p.references) for p in papers]),
+        cited=np.array([index[a] for a in cited_authors], dtype=np.int64),
     )
+
+    citer, cited = table.paper_author[table.citing], table.cited
+    if not allow_self_citation:
+        keep = citer != cited
+        citer, cited = citer[keep], cited[keep]
+    return _graph(authors, citer, cited, np.ones(len(cited), dtype=np.int64),
+                  np.bincount(table.paper_author, minlength=len(authors)), table)
 
 
 def graph_stats(g: AuthorCitationGraph) -> GraphStats:
@@ -140,8 +149,7 @@ def load_edges(stream, publications: dict[str, int] | None = None) -> AuthorCita
     citations_received is recomputed from the edges; publications default
     to zero unless a mapping (e.g. from a node dump) is supplied.
     """
-    entries = []
-    names = set()
+    citers, citeds, weights = [], [], []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -156,35 +164,21 @@ def load_edges(stream, publications: dict[str, int] | None = None) -> AuthorCita
             raise ParseError(f"invalid weight {w!r}", line=lineno, field="weight") from None
         if weight < 1:
             raise ParseError(f"edge weight {weight} < 1", line=lineno, field="weight")
-        entries.append((citer, cited, weight))
-        names.add(citer)
-        names.add(cited)
-    if publications:
-        names.update(publications)
-    if not names:
+        citers.append(citer)
+        citeds.append(cited)
+        weights.append(weight)
+    publications = publications or {}
+    authors = sorted(set(citers).union(citeds, publications))
+    if not authors:
         raise GraphError("empty graph: edge list has no entries")
-    authors = sorted(names)
     index = {a: i for i, a in enumerate(authors)}
-    n = len(authors)
-    weights: dict[tuple[int, int], int] = {}
-    for citer, cited, w in entries:
-        key = (index[citer], index[cited])
-        weights[key] = weights.get(key, 0) + w
-    keys = sorted(weights)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    data = np.array([weights[k] for k in keys], dtype=np.int64)
-    adjacency = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    pubs = np.zeros(n, dtype=np.int64)
-    if publications:
-        for a, c in publications.items():
-            pubs[index[a]] = c
-    return AuthorCitationGraph(
-        authors=authors,
-        adjacency=adjacency,
-        citations_received=np.asarray(adjacency.sum(axis=0)).ravel().astype(np.int64),
-        publications=pubs,
-    )
+    pubs = np.zeros(len(authors), dtype=np.int64)
+    for a, c in publications.items():
+        pubs[index[a]] = c
+    return _graph(authors,
+                  np.array([index[a] for a in citers], dtype=np.int64),
+                  np.array([index[a] for a in citeds], dtype=np.int64),
+                  np.array(weights, dtype=np.int64), pubs)
 
 
 def load_nodes(stream) -> dict[str, tuple[int, int]]:

@@ -124,17 +124,18 @@ _CONFIG_KEYS = {
 
 
 def parse_phases(text: str) -> tuple[corpus_mod.Phase, ...]:
+    """`label:lo-hi;...` (a bare `lo-hi` is its own label) -> phases."""
     phases = []
     for piece in text.split(";"):
         piece = piece.strip()
         if not piece:
             continue
-        if ":" in piece:
-            label, span = piece.split(":", 1)
-        else:
-            label, span = piece, piece
-        lo, hi = span.split("-")
-        phases.append(corpus_mod.Phase(label.strip(), int(lo), int(hi)))
+        label, span = piece.split(":", 1) if ":" in piece else (piece, piece)
+        try:
+            lo, hi = span.split("-")
+            phases.append(corpus_mod.Phase(label.strip(), int(lo), int(hi)))
+        except ValueError:
+            raise ConfigError(f"invalid phases entry {piece!r}: expected [label:]lo-hi") from None
     if not phases:
         raise ConfigError(f"no phases in {text!r}")
     return tuple(phases)
@@ -152,6 +153,20 @@ def parse_prestige(text: str) -> tuple[str, float]:
     except ValueError:
         pass
     raise ConfigError(f"invalid prestige spec {text!r}")
+
+
+def parse_retention(text: str) -> tuple[str, int | None]:
+    """`kaiser` or `fixed:K` -> (retention, fixed_k)."""
+    mode, _, raw = text.partition(":")
+    mode = mode.strip()
+    try:
+        if mode == "kaiser":
+            return mode, None
+        if mode == "fixed":
+            return mode, int(raw)
+    except ValueError:
+        pass
+    raise ConfigError(f"invalid pca_retention {text!r}: expected kaiser or fixed:K")
 
 
 def _parse_bool(text: str) -> bool:
@@ -179,14 +194,7 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
         elif key == "prestige":
             cfg.prestige_mode, cfg.prestige_value = parse_prestige(value)
         elif key == "pca_retention":
-            mode, _, raw = value.partition(":")
-            mode = mode.strip()
-            if mode == "kaiser":
-                cfg.pca_retention, cfg.pca_fixed_k = "kaiser", None
-            elif mode == "fixed":
-                cfg.pca_retention, cfg.pca_fixed_k = "fixed", int(raw)
-            else:
-                raise ConfigError(f"invalid pca_retention {value!r}")
+            cfg.pca_retention, cfg.pca_fixed_k = parse_retention(value)
         elif key == "coverage_ks":
             cfg.coverage_ks = tuple(int(x) for x in value.split(","))
         elif key in ("subset_size", "max_iterations", "n_papers", "n_authors"):
@@ -203,18 +211,19 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
         raise ConfigError(f"invalid value {value!r} for config key {key!r}: {exc}") from None
 
 
-def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
-    """Read a key = value config file, then apply CLI overrides."""
+def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
+    """Read a key = value config file, if given, then apply CLI overrides."""
     cfg = RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            apply_config_entry(cfg, key, value)
+    if path is not None:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected key = value")
+                key, value = line.split("=", 1)
+                apply_config_entry(cfg, key, value)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -319,21 +328,22 @@ def classical_indicators(
 ) -> tuple[list[ind_mod.ScoreVector], dict]:
     """Popularity, prestige, h-index and, given a table, impact-factor scores.
 
-    ``prestige`` is a (mode, value) pair from ``parse_prestige``.  Returns
-    the score vectors in that order, over the graph's authors, and
-    diagnostics.
+    ``graph`` is ``build_graph(corpus)``; the indicators are reductions over
+    its reference table.  ``prestige`` is a (mode, value) pair from
+    ``parse_prestige``.  Returns the score vectors in that order, over the
+    graph's authors, and diagnostics.
     """
     counts = ind_mod.internal_citation_counts(corpus)
     mode, value = prestige
     if mode == "top_fraction":
-        hc = ind_mod.highly_cited_papers(corpus, top_fraction=value, counts=counts)
+        hc = ind_mod.highly_cited_papers(counts, top_fraction=value)
     else:
-        hc = ind_mod.highly_cited_papers(corpus, min_citations=int(value), counts=counts)
-    diagnostics = {"highly_cited_papers": len(hc)}
+        hc = ind_mod.highly_cited_papers(counts, min_citations=int(value))
+    diagnostics = {"highly_cited_papers": int(np.count_nonzero(hc))}
     scores = [
         ind_mod.popularity_scores(graph),
-        ind_mod.prestige_scores(graph, corpus, hc),
-        ind_mod.h_index_scores(graph, corpus, counts=counts),
+        ind_mod.prestige_scores(graph, hc),
+        ind_mod.h_index_scores(graph, counts),
     ]
     if if_table is not None:
         ifs, misses = ind_mod.if_scores(graph, corpus, if_table)

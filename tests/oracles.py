@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's sparse/optimized code paths: the
 PageRank oracle iterates a dense transition matrix, the Spearman oracle
-uses the no-ties closed form or full permutation enumeration, and the tiny
-eigen checks go through numpy.
+uses the no-ties closed form or full permutation enumeration, the tiny
+eigen checks go through numpy, and the graph and classical-indicator
+oracles walk papers x references one record at a time.
 """
 
 import itertools
@@ -99,6 +100,76 @@ def h_index(citation_counts):
         if c >= i:
             h = i
     return h
+
+
+def build_graph_loop(papers, allow_self_citation=True):
+    """(sorted authors, {(citer id, cited id): weight}, publications per id)."""
+    names = set()
+    for p in papers:
+        names.add(p.first_author)
+        for r in p.references:
+            names.add(r.first_author)
+    authors = sorted(names)
+    index = {a: i for i, a in enumerate(authors)}
+    weights = {}
+    publications = [0] * len(authors)
+    for p in papers:
+        citer = index[p.first_author]
+        publications[citer] += 1
+        for r in p.references:
+            cited = index[r.first_author]
+            if not allow_self_citation and citer == cited:
+                continue
+            weights[(citer, cited)] = weights.get((citer, cited), 0) + 1
+    return authors, weights, publications
+
+
+def internal_citation_counts_loop(papers):
+    """paper_id -> references matching its exact key; shared keys credit each paper."""
+    by_key = {}
+    for p in papers:
+        by_key.setdefault(p.match_key(), []).append(p.paper_id)
+    counts = {p.paper_id: 0 for p in papers}
+    for p in papers:
+        for r in p.references:
+            for pid in by_key.get(r.match_key(), ()):
+                counts[pid] += 1
+    return counts
+
+
+def prestige_loop(papers, highly_cited_ids):
+    """cited author -> references made by the highly cited papers."""
+    scores = {}
+    for p in papers:
+        if p.paper_id in highly_cited_ids:
+            for r in p.references:
+                scores[r.first_author] = scores.get(r.first_author, 0) + 1
+    return scores
+
+
+def h_index_loop(papers, counts):
+    """first author -> h-index of the counts (by paper_id) of their papers."""
+    per_author = {}
+    for p in papers:
+        per_author.setdefault(p.first_author, []).append(counts[p.paper_id])
+    return {a: h_index(cites) for a, cites in per_author.items()}
+
+
+def if_loop(papers, factors):
+    """(cited author -> running sum of citing-paper IFs, references with no IF).
+
+    ``factors`` maps (venue, year) to an impact factor.
+    """
+    scores = {}
+    misses = 0
+    for p in papers:
+        impact = factors.get((p.source, p.year))
+        if impact is None:
+            misses += len(p.references)
+            impact = 0.0
+        for r in p.references:
+            scores[r.first_author] = scores.get(r.first_author, 0.0) + impact
+    return scores, misses
 
 
 def random_graph_corpus(seed, n_nodes_max=50):

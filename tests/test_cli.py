@@ -82,6 +82,28 @@ class TestExitCodes:
         assert err.startswith("error: ") and entry.split("=")[0] in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--phases", "1990"],
+        ["pca", "--scores", "{tmp}/nope", "--retention", "fixed:x",
+         "--out-loadings", "{tmp}/l", "--out-components", "{tmp}/c"],
+        ["evaluate", "--scores", "{tmp}/nope", "--ks", "5,x",
+         "--winners", "{tmp}/w", "--out", "{tmp}/o"],
+    ], ids=["ingest-phases", "pca-retention", "evaluate-ks"])
+    def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, tmp_path, capsys):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("row", ["A01\tx", "A01"], ids=["non-numeric", "short"])
+    def test_malformed_score_row_exit_2(self, row, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        scores.write_text(f"author\tscore\nA00\t1\n{row}\n")
+        assert main(["correlate", "--scores", str(scores), str(scores),
+                     "--out", str(tmp_path / "corr.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and str(scores) in err
+
     def test_invalid_field_exit_1_before_corpus_is_opened(self, tmp_path):
         rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
                    "--set", f"outdir={tmp_path / 'out'}",

@@ -19,6 +19,8 @@ from bibliorank.indicators import (
     top_k,
 )
 from bibliorank.network import build_graph
+from bibliorank.pipeline import generate_impact_factors
+from tests import oracles
 from tests.conftest import paper, ref
 from tests.oracles import h_index
 
@@ -35,16 +37,31 @@ def _corpus_with_internal_citations():
     return Corpus(papers=[p1, p2, p3, p4, p5])
 
 
+def _shared_key_corpus():
+    """p1 and p2 share one match key; p3 and p4 cite it, p3 also cites itself."""
+    twin = dict(year=1990, source="J A", volume="1", page="10")
+    twin_ref = ("A", 1990, "J A", "1", "10")
+    return Corpus(papers=[
+        paper("p1", "A", refs=[ref("Z")], **twin),
+        paper("p2", "A", refs=[ref("B")], **twin),
+        paper("p3", "B", 2000, "J B", refs=[twin_ref, ref("B")]),
+        paper("p4", "C", 2001, "J C", refs=[twin_ref, ref("A")]),
+    ])
+
+
 class TestInternalCitationCounts:
     def test_exact_matching(self):
         counts = internal_citation_counts(_corpus_with_internal_citations())
-        assert counts == {"p1": 3, "p2": 1, "p3": 0, "p4": 0, "p5": 0}
+        assert counts.tolist() == [3, 1, 0, 0, 0]
 
     def test_volume_mismatch_blocks_match(self):
         p1 = paper("p1", "A", 1990, "J A", volume="1")
         p2 = paper("p2", "B", 2000, "J B", refs=[("A", 1990, "J A", None, None)])
         counts = internal_citation_counts(Corpus(papers=[p1, p2]))
-        assert counts["p1"] == 0  # ref omits volume, paper has one
+        assert counts[0] == 0  # ref omits volume, paper has one
+
+    def test_shared_key_credits_each_paper(self):
+        assert internal_citation_counts(_shared_key_corpus()).tolist() == [2, 2, 0, 0]
 
 
 class TestPopularity:
@@ -62,50 +79,50 @@ class TestPopularity:
 class TestHighlyCited:
     def test_all_uncited_empty(self):
         c = Corpus(papers=[paper("p1", "A", refs=[ref("Z")])])
-        assert highly_cited_papers(c, top_fraction=0.5) == set()
+        assert not highly_cited_papers(internal_citation_counts(c), top_fraction=0.5).any()
 
     def test_min_citations_one_is_cited_set(self):
         c = _corpus_with_internal_citations()
-        assert highly_cited_papers(c, min_citations=1) == {"p1", "p2"}
+        hc = highly_cited_papers(internal_citation_counts(c), min_citations=1)
+        assert hc.tolist() == [True, True, False, False, False]
 
     def test_top_fraction_includes_ties_at_cut(self):
         # counts {9,5,5,2,1,0,0,0,0,0}; f=0.2 cuts at the 2nd largest (5)
         # and keeps both papers tied at 5 (hand enumeration)
-        counts = {f"p{i}": c for i, c in enumerate([9, 5, 5, 2, 1, 0, 0, 0, 0, 0])}
-        c = Corpus(papers=[paper(pid, "A", refs=[ref("Z")]) for pid in counts])
-        hc = highly_cited_papers(c, top_fraction=0.2, counts=counts)
-        assert hc == {"p0", "p1", "p2"}
+        counts = np.array([9, 5, 5, 2, 1, 0, 0, 0, 0, 0])
+        hc = highly_cited_papers(counts, top_fraction=0.2)
+        assert np.flatnonzero(hc).tolist() == [0, 1, 2]
 
     def test_threshold_monotonicity(self):
         c = _corpus_with_internal_citations()
         counts = internal_citation_counts(c)
         prev = None
         for m in (1, 2, 3, 4):
-            hc = highly_cited_papers(c, min_citations=m, counts=counts)
+            hc = highly_cited_papers(counts, min_citations=m)
             if prev is not None:
-                assert hc <= prev
+                assert np.all(hc <= prev)
             prev = hc
 
     def test_invalid_fraction(self):
-        c = _corpus_with_internal_citations()
+        counts = internal_citation_counts(_corpus_with_internal_citations())
         for f in (0.0, 1.1, -0.5):
             with pytest.raises(ConfigError):
-                highly_cited_papers(c, top_fraction=f)
+                highly_cited_papers(counts, top_fraction=f)
         with pytest.raises(ConfigError):
-            highly_cited_papers(c, top_fraction=0.5, min_citations=1)
+            highly_cited_papers(counts, top_fraction=0.5, min_citations=1)
 
 
 class TestPrestige:
     def test_empty_hc_all_zero(self):
         c = _corpus_with_internal_citations()
         g = build_graph(c)
-        s = prestige_scores(g, c, set())
+        s = prestige_scores(g, np.zeros(len(c), dtype=bool))
         assert np.all(s.values == 0.0)
 
     def test_hc_all_papers_equals_popularity(self):
         c = _corpus_with_internal_citations()
         g = build_graph(c)
-        prestige = prestige_scores(g, c, {p.paper_id for p in c.papers})
+        prestige = prestige_scores(g, np.ones(len(c), dtype=bool))
         assert np.array_equal(prestige.values, popularity_scores(g).values)
 
     def test_single_highly_cited_paper(self):
@@ -117,7 +134,7 @@ class TestPrestige:
             ]
         )
         g = build_graph(c)
-        s = prestige_scores(g, c, {"P"})
+        s = prestige_scores(g, np.array([True, False, False]))
         assert s.values[g.node_id("A")] == 2.0
         assert s.values[g.node_id("B")] == 1.0
         assert s.values[g.node_id("X")] == 0.0
@@ -125,8 +142,8 @@ class TestPrestige:
     def test_prestige_le_popularity_pointwise(self):
         c, _ = filter_with_references(generate_synthetic(seed=4, n_papers=400, n_authors=120))
         g = build_graph(c)
-        hc = highly_cited_papers(c, top_fraction=0.1)
-        prest = prestige_scores(g, c, hc)
+        hc = highly_cited_papers(internal_citation_counts(c), top_fraction=0.1)
+        prest = prestige_scores(g, hc)
         pop = popularity_scores(g)
         assert np.all(prest.values <= pop.values)
 
@@ -135,10 +152,10 @@ class TestHIndex:
     def test_oracle_fixture(self):
         # counts {10,8,5,4,3} -> sort-and-scan oracle says 4
         assert h_index([10, 8, 5, 4, 3]) == 4
-        counts = {"p0": 10, "p1": 8, "p2": 5, "p3": 4, "p4": 3}
-        c = Corpus(papers=[paper(pid, "A", refs=[ref("Z")]) for pid in counts])
+        counts = np.array([10, 8, 5, 4, 3])
+        c = Corpus(papers=[paper(f"p{i}", "A", refs=[ref("Z")]) for i in range(5)])
         g = build_graph(c)
-        s = h_index_scores(g, c, counts=counts)
+        s = h_index_scores(g, counts)
         assert s.values[g.node_id("A")] == 4.0
 
     def test_zero_and_ones(self):
@@ -146,16 +163,16 @@ class TestHIndex:
         assert h_index([1, 1, 1]) == 1
         c = Corpus(papers=[paper("p1", "A", refs=[ref("Z")])])
         g = build_graph(c)
-        assert h_index_scores(g, c, counts={"p1": 0}).values[g.node_id("A")] == 0.0
+        assert h_index_scores(g, np.array([0])).values[g.node_id("A")] == 0.0
 
     def test_matches_oracle_on_synthetic(self):
         c, _ = filter_with_references(generate_synthetic(seed=8, n_papers=300, n_authors=60))
         counts = internal_citation_counts(c)
         g = build_graph(c)
-        s = h_index_scores(g, c, counts=counts)
+        s = h_index_scores(g, counts)
         per_author = {}
-        for p in c.papers:
-            per_author.setdefault(p.first_author, []).append(counts[p.paper_id])
+        for p, count in zip(c.papers, counts.tolist()):
+            per_author.setdefault(p.first_author, []).append(count)
         for author, cites in per_author.items():
             assert s.values[g.node_id(author)] == h_index(cites)
 
@@ -199,6 +216,11 @@ class TestIfScores:
     def test_load_table_duplicate_key(self):
         with pytest.raises(ParseError, match="duplicate"):
             load_impact_factors(io.StringIO("J\t2005\t2.5\nJ\t2005\t3.0\n"))
+
+    @pytest.mark.parametrize("impact", ["inf", "nan", "-inf"])
+    def test_load_table_non_finite_factor_names_line(self, impact):
+        with pytest.raises(ParseError, match=r"^line 2: non-finite impact factor"):
+            load_impact_factors(io.StringIO(f"J\t2005\t2.5\nK\t2005\t{impact}\n"))
 
 
 class TestToRanks:
@@ -260,3 +282,50 @@ class TestScoreVector:
     def test_non_finite_score_names_first_bad_author(self):
         with pytest.raises(DataError, match="'B'"):
             ScoreVector("s", ["A", "B", "C"], [1.0, float("nan"), float("inf")])
+
+
+def _aligned(g, by_author):
+    values = np.zeros(g.n_nodes)
+    for author, v in by_author.items():
+        values[g.node_id(author)] = v
+    return values
+
+
+@pytest.mark.parametrize("allow_self_citation", [True, False])
+@pytest.mark.parametrize("name", ["seed1", "seed5", "seed9", "shared_key"])
+def test_reference_table_reductions_equal_loop_oracles(name, allow_self_citation):
+    # seeds 1, 5 and 9 are the test_08 corpora
+    if name == "shared_key":
+        c = _shared_key_corpus()
+    else:
+        c = generate_synthetic(seed=int(name.removeprefix("seed")), n_papers=600, n_authors=200)
+    g = build_graph(c, allow_self_citation=allow_self_citation)
+
+    authors, weights, publications = oracles.build_graph_loop(c.papers, allow_self_citation)
+    keys = sorted(weights)
+    coo = g.adjacency.tocoo()
+    assert g.authors == authors
+    assert g.adjacency.has_canonical_format and coo.data.dtype == np.int64
+    assert list(zip(coo.row.tolist(), coo.col.tolist())) == keys
+    assert coo.data.tolist() == [weights[k] for k in keys]
+    assert g.publications.tolist() == publications
+
+    counts = internal_citation_counts(c)
+    loop_counts = oracles.internal_citation_counts_loop(c.papers)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [loop_counts[p.paper_id] for p in c.papers]
+
+    hc = highly_cited_papers(counts, top_fraction=0.1)
+    hc_ids = {p.paper_id for p, flag in zip(c.papers, hc.tolist()) if flag}
+    assert np.array_equal(prestige_scores(g, hc).values,
+                          _aligned(g, oracles.prestige_loop(c.papers, hc_ids)))
+    assert np.array_equal(h_index_scores(g, counts).values,
+                          _aligned(g, oracles.h_index_loop(c.papers, loop_counts)))
+
+    # every fourth (venue, year) left out of the table, so misses occur
+    full = sorted(generate_impact_factors(c, seed=3).factors.items())
+    factors = {k: v for i, (k, v) in enumerate(full) if i % 4}
+    ifs, misses = if_scores(g, c, ImpactFactorTable(factors))
+    loop_ifs, loop_misses = oracles.if_loop(c.papers, factors)
+    assert misses == loop_misses
+    assert np.array_equal(ifs.values, _aligned(g, loop_ifs))

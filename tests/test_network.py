@@ -13,7 +13,8 @@ from bibliorank.network import (
     load_edges,
     load_nodes,
 )
-from tests.conftest import paper, ref
+from tests.conftest import graph_from_matrix, paper, ref
+from tests.oracles import random_graph_corpus
 
 
 class TestBuildGraph:
@@ -116,3 +117,20 @@ class TestDumps:
         attrs = load_nodes(buf)
         assert attrs["X"] == (0, 2)
         assert attrs["Y"] == (3, 0)
+
+    def test_dump_load_roundtrip_random_graphs(self):
+        for seed in range(1, 51):
+            g = graph_from_matrix(*random_graph_corpus(seed))
+            edges, nodes = io.StringIO(), io.StringIO()
+            dump_edges(g, edges)
+            dump_nodes(g, nodes)
+            edges.seek(0)
+            nodes.seek(0)
+            pubs = {a: p for a, (_, p) in load_nodes(nodes).items()}
+            g2 = load_edges(edges, publications=pubs)
+            assert g2.authors == g.authors
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(g2.adjacency, part), getattr(g.adjacency, part))
+            assert g2.adjacency.data.dtype == np.int64
+            assert np.array_equal(g2.citations_received, g.citations_received)
+            assert np.array_equal(g2.publications, g.publications)

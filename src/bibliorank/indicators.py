@@ -198,9 +198,20 @@ def top_k(s: ScoreVector, k: int) -> tuple[list[str], bool]:
 
 
 def dump_indicator(s: ScoreVector, stream) -> None:
-    """Write `author<TAB>score<TAB>rank`, best rank first, ties by author."""
+    """Write `author<TAB>score<TAB>rank`, best rank first, ties by author.
+
+    Each run of equal scores shares one rank, so its score and rank text
+    is formatted once.  Runs split on the float bits, so 0.0 and -0.0 keep
+    their own text.
+    """
     order = np.argsort(-s.values, kind="stable")
-    authors = s.authors
-    rows = zip(order.tolist(), s.values[order].tolist(), to_ranks(s)[order].tolist())
-    stream.write("author\tscore\trank\n" + "".join(
-        f"{authors[i]}\t{score:.17g}\t{rank:.17g}\n" for i, score, rank in rows))
+    values = s.values[order]
+    bits = values.view(np.int64)
+    new_run = np.ones(len(values), dtype=bool)
+    new_run[1:] = bits[1:] != bits[:-1]
+    starts = np.flatnonzero(new_run)
+    tails = [f"\t{score:.17g}\t{rank:.17g}\n" for score, rank in
+             zip(values[starts].tolist(), to_ranks(s)[order][starts].tolist())]
+    rows = (np.array(s.authors, dtype=object)[order]
+            + np.repeat(np.array(tails, dtype=object), np.diff(starts, append=len(values))))
+    stream.write("author\tscore\trank\n" + "".join(rows.tolist()))

@@ -130,17 +130,22 @@ def graph_stats(g: AuthorCitationGraph) -> GraphStats:
 
 
 def dump_edges(g: AuthorCitationGraph, stream) -> None:
-    """Write the edge list as `citer<TAB>cited<TAB>weight`, sorted."""
-    coo = g.adjacency.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for k in order:
-        stream.write(f"{g.authors[coo.row[k]]}\t{g.authors[coo.col[k]]}\t{coo.data[k]}\n")
+    """Write the edge list as `citer<TAB>cited<TAB>weight`, sorted.
+
+    Walks the adjacency in CSR order, which is (citer, cited) order
+    because ``_graph`` leaves it in canonical format (sorted indices, no
+    duplicates).
+    """
+    adj, authors = g.adjacency, g.authors
+    citers = np.repeat(np.array(authors, dtype=object), np.diff(adj.indptr)).tolist()
+    stream.write("".join(f"{a}\t{authors[j]}\t{w}\n" for a, j, w in
+                         zip(citers, adj.indices.tolist(), adj.data.tolist())))
 
 
 def dump_nodes(g: AuthorCitationGraph, stream) -> None:
     """Write node attributes as `author<TAB>citations<TAB>publications`."""
-    for i, a in enumerate(g.authors):
-        stream.write(f"{a}\t{g.citations_received[i]}\t{g.publications[i]}\n")
+    stream.write("".join(f"{a}\t{c}\t{p}\n" for a, c, p in zip(
+        g.authors, g.citations_received.tolist(), g.publications.tolist())))
 
 
 def load_edges(stream, publications: dict[str, int] | None = None) -> AuthorCitationGraph:

@@ -90,6 +90,15 @@ class PageRankResult:
     teleport_kind: str = UNIFORM
     damping: float = field(default=0.15)
 
+    @property
+    def error_bound(self) -> float:
+        """Bound on the L1 distance from ``scores`` to the exact PageRank vector.
+
+        One step contracts the L1 distance between distributions by
+        ``damping``, so the error is at most d/(1-d) times the last step.
+        """
+        return self.damping / (1.0 - self.damping) * self.final_residual
+
 
 def _power_iteration(
     g: AuthorCitationGraph, teleport: TeleportVector, cfg: PageRankConfig

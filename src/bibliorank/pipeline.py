@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from bibliorank import __version__
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
 from bibliorank import network as net_mod
@@ -372,6 +375,7 @@ def compute_phase_indicators(cfg: RunConfig, phase_corpus, graph, if_table=None)
             diagnostics[label] = {
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
+                "error_bound": result.error_bound,
                 "converged": result.converged,
             }
             pagerank_scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
@@ -426,6 +430,12 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
     manifest: dict = {
         "config": cfg.canonical(),
         "config_hash": cfg.config_hash(),
+        "versions": {
+            "bibliorank": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
         "input_papers": len(full),
         "dropped_outside_phases": dropped,
         "phases": {},

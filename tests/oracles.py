@@ -3,8 +3,9 @@
 These deliberately avoid the package's sparse/optimized code paths: the
 PageRank oracle iterates a dense transition matrix, the Spearman oracle
 uses the no-ties closed form or full permutation enumeration, the tiny
-eigen checks go through numpy, and the graph and classical-indicator
-oracles walk papers x references one record at a time.
+eigen checks go through numpy, the graph and classical-indicator
+oracles walk papers x references one record at a time, and the writer
+oracles format and write one output row at a time.
 """
 
 import itertools
@@ -170,6 +171,34 @@ def if_loop(papers, factors):
         for r in p.references:
             scores[r.first_author] = scores.get(r.first_author, 0.0) + impact
     return scores, misses
+
+
+def dump_indicator_loop(s, stream):
+    """Row-at-a-time indicator writer: `author<TAB>score<TAB>rank`, best first.
+
+    ``s`` has ``authors`` and aligned ``values``; ranks are the average ranks
+    of ``rank_average``.
+    """
+    order = np.argsort(-s.values, kind="stable")
+    authors = s.authors
+    ranks = np.asarray(rank_average(s.values))
+    rows = zip(order.tolist(), s.values[order].tolist(), ranks[order].tolist())
+    stream.write("author\tscore\trank\n" + "".join(
+        f"{authors[i]}\t{score:.17g}\t{rank:.17g}\n" for i, score, rank in rows))
+
+
+def dump_edges_loop(g, stream):
+    """Row-at-a-time edge writer: `citer<TAB>cited<TAB>weight`, sorted."""
+    coo = g.adjacency.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    for k in order:
+        stream.write(f"{g.authors[coo.row[k]]}\t{g.authors[coo.col[k]]}\t{coo.data[k]}\n")
+
+
+def dump_nodes_loop(g, stream):
+    """Row-at-a-time node writer: `author<TAB>citations<TAB>publications`."""
+    for i, a in enumerate(g.authors):
+        stream.write(f"{a}\t{g.citations_received[i]}\t{g.publications[i]}\n")
 
 
 def random_graph_corpus(seed, n_nodes_max=50):

@@ -1,8 +1,12 @@
 import json
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
+import bibliorank
 from bibliorank.cli import main
 from bibliorank.errors import ConfigError
 from bibliorank.pipeline import RunConfig, apply_config_entry, load_config, run_pipeline
@@ -234,6 +238,21 @@ class TestPipeline:
         phase = next(iter(manifest["phases"].values()))
         diag = phase["diagnostics"]
         assert diag["pagerank_d0.15"]["converged"]
+        solves = {label: v for label, v in diag.items() if label.startswith("pagerank")}
+        assert len(solves) == 9
+        for label, v in solves.items():
+            d = float(label.rsplit("_d", 1)[1])
+            assert v["error_bound"] == d / (1 - d) * v["final_residual"]
+
+    def test_manifest_versions(self, small_run):
+        _, _, _, outdir = small_run
+        manifest = json.loads(_read(Path(outdir) / "manifest.json"))
+        assert manifest["versions"] == {
+            "bibliorank": bibliorank.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        }
 
     def test_synthetic_mode_without_corpus_file(self, tmp_path):
         outdir = tmp_path / "out"

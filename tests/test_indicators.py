@@ -8,6 +8,7 @@ from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import (
     ImpactFactorTable,
     ScoreVector,
+    dump_indicator,
     h_index_scores,
     highly_cited_papers,
     if_scores,
@@ -251,6 +252,37 @@ class TestToRanks:
         s = ScoreVector("s", list("ABCD"), [9, 4, 4, 1])
         a, b, c, d = to_ranks(s)
         assert a < b == c < d
+
+
+def _tie_heavy(seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 6, int(rng.integers(2, 300))).astype(float)
+
+
+class TestDumpIndicator:
+    @pytest.mark.parametrize("values", [
+        *(_tie_heavy(seed) for seed in range(1, 11)),
+        [4.0] * 7,
+        [2.5],
+        [0.1 + 0.2, 1 / 3, 1e-300, 2.0**60 + 2**8, 0.3, 1 / 3, 2.0**60],
+        [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+    ], ids=[*(f"ties{seed}" for seed in range(1, 11)),
+            "all_equal", "one_author", "17_digits", "signed_zeros"])
+    def test_equals_loop_oracle(self, values):
+        sv = ScoreVector("s", [f"a{i:03d}" for i in range(len(values))], values)
+        got, want = io.StringIO(), io.StringIO()
+        dump_indicator(sv, got)
+        oracles.dump_indicator_loop(sv, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_rows_best_first_ties_by_author(self):
+        buf = io.StringIO()
+        dump_indicator(ScoreVector("s", ["A", "B", "C", "D"], [1.0, 3.0, 1.0, 0.1 + 0.2]), buf)
+        assert buf.getvalue() == ("author\tscore\trank\n"
+                                  "B\t3\t1\n"
+                                  "A\t1\t2.5\n"
+                                  "C\t1\t2.5\n"
+                                  "D\t0.30000000000000004\t4\n")
 
 
 class TestTopK:

@@ -14,7 +14,7 @@ from bibliorank.network import (
     load_nodes,
 )
 from tests.conftest import graph_from_matrix, paper, ref
-from tests.oracles import random_graph_corpus
+from tests.oracles import dump_edges_loop, dump_nodes_loop, random_graph_corpus
 
 
 class TestBuildGraph:
@@ -129,8 +129,29 @@ class TestDumps:
             pubs = {a: p for a, (_, p) in load_nodes(nodes).items()}
             g2 = load_edges(edges, publications=pubs)
             assert g2.authors == g.authors
+            assert g2.adjacency.has_canonical_format
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(g2.adjacency, part), getattr(g.adjacency, part))
             assert g2.adjacency.data.dtype == np.int64
             assert np.array_equal(g2.citations_received, g.citations_received)
             assert np.array_equal(g2.publications, g.publications)
+
+    def test_dumps_equal_loop_oracles_random_graphs(self):
+        for seed in range(1, 51):
+            self._assert_dumps_equal_loop_oracles(graph_from_matrix(*random_graph_corpus(seed)))
+
+    def test_dumps_equal_loop_oracles_without_self_citations(self):
+        c = generate_synthetic(seed=5, n_papers=600, n_authors=200)
+        assert build_graph(c).adjacency.diagonal().any()  # the corpus has self-citations
+        g = build_graph(c, allow_self_citation=False)
+        assert g.adjacency.has_canonical_format
+        assert not g.adjacency.diagonal().any()
+        self._assert_dumps_equal_loop_oracles(g)
+
+    @staticmethod
+    def _assert_dumps_equal_loop_oracles(g):
+        for dump, loop in ((dump_edges, dump_edges_loop), (dump_nodes, dump_nodes_loop)):
+            got, want = io.StringIO(), io.StringIO()
+            dump(g, got)
+            loop(g, want)
+            assert got.getvalue() == want.getvalue()

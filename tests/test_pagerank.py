@@ -92,6 +92,19 @@ class TestAgainstDenseOracle:
         want = dense_pagerank(w, t.values, 0.5, dangling_policy="uniform")
         assert np.max(np.abs(got - want)) < 1e-10
 
+    @pytest.mark.parametrize("policy", ["teleport", "uniform"])
+    def test_error_bound_covers_distance_to_fixed_point(self, policy):
+        for seed in range(1, 11):
+            w, pubs = random_graph_corpus(seed)
+            g = graph_from_matrix(w, pubs)
+            t = make_teleport(g, PUBLICATION_WEIGHTED)
+            for d in DAMPINGS:
+                # a loose tolerance stops the iteration well short of the fixed point
+                r = weighted_pagerank(g, t, PageRankConfig(damping=d, tolerance=1e-3,
+                                                           dangling_policy=policy))
+                want = dense_pagerank(w, t.values, d, dangling_policy=policy)
+                assert np.abs(r.scores - want).sum() <= r.error_bound + 1e-12
+
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(20, 26))

@@ -45,12 +45,7 @@ def normalize_author(raw: str) -> str:
     return _normalize_key(raw, "author")
 
 
-def normalize_venue(raw: str) -> str:
-    """Normalize a venue string; same rule as author keys for stable joins."""
-    return _normalize_key(raw, "venue")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefKey:
     """One cited work: first author, year, source, optional volume/page."""
 
@@ -65,7 +60,7 @@ class RefKey:
         return (self.first_author, self.year, self.source, self.volume, self.page)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaperRecord:
     """One corpus publication and its outgoing references.
 
@@ -152,25 +147,49 @@ def _opt_str(obj, key, line):
     return value.strip()
 
 
-def _parse_ref(obj, line) -> RefKey:
+def _normalized(norm, raw, what, line, field, empty_field=None) -> str:
+    """The normalised key of ``raw``, computed once per distinct string.
+
+    ``norm`` maps raw strings to keys for one parse.  Keys normalise to
+    themselves, so each key is also its own entry, and raw strings with
+    equal keys share one key object.  A non-string value is a ParseError
+    naming ``field``; a null, or a string that normalises to nothing,
+    names ``empty_field`` (default ``field``).
+    """
+    if isinstance(raw, str):
+        key = norm.get(raw)
+        if key is not None:
+            return key
+    elif raw is not None:
+        raise ParseError(
+            f"{what} must be a string, got {type(raw).__name__}", line=line, field=field
+        )
+    try:
+        key = _normalize_key(raw, what)
+    except DataError as exc:
+        raise ParseError(str(exc), line=line, field=empty_field or field) from exc
+    key = norm.setdefault(key, key)
+    norm[raw] = key
+    return key
+
+
+def _parse_ref(obj, line, norm, interned) -> RefKey:
     if not isinstance(obj, dict):
         raise ParseError(f"reference entry must be an object, got {obj!r}", line=line, field="refs")
     for req in ("author", "year", "source"):
         if req not in obj:
             raise ParseError("reference entry missing field", line=line, field=f"refs.{req}")
-    try:
-        author = normalize_author(obj["author"])
-        source = normalize_venue(obj["source"])
-    except DataError as exc:
-        raise ParseError(str(exc), line=line, field="refs") from exc
+    author = _normalized(norm, obj["author"], "author", line, "refs.author", "refs")
+    source = _normalized(norm, obj["source"], "venue", line, "refs.source", "refs")
     year = _require_year(obj["year"], line, what="refs.year")
-    return RefKey(
+    ref = RefKey(
         first_author=author,
         year=year,
         source=source,
         volume=_opt_str(obj, "volume", line),
         page=_opt_str(obj, "page", line),
     )
+    return interned.setdefault(ref, ref)
 
 
 def parse_corpus(stream, provenance: str = "") -> Corpus:
@@ -180,9 +199,14 @@ def parse_corpus(stream, provenance: str = "") -> Corpus:
     non-blank line holds one JSON object with fields ``id``, ``author``,
     ``year``, ``source``, optional ``volume``/``page``, and ``refs``.
     Errors carry 1-based line numbers.
+
+    Each distinct author or venue string is normalised once, and equal
+    references share one RefKey object.
     """
     papers = []
     seen_ids = set()
+    norm: dict[str, str] = {}
+    interned: dict[RefKey, RefKey] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -202,16 +226,13 @@ def parse_corpus(stream, provenance: str = "") -> Corpus:
         if paper_id in seen_ids:
             raise ParseError(f"duplicate paper_id {paper_id!r}", line=lineno, field="id")
         seen_ids.add(paper_id)
-        try:
-            author = normalize_author(obj["author"])
-            source = normalize_venue(obj["source"])
-        except DataError as exc:
-            raise ParseError(str(exc), line=lineno, field="author") from exc
+        author = _normalized(norm, obj["author"], "author", lineno, "author")
+        source = _normalized(norm, obj["source"], "venue", lineno, "source")
         year = _require_year(obj["year"], lineno)
         refs_raw = obj.get("refs", [])
         if not isinstance(refs_raw, list):
             raise ParseError("refs must be an array", line=lineno, field="refs")
-        refs = tuple(_parse_ref(r, lineno) for r in refs_raw)
+        refs = tuple(_parse_ref(r, lineno, norm, interned) for r in refs_raw)
         papers.append(
             PaperRecord(
                 paper_id=paper_id,
@@ -318,7 +339,8 @@ def generate_synthetic(
     # the pool is proportional to citations received so far, drawing
     # uniformly adds the +skew smoothing term.
     pool: list[int] = []
-    papers_by_author: list[list[PaperRecord]] = [[] for _ in range(n_authors)]
+    # each author's earlier papers, as the one RefKey every citation shares
+    papers_by_author: list[list[RefKey]] = [[] for _ in range(n_authors)]
     papers: list[PaperRecord] = []
 
     for pid in range(n_papers):
@@ -337,16 +359,7 @@ def generate_synthetic(
             pool.append(target)
             prior = papers_by_author[target]
             if prior and rng.random() < internal_ref_prob:
-                cited = prior[int(rng.integers(len(prior)))]
-                refs.append(
-                    RefKey(
-                        first_author=cited.first_author,
-                        year=cited.year,
-                        source=cited.source,
-                        volume=cited.volume,
-                        page=cited.page,
-                    )
-                )
+                refs.append(prior[int(rng.integers(len(prior)))])
             else:
                 refs.append(
                     RefKey(
@@ -365,7 +378,7 @@ def generate_synthetic(
             references=tuple(refs),
         )
         papers.append(record)
-        papers_by_author[author_idx].append(record)
+        papers_by_author[author_idx].append(RefKey(*record.match_key()))
 
     return Corpus(
         papers=papers,

@@ -1,6 +1,7 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the package's sparse/optimized code paths: the
+corpus oracle parses one record at a time into plain tuples, the
 PageRank oracle iterates a dense transition matrix, the Spearman oracle
 uses the no-ties closed form or full permutation enumeration, the tiny
 eigen checks go through numpy, the graph and classical-indicator
@@ -9,9 +10,100 @@ oracles format and write one output row at a time.
 """
 
 import itertools
+import json
 import math
+import string
 
 import numpy as np
+
+
+class OracleParseError(Exception):
+    """A corpus line the loop parser rejects: its 1-based line and field."""
+
+    def __init__(self, line, field=None):
+        super().__init__(f"line {line}: field {field}")
+        self.line = line
+        self.field = field
+
+
+def _normalized_loop(raw, line, field, empty_field):
+    if raw is not None and not isinstance(raw, str):
+        raise OracleParseError(line, field)
+    if raw is None:
+        raise OracleParseError(line, empty_field)
+    key = " ".join(raw.upper().replace(".", "").replace(",", " ").split())
+    key = key.rstrip(string.punctuation + " \t")
+    if not key:
+        raise OracleParseError(line, empty_field)
+    return key
+
+
+def _year_loop(value, line, field):
+    if not isinstance(value, int) or isinstance(value, bool) or not 1000 <= value <= 3000:
+        raise OracleParseError(line, field)
+    return value
+
+
+def _opt_str_loop(obj, key, line):
+    value = obj.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, str) or not value.strip():
+        raise OracleParseError(line, key)
+    return value.strip()
+
+
+def parse_corpus_loop(lines):
+    """Record-at-a-time corpus parser.
+
+    Returns one ``(id, author, year, source, volume, page, refs)`` tuple per
+    record, ``refs`` a tuple of ``(author, year, source, volume, page)``
+    tuples, or raises OracleParseError at the first bad line.  Checks run
+    in file order: id, author, source, year, each reference, then the
+    record's volume and page.  A non-string author or source names that
+    field; a null or one that normalises to nothing names ``author`` or
+    ``source`` in a record and ``refs`` in a reference.
+    """
+    records = []
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            raise OracleParseError(lineno) from None
+        if not isinstance(obj, dict):
+            raise OracleParseError(lineno)
+        for req in ("id", "author", "year", "source"):
+            if req not in obj:
+                raise OracleParseError(lineno, req)
+        pid = obj["id"]
+        if not isinstance(pid, str) or not pid or pid in seen:
+            raise OracleParseError(lineno, "id")
+        seen.add(pid)
+        author = _normalized_loop(obj["author"], lineno, "author", "author")
+        source = _normalized_loop(obj["source"], lineno, "source", "source")
+        year = _year_loop(obj["year"], lineno, "year")
+        refs_raw = obj.get("refs", [])
+        if not isinstance(refs_raw, list):
+            raise OracleParseError(lineno, "refs")
+        refs = []
+        for r in refs_raw:
+            if not isinstance(r, dict):
+                raise OracleParseError(lineno, "refs")
+            for req in ("author", "year", "source"):
+                if req not in r:
+                    raise OracleParseError(lineno, f"refs.{req}")
+            ref_author = _normalized_loop(r["author"], lineno, "refs.author", "refs")
+            ref_source = _normalized_loop(r["source"], lineno, "refs.source", "refs")
+            ref_year = _year_loop(r["year"], lineno, "refs.year")
+            refs.append((ref_author, ref_year, ref_source, _opt_str_loop(r, "volume", lineno),
+                         _opt_str_loop(r, "page", lineno)))
+        records.append((pid, author, year, source, _opt_str_loop(obj, "volume", lineno),
+                        _opt_str_loop(obj, "page", lineno), tuple(refs)))
+    return records
 
 
 def dense_pagerank(weights, teleport, damping, dangling_policy="teleport",

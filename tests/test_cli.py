@@ -1,5 +1,8 @@
 import json
+import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +70,23 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         assert main(["ingest", "--corpus", str(bad), "--outdir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("record,field", [
+        ({"author": 5}, "author"),
+        ({"refs": [{"author": "B", "year": 1999, "source": ["K"]}]}, "refs.source"),
+    ], ids=["record-author", "ref-source"])
+    def test_non_string_key_exit_2_without_traceback(self, record, field, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"id": "p1", "author": "A", "year": 2000, "source": "J",
+                                   **record}) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(bibliorank.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibliorank.cli", "ingest", "--corpus", str(bad),
+             "--outdir", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: line 1: ")
+        assert f"(field: {field})" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_overlapping_phases_exit_1_before_work(self, tmp_path):
         corpus = tmp_path / "c.jsonl"

@@ -1,7 +1,11 @@
+import copy
+import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibliorank.corpus import (
     DEFAULT_PHASES,
@@ -16,6 +20,20 @@ from bibliorank.corpus import (
 )
 from bibliorank.errors import ConfigError, DataError, ParseError
 from tests.conftest import paper, ref
+from tests.oracles import OracleParseError, parse_corpus_loop
+
+
+def _record(**fields):
+    obj = {"id": "p1", "author": "A", "year": 2000, "source": "J",
+           "refs": [{"author": "B", "year": 1999, "source": "K"}]}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _text(corpus):
+    buf = io.StringIO()
+    serialize_corpus(corpus, buf)
+    return buf.getvalue()
 
 
 class TestNormalizeAuthor:
@@ -115,6 +133,142 @@ class TestParseCorpus:
         c = parse_corpus(io.StringIO(line))
         assert len(c.papers[0].references) == 2
 
+    @pytest.mark.parametrize("value", [5, 1.5, True, ["x"], {"a": "b"}],
+                             ids=["int", "float", "bool", "list", "dict"])
+    @pytest.mark.parametrize("where,field", [
+        ("record", "author"), ("record", "source"),
+        ("ref", "refs.author"), ("ref", "refs.source"),
+    ])
+    def test_non_string_key_field(self, value, where, field):
+        key = field.rsplit(".", 1)[-1]
+        if where == "record":
+            line = _record(**{key: value})
+        else:
+            line = _record(refs=[{"author": "B", "year": 1999, "source": "K", key: value}])
+        text = _record(id="p0") + "\n" + line + "\n"
+        with pytest.raises(ParseError, match="must be a string") as exc:
+            parse_corpus(io.StringIO(text))
+        assert (exc.value.line, exc.value.field) == (2, field)
+
+    def test_empty_record_venue_names_source(self):
+        with pytest.raises(ParseError, match="venue") as exc:
+            parse_corpus(io.StringIO(_record(source=" ,. ")))
+        assert (exc.value.line, exc.value.field) == (1, "source")
+
+
+class TestInterning:
+    TEXT = "".join(
+        _record(id=f"p{i}", author=a, refs=[
+            {"author": "Luhn, H.P.", "year": 1958, "source": "IBM J.", "volume": "2"},
+            {"author": "luhn, hp", "year": 1958, "source": "IBM J", "volume": " 2 "},
+            {"author": a, "year": 1990, "source": "J"},
+        ]) + "\n"
+        for i, a in enumerate(["Salton, G.", "SALTON G", "Cleverdon, C."])
+    )
+
+    def test_equal_references_are_one_object(self):
+        refs = [r for p in parse_corpus(io.StringIO(self.TEXT)) for r in p.references]
+        assert len(refs) == 9 and len(set(refs)) == 3
+        assert len({id(r) for r in refs}) == len(set(refs))
+
+    def test_equal_author_keys_are_one_string(self):
+        c = parse_corpus(io.StringIO(self.TEXT))
+        keys = [p.first_author for p in c] + [r.first_author for p in c for r in p.references]
+        keys += [p.source for p in c] + [r.source for p in c for r in p.references]
+        assert len({id(k) for k in keys}) == len(set(keys)) == 5
+
+    def test_synthetic_internal_references_share_the_key(self):
+        c = generate_synthetic(seed=5, n_papers=400, n_authors=60)
+        paper_keys = {p.match_key() for p in c}
+        internal = [r for p in c for r in p.references if r.match_key() in paper_keys]
+        assert len(internal) > len(set(internal)) > 0
+        assert len({id(r) for r in internal}) == len(set(internal))
+
+
+# Every form a field value takes in the generated corpora below: valid
+# strings that normalise to shared keys, and values parse_corpus rejects.
+_NAMES = ["Salton, G.", "SALTON G", "salton, g", "Luhn, H.P.", "van Rijsbergen,C.J."]
+_VENUES = ["J. Doc.", "J DOC", "JASIS", "Commun. ACM", "Inf. Process. Manage."]
+_MALFORMED = [5, 1.5, True, None, [], ["x"], {"a": 1}, "", "  ", " ,.;", "--", "p0"]
+_MALFORMED_YEARS = [1990.0, True, 999, 3001, "1990", None]
+
+
+@st.composite
+def _reference(draw):
+    obj = {"author": draw(st.sampled_from(_NAMES)), "year": draw(st.integers(1950, 2010)),
+           "source": draw(st.sampled_from(_VENUES))}
+    for key in ("volume", "page"):
+        value = draw(st.sampled_from([None, "7", " 12 ", "A1"]))
+        if value is not None:
+            obj[key] = value
+    return obj
+
+
+@st.composite
+def _corpus_text(draw, malformed):
+    """JSONL text; references repeat, and with ``malformed`` some values are bad."""
+    pool = draw(st.lists(_reference(), min_size=1, max_size=5))
+    records = []
+    for i in range(draw(st.integers(1 if malformed else 0, 6))):
+        rec = {"id": f"p{i}", "author": draw(st.sampled_from(_NAMES)),
+               "year": draw(st.integers(1950, 2010)), "source": draw(st.sampled_from(_VENUES))}
+        if draw(st.booleans()):
+            rec["volume"], rec["page"] = str(i), str(10 * i)
+        rec["refs"] = [copy.copy(r) for r in draw(st.lists(st.sampled_from(pool), max_size=8))]
+        records.append(rec)
+    lines = [json.dumps(r) for r in records]
+    if malformed and records:
+        for _ in range(draw(st.integers(1, 2))):
+            i = draw(st.integers(0, len(records) - 1))
+            rec = records[i]
+            target, keys = rec, ["id", "author", "year", "source", "volume", "page", "refs"]
+            refs = rec.get("refs")
+            refs = [r for r in refs if isinstance(r, dict)] if isinstance(refs, list) else []
+            if refs and draw(st.booleans()):
+                target = draw(st.sampled_from(refs))
+                keys = ["author", "year", "source", "volume", "page"]
+            key = draw(st.sampled_from(keys))
+            if draw(st.integers(0, 4)) == 0:
+                target.pop(key, None)
+            else:
+                bad = _MALFORMED_YEARS if key == "year" else _MALFORMED
+                target[key] = draw(st.sampled_from(bad))
+            lines[i] = json.dumps(rec)
+        if draw(st.integers(0, 5)) == 0:
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(["", "   ", "[1]", "{", '"x"', "true"])))
+    return "".join(line + "\n" for line in lines)
+
+
+def _as_tuples(corpus):
+    return [(p.paper_id, *p.match_key(), tuple(r.match_key() for r in p.references))
+            for p in corpus]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_corpus_text(malformed=True))
+def test_parse_matches_loop_oracle(text):
+    try:
+        expected = parse_corpus_loop(io.StringIO(text))
+    except OracleParseError as want:
+        with pytest.raises(ParseError) as got:
+            parse_corpus(io.StringIO(text))
+        assert (got.value.line, got.value.field) == (want.line, want.field)
+    else:
+        assert _as_tuples(parse_corpus(io.StringIO(text))) == expected
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_corpus_text(malformed=False))
+def test_parse_interns_and_round_trips(text):
+    c = parse_corpus(io.StringIO(text))
+    assert _as_tuples(c) == parse_corpus_loop(io.StringIO(text))
+    refs = [r for p in c for r in p.references]
+    assert len({id(r) for r in refs}) == len(set(refs))
+    authors = [p.first_author for p in c] + [r.first_author for r in refs]
+    assert len({id(a) for a in authors}) == len(set(authors))
+    assert parse_corpus(io.StringIO(_text(c))).papers == c.papers
+
 
 def test_roundtrip_serialize_parse():
     c = Corpus(
@@ -209,6 +363,14 @@ class TestGenerateSynthetic:
     def test_every_paper_has_references(self):
         c = generate_synthetic(seed=3, n_papers=100, n_authors=50)
         assert all(p.references for p in c.papers)
+
+    def test_stream_pinned(self):
+        # Computed with the generator that built a new RefKey for every
+        # internal reference.  Sharing one key per cited paper must leave
+        # the RNG stream, and so every seeded corpus, unchanged.
+        text = _text(generate_synthetic(17, 2000, 5000, 8.0))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8f77c1bfd97fa4bee1a13993c64c8f09f6afbcc56f7f2139106505870ad32473")
 
     def test_years_within_range(self):
         c = generate_synthetic(seed=3, n_papers=100, n_authors=50, year_lo=1990, year_hi=1995)

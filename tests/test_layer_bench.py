@@ -1,4 +1,6 @@
-"""Microbenchmarks of the per-row writers over one synthetic phase-sized graph.
+"""Microbenchmarks of single layers: the corpus producers on one corpus
+shaped like the dense-core benchmark workload, and the per-row writers over
+one synthetic phase-sized graph.
 
 Tier-1 runs each body once as a plain test (``--benchmark-disable`` is in
 the pytest addopts); ``--benchmark-enable`` times them:
@@ -10,10 +12,36 @@ import io
 
 import pytest
 
-from bibliorank.corpus import filter_with_references, generate_synthetic
+from bibliorank.corpus import (
+    filter_with_references,
+    generate_synthetic,
+    parse_corpus,
+    serialize_corpus,
+)
 from bibliorank.indicators import ScoreVector, dump_indicator
 from bibliorank.network import build_graph, dump_edges, dump_nodes
 from bibliorank.pagerank import pagerank
+
+
+# 5k papers by 1.5k authors, skew 1: 30% of references repeat an earlier key
+DENSE = dict(seed=13, n_papers=5000, n_authors=1500, skew=1.0)
+
+
+@pytest.fixture(scope="module")
+def dense_lines():
+    buf = io.StringIO()
+    serialize_corpus(generate_synthetic(**DENSE), buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_parse_corpus(benchmark, dense_lines):
+    corpus = benchmark(parse_corpus, dense_lines)
+    assert len(corpus) == DENSE["n_papers"]
+
+
+def test_generate_synthetic(benchmark):
+    corpus = benchmark(generate_synthetic, **DENSE)
+    assert len(corpus) == DENSE["n_papers"]
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from bibliorank.corpus import Corpus
 from bibliorank.errors import ConfigError, DataError, ParseError
@@ -173,9 +172,38 @@ def if_scores(
             int(np.count_nonzero(missed[refs.citing])))
 
 
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal keys in a sorted vector."""
+    new_run = np.ones(len(sorted_keys), dtype=bool)
+    new_run[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return np.flatnonzero(new_run)
+
+
+def _sorted_average_ranks(sorted_values: np.ndarray) -> np.ndarray:
+    """Rank of each position of a sorted vector; each run of equal values
+    at positions start..end-1 shares the rank (start + end + 1) / 2."""
+    starts = _run_starts(sorted_values)
+    ends = np.append(starts[1:], len(sorted_values))
+    return np.repeat((starts + ends + 1) / 2, ends - starts)
+
+
+def average_ranks(values) -> np.ndarray:
+    """Average ranks of ascending values (rank 1 = smallest).
+
+    Tied values, compared with ``==`` (so 0.0 and -0.0 tie), share the
+    mean of their 1-based positions in ascending order.  ``values`` must
+    hold no NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    ranks[order] = _sorted_average_ranks(values[order])
+    return ranks
+
+
 def to_ranks(s: ScoreVector) -> np.ndarray:
     """Average-rank transform of descending scores (rank 1 = best)."""
-    return rankdata(-s.values, method="average")
+    return average_ranks(-s.values)
 
 
 def top_k(s: ScoreVector, k: int) -> tuple[list[str], bool]:
@@ -201,17 +229,15 @@ def dump_indicator(s: ScoreVector, stream) -> None:
     """Write `author<TAB>score<TAB>rank`, best rank first, ties by author.
 
     Each run of equal scores shares one rank, so its score and rank text
-    is formatted once.  Runs split on the float bits, so 0.0 and -0.0 keep
-    their own text.
+    is formatted once.  Text runs split on the float bits, so 0.0 and -0.0
+    keep their own text; ranks split on value equality, so they share a rank.
     """
     order = np.argsort(-s.values, kind="stable")
     values = s.values[order]
-    bits = values.view(np.int64)
-    new_run = np.ones(len(values), dtype=bool)
-    new_run[1:] = bits[1:] != bits[:-1]
-    starts = np.flatnonzero(new_run)
+    ranks = _sorted_average_ranks(values)
+    starts = _run_starts(values.view(np.int64))
     tails = [f"\t{score:.17g}\t{rank:.17g}\n" for score, rank in
-             zip(values[starts].tolist(), to_ranks(s)[order][starts].tolist())]
+             zip(values[starts].tolist(), ranks[starts].tolist())]
     rows = (np.array(s.authors, dtype=object)[order]
             + np.repeat(np.array(tails, dtype=object), np.diff(starts, append=len(values))))
     stream.write("author\tscore\trank\n" + "".join(rows.tolist()))

@@ -391,6 +391,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     """
     cfg.validate()
     tracker = OutputTracker(Path(cfg.outdir))
+    # A manifest left by an earlier run would make a failed rerun look complete.
+    (tracker.outdir / "manifest.json").unlink(missing_ok=True)
     try:
         manifest = _run_pipeline_inner(cfg, tracker)
     except Exception:

@@ -8,11 +8,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from bibliorank.errors import ConfigError, StatsError
-from bibliorank.indicators import ScoreVector
+from bibliorank.indicators import ScoreVector, average_ranks
 
 
 def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
@@ -35,7 +34,7 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(student_t.sf(abs(t_stat), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return r, p
 
 
@@ -44,13 +43,15 @@ def spearman(x, y) -> tuple[float, float]:
 
     ``x`` and ``y`` are aligned value arrays (scores or ranks); each is
     ranked on its own, so the direction of the values cancels.  Tie-safe:
-    tied values share their average rank.
+    tied values share their average rank.  NaN is an error; inf ranks.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise StatsError(f"value arrays differ in shape: {x.shape} vs {y.shape}")
-    return _rank_correlation(rankdata(x, method="average"), rankdata(y, method="average"))
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise StatsError("cannot rank NaN values")
+    return _rank_correlation(average_ranks(x), average_ranks(y))
 
 
 @dataclass
@@ -79,7 +80,7 @@ class IndicatorTable:
                 raise StatsError(
                     f"indicator {sv.name!r} missing authors: {missing[:5]!r}"
                 )
-            cols.append(rankdata(-sv.values[pos], method="average"))
+            cols.append(average_ranks(-sv.values[pos]))
         return cls(
             authors=list(subset),
             indicators=[sv.name for sv in score_vectors],
@@ -119,41 +120,18 @@ def correlation_matrix(table: IndicatorTable) -> CorrelationMatrix:
     return CorrelationMatrix(labels=list(table.indicators), r=r, p_two_tailed=p, flags=flags)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+def eigh_descending(a: np.ndarray):
+    """Eigendecomposition of a symmetric matrix by ``numpy.linalg.eigh``.
 
     Returns (eigenvalues, eigenvectors) sorted by descending eigenvalue;
-    eigenvectors are columns.  Sweeps until the off-diagonal Frobenius
-    norm falls below ``tol``.
+    eigenvectors are columns.
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     m = a.shape[0]
     if a.shape != (m, m) or not np.allclose(a, a.T, atol=1e-12):
-        raise StatsError("jacobi_eigh requires a symmetric square matrix")
-    v = np.eye(m)
-    for _ in range(max_sweeps):
-        off = math.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off < tol:
-            break
-        for p_ in range(m - 1):
-            for q in range(p_ + 1, m):
-                apq = a[p_, q]
-                if abs(apq) < tol / (m * m):
-                    continue
-                theta = (a[q, q] - a[p_, p_]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(m)
-                rot[p_, p_] = c
-                rot[q, q] = c
-                rot[p_, q] = s
-                rot[q, p_] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(-eigenvalues)
-    return eigenvalues[order], v[:, order]
+        raise StatsError("eigh_descending requires a symmetric square matrix")
+    eigenvalues, eigenvectors = np.linalg.eigh(a)
+    return eigenvalues[::-1], eigenvectors[:, ::-1]
 
 
 def _varimax_criterion(loadings: np.ndarray) -> float:
@@ -223,7 +201,7 @@ def _fix_column_signs(loadings: np.ndarray) -> np.ndarray:
 @dataclass
 class PcaResult:
     labels: list[str]
-    eigenvalues: np.ndarray  # all m, descending
+    eigenvalues: np.ndarray  # all m, descending, none below 0
     explained_variance_fractions: np.ndarray
     n_retained: int
     loadings: np.ndarray  # unrotated, m x k, sign-fixed
@@ -256,7 +234,7 @@ def pca_varimax(
     """Correlation-matrix PCA of the rank table with varimax rotation.
 
     Columns are standardized; the correlation matrix is diagonalized with
-    cyclic Jacobi; components are retained by the Kaiser criterion
+    ``numpy.linalg.eigh``; components are retained by the Kaiser criterion
     (eigenvalue > 1, at least one) or a fixed count; loadings are rotated
     by varimax with Kaiser normalization and sign-fixed so the largest
     magnitude entry of each column is positive.
@@ -273,7 +251,9 @@ def pca_varimax(
     corr = (z.T @ z) / (n - 1)
     corr = (corr + corr.T) / 2.0
 
-    eigenvalues, eigenvectors = jacobi_eigh(corr)
+    eigenvalues, eigenvectors = eigh_descending(corr)
+    # corr is positive semidefinite, so a negative eigenvalue is rounding error
+    eigenvalues = np.maximum(eigenvalues, 0.0)
     if retention == "kaiser":
         k = max(1, int(np.count_nonzero(eigenvalues > 1.0)))
     elif retention == "fixed":
@@ -283,7 +263,7 @@ def pca_varimax(
     else:
         raise ConfigError(f"unknown retention mode {retention!r}")
 
-    loadings = eigenvectors[:, :k] * np.sqrt(np.maximum(eigenvalues[:k], 0.0))
+    loadings = eigenvectors[:, :k] * np.sqrt(eigenvalues[:k])
     loadings = _fix_column_signs(loadings)
     rotated, rotation, history = varimax_rotate(loadings)
     rotated = _fix_column_signs(rotated)

@@ -33,7 +33,7 @@ from bibliorank.pagerank import (
     weighted_pagerank,
 )
 from bibliorank.pipeline import RunConfig, run_pipeline
-from bibliorank.stats import IndicatorTable, jacobi_eigh, pca_varimax, spearman
+from bibliorank.stats import IndicatorTable, eigh_descending, pca_varimax, spearman
 
 from tests.conftest import graph_from_matrix, paper
 from tests.oracles import (
@@ -191,7 +191,7 @@ def test_06_spearman_correctness():
 def test_07_pca_correctness():
     rng = np.random.default_rng(3)
     c = np.corrcoef(rng.normal(size=(60, 6)), rowvar=False)
-    vals, vecs = jacobi_eigh(c)
+    vals, vecs = eigh_descending(c)
     resid = max(float(np.max(np.abs(c @ vecs[:, i] - vals[i] * vecs[:, i])))
                 for i in range(6))
     trace_dev = abs(float(vals.sum()) - 6.0)

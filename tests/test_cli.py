@@ -11,7 +11,7 @@ import scipy
 
 import bibliorank
 from bibliorank.cli import main
-from bibliorank.errors import ConfigError
+from bibliorank.errors import ConfigError, NonConvergenceError
 from bibliorank.pipeline import RunConfig, apply_config_entry, load_config, run_pipeline
 
 
@@ -147,6 +147,26 @@ class TestExitCodes:
         assert rc == 3
         # partial outputs removed
         assert not any(Path(outdir).iterdir())
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
+        cfg = RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(tmp_path / "out"),
+                        subset_size=20)
+        run_pipeline(cfg)
+        assert (tmp_path / "out" / "manifest.json").exists()
+        cfg.max_iterations = 1
+        cfg.strict = True
+        with pytest.raises(NonConvergenceError):
+            run_pipeline(cfg)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_import_does_not_load_scipy_stats(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(bibliorank.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bibliorank.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestRankCommand:

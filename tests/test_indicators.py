@@ -2,12 +2,16 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from bibliorank.corpus import Corpus, filter_with_references, generate_synthetic
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import (
     ImpactFactorTable,
     ScoreVector,
+    average_ranks,
     dump_indicator,
     h_index_scores,
     highly_cited_papers,
@@ -252,6 +256,25 @@ class TestToRanks:
         s = ScoreVector("s", list("ABCD"), [9, 4, 4, 1])
         a, b, c, d = to_ranks(s)
         assert a < b == c < d
+
+
+# few distinct values, so most vectors hold ties, signed zeros and infinities
+_TIE_HEAVY = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 0.3, 1e-300, np.inf, -np.inf]),
+    st.floats(allow_nan=False)), max_size=80)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TIE_HEAVY)
+def test_average_ranks_equal_rankdata(values):
+    assert np.array_equal(average_ranks(values), rankdata(values, method="average"))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TIE_HEAVY)
+def test_average_ranks_sum_identity(values):
+    n = len(values)
+    assert average_ranks(values).sum() == n * (n + 1) / 2
 
 
 def _tie_heavy(seed):

@@ -7,7 +7,7 @@ from bibliorank.indicators import ScoreVector
 from bibliorank.stats import (
     IndicatorTable,
     correlation_matrix,
-    jacobi_eigh,
+    eigh_descending,
     pca_varimax,
     significance_flag,
     spearman,
@@ -103,6 +103,19 @@ class TestSpearman:
         with pytest.raises(StatsError, match="degenerate"):
             spearman(const, var)
 
+    @pytest.mark.parametrize("x,y", [
+        ([1, 2, np.nan, 4], [4, 3, 1, 2]),
+        ([4, 3, 1, 2], [1, 2, np.nan, 4]),
+        ([np.nan] * 4, [np.nan] * 4),
+    ], ids=["x", "y", "both"])
+    def test_nan_raises(self, x, y):
+        with pytest.raises(StatsError, match="NaN"):
+            spearman(x, y)
+
+    def test_inf_ranks(self):
+        r, _ = spearman([1, 2, np.inf, -np.inf], [2, 3, 4, 1])
+        assert r == 1.0
+
 
 class TestCorrelationMatrix:
     def _table(self, cols):
@@ -154,7 +167,7 @@ class TestJacobi:
             m = int(rng.integers(2, 12))
             a = rng.normal(size=(m, m))
             c = (a + a.T) / 2
-            vals, vecs = jacobi_eigh(c)
+            vals, vecs = eigh_descending(c)
             want = np.sort(np.linalg.eigvalsh(c))[::-1]
             assert np.allclose(vals, want, atol=1e-10)
             for j in range(m):
@@ -165,12 +178,12 @@ class TestJacobi:
         rng = np.random.default_rng(4)
         a = rng.normal(size=(8, 8))
         c = a @ a.T
-        _, vecs = jacobi_eigh(c)
+        _, vecs = eigh_descending(c)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(8))) < 1e-10
 
     def test_rejects_asymmetric(self):
         with pytest.raises(StatsError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            eigh_descending(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # permutation of 1..100 with exactly zero Pearson correlation against
@@ -221,9 +234,17 @@ class TestPcaVarimax:
         assert abs(res.eigenvalues.sum() - m) < 1e-8
         z = (table.ranks - table.ranks.mean(axis=0)) / table.ranks.std(axis=0, ddof=1)
         corr = z.T @ z / (table.ranks.shape[0] - 1)
-        vals, vecs = jacobi_eigh(corr)
+        vals, vecs = eigh_descending(corr)
         for j in range(m):
             assert np.max(np.abs(corr @ vecs[:, j] - vals[j] * vecs[:, j])) < 1e-10
+
+    def test_collinear_columns_give_non_negative_eigenvalues(self):
+        # a repeated and a reversed column make two eigenvalues exactly 0, which
+        # the solver returns with rounding error of either sign
+        d = np.random.default_rng(0).normal(size=(50, 3))
+        res = pca_varimax(_table_from_matrix(np.column_stack([d, d[:, 0], -d[:, 1]])))
+        assert not np.signbit(res.eigenvalues).any()
+        assert np.allclose(res.eigenvalues[-2:], 0, atol=1e-12)
 
     def test_varimax_preserves_communalities_and_orthogonality(self):
         rng = np.random.default_rng(31)

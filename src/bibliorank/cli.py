@@ -195,7 +195,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"invalid --ks {args.ks!r}: expected integers") from None
     vectors = _score_vectors(args.scores, args.labels)
     with open(args.winners, encoding="utf-8") as fh:
-        winners = load_winners(fh, provenance=args.winners)
+        winners = load_winners(fh)
     res = coverage(vectors, winners, ks=ks)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         pipe_mod.write_coverage(res, fh)

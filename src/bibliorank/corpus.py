@@ -138,23 +138,21 @@ def _require_year(value, line, what="year"):
     return value
 
 
-def _opt_str(obj, key, line):
-    value = obj.get(key)
+def _opt_str(value, line, field):
     if value is None:
         return None
     if not isinstance(value, str) or not value.strip():
-        raise ParseError(f"{key} must be a non-empty string", line=line, field=key)
+        raise ParseError(f"{field} must be a non-empty string", line=line, field=field)
     return value.strip()
 
 
-def _normalized(norm, raw, what, line, field, empty_field=None) -> str:
+def _normalized(norm, raw, what, line, field) -> str:
     """The normalised key of ``raw``, computed once per distinct string.
 
     ``norm`` maps raw strings to keys for one parse.  Keys normalise to
     themselves, so each key is also its own entry, and raw strings with
-    equal keys share one key object.  A non-string value is a ParseError
-    naming ``field``; a null, or a string that normalises to nothing,
-    names ``empty_field`` (default ``field``).
+    equal keys share one key object.  A non-string value, a null, or a
+    string that normalises to nothing is a ParseError naming ``field``.
     """
     if isinstance(raw, str):
         key = norm.get(raw)
@@ -167,7 +165,7 @@ def _normalized(norm, raw, what, line, field, empty_field=None) -> str:
     try:
         key = _normalize_key(raw, what)
     except DataError as exc:
-        raise ParseError(str(exc), line=line, field=empty_field or field) from exc
+        raise ParseError(str(exc), line=line, field=field) from exc
     key = norm.setdefault(key, key)
     norm[raw] = key
     return key
@@ -179,15 +177,15 @@ def _parse_ref(obj, line, norm, interned) -> RefKey:
     for req in ("author", "year", "source"):
         if req not in obj:
             raise ParseError("reference entry missing field", line=line, field=f"refs.{req}")
-    author = _normalized(norm, obj["author"], "author", line, "refs.author", "refs")
-    source = _normalized(norm, obj["source"], "venue", line, "refs.source", "refs")
+    author = _normalized(norm, obj["author"], "author", line, "refs.author")
+    source = _normalized(norm, obj["source"], "venue", line, "refs.source")
     year = _require_year(obj["year"], line, what="refs.year")
     ref = RefKey(
         first_author=author,
         year=year,
         source=source,
-        volume=_opt_str(obj, "volume", line),
-        page=_opt_str(obj, "page", line),
+        volume=_opt_str(obj.get("volume"), line, "refs.volume"),
+        page=_opt_str(obj.get("page"), line, "refs.page"),
     )
     return interned.setdefault(ref, ref)
 
@@ -239,8 +237,8 @@ def parse_corpus(stream, provenance: str = "") -> Corpus:
                 first_author=author,
                 year=year,
                 source=source,
-                volume=_opt_str(obj, "volume", lineno),
-                page=_opt_str(obj, "page", lineno),
+                volume=_opt_str(obj.get("volume"), lineno, "volume"),
+                page=_opt_str(obj.get("page"), lineno, "page"),
                 references=refs,
             )
         )

@@ -17,26 +17,21 @@ class WinnerList:
     """Normalized, deduplicated award-winner author keys."""
 
     authors: list[str]
-    provenance: str = ""
 
     @classmethod
-    def from_names(cls, names, provenance: str = "") -> "WinnerList":
-        seen = []
-        for raw in names:
-            key = normalize_author(raw)
-            if key not in seen:
-                seen.append(key)
-        return cls(authors=seen, provenance=provenance)
+    def from_names(cls, names) -> "WinnerList":
+        """Each name's key once, in first-seen order."""
+        return cls(authors=list(dict.fromkeys(normalize_author(raw) for raw in names)))
 
 
-def load_winners(stream, provenance: str = "") -> WinnerList:
+def load_winners(stream) -> WinnerList:
     """Read one raw author name per line; `#` starts a comment."""
     names = []
     for raw in stream:
         line = raw.split("#", 1)[0].strip()
         if line:
             names.append(line)
-    return WinnerList.from_names(names, provenance=provenance)
+    return WinnerList.from_names(names)
 
 
 @dataclass

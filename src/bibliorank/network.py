@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +42,15 @@ class AuthorCitationGraph:
     publications: np.ndarray  # first-authored corpus papers, int64
     references: ReferenceTable | None = None
 
-    def __post_init__(self):
-        self.index = {a: i for i, a in enumerate(self.authors)}
-
     @property
     def n_nodes(self) -> int:
         return len(self.authors)
 
     def node_id(self, author: str) -> int:
-        try:
-            return self.index[author]
-        except KeyError:
-            raise GraphError(f"unknown author key {author!r}") from None
+        i = bisect_left(self.authors, author)
+        if i == len(self.authors) or self.authors[i] != author:
+            raise GraphError(f"unknown author key {author!r}")
+        return i
 
     def out_weights(self) -> np.ndarray:
         """Per-node sum of out-edge weights (0 for dangling nodes)."""

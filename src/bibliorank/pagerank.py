@@ -13,7 +13,7 @@ dangling nodes, and r is the dangling redistribution distribution
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class PageRankResult:
     iterations: int
     final_residual: float
     converged: bool
-    teleport_kind: str = UNIFORM
-    damping: float = field(default=0.15)
+    damping: float = 0.15
 
     @property
     def error_bound(self) -> float:
@@ -134,7 +133,6 @@ def _power_iteration(
         iterations=iterations,
         final_residual=residual,
         converged=residual < cfg.tolerance,
-        teleport_kind=teleport.kind,
         damping=d,
     )
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
+import shutil
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -27,6 +30,7 @@ from bibliorank.evaluation import CoverageResult, WinnerList, coverage, load_win
 
 DEFAULT_DAMPINGS = (0.15, 0.5, 0.85)
 DEFAULT_TELEPORTS = (pr_mod.UNIFORM, pr_mod.CITATION_WEIGHTED, pr_mod.PUBLICATION_WEIGHTED)
+INPUT_FILES = ("corpus", "if_table", "winners")  # RunConfig keys naming input files
 
 _TELEPORT_TAGS = {
     pr_mod.UNIFORM: "pagerank",
@@ -37,6 +41,15 @@ _TELEPORT_TAGS = {
 
 def pagerank_label(kind: str, damping: float) -> str:
     return f"{_TELEPORT_TAGS[kind]}_d{damping:g}"
+
+
+def file_sha256(path) -> str:
+    """sha256 of a file's content, read in blocks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            h.update(block)
+    return h.hexdigest()
 
 
 @dataclass
@@ -78,6 +91,12 @@ class RunConfig:
                 raise ConfigError("skew must be positive")
         # Disjointness (and lo <= hi) checked by split_phases/Phase.
         corpus_mod.split_phases(corpus_mod.Corpus(), self.phases)
+        by_tag: dict[str, corpus_mod.Phase] = {}
+        for phase in self.phases:
+            other = by_tag.setdefault(phase_tag(phase.label), phase)
+            if other is not phase:
+                raise ConfigError(f"phases {other.label!r} and {phase.label!r} would write "
+                                  f"the same files, tagged {phase_tag(phase.label)!r}")
         for d in self.dampings:
             self.pagerank_config(d)  # checks damping, tolerance, iterations, policy
         for kind in self.teleports:
@@ -113,17 +132,20 @@ class RunConfig:
         d["phases"] = [[p.label, p.year_lo, p.year_hi] for p in self.phases]
         return d
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+    def input_digests(self) -> dict[str, str]:
+        """sha256 of the content of each input file that is set, by key."""
+        paths = {key: getattr(self, key) for key in INPUT_FILES}
+        return {key: file_sha256(path) for key, path in paths.items() if path is not None}
+
+    def config_hash(self, inputs: dict[str, str] | None = None) -> str:
+        """sha256 of the settings, with the ``inputs`` digests in place of
+        the input paths, and without ``outdir``."""
+        settings = self.canonical()
+        for key in ("outdir", *INPUT_FILES):
+            del settings[key]
+        settings["inputs"] = self.input_digests() if inputs is None else inputs
+        blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-_CONFIG_KEYS = {
-    "corpus", "outdir", "phases", "dampings", "teleports", "prestige",
-    "subset_size", "pca_retention", "loading_cutoff", "if_table", "winners",
-    "coverage_ks", "allow_self_citation", "tolerance", "max_iterations",
-    "dangling_policy", "strict", "seed", "n_papers", "n_authors", "skew",
-}
 
 
 def parse_phases(text: str) -> tuple[corpus_mod.Phase, ...]:
@@ -178,38 +200,43 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"invalid boolean {text!r}")
+    raise ValueError("expected true or false")
+
+
+def _value_parser(hint):
+    """The parser of a config value for a ``RunConfig`` field of type ``hint``."""
+    if get_origin(hint) is tuple:  # tuple[T, ...]: comma-separated items
+        parse_item = _value_parser(get_args(hint)[0])
+        return lambda text: tuple(parse_item(item.strip()) for item in text.split(","))
+    if hint is bool:
+        return _parse_bool
+    if type(None) in get_args(hint):  # T | None
+        return get_args(hint)[0]
+    return hint  # int, float or str
+
+
+# Config keys that set the field of the same name.  The prestige and
+# pca_retention keys also set prestige_mode/prestige_value and pca_fixed_k.
+_FIELD_PARSERS = {
+    name: parse_phases if name == "phases" else _value_parser(hint)
+    for name, hint in get_type_hints(RunConfig).items()
+    if name not in ("prestige_mode", "prestige_value", "pca_retention", "pca_fixed_k")
+}
 
 
 def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
     """Set one `key = value` config entry (file line or CLI override)."""
     key = key.strip()
     value = value.strip()
-    if key not in _CONFIG_KEYS:
-        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key == "phases":
-            cfg.phases = parse_phases(value)
-        elif key == "dampings":
-            cfg.dampings = tuple(float(x) for x in value.split(","))
-        elif key == "teleports":
-            cfg.teleports = tuple(x.strip() for x in value.split(","))
-        elif key == "prestige":
+        if key == "prestige":
             cfg.prestige_mode, cfg.prestige_value = parse_prestige(value)
         elif key == "pca_retention":
             cfg.pca_retention, cfg.pca_fixed_k = parse_retention(value)
-        elif key == "coverage_ks":
-            cfg.coverage_ks = tuple(int(x) for x in value.split(","))
-        elif key in ("subset_size", "max_iterations", "n_papers", "n_authors"):
-            setattr(cfg, key, int(value))
-        elif key == "seed":
-            cfg.seed = int(value)
-        elif key in ("loading_cutoff", "tolerance", "skew"):
-            setattr(cfg, key, float(value))
-        elif key in ("allow_self_citation", "strict"):
-            setattr(cfg, key, _parse_bool(value))
-        else:  # corpus, outdir, if_table, winners, dangling_policy
-            setattr(cfg, key, value)
+        elif key in _FIELD_PARSERS:
+            setattr(cfg, key, _FIELD_PARSERS[key](value))
+        else:
+            raise ConfigError(f"unknown config key {key!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for config key {key!r}: {exc}") from None
 
@@ -251,36 +278,11 @@ def dump_impact_factors(table: ind_mod.ImpactFactorTable, stream) -> None:
         stream.write(f"{venue}\t{year}\t{impact:g}\n")
 
 
-class OutputTracker:
-    """Records files created by a run so failures can clean them up."""
-
-    def __init__(self, outdir: Path):
-        self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
-        self.created: list[Path] = []
-
-    def open(self, name: str):
-        path = self.outdir / name
-        self.created.append(path)
-        return open(path, "w", encoding="utf-8", newline="\n")
-
-    def cleanup(self) -> None:
-        for path in self.created:
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-
-
 def write_correlation(cm: stats_mod.CorrelationMatrix, stream) -> None:
     stream.write("indicator\t" + "\t".join(cm.labels) + "\n")
     for i, label in enumerate(cm.labels):
-        cells = []
-        for j in range(len(cm.labels)):
-            if j == i:
-                cells.append("1.000")
-            else:
-                cells.append(f"{cm.r[i, j]:.3f}{cm.flags[i][j]}")
+        # The diagonal is exactly 1 and unflagged, so it prints as 1.000.
+        cells = [f"{cm.r[i, j]:.3f}{cm.flags[i][j]}" for j in range(len(cm.labels))]
         stream.write(label + "\t" + "\t".join(cells) + "\n")
 
 
@@ -358,20 +360,22 @@ def classical_indicators(
 def compute_phase_indicators(cfg: RunConfig, phase_corpus, graph, if_table=None):
     """All 13 score vectors (paper-order labels) for one phase graph.
 
-    Returns (ordered score vectors over the graph's author set, PageRank
-    results by label, diagnostics).
+    Returns (ordered score vectors over the graph's author set,
+    diagnostics).  Under ``cfg.strict`` a solve that did not converge
+    raises NonConvergenceError once every solve has run.
     """
     classical, diagnostics = classical_indicators(
         phase_corpus, graph, (cfg.prestige_mode, cfg.prestige_value), if_table
     )
     pagerank_scores = []
-    pr_results = {}
+    stalled = []
     for kind in cfg.teleports:
         teleport = pr_mod.make_teleport(graph, kind)
         for d in cfg.dampings:
             result = pr_mod.weighted_pagerank(graph, teleport, cfg.pagerank_config(d))
             label = pagerank_label(kind, d)
-            pr_results[label] = result
+            if not result.converged:
+                stalled.append(label)
             diagnostics[label] = {
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
@@ -380,28 +384,61 @@ def compute_phase_indicators(cfg: RunConfig, phase_corpus, graph, if_table=None)
             }
             pagerank_scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
 
+    if cfg.strict and stalled:
+        raise NonConvergenceError(f"power iteration did not converge: {', '.join(stalled)}")
     scores = classical[:2] + pagerank_scores + classical[2:]
-    return scores, pr_results, diagnostics
+    return scores, diagnostics
+
+
+def check_outdir(outdir: Path) -> None:
+    """Refuse an ``outdir`` that is not absent, empty or a complete run:
+    ``manifest.json`` and the files its ``files`` map names."""
+    if not outdir.exists():
+        return
+    if not outdir.is_dir():
+        raise ConfigError(f"outdir {outdir} is not a directory")
+    try:
+        files = json.loads((outdir / "manifest.json").read_bytes())["files"]
+        known = {"manifest.json", *files.keys()}
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        known = set()  # no readable manifest: every entry is foreign
+    for entry in sorted(outdir.iterdir()):
+        if entry.name not in known or entry.is_dir():
+            raise ConfigError(f"outdir {outdir} holds {entry.name!r}, which is not part of "
+                              "an earlier run; remove it or choose another outdir")
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """Run the full pipeline; returns the manifest dict.
 
-    Raises on any stage failure after removing partial outputs.
+    Writes into a stage directory beside ``cfg.outdir`` and renames it to
+    ``outdir`` only once the run is complete, so a failed run leaves
+    ``outdir`` as it was.
     """
     cfg.validate()
-    tracker = OutputTracker(Path(cfg.outdir))
-    # A manifest left by an earlier run would make a failed rerun look complete.
-    (tracker.outdir / "manifest.json").unlink(missing_ok=True)
+    outdir = Path(os.path.abspath(cfg.outdir))
+    check_outdir(outdir)
+    stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.tmp")
+    shutil.rmtree(stage, ignore_errors=True)  # left by a killed run with this pid
+    stage.mkdir(parents=True)
     try:
-        manifest = _run_pipeline_inner(cfg, tracker)
-    except Exception:
-        tracker.cleanup()
+        manifest = _write_run(cfg, stage)
+        old = outdir.with_name(f".{outdir.name}.{os.getpid()}.old")
+        if outdir.exists():
+            outdir.rename(old)  # from here until the next rename, no outdir
+        stage.rename(outdir)
+        shutil.rmtree(old, ignore_errors=True)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
         raise
     return manifest
 
 
-def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
+def _write_run(cfg: RunConfig, stage: Path) -> dict:
+    def create(name: str):
+        return open(stage / name, "w", encoding="utf-8", newline="\n")
+
+    inputs = cfg.input_digests()
     if cfg.corpus is not None:
         with open(cfg.corpus, encoding="utf-8") as fh:
             full = corpus_mod.parse_corpus(fh, provenance=cfg.corpus)
@@ -413,7 +450,7 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
     winners = None
     if cfg.winners is not None:
         with open(cfg.winners, encoding="utf-8") as fh:
-            winners = load_winners(fh, provenance=cfg.winners)
+            winners = load_winners(fh)
 
     if cfg.if_table is not None:
         with open(cfg.if_table, encoding="utf-8") as fh:
@@ -422,7 +459,7 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
         # synthetic mode: fabricate a deterministic table so all indicator
         # columns are present
         if_table = generate_impact_factors(full, cfg.seed)
-        with tracker.open("impact_factors.tsv") as fh:
+        with create("impact_factors.tsv") as fh:
             dump_impact_factors(if_table, fh)
     else:
         if_table = None
@@ -431,7 +468,8 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
 
     manifest: dict = {
         "config": cfg.canonical(),
-        "config_hash": cfg.config_hash(),
+        "config_hash": cfg.config_hash(inputs),
+        "inputs": inputs,
         "versions": {
             "bibliorank": __version__,
             "numpy": np.__version__,
@@ -445,51 +483,43 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
 
     for phase, phase_corpus in zip(cfg.phases, phase_corpora):
         tag = phase_tag(phase.label)
-        info: dict = {"papers": len(phase_corpus)}
+        info = manifest["phases"][phase.label] = {"papers": len(phase_corpus)}
         filtered, removed = corpus_mod.filter_with_references(phase_corpus)
         info["papers_without_references"] = removed
         info["papers_used"] = len(filtered)
         if not filtered.papers:
             info["skipped"] = "no papers with references"
-            manifest["phases"][phase.label] = info
             continue
 
-        with tracker.open(f"corpus_{tag}.jsonl") as fh:
+        with create(f"corpus_{tag}.jsonl") as fh:
             corpus_mod.serialize_corpus(filtered, fh)
 
         graph = net_mod.build_graph(filtered, allow_self_citation=cfg.allow_self_citation)
         gstats = net_mod.graph_stats(graph)
         info["graph"] = asdict(gstats)
-        with tracker.open(f"edges_{tag}.tsv") as fh:
+        with create(f"edges_{tag}.tsv") as fh:
             net_mod.dump_edges(graph, fh)
-        with tracker.open(f"nodes_{tag}.tsv") as fh:
+        with create(f"nodes_{tag}.tsv") as fh:
             net_mod.dump_nodes(graph, fh)
 
-        scores, pr_results, diagnostics = compute_phase_indicators(
+        scores, info["diagnostics"] = compute_phase_indicators(
             cfg, filtered, graph, if_table=if_table
         )
-        info["diagnostics"] = diagnostics
-        if cfg.strict:
-            stalled = [name for name, r in pr_results.items() if not r.converged]
-            if stalled:
-                raise NonConvergenceError(
-                    f"power iteration did not converge: {', '.join(stalled)}"
-                )
 
         for sv in scores:
-            with tracker.open(f"indicator_{tag}_{sv.name}.tsv") as fh:
+            with create(f"indicator_{tag}_{sv.name}.tsv") as fh:
                 ind_mod.dump_indicator(sv, fh)
 
         pop = scores[0]
         subset_size = min(cfg.subset_size, graph.n_nodes)
         subset, _ = ind_mod.top_k(pop, subset_size)
         table = stats_mod.IndicatorTable.from_scores(scores, subset)
-        with tracker.open(f"table_{tag}.tsv") as fh:
+        with create(f"table_{tag}.tsv") as fh:
             write_table(table, fh)
 
         try:
             cm = stats_mod.correlation_matrix(table)
-            with tracker.open(f"correlation_{tag}.tsv") as fh:
+            with create(f"correlation_{tag}.tsv") as fh:
                 write_correlation(cm, fh)
             pca = stats_mod.pca_varimax(
                 table,
@@ -497,8 +527,8 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
                 fixed_k=cfg.pca_fixed_k,
                 loading_cutoff=cfg.loading_cutoff,
             )
-            with tracker.open(f"pca_{tag}.tsv") as fl, \
-                    tracker.open(f"pca_components_{tag}.tsv") as fc:
+            with create(f"pca_{tag}.tsv") as fl, \
+                    create(f"pca_components_{tag}.tsv") as fc:
                 write_pca(pca, fl, fc)
             info["pca_retained"] = pca.n_retained
             info["pca_explained"] = float(
@@ -511,20 +541,12 @@ def _run_pipeline_inner(cfg: RunConfig, tracker: OutputTracker) -> dict:
 
         if winners is not None:
             cov = coverage(scores, winners, ks=cfg.coverage_ks)
-            with tracker.open(f"coverage_{tag}.csv") as fh:
+            with create(f"coverage_{tag}.csv") as fh:
                 write_coverage(cov, fh)
             info["winners_missing"] = cov.missing_winners
 
-        manifest["phases"][phase.label] = info
-
-    file_hashes = {}
-    for path in sorted(tracker.created):
-        file_hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest["files"] = file_hashes
-
-    manifest_path = Path(cfg.outdir) / "manifest.json"
-    tracker.created.append(manifest_path)
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+    manifest["files"] = {path.name: file_sha256(path) for path in sorted(stage.iterdir())}
+    with create("manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

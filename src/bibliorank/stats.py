@@ -211,19 +211,6 @@ class PcaResult:
     criterion_history: list[float] = field(default_factory=list)
     loading_cutoff: float = 0.4
 
-    def salient_variables(self) -> list[list[str]]:
-        """Per component: variables with |rotated loading| above the cutoff."""
-        out = []
-        for j in range(self.n_retained):
-            out.append(
-                [
-                    self.labels[i]
-                    for i in range(len(self.labels))
-                    if abs(self.rotated_loadings[i, j]) > self.loading_cutoff
-                ]
-            )
-        return out
-
 
 def pca_varimax(
     table: IndicatorTable,

@@ -26,15 +26,13 @@ class OracleParseError(Exception):
         self.field = field
 
 
-def _normalized_loop(raw, line, field, empty_field):
-    if raw is not None and not isinstance(raw, str):
+def _normalized_loop(raw, line, field):
+    if not isinstance(raw, str):
         raise OracleParseError(line, field)
-    if raw is None:
-        raise OracleParseError(line, empty_field)
     key = " ".join(raw.upper().replace(".", "").replace(",", " ").split())
     key = key.rstrip(string.punctuation + " \t")
     if not key:
-        raise OracleParseError(line, empty_field)
+        raise OracleParseError(line, field)
     return key
 
 
@@ -44,12 +42,12 @@ def _year_loop(value, line, field):
     return value
 
 
-def _opt_str_loop(obj, key, line):
+def _opt_str_loop(obj, key, line, prefix=""):
     value = obj.get(key)
     if value is None:
         return None
     if not isinstance(value, str) or not value.strip():
-        raise OracleParseError(line, key)
+        raise OracleParseError(line, prefix + key)
     return value.strip()
 
 
@@ -60,9 +58,8 @@ def parse_corpus_loop(lines):
     record, ``refs`` a tuple of ``(author, year, source, volume, page)``
     tuples, or raises OracleParseError at the first bad line.  Checks run
     in file order: id, author, source, year, each reference, then the
-    record's volume and page.  A non-string author or source names that
-    field; a null or one that normalises to nothing names ``author`` or
-    ``source`` in a record and ``refs`` in a reference.
+    record's volume and page.  A bad author, source, volume or page names
+    that field, prefixed ``refs.`` in a reference.
     """
     records = []
     seen = set()
@@ -83,8 +80,8 @@ def parse_corpus_loop(lines):
         if not isinstance(pid, str) or not pid or pid in seen:
             raise OracleParseError(lineno, "id")
         seen.add(pid)
-        author = _normalized_loop(obj["author"], lineno, "author", "author")
-        source = _normalized_loop(obj["source"], lineno, "source", "source")
+        author = _normalized_loop(obj["author"], lineno, "author")
+        source = _normalized_loop(obj["source"], lineno, "source")
         year = _year_loop(obj["year"], lineno, "year")
         refs_raw = obj.get("refs", [])
         if not isinstance(refs_raw, list):
@@ -96,11 +93,12 @@ def parse_corpus_loop(lines):
             for req in ("author", "year", "source"):
                 if req not in r:
                     raise OracleParseError(lineno, f"refs.{req}")
-            ref_author = _normalized_loop(r["author"], lineno, "refs.author", "refs")
-            ref_source = _normalized_loop(r["source"], lineno, "refs.source", "refs")
+            ref_author = _normalized_loop(r["author"], lineno, "refs.author")
+            ref_source = _normalized_loop(r["source"], lineno, "refs.source")
             ref_year = _year_loop(r["year"], lineno, "refs.year")
-            refs.append((ref_author, ref_year, ref_source, _opt_str_loop(r, "volume", lineno),
-                         _opt_str_loop(r, "page", lineno)))
+            refs.append((ref_author, ref_year, ref_source,
+                         _opt_str_loop(r, "volume", lineno, "refs."),
+                         _opt_str_loop(r, "page", lineno, "refs.")))
         records.append((pid, author, year, source, _opt_str_loop(obj, "volume", lineno),
                         _opt_str_loop(obj, "page", lineno), tuple(refs)))
     return records

@@ -1,6 +1,10 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bibliorank
 from bibliorank.cli import main
@@ -145,19 +151,65 @@ class TestExitCodes:
                    "--set", "strict=true",
                    "--set", "subset_size=20"])
         assert rc == 3
-        # partial outputs removed
-        assert not any(Path(outdir).iterdir())
+        # no outdir, and no stage directory left beside it
+        assert not outdir.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
-    def test_failed_rerun_leaves_no_manifest(self, tmp_path):
-        cfg = RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(tmp_path / "out"),
+    def test_failed_rerun_keeps_previous_run(self, tmp_path):
+        outdir = tmp_path / "out"
+        cfg = RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(outdir),
                         subset_size=20)
         run_pipeline(cfg)
-        assert (tmp_path / "out" / "manifest.json").exists()
+        before = _dir_bytes(outdir)
         cfg.max_iterations = 1
         cfg.strict = True
         with pytest.raises(NonConvergenceError):
             run_pipeline(cfg)
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert _dir_bytes(outdir) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_rerun_leaves_only_its_own_files(self, tmp_path):
+        outdir = tmp_path / "out"
+        first = run_pipeline(RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(outdir)))
+        corpus = tmp_path / "c.jsonl"
+        assert main(["generate", "--seed", "3", "--papers", "200", "--authors", "80",
+                     "--out", str(corpus)]) == 0
+        second = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(outdir)))
+        assert "impact_factors.tsv" in first["files"]
+        assert "impact_factors.tsv" not in second["files"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            [*second["files"], "manifest.json"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "out"]
+
+    @pytest.mark.parametrize("earlier_run,name,content", [
+        (False, "notes.txt", "mine\n"),
+        (True, "notes.txt", "mine\n"),
+        (False, "manifest.json", "{"),
+    ], ids=["alone", "beside-a-run", "unreadable-manifest"])
+    def test_foreign_entry_in_outdir_exit_1_before_inputs_are_opened(
+            self, earlier_run, name, content, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        run = ["pipeline", "--set", "seed=3", "--set", "n_papers=200", "--set", "n_authors=80",
+               "--set", f"outdir={outdir}"]
+        if earlier_run:
+            assert main(run) == 0
+        else:
+            outdir.mkdir()
+        (outdir / name).write_text(content)
+        before = _dir_bytes(outdir)
+        assert main([*run, "--set", f"corpus={tmp_path / 'nope.jsonl'}"]) == 1
+        assert f"holds {name!r}" in capsys.readouterr().err
+        assert _dir_bytes(outdir) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_colliding_phase_tags_exit_1_before_work(self, tmp_path, capsys):
+        rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
+                   "--set", f"outdir={tmp_path / 'out'}",
+                   "--set", "phases=a-b:1956-1990;a_b:1991-2008"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'a-b'" in err and "'a_b'" in err
+        assert not any(tmp_path.iterdir())
 
     def test_import_does_not_load_scipy_stats(self):
         env = {**os.environ, "PYTHONPATH": str(Path(bibliorank.__file__).parents[1])}
@@ -243,6 +295,74 @@ class TestRunConfig:
         b = RunConfig(seed=1)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != RunConfig(seed=2).config_hash()
+
+    def test_config_hash_follows_input_content_not_paths(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        assert main(["generate", "--seed", "1", "--papers", "80", "--authors", "30",
+                     "--out", str(a / "corpus.jsonl"), "--if-table-out", str(a / "if.tsv")]) == 0
+        (a / "winners.txt").write_text("Auth, 000001.\n")
+        shutil.copytree(a, b)
+
+        def config(inputs, out):
+            return RunConfig(corpus=str(inputs / "corpus.jsonl"), if_table=str(inputs / "if.tsv"),
+                             winners=str(inputs / "winners.txt"), outdir=str(tmp_path / out),
+                             subset_size=20)
+
+        ma, mb = run_pipeline(config(a, "out_a")), run_pipeline(config(b, "out_b"))
+        assert ma["config"]["corpus"] == str(a / "corpus.jsonl")
+        assert ma["config_hash"] == mb["config_hash"]
+        assert ma["inputs"] == mb["inputs"]
+        assert ma["inputs"] == {
+            key: hashlib.sha256((a / name).read_bytes()).hexdigest()
+            for key, name in (("corpus", "corpus.jsonl"), ("if_table", "if.tsv"),
+                              ("winners", "winners.txt"))
+        }
+        with open(b / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("\n")  # one byte more, the same corpus
+        assert config(b, "out_b").config_hash() != ma["config_hash"]
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("seed", "7", 7),
+        ("skew", "2.5", 2.5),
+        ("strict", "yes", True),
+        ("allow_self_citation", "off", False),
+        ("dampings", "0.5,0.85", (0.5, 0.85)),
+        ("coverage_ks", "5, 10", (5, 10)),
+        ("teleports", "uniform, citation_weighted", ("uniform", "citation_weighted")),
+        ("winners", " w.txt ", "w.txt"),
+    ])
+    def test_value_parsed_by_field_type(self, key, value, want):
+        cfg = RunConfig()
+        apply_config_entry(cfg, key, value)
+        assert repr(getattr(cfg, key)) == repr(want)  # equal values of equal types
+
+
+# A valid value of each config key whose value is not free text; a junk
+# character anywhere in it makes it malformed.
+_SET_SAMPLES = {
+    "phases": "1956-1990", "dampings": "0.5,0.85", "prestige": "top_fraction:0.1",
+    "subset_size": "30", "pca_retention": "fixed:3", "loading_cutoff": "0.4",
+    "coverage_ks": "5,10", "allow_self_citation": "true", "tolerance": "1e-12",
+    "max_iterations": "100", "strict": "false", "seed": "1", "n_papers": "100",
+    "n_authors": "50", "skew": "1.5",
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(_SET_SAMPLES)),
+       junk=st.text(alphabet="@#!?%&*", min_size=1, max_size=3),
+       at=st.integers(min_value=0, max_value=20))
+def test_malformed_set_value_exit_1_names_key(key, junk, at):
+    sample = _SET_SAMPLES[key]
+    at = min(at, len(sample))
+    value = sample[:at] + junk + sample[at:]
+    with pytest.raises(ConfigError, match=key):
+        apply_config_entry(RunConfig(), key, value)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["pipeline", "--set", "seed=1", "--set", f"{key}={value}"]) == 1
+    assert err.getvalue().startswith("error: ") and key in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestPipeline:

@@ -150,6 +150,29 @@ class TestParseCorpus:
             parse_corpus(io.StringIO(text))
         assert (exc.value.line, exc.value.field) == (2, field)
 
+    @pytest.mark.parametrize("where,key,value,field", [
+        ("record", "volume", 5, "volume"),
+        ("record", "page", " ", "page"),
+        ("ref", "volume", 5, "refs.volume"),
+        ("ref", "page", " ", "refs.page"),
+        ("ref", "author", None, "refs.author"),
+        ("ref", "author", " ., ", "refs.author"),
+        ("ref", "source", None, "refs.source"),
+        ("ref", "source", " ., ", "refs.source"),
+    ], ids=["volume", "page", "ref-volume", "ref-page", "ref-author-null",
+            "ref-author-empty", "ref-source-null", "ref-source-empty"])
+    def test_bad_value_names_its_field(self, where, key, value, field):
+        if where == "record":
+            line = _record(**{key: value})
+        else:
+            line = _record(refs=[{"author": "B", "year": 1999, "source": "K", key: value}])
+        with pytest.raises(ParseError) as exc:
+            parse_corpus(io.StringIO(line))
+        assert (exc.value.line, exc.value.field) == (1, field)
+        with pytest.raises(OracleParseError) as oracle:
+            parse_corpus_loop(io.StringIO(line))
+        assert (oracle.value.line, oracle.value.field) == (1, field)
+
     def test_empty_record_venue_names_source(self):
         with pytest.raises(ParseError, match="venue") as exc:
             parse_corpus(io.StringIO(_record(source=" ,. ")))

@@ -42,6 +42,8 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
                 continue
             parts = raw.rstrip("\n").split("\t")
             try:
+                if parts[a_col] in values:
+                    raise ParseError(f"duplicate author {parts[a_col]!r} in {path}", line=lineno)
                 values[parts[a_col]] = float(parts[s_col])
             except (IndexError, ValueError):
                 raise ParseError(f"malformed score row in {path}", line=lineno) from None
@@ -60,12 +62,6 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
         for sv, name in zip(vectors, names):
             sv.name = name
     return vectors
-
-
-def _build_table(vectors, subset_size: int) -> stats_mod.IndicatorTable:
-    n = len(vectors[0].authors)
-    subset, _ = ind_mod.top_k(vectors[0], min(subset_size, n))
-    return stats_mod.IndicatorTable.from_scores(vectors, subset)
 
 
 def cmd_generate(args) -> int:
@@ -90,23 +86,16 @@ def cmd_generate(args) -> int:
 
 def cmd_ingest(args) -> int:
     phases = pipe_mod.parse_phases(args.phases) if args.phases else corpus_mod.DEFAULT_PHASES
-    with open(args.corpus, encoding="utf-8") as fh:
-        full = corpus_mod.parse_corpus(fh, provenance=args.corpus)
-    phase_corpora, dropped = corpus_mod.split_phases(full, phases)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stats = {"input_papers": len(full), "dropped_outside_phases": dropped, "phases": {}}
-    for phase, pc in zip(phases, phase_corpora):
-        filtered, removed = corpus_mod.filter_with_references(pc)
-        tag = pipe_mod.phase_tag(phase.label)
-        with open(outdir / f"corpus_{tag}.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-            corpus_mod.serialize_corpus(filtered, fh)
-        stats["phases"][phase.label] = {
-            "papers": len(pc),
-            "papers_without_references": removed,
-            "papers_used": len(filtered),
-        }
-    print(json.dumps(stats, indent=2, sort_keys=True))
+    pipe_mod.check_phases(phases)
+
+    def write(create) -> dict:
+        with open(args.corpus, encoding="utf-8") as fh:
+            full = corpus_mod.parse_corpus(fh)
+        return pipe_mod.write_phase_corpora(full, phases, create)[1]
+
+    manifest = pipe_mod.write_run(args.outdir, write)
+    del manifest["files"]
+    print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
 
 
@@ -117,55 +106,50 @@ def cmd_rank(args) -> int:
             publications = {a: pubs for a, (_, pubs) in net_mod.load_nodes(fh).items()}
     with open(args.edges, encoding="utf-8") as fh:
         graph = net_mod.load_edges(fh, publications=publications)
-    teleport = pr_mod.make_teleport(graph, args.teleport)
     cfg = pr_mod.PageRankConfig(
         damping=args.damping,
         tolerance=args.tolerance,
         max_iterations=args.max_iterations,
         dangling_policy=args.dangling_policy,
     )
-    result = pr_mod.weighted_pagerank(graph, teleport, cfg)
-    if args.strict and not result.converged:
-        raise NonConvergenceError(
-            f"no convergence in {cfg.max_iterations} iterations "
-            f"(residual {result.final_residual:.3e})"
-        )
-    scores = ind_mod.ScoreVector(pipe_mod.pagerank_label(args.teleport, args.damping),
-                                 graph.authors, result.scores)
+    [scores], solves = pipe_mod.pagerank_variants(graph, [args.teleport], [cfg], args.strict)
+    solve = solves[scores.name]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         ind_mod.dump_indicator(scores, fh)
-    print(f"{'converged' if result.converged else 'NOT converged'} "
-          f"after {result.iterations} iterations (residual {result.final_residual:.3e})")
+    print(f"{'converged' if solve['converged'] else 'NOT converged'} "
+          f"after {solve['iterations']} iterations (residual {solve['final_residual']:.3e})")
     return 0
 
 
 def cmd_indicators(args) -> int:
     prestige = pipe_mod.parse_prestige(args.prestige)
-    with open(args.corpus, encoding="utf-8") as fh:
-        c = corpus_mod.parse_corpus(fh, provenance=args.corpus)
-    filtered, _ = corpus_mod.filter_with_references(c)
-    graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
-    table = None
-    if args.if_table:
-        with open(args.if_table, encoding="utf-8") as fh:
-            table = ind_mod.load_impact_factors(fh)
-    scores, diagnostics = pipe_mod.classical_indicators(filtered, graph, prestige, table)
-    if table is not None:
-        print(f"impact-factor misses: {diagnostics['impact_factor_misses']}", file=sys.stderr)
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for sv in scores:
-        name = f"indicator_{args.tag}_{sv.name}.tsv" if args.tag else f"indicator_{sv.name}.tsv"
-        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fh:
-            ind_mod.dump_indicator(sv, fh)
-        print(f"wrote {outdir / name}")
+    def write(create) -> dict:
+        with open(args.corpus, encoding="utf-8") as fh:
+            c = corpus_mod.parse_corpus(fh)
+        filtered, _ = corpus_mod.filter_with_references(c)
+        graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
+        table = None
+        if args.if_table:
+            with open(args.if_table, encoding="utf-8") as fh:
+                table = ind_mod.load_impact_factors(fh)
+        scores, diagnostics = pipe_mod.classical_indicators(filtered, graph, prestige, table)
+        if table is not None:
+            print(f"impact-factor misses: {diagnostics['impact_factor_misses']}", file=sys.stderr)
+        prefix = f"indicator_{args.tag}_" if args.tag else "indicator_"
+        for sv in scores:
+            with create(f"{prefix}{sv.name}.tsv") as fh:
+                ind_mod.dump_indicator(sv, fh)
+        return {"diagnostics": diagnostics}
+
+    manifest = pipe_mod.write_run(args.outdir, write)
+    print(f"wrote {len(manifest['files'])} indicator files and a manifest to {args.outdir}")
     return 0
 
 
 def cmd_correlate(args) -> int:
     vectors = _score_vectors(args.scores, args.labels)
-    table = _build_table(vectors, args.subset_size)
+    table = pipe_mod.rank_table(vectors, args.subset_size)
     cm = stats_mod.correlation_matrix(table)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         pipe_mod.write_correlation(cm, fh)
@@ -176,7 +160,7 @@ def cmd_correlate(args) -> int:
 def cmd_pca(args) -> int:
     retention, fixed_k = pipe_mod.parse_retention(args.retention)
     vectors = _score_vectors(args.scores, args.labels)
-    table = _build_table(vectors, args.subset_size)
+    table = pipe_mod.rank_table(vectors, args.subset_size)
     res = stats_mod.pca_varimax(
         table, retention=retention, fixed_k=fixed_k, loading_cutoff=args.cutoff
     )

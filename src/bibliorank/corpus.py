@@ -112,7 +112,6 @@ class Corpus:
     """An immutable-by-convention list of normalized paper records."""
 
     papers: list[PaperRecord] = field(default_factory=list)
-    provenance: str = ""
 
     def __post_init__(self):
         seen = set()
@@ -190,7 +189,7 @@ def _parse_ref(obj, line, norm, interned) -> RefKey:
     return interned.setdefault(ref, ref)
 
 
-def parse_corpus(stream, provenance: str = "") -> Corpus:
+def parse_corpus(stream) -> Corpus:
     """Parse a UTF-8 line-delimited corpus file into a Corpus.
 
     ``stream`` is an iterable of lines (an open file works).  Each
@@ -242,7 +241,7 @@ def parse_corpus(stream, provenance: str = "") -> Corpus:
                 references=refs,
             )
         )
-    return Corpus(papers=papers, provenance=provenance)
+    return Corpus(papers=papers)
 
 
 def _ref_to_obj(ref: RefKey) -> dict:
@@ -287,18 +286,14 @@ def split_phases(corpus: Corpus, phases=DEFAULT_PHASES) -> tuple[list[Corpus], i
                 break
         else:
             dropped += 1
-    out = [
-        Corpus(papers=bucket, provenance=f"{corpus.provenance} [{ph.label}]".strip())
-        for bucket, ph in zip(buckets, phases)
-    ]
-    return out, dropped
+    return [Corpus(papers=bucket) for bucket in buckets], dropped
 
 
 def filter_with_references(corpus: Corpus) -> tuple[Corpus, int]:
     """Drop papers with no references; returns (kept corpus, removed count)."""
     kept = [p for p in corpus.papers if p.references]
     removed = len(corpus.papers) - len(kept)
-    return Corpus(papers=kept, provenance=corpus.provenance), removed
+    return Corpus(papers=kept), removed
 
 
 _VENUE_POOL_SIZE = 40
@@ -378,7 +373,4 @@ def generate_synthetic(
         papers.append(record)
         papers_by_author[author_idx].append(RefKey(*record.match_key()))
 
-    return Corpus(
-        papers=papers,
-        provenance=f"synthetic seed={seed} n_papers={n_papers} n_authors={n_authors} skew={skew}",
-    )
+    return Corpus(papers=papers)

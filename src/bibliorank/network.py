@@ -194,6 +194,9 @@ def load_nodes(stream) -> dict[str, tuple[int, int]]:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError("expected author<TAB>citations<TAB>publications", line=lineno)
+        if parts[0] in out:
+            where = getattr(stream, "name", "the node dump")
+            raise ParseError(f"duplicate author {parts[0]!r} in {where}", line=lineno)
         try:
             out[parts[0]] = (int(parts[1]), int(parts[2]))
         except ValueError:

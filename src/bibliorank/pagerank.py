@@ -78,7 +78,7 @@ class PageRankConfig:
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.dangling_policy not in ("teleport", "uniform"):
-            raise ConfigError(f"unknown dangling policy {self.dangling_policy!r}")
+            raise ConfigError(f"unknown dangling_policy {self.dangling_policy!r}")
 
 
 @dataclass

@@ -39,10 +39,6 @@ _TELEPORT_TAGS = {
 }
 
 
-def pagerank_label(kind: str, damping: float) -> str:
-    return f"{_TELEPORT_TAGS[kind]}_d{damping:g}"
-
-
 def file_sha256(path) -> str:
     """sha256 of a file's content, read in blocks."""
     h = hashlib.sha256()
@@ -89,19 +85,16 @@ class RunConfig:
                 raise ConfigError("n_papers and n_authors must be >= 1")
             if self.skew <= 0:
                 raise ConfigError("skew must be positive")
-        # Disjointness (and lo <= hi) checked by split_phases/Phase.
-        corpus_mod.split_phases(corpus_mod.Corpus(), self.phases)
-        by_tag: dict[str, corpus_mod.Phase] = {}
-        for phase in self.phases:
-            other = by_tag.setdefault(phase_tag(phase.label), phase)
-            if other is not phase:
-                raise ConfigError(f"phases {other.label!r} and {phase.label!r} would write "
-                                  f"the same files, tagged {phase_tag(phase.label)!r}")
+        check_phases(self.phases)
+        self.pagerank_config(0.0)  # checks tolerance, max_iterations, dangling_policy
         for d in self.dampings:
-            self.pagerank_config(d)  # checks damping, tolerance, iterations, policy
+            try:
+                self.pagerank_config(d)
+            except ConfigError as exc:
+                raise ConfigError(f"dampings: {exc}") from None
         for kind in self.teleports:
             if kind not in _TELEPORT_TAGS:
-                raise ConfigError(f"unknown teleport kind {kind!r}")
+                raise ConfigError(f"teleports: unknown teleport kind {kind!r}")
         if self.prestige_mode not in ("top_fraction", "min_citations"):
             raise ConfigError(f"unknown prestige mode {self.prestige_mode!r}")
         if self.prestige_mode == "top_fraction" and not (0.0 < self.prestige_value <= 1.0):
@@ -111,9 +104,9 @@ class RunConfig:
         if self.subset_size < 3:
             raise ConfigError("subset_size must be >= 3")
         if self.pca_retention not in ("kaiser", "fixed"):
-            raise ConfigError(f"unknown pca retention {self.pca_retention!r}")
+            raise ConfigError(f"unknown pca_retention {self.pca_retention!r}")
         if self.pca_retention == "fixed" and (self.pca_fixed_k is None or self.pca_fixed_k < 1):
-            raise ConfigError("fixed pca retention needs pca_fixed_k >= 1")
+            raise ConfigError("pca_retention fixed:K needs K >= 1")
         if list(self.coverage_ks) != sorted(self.coverage_ks):
             raise ConfigError("coverage_ks must be ascending")
         if not self.coverage_ks or self.coverage_ks[0] < 1:
@@ -328,6 +321,39 @@ def phase_tag(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
+def check_phases(phases) -> None:
+    """Refuse phases that overlap (split_phases checks that) or whose
+    labels give the same file tag."""
+    corpus_mod.split_phases(corpus_mod.Corpus(), phases)
+    by_tag: dict[str, corpus_mod.Phase] = {}
+    for phase in phases:
+        other = by_tag.setdefault(phase_tag(phase.label), phase)
+        if other is not phase:
+            raise ConfigError(f"phases {other.label!r} and {phase.label!r} would write "
+                              f"the same files, tagged {phase_tag(phase.label)!r}")
+
+
+def write_phase_corpora(full, phases, create) -> tuple[list[corpus_mod.Corpus], dict]:
+    """Split ``full`` into ``phases``, drop papers without references and
+    write ``corpus_<tag>.jsonl`` for each phase with papers left; returns
+    the phase corpora and the manifest counts."""
+    phase_corpora, dropped = corpus_mod.split_phases(full, phases)
+    counts = {"input_papers": len(full), "dropped_outside_phases": dropped, "phases": {}}
+    kept = []
+    for phase, phase_corpus in zip(phases, phase_corpora):
+        filtered, removed = corpus_mod.filter_with_references(phase_corpus)
+        info = counts["phases"][phase.label] = {"papers": len(phase_corpus),
+                                                "papers_without_references": removed,
+                                                "papers_used": len(filtered)}
+        if filtered.papers:
+            with create(f"corpus_{phase_tag(phase.label)}.jsonl") as fh:
+                corpus_mod.serialize_corpus(filtered, fh)
+        else:
+            info["skipped"] = "no papers with references"
+        kept.append(filtered)
+    return kept, counts
+
+
 def classical_indicators(
     corpus, graph, prestige: tuple[str, float], if_table=None
 ) -> tuple[list[ind_mod.ScoreVector], dict]:
@@ -357,37 +383,34 @@ def classical_indicators(
     return scores, diagnostics
 
 
-def compute_phase_indicators(cfg: RunConfig, phase_corpus, graph, if_table=None):
-    """All 13 score vectors (paper-order labels) for one phase graph.
-
-    Returns (ordered score vectors over the graph's author set,
-    diagnostics).  Under ``cfg.strict`` a solve that did not converge
-    raises NonConvergenceError once every solve has run.
-    """
-    classical, diagnostics = classical_indicators(
-        phase_corpus, graph, (cfg.prestige_mode, cfg.prestige_value), if_table
-    )
-    pagerank_scores = []
-    stalled = []
-    for kind in cfg.teleports:
+def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
+                      strict: bool) -> tuple[list[ind_mod.ScoreVector], dict]:
+    """Solve each teleport kind at each config; returns the labelled score
+    vectors and each label's diagnostics entry.  Under ``strict``, solves
+    that did not converge raise one NonConvergenceError once all have run."""
+    scores, solves = [], {}
+    for kind in teleports:
         teleport = pr_mod.make_teleport(graph, kind)
-        for d in cfg.dampings:
-            result = pr_mod.weighted_pagerank(graph, teleport, cfg.pagerank_config(d))
-            label = pagerank_label(kind, d)
-            if not result.converged:
-                stalled.append(label)
-            diagnostics[label] = {
+        for config in configs:
+            result = pr_mod.weighted_pagerank(graph, teleport, config)
+            label = f"{_TELEPORT_TAGS[kind]}_d{config.damping:g}"
+            solves[label] = {
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
                 "error_bound": result.error_bound,
                 "converged": result.converged,
             }
-            pagerank_scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
-
-    if cfg.strict and stalled:
+            scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
+    stalled = [label for label, entry in solves.items() if not entry["converged"]]
+    if strict and stalled:
         raise NonConvergenceError(f"power iteration did not converge: {', '.join(stalled)}")
-    scores = classical[:2] + pagerank_scores + classical[2:]
-    return scores, diagnostics
+    return scores, solves
+
+
+def rank_table(scores: list[ind_mod.ScoreVector], subset_size: int) -> stats_mod.IndicatorTable:
+    """The rank table of the top ``subset_size`` authors by the first score vector."""
+    subset, _ = ind_mod.top_k(scores[0], min(subset_size, len(scores[0].authors)))
+    return stats_mod.IndicatorTable.from_scores(scores, subset)
 
 
 def check_outdir(outdir: Path) -> None:
@@ -408,21 +431,28 @@ def check_outdir(outdir: Path) -> None:
                               "an earlier run; remove it or choose another outdir")
 
 
-def run_pipeline(cfg: RunConfig) -> dict:
-    """Run the full pipeline; returns the manifest dict.
+def write_run(outdir: str, write) -> dict:
+    """Write a run directory through ``write(create)``; returns its manifest.
 
-    Writes into a stage directory beside ``cfg.outdir`` and renames it to
-    ``outdir`` only once the run is complete, so a failed run leaves
-    ``outdir`` as it was.
-    """
-    cfg.validate()
-    outdir = Path(os.path.abspath(cfg.outdir))
+    ``write`` opens its inputs, writes each file with ``create(name)`` and
+    returns the manifest without ``files``.  The files go into a stage
+    beside ``outdir`` that is renamed to ``outdir`` only once complete, so a
+    failed run leaves ``outdir`` as it was."""
+    outdir = Path(os.path.abspath(outdir))
     check_outdir(outdir)
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.tmp")
     shutil.rmtree(stage, ignore_errors=True)  # left by a killed run with this pid
     stage.mkdir(parents=True)
+
+    def create(name: str):
+        return open(stage / name, "w", encoding="utf-8", newline="\n")
+
     try:
-        manifest = _write_run(cfg, stage)
+        manifest = write(create)
+        manifest["files"] = {path.name: file_sha256(path) for path in sorted(stage.iterdir())}
+        with create("manifest.json") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         old = outdir.with_name(f".{outdir.name}.{os.getpid()}.old")
         if outdir.exists():
             outdir.rename(old)  # from here until the next rename, no outdir
@@ -434,14 +464,17 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return manifest
 
 
-def _write_run(cfg: RunConfig, stage: Path) -> dict:
-    def create(name: str):
-        return open(stage / name, "w", encoding="utf-8", newline="\n")
+def run_pipeline(cfg: RunConfig) -> dict:
+    """Run the full pipeline into ``cfg.outdir``; returns the manifest."""
+    cfg.validate()
+    return write_run(cfg.outdir, lambda create: _write_run(cfg, create))
 
+
+def _write_run(cfg: RunConfig, create) -> dict:
     inputs = cfg.input_digests()
     if cfg.corpus is not None:
         with open(cfg.corpus, encoding="utf-8") as fh:
-            full = corpus_mod.parse_corpus(fh, provenance=cfg.corpus)
+            full = corpus_mod.parse_corpus(fh)
     else:
         full = corpus_mod.generate_synthetic(
             seed=cfg.seed, n_papers=cfg.n_papers, n_authors=cfg.n_authors, skew=cfg.skew
@@ -464,8 +497,7 @@ def _write_run(cfg: RunConfig, stage: Path) -> dict:
     else:
         if_table = None
 
-    phase_corpora, dropped = corpus_mod.split_phases(full, cfg.phases)
-
+    phase_corpora, counts = write_phase_corpora(full, cfg.phases, create)
     manifest: dict = {
         "config": cfg.canonical(),
         "config_hash": cfg.config_hash(inputs),
@@ -476,24 +508,14 @@ def _write_run(cfg: RunConfig, stage: Path) -> dict:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
-        "input_papers": len(full),
-        "dropped_outside_phases": dropped,
-        "phases": {},
+        **counts,
     }
 
-    for phase, phase_corpus in zip(cfg.phases, phase_corpora):
-        tag = phase_tag(phase.label)
-        info = manifest["phases"][phase.label] = {"papers": len(phase_corpus)}
-        filtered, removed = corpus_mod.filter_with_references(phase_corpus)
-        info["papers_without_references"] = removed
-        info["papers_used"] = len(filtered)
+    for phase, filtered in zip(cfg.phases, phase_corpora):
+        info = manifest["phases"][phase.label]
         if not filtered.papers:
-            info["skipped"] = "no papers with references"
             continue
-
-        with create(f"corpus_{tag}.jsonl") as fh:
-            corpus_mod.serialize_corpus(filtered, fh)
-
+        tag = phase_tag(phase.label)
         graph = net_mod.build_graph(filtered, allow_self_citation=cfg.allow_self_citation)
         gstats = net_mod.graph_stats(graph)
         info["graph"] = asdict(gstats)
@@ -502,18 +524,19 @@ def _write_run(cfg: RunConfig, stage: Path) -> dict:
         with create(f"nodes_{tag}.tsv") as fh:
             net_mod.dump_nodes(graph, fh)
 
-        scores, info["diagnostics"] = compute_phase_indicators(
-            cfg, filtered, graph, if_table=if_table
-        )
+        classical, info["diagnostics"] = classical_indicators(
+            filtered, graph, (cfg.prestige_mode, cfg.prestige_value), if_table)
+        pagerank_scores, solves = pagerank_variants(
+            graph, cfg.teleports, [cfg.pagerank_config(d) for d in cfg.dampings], cfg.strict)
+        info["diagnostics"].update(solves)
+        # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
+        scores = classical[:2] + pagerank_scores + classical[2:]
 
         for sv in scores:
             with create(f"indicator_{tag}_{sv.name}.tsv") as fh:
                 ind_mod.dump_indicator(sv, fh)
 
-        pop = scores[0]
-        subset_size = min(cfg.subset_size, graph.n_nodes)
-        subset, _ = ind_mod.top_k(pop, subset_size)
-        table = stats_mod.IndicatorTable.from_scores(scores, subset)
+        table = rank_table(scores, cfg.subset_size)
         with create(f"table_{tag}.tsv") as fh:
             write_table(table, fh)
 
@@ -544,9 +567,4 @@ def _write_run(cfg: RunConfig, stage: Path) -> dict:
             with create(f"coverage_{tag}.csv") as fh:
                 write_coverage(cov, fh)
             info["winners_missing"] = cov.missing_winners
-
-    manifest["files"] = {path.name: file_sha256(path) for path in sorted(stage.iterdir())}
-    with create("manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     return manifest

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 import bibliorank
 from bibliorank.cli import main
 from bibliorank.errors import ConfigError, NonConvergenceError
-from bibliorank.pipeline import RunConfig, apply_config_entry, load_config, run_pipeline
+from bibliorank.pipeline import (
+    RunConfig,
+    apply_config_entry,
+    load_config,
+    parse_phases,
+    run_pipeline,
+)
 
 
 def _read(path):
@@ -133,6 +139,87 @@ class TestExitCodes:
                      "--out", str(tmp_path / "corr.tsv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and str(scores) in err
+
+    @pytest.mark.parametrize("entry", [
+        "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008",
+        "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
+        "subset_size=2", "pca_retention=fixed:0", "coverage_ks=10,5", "tolerance=0",
+        "max_iterations=0", "dangling_policy=x",
+    ])
+    def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
+        assert main(["pipeline", "--set", "seed=1", "--set", f"outdir={tmp_path / 'out'}",
+                     "--set", entry]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and entry.split("=")[0] in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_duplicate_score_row_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        scores.write_text("author\tscore\nA\t1\nB\t2\nA\t9\n")
+        out = tmp_path / "corr.tsv"
+        assert main(["correlate", "--scores", str(scores), str(scores), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ") and str(scores) in err and "'A'" in err
+        assert not out.exists()
+
+    def test_duplicate_node_row_exit_2(self, tmp_path, capsys):
+        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
+        edges.write_text("A\tB\t1\nB\tA\t1\n")
+        nodes.write_text("A\t1\t1\nB\t1\t2\nA\t1\t5\n")
+        out = tmp_path / "scores.tsv"
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--damping", "0.5",
+                     "--teleport", "publication_weighted", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: ") and str(nodes) in err and "'A'" in err
+        assert not out.exists()
+
+    def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys):
+        _, _, _, outdir = small_run
+        edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
+        out = tmp_path / "scores.tsv"
+        assert main(["rank", "--edges", str(edges), "--damping", "0.85", "--strict",
+                     "--max-iterations", "1", "--out", str(out)]) == 3
+        assert "pagerank_d0.85" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_ingest_colliding_phase_tags_exit_1_before_corpus_is_opened(self, tmp_path, capsys):
+        rc = main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
+                   "--outdir", str(tmp_path / "out"), "--phases", "a-b:1956-1990;a_b:1991-2008"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'a-b'" in err and "'a_b'" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command,first,second,keys", [
+        ("ingest", [], ["--phases", "1956-1990"],
+         {"input_papers", "dropped_outside_phases", "phases", "files"}),
+        ("indicators", ["--if-table", "{if_table}"], [], {"diagnostics", "files"}),
+    ])
+    def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
+                                                     small_run, tmp_path):
+        _, corpus, if_table, _ = small_run
+        outdir = tmp_path / "out"
+
+        def run(corpus_path, extra):
+            return main([command, "--corpus", str(corpus_path), "--outdir", str(outdir),
+                         *(a.format(if_table=if_table) for a in extra)])
+
+        assert run(corpus, first) == 0
+        before = _dir_bytes(outdir)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n")
+        assert run(bad, first) == 2
+        assert _dir_bytes(outdir) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out"]
+
+        assert run(corpus, second) == 0
+        manifest = json.loads(_read(outdir / "manifest.json"))
+        assert set(manifest) == keys
+        files = manifest["files"]
+        assert set(before) - set(files) - {"manifest.json"}  # files the rerun must remove
+        assert sorted(p.name for p in outdir.iterdir()) == sorted([*files, "manifest.json"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out"]
 
     def test_invalid_field_exit_1_before_corpus_is_opened(self, tmp_path):
         rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
@@ -438,6 +525,36 @@ class TestStageComposition:
             pipeline_file = Path(outdir) / f"indicator_{tag}_{name}_d0.5.tsv"
             assert out.read_bytes() == pipeline_file.read_bytes()
 
+    def test_ingest_stage_matches_pipeline(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        assert main(["generate", "--seed", "3", "--papers", "300", "--authors", "120",
+                     "--out", str(corpus)]) == 0
+        phases = "1900-1950;1956-2008"  # the first phase has no papers
+        pipeline = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(tmp_path / "pipe"),
+                                          phases=parse_phases(phases), subset_size=20))
+        capsys.readouterr()
+        assert main(["ingest", "--corpus", str(corpus), "--outdir", str(tmp_path / "ingest"),
+                     "--phases", phases]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        manifest = json.loads(_read(tmp_path / "ingest" / "manifest.json"))
+        assert printed == {key: v for key, v in manifest.items() if key != "files"}
+
+        assert sorted(p.name for p in (tmp_path / "ingest").iterdir()) == [
+            "corpus_1956_2008.jsonl", "manifest.json"]
+        assert manifest["files"] == {
+            name: digest for name, digest in pipeline["files"].items()
+            if name.startswith("corpus_")}
+        assert (tmp_path / "ingest" / "corpus_1956_2008.jsonl").read_bytes() == (
+            tmp_path / "pipe" / "corpus_1956_2008.jsonl").read_bytes()
+
+        assert set(printed) == {"input_papers", "dropped_outside_phases", "phases"}
+        for key in ("input_papers", "dropped_outside_phases"):
+            assert printed[key] == pipeline[key]
+        assert list(printed["phases"]) == list(pipeline["phases"])
+        for label, info in printed["phases"].items():
+            assert info == {key: pipeline["phases"][label][key] for key in info}
+        assert printed["phases"]["1900-1950"]["skipped"]
+
     def test_indicators_stage_matches_pipeline(self, small_run, tmp_path):
         _, _, if_table, outdir = small_run
         edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
@@ -448,7 +565,7 @@ class TestStageComposition:
                      "--if-table", str(if_table)]) == 0
         names = ("popularity", "prestige", "h_index", "impact_factor")
         assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
-            f"indicator_{tag}_{name}.tsv" for name in names)
+            [*(f"indicator_{tag}_{name}.tsv" for name in names), "manifest.json"])
         for name in names:
             stage_file = stage_dir / f"indicator_{tag}_{name}.tsv"
             assert stage_file.read_bytes() == (

@@ -299,12 +299,11 @@ def test_roundtrip_serialize_parse():
             paper("p1", "A", 1975, refs=[ref("B"), ref("C", volume="7", page="11")]),
             paper("p2", "B", 1990, volume="3", page="100"),
         ],
-        provenance="fixture",
     )
     buf = io.StringIO()
     serialize_corpus(c, buf)
     buf.seek(0)
-    again = parse_corpus(buf, provenance="fixture")
+    again = parse_corpus(buf)
     assert again.papers == c.papers
 
 

@@ -93,7 +93,7 @@ def cmd_ingest(args) -> int:
             full = corpus_mod.parse_corpus(fh)
         return pipe_mod.write_phase_corpora(full, phases, create)[1]
 
-    manifest = pipe_mod.write_run(args.outdir, write)
+    manifest = pipe_mod.write_run(args.outdir, "ingest", write)
     del manifest["files"]
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
@@ -142,7 +142,7 @@ def cmd_indicators(args) -> int:
                 ind_mod.dump_indicator(sv, fh)
         return {"diagnostics": diagnostics}
 
-    manifest = pipe_mod.write_run(args.outdir, write)
+    manifest = pipe_mod.write_run(args.outdir, "indicators", write)
     print(f"wrote {len(manifest['files'])} indicator files and a manifest to {args.outdir}")
     return 0
 

@@ -244,24 +244,20 @@ def parse_corpus(stream) -> Corpus:
     return Corpus(papers=papers)
 
 
-def _ref_to_obj(ref: RefKey) -> dict:
-    obj = {"author": ref.first_author, "year": ref.year, "source": ref.source}
-    if ref.volume is not None:
-        obj["volume"] = ref.volume
-    if ref.page is not None:
-        obj["page"] = ref.page
+def _key_obj(rec: PaperRecord | RefKey) -> dict:
+    """The author, year, source and any volume/page of a paper or reference."""
+    obj = {"author": rec.first_author, "year": rec.year, "source": rec.source}
+    if rec.volume is not None:
+        obj["volume"] = rec.volume
+    if rec.page is not None:
+        obj["page"] = rec.page
     return obj
 
 
 def serialize_corpus(corpus: Corpus, stream) -> None:
     """Write a Corpus in the line-delimited format parse_corpus reads."""
     for p in corpus.papers:
-        obj = {"id": p.paper_id, "author": p.first_author, "year": p.year, "source": p.source}
-        if p.volume is not None:
-            obj["volume"] = p.volume
-        if p.page is not None:
-            obj["page"] = p.page
-        obj["refs"] = [_ref_to_obj(r) for r in p.references]
+        obj = {"id": p.paper_id, **_key_obj(p), "refs": [_key_obj(r) for r in p.references]}
         stream.write(json.dumps(obj, separators=(",", ":"), sort_keys=False))
         stream.write("\n")
 

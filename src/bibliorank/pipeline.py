@@ -86,12 +86,10 @@ class RunConfig:
             if self.skew <= 0:
                 raise ConfigError("skew must be positive")
         check_phases(self.phases)
-        self.pagerank_config(0.0)  # checks tolerance, max_iterations, dangling_policy
         for d in self.dampings:
-            try:
-                self.pagerank_config(d)
-            except ConfigError as exc:
-                raise ConfigError(f"dampings: {exc}") from None
+            if not 0.0 <= d < 1.0:
+                raise ConfigError(f"dampings: damping {d} outside [0, 1)")
+        self.pagerank_config(0.0)  # checks tolerance, max_iterations, dangling_policy
         for kind in self.teleports:
             if kind not in _TELEPORT_TAGS:
                 raise ConfigError(f"teleports: unknown teleport kind {kind!r}")
@@ -154,37 +152,34 @@ def parse_phases(text: str) -> tuple[corpus_mod.Phase, ...]:
             phases.append(corpus_mod.Phase(label.strip(), int(lo), int(hi)))
         except ValueError:
             raise ConfigError(f"invalid phases entry {piece!r}: expected [label:]lo-hi") from None
+        except ConfigError as exc:  # year_lo > year_hi
+            raise ConfigError(f"invalid phases entry {piece!r}: {exc}") from None
     if not phases:
         raise ConfigError(f"no phases in {text!r}")
     return tuple(phases)
 
 
-def parse_prestige(text: str) -> tuple[str, float]:
-    """`top_fraction:F` or `min_citations:M` -> (mode, value)."""
+def _parse_mode(text: str, parsers: dict, error: str) -> tuple:
+    """`mode[:value]` -> (mode, parsers[mode](value)); ConfigError(error)
+    for an unknown mode or a value that does not parse."""
     mode, _, raw = text.partition(":")
     mode = mode.strip()
     try:
-        if mode == "top_fraction":
-            return mode, float(raw)
-        if mode == "min_citations":
-            return mode, int(raw)
-    except ValueError:
-        pass
-    raise ConfigError(f"invalid prestige spec {text!r}")
+        return mode, parsers[mode](raw)
+    except (KeyError, ValueError):
+        raise ConfigError(error) from None
+
+
+def parse_prestige(text: str) -> tuple[str, float]:
+    """`top_fraction:F` or `min_citations:M` -> (mode, value)."""
+    return _parse_mode(text, {"top_fraction": float, "min_citations": int},
+                       f"invalid prestige spec {text!r}")
 
 
 def parse_retention(text: str) -> tuple[str, int | None]:
     """`kaiser` or `fixed:K` -> (retention, fixed_k)."""
-    mode, _, raw = text.partition(":")
-    mode = mode.strip()
-    try:
-        if mode == "kaiser":
-            return mode, None
-        if mode == "fixed":
-            return mode, int(raw)
-    except ValueError:
-        pass
-    raise ConfigError(f"invalid pca_retention {text!r}: expected kaiser or fixed:K")
+    return _parse_mode(text, {"kaiser": lambda raw: None, "fixed": int},
+                       f"invalid pca_retention {text!r}: expected kaiser or fixed:K")
 
 
 def _parse_bool(text: str) -> bool:
@@ -236,22 +231,19 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     """Read a key = value config file, if given, then apply CLI overrides."""
-    cfg = RunConfig()
+    entries = []  # (entry, error if it is not key=value)
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                apply_config_entry(cfg, key, value)
-    for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        apply_config_entry(cfg, key, value)
+                if line:
+                    entries.append((line, f"{path}:{lineno}: expected key = value"))
+    entries += [(item, f"override {item!r} is not key=value") for item in overrides or []]
+    cfg = RunConfig()
+    for entry, error in entries:
+        if "=" not in entry:
+            raise ConfigError(error)
+        apply_config_entry(cfg, *entry.split("=", 1))
     cfg.validate()
     return cfg
 
@@ -333,10 +325,10 @@ def check_phases(phases) -> None:
                               f"the same files, tagged {phase_tag(phase.label)!r}")
 
 
-def write_phase_corpora(full, phases, create) -> tuple[list[corpus_mod.Corpus], dict]:
+def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
     """Split ``full`` into ``phases``, drop papers without references and
     write ``corpus_<tag>.jsonl`` for each phase with papers left; returns
-    the phase corpora and the manifest counts."""
+    those (phase, corpus) pairs and the manifest counts."""
     phase_corpora, dropped = corpus_mod.split_phases(full, phases)
     counts = {"input_papers": len(full), "dropped_outside_phases": dropped, "phases": {}}
     kept = []
@@ -348,9 +340,9 @@ def write_phase_corpora(full, phases, create) -> tuple[list[corpus_mod.Corpus], 
         if filtered.papers:
             with create(f"corpus_{phase_tag(phase.label)}.jsonl") as fh:
                 corpus_mod.serialize_corpus(filtered, fh)
+            kept.append((phase, filtered))
         else:
             info["skipped"] = "no papers with references"
-        kept.append(filtered)
     return kept, counts
 
 
@@ -413,33 +405,50 @@ def rank_table(scores: list[ind_mod.ScoreVector], subset_size: int) -> stats_mod
     return stats_mod.IndicatorTable.from_scores(scores, subset)
 
 
-def check_outdir(outdir: Path) -> None:
-    """Refuse an ``outdir`` that is not absent, empty or a complete run:
-    ``manifest.json`` and the files its ``files`` map names."""
+_COUNT_KEYS = frozenset({"input_papers", "dropped_outside_phases", "phases"})
+# The top-level manifest keys, besides "files", of each command's run.
+# check_outdir tells runs apart by them, so no command replaces another's run.
+MANIFEST_KEYS = {
+    "pipeline": _COUNT_KEYS | {"config", "config_hash", "inputs", "versions"},
+    "ingest": _COUNT_KEYS,
+    "indicators": frozenset({"diagnostics"}),
+}
+
+
+def check_outdir(outdir: Path, command: str) -> None:
+    """Refuse an ``outdir`` that is not absent, empty or a complete run of
+    ``command``: ``manifest.json`` and the files its ``files`` map names."""
     if not outdir.exists():
         return
     if not outdir.is_dir():
         raise ConfigError(f"outdir {outdir} is not a directory")
     try:
-        files = json.loads((outdir / "manifest.json").read_bytes())["files"]
-        known = {"manifest.json", *files.keys()}
+        manifest = json.loads((outdir / "manifest.json").read_bytes())
+        known = {"manifest.json", *manifest["files"].keys()}
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         known = set()  # no readable manifest: every entry is foreign
+    else:
+        keys = manifest.keys() - {"files"}
+        if keys != MANIFEST_KEYS[command]:
+            other = next((c for c, k in MANIFEST_KEYS.items() if k == keys), "another command")
+            raise ConfigError(f"outdir {outdir} holds a run of {other}, not of {command}; "
+                              "choose another outdir")
     for entry in sorted(outdir.iterdir()):
         if entry.name not in known or entry.is_dir():
             raise ConfigError(f"outdir {outdir} holds {entry.name!r}, which is not part of "
                               "an earlier run; remove it or choose another outdir")
 
 
-def write_run(outdir: str, write) -> dict:
-    """Write a run directory through ``write(create)``; returns its manifest.
+def write_run(outdir: str, command: str, write) -> dict:
+    """Write ``command``'s run directory through ``write(create)``; returns
+    its manifest.
 
     ``write`` opens its inputs, writes each file with ``create(name)`` and
     returns the manifest without ``files``.  The files go into a stage
     beside ``outdir`` that is renamed to ``outdir`` only once complete, so a
     failed run leaves ``outdir`` as it was."""
     outdir = Path(os.path.abspath(outdir))
-    check_outdir(outdir)
+    check_outdir(outdir, command)
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.tmp")
     shutil.rmtree(stage, ignore_errors=True)  # left by a killed run with this pid
     stage.mkdir(parents=True)
@@ -467,7 +476,7 @@ def write_run(outdir: str, write) -> dict:
 def run_pipeline(cfg: RunConfig) -> dict:
     """Run the full pipeline into ``cfg.outdir``; returns the manifest."""
     cfg.validate()
-    return write_run(cfg.outdir, lambda create: _write_run(cfg, create))
+    return write_run(cfg.outdir, "pipeline", lambda create: _write_run(cfg, create))
 
 
 def _write_run(cfg: RunConfig, create) -> dict:
@@ -511,10 +520,8 @@ def _write_run(cfg: RunConfig, create) -> dict:
         **counts,
     }
 
-    for phase, filtered in zip(cfg.phases, phase_corpora):
+    for phase, filtered in phase_corpora:
         info = manifest["phases"][phase.label]
-        if not filtered.papers:
-            continue
         tag = phase_tag(phase.label)
         graph = net_mod.build_graph(filtered, allow_self_citation=cfg.allow_self_citation)
         gstats = net_mod.graph_stats(graph)

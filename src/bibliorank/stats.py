@@ -190,12 +190,8 @@ def varimax_rotate(
 
 
 def _fix_column_signs(loadings: np.ndarray) -> np.ndarray:
-    out = loadings.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    peak = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(loadings.shape[1])]
+    return np.where(peak < 0, -loadings, loadings)
 
 
 @dataclass

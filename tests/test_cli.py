@@ -141,7 +141,7 @@ class TestExitCodes:
         assert err.startswith("error: line 3: ") and str(scores) in err
 
     @pytest.mark.parametrize("entry", [
-        "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008",
+        "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
         "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
         "subset_size=2", "pca_retention=fixed:0", "coverage_ks=10,5", "tolerance=0",
         "max_iterations=0", "dangling_policy=x",
@@ -220,6 +220,32 @@ class TestExitCodes:
         assert set(before) - set(files) - {"manifest.json"}  # files the rerun must remove
         assert sorted(p.name for p in outdir.iterdir()) == sorted([*files, "manifest.json"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out"]
+
+    @pytest.mark.parametrize("command,owner", [
+        ("indicators", "ingest"), ("ingest", "pipeline"), ("pipeline", "indicators"),
+    ])
+    def test_other_commands_run_exit_1_and_is_kept(self, command, owner, small_run, tmp_path,
+                                                   capsys):
+        _, corpus, _, pipeline_out = small_run
+
+        def argv(cmd, corpus_path, outdir):
+            if cmd == "pipeline":
+                return [cmd, "--set", f"corpus={corpus_path}", "--set", f"outdir={outdir}"]
+            return [cmd, "--corpus", str(corpus_path), "--outdir", str(outdir)]
+
+        outdir = tmp_path / "out"
+        if owner == "pipeline":
+            shutil.copytree(pipeline_out, outdir)
+        else:
+            assert main(argv(owner, corpus, outdir)) == 0
+        # read a phase corpus of the run itself where it has one
+        corpus_path = ([*sorted(outdir.glob("corpus_*.jsonl")), corpus])[0]
+        before = _dir_bytes(outdir)
+        capsys.readouterr()
+        assert main(argv(command, corpus_path, outdir)) == 1
+        assert f"holds a run of {owner}, not of {command}" in capsys.readouterr().err
+        assert _dir_bytes(outdir) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_invalid_field_exit_1_before_corpus_is_opened(self, tmp_path):
         rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",

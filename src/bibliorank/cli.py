@@ -89,8 +89,7 @@ def cmd_ingest(args) -> int:
     pipe_mod.check_phases(phases)
 
     def write(create) -> dict:
-        with open(args.corpus, encoding="utf-8") as fh:
-            full = corpus_mod.parse_corpus(fh)
+        full = corpus_mod.read_corpus(args.corpus)
         return pipe_mod.write_phase_corpora(full, phases, create)[1]
 
     manifest = pipe_mod.write_run(args.outdir, "ingest", write)
@@ -125,8 +124,7 @@ def cmd_indicators(args) -> int:
     prestige = pipe_mod.parse_prestige(args.prestige)
 
     def write(create) -> dict:
-        with open(args.corpus, encoding="utf-8") as fh:
-            c = corpus_mod.parse_corpus(fh)
+        c = corpus_mod.read_corpus(args.corpus)
         filtered, _ = corpus_mod.filter_with_references(c)
         graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
         table = None
@@ -293,6 +291,9 @@ def main(argv=None) -> int:
         return 3
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: an input file is not valid UTF-8: {exc}", file=sys.stderr)
         return 2
     except (DataError, BiblioRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

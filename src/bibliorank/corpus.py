@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +21,11 @@ _TRAILING_PUNCT = string.punctuation + " \t"
 
 YEAR_MIN = 1000
 YEAR_MAX = 3000
+
+#: Columns of a match key row, for papers and references alike.
+AUTHOR, YEAR, SOURCE, VOLUME, PAGE = range(5)
+#: The volume or page column of a key without one.
+MISSING = -1
 
 
 def _normalize_key(raw: str, what: str) -> str:
@@ -45,41 +52,6 @@ def normalize_author(raw: str) -> str:
     return _normalize_key(raw, "author")
 
 
-@dataclass(frozen=True, slots=True)
-class RefKey:
-    """One cited work: first author, year, source, optional volume/page."""
-
-    first_author: str
-    year: int
-    source: str
-    volume: str | None = None
-    page: str | None = None
-
-    def match_key(self) -> tuple:
-        """Exact-match tuple; missing volume/page only match missing ones."""
-        return (self.first_author, self.year, self.source, self.volume, self.page)
-
-
-@dataclass(frozen=True, slots=True)
-class PaperRecord:
-    """One corpus publication and its outgoing references.
-
-    Duplicate identical references are preserved: multiplicity carries
-    citation weight.
-    """
-
-    paper_id: str
-    first_author: str
-    year: int
-    source: str
-    volume: str | None = None
-    page: str | None = None
-    references: tuple[RefKey, ...] = ()
-
-    def match_key(self) -> tuple:
-        return (self.first_author, self.year, self.source, self.volume, self.page)
-
-
 @dataclass(frozen=True)
 class Phase:
     """A labeled inclusive year range."""
@@ -94,9 +66,6 @@ class Phase:
                 f"phase {self.label!r}: year_lo {self.year_lo} > year_hi {self.year_hi}"
             )
 
-    def contains(self, year: int) -> bool:
-        return self.year_lo <= year <= self.year_hi
-
 
 #: Replication default: the four phases used throughout the analysis.
 DEFAULT_PHASES = (
@@ -107,24 +76,100 @@ DEFAULT_PHASES = (
 )
 
 
-@dataclass
+def _key_rows(rows) -> np.ndarray:
+    """Key rows, or their flattened values, as an (n, 5) int32 array."""
+    return np.asarray(rows, dtype=np.int32).reshape(-1, 5)
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group id, equal ids for equal rows, and one row index per group."""
+    order = np.lexsort(rows.T)
+    first = np.zeros(len(rows), dtype=bool)
+    first[:1] = True
+    for column in rows.T:
+        ordered = column[order]
+        first[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, order[first]
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """An immutable-by-convention list of normalized paper records."""
+    """Papers and their references as int32 columns over one string table.
 
-    papers: list[PaperRecord] = field(default_factory=list)
+    Row k of ``keys`` is paper k's match key (author, year, source, volume,
+    page): the year is the year itself, the other columns index
+    ``strings``, and a missing volume or page is MISSING.  ``ids[k]``
+    indexes paper k's id.  Paper k's references are the rows
+    ``refs[offsets[k]:offsets[k + 1]]``, in the same layout; duplicate
+    references are kept, since multiplicity carries citation weight.  Each
+    string appears once in ``strings``, so equal keys are equal rows.
+    Subsets share their parent's string table.
+    """
 
-    def __post_init__(self):
-        seen = set()
-        for p in self.papers:
-            if p.paper_id in seen:
-                raise DataError(f"duplicate paper_id {p.paper_id!r}")
-            seen.add(p.paper_id)
+    strings: list[str]
+    ids: np.ndarray
+    keys: np.ndarray
+    offsets: np.ndarray
+    refs: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "Corpus":
+        """A corpus of ``(id, author, year, source, volume, page, refs)``
+        records, each reference an ``(author, year, source, volume, page)``
+        tuple and a missing volume or page None.  Keys are taken as given."""
+        table: dict[str, int] = {}
+        seen_ids = set()
+
+        def row(author, year, source, volume, page) -> tuple:
+            return (table.setdefault(author, len(table)), year,
+                    table.setdefault(source, len(table)),
+                    MISSING if volume is None else table.setdefault(volume, len(table)),
+                    MISSING if page is None else table.setdefault(page, len(table)))
+
+        ids, keys, refs, offsets = [], [], [], [0]
+        for paper_id, *key, paper_refs in records:
+            if paper_id in seen_ids:
+                raise DataError(f"duplicate paper_id {paper_id!r}")
+            seen_ids.add(paper_id)
+            ids.append(table.setdefault(paper_id, len(table)))
+            keys.append(row(*key))
+            refs.extend(row(*ref) for ref in paper_refs)
+            offsets.append(len(refs))
+        return cls(list(table), np.array(ids, dtype=np.int32), _key_rows(keys),
+                   np.array(offsets, dtype=np.int64), _key_rows(refs))
 
     def __len__(self):
-        return len(self.papers)
+        return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.papers)
+    def select(self, mask: np.ndarray) -> "Corpus":
+        """The papers where the boolean ``mask`` is true, with their references."""
+        starts = self.offsets[:-1][mask]
+        counts = self.offsets[1:][mask] - starts
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        # reference j of kept paper p sits at starts[p] + (j - offsets[p])
+        positions = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return Corpus(self.strings, self.ids[mask], self.keys[mask], offsets,
+                      self.refs[positions])
+
+    @cached_property
+    def key_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the match keys of the papers and of the references.
+
+        Equal ids mean equal keys, across papers and references alike; a
+        missing volume or page equals only a missing one.
+        """
+        ids, _ = _group_rows(np.concatenate((self.keys, self.refs)))
+        return ids[:len(self)], ids[len(self):]
+
+    def source_years(self) -> tuple[list[tuple[str, int]], np.ndarray]:
+        """The distinct (source, year) pairs of the papers, and the index
+        of each paper's pair among them."""
+        pair_rows = self.keys[:, [SOURCE, YEAR]]
+        ids, first = _group_rows(pair_rows)
+        pairs = [(self.strings[source], year) for source, year in pair_rows[first].tolist()]
+        return pairs, ids
 
 
 def _require_year(value, line, what="year"):
@@ -137,77 +182,87 @@ def _require_year(value, line, what="year"):
     return value
 
 
-def _opt_str(value, line, field):
-    if value is None:
-        return None
-    if not isinstance(value, str) or not value.strip():
-        raise ParseError(f"{field} must be a non-empty string", line=line, field=field)
-    return value.strip()
+class _StringTable:
+    """The string table of one parse, with each raw author, venue, volume
+    or page string mapped to its entry once."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}  # string -> its index in the table
+        self.keys: dict[str, int] = {}  # raw author or venue -> its key's index
+        self.stripped: dict[str, int] = {}  # raw volume or page -> its stripped index
+
+    def add(self, text: str) -> int:
+        return self.index.setdefault(text, len(self.index))
+
+    def key(self, raw, what, line, field) -> int:
+        """The index of the normalised key of ``raw``.  A non-string value,
+        a null, or a string that normalises to nothing is a ParseError
+        naming ``field``."""
+        if isinstance(raw, str):
+            index = self.keys.get(raw)
+            if index is not None:
+                return index
+        elif raw is not None:
+            raise ParseError(
+                f"{what} must be a string, got {type(raw).__name__}", line=line, field=field
+            )
+        try:
+            key = _normalize_key(raw, what)
+        except DataError as exc:
+            raise ParseError(str(exc), line=line, field=field) from exc
+        index = self.keys[raw] = self.add(key)
+        return index
+
+    def optional(self, raw, line, field) -> int:
+        """The index of an optional string, stripped; MISSING for null."""
+        if raw is None:
+            return MISSING
+        if not isinstance(raw, str) or not raw.strip():
+            raise ParseError(f"{field} must be a non-empty string", line=line, field=field)
+        index = self.stripped[raw] = self.add(raw.strip())
+        return index
 
 
-def _normalized(norm, raw, what, line, field) -> str:
-    """The normalised key of ``raw``, computed once per distinct string.
-
-    ``norm`` maps raw strings to keys for one parse.  Keys normalise to
-    themselves, so each key is also its own entry, and raw strings with
-    equal keys share one key object.  A non-string value, a null, or a
-    string that normalises to nothing is a ParseError naming ``field``.
-    """
-    if isinstance(raw, str):
-        key = norm.get(raw)
-        if key is not None:
-            return key
-    elif raw is not None:
-        raise ParseError(
-            f"{what} must be a string, got {type(raw).__name__}", line=line, field=field
-        )
-    try:
-        key = _normalize_key(raw, what)
-    except DataError as exc:
-        raise ParseError(str(exc), line=line, field=field) from exc
-    key = norm.setdefault(key, key)
-    norm[raw] = key
-    return key
-
-
-def _parse_ref(obj, line, norm, interned) -> RefKey:
+def _parse_ref(obj, line, strings: _StringTable) -> tuple:
     if not isinstance(obj, dict):
         raise ParseError(f"reference entry must be an object, got {obj!r}", line=line, field="refs")
     for req in ("author", "year", "source"):
         if req not in obj:
             raise ParseError("reference entry missing field", line=line, field=f"refs.{req}")
-    author = _normalized(norm, obj["author"], "author", line, "refs.author")
-    source = _normalized(norm, obj["source"], "venue", line, "refs.source")
+    author = strings.key(obj["author"], "author", line, "refs.author")
+    source = strings.key(obj["source"], "venue", line, "refs.source")
     year = _require_year(obj["year"], line, what="refs.year")
-    ref = RefKey(
-        first_author=author,
-        year=year,
-        source=source,
-        volume=_opt_str(obj.get("volume"), line, "refs.volume"),
-        page=_opt_str(obj.get("page"), line, "refs.page"),
-    )
-    return interned.setdefault(ref, ref)
+    return (author, year, source, strings.optional(obj.get("volume"), line, "refs.volume"),
+            strings.optional(obj.get("page"), line, "refs.page"))
 
 
 def parse_corpus(stream) -> Corpus:
-    """Parse a UTF-8 line-delimited corpus file into a Corpus.
+    """Parse a line-delimited corpus into a Corpus.
 
-    ``stream`` is an iterable of lines (an open file works).  Each
-    non-blank line holds one JSON object with fields ``id``, ``author``,
-    ``year``, ``source``, optional ``volume``/``page``, and ``refs``.
-    Errors carry 1-based line numbers.
+    ``stream`` is an iterable of text lines.  Each non-blank line holds one
+    JSON object with fields ``id``, ``author``, ``year``, ``source``,
+    optional ``volume``/``page``, and ``refs``.  Errors carry 1-based line
+    numbers.  A line with a lone surrogate, which is how a file opened with
+    ``errors="surrogateescape"`` (see ``read_corpus``) passes on bytes that
+    are not UTF-8, is a ParseError.
 
-    Each distinct author or venue string is normalised once, and equal
-    references share one RefKey object.
+    Each distinct author, venue, volume or page string is checked and
+    normalised once.
     """
-    papers = []
+    strings = _StringTable()
+    keys, stripped = strings.keys, strings.stripped
+    ids, paper_keys, refs = array("i"), array("i"), array("i")  # refs: 5 values per reference
+    offsets = array("q", [0])
     seen_ids = set()
-    norm: dict[str, str] = {}
-    interned: dict[RefKey, RefKey] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("not valid UTF-8", line=lineno) from None
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -223,43 +278,96 @@ def parse_corpus(stream) -> Corpus:
         if paper_id in seen_ids:
             raise ParseError(f"duplicate paper_id {paper_id!r}", line=lineno, field="id")
         seen_ids.add(paper_id)
-        author = _normalized(norm, obj["author"], "author", lineno, "author")
-        source = _normalized(norm, obj["source"], "venue", lineno, "source")
+        author = strings.key(obj["author"], "author", lineno, "author")
+        source = strings.key(obj["source"], "venue", lineno, "source")
         year = _require_year(obj["year"], lineno)
         refs_raw = obj.get("refs", [])
         if not isinstance(refs_raw, list):
             raise ParseError("refs must be an array", line=lineno, field="refs")
-        refs = tuple(_parse_ref(r, lineno, norm, interned) for r in refs_raw)
-        papers.append(
-            PaperRecord(
-                paper_id=paper_id,
-                first_author=author,
-                year=year,
-                source=source,
-                volume=_opt_str(obj.get("volume"), lineno, "volume"),
-                page=_opt_str(obj.get("page"), lineno, "page"),
-                references=refs,
-            )
-        )
-    return Corpus(papers=papers)
+        for r in refs_raw:
+            # A reference whose strings were all seen, valid, before and whose
+            # year is an int in range is valid.  The lookups fail on anything
+            # else: r not a dict, a field missing, or a value that is new or
+            # not a string (strings equal no other type); that takes the
+            # checks in order.
+            try:
+                ref_year, volume, page = r["year"], r.get("volume"), r.get("page")
+                row = (keys[r["author"]], ref_year, keys[r["source"]],
+                       MISSING if volume is None else stripped[volume],
+                       MISSING if page is None else stripped[page])
+            except (TypeError, KeyError):
+                row = None
+            if row is None or type(ref_year) is not int or not YEAR_MIN <= ref_year <= YEAR_MAX:
+                row = _parse_ref(r, lineno, strings)
+            refs.extend(row)
+        ids.append(strings.add(paper_id))
+        paper_keys.extend((author, year, source,
+                           strings.optional(obj.get("volume"), lineno, "volume"),
+                           strings.optional(obj.get("page"), lineno, "page")))
+        offsets.append(len(refs) // 5)
+    return Corpus(list(strings.index), np.asarray(ids, dtype=np.int32),
+                  _key_rows(paper_keys), np.asarray(offsets, dtype=np.int64),
+                  _key_rows(refs))
 
 
-def _key_obj(rec: PaperRecord | RefKey) -> dict:
-    """The author, year, source and any volume/page of a paper or reference."""
-    obj = {"author": rec.first_author, "year": rec.year, "source": rec.source}
-    if rec.volume is not None:
-        obj["volume"] = rec.volume
-    if rec.page is not None:
-        obj["page"] = rec.page
-    return obj
+def read_corpus(path) -> Corpus:
+    """Parse the corpus file at ``path``; a line that is not UTF-8 is a
+    ParseError naming it."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_corpus(fh)
+
+
+def _key_text(rows: np.ndarray, encoded: np.ndarray) -> np.ndarray:
+    """The JSON members of each key row, as an object array of strings:
+    author, year, source, then volume and page where present."""
+    years, year_of_row = np.unique(rows[:, YEAR], return_inverse=True)
+    year_text = np.array([str(y) for y in years.tolist()], dtype=object)
+    text = ('"author":' + encoded[rows[:, AUTHOR]] + ',"year":' + year_text[year_of_row]
+            + ',"source":' + encoded[rows[:, SOURCE]])
+    for column, name in ((VOLUME, "volume"), (PAGE, "page")):
+        present = rows[:, column] != MISSING
+        text[present] += f',"{name}":' + encoded[rows[present, column]]
+    return text
+
+
+#: Papers formatted at a time by serialize_corpus, which bounds the text it holds.
+_WRITE_BATCH = 512
 
 
 def serialize_corpus(corpus: Corpus, stream) -> None:
-    """Write a Corpus in the line-delimited format parse_corpus reads."""
-    for p in corpus.papers:
-        obj = {"id": p.paper_id, **_key_obj(p), "refs": [_key_obj(r) for r in p.references]}
-        stream.write(json.dumps(obj, separators=(",", ":"), sort_keys=False))
-        stream.write("\n")
+    """Write a Corpus in the line-delimited format parse_corpus reads.
+
+    The lines are those of ``json.dumps`` with compact separators, members
+    in the order id, author, year, source, volume, page, refs, and no
+    volume or page member where it is missing.  Each string the corpus
+    uses is JSON-encoded once.
+    """
+    used = np.zeros(len(corpus.strings) + 1, dtype=bool)  # the last slot takes MISSING
+    used[corpus.ids] = True
+    for rows in (corpus.keys, corpus.refs):
+        for column in (AUTHOR, SOURCE, VOLUME, PAGE):
+            used[rows[:, column]] = True
+    used = np.flatnonzero(used[:-1])
+    encoded = np.empty(len(corpus.strings), dtype=object)
+    encoded[used] = [json.dumps(corpus.strings[i]) for i in used.tolist()]
+    for lo in range(0, len(corpus), _WRITE_BATCH):
+        papers = slice(lo, lo + _WRITE_BATCH)
+        offsets = corpus.offsets[lo:lo + _WRITE_BATCH + 1]
+        heads = ('{"id":' + encoded[corpus.ids[papers]] + ","
+                 + _key_text(corpus.keys[papers], encoded) + ',"refs":[').tolist()
+        refs = ("{" + _key_text(corpus.refs[offsets[0]:offsets[-1]], encoded) + "}").tolist()
+        bounds = (offsets - offsets[0]).tolist()
+        stream.write("".join(head + ",".join(refs[a:b]) + "]}\n"
+                             for head, a, b in zip(heads, bounds, bounds[1:])))
+
+
+def check_phase_overlap(phases) -> None:
+    """Refuse phases whose year ranges overlap."""
+    phases = list(phases)
+    for i, a in enumerate(phases):
+        for b in phases[i + 1:]:
+            if a.year_lo <= b.year_hi and b.year_lo <= a.year_hi:
+                raise ConfigError(f"phases {a.label!r} and {b.label!r} overlap")
 
 
 def split_phases(corpus: Corpus, phases=DEFAULT_PHASES) -> tuple[list[Corpus], int]:
@@ -268,28 +376,17 @@ def split_phases(corpus: Corpus, phases=DEFAULT_PHASES) -> tuple[list[Corpus], i
     Returns one Corpus per phase (same order) plus the count of papers
     falling outside every phase.  Overlapping phases are rejected.
     """
-    phases = list(phases)
-    for i, a in enumerate(phases):
-        for b in phases[i + 1:]:
-            if a.year_lo <= b.year_hi and b.year_lo <= a.year_hi:
-                raise ConfigError(f"phases {a.label!r} and {b.label!r} overlap")
-    buckets: list[list[PaperRecord]] = [[] for _ in phases]
-    dropped = 0
-    for p in corpus.papers:
-        for i, ph in enumerate(phases):
-            if ph.contains(p.year):
-                buckets[i].append(p)
-                break
-        else:
-            dropped += 1
-    return [Corpus(papers=bucket) for bucket in buckets], dropped
+    check_phase_overlap(phases)
+    years = corpus.keys[:, YEAR]
+    masks = [(years >= ph.year_lo) & (years <= ph.year_hi) for ph in phases]
+    dropped = len(corpus) - sum(int(np.count_nonzero(mask)) for mask in masks)
+    return [corpus.select(mask) for mask in masks], dropped
 
 
 def filter_with_references(corpus: Corpus) -> tuple[Corpus, int]:
     """Drop papers with no references; returns (kept corpus, removed count)."""
-    kept = [p for p in corpus.papers if p.references]
-    removed = len(corpus.papers) - len(kept)
-    return Corpus(papers=kept), removed
+    kept = np.diff(corpus.offsets) > 0
+    return corpus.select(kept), len(corpus) - int(np.count_nonzero(kept))
 
 
 _VENUE_POOL_SIZE = 40
@@ -321,24 +418,32 @@ def generate_synthetic(
         raise ConfigError("year_lo must be <= year_hi")
 
     rng = np.random.default_rng(seed)
-    authors = [f"AUTH {i:06d}" for i in range(n_authors)]
-    venues = [f"SYN JOURNAL {i:03d}" for i in range(_VENUE_POOL_SIZE)]
+    # String table: authors, venues, paper ids, then "1".."900" for the
+    # volumes (1 + pid % 50) and pages (1 + pid % 900).
+    venue0 = n_authors
+    id0 = venue0 + _VENUE_POOL_SIZE
+    number0 = id0 + n_papers  # strings[number0 + k] == str(1 + k)
+    strings = ([f"AUTH {i:06d}" for i in range(n_authors)]
+               + [f"SYN JOURNAL {i:03d}" for i in range(_VENUE_POOL_SIZE)]
+               + [f"SYN{pid:07d}" for pid in range(n_papers)]
+               + [str(k) for k in range(1, 901)])
 
     # Preferential attachment via the repeated-targets pool: drawing from
     # the pool is proportional to citations received so far, drawing
     # uniformly adds the +skew smoothing term.
     pool: list[int] = []
-    # each author's earlier papers, as the one RefKey every citation shares
-    papers_by_author: list[list[RefKey]] = [[] for _ in range(n_authors)]
-    papers: list[PaperRecord] = []
+    # each author's earlier papers, as their key rows
+    papers_by_author: list[list[tuple]] = [[] for _ in range(n_authors)]
+    keys: list[tuple] = []
+    refs = array("i")  # the reference key rows, flattened
+    offsets = [0]
 
     for pid in range(n_papers):
         author_idx = int(rng.integers(n_authors))
         year = year_lo + int(rng.integers(year_hi - year_lo + 1))
-        venue = venues[int(rng.integers(_VENUE_POOL_SIZE))]
+        venue = venue0 + int(rng.integers(_VENUE_POOL_SIZE))
         n_refs = 2 + int(rng.pareto(1.8) * 6.0)
         n_refs = min(n_refs, 120)
-        refs = []
         uniform_mass = 0.05 * n_authors * skew
         for _ in range(n_refs):
             if rng.random() < uniform_mass / (uniform_mass + len(pool)):
@@ -348,25 +453,14 @@ def generate_synthetic(
             pool.append(target)
             prior = papers_by_author[target]
             if prior and rng.random() < internal_ref_prob:
-                refs.append(prior[int(rng.integers(len(prior)))])
+                refs.extend(prior[int(rng.integers(len(prior)))])
             else:
-                refs.append(
-                    RefKey(
-                        first_author=authors[target],
-                        year=year_lo + int(rng.integers(year_hi - year_lo + 1)),
-                        source=venues[int(rng.integers(_VENUE_POOL_SIZE))],
-                    )
-                )
-        record = PaperRecord(
-            paper_id=f"SYN{pid:07d}",
-            first_author=authors[author_idx],
-            year=year,
-            source=venue,
-            volume=str(1 + pid % 50),
-            page=str(1 + pid % 900),
-            references=tuple(refs),
-        )
-        papers.append(record)
-        papers_by_author[author_idx].append(RefKey(*record.match_key()))
+                refs.extend((target, year_lo + int(rng.integers(year_hi - year_lo + 1)),
+                             venue0 + int(rng.integers(_VENUE_POOL_SIZE)), MISSING, MISSING))
+        key = (author_idx, year, venue, number0 + pid % 50, number0 + pid % 900)
+        keys.append(key)
+        papers_by_author[author_idx].append(key)
+        offsets.append(offsets[-1] + n_refs)
 
-    return Corpus(papers=papers)
+    return Corpus(strings, np.arange(id0, id0 + n_papers, dtype=np.int32), _key_rows(keys),
+                  np.array(offsets, dtype=np.int64), _key_rows(refs))

@@ -86,17 +86,19 @@ def popularity_scores(g: AuthorCitationGraph) -> ScoreVector:
 def internal_citation_counts(corpus: Corpus) -> np.ndarray:
     """Citations each corpus paper receives from other corpus papers.
 
-    Returns an int64 array aligned to ``corpus.papers``.  A reference
+    Returns an int64 array aligned to the corpus papers.  A reference
     matches a paper on exact (author, year, source, volume, page); a
     missing volume/page only matches a missing one.  A reference whose key
     several papers share counts for each of them.
     """
-    by_key: dict[tuple, list[int]] = {}
-    for k, p in enumerate(corpus.papers):
-        by_key.setdefault(p.match_key(), []).append(k)
-    matched = [k for p in corpus.papers for ref in p.references
-               for k in by_key.get(ref.match_key(), ())]
-    return np.bincount(np.array(matched, dtype=np.int64), minlength=len(corpus.papers))
+    paper_key, ref_key = corpus.key_ids
+    return np.bincount(ref_key, minlength=len(paper_key) + len(ref_key))[paper_key]
+
+
+def unmatched_references(corpus: Corpus) -> int:
+    """The number of references whose key matches no corpus paper."""
+    paper_key, ref_key = corpus.key_ids
+    return int(np.count_nonzero(~np.isin(ref_key, paper_key)))
 
 
 def highly_cited_papers(
@@ -162,8 +164,9 @@ def if_scores(
     is the one ``g`` was built from.  Returns (scores, miss count).
     """
     refs = g.references
+    pairs, pair_of_paper = corpus.source_years()
     # load_impact_factors rejects NaN factors, so NaN marks a table miss.
-    impact = np.array([table.factors.get((p.source, p.year), np.nan) for p in corpus.papers])
+    impact = np.array([table.factors.get(pair, np.nan) for pair in pairs])[pair_of_paper]
     missed = np.isnan(impact)
     impact[missed] = 0.0
     # bincount adds the weights in reference order, as a running sum would.

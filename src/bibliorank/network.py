@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from bibliorank.corpus import Corpus
+from bibliorank.corpus import AUTHOR, Corpus
 from bibliorank.errors import GraphError, ParseError
 
 
@@ -16,8 +17,8 @@ from bibliorank.errors import GraphError, ParseError
 class ReferenceTable:
     """One phase corpus's references as node-id arrays, built with its graph.
 
-    ``paper_author[k]`` is the node id of the first author of
-    ``corpus.papers[k]``.  Reference r, in corpus order, goes from paper
+    ``paper_author[k]`` is the node id of the first author of paper k of
+    the corpus.  Reference r, in corpus order, goes from paper
     ``citing[r]`` to the work of node ``cited[r]``; self-citations are kept.
     """
 
@@ -55,6 +56,20 @@ class AuthorCitationGraph:
     def out_weights(self) -> np.ndarray:
         """Per-node sum of out-edge weights (0 for dangling nodes)."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
+
+    @cached_property
+    def transition(self) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """The row-normalized transition matrix, transposed so that a
+        PageRank step is one CSR matvec, and the mask of dangling nodes.
+
+        Built on first use and shared by every solve on the graph, so the
+        adjacency must not change after that.
+        """
+        out = self.out_weights().astype(np.float64)
+        dangling = out == 0.0
+        inv_out = np.zeros(self.n_nodes)
+        inv_out[~dangling] = 1.0 / out[~dangling]
+        return self.adjacency.multiply(inv_out[:, None]).T.tocsr(), dangling
 
     def out_weight(self, node) -> int:
         """Sum of out-edge weights of one node (author key or node id)."""
@@ -94,18 +109,23 @@ def build_graph(corpus: Corpus, allow_self_citation: bool = True) -> AuthorCitat
     by B adds 1 to edge A->B; self-citations (A == B) are skipped when
     ``allow_self_citation`` is false.
     """
-    papers = corpus.papers
-    if not papers:
+    n = len(corpus)
+    if not n:
         raise GraphError("empty graph: corpus has no papers")
 
-    first_authors = [p.first_author for p in papers]
-    cited_authors = [r.first_author for p in papers for r in p.references]
-    authors = sorted(set(first_authors).union(cited_authors))
-    index = {a: i for i, a in enumerate(authors)}
+    used, node = np.unique(np.concatenate((corpus.keys[:, AUTHOR], corpus.refs[:, AUTHOR])),
+                           return_inverse=True)
+    # Node ids follow the keys' Python string order, not their table order.
+    names = [corpus.strings[i] for i in used.tolist()]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    node_of = np.empty(len(order), dtype=np.int64)
+    node_of[order] = np.arange(len(order))
+    node = node_of[node]
+    authors = [names[i] for i in order]
     table = ReferenceTable(
-        paper_author=np.array([index[a] for a in first_authors], dtype=np.int64),
-        citing=np.repeat(np.arange(len(papers)), [len(p.references) for p in papers]),
-        cited=np.array([index[a] for a in cited_authors], dtype=np.int64),
+        paper_author=node[:n],
+        citing=np.repeat(np.arange(n), np.diff(corpus.offsets)),
+        cited=node[n:],
     )
 
     citer, cited = table.paper_author[table.citing], table.cited

@@ -106,12 +106,7 @@ def _power_iteration(
     t = teleport.values
     d = cfg.damping
 
-    out = g.out_weights().astype(np.float64)
-    dangling = out == 0.0
-    inv_out = np.zeros(n)
-    inv_out[~dangling] = 1.0 / out[~dangling]
-    # Row-normalized transition, transposed so each step is one CSR matvec.
-    trans = g.adjacency.multiply(inv_out[:, None]).T.tocsr()
+    trans, dangling = g.transition
 
     if cfg.dangling_policy == "teleport":
         redistribution = t

@@ -250,7 +250,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
 
 def generate_impact_factors(c: corpus_mod.Corpus, seed: int) -> ind_mod.ImpactFactorTable:
     """Deterministic synthetic impact factors covering all citing (venue, year)."""
-    pairs = sorted({(p.source, p.year) for p in c.papers})
+    pairs = sorted(c.source_years()[0])
     rng = np.random.default_rng([seed, 7919])
     factors = {
         pair: round(0.2 + 6.0 * float(rng.random()), 3) for pair in pairs
@@ -314,9 +314,8 @@ def phase_tag(label: str) -> str:
 
 
 def check_phases(phases) -> None:
-    """Refuse phases that overlap (split_phases checks that) or whose
-    labels give the same file tag."""
-    corpus_mod.split_phases(corpus_mod.Corpus(), phases)
+    """Refuse phases that overlap or whose labels give the same file tag."""
+    corpus_mod.check_phase_overlap(phases)
     by_tag: dict[str, corpus_mod.Phase] = {}
     for phase in phases:
         other = by_tag.setdefault(phase_tag(phase.label), phase)
@@ -337,7 +336,7 @@ def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
         info = counts["phases"][phase.label] = {"papers": len(phase_corpus),
                                                 "papers_without_references": removed,
                                                 "papers_used": len(filtered)}
-        if filtered.papers:
+        if len(filtered):
             with create(f"corpus_{phase_tag(phase.label)}.jsonl") as fh:
                 corpus_mod.serialize_corpus(filtered, fh)
             kept.append((phase, filtered))
@@ -362,7 +361,8 @@ def classical_indicators(
         hc = ind_mod.highly_cited_papers(counts, top_fraction=value)
     else:
         hc = ind_mod.highly_cited_papers(counts, min_citations=int(value))
-    diagnostics = {"highly_cited_papers": int(np.count_nonzero(hc))}
+    diagnostics = {"highly_cited_papers": int(np.count_nonzero(hc)),
+                   "unmatched_references": ind_mod.unmatched_references(corpus)}
     scores = [
         ind_mod.popularity_scores(graph),
         ind_mod.prestige_scores(graph, hc),
@@ -482,8 +482,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
 def _write_run(cfg: RunConfig, create) -> dict:
     inputs = cfg.input_digests()
     if cfg.corpus is not None:
-        with open(cfg.corpus, encoding="utf-8") as fh:
-            full = corpus_mod.parse_corpus(fh)
+        full = corpus_mod.read_corpus(cfg.corpus)
     else:
         full = corpus_mod.generate_synthetic(
             seed=cfg.seed, n_papers=cfg.n_papers, n_authors=cfg.n_authors, skew=cfg.skew

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from bibliorank.corpus import Corpus, PaperRecord, RefKey
+from bibliorank.corpus import Corpus
 from bibliorank.network import AuthorCitationGraph
 
 
-def graph_from_matrix(weights, publications=None) -> AuthorCitationGraph:
-    """Build a graph directly from an N x N weight matrix (w[j, i] = j->i)."""
+def graph_from_matrix(weights, publications=None, authors=None) -> AuthorCitationGraph:
+    """Build a graph directly from an N x N weight matrix (w[j, i] = j->i),
+    over ``authors`` (sorted; N000, N001, ... by default)."""
     w = np.asarray(weights, dtype=np.int64)
     n = w.shape[0]
-    authors = [f"N{i:03d}" for i in range(n)]
+    authors = [f"N{i:03d}" for i in range(n)] if authors is None else authors
     adjacency = sparse.csr_matrix(w)
     pubs = np.zeros(n, dtype=np.int64) if publications is None else np.asarray(publications)
     return AuthorCitationGraph(
@@ -22,18 +23,8 @@ def graph_from_matrix(weights, publications=None) -> AuthorCitationGraph:
 
 
 def paper(pid, author, year=2000, source="J TEST", refs=(), volume=None, page=None):
-    return PaperRecord(
-        paper_id=pid,
-        first_author=author,
-        year=year,
-        source=source,
-        volume=volume,
-        page=page,
-        references=tuple(
-            RefKey(first_author=a, year=y, source=s, volume=v, page=pg)
-            for (a, y, s, v, pg) in refs
-        ),
-    )
+    """One record of Corpus.from_records."""
+    return (pid, author, year, source, volume, page, tuple(refs))
 
 
 def ref(author, year=1999, source="J TEST", volume=None, page=None):
@@ -43,7 +34,7 @@ def ref(author, year=1999, source="J TEST", volume=None, page=None):
 @pytest.fixture
 def two_node_corpus():
     # single paper by A citing one work by B: edge A->B weight 1, B dangling
-    return Corpus(papers=[paper("p1", "A", refs=[ref("B")])])
+    return Corpus.from_records([paper("p1", "A", refs=[ref("B")])])
 
 
 @pytest.fixture
@@ -53,15 +44,13 @@ def cycle_corpus():
         paper("p2", "B", refs=[ref("C")]),
         paper("p3", "C", refs=[ref("A")]),
     ]
-    return Corpus(papers=papers)
+    return Corpus.from_records(papers)
 
 
 @pytest.fixture
 def two_paper_corpus():
     # paper by X citing Y twice and Z once; second paper by X citing Y once
-    return Corpus(
-        papers=[
-            paper("p1", "X", refs=[ref("Y"), ref("Y"), ref("Z")]),
-            paper("p2", "X", refs=[ref("Y")]),
-        ]
-    )
+    return Corpus.from_records([
+        paper("p1", "X", refs=[ref("Y"), ref("Y"), ref("Z")]),
+        paper("p2", "X", refs=[ref("Y")]),
+    ])

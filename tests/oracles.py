@@ -56,7 +56,8 @@ def parse_corpus_loop(lines):
 
     Returns one ``(id, author, year, source, volume, page, refs)`` tuple per
     record, ``refs`` a tuple of ``(author, year, source, volume, page)``
-    tuples, or raises OracleParseError at the first bad line.  Checks run
+    tuples, or raises OracleParseError at the first bad line.  A line with a
+    lone surrogate is bad, with no field.  Checks run
     in file order: id, author, source, year, each reference, then the
     record's volume and page.  A bad author, source, volume or page names
     that field, prefixed ``refs.`` in a reference.
@@ -68,8 +69,9 @@ def parse_corpus_loop(lines):
         if not text:
             continue
         try:
+            text.encode("utf-8")  # a lone surrogate stands for a byte that is not UTF-8
             obj = json.loads(text)
-        except json.JSONDecodeError:
+        except (UnicodeEncodeError, json.JSONDecodeError):
             raise OracleParseError(lineno) from None
         if not isinstance(obj, dict):
             raise OracleParseError(lineno)
@@ -193,73 +195,99 @@ def h_index(citation_counts):
     return h
 
 
-def build_graph_loop(papers, allow_self_citation=True):
+def corpus_records(corpus):
+    """The ``(id, author, year, source, volume, page, refs)`` records of a
+    Corpus, as parse_corpus_loop returns them, read one paper at a time."""
+    s = corpus.strings
+
+    def key(row):
+        author, year, source, volume, page = row
+        return (s[author], year, s[source], None if volume < 0 else s[volume],
+                None if page < 0 else s[page])
+
+    offsets = corpus.offsets.tolist()
+    refs = corpus.refs.tolist()
+    return [(s[pid], *key(row), tuple(key(r) for r in refs[lo:hi]))
+            for pid, row, lo, hi in zip(corpus.ids.tolist(), corpus.keys.tolist(),
+                                        offsets, offsets[1:])]
+
+
+# The oracles below take records as corpus_records returns them.
+
+
+def build_graph_loop(records, allow_self_citation=True):
     """(sorted authors, {(citer id, cited id): weight}, publications per id)."""
     names = set()
-    for p in papers:
-        names.add(p.first_author)
-        for r in p.references:
-            names.add(r.first_author)
+    for _, author, *_, refs in records:
+        names.add(author)
+        for r in refs:
+            names.add(r[0])
     authors = sorted(names)
     index = {a: i for i, a in enumerate(authors)}
     weights = {}
     publications = [0] * len(authors)
-    for p in papers:
-        citer = index[p.first_author]
+    for _, author, *_, refs in records:
+        citer = index[author]
         publications[citer] += 1
-        for r in p.references:
-            cited = index[r.first_author]
+        for r in refs:
+            cited = index[r[0]]
             if not allow_self_citation and citer == cited:
                 continue
             weights[(citer, cited)] = weights.get((citer, cited), 0) + 1
     return authors, weights, publications
 
 
-def internal_citation_counts_loop(papers):
-    """paper_id -> references matching its exact key; shared keys credit each paper."""
+def internal_citation_counts_loop(records):
+    """paper id -> references matching its exact key; shared keys credit each paper."""
     by_key = {}
-    for p in papers:
-        by_key.setdefault(p.match_key(), []).append(p.paper_id)
-    counts = {p.paper_id: 0 for p in papers}
-    for p in papers:
-        for r in p.references:
-            for pid in by_key.get(r.match_key(), ()):
+    for pid, *key, _ in records:
+        by_key.setdefault(tuple(key), []).append(pid)
+    counts = {rec[0]: 0 for rec in records}
+    for *_, refs in records:
+        for r in refs:
+            for pid in by_key.get(r, ()):
                 counts[pid] += 1
     return counts
 
 
-def prestige_loop(papers, highly_cited_ids):
+def unmatched_references_loop(records):
+    """References whose key is no paper's key."""
+    paper_keys = {tuple(key) for _, *key, _ in records}
+    return sum(r not in paper_keys for *_, refs in records for r in refs)
+
+
+def prestige_loop(records, highly_cited_ids):
     """cited author -> references made by the highly cited papers."""
     scores = {}
-    for p in papers:
-        if p.paper_id in highly_cited_ids:
-            for r in p.references:
-                scores[r.first_author] = scores.get(r.first_author, 0) + 1
+    for pid, *_, refs in records:
+        if pid in highly_cited_ids:
+            for r in refs:
+                scores[r[0]] = scores.get(r[0], 0) + 1
     return scores
 
 
-def h_index_loop(papers, counts):
-    """first author -> h-index of the counts (by paper_id) of their papers."""
+def h_index_loop(records, counts):
+    """first author -> h-index of the counts (by paper id) of their papers."""
     per_author = {}
-    for p in papers:
-        per_author.setdefault(p.first_author, []).append(counts[p.paper_id])
+    for pid, author, *_ in records:
+        per_author.setdefault(author, []).append(counts[pid])
     return {a: h_index(cites) for a, cites in per_author.items()}
 
 
-def if_loop(papers, factors):
+def if_loop(records, factors):
     """(cited author -> running sum of citing-paper IFs, references with no IF).
 
     ``factors`` maps (venue, year) to an impact factor.
     """
     scores = {}
     misses = 0
-    for p in papers:
-        impact = factors.get((p.source, p.year))
+    for _, _, year, source, _, _, refs in records:
+        impact = factors.get((source, year))
         if impact is None:
-            misses += len(p.references)
+            misses += len(refs)
             impact = 0.0
-        for r in p.references:
-            scores[r.first_author] = scores.get(r.first_author, 0.0) + impact
+        for r in refs:
+            scores[r[0]] = scores.get(r[0], 0.0) + impact
     return scores, misses
 
 

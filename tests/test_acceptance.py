@@ -226,7 +226,7 @@ def test_08_indicator_laws():
         hc = highly_cited_papers(counts, top_fraction=0.1)
         pres = prestige_scores(g, hc)
         ok &= bool(np.all(pres.values <= pop.values))
-        all_ids = np.ones(len(corpus.papers), dtype=bool)
+        all_ids = np.ones(len(corpus), dtype=bool)
         pres_all = prestige_scores(g, all_ids)
         ok &= np.array_equal(pres_all.values, pop.values)
         for sv in (pop, pres):
@@ -234,8 +234,8 @@ def test_08_indicator_laws():
             n = len(ranks)
             ok &= abs(sum(ranks) - n * (n + 1) / 2) < 1e-9
 
-    h_corpus = Corpus(papers=[paper(f"p{i}", "H TEST", year=1990 + i)
-                              for i in range(5)])
+    h_corpus = Corpus.from_records([paper(f"p{i}", "H TEST", year=1990 + i)
+                                     for i in range(5)])
     counts = np.array([10, 8, 5, 4, 3])
     h_graph = build_graph(h_corpus)
     h = h_index_scores(h_graph, counts)

@@ -25,6 +25,7 @@ from bibliorank.pipeline import (
     parse_phases,
     run_pipeline,
 )
+from tests.oracles import parse_corpus_loop, unmatched_references_loop
 
 
 def _read(path):
@@ -99,6 +100,49 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: line 1: ")
         assert f"(field: {field})" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators"])
+    def test_non_utf8_corpus_exit_2_names_line(self, command, tmp_path, capsys):
+        good = json.dumps({"id": "p1", "author": "A", "year": 2000, "source": "J",
+                           "refs": [{"author": "B", "year": 1999, "source": "K"}]})
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(good.encode() + b"\n" + good.replace('"A"', '"A\xff"')
+                           .replace('"p1"', '"p2"').encode("latin-1") + b"\n")
+        outdir = tmp_path / "out"
+        argv = {"pipeline": ["pipeline", "--set", f"corpus={corpus}", "--set", f"outdir={outdir}"],
+                "ingest": ["ingest", "--corpus", str(corpus), "--outdir", str(outdir)],
+                "indicators": ["indicators", "--corpus", str(corpus), "--outdir", str(outdir)]}
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("bad", ["if_table", "winners", "scores", "nodes", "edges"])
+    def test_non_utf8_text_input_exit_2(self, bad, small_run, tmp_path, capsys):
+        _, corpus, if_table, outdir = small_run
+        inputs = {"if_table": if_table, "winners": tmp_path / "winners.txt",
+                  "scores": sorted(Path(outdir).glob("indicator_*.tsv"))[0],
+                  "nodes": sorted(Path(outdir).glob("nodes_*.tsv"))[0],
+                  "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0]}
+        inputs["winners"].write_text("AUTH 000001\n")
+        inputs[bad] = tmp_path / "bad"
+        inputs[bad].write_bytes(b"AUTH \xff\t1\t1\n")
+        i = {key: str(path) for key, path in inputs.items()}
+        argv = {
+            "if_table": ["pipeline", "--set", f"corpus={corpus}", "--set", f"if_table={i['if_table']}",
+                         "--set", f"outdir={tmp_path / 'out'}"],
+            "winners": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
+                        "--out", str(tmp_path / "out")],
+            "scores": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
+                       "--out", str(tmp_path / "out")],
+            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
+                      "--out", str(tmp_path / "out")],
+            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
+                      "--out", str(tmp_path / "out")],
+        }[bad]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: an input file is not valid UTF-8: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_overlapping_phases_exit_1_before_work(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -516,6 +560,16 @@ class TestPipeline:
         for label, v in solves.items():
             d = float(label.rsplit("_d", 1)[1])
             assert v["error_bound"] == d / (1 - d) * v["final_residual"]
+
+    def test_manifest_counts_unmatched_references(self, small_run):
+        _, _, _, outdir = small_run
+        manifest = json.loads(_read(Path(outdir) / "manifest.json"))
+        for label, info in manifest["phases"].items():
+            tag = "".join(ch if ch.isalnum() else "_" for ch in label)
+            with open(Path(outdir) / f"corpus_{tag}.jsonl", encoding="utf-8") as fh:
+                records = parse_corpus_loop(fh)
+            assert info["diagnostics"]["unmatched_references"] == \
+                unmatched_references_loop(records) > 0
 
     def test_manifest_versions(self, small_run):
         _, _, _, outdir = small_run

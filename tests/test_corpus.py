@@ -3,24 +3,28 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.corpus import (
+    AUTHOR,
     DEFAULT_PHASES,
+    SOURCE,
     Corpus,
     Phase,
     filter_with_references,
     generate_synthetic,
     normalize_author,
     parse_corpus,
+    read_corpus,
     serialize_corpus,
     split_phases,
 )
 from bibliorank.errors import ConfigError, DataError, ParseError
 from tests.conftest import paper, ref
-from tests.oracles import OracleParseError, parse_corpus_loop
+from tests.oracles import OracleParseError, corpus_records, parse_corpus_loop
 
 
 def _record(**fields):
@@ -85,10 +89,10 @@ class TestParseCorpus:
         )
         c = parse_corpus(io.StringIO(line + "\n"))
         assert len(c) == 1
-        p = c.papers[0]
-        assert p.first_author == "SALTON G"
-        assert len(p.references) == 2
-        assert p.references[1].volume == "19"
+        [(_, author, *_, refs)] = corpus_records(c)
+        assert author == "SALTON G"
+        assert len(refs) == 2
+        assert refs[1] == ("CLEVERDON C", 1967, "ASLIB", "19", None)
 
     def test_missing_year_names_field_and_line(self):
         lines = (
@@ -131,7 +135,7 @@ class TestParseCorpus:
             }
         )
         c = parse_corpus(io.StringIO(line))
-        assert len(c.papers[0].references) == 2
+        assert c.offsets.tolist() == [0, 2]
 
     @pytest.mark.parametrize("value", [5, 1.5, True, ["x"], {"a": "b"}],
                              ids=["int", "float", "bool", "list", "dict"])
@@ -189,23 +193,32 @@ class TestInterning:
         for i, a in enumerate(["Salton, G.", "SALTON G", "Cleverdon, C."])
     )
 
-    def test_equal_references_are_one_object(self):
-        refs = [r for p in parse_corpus(io.StringIO(self.TEXT)) for r in p.references]
-        assert len(refs) == 9 and len(set(refs)) == 3
-        assert len({id(r) for r in refs}) == len(set(refs))
-
-    def test_equal_author_keys_are_one_string(self):
+    def test_equal_references_are_one_key(self):
         c = parse_corpus(io.StringIO(self.TEXT))
-        keys = [p.first_author for p in c] + [r.first_author for p in c for r in p.references]
-        keys += [p.source for p in c] + [r.source for p in c for r in p.references]
-        assert len({id(k) for k in keys}) == len(set(keys)) == 5
+        refs = [r for *_, paper_refs in corpus_records(c) for r in paper_refs]
+        rows = [tuple(row) for row in c.refs.tolist()]
+        ids = c.key_ids[1].tolist()
+        assert len(refs) == 9 and len(set(refs)) == 3
+        # equal references have equal key rows and key ids, and only they do
+        assert len(set(zip(refs, rows))) == len(set(rows)) == 3
+        assert len(set(zip(refs, ids))) == len(set(ids)) == 3
+
+    def test_equal_author_keys_are_one_string_id(self):
+        c = parse_corpus(io.StringIO(self.TEXT))
+        ids = np.concatenate((c.keys, c.refs))[:, [AUTHOR, SOURCE]].ravel().tolist()
+        keys = [c.strings[i] for i in ids]
+        assert len(set(zip(keys, ids))) == len(set(ids)) == len(set(keys)) == 5
+        assert len(set(c.strings)) == len(c.strings)
 
     def test_synthetic_internal_references_share_the_key(self):
         c = generate_synthetic(seed=5, n_papers=400, n_authors=60)
-        paper_keys = {p.match_key() for p in c}
-        internal = [r for p in c for r in p.references if r.match_key() in paper_keys]
-        assert len(internal) > len(set(internal)) > 0
-        assert len({id(r) for r in internal}) == len(set(internal))
+        records = corpus_records(c)
+        paper_keys = {tuple(key) for _, *key, _ in records}
+        refs = [r for *_, paper_refs in records for r in paper_refs]
+        internal = [(r, i) for r, i in zip(refs, c.key_ids[1].tolist()) if r in paper_keys]
+        assert len(internal) > len({r for r, _ in internal}) > 0
+        assert len(set(internal)) == len({r for r, _ in internal})
+        assert np.isin(c.key_ids[1], c.key_ids[0]).sum() == len(internal)
 
 
 # Every form a field value takes in the generated corpora below: valid
@@ -213,6 +226,9 @@ class TestInterning:
 _NAMES = ["Salton, G.", "SALTON G", "salton, g", "Luhn, H.P.", "van Rijsbergen,C.J."]
 _VENUES = ["J. Doc.", "J DOC", "JASIS", "Commun. ACM", "Inf. Process. Manage."]
 _MALFORMED = [5, 1.5, True, None, [], ["x"], {"a": 1}, "", "  ", " ,.;", "--", "p0"]
+# Lines as a file opened with errors="surrogateescape" reads them: \udcff
+# stands for the byte 0xff, which is not UTF-8.
+_JUNK_LINES = ["", "   ", "[1]", "{", '"x"', "true", '{"id": "p\udcff"}', "\udcff"]
 _MALFORMED_YEARS = [1990.0, True, 999, 3001, "1990", None]
 
 
@@ -259,13 +275,8 @@ def _corpus_text(draw, malformed):
             lines[i] = json.dumps(rec)
         if draw(st.integers(0, 5)) == 0:
             lines.insert(draw(st.integers(0, len(lines))),
-                         draw(st.sampled_from(["", "   ", "[1]", "{", '"x"', "true"])))
+                         draw(st.sampled_from(_JUNK_LINES)))
     return "".join(line + "\n" for line in lines)
-
-
-def _as_tuples(corpus):
-    return [(p.paper_id, *p.match_key(), tuple(r.match_key() for r in p.references))
-            for p in corpus]
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -278,58 +289,56 @@ def test_parse_matches_loop_oracle(text):
             parse_corpus(io.StringIO(text))
         assert (got.value.line, got.value.field) == (want.line, want.field)
     else:
-        assert _as_tuples(parse_corpus(io.StringIO(text))) == expected
+        assert corpus_records(parse_corpus(io.StringIO(text))) == expected
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_corpus_text(malformed=False))
 def test_parse_interns_and_round_trips(text):
     c = parse_corpus(io.StringIO(text))
-    assert _as_tuples(c) == parse_corpus_loop(io.StringIO(text))
-    refs = [r for p in c for r in p.references]
-    assert len({id(r) for r in refs}) == len(set(refs))
-    authors = [p.first_author for p in c] + [r.first_author for r in refs]
-    assert len({id(a) for a in authors}) == len(set(authors))
-    assert parse_corpus(io.StringIO(_text(c))).papers == c.papers
+    records = corpus_records(c)
+    assert records == parse_corpus_loop(io.StringIO(text))
+    # each string once in the table, and equal keys, only they, share a key id
+    assert len(set(c.strings)) == len(c.strings)
+    keys = [tuple(key) for _, *key, _ in records] + [r for *_, refs in records for r in refs]
+    ids = np.concatenate(c.key_ids).tolist()
+    assert len(set(zip(keys, ids))) == len(set(keys)) == len(set(ids))
+    assert corpus_records(parse_corpus(io.StringIO(_text(c)))) == records
 
 
 def test_roundtrip_serialize_parse():
-    c = Corpus(
-        papers=[
-            paper("p1", "A", 1975, refs=[ref("B"), ref("C", volume="7", page="11")]),
-            paper("p2", "B", 1990, volume="3", page="100"),
-        ],
-    )
+    c = Corpus.from_records([
+        paper("p1", "A", 1975, refs=[ref("B"), ref("C", volume="7", page="11")]),
+        paper("p2", "B", 1990, volume="3", page="100"),
+    ])
     buf = io.StringIO()
     serialize_corpus(c, buf)
     buf.seek(0)
     again = parse_corpus(buf)
-    assert again.papers == c.papers
+    assert corpus_records(again) == corpus_records(c)
 
 
 class TestSplitPhases:
     def test_paper_boundary_years(self):
-        c = Corpus(
-            papers=[
-                paper("p1", "A", 1956),
-                paper("p2", "B", 1980),
-                paper("p3", "C", 1981),
-                paper("p4", "D", 1955),
-            ]
-        )
+        c = Corpus.from_records([
+            paper("p1", "A", 1956),
+            paper("p2", "B", 1980),
+            paper("p3", "C", 1981),
+            paper("p4", "D", 1955),
+        ])
         phases, dropped = split_phases(c, DEFAULT_PHASES)
-        assert [p.paper_id for p in phases[0].papers] == ["p1", "p2"]
-        assert [p.paper_id for p in phases[1].papers] == ["p3"]
+        assert [p[0] for p in corpus_records(phases[0])] == ["p1", "p2"]
+        assert [p[0] for p in corpus_records(phases[1])] == ["p3"]
         assert dropped == 1
 
     def test_partition_identity(self):
-        c = Corpus(papers=[paper(f"p{y}", "A", y) for y in range(1950, 2020)])
+        c = Corpus.from_records([paper(f"p{y}", "A", y) for y in range(1950, 2020)])
         phases, dropped = split_phases(c, DEFAULT_PHASES)
         assert sum(len(p) for p in phases) + dropped == len(c)
 
     def test_overlap_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
-            split_phases(Corpus(), [Phase("a", 1990, 2000), Phase("b", 2000, 2010)])
+            split_phases(Corpus.from_records([]), [Phase("a", 1990, 2000), Phase("b", 2000, 2010)])
 
     def test_inverted_phase_rejected(self):
         with pytest.raises(ConfigError):
@@ -338,23 +347,24 @@ class TestSplitPhases:
 
 class TestFilterWithReferences:
     def test_identity_when_all_have_refs(self):
-        c = Corpus(papers=[paper("p1", "A", refs=[ref("B")])])
+        c = Corpus.from_records([paper("p1", "A", refs=[ref("B")])])
         kept, removed = filter_with_references(c)
         assert removed == 0
-        assert kept.papers == c.papers
+        assert corpus_records(kept) == corpus_records(c)
 
     def test_counts(self):
-        c = Corpus(
-            papers=[paper(f"r{i}", "A", refs=[ref("B")]) for i in range(2)]
+        c = Corpus.from_records(
+            [paper(f"r{i}", "A", refs=[ref("B")]) for i in range(2)]
             + [paper(f"n{i}", "A") for i in range(3)]
         )
         kept, removed = filter_with_references(c)
         assert len(kept) == 2
         assert removed == 3
-        assert all(p.references for p in kept.papers)
+        assert [p[0] for p in corpus_records(kept)] == ["r0", "r1"]
+        assert all(p[6] for p in corpus_records(kept))
 
     def test_empty(self):
-        kept, removed = filter_with_references(Corpus())
+        kept, removed = filter_with_references(Corpus.from_records([]))
         assert len(kept) == 0 and removed == 0
 
 
@@ -372,7 +382,7 @@ class TestGenerateSynthetic:
     def test_seed_changes_output(self):
         a = generate_synthetic(seed=1, n_papers=50, n_authors=30)
         b = generate_synthetic(seed=2, n_papers=50, n_authors=30)
-        assert a.papers != b.papers
+        assert corpus_records(a) != corpus_records(b)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigError):
@@ -384,16 +394,15 @@ class TestGenerateSynthetic:
 
     def test_every_paper_has_references(self):
         c = generate_synthetic(seed=3, n_papers=100, n_authors=50)
-        assert all(p.references for p in c.papers)
+        assert all(p[6] for p in corpus_records(c))
 
     def test_stream_pinned(self):
-        # Computed with the generator that built a new RefKey for every
-        # internal reference.  Sharing one key per cited paper must leave
-        # the RNG stream, and so every seeded corpus, unchanged.
+        # Pinned before the generator emitted columns: the RNG call order,
+        # and so every seeded corpus, must not change.
         text = _text(generate_synthetic(17, 2000, 5000, 8.0))
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8f77c1bfd97fa4bee1a13993c64c8f09f6afbcc56f7f2139106505870ad32473")
 
     def test_years_within_range(self):
         c = generate_synthetic(seed=3, n_papers=100, n_authors=50, year_lo=1990, year_hi=1995)
-        assert all(1990 <= p.year <= 1995 for p in c.papers)
+        assert all(1990 <= p[2] <= 1995 for p in corpus_records(c))

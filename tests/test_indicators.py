@@ -22,6 +22,7 @@ from bibliorank.indicators import (
     prestige_scores,
     to_ranks,
     top_k,
+    unmatched_references,
 )
 from bibliorank.network import build_graph
 from bibliorank.pipeline import generate_impact_factors
@@ -39,14 +40,14 @@ def _corpus_with_internal_citations():
     cite_p2 = ("B", 1991, "J B", None, None)
     p4 = paper("p4", "D", 2000, "J D", refs=[cite_p1])
     p5 = paper("p5", "E", 2001, "J E", refs=[cite_p1, cite_p1, cite_p2])
-    return Corpus(papers=[p1, p2, p3, p4, p5])
+    return Corpus.from_records([p1, p2, p3, p4, p5])
 
 
 def _shared_key_corpus():
     """p1 and p2 share one match key; p3 and p4 cite it, p3 also cites itself."""
     twin = dict(year=1990, source="J A", volume="1", page="10")
     twin_ref = ("A", 1990, "J A", "1", "10")
-    return Corpus(papers=[
+    return Corpus.from_records([
         paper("p1", "A", refs=[ref("Z")], **twin),
         paper("p2", "A", refs=[ref("B")], **twin),
         paper("p3", "B", 2000, "J B", refs=[twin_ref, ref("B")]),
@@ -62,7 +63,7 @@ class TestInternalCitationCounts:
     def test_volume_mismatch_blocks_match(self):
         p1 = paper("p1", "A", 1990, "J A", volume="1")
         p2 = paper("p2", "B", 2000, "J B", refs=[("A", 1990, "J A", None, None)])
-        counts = internal_citation_counts(Corpus(papers=[p1, p2]))
+        counts = internal_citation_counts(Corpus.from_records([p1, p2]))
         assert counts[0] == 0  # ref omits volume, paper has one
 
     def test_shared_key_credits_each_paper(self):
@@ -83,7 +84,7 @@ class TestPopularity:
 
 class TestHighlyCited:
     def test_all_uncited_empty(self):
-        c = Corpus(papers=[paper("p1", "A", refs=[ref("Z")])])
+        c = Corpus.from_records([paper("p1", "A", refs=[ref("Z")])])
         assert not highly_cited_papers(internal_citation_counts(c), top_fraction=0.5).any()
 
     def test_min_citations_one_is_cited_set(self):
@@ -131,13 +132,11 @@ class TestPrestige:
         assert np.array_equal(prestige.values, popularity_scores(g).values)
 
     def test_single_highly_cited_paper(self):
-        c = Corpus(
-            papers=[
-                paper("P", "X", refs=[ref("A"), ref("A"), ref("B")]),
-                paper("q", "Y", refs=[ref("A")]),
-                paper("r", "Z", refs=[ref("B")]),
-            ]
-        )
+        c = Corpus.from_records([
+            paper("P", "X", refs=[ref("A"), ref("A"), ref("B")]),
+            paper("q", "Y", refs=[ref("A")]),
+            paper("r", "Z", refs=[ref("B")]),
+        ])
         g = build_graph(c)
         s = prestige_scores(g, np.array([True, False, False]))
         assert s.values[g.node_id("A")] == 2.0
@@ -158,7 +157,7 @@ class TestHIndex:
         # counts {10,8,5,4,3} -> sort-and-scan oracle says 4
         assert h_index([10, 8, 5, 4, 3]) == 4
         counts = np.array([10, 8, 5, 4, 3])
-        c = Corpus(papers=[paper(f"p{i}", "A", refs=[ref("Z")]) for i in range(5)])
+        c = Corpus.from_records([paper(f"p{i}", "A", refs=[ref("Z")]) for i in range(5)])
         g = build_graph(c)
         s = h_index_scores(g, counts)
         assert s.values[g.node_id("A")] == 4.0
@@ -166,7 +165,7 @@ class TestHIndex:
     def test_zero_and_ones(self):
         assert h_index([0]) == 0
         assert h_index([1, 1, 1]) == 1
-        c = Corpus(papers=[paper("p1", "A", refs=[ref("Z")])])
+        c = Corpus.from_records([paper("p1", "A", refs=[ref("Z")])])
         g = build_graph(c)
         assert h_index_scores(g, np.array([0])).values[g.node_id("A")] == 0.0
 
@@ -176,15 +175,15 @@ class TestHIndex:
         g = build_graph(c)
         s = h_index_scores(g, counts)
         per_author = {}
-        for p, count in zip(c.papers, counts.tolist()):
-            per_author.setdefault(p.first_author, []).append(count)
+        for p, count in zip(oracles.corpus_records(c), counts.tolist()):
+            per_author.setdefault(p[1], []).append(count)
         for author, cites in per_author.items():
             assert s.values[g.node_id(author)] == h_index(cites)
 
 
 class TestIfScores:
     def test_single_citation(self):
-        c = Corpus(papers=[paper("p1", "A", 2005, "J", refs=[ref("B")])])
+        c = Corpus.from_records([paper("p1", "A", 2005, "J", refs=[ref("B")])])
         table = ImpactFactorTable({("J", 2005): 2.5})
         g = build_graph(c)
         s, misses = if_scores(g, c, table)
@@ -192,19 +191,17 @@ class TestIfScores:
         assert misses == 0
 
     def test_missing_venue_counts_miss(self):
-        c = Corpus(papers=[paper("p1", "A", 2005, "J", refs=[ref("B")])])
+        c = Corpus.from_records([paper("p1", "A", 2005, "J", refs=[ref("B")])])
         g = build_graph(c)
         s, misses = if_scores(g, c, ImpactFactorTable({}))
         assert s.values[g.node_id("B")] == 0.0
         assert misses == 1
 
     def test_additivity(self):
-        c = Corpus(
-            papers=[
-                paper("p1", "A", 2005, "J", refs=[ref("B")]),
-                paper("p2", "C", 2006, "K", refs=[ref("B")]),
-            ]
-        )
+        c = Corpus.from_records([
+            paper("p1", "A", 2005, "J", refs=[ref("B")]),
+            paper("p2", "C", 2006, "K", refs=[ref("B")]),
+        ])
         table = ImpactFactorTable({("J", 2005): 2.5, ("K", 2006): 1.0})
         g = build_graph(c)
         s, _ = if_scores(g, c, table)
@@ -212,7 +209,7 @@ class TestIfScores:
 
     def test_unit_ifs_equal_popularity(self):
         c, _ = filter_with_references(generate_synthetic(seed=2, n_papers=200, n_authors=80))
-        table = ImpactFactorTable({(p.source, p.year): 1.0 for p in c.papers})
+        table = ImpactFactorTable({(p[3], p[2]): 1.0 for p in oracles.corpus_records(c)})
         g = build_graph(c)
         s, misses = if_scores(g, c, table)
         assert misses == 0
@@ -354,9 +351,40 @@ def test_reference_table_reductions_equal_loop_oracles(name, allow_self_citation
         c = _shared_key_corpus()
     else:
         c = generate_synthetic(seed=int(name.removeprefix("seed")), n_papers=600, n_authors=200)
+    _assert_reductions_equal_loop_oracles(c, allow_self_citation)
+
+
+_AUTHORS = ["A", "B", "C", "D"]
+_SOURCES = ["J A", "J B"]
+
+
+@st.composite
+def _key(draw):
+    """A match key over few values, so papers share keys and references match them."""
+    return (draw(st.sampled_from(_AUTHORS)), draw(st.integers(1990, 1992)),
+            draw(st.sampled_from(_SOURCES)), draw(st.sampled_from([None, "1", "2"])),
+            draw(st.sampled_from([None, "10"])))
+
+
+@st.composite
+def _records(draw):
+    keys = draw(st.lists(_key(), min_size=1, max_size=8))
+    cited = st.one_of(st.sampled_from(keys), _key())
+    return [(f"p{i}", *key, tuple(draw(st.lists(cited, max_size=6))))
+            for i, key in enumerate(keys)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_records(), st.booleans())
+def test_reductions_equal_loop_oracles_on_generated_corpora(records, allow_self_citation):
+    _assert_reductions_equal_loop_oracles(Corpus.from_records(records), allow_self_citation)
+
+
+def _assert_reductions_equal_loop_oracles(c, allow_self_citation):
+    records = oracles.corpus_records(c)
     g = build_graph(c, allow_self_citation=allow_self_citation)
 
-    authors, weights, publications = oracles.build_graph_loop(c.papers, allow_self_citation)
+    authors, weights, publications = oracles.build_graph_loop(records, allow_self_citation)
     keys = sorted(weights)
     coo = g.adjacency.tocoo()
     assert g.authors == authors
@@ -366,21 +394,22 @@ def test_reference_table_reductions_equal_loop_oracles(name, allow_self_citation
     assert g.publications.tolist() == publications
 
     counts = internal_citation_counts(c)
-    loop_counts = oracles.internal_citation_counts_loop(c.papers)
+    loop_counts = oracles.internal_citation_counts_loop(records)
     assert counts.dtype == np.int64
-    assert counts.tolist() == [loop_counts[p.paper_id] for p in c.papers]
+    assert counts.tolist() == [loop_counts[p[0]] for p in records]
+    assert unmatched_references(c) == oracles.unmatched_references_loop(records)
 
     hc = highly_cited_papers(counts, top_fraction=0.1)
-    hc_ids = {p.paper_id for p, flag in zip(c.papers, hc.tolist()) if flag}
+    hc_ids = {p[0] for p, flag in zip(records, hc.tolist()) if flag}
     assert np.array_equal(prestige_scores(g, hc).values,
-                          _aligned(g, oracles.prestige_loop(c.papers, hc_ids)))
+                          _aligned(g, oracles.prestige_loop(records, hc_ids)))
     assert np.array_equal(h_index_scores(g, counts).values,
-                          _aligned(g, oracles.h_index_loop(c.papers, loop_counts)))
+                          _aligned(g, oracles.h_index_loop(records, loop_counts)))
 
     # every fourth (venue, year) left out of the table, so misses occur
     full = sorted(generate_impact_factors(c, seed=3).factors.items())
     factors = {k: v for i, (k, v) in enumerate(full) if i % 4}
     ifs, misses = if_scores(g, c, ImpactFactorTable(factors))
-    loop_ifs, loop_misses = oracles.if_loop(c.papers, factors)
+    loop_ifs, loop_misses = oracles.if_loop(records, factors)
     assert misses == loop_misses
     assert np.array_equal(ifs.values, _aligned(g, loop_ifs))

@@ -1,6 +1,6 @@
-"""Microbenchmarks of single layers: the corpus producers on one corpus
-shaped like the dense-core benchmark workload, and the per-row writers over
-one synthetic phase-sized graph.
+"""Microbenchmarks of single layers: the corpus producers and serializer on
+one corpus shaped like the dense-core benchmark workload, and the per-row
+writers over one synthetic phase-sized graph.
 
 Tier-1 runs each body once as a plain test (``--benchmark-disable`` is in
 the pytest addopts); ``--benchmark-enable`` times them:
@@ -27,16 +27,30 @@ from bibliorank.pagerank import pagerank
 DENSE = dict(seed=13, n_papers=5000, n_authors=1500, skew=1.0)
 
 
-@pytest.fixture(scope="module")
-def dense_lines():
+def _written(dump, obj):
     buf = io.StringIO()
-    serialize_corpus(generate_synthetic(**DENSE), buf)
-    return buf.getvalue().splitlines(keepends=True)
+    dump(obj, buf)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def dense_corpus():
+    return generate_synthetic(**DENSE)
+
+
+@pytest.fixture(scope="module")
+def dense_lines(dense_corpus):
+    return _written(serialize_corpus, dense_corpus).splitlines(keepends=True)
 
 
 def test_parse_corpus(benchmark, dense_lines):
     corpus = benchmark(parse_corpus, dense_lines)
     assert len(corpus) == DENSE["n_papers"]
+
+
+def test_serialize_corpus(benchmark, dense_corpus):
+    text = benchmark(_written, serialize_corpus, dense_corpus)
+    assert text.count("\n") == DENSE["n_papers"]
 
 
 def test_generate_synthetic(benchmark):
@@ -50,12 +64,6 @@ def graph():
     corpus, _ = filter_with_references(
         generate_synthetic(seed=11, n_papers=7000, n_authors=70000, skew=8))
     return build_graph(corpus)
-
-
-def _written(dump, obj):
-    buf = io.StringIO()
-    dump(obj, buf)
-    return buf.getvalue()
 
 
 def test_dump_indicator(benchmark, graph):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibliorank.corpus import Corpus, filter_with_references, generate_synthetic
 from bibliorank.errors import GraphError
@@ -14,7 +16,7 @@ from bibliorank.network import (
     load_nodes,
 )
 from tests.conftest import graph_from_matrix, paper, ref
-from tests.oracles import dump_edges_loop, dump_nodes_loop, random_graph_corpus
+from tests.oracles import corpus_records, dump_edges_loop, dump_nodes_loop, random_graph_corpus
 
 
 class TestBuildGraph:
@@ -31,10 +33,10 @@ class TestBuildGraph:
 
     def test_empty_corpus_errors(self):
         with pytest.raises(GraphError, match="empty graph"):
-            build_graph(Corpus())
+            build_graph(Corpus.from_records([]))
 
     def test_self_citation_flag(self):
-        c = Corpus(papers=[paper("p1", "A", refs=[ref("A"), ref("B")])])
+        c = Corpus.from_records([paper("p1", "A", refs=[ref("A"), ref("B")])])
         g_keep = build_graph(c, allow_self_citation=True)
         g_drop = build_graph(c, allow_self_citation=False)
         a = g_keep.node_id("A")
@@ -42,7 +44,7 @@ class TestBuildGraph:
         assert g_drop.adjacency[g_drop.node_id("A"), g_drop.node_id("A")] == 0
 
     def test_node_ordering_lexicographic(self):
-        c = Corpus(papers=[paper("p1", "ZZ", refs=[ref("AA"), ref("MM")])])
+        c = Corpus.from_records([paper("p1", "ZZ", refs=[ref("AA"), ref("MM")])])
         g = build_graph(c)
         assert g.authors == sorted(g.authors)
 
@@ -54,13 +56,12 @@ class TestBuildGraph:
     def test_edge_weight_conservation(self):
         c = generate_synthetic(seed=5, n_papers=300, n_authors=150)
         c, _ = filter_with_references(c)
-        total_refs = sum(len(p.references) for p in c.papers)
+        records = corpus_records(c)
+        total_refs = sum(len(refs) for *_, refs in records)
         g = build_graph(c)
         assert int(g.adjacency.sum()) == total_refs
         # dropping self-citations removes exactly the self-referencing refs
-        self_refs = sum(
-            1 for p in c.papers for r in p.references if r.first_author == p.first_author
-        )
+        self_refs = sum(1 for _, author, *_, refs in records for r in refs if r[0] == author)
         g2 = build_graph(c, allow_self_citation=False)
         assert int(g2.adjacency.sum()) == total_refs - self_refs
 
@@ -120,21 +121,7 @@ class TestDumps:
 
     def test_dump_load_roundtrip_random_graphs(self):
         for seed in range(1, 51):
-            g = graph_from_matrix(*random_graph_corpus(seed))
-            edges, nodes = io.StringIO(), io.StringIO()
-            dump_edges(g, edges)
-            dump_nodes(g, nodes)
-            edges.seek(0)
-            nodes.seek(0)
-            pubs = {a: p for a, (_, p) in load_nodes(nodes).items()}
-            g2 = load_edges(edges, publications=pubs)
-            assert g2.authors == g.authors
-            assert g2.adjacency.has_canonical_format
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(g2.adjacency, part), getattr(g.adjacency, part))
-            assert g2.adjacency.data.dtype == np.int64
-            assert np.array_equal(g2.citations_received, g.citations_received)
-            assert np.array_equal(g2.publications, g.publications)
+            _assert_dump_load_roundtrip(graph_from_matrix(*random_graph_corpus(seed)))
 
     def test_dumps_equal_loop_oracles_random_graphs(self):
         for seed in range(1, 51):
@@ -155,3 +142,39 @@ class TestDumps:
             dump(g, got)
             loop(g, want)
             assert got.getvalue() == want.getvalue()
+
+
+def _assert_dump_load_roundtrip(g):
+    edges, nodes = io.StringIO(), io.StringIO()
+    dump_edges(g, edges)
+    dump_nodes(g, nodes)
+    edges.seek(0)
+    nodes.seek(0)
+    pubs = {a: p for a, (_, p) in load_nodes(nodes).items()}
+    g2 = load_edges(edges, publications=pubs)
+    assert g2.authors == g.authors
+    assert g2.adjacency.has_canonical_format
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(g2.adjacency, part), getattr(g.adjacency, part))
+    assert g2.adjacency.data.dtype == np.int64
+    assert np.array_equal(g2.citations_received, g.citations_received)
+    assert np.array_equal(g2.publications, g.publications)
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs over author keys that need Python string order (case, spaces,
+    non-ASCII), with isolated, dangling and self-citing nodes."""
+    authors = sorted(draw(st.lists(st.text("Aab Z\u00e9", min_size=1, max_size=3).map(str.strip)
+                                   .filter(bool), min_size=1, max_size=8, unique=True)))
+    n = len(authors)
+    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                            min_size=n, max_size=n))
+    publications = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return graph_from_matrix(weights, publications, authors)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_graphs())
+def test_load_edges_of_dump_edges_equals_graph(g):
+    _assert_dump_load_roundtrip(g)

@@ -147,6 +147,19 @@ class TestProperties:
         b = pagerank(g, PageRankConfig(damping=0.85)).scores
         assert np.array_equal(a, b)
 
+    def test_transition_built_once_per_graph(self, monkeypatch):
+        w, pubs = random_graph_corpus(seed=9)
+        g = graph_from_matrix(w, pubs)
+        calls = []
+        out_weights = type(g).out_weights
+        monkeypatch.setattr(type(g), "out_weights", lambda self: calls.append(1) or out_weights(self))
+        for kind in (UNIFORM, CITATION_WEIGHTED, PUBLICATION_WEIGHTED):
+            for d in DAMPINGS:
+                r = weighted_pagerank(g, make_teleport(g, kind), PageRankConfig(damping=d))
+                assert np.allclose(r.scores, dense_pagerank(w, make_teleport(g, kind).values, d),
+                                   atol=1e-10)
+        assert len(calls) == 1
+
     def test_teleport_length_mismatch(self):
         g = graph_from_matrix([[0, 1], [0, 0]])
         with pytest.raises(ConfigError):

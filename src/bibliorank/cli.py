@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: generate, ingest, rank, indicators, correlate, pca, evaluate,
-pipeline.  Exit codes: 0 success, 1 validation error, 2 data/input error,
-3 non-convergence under --strict.
+pipeline.  Exit codes: 0 success, 1 usage or validation error, 2 data/input
+error, 3 non-convergence under --strict; each error class carries its own.
 """
 
 from __future__ import annotations
@@ -18,35 +18,27 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import (
-    BiblioRankError,
-    ConfigError,
-    DataError,
-    NonConvergenceError,
-    ParseError,
-)
+from bibliorank.errors import BiblioRankError, ConfigError, DataError, ParseError
 from bibliorank.evaluation import coverage, load_winners
 
 
 def _read_score_file(path: str) -> ind_mod.ScoreVector:
     """Read `author<TAB>score[<TAB>rank]` (header row required)."""
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if "author" not in header or "score" not in header:
-            raise DataError(f"{path}: expected an 'author'/'score' header row")
-        a_col = header.index("author")
-        s_col = header.index("score")
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = raw.rstrip("\n").split("\t")
-            try:
-                if parts[a_col] in values:
-                    raise ParseError(f"duplicate author {parts[a_col]!r} in {path}", line=lineno)
-                values[parts[a_col]] = float(parts[s_col])
-            except (IndexError, ValueError):
-                raise ParseError(f"malformed score row in {path}", line=lineno) from None
+    lines = corpus_mod.read_lines(path)
+    header = next(lines, (0, ""))[1].split("\t")
+    if "author" not in header or "score" not in header:
+        raise DataError(f"{path}: expected an 'author'/'score' header row")
+    a_col = header.index("author")
+    s_col = header.index("score")
+    for lineno, line in lines:
+        parts = line.split("\t")
+        try:
+            if parts[a_col] in values:
+                raise ParseError(f"duplicate author {parts[a_col]!r} in {path}", line=lineno)
+            values[parts[a_col]] = float(parts[s_col])
+        except (IndexError, ValueError):
+            raise ParseError(f"malformed score row in {path}", line=lineno) from None
     if not values:
         raise DataError(f"{path}: no score rows")
     authors = sorted(values)
@@ -89,7 +81,7 @@ def cmd_ingest(args) -> int:
     pipe_mod.check_phases(phases)
 
     def write(create) -> dict:
-        full = corpus_mod.read_corpus(args.corpus)
+        full = corpus_mod.parse_corpus(args.corpus)
         return pipe_mod.write_phase_corpora(full, phases, create)[1]
 
     manifest = pipe_mod.write_run(args.outdir, "ingest", write)
@@ -101,10 +93,8 @@ def cmd_ingest(args) -> int:
 def cmd_rank(args) -> int:
     publications = None
     if args.nodes:
-        with open(args.nodes, encoding="utf-8") as fh:
-            publications = {a: pubs for a, (_, pubs) in net_mod.load_nodes(fh).items()}
-    with open(args.edges, encoding="utf-8") as fh:
-        graph = net_mod.load_edges(fh, publications=publications)
+        publications = {a: pubs for a, (_, pubs) in net_mod.load_nodes(args.nodes).items()}
+    graph = net_mod.load_edges(args.edges, publications=publications)
     cfg = pr_mod.PageRankConfig(
         damping=args.damping,
         tolerance=args.tolerance,
@@ -124,16 +114,11 @@ def cmd_indicators(args) -> int:
     prestige = pipe_mod.parse_prestige(args.prestige)
 
     def write(create) -> dict:
-        c = corpus_mod.read_corpus(args.corpus)
+        c = corpus_mod.parse_corpus(args.corpus)
         filtered, _ = corpus_mod.filter_with_references(c)
         graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
-        table = None
-        if args.if_table:
-            with open(args.if_table, encoding="utf-8") as fh:
-                table = ind_mod.load_impact_factors(fh)
+        table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
         scores, diagnostics = pipe_mod.classical_indicators(filtered, graph, prestige, table)
-        if table is not None:
-            print(f"impact-factor misses: {diagnostics['impact_factor_misses']}", file=sys.stderr)
         prefix = f"indicator_{args.tag}_" if args.tag else "indicator_"
         for sv in scores:
             with create(f"{prefix}{sv.name}.tsv") as fh:
@@ -176,8 +161,7 @@ def cmd_evaluate(args) -> int:
     except ValueError:
         raise ConfigError(f"invalid --ks {args.ks!r}: expected integers") from None
     vectors = _score_vectors(args.scores, args.labels)
-    with open(args.winners, encoding="utf-8") as fh:
-        winners = load_winners(fh)
+    winners = load_winners(args.winners)
     res = coverage(vectors, winners, ks=ks)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         pipe_mod.write_coverage(res, fh)
@@ -196,8 +180,16 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, the way every other error
+    reaches ``main``."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bibliorank",
         description="Author citation networks, weighted PageRank, and rank comparison.",
     )
@@ -279,23 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except BiblioRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: an input file is not valid UTF-8: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, BiblioRankError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

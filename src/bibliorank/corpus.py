@@ -8,8 +8,10 @@ synthetic corpus generator used in place of proprietary datasets.
 from __future__ import annotations
 
 import json
+import os
 import string
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -236,15 +238,38 @@ def _parse_ref(obj, line, strings: _StringTable) -> tuple:
             strings.optional(obj.get("page"), line, "refs.page"))
 
 
-def parse_corpus(stream) -> Corpus:
+def read_lines(source) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line of a text
+    input, without its newline: a path, opened as UTF-8, or an iterable of
+    text lines such as an ``io.StringIO``.
+
+    A path is opened with ``errors="surrogateescape"``, so a byte that is
+    not UTF-8 reaches its line as a lone surrogate instead of failing the
+    read; such a line is a ParseError ``line N: not valid UTF-8 in <path>``.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+            yield from read_lines(fh)
+        return
+    for lineno, raw in enumerate(source, start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                name = getattr(source, "name", "the input")
+                raise ParseError(f"not valid UTF-8 in {name}", line=lineno) from None
+        line = raw.rstrip("\n")
+        if line.strip():
+            yield lineno, line
+
+
+def parse_corpus(source) -> Corpus:
     """Parse a line-delimited corpus into a Corpus.
 
-    ``stream`` is an iterable of text lines.  Each non-blank line holds one
-    JSON object with fields ``id``, ``author``, ``year``, ``source``,
-    optional ``volume``/``page``, and ``refs``.  Errors carry 1-based line
-    numbers.  A line with a lone surrogate, which is how a file opened with
-    ``errors="surrogateescape"`` (see ``read_corpus``) passes on bytes that
-    are not UTF-8, is a ParseError.
+    ``source`` is a path or an iterable of text lines, read with
+    ``read_lines``.  Each non-blank line holds one JSON object with fields
+    ``id``, ``author``, ``year``, ``source``, optional ``volume``/``page``,
+    and ``refs``.  Errors carry 1-based line numbers.
 
     Each distinct author, venue, volume or page string is checked and
     normalised once.
@@ -254,15 +279,7 @@ def parse_corpus(stream) -> Corpus:
     ids, paper_keys, refs = array("i"), array("i"), array("i")  # refs: 5 values per reference
     offsets = array("q", [0])
     seen_ids = set()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError("not valid UTF-8", line=lineno) from None
+    for lineno, line in read_lines(source):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -308,13 +325,6 @@ def parse_corpus(stream) -> Corpus:
     return Corpus(list(strings.index), np.asarray(ids, dtype=np.int32),
                   _key_rows(paper_keys), np.asarray(offsets, dtype=np.int64),
                   _key_rows(refs))
-
-
-def read_corpus(path) -> Corpus:
-    """Parse the corpus file at ``path``; a line that is not UTF-8 is a
-    ParseError naming it."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_corpus(fh)
 
 
 def _key_text(rows: np.ndarray, encoded: np.ndarray) -> np.ndarray:

@@ -2,11 +2,16 @@
 
 
 class BiblioRankError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; ``exit_code`` is the command-line
+    exit status of the class."""
+
+    exit_code = 2
 
 
 class ConfigError(BiblioRankError):
     """Invalid run configuration or command arguments."""
+
+    exit_code = 1
 
 
 class DataError(BiblioRankError):
@@ -44,3 +49,5 @@ class StatsError(DataError):
 
 class NonConvergenceError(BiblioRankError):
     """Power iteration hit the iteration cap under a strict run."""
+
+    exit_code = 3

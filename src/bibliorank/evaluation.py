@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
-from bibliorank.corpus import normalize_author
-from bibliorank.errors import ConfigError
+from bibliorank.corpus import normalize_author, read_lines
+from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import ScoreVector, top_k
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -24,14 +21,19 @@ class WinnerList:
         return cls(authors=list(dict.fromkeys(normalize_author(raw) for raw in names)))
 
 
-def load_winners(stream) -> WinnerList:
-    """Read one raw author name per line; `#` starts a comment."""
-    names = []
-    for raw in stream:
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            names.append(line)
-    return WinnerList.from_names(names)
+def load_winners(source) -> WinnerList:
+    """Read one raw author name per line (a path or text lines); `#` starts
+    a comment.  Keeps each name's key once, in first-seen order; a name
+    that normalises to nothing is a ParseError naming its line."""
+    keys = []
+    for lineno, line in read_lines(source):
+        name = line.split("#", 1)[0].strip()
+        if name:
+            try:
+                keys.append(normalize_author(name))
+            except DataError as exc:
+                raise ParseError(f"{exc} in {source}", line=lineno) from None
+    return WinnerList(authors=list(dict.fromkeys(keys)))
 
 
 @dataclass
@@ -61,13 +63,10 @@ def coverage(
         raise ConfigError("no score vectors given")
     universe = set(score_vectors[0].authors)
     missing = sorted(set(winners.authors) - universe)
-    if missing:
-        log.warning("coverage: %d winner(s) not in the author universe: %s",
-                    len(missing), ", ".join(missing[:5]))
     present = set(winners.authors) & universe
     counts = {}
     for sv in score_vectors:
-        chosen, _ = top_k(sv, ks[-1])
+        chosen = top_k(sv, ks[-1])
         for k in ks:
             counts[(sv.name, k)] = len(present.intersection(chosen[:k]))
     return CoverageResult(

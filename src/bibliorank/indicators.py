@@ -7,17 +7,14 @@ weighted citation sums, plus the average-rank transform and top-k lists.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from bibliorank.corpus import Corpus
+from bibliorank.corpus import Corpus, read_lines
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.network import AuthorCitationGraph
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -51,12 +48,12 @@ class ImpactFactorTable:
     factors: dict[tuple[str, int], float] = field(default_factory=dict)
 
 
-def load_impact_factors(stream) -> ImpactFactorTable:
-    """Read a `venue<TAB>year<TAB>impact_factor` table; duplicates error."""
+def load_impact_factors(source) -> ImpactFactorTable:
+    """Read a `venue<TAB>year<TAB>impact_factor` table (a path or text
+    lines); `#` at the start of a line marks a comment, and duplicates error."""
     factors: dict[tuple[str, int], float] = {}
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
+    for lineno, line in read_lines(source):
+        if line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
@@ -209,23 +206,13 @@ def to_ranks(s: ScoreVector) -> np.ndarray:
     return average_ranks(-s.values)
 
 
-def top_k(s: ScoreVector, k: int) -> tuple[list[str], bool]:
-    """First k authors by descending score; boundary ties broken lexicographically.
-
-    Returns (authors, flag) where the flag reports a lexicographic tie-break
-    at the k boundary.  k > n returns all authors with a warning.
-    """
+def top_k(s: ScoreVector, k: int) -> list[str]:
+    """First k authors by descending score, ties broken lexicographically;
+    all of them when k exceeds their count."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    n = len(s.authors)
-    if k > n:
-        log.warning("top_k: k=%d exceeds author count %d; returning all", k, n)
-        k = n
     order = np.argsort(-s.values, kind="stable")  # ties stay in author order
-    boundary_tie = k < n and s.values[order[k - 1]] == s.values[order[k]]
-    if boundary_tie:
-        log.info("top_k: tie at rank %d broken lexicographically", k)
-    return [s.authors[i] for i in order[:k]], bool(boundary_tie)
+    return [s.authors[i] for i in order[:k]]
 
 
 def dump_indicator(s: ScoreVector, stream) -> None:

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from bibliorank.corpus import AUTHOR, Corpus
+from bibliorank.corpus import AUTHOR, Corpus, read_lines
 from bibliorank.errors import GraphError, ParseError
 
 
@@ -147,6 +147,10 @@ def graph_stats(g: AuthorCitationGraph) -> GraphStats:
     )
 
 
+#: Edges formatted at a time by dump_edges, which bounds the text it holds.
+_WRITE_BATCH = 8192
+
+
 def dump_edges(g: AuthorCitationGraph, stream) -> None:
     """Write the edge list as `citer<TAB>cited<TAB>weight`, sorted.
 
@@ -155,9 +159,11 @@ def dump_edges(g: AuthorCitationGraph, stream) -> None:
     duplicates).
     """
     adj, authors = g.adjacency, g.authors
-    citers = np.repeat(np.array(authors, dtype=object), np.diff(adj.indptr)).tolist()
-    stream.write("".join(f"{a}\t{authors[j]}\t{w}\n" for a, j, w in
-                         zip(citers, adj.indices.tolist(), adj.data.tolist())))
+    citers = np.repeat(np.array(authors, dtype=object), np.diff(adj.indptr))
+    for lo in range(0, adj.nnz, _WRITE_BATCH):
+        edges = slice(lo, lo + _WRITE_BATCH)
+        stream.write("".join(f"{a}\t{authors[j]}\t{w}\n" for a, j, w in zip(
+            citers[edges].tolist(), adj.indices[edges].tolist(), adj.data[edges].tolist())))
 
 
 def dump_nodes(g: AuthorCitationGraph, stream) -> None:
@@ -166,17 +172,15 @@ def dump_nodes(g: AuthorCitationGraph, stream) -> None:
         g.authors, g.citations_received.tolist(), g.publications.tolist())))
 
 
-def load_edges(stream, publications: dict[str, int] | None = None) -> AuthorCitationGraph:
-    """Rebuild a graph from an edge-list dump (and optional node pubs).
+def load_edges(source, publications: dict[str, int] | None = None) -> AuthorCitationGraph:
+    """Rebuild a graph from an edge-list dump (a path or text lines) and
+    optional node pubs.
 
     citations_received is recomputed from the edges; publications default
     to zero unless a mapping (e.g. from a node dump) is supplied.
     """
     citers, citeds, weights = [], [], []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(source):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError("expected citer<TAB>cited<TAB>weight", line=lineno)
@@ -204,19 +208,16 @@ def load_edges(stream, publications: dict[str, int] | None = None) -> AuthorCita
                   np.array(weights, dtype=np.int64), pubs)
 
 
-def load_nodes(stream) -> dict[str, tuple[int, int]]:
-    """Read a node dump; returns author -> (citations, publications)."""
+def load_nodes(source) -> dict[str, tuple[int, int]]:
+    """Read a node dump (a path or text lines); returns author ->
+    (citations, publications)."""
     out = {}
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in read_lines(source):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError("expected author<TAB>citations<TAB>publications", line=lineno)
         if parts[0] in out:
-            where = getattr(stream, "name", "the node dump")
-            raise ParseError(f"duplicate author {parts[0]!r} in {where}", line=lineno)
+            raise ParseError(f"duplicate author {parts[0]!r} in {source}", line=lineno)
         try:
             out[parts[0]] = (int(parts[1]), int(parts[2]))
         except ValueError:

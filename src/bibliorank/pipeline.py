@@ -26,7 +26,7 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import ConfigError, NonConvergenceError
-from bibliorank.evaluation import CoverageResult, WinnerList, coverage, load_winners
+from bibliorank.evaluation import CoverageResult, coverage, load_winners
 
 DEFAULT_DAMPINGS = (0.15, 0.5, 0.85)
 DEFAULT_TELEPORTS = (pr_mod.UNIFORM, pr_mod.CITATION_WEIGHTED, pr_mod.PUBLICATION_WEIGHTED)
@@ -103,12 +103,21 @@ class RunConfig:
             raise ConfigError("subset_size must be >= 3")
         if self.pca_retention not in ("kaiser", "fixed"):
             raise ConfigError(f"unknown pca_retention {self.pca_retention!r}")
-        if self.pca_retention == "fixed" and (self.pca_fixed_k is None or self.pca_fixed_k < 1):
-            raise ConfigError("pca_retention fixed:K needs K >= 1")
+        n_indicators = self.indicator_count()
+        if self.pca_retention == "fixed" and not 1 <= (self.pca_fixed_k or 0) <= n_indicators:
+            raise ConfigError(f"pca_retention: fixed:K needs 1 <= K <= {n_indicators}, "
+                              "the number of indicators")
         if list(self.coverage_ks) != sorted(self.coverage_ks):
             raise ConfigError("coverage_ks must be ascending")
         if not self.coverage_ks or self.coverage_ks[0] < 1:
             raise ConfigError("coverage_ks must be integers >= 1")
+
+    def indicator_count(self) -> int:
+        """The indicator columns of each phase's rank table: one per PageRank
+        variant, popularity, prestige, h-index, and impact factor when an IF
+        table is given or the corpus is synthetic."""
+        has_impact_factor = self.if_table is not None or self.corpus is None
+        return len(self.teleports) * len(self.dampings) + 3 + has_impact_factor
 
     def pagerank_config(self, damping: float) -> pr_mod.PageRankConfig:
         return pr_mod.PageRankConfig(
@@ -233,11 +242,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
     """Read a key = value config file, if given, then apply CLI overrides."""
     entries = []  # (entry, error if it is not key=value)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    entries.append((line, f"{path}:{lineno}: expected key = value"))
+        for lineno, line in corpus_mod.read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                entries.append((line, f"{path}:{lineno}: expected key = value"))
     entries += [(item, f"override {item!r} is not key=value") for item in overrides or []]
     cfg = RunConfig()
     for entry, error in entries:
@@ -401,7 +409,7 @@ def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
 
 def rank_table(scores: list[ind_mod.ScoreVector], subset_size: int) -> stats_mod.IndicatorTable:
     """The rank table of the top ``subset_size`` authors by the first score vector."""
-    subset, _ = ind_mod.top_k(scores[0], min(subset_size, len(scores[0].authors)))
+    subset = ind_mod.top_k(scores[0], subset_size)
     return stats_mod.IndicatorTable.from_scores(scores, subset)
 
 
@@ -482,20 +490,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
 def _write_run(cfg: RunConfig, create) -> dict:
     inputs = cfg.input_digests()
     if cfg.corpus is not None:
-        full = corpus_mod.read_corpus(cfg.corpus)
+        full = corpus_mod.parse_corpus(cfg.corpus)
     else:
         full = corpus_mod.generate_synthetic(
             seed=cfg.seed, n_papers=cfg.n_papers, n_authors=cfg.n_authors, skew=cfg.skew
         )
 
-    winners = None
-    if cfg.winners is not None:
-        with open(cfg.winners, encoding="utf-8") as fh:
-            winners = load_winners(fh)
-
+    winners = None if cfg.winners is None else load_winners(cfg.winners)
     if cfg.if_table is not None:
-        with open(cfg.if_table, encoding="utf-8") as fh:
-            if_table = ind_mod.load_impact_factors(fh)
+        if_table = ind_mod.load_impact_factors(cfg.if_table)
     elif cfg.corpus is None:
         # synthetic mode: fabricate a deterministic table so all indicator
         # columns are present

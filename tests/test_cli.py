@@ -101,6 +101,42 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: line 1: ")
         assert f"(field: {field})" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--edges", "{tmp}/e", "--damping", "abc", "--out", "{tmp}/o"],
+        ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--out", "{tmp}/o"],
+        ["correlate", "--scores", "{tmp}/s"],
+        [],
+    ], ids=["rank-damping", "generate-papers", "correlate-no-out", "no-command"])
+    def test_usage_error_exit_1_one_error_line(self, argv, tmp_path, capsys):
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_empty_winner_name_exit_2_names_line_and_file(self, small_run, tmp_path, capsys):
+        _, _, _, outdir = small_run
+        scores = sorted(Path(outdir).glob("indicator_*.tsv"))[0]
+        winners = tmp_path / "winners.txt"
+        winners.write_text("AUTH 000001\n\n.\n")
+        assert main(["evaluate", "--scores", str(scores), "--winners", str(winners),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: author string '.' is empty after normalization in {winners}\n")
+
+    def test_winner_run_writes_nothing_to_stderr(self, tmp_path):
+        winners = tmp_path / "winners.txt"
+        winners.write_text("Auth, 000001.\nNobody, X.\n")
+        outdir = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(bibliorank.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibliorank.cli", "pipeline", "--set", "seed=2",
+             "--set", "n_papers=120", "--set", "n_authors=40", "--set", "subset_size=10",
+             "--set", f"winners={winners}", "--set", f"outdir={outdir}"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        phases = json.loads((outdir / "manifest.json").read_text())["phases"].values()
+        assert all("NOBODY X" in info["winners_missing"] for info in phases)
+
     @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators"])
     def test_non_utf8_corpus_exit_2_names_line(self, command, tmp_path, capsys):
         good = json.dumps({"id": "p1", "author": "A", "year": 2000, "source": "J",
@@ -113,23 +149,27 @@ class TestExitCodes:
                 "ingest": ["ingest", "--corpus", str(corpus), "--outdir", str(outdir)],
                 "indicators": ["indicators", "--corpus", str(corpus), "--outdir", str(outdir)]}
         assert main(argv[command]) == 2
-        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+        assert capsys.readouterr().err == f"error: line 2: not valid UTF-8 in {corpus}\n"
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("bad", ["if_table", "winners", "scores", "nodes", "edges"])
+    @pytest.mark.parametrize("bad", ["if_table", "winners", "scores", "nodes", "edges", "config"])
     def test_non_utf8_text_input_exit_2(self, bad, small_run, tmp_path, capsys):
         _, corpus, if_table, outdir = small_run
         inputs = {"if_table": if_table, "winners": tmp_path / "winners.txt",
                   "scores": sorted(Path(outdir).glob("indicator_*.tsv"))[0],
                   "nodes": sorted(Path(outdir).glob("nodes_*.tsv"))[0],
-                  "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0]}
+                  "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0],
+                  "config": tmp_path / "run.cfg"}
         inputs["winners"].write_text("AUTH 000001\n")
+        inputs["config"].write_text("subset_size = 30\n")
         inputs[bad] = tmp_path / "bad"
         inputs[bad].write_bytes(b"AUTH \xff\t1\t1\n")
         i = {key: str(path) for key, path in inputs.items()}
         argv = {
             "if_table": ["pipeline", "--set", f"corpus={corpus}", "--set", f"if_table={i['if_table']}",
                          "--set", f"outdir={tmp_path / 'out'}"],
+            "config": ["pipeline", "--config", i["config"], "--set", f"corpus={corpus}",
+                       "--set", f"outdir={tmp_path / 'out'}"],
             "winners": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
                         "--out", str(tmp_path / "out")],
             "scores": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
@@ -140,8 +180,7 @@ class TestExitCodes:
                       "--out", str(tmp_path / "out")],
         }[bad]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: an input file is not valid UTF-8: ") and "Traceback" not in err
+        assert capsys.readouterr().err == f"error: line 1: not valid UTF-8 in {inputs[bad]}\n"
         assert not (tmp_path / "out").exists()
 
     def test_overlapping_phases_exit_1_before_work(self, tmp_path):
@@ -187,7 +226,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry", [
         "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
         "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
-        "subset_size=2", "pca_retention=fixed:0", "coverage_ks=10,5", "tolerance=0",
+        "subset_size=2", "pca_retention=fixed:0", "pca_retention=fixed:14",
+        "coverage_ks=10,5", "tolerance=0",
         "max_iterations=0", "dangling_policy=x",
     ])
     def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
@@ -442,6 +482,12 @@ class TestRunConfig:
         assert cfg.prestige_mode == "min_citations" and cfg.prestige_value == 2
         assert cfg.pca_retention == "fixed" and cfg.pca_fixed_k == 4
         assert cfg.subset_size == 40
+
+    def test_indicator_count_is_the_table_columns(self, small_run):
+        _, corpus, if_table, outdir = small_run
+        cfg = RunConfig(corpus=str(corpus), if_table=str(if_table))
+        header = _read(sorted(Path(outdir).glob("table_*.tsv"))[0]).split("\n", 1)[0]
+        assert cfg.indicator_count() == len(header.split("\t")) - 1
 
     def test_requires_corpus_or_seed(self):
         with pytest.raises(ConfigError):

@@ -18,7 +18,6 @@ from bibliorank.corpus import (
     generate_synthetic,
     normalize_author,
     parse_corpus,
-    read_corpus,
     serialize_corpus,
     split_phases,
 )

@@ -308,22 +308,19 @@ class TestDumpIndicator:
 class TestTopK:
     def test_argmax(self):
         s = ScoreVector("s", ["A", "B", "C"], [1, 5, 3])
-        assert top_k(s, 1) == (["B"], False)
+        assert top_k(s, 1) == ["B"]
 
     def test_full_ordering(self):
         s = ScoreVector("s", ["A", "B", "C"], [1, 5, 3])
-        assert top_k(s, 3)[0] == ["B", "C", "A"]
+        assert top_k(s, 3) == ["B", "C", "A"]
 
-    def test_boundary_tie_lexicographic_and_flagged(self):
+    def test_boundary_tie_broken_by_author(self):
         s = ScoreVector("s", list("ABCD"), [5, 3, 1, 3])
-        chosen, tie = top_k(s, 2)
-        assert chosen == ["A", "B"]
-        assert tie
+        assert top_k(s, 2) == ["A", "B"]
 
     def test_k_exceeds_n(self):
         s = ScoreVector("s", ["A", "B"], [1, 2])
-        chosen, _ = top_k(s, 10)
-        assert chosen == ["B", "A"]
+        assert top_k(s, 10) == ["B", "A"]
 
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):

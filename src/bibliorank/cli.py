@@ -22,6 +22,7 @@ from bibliorank.errors import BiblioRankError, ConfigError, DataError, ParseErro
 from bibliorank.evaluation import coverage, load_winners
 
 
+@corpus_mod.reads_input
 def _read_score_file(path: str) -> ind_mod.ScoreVector:
     """Read `author<TAB>score[<TAB>rank]` (header row required)."""
     values: dict[str, float] = {}
@@ -35,10 +36,10 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
         parts = line.split("\t")
         try:
             if parts[a_col] in values:
-                raise ParseError(f"duplicate author {parts[a_col]!r} in {path}", line=lineno)
+                raise ParseError(f"duplicate author {parts[a_col]!r}", line=lineno)
             values[parts[a_col]] = float(parts[s_col])
         except (IndexError, ValueError):
-            raise ParseError(f"malformed score row in {path}", line=lineno) from None
+            raise ParseError("malformed score row", line=lineno) from None
     if not values:
         raise DataError(f"{path}: no score rows")
     authors = sorted(values)

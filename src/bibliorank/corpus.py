@@ -7,7 +7,9 @@ synthetic corpus generator used in place of proprietary datasets.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import string
 from array import array
@@ -245,7 +247,7 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
 
     A path is opened with ``errors="surrogateescape"``, so a byte that is
     not UTF-8 reaches its line as a lone surrogate instead of failing the
-    read; such a line is a ParseError ``line N: not valid UTF-8 in <path>``.
+    read; such a line is a ParseError ``line N: not valid UTF-8``.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8", errors="surrogateescape") as fh:
@@ -256,13 +258,30 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
             try:
                 raw.encode("utf-8")
             except UnicodeEncodeError:
-                name = getattr(source, "name", "the input")
-                raise ParseError(f"not valid UTF-8 in {name}", line=lineno) from None
+                raise ParseError("not valid UTF-8", line=lineno) from None
         line = raw.rstrip("\n")
         if line.strip():
             yield lineno, line
 
 
+def reads_input(load):
+    """Decorate a loader whose first argument is its input, a path or text
+    lines read with ``read_lines``: a ParseError it raises for a path names
+    that path, ``line N: <message>[ (field: F)] in <path>``."""
+
+    @functools.wraps(load)
+    def named(source, *args, **kwargs):
+        try:
+            return load(source, *args, **kwargs)
+        except ParseError as exc:
+            if isinstance(source, (str, os.PathLike)):
+                exc.path = os.fspath(source)
+            raise
+
+    return named
+
+
+@reads_input
 def parse_corpus(source) -> Corpus:
     """Parse a line-delimited corpus into a Corpus.
 
@@ -400,6 +419,36 @@ def filter_with_references(corpus: Corpus) -> tuple[Corpus, int]:
 
 
 _VENUE_POOL_SIZE = 40
+#: The most references a paper draws, so also the most entries it adds to
+#: the preferential-attachment pool.
+_MAX_REFS = 120
+
+
+def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float,
+                    year_lo: int = 1956, year_hi: int = 2008) -> None:
+    """Refuse synthetic-corpus parameters that ``generate_synthetic`` cannot
+    draw from, with a ConfigError naming the parameter."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if n_papers < 1 or n_authors < 1:
+        raise ConfigError("n_papers and n_authors must be >= 1")
+    if not (math.isfinite(skew) and skew > 0):
+        raise ConfigError(f"skew must be finite and positive, got {skew}")
+    if year_lo > year_hi:
+        raise ConfigError("year_lo must be <= year_hi")
+    if year_lo < YEAR_MIN or year_hi > YEAR_MAX:  # parse_corpus would refuse them
+        raise ConfigError(f"years {year_lo}-{year_hi} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    n_strings = n_authors + _VENUE_POOL_SIZE + n_papers + 900
+    if n_strings > 2**31:
+        raise ConfigError(f"n_papers + n_authors too large: {n_strings} strings "
+                          "overflow the int32 string table")
+    if _MAX_REFS * n_papers >= 2**32:
+        raise ConfigError(f"n_papers must be <= {(2**32 - 1) // _MAX_REFS}, got {n_papers}")
+
+
+#: Raw PCG64 words fetched at a time by generate_synthetic.
+_RAW_BLOCK = 64
+_LOW32 = 0xFFFFFFFF
 
 
 def generate_synthetic(
@@ -419,15 +468,61 @@ def generate_synthetic(
     already received plus ``skew``), so smaller skew means a heavier tail.
     A fraction of references point at earlier corpus papers (exact keys),
     which feeds the internal citation counts used by prestige and h-index.
-    """
-    if n_papers < 1 or n_authors < 1:
-        raise ConfigError("n_papers and n_authors must be >= 1")
-    if skew <= 0:
-        raise ConfigError("skew must be positive")
-    if year_lo > year_hi:
-        raise ConfigError("year_lo must be <= year_hi")
 
+    The corpus is a function of the seed: its values are numpy's scalar
+    ``Generator`` stream for ``np.random.default_rng(seed)`` (calls to
+    ``integers(n)``, ``random()`` and ``pareto(1.8)`` in a fixed order),
+    pinned by ``test_stream_pinned``.  They are computed here from blocks
+    of raw PCG64 words the way numpy computes them: ``integers(n)`` is
+    Lemire's bounded method on one 32-bit draw, 32-bit draws are the two
+    halves of a 64-bit word, low half first, ``integers(1)`` draws
+    nothing, and ``random()`` is ``(word >> 11) * 2**-53``.  The
+    parameters are checked by ``check_synthetic`` first; a ConfigError
+    names the one at fault.
+    """
+    check_synthetic(seed, n_papers, n_authors, skew, year_lo, year_hi)
     rng = np.random.default_rng(seed)
+    bitgen = rng.bit_generator
+    words: list[int] = []  # a block of _RAW_BLOCK raw words, used from ``used`` on
+    used = _RAW_BLOCK
+    half = -1  # the high half of the last word split by integers(); -1: none
+
+    def integers(n: int) -> int:
+        """``rng.integers(n)``, for 1 <= n < 2**32."""
+        nonlocal words, used, half
+        if n == 1:
+            return 0
+        while True:
+            if half >= 0:
+                u, half = half, -1
+            else:
+                if used == _RAW_BLOCK:
+                    words, used = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+                word = words[used]
+                used += 1
+                u, half = word & _LOW32, word >> 32
+            m = u * n
+            low = m & _LOW32
+            if low >= n or low >= (1 << 32) % n:  # redraw only below 2**32 % n, < n
+                return m >> 32
+
+    def random() -> float:
+        """``rng.random()``."""
+        nonlocal words, used
+        if used == _RAW_BLOCK:
+            words, used = bitgen.random_raw(_RAW_BLOCK).tolist(), 0
+        used += 1
+        return (words[used - 1] >> 11) * 2.0**-53
+
+    def n_refs() -> int:
+        """The reference count, from ``rng.pareto(1.8)``: numpy draws it
+        from whole words, after the unused ones of the block are given back."""
+        nonlocal used
+        if used < _RAW_BLOCK:
+            bitgen.advance((1 << 128) - (_RAW_BLOCK - used))  # a rewind, mod 2**128
+            used = _RAW_BLOCK
+        return min(2 + int(rng.pareto(1.8) * 6.0), _MAX_REFS)
+
     # String table: authors, venues, paper ids, then "1".."900" for the
     # volumes (1 + pid % 50) and pages (1 + pid % 900).
     venue0 = n_authors
@@ -447,30 +542,30 @@ def generate_synthetic(
     keys: list[tuple] = []
     refs = array("i")  # the reference key rows, flattened
     offsets = [0]
+    n_years = year_hi - year_lo + 1
+    uniform_mass = 0.05 * n_authors * skew
 
     for pid in range(n_papers):
-        author_idx = int(rng.integers(n_authors))
-        year = year_lo + int(rng.integers(year_hi - year_lo + 1))
-        venue = venue0 + int(rng.integers(_VENUE_POOL_SIZE))
-        n_refs = 2 + int(rng.pareto(1.8) * 6.0)
-        n_refs = min(n_refs, 120)
-        uniform_mass = 0.05 * n_authors * skew
-        for _ in range(n_refs):
-            if rng.random() < uniform_mass / (uniform_mass + len(pool)):
-                target = int(rng.integers(n_authors))
+        author_idx = integers(n_authors)
+        year = year_lo + integers(n_years)
+        venue = venue0 + integers(_VENUE_POOL_SIZE)
+        count = n_refs()
+        for _ in range(count):
+            if random() < uniform_mass / (uniform_mass + len(pool)):
+                target = integers(n_authors)
             else:
-                target = pool[int(rng.integers(len(pool)))]
+                target = pool[integers(len(pool))]
             pool.append(target)
             prior = papers_by_author[target]
-            if prior and rng.random() < internal_ref_prob:
-                refs.extend(prior[int(rng.integers(len(prior)))])
+            if prior and random() < internal_ref_prob:
+                refs.extend(prior[integers(len(prior))])
             else:
-                refs.extend((target, year_lo + int(rng.integers(year_hi - year_lo + 1)),
-                             venue0 + int(rng.integers(_VENUE_POOL_SIZE)), MISSING, MISSING))
+                refs.extend((target, year_lo + integers(n_years),
+                             venue0 + integers(_VENUE_POOL_SIZE), MISSING, MISSING))
         key = (author_idx, year, venue, number0 + pid % 50, number0 + pid % 900)
         keys.append(key)
         papers_by_author[author_idx].append(key)
-        offsets.append(offsets[-1] + n_refs)
+        offsets.append(offsets[-1] + count)
 
     return Corpus(strings, np.arange(id0, id0 + n_papers, dtype=np.int32), _key_rows(keys),
                   np.array(offsets, dtype=np.int64), _key_rows(refs))

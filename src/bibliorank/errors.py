@@ -19,20 +19,26 @@ class DataError(BiblioRankError):
 
 
 class ParseError(DataError):
-    """A corpus or table file failed to parse.
+    """An input file failed to parse.
 
-    Carries the 1-based line number and, when known, the offending field.
+    Carries the 1-based line number and, when known, the offending field
+    and the file's path; reads ``line N: <message>[ (field: F)][ in <path>]``.
     """
 
-    def __init__(self, message, line=None, field=None):
+    def __init__(self, message, line=None, field=None, path=None):
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.field = field
-        prefix = ""
-        if line is not None:
-            prefix = f"line {line}: "
-        if field is not None:
-            message = f"{message} (field: {field})"
-        super().__init__(prefix + message)
+        self.path = path
+
+    def __str__(self):
+        text = self.message if self.line is None else f"line {self.line}: {self.message}"
+        if self.field is not None:
+            text += f" (field: {self.field})"
+        if self.path is not None:
+            text += f" in {self.path}"
+        return text
 
 
 class GraphError(DataError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from bibliorank.corpus import normalize_author, read_lines
+from bibliorank.corpus import normalize_author, read_lines, reads_input
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import ScoreVector, top_k
 
@@ -21,6 +21,7 @@ class WinnerList:
         return cls(authors=list(dict.fromkeys(normalize_author(raw) for raw in names)))
 
 
+@reads_input
 def load_winners(source) -> WinnerList:
     """Read one raw author name per line (a path or text lines); `#` starts
     a comment.  Keeps each name's key once, in first-seen order; a name
@@ -32,7 +33,7 @@ def load_winners(source) -> WinnerList:
             try:
                 keys.append(normalize_author(name))
             except DataError as exc:
-                raise ParseError(f"{exc} in {source}", line=lineno) from None
+                raise ParseError(str(exc), line=lineno) from None
     return WinnerList(authors=list(dict.fromkeys(keys)))
 
 

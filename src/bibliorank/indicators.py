@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bibliorank.corpus import Corpus, read_lines
+from bibliorank.corpus import Corpus, read_lines, reads_input
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.network import AuthorCitationGraph
 
@@ -48,6 +48,7 @@ class ImpactFactorTable:
     factors: dict[tuple[str, int], float] = field(default_factory=dict)
 
 
+@reads_input
 def load_impact_factors(source) -> ImpactFactorTable:
     """Read a `venue<TAB>year<TAB>impact_factor` table (a path or text
     lines); `#` at the start of a line marks a comment, and duplicates error."""

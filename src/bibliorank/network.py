@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from bibliorank.corpus import AUTHOR, Corpus, read_lines
+from bibliorank.corpus import AUTHOR, Corpus, read_lines, reads_input
 from bibliorank.errors import GraphError, ParseError
 
 
@@ -172,6 +172,7 @@ def dump_nodes(g: AuthorCitationGraph, stream) -> None:
         g.authors, g.citations_received.tolist(), g.publications.tolist())))
 
 
+@reads_input
 def load_edges(source, publications: dict[str, int] | None = None) -> AuthorCitationGraph:
     """Rebuild a graph from an edge-list dump (a path or text lines) and
     optional node pubs.
@@ -208,6 +209,7 @@ def load_edges(source, publications: dict[str, int] | None = None) -> AuthorCita
                   np.array(weights, dtype=np.int64), pubs)
 
 
+@reads_input
 def load_nodes(source) -> dict[str, tuple[int, int]]:
     """Read a node dump (a path or text lines); returns author ->
     (citations, publications)."""
@@ -217,7 +219,7 @@ def load_nodes(source) -> dict[str, tuple[int, int]]:
         if len(parts) != 3:
             raise ParseError("expected author<TAB>citations<TAB>publications", line=lineno)
         if parts[0] in out:
-            raise ParseError(f"duplicate author {parts[0]!r} in {source}", line=lineno)
+            raise ParseError(f"duplicate author {parts[0]!r}", line=lineno)
         try:
             out[parts[0]] = (int(parts[1]), int(parts[2]))
         except ValueError:

@@ -81,10 +81,7 @@ class RunConfig:
         if self.corpus is None and self.seed is None:
             raise ConfigError("either a corpus path or a synthetic seed is required")
         if self.corpus is None:
-            if self.n_papers < 1 or self.n_authors < 1:
-                raise ConfigError("n_papers and n_authors must be >= 1")
-            if self.skew <= 0:
-                raise ConfigError("skew must be positive")
+            corpus_mod.check_synthetic(self.seed, self.n_papers, self.n_authors, self.skew)
         check_phases(self.phases)
         for d in self.dampings:
             if not 0.0 <= d < 1.0:
@@ -238,6 +235,7 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
         raise ConfigError(f"invalid value {value!r} for config key {key!r}: {exc}") from None
 
 
+@corpus_mod.reads_input
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     """Read a key = value config file, if given, then apply CLI overrides."""
     entries = []  # (entry, error if it is not key=value)
@@ -245,7 +243,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         for lineno, line in corpus_mod.read_lines(path):
             line = line.split("#", 1)[0].strip()
             if line:
-                entries.append((line, f"{path}:{lineno}: expected key = value"))
+                entries.append((line, f"line {lineno}: expected key = value in {path}"))
     entries += [(item, f"override {item!r} is not key=value") for item in overrides or []]
     cfg = RunConfig()
     for entry, error in entries:

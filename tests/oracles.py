@@ -335,3 +335,54 @@ def random_graph_corpus(seed, n_nodes_max=50):
     if pubs.sum() == 0:
         pubs[0] = 1
     return w.astype(np.int64), pubs.astype(np.int64)
+
+
+def generate_synthetic_loop(seed, n_papers, n_authors, skew=1.0, year_lo=1956,
+                            year_hi=2008, internal_ref_prob=0.4):
+    """The synthetic corpus drawn with one scalar ``Generator`` call per value.
+
+    Returns the columns ``(strings, ids, keys, offsets, refs)`` as lists,
+    ``keys`` and ``refs`` as 5-tuples, in the layout of ``Corpus``; compare
+    with ``corpus_columns``.
+    """
+    venues = 40
+    rng = np.random.default_rng(seed)
+    venue0 = n_authors
+    id0 = venue0 + venues
+    number0 = id0 + n_papers  # strings[number0 + k] == str(1 + k)
+    strings = ([f"AUTH {i:06d}" for i in range(n_authors)]
+               + [f"SYN JOURNAL {i:03d}" for i in range(venues)]
+               + [f"SYN{pid:07d}" for pid in range(n_papers)]
+               + [str(k) for k in range(1, 901)])
+    pool = []  # one entry per citation received: preferential attachment
+    papers_by_author = [[] for _ in range(n_authors)]
+    keys, refs, offsets = [], [], [0]
+    for pid in range(n_papers):
+        author_idx = int(rng.integers(n_authors))
+        year = year_lo + int(rng.integers(year_hi - year_lo + 1))
+        venue = venue0 + int(rng.integers(venues))
+        n_refs = min(2 + int(rng.pareto(1.8) * 6.0), 120)
+        uniform_mass = 0.05 * n_authors * skew
+        for _ in range(n_refs):
+            if rng.random() < uniform_mass / (uniform_mass + len(pool)):
+                target = int(rng.integers(n_authors))
+            else:
+                target = pool[int(rng.integers(len(pool)))]
+            pool.append(target)
+            prior = papers_by_author[target]
+            if prior and rng.random() < internal_ref_prob:
+                refs.append(prior[int(rng.integers(len(prior)))])
+            else:
+                refs.append((target, year_lo + int(rng.integers(year_hi - year_lo + 1)),
+                             venue0 + int(rng.integers(venues)), -1, -1))
+        key = (author_idx, year, venue, number0 + pid % 50, number0 + pid % 900)
+        keys.append(key)
+        papers_by_author[author_idx].append(key)
+        offsets.append(offsets[-1] + n_refs)
+    return strings, list(range(id0, id0 + n_papers)), keys, offsets, refs
+
+
+def corpus_columns(corpus):
+    """A Corpus's columns in the form ``generate_synthetic_loop`` returns."""
+    return (corpus.strings, corpus.ids.tolist(), list(map(tuple, corpus.keys.tolist())),
+            corpus.offsets.tolist(), list(map(tuple, corpus.refs.tolist())))

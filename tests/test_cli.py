@@ -238,6 +238,74 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["pipeline", "generate"])
+    @pytest.mark.parametrize("setting,message", [
+        (("seed", "-1"), "seed must be >= 0, got -1"),
+        (("skew", "nan"), "skew must be finite and positive, got nan"),
+        (("skew", "inf"), "skew must be finite and positive, got inf"),
+        (("n_authors", "2147483648"), "n_papers + n_authors too large: 2147484638 strings "
+                                      "overflow the int32 string table"),
+        (("n_papers", "35791395"), "n_papers must be <= 35791394, got 35791395"),
+    ], ids=["negative-seed", "nan-skew", "inf-skew", "string-table", "pool"])
+    def test_bad_synthetic_parameter_exit_1_before_work(self, command, setting, message,
+                                                        tmp_path, capsys):
+        settings = {"seed": "1", "n_papers": "50", "n_authors": "20", "skew": "1"}
+        settings.update([setting])
+        if command == "pipeline":
+            argv = ["pipeline", "--set", f"outdir={tmp_path / 'out'}"]
+            argv += [a for key, value in settings.items() for a in ("--set", f"{key}={value}")]
+        else:
+            options = {"seed": "--seed", "n_papers": "--papers", "n_authors": "--authors",
+                       "skew": "--skew"}
+            argv = ["generate", "--out", str(tmp_path / "c.jsonl")]
+            argv += [a for key, value in settings.items() for a in (options[key], value)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("bad,text,message", [
+        ("corpus", "not json\n", "line 1: invalid JSON: Expecting value"),
+        ("if_table", "J\t2005\tx\n", "line 1: invalid year or impact factor"),
+        ("winners", "AUTH 000001\n.\n",
+         "line 2: author string '.' is empty after normalization"),
+        ("config", "subset_size = 30\nsubset_size\n", "line 2: expected key = value"),
+        ("scores", "author\tscore\nA\tx\n", "line 2: malformed score row"),
+        ("nodes", "A\t1\n", "line 1: expected author<TAB>citations<TAB>publications"),
+        ("edges", "A\tB\tx\n", "line 1: invalid weight 'x' (field: weight)"),
+    ])
+    def test_input_error_names_line_and_file(self, bad, text, message, small_run, tmp_path,
+                                             capsys):
+        _, corpus, if_table, outdir = small_run
+        inputs = {"corpus": corpus, "if_table": if_table,
+                  "winners": tmp_path / "winners.txt",
+                  "config": tmp_path / "run.cfg",
+                  "scores": sorted(Path(outdir).glob("indicator_*.tsv"))[0],
+                  "nodes": sorted(Path(outdir).glob("nodes_*.tsv"))[0],
+                  "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0]}
+        inputs["winners"].write_text("AUTH 000001\n")
+        inputs["config"].write_text("subset_size = 30\n")
+        inputs[bad] = tmp_path / "bad"
+        inputs[bad].write_text(text)
+        i = {key: str(path) for key, path in inputs.items()}
+        out = str(tmp_path / "out")
+        argv = {
+            "corpus": ["pipeline", "--set", f"corpus={i['corpus']}", "--set", f"outdir={out}"],
+            "if_table": ["pipeline", "--set", f"corpus={i['corpus']}",
+                         "--set", f"if_table={i['if_table']}", "--set", f"outdir={out}"],
+            "winners": ["pipeline", "--set", f"corpus={i['corpus']}",
+                        "--set", f"winners={i['winners']}", "--set", f"outdir={out}"],
+            "config": ["pipeline", "--config", i["config"], "--set", f"corpus={i['corpus']}",
+                       "--set", f"outdir={out}"],
+            "scores": ["correlate", "--scores", i["scores"], i["scores"], "--out", out],
+            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
+                      "--out", out],
+            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
+                      "--out", out],
+        }[bad]
+        assert main(argv) == (1 if bad == "config" else 2)
+        assert capsys.readouterr().err == f"error: {message} in {inputs[bad]}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_score_row_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "s.tsv"
         scores.write_text("author\tscore\nA\t1\nB\t2\nA\t9\n")

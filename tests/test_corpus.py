@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibliorank.corpus import (
@@ -23,7 +23,13 @@ from bibliorank.corpus import (
 )
 from bibliorank.errors import ConfigError, DataError, ParseError
 from tests.conftest import paper, ref
-from tests.oracles import OracleParseError, corpus_records, parse_corpus_loop
+from tests.oracles import (
+    OracleParseError,
+    corpus_columns,
+    corpus_records,
+    generate_synthetic_loop,
+    parse_corpus_loop,
+)
 
 
 def _record(**fields):
@@ -405,3 +411,35 @@ class TestGenerateSynthetic:
     def test_years_within_range(self):
         c = generate_synthetic(seed=3, n_papers=100, n_authors=50, year_lo=1990, year_hi=1995)
         assert all(1990 <= p[2] <= 1995 for p in corpus_records(c))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(seed=-1), "seed must be >= 0, got -1"),
+        (dict(skew=float("nan")), "skew must be finite and positive, got nan"),
+        (dict(skew=float("inf")), "skew must be finite and positive, got inf"),
+        (dict(n_authors=2**31), "n_papers + n_authors too large: 2147484598 strings "
+                                "overflow the int32 string table"),
+        (dict(n_papers=35_791_395), "n_papers must be <= 35791394, got 35791395"),
+        (dict(year_lo=500, year_hi=600), "years 500-600 outside [1000, 3000]"),
+    ], ids=["negative-seed", "nan-skew", "inf-skew", "string-table", "pool", "years"])
+    def test_parameters_checked_before_any_work(self, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            generate_synthetic(**{"seed": 1, "n_papers": 10, "n_authors": 10, **kwargs})
+        assert str(exc.value) == message
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n_papers=st.integers(1, 200),
+       n_authors=st.integers(1, 300), skew=st.floats(0.05, 50.0),
+       year_lo=st.integers(1956, 2008), span=st.integers(0, 60),
+       internal_ref_prob=st.sampled_from([0.0, 0.4, 1.0]))
+@example(seed=0, n_papers=200, n_authors=1, skew=1.0, year_lo=1990, span=0,
+         internal_ref_prob=0.4)
+@example(seed=5, n_papers=150, n_authors=40, skew=0.05, year_lo=1956, span=52,
+         internal_ref_prob=1.0)
+@example(seed=6, n_papers=150, n_authors=40, skew=50.0, year_lo=2000, span=0,
+         internal_ref_prob=0.0)
+def test_generator_equals_scalar_draw_oracle(seed, n_papers, n_authors, skew, year_lo, span,
+                                             internal_ref_prob):
+    kwargs = dict(seed=seed, n_papers=n_papers, n_authors=n_authors, skew=skew,
+                  year_lo=year_lo, year_hi=year_lo + span, internal_ref_prob=internal_ref_prob)
+    assert corpus_columns(generate_synthetic(**kwargs)) == generate_synthetic_loop(**kwargs)

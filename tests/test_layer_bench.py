@@ -21,6 +21,7 @@ from bibliorank.corpus import (
 from bibliorank.indicators import ScoreVector, dump_indicator
 from bibliorank.network import build_graph, dump_edges, dump_nodes
 from bibliorank.pagerank import pagerank
+from tests.oracles import corpus_columns, generate_synthetic_loop
 
 
 # 5k papers by 1.5k authors, skew 1: 30% of references repeat an earlier key
@@ -55,7 +56,7 @@ def test_serialize_corpus(benchmark, dense_corpus):
 
 def test_generate_synthetic(benchmark):
     corpus = benchmark(generate_synthetic, **DENSE)
-    assert len(corpus) == DENSE["n_papers"]
+    assert corpus_columns(corpus) == generate_synthetic_loop(**DENSE)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import BiblioRankError, ConfigError, DataError, ParseError
-from bibliorank.evaluation import coverage, load_winners
+from bibliorank.evaluation import check_ks, coverage, load_winners
 
 
 @corpus_mod.reads_input
@@ -92,16 +92,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    pr_mod.check_teleport(args.teleport)
+    cfg = pr_mod.PageRankConfig(args.damping, args.tolerance, args.max_iterations,
+                                args.dangling_policy)
     publications = None
     if args.nodes:
         publications = {a: pubs for a, (_, pubs) in net_mod.load_nodes(args.nodes).items()}
     graph = net_mod.load_edges(args.edges, publications=publications)
-    cfg = pr_mod.PageRankConfig(
-        damping=args.damping,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        dangling_policy=args.dangling_policy,
-    )
     [scores], solves = pipe_mod.pagerank_variants(graph, [args.teleport], [cfg], args.strict)
     solve = solves[scores.name]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -112,14 +109,15 @@ def cmd_rank(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    prestige = pipe_mod.parse_prestige(args.prestige)
+    ind_mod.parse_prestige(args.prestige)
 
     def write(create) -> dict:
         c = corpus_mod.parse_corpus(args.corpus)
         filtered, _ = corpus_mod.filter_with_references(c)
         graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
         table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
-        scores, diagnostics = pipe_mod.classical_indicators(filtered, graph, prestige, table)
+        scores, diagnostics = pipe_mod.classical_indicators(
+            filtered, graph, args.prestige, table)
         prefix = f"indicator_{args.tag}_" if args.tag else "indicator_"
         for sv in scores:
             with create(f"{prefix}{sv.name}.tsv") as fh:
@@ -132,6 +130,7 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    stats_mod.check_subset_size(args.subset_size)
     vectors = _score_vectors(args.scores, args.labels)
     table = pipe_mod.rank_table(vectors, args.subset_size)
     cm = stats_mod.correlation_matrix(table)
@@ -142,12 +141,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_pca(args) -> int:
-    retention, fixed_k = pipe_mod.parse_retention(args.retention)
+    stats_mod.check_subset_size(args.subset_size)
+    stats_mod.parse_retention(args.retention, len(args.scores))
+    stats_mod.check_cutoff(args.cutoff)
     vectors = _score_vectors(args.scores, args.labels)
     table = pipe_mod.rank_table(vectors, args.subset_size)
-    res = stats_mod.pca_varimax(
-        table, retention=retention, fixed_k=fixed_k, loading_cutoff=args.cutoff
-    )
+    res = stats_mod.pca_varimax(table, args.retention, args.cutoff)
     with open(args.out_loadings, "w", encoding="utf-8", newline="\n") as fl, \
             open(args.out_components, "w", encoding="utf-8", newline="\n") as fc:
         pipe_mod.write_pca(res, fl, fc)
@@ -161,6 +160,7 @@ def cmd_evaluate(args) -> int:
         ks = [int(k) for k in args.ks.split(",")]
     except ValueError:
         raise ConfigError(f"invalid --ks {args.ks!r}: expected integers") from None
+    check_ks(ks)
     vectors = _score_vectors(args.scores, args.labels)
     winners = load_winners(args.winners)
     res = coverage(vectors, winners, ks=ks)
@@ -190,6 +190,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags of every subcommand.  A flag's default is the one of the
+    code that uses it, and its value is checked there, so ``pipeline``
+    and the stage subcommands refuse a setting with the same message."""
+    run = pipe_mod.RunConfig
+    solve = pr_mod.PageRankConfig
+    generate = corpus_mod.generate_synthetic
     parser = _ArgumentParser(
         prog="bibliorank",
         description="Author citation networks, weighted PageRank, and rank comparison.",
@@ -200,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--papers", type=int, required=True)
     p.add_argument("--authors", type=int, required=True)
-    p.add_argument("--skew", type=float, default=1.0)
-    p.add_argument("--year-lo", type=int, default=1956)
-    p.add_argument("--year-hi", type=int, default=2008)
+    p.add_argument("--skew", type=float, default=pipe_mod.default_of(generate, "skew"))
+    p.add_argument("--year-lo", type=int, default=pipe_mod.default_of(generate, "year_lo"))
+    p.add_argument("--year-hi", type=int, default=pipe_mod.default_of(generate, "year_hi"))
     p.add_argument("--out", required=True)
     p.add_argument("--if-table-out", help="also write a synthetic impact-factor table")
     p.set_defaults(func=cmd_generate)
@@ -217,12 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--nodes", help="node dump supplying publication counts")
     p.add_argument("--damping", type=float, required=True)
-    p.add_argument("--teleport", default=pr_mod.UNIFORM,
-                   choices=[pr_mod.UNIFORM, pr_mod.CITATION_WEIGHTED,
-                            pr_mod.PUBLICATION_WEIGHTED])
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--max-iterations", type=int, default=1000)
-    p.add_argument("--dangling-policy", default="teleport", choices=["teleport", "uniform"])
+    p.add_argument("--teleport", default=pr_mod.UNIFORM, help=", ".join(pr_mod.TELEPORTS))
+    p.add_argument("--tolerance", type=float, default=solve.tolerance)
+    p.add_argument("--max-iterations", type=int, default=solve.max_iterations)
+    p.add_argument("--dangling-policy", default=solve.dangling_policy,
+                   help=", ".join(pr_mod.DANGLING_POLICIES))
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rank)
@@ -231,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--tag", default="", help="phase tag used in output file names")
-    p.add_argument("--prestige", default="top_fraction:0.10",
-                   help="top_fraction:F or min_citations:M")
+    p.add_argument("--prestige", default=run.prestige, help="top_fraction:F or min_citations:M")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
     p.set_defaults(func=cmd_indicators)
@@ -240,16 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="Spearman matrix over score files")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--labels", help="comma-separated column labels")
-    p.add_argument("--subset-size", type=int, default=100)
+    p.add_argument("--subset-size", type=int, default=run.subset_size)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("pca", help="PCA with varimax rotation over score files")
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--labels")
-    p.add_argument("--subset-size", type=int, default=100)
-    p.add_argument("--retention", default="kaiser", help="kaiser or fixed:K")
-    p.add_argument("--cutoff", type=float, default=0.4)
+    p.add_argument("--subset-size", type=int, default=run.subset_size)
+    p.add_argument("--retention", default=run.pca_retention, help="kaiser or fixed:K")
+    p.add_argument("--cutoff", type=float, default=run.loading_cutoff)
     p.add_argument("--out-loadings", required=True)
     p.add_argument("--out-components", required=True)
     p.set_defaults(func=cmd_pca)
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", nargs="+", required=True)
     p.add_argument("--labels")
     p.add_argument("--winners", required=True)
-    p.add_argument("--ks", default="5,10,20,50")
+    p.add_argument("--ks", default=",".join(map(str, run.coverage_ks)))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

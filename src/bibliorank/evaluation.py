@@ -45,9 +45,15 @@ class CoverageResult:
     missing_winners: list[str] = field(default_factory=list)
 
 
-def coverage(
-    score_vectors: list[ScoreVector], winners: WinnerList, ks=(5, 10, 20, 50)
-) -> CoverageResult:
+def check_ks(ks) -> None:
+    """Refuse top-k list sizes that are not ascending integers >= 1."""
+    ks = list(ks)
+    if not ks or ks != sorted(ks) or ks[0] < 1:
+        raise ConfigError("coverage_ks must be ascending integers >= 1, got "
+                          + ",".join(map(str, ks)))
+
+
+def coverage(score_vectors: list[ScoreVector], winners: WinnerList, ks) -> CoverageResult:
     """Count winners inside each indicator's top-k list.
 
     Winners absent from an indicator's author universe are excluded from
@@ -55,11 +61,8 @@ def coverage(
     from the first indicator; all indicators share one universe in the
     pipeline).
     """
+    check_ks(ks)
     ks = list(ks)
-    if ks != sorted(ks):
-        raise ConfigError("ks must be sorted ascending")
-    if not ks or ks[0] < 1:
-        raise ConfigError("ks must be integers >= 1")
     if not score_vectors:
         raise ConfigError("no score vectors given")
     universe = set(score_vectors[0].authors)

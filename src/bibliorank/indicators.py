@@ -99,6 +99,31 @@ def unmatched_references(corpus: Corpus) -> int:
     return int(np.count_nonzero(~np.isin(ref_key, paper_key)))
 
 
+_PRESTIGE_ERROR = ("prestige must be top_fraction:F with 0 < F <= 1 "
+                   "or min_citations:M with an integer M >= 1")
+
+
+def check_prestige(top_fraction: float | None = None, min_citations: int | None = None) -> None:
+    """Refuse a highly-cited threshold other than exactly one of
+    0 < ``top_fraction`` <= 1 and ``min_citations`` >= 1."""
+    if (top_fraction is None) == (min_citations is None) or not (
+            0.0 < top_fraction <= 1.0 if min_citations is None else min_citations >= 1):
+        raise ConfigError(_PRESTIGE_ERROR)
+
+
+def parse_prestige(spec: str) -> dict:
+    """The prestige setting `top_fraction:F` or `min_citations:M` -> the
+    checked keyword argument of ``highly_cited_papers`` that it names."""
+    mode, _, value = spec.partition(":")
+    mode = mode.strip()
+    try:
+        threshold = {mode: {"top_fraction": float, "min_citations": int}[mode](value)}
+    except (KeyError, ValueError):
+        raise ConfigError(_PRESTIGE_ERROR) from None
+    check_prestige(**threshold)
+    return threshold
+
+
 def highly_cited_papers(
     counts: np.ndarray,
     top_fraction: float | None = None,
@@ -109,17 +134,12 @@ def highly_cited_papers(
     ``counts`` are internal citation counts aligned to the corpus papers.
     Exactly one of ``top_fraction`` (cut at the (1 - f) quantile of the
     counts, ties included, uncited papers never qualify) or
-    ``min_citations`` must be given.
+    ``min_citations`` must be given; ``check_prestige`` checks them.
     """
-    if (top_fraction is None) == (min_citations is None):
-        raise ConfigError("give exactly one of top_fraction or min_citations")
+    check_prestige(top_fraction, min_citations)
     counts = np.asarray(counts)
     if min_citations is not None:
-        if min_citations < 1:
-            raise ConfigError("min_citations must be >= 1")
         return counts >= min_citations
-    if not (0.0 < top_fraction <= 1.0):
-        raise ConfigError(f"top_fraction {top_fraction} outside (0, 1]")
     if not len(counts):
         return np.zeros(0, dtype=bool)
     k = max(1, math.ceil(top_fraction * len(counts)))

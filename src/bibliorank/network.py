@@ -71,14 +71,6 @@ class AuthorCitationGraph:
         inv_out[~dangling] = 1.0 / out[~dangling]
         return self.adjacency.multiply(inv_out[:, None]).T.tocsr(), dangling
 
-    def out_weight(self, node) -> int:
-        """Sum of out-edge weights of one node (author key or node id)."""
-        if isinstance(node, str):
-            node = self.node_id(node)
-        if not (0 <= node < self.n_nodes):
-            raise GraphError(f"node id {node} out of range")
-        return int(self.adjacency[node].sum())
-
 
 @dataclass(frozen=True)
 class GraphStats:

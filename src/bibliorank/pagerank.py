@@ -13,6 +13,7 @@ dangling nodes, and r is the dangling redistribution distribution
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,21 @@ from bibliorank.network import AuthorCitationGraph
 UNIFORM = "uniform"
 CITATION_WEIGHTED = "citation_weighted"
 PUBLICATION_WEIGHTED = "publication_weighted"
-CUSTOM = "custom"
 
-TELEPORT_KINDS = (UNIFORM, CITATION_WEIGHTED, PUBLICATION_WEIGHTED, CUSTOM)
+#: Each teleport kind: the tag of its score files and diagnostics entries,
+#: and the graph attribute its weights are proportional to (None: uniform).
+TELEPORTS = {
+    UNIFORM: ("pagerank", None),
+    CITATION_WEIGHTED: ("pagerank_cit", "citations_received"),
+    PUBLICATION_WEIGHTED: ("pagerank_pub", "publications"),
+}
+DANGLING_POLICIES = ("teleport", "uniform")
+
+
+def check_teleport(kind: str) -> None:
+    """Refuse a teleport kind that ``TELEPORTS`` does not name."""
+    if kind not in TELEPORTS:
+        raise ConfigError(f"teleports must be one of {', '.join(TELEPORTS)}, got {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +49,7 @@ class TeleportVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in TELEPORT_KINDS:
-            raise ConfigError(f"unknown teleport kind {self.kind!r}")
+        check_teleport(self.kind)
         v = np.asarray(self.values, dtype=np.float64)
         if np.any(v < 0):
             raise ConfigError("teleport vector has negative entries")
@@ -48,15 +60,11 @@ class TeleportVector:
 
 def make_teleport(g: AuthorCitationGraph, kind: str) -> TeleportVector:
     """Build a teleport vector from graph node attributes."""
-    n = g.n_nodes
-    if kind == UNIFORM:
-        return TeleportVector(UNIFORM, np.full(n, 1.0 / n))
-    if kind == CITATION_WEIGHTED:
-        raw = g.citations_received.astype(np.float64)
-    elif kind == PUBLICATION_WEIGHTED:
-        raw = g.publications.astype(np.float64)
-    else:
-        raise ConfigError(f"cannot derive teleport kind {kind!r} from graph attributes")
+    check_teleport(kind)
+    attribute = TELEPORTS[kind][1]
+    if attribute is None:
+        return TeleportVector(kind, np.full(g.n_nodes, 1.0 / g.n_nodes))
+    raw = getattr(g, attribute).astype(np.float64)
     total = raw.sum()
     if total <= 0:
         raise DegenerateTeleportError(f"degenerate teleport: all {kind} weights are zero")
@@ -65,20 +73,23 @@ def make_teleport(g: AuthorCitationGraph, kind: str) -> TeleportVector:
 
 @dataclass(frozen=True)
 class PageRankConfig:
+    """One solve's settings, checked on construction."""
+
     damping: float = 0.15
     tolerance: float = 1e-12
     max_iterations: int = 1000
-    dangling_policy: str = "teleport"  # or "uniform"
+    dangling_policy: str = "teleport"
 
     def __post_init__(self):
-        if not (0.0 <= self.damping < 1.0):
-            raise ConfigError(f"damping {self.damping} outside [0, 1)")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0.0 <= self.damping < 1.0:
+            raise ConfigError(f"dampings must be in [0, 1), got {self.damping}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if self.dangling_policy not in ("teleport", "uniform"):
-            raise ConfigError(f"unknown dangling_policy {self.dangling_policy!r}")
+            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.dangling_policy not in DANGLING_POLICIES:
+            raise ConfigError(f"dangling_policy must be one of {', '.join(DANGLING_POLICIES)}, "
+                              f"got {self.dangling_policy!r}")
 
 
 @dataclass
@@ -87,7 +98,7 @@ class PageRankResult:
     iterations: int
     final_residual: float
     converged: bool
-    damping: float = 0.15
+    damping: float
 
     @property
     def error_bound(self) -> float:
@@ -103,24 +114,32 @@ def _power_iteration(
     g: AuthorCitationGraph, teleport: TeleportVector, cfg: PageRankConfig
 ) -> PageRankResult:
     n = g.n_nodes
-    t = teleport.values
     d = cfg.damping
-
     trans, dangling = g.transition
-
+    dangling_ids = np.flatnonzero(dangling)
     if cfg.dangling_policy == "teleport":
-        redistribution = t
+        redistribution = teleport.values
     else:
         redistribution = np.full(n, 1.0 / n)
+    base = (1.0 - d) * teleport.values
 
+    # pi_next = (1 - d) * t + d * (trans @ pi + dangling_mass * redistribution),
+    # in that order of operations, written into two buffers that swap.
     pi = np.full(n, 1.0 / n)
+    nxt = np.empty(n)
+    scratch = np.empty(n)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        dangling_mass = pi[dangling].sum()
-        nxt = (1.0 - d) * t + d * (trans @ pi + dangling_mass * redistribution)
-        residual = float(np.abs(nxt - pi).sum())
-        pi = nxt
+        dangling_mass = pi.take(dangling_ids).sum()
+        step = trans @ pi
+        np.multiply(dangling_mass, redistribution, out=scratch)
+        np.add(step, scratch, out=step)
+        np.multiply(d, step, out=step)
+        np.add(base, step, out=nxt)
+        np.subtract(nxt, pi, out=scratch)
+        residual = float(np.abs(scratch, out=scratch).sum())
+        pi, nxt = nxt, pi
         if residual < cfg.tolerance:
             break
     return PageRankResult(
@@ -134,9 +153,7 @@ def _power_iteration(
 
 def pagerank(g: AuthorCitationGraph, cfg: PageRankConfig | None = None) -> PageRankResult:
     """Original PageRank (uniform teleport)."""
-    cfg = cfg or PageRankConfig()
-    uniform = TeleportVector(UNIFORM, np.full(g.n_nodes, 1.0 / g.n_nodes))
-    return _power_iteration(g, uniform, cfg)
+    return weighted_pagerank(g, make_teleport(g, UNIFORM), cfg)
 
 
 def weighted_pagerank(
@@ -148,8 +165,6 @@ def weighted_pagerank(
     """
     cfg = cfg or PageRankConfig()
     if len(teleport.values) != g.n_nodes:
-        raise ConfigError(
-            f"teleport length {len(teleport.values)} != node count {g.n_nodes}"
-        )
+        raise ConfigError(f"teleport length {len(teleport.values)} != node count {g.n_nodes}")
     return _power_iteration(g, teleport, cfg)
 

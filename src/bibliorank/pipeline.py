@@ -8,6 +8,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -26,17 +27,9 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import ConfigError, NonConvergenceError
-from bibliorank.evaluation import CoverageResult, coverage, load_winners
+from bibliorank.evaluation import CoverageResult, check_ks, coverage, load_winners
 
-DEFAULT_DAMPINGS = (0.15, 0.5, 0.85)
-DEFAULT_TELEPORTS = (pr_mod.UNIFORM, pr_mod.CITATION_WEIGHTED, pr_mod.PUBLICATION_WEIGHTED)
 INPUT_FILES = ("corpus", "if_table", "winners")  # RunConfig keys naming input files
-
-_TELEPORT_TAGS = {
-    pr_mod.UNIFORM: "pagerank",
-    pr_mod.CITATION_WEIGHTED: "pagerank_cit",
-    pr_mod.PUBLICATION_WEIGHTED: "pagerank_pub",
-}
 
 
 def file_sha256(path) -> str:
@@ -48,34 +41,41 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def default_of(fn, name: str):
+    """The default value of parameter ``name`` of ``fn``."""
+    return inspect.signature(fn).parameters[name].default
+
+
 @dataclass
 class RunConfig:
-    """Declarative pipeline configuration; unknown keys are rejected."""
+    """Declarative pipeline configuration; unknown keys are rejected.
+
+    A setting that the code using it gives a default takes that default,
+    and ``validate`` checks each setting with that code's own check.
+    """
 
     corpus: str | None = None
     outdir: str = "out"
     phases: tuple[corpus_mod.Phase, ...] = corpus_mod.DEFAULT_PHASES
-    dampings: tuple[float, ...] = DEFAULT_DAMPINGS
-    teleports: tuple[str, ...] = DEFAULT_TELEPORTS
-    prestige_mode: str = "top_fraction"  # or "min_citations"
-    prestige_value: float = 0.10
+    dampings: tuple[float, ...] = (0.15, 0.5, 0.85)
+    teleports: tuple[str, ...] = tuple(pr_mod.TELEPORTS)
+    prestige: str = "top_fraction:0.10"  # or min_citations:M
     subset_size: int = 100
-    pca_retention: str = "kaiser"  # or "fixed"
-    pca_fixed_k: int | None = None
-    loading_cutoff: float = 0.4
+    pca_retention: str = default_of(stats_mod.pca_varimax, "retention")  # or fixed:K
+    loading_cutoff: float = default_of(stats_mod.pca_varimax, "loading_cutoff")
     if_table: str | None = None
     winners: str | None = None
     coverage_ks: tuple[int, ...] = (5, 10, 20, 50)
     allow_self_citation: bool = True
-    tolerance: float = 1e-12
-    max_iterations: int = 1000
-    dangling_policy: str = "teleport"
+    tolerance: float = pr_mod.PageRankConfig.tolerance
+    max_iterations: int = pr_mod.PageRankConfig.max_iterations
+    dangling_policy: str = pr_mod.PageRankConfig.dangling_policy
     strict: bool = False
     # synthetic mode (used when corpus is not set)
     seed: int | None = None
     n_papers: int = 1000
     n_authors: int = 2000
-    skew: float = 1.0
+    skew: float = default_of(corpus_mod.generate_synthetic, "skew")
 
     def validate(self) -> None:
         if self.corpus is None and self.seed is None:
@@ -83,31 +83,14 @@ class RunConfig:
         if self.corpus is None:
             corpus_mod.check_synthetic(self.seed, self.n_papers, self.n_authors, self.skew)
         check_phases(self.phases)
-        for d in self.dampings:
-            if not 0.0 <= d < 1.0:
-                raise ConfigError(f"dampings: damping {d} outside [0, 1)")
-        self.pagerank_config(0.0)  # checks tolerance, max_iterations, dangling_policy
         for kind in self.teleports:
-            if kind not in _TELEPORT_TAGS:
-                raise ConfigError(f"teleports: unknown teleport kind {kind!r}")
-        if self.prestige_mode not in ("top_fraction", "min_citations"):
-            raise ConfigError(f"unknown prestige mode {self.prestige_mode!r}")
-        if self.prestige_mode == "top_fraction" and not (0.0 < self.prestige_value <= 1.0):
-            raise ConfigError("prestige top_fraction must be in (0, 1]")
-        if self.prestige_mode == "min_citations" and self.prestige_value < 1:
-            raise ConfigError("prestige min_citations must be >= 1")
-        if self.subset_size < 3:
-            raise ConfigError("subset_size must be >= 3")
-        if self.pca_retention not in ("kaiser", "fixed"):
-            raise ConfigError(f"unknown pca_retention {self.pca_retention!r}")
-        n_indicators = self.indicator_count()
-        if self.pca_retention == "fixed" and not 1 <= (self.pca_fixed_k or 0) <= n_indicators:
-            raise ConfigError(f"pca_retention: fixed:K needs 1 <= K <= {n_indicators}, "
-                              "the number of indicators")
-        if list(self.coverage_ks) != sorted(self.coverage_ks):
-            raise ConfigError("coverage_ks must be ascending")
-        if not self.coverage_ks or self.coverage_ks[0] < 1:
-            raise ConfigError("coverage_ks must be integers >= 1")
+            pr_mod.check_teleport(kind)
+        self.pagerank_configs()
+        ind_mod.parse_prestige(self.prestige)
+        stats_mod.check_subset_size(self.subset_size)
+        stats_mod.parse_retention(self.pca_retention, self.indicator_count())
+        stats_mod.check_cutoff(self.loading_cutoff)
+        check_ks(self.coverage_ks)
 
     def indicator_count(self) -> int:
         """The indicator columns of each phase's rank table: one per PageRank
@@ -116,13 +99,10 @@ class RunConfig:
         has_impact_factor = self.if_table is not None or self.corpus is None
         return len(self.teleports) * len(self.dampings) + 3 + has_impact_factor
 
-    def pagerank_config(self, damping: float) -> pr_mod.PageRankConfig:
-        return pr_mod.PageRankConfig(
-            damping=damping,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            dangling_policy=self.dangling_policy,
-        )
+    def pagerank_configs(self) -> list[pr_mod.PageRankConfig]:
+        """The solve settings at each damping, checked."""
+        return [pr_mod.PageRankConfig(d, self.tolerance, self.max_iterations, self.dangling_policy)
+                for d in self.dampings]
 
     def canonical(self) -> dict:
         d = asdict(self)
@@ -165,29 +145,6 @@ def parse_phases(text: str) -> tuple[corpus_mod.Phase, ...]:
     return tuple(phases)
 
 
-def _parse_mode(text: str, parsers: dict, error: str) -> tuple:
-    """`mode[:value]` -> (mode, parsers[mode](value)); ConfigError(error)
-    for an unknown mode or a value that does not parse."""
-    mode, _, raw = text.partition(":")
-    mode = mode.strip()
-    try:
-        return mode, parsers[mode](raw)
-    except (KeyError, ValueError):
-        raise ConfigError(error) from None
-
-
-def parse_prestige(text: str) -> tuple[str, float]:
-    """`top_fraction:F` or `min_citations:M` -> (mode, value)."""
-    return _parse_mode(text, {"top_fraction": float, "min_citations": int},
-                       f"invalid prestige spec {text!r}")
-
-
-def parse_retention(text: str) -> tuple[str, int | None]:
-    """`kaiser` or `fixed:K` -> (retention, fixed_k)."""
-    return _parse_mode(text, {"kaiser": lambda raw: None, "fixed": int},
-                       f"invalid pca_retention {text!r}: expected kaiser or fixed:K")
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -209,12 +166,10 @@ def _value_parser(hint):
     return hint  # int, float or str
 
 
-# Config keys that set the field of the same name.  The prestige and
-# pca_retention keys also set prestige_mode/prestige_value and pca_fixed_k.
+# Config keys: each sets the RunConfig field of the same name.
 _FIELD_PARSERS = {
     name: parse_phases if name == "phases" else _value_parser(hint)
     for name, hint in get_type_hints(RunConfig).items()
-    if name not in ("prestige_mode", "prestige_value", "pca_retention", "pca_fixed_k")
 }
 
 
@@ -222,15 +177,10 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
     """Set one `key = value` config entry (file line or CLI override)."""
     key = key.strip()
     value = value.strip()
+    if key not in _FIELD_PARSERS:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key == "prestige":
-            cfg.prestige_mode, cfg.prestige_value = parse_prestige(value)
-        elif key == "pca_retention":
-            cfg.pca_retention, cfg.pca_fixed_k = parse_retention(value)
-        elif key in _FIELD_PARSERS:
-            setattr(cfg, key, _FIELD_PARSERS[key](value))
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        setattr(cfg, key, _FIELD_PARSERS[key](value))
     except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for config key {key!r}: {exc}") from None
 
@@ -352,21 +302,17 @@ def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
 
 
 def classical_indicators(
-    corpus, graph, prestige: tuple[str, float], if_table=None
+    corpus, graph, prestige: str, if_table=None
 ) -> tuple[list[ind_mod.ScoreVector], dict]:
     """Popularity, prestige, h-index and, given a table, impact-factor scores.
 
     ``graph`` is ``build_graph(corpus)``; the indicators are reductions over
-    its reference table.  ``prestige`` is a (mode, value) pair from
-    ``parse_prestige``.  Returns the score vectors in that order, over the
-    graph's authors, and diagnostics.
+    its reference table.  ``prestige`` is the setting that
+    ``indicators.parse_prestige`` reads.  Returns the score vectors in that
+    order, over the graph's authors, and diagnostics.
     """
     counts = ind_mod.internal_citation_counts(corpus)
-    mode, value = prestige
-    if mode == "top_fraction":
-        hc = ind_mod.highly_cited_papers(counts, top_fraction=value)
-    else:
-        hc = ind_mod.highly_cited_papers(counts, min_citations=int(value))
+    hc = ind_mod.highly_cited_papers(counts, **ind_mod.parse_prestige(prestige))
     diagnostics = {"highly_cited_papers": int(np.count_nonzero(hc)),
                    "unmatched_references": ind_mod.unmatched_references(corpus)}
     scores = [
@@ -391,7 +337,7 @@ def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
         teleport = pr_mod.make_teleport(graph, kind)
         for config in configs:
             result = pr_mod.weighted_pagerank(graph, teleport, config)
-            label = f"{_TELEPORT_TAGS[kind]}_d{config.damping:g}"
+            label = f"{pr_mod.TELEPORTS[kind][0]}_d{config.damping:g}"
             solves[label] = {
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
@@ -407,6 +353,7 @@ def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
 
 def rank_table(scores: list[ind_mod.ScoreVector], subset_size: int) -> stats_mod.IndicatorTable:
     """The rank table of the top ``subset_size`` authors by the first score vector."""
+    stats_mod.check_subset_size(subset_size)
     subset = ind_mod.top_k(scores[0], subset_size)
     return stats_mod.IndicatorTable.from_scores(scores, subset)
 
@@ -532,9 +479,9 @@ def _write_run(cfg: RunConfig, create) -> dict:
             net_mod.dump_nodes(graph, fh)
 
         classical, info["diagnostics"] = classical_indicators(
-            filtered, graph, (cfg.prestige_mode, cfg.prestige_value), if_table)
+            filtered, graph, cfg.prestige, if_table)
         pagerank_scores, solves = pagerank_variants(
-            graph, cfg.teleports, [cfg.pagerank_config(d) for d in cfg.dampings], cfg.strict)
+            graph, cfg.teleports, cfg.pagerank_configs(), cfg.strict)
         info["diagnostics"].update(solves)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]
@@ -551,12 +498,7 @@ def _write_run(cfg: RunConfig, create) -> dict:
             cm = stats_mod.correlation_matrix(table)
             with create(f"correlation_{tag}.tsv") as fh:
                 write_correlation(cm, fh)
-            pca = stats_mod.pca_varimax(
-                table,
-                retention=cfg.pca_retention,
-                fixed_k=cfg.pca_fixed_k,
-                loading_cutoff=cfg.loading_cutoff,
-            )
+            pca = stats_mod.pca_varimax(table, cfg.pca_retention, cfg.loading_cutoff)
             with create(f"pca_{tag}.tsv") as fl, \
                     create(f"pca_components_{tag}.tsv") as fc:
                 write_pca(pca, fl, fc)

@@ -38,6 +38,12 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
     return r, p
 
 
+def check_subset_size(size: int) -> None:
+    """Refuse a rank-table subset too small for a Spearman correlation."""
+    if size < 3:
+        raise ConfigError(f"subset_size must be >= 3, got {size}")
+
+
 def spearman(x, y) -> tuple[float, float]:
     """Spearman rank correlation with a two-tailed t-approximation p-value.
 
@@ -203,26 +209,45 @@ class PcaResult:
     loadings: np.ndarray  # unrotated, m x k, sign-fixed
     rotated_loadings: np.ndarray  # m x k, sign-fixed
     communalities: np.ndarray  # per variable over retained components
+    loading_cutoff: float  # |loading| above it is salient
     rotation: np.ndarray = field(repr=False, default=None)
     criterion_history: list[float] = field(default_factory=list)
-    loading_cutoff: float = 0.4
+
+
+def parse_retention(spec: str, n_indicators: int) -> int | None:
+    """The pca_retention setting -> the number of components it fixes:
+    None for `kaiser` (eigenvalue > 1, at least one), K for `fixed:K`
+    with 1 <= K <= ``n_indicators``."""
+    mode, colon, value = spec.partition(":")
+    mode = mode.strip()
+    if mode == "kaiser" and not colon:
+        return None
+    if mode == "fixed" and value.strip().isdecimal() and 1 <= int(value) <= n_indicators:
+        return int(value)
+    raise ConfigError(f"pca_retention must be kaiser or fixed:K with 1 <= K <= {n_indicators}, "
+                      f"the number of indicators, got {spec!r}")
+
+
+def check_cutoff(cutoff: float) -> None:
+    """Refuse a salient-loading cutoff outside [0, 1], nan included."""
+    if not 0.0 <= cutoff <= 1.0:
+        raise ConfigError(f"loading_cutoff must be in [0, 1], got {cutoff}")
 
 
 def pca_varimax(
-    table: IndicatorTable,
-    retention: str = "kaiser",
-    fixed_k: int | None = None,
-    loading_cutoff: float = 0.4,
+    table: IndicatorTable, retention: str = "kaiser", loading_cutoff: float = 0.4
 ) -> PcaResult:
     """Correlation-matrix PCA of the rank table with varimax rotation.
 
     Columns are standardized; the correlation matrix is diagonalized with
-    ``numpy.linalg.eigh``; components are retained by the Kaiser criterion
-    (eigenvalue > 1, at least one) or a fixed count; loadings are rotated
-    by varimax with Kaiser normalization and sign-fixed so the largest
-    magnitude entry of each column is positive.
+    ``numpy.linalg.eigh``; components are retained as ``parse_retention``
+    reads ``retention``; loadings are rotated by varimax with Kaiser
+    normalization and sign-fixed so the largest magnitude entry of each
+    column is positive.
     """
     n, m = table.ranks.shape
+    fixed_k = parse_retention(retention, m)
+    check_cutoff(loading_cutoff)
     if n <= m:
         raise StatsError(f"need more authors ({n}) than indicators ({m})")
     x = np.array(table.ranks, dtype=np.float64)
@@ -237,14 +262,7 @@ def pca_varimax(
     eigenvalues, eigenvectors = eigh_descending(corr)
     # corr is positive semidefinite, so a negative eigenvalue is rounding error
     eigenvalues = np.maximum(eigenvalues, 0.0)
-    if retention == "kaiser":
-        k = max(1, int(np.count_nonzero(eigenvalues > 1.0)))
-    elif retention == "fixed":
-        if fixed_k is None or not (1 <= fixed_k <= m):
-            raise ConfigError(f"fixed retention needs 1 <= k <= {m}")
-        k = fixed_k
-    else:
-        raise ConfigError(f"unknown retention mode {retention!r}")
+    k = max(1, int(np.count_nonzero(eigenvalues > 1.0))) if fixed_k is None else fixed_k
 
     loadings = eigenvectors[:, :k] * np.sqrt(eigenvalues[:k])
     loadings = _fix_column_signs(loadings)
@@ -258,7 +276,7 @@ def pca_varimax(
         loadings=loadings,
         rotated_loadings=rotated,
         communalities=np.sum(rotated**2, axis=1),
+        loading_cutoff=loading_cutoff,
         rotation=rotation,
         criterion_history=history,
-        loading_cutoff=loading_cutoff,
     )

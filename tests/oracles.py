@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's sparse/optimized code paths: the
 corpus oracle parses one record at a time into plain tuples, the
-PageRank oracle iterates a dense transition matrix, the Spearman oracle
+PageRank oracle iterates a dense transition matrix (and the loop oracle
+allocates each step, as the solver once did), the Spearman oracle
 uses the no-ties closed form or full permutation enumeration, the tiny
 eigen checks go through numpy, the graph and classical-indicator
 oracles walk papers x references one record at a time, and the writer
@@ -386,3 +387,27 @@ def corpus_columns(corpus):
     """A Corpus's columns in the form ``generate_synthetic_loop`` returns."""
     return (corpus.strings, corpus.ids.tolist(), list(map(tuple, corpus.keys.tolist())),
             corpus.offsets.tolist(), list(map(tuple, corpus.refs.tolist())))
+
+
+def power_iteration_loop(g, teleport, cfg):
+    """The sparse power iteration with a fresh array per step, as
+    ``pagerank._power_iteration`` computed it before it iterated in place.
+
+    Returns (scores, iterations, final residual).
+    """
+    n = g.n_nodes
+    t = teleport.values
+    d = cfg.damping
+    trans, dangling = g.transition
+    redistribution = t if cfg.dangling_policy == "teleport" else np.full(n, 1.0 / n)
+    pi = np.full(n, 1.0 / n)
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        dangling_mass = pi[dangling].sum()
+        nxt = (1.0 - d) * t + d * (trans @ pi + dangling_mass * redistribution)
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
+        if residual < cfg.tolerance:
+            break
+    return pi, iterations, residual

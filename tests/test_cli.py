@@ -547,8 +547,8 @@ class TestRunConfig:
         cfg = load_config(str(f), overrides=["subset_size=40"])
         assert cfg.seed == 3
         assert cfg.dampings == (0.15, 0.85)
-        assert cfg.prestige_mode == "min_citations" and cfg.prestige_value == 2
-        assert cfg.pca_retention == "fixed" and cfg.pca_fixed_k == 4
+        assert cfg.prestige == "min_citations:2"
+        assert cfg.pca_retention == "fixed:4"
         assert cfg.subset_size == 40
 
     def test_indicator_count_is_the_table_columns(self, small_run):
@@ -629,11 +629,73 @@ def test_malformed_set_value_exit_1_names_key(key, junk, at):
     at = min(at, len(sample))
     value = sample[:at] + junk + sample[at:]
     with pytest.raises(ConfigError, match=key):
-        apply_config_entry(RunConfig(), key, value)
+        load_config(None, overrides=["seed=1", f"{key}={value}"])
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(["pipeline", "--set", "seed=1", "--set", f"{key}={value}"]) == 1
     assert err.getvalue().startswith("error: ") and key in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# A bad value of each setting that a stage subcommand shares with the
+# pipeline: (config key, value, the stage's argv, the one error message).
+# {m} is an input path that does not exist and {o} an output path.
+_RETENTION_SCORES = ["{m}"] * 12  # the pipeline's 12 indicators without an IF table
+_SHARED_SETTINGS = [
+    ("dampings", "1.5", ["rank", "--edges", "{m}", "--damping", "1.5", "--out", "{o}"],
+     "dampings must be in [0, 1), got 1.5"),
+    ("tolerance", "0", ["rank", "--edges", "{m}", "--damping", "0.5", "--tolerance", "0",
+                        "--out", "{o}"],
+     "tolerance must be finite and positive, got 0.0"),
+    ("tolerance", "nan", ["rank", "--edges", "{m}", "--damping", "0.5", "--tolerance", "nan",
+                          "--out", "{o}"],
+     "tolerance must be finite and positive, got nan"),
+    ("max_iterations", "0", ["rank", "--edges", "{m}", "--damping", "0.5",
+                             "--max-iterations", "0", "--out", "{o}"],
+     "max_iterations must be >= 1, got 0"),
+    ("teleports", "custom", ["rank", "--edges", "{m}", "--damping", "0.5",
+                             "--teleport", "custom", "--out", "{o}"],
+     "teleports must be one of uniform, citation_weighted, publication_weighted, got 'custom'"),
+    ("prestige", "top_fraction:2", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
+                                    "--prestige", "top_fraction:2"],
+     "prestige must be top_fraction:F with 0 < F <= 1 or min_citations:M with an integer M >= 1"),
+    ("prestige", "min_citations:0.5", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
+                                       "--prestige", "min_citations:0.5"],
+     "prestige must be top_fraction:F with 0 < F <= 1 or min_citations:M with an integer M >= 1"),
+    ("pca_retention", "fixed:13", ["pca", "--scores", *_RETENTION_SCORES,
+                                   "--retention", "fixed:13",
+                                   "--out-loadings", "{o}", "--out-components", "{o}c"],
+     "pca_retention must be kaiser or fixed:K with 1 <= K <= 12, the number of indicators, "
+     "got 'fixed:13'"),
+    *[("loading_cutoff", cutoff, ["pca", "--scores", "{m}", "{m}", "--cutoff", cutoff,
+                                  "--out-loadings", "{o}", "--out-components", "{o}c"],
+       f"loading_cutoff must be in [0, 1], got {float(cutoff)}")
+      for cutoff in ("nan", "-0.1", "1.5")],
+    ("subset_size", "2", ["correlate", "--scores", "{m}", "{m}", "--subset-size", "2",
+                          "--out", "{o}"],
+     "subset_size must be >= 3, got 2"),
+    ("subset_size", "2", ["pca", "--scores", "{m}", "{m}", "--subset-size", "2",
+                          "--out-loadings", "{o}", "--out-components", "{o}c"],
+     "subset_size must be >= 3, got 2"),
+    ("coverage_ks", "0,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "0,5",
+                            "--out", "{o}"],
+     "coverage_ks must be ascending integers >= 1, got 0,5"),
+    ("coverage_ks", "10,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "10,5",
+                             "--out", "{o}"],
+     "coverage_ks must be ascending integers >= 1, got 10,5"),
+]
+
+
+@pytest.mark.parametrize("key,value,stage,message", _SHARED_SETTINGS,
+                         ids=[f"{s[2][0]}-{s[0]}={s[1]}" for s in _SHARED_SETTINGS])
+def test_bad_setting_same_error_in_pipeline_and_stage_before_reading(
+        key, value, stage, message, tmp_path, capsys):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    pipeline = ["pipeline", "--set", f"corpus={missing}", "--set", f"outdir={out}",
+                "--set", f"{key}={value}"]
+    for argv in (pipeline, [a.format(m=missing, o=out) for a in stage]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+        assert not any(tmp_path.iterdir())
 
 
 class TestPipeline:

@@ -66,20 +66,6 @@ class TestBuildGraph:
         assert int(g2.adjacency.sum()) == total_refs - self_refs
 
 
-class TestOutWeight:
-    def test_sums_weights(self, two_paper_corpus):
-        g = build_graph(two_paper_corpus)
-        assert g.out_weight("X") == 4
-        assert g.out_weight("Y") == 0  # dangling
-
-    def test_invalid_node(self, two_paper_corpus):
-        g = build_graph(two_paper_corpus)
-        with pytest.raises(GraphError):
-            g.out_weight("NOBODY")
-        with pytest.raises(GraphError):
-            g.out_weight(99)
-
-
 class TestGraphStats:
     def test_cycle(self, cycle_corpus):
         s = graph_stats(build_graph(cycle_corpus))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibliorank.errors import ConfigError, DegenerateTeleportError
 from bibliorank.network import build_graph
 from bibliorank.pagerank import (
     CITATION_WEIGHTED,
+    DANGLING_POLICIES,
     PUBLICATION_WEIGHTED,
+    TELEPORTS,
     UNIFORM,
     PageRankConfig,
     TeleportVector,
@@ -14,7 +18,7 @@ from bibliorank.pagerank import (
     weighted_pagerank,
 )
 from tests.conftest import graph_from_matrix
-from tests.oracles import dense_pagerank, random_graph_corpus
+from tests.oracles import dense_pagerank, power_iteration_loop, random_graph_corpus
 
 DAMPINGS = (0.15, 0.5, 0.85)
 
@@ -164,3 +168,20 @@ class TestProperties:
         g = graph_from_matrix([[0, 1], [0, 0]])
         with pytest.raises(ConfigError):
             weighted_pagerank(g, TeleportVector(UNIFORM, np.full(3, 1 / 3)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       damping=st.sampled_from([0.0, 0.15, 0.5, 0.85, 0.99]) | st.floats(0.0, 0.999),
+       kind=st.sampled_from(list(TELEPORTS)),
+       policy=st.sampled_from(DANGLING_POLICIES),
+       max_iterations=st.sampled_from([1, 7, 1000]))
+def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, policy, max_iterations):
+    w, pubs = random_graph_corpus(seed)
+    g = graph_from_matrix(w, pubs)
+    teleport = make_teleport(g, kind)
+    cfg = PageRankConfig(damping, max_iterations=max_iterations, dangling_policy=policy)
+    got = weighted_pagerank(g, teleport, cfg)
+    scores, iterations, residual = power_iteration_loop(g, teleport, cfg)
+    assert got.scores.tobytes() == scores.tobytes()
+    assert (got.iterations, got.final_residual) == (iterations, residual)

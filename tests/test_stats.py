@@ -229,7 +229,7 @@ class TestPcaVarimax:
         rng = np.random.default_rng(21)
         data = rng.normal(size=(80, 6)) @ rng.normal(size=(6, 6))
         table = _table_from_matrix(data)
-        res = pca_varimax(table, retention="fixed", fixed_k=6)
+        res = pca_varimax(table, retention="fixed:6")
         m = 6
         assert abs(res.eigenvalues.sum() - m) < 1e-8
         z = (table.ranks - table.ranks.mean(axis=0)) / table.ranks.std(axis=0, ddof=1)
@@ -249,7 +249,7 @@ class TestPcaVarimax:
     def test_varimax_preserves_communalities_and_orthogonality(self):
         rng = np.random.default_rng(31)
         data = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-        res = pca_varimax(_table_from_matrix(data), retention="fixed", fixed_k=3)
+        res = pca_varimax(_table_from_matrix(data), retention="fixed:3")
         before = np.sum(res.loadings**2, axis=1)
         after = np.sum(res.rotated_loadings**2, axis=1)
         assert np.max(np.abs(before - after)) < 1e-8
@@ -274,14 +274,14 @@ class TestPcaVarimax:
     def test_uncorrelated_noise_fixed_k(self):
         rng = np.random.default_rng(51)
         data = rng.normal(size=(200, 4))
-        res = pca_varimax(_table_from_matrix(data), retention="fixed", fixed_k=2)
+        res = pca_varimax(_table_from_matrix(data), retention="fixed:2")
         assert res.n_retained == 2
         assert np.all(np.abs(res.eigenvalues - 1.0) < 0.5)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(61)
         data = rng.normal(size=(50, 4)) @ rng.normal(size=(4, 4))
-        res = pca_varimax(_table_from_matrix(data), retention="fixed", fixed_k=3)
+        res = pca_varimax(_table_from_matrix(data), retention="fixed:3")
         for j in range(res.n_retained):
             col = res.rotated_loadings[:, j]
             assert col[np.argmax(np.abs(col))] > 0
@@ -297,7 +297,17 @@ class TestPcaVarimax:
             pca_varimax(_table_from_matrix(const))
         good = rng.normal(size=(20, 3))
         with pytest.raises(ConfigError):
-            pca_varimax(_table_from_matrix(good), retention="fixed", fixed_k=9)
+            pca_varimax(_table_from_matrix(good), retention="fixed:9")
+
+    @pytest.mark.parametrize("retention,cutoff", [
+        ("fixed:0", 0.4), ("fixed:x", 0.4), ("kaiser:2", 0.4), ("varimax", 0.4),
+        ("kaiser", float("nan")), ("kaiser", -0.1), ("kaiser", 1.5),
+    ])
+    def test_bad_setting_rejected_before_any_work(self, retention, cutoff):
+        # five authors for six indicators: the data error would come next
+        table = _table_from_matrix(np.random.default_rng(71).normal(size=(5, 6)))
+        with pytest.raises(ConfigError):
+            pca_varimax(table, retention=retention, loading_cutoff=cutoff)
 
 
 class TestIndicatorTable:

@@ -18,7 +18,7 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import BiblioRankError, ConfigError, DataError, ParseError
+from bibliorank.errors import BiblioRankError, ConfigError, ParseError
 from bibliorank.evaluation import check_ks, coverage, load_winners
 
 
@@ -27,9 +27,10 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
     """Read `author<TAB>score[<TAB>rank]` (header row required)."""
     values: dict[str, float] = {}
     lines = corpus_mod.read_lines(path)
-    header = next(lines, (0, ""))[1].split("\t")
+    header_line, header = next(lines, (1, ""))
+    header = header.split("\t")
     if "author" not in header or "score" not in header:
-        raise DataError(f"{path}: expected an 'author'/'score' header row")
+        raise ParseError("expected an 'author'/'score' header row", line=header_line)
     a_col = header.index("author")
     s_col = header.index("score")
     for lineno, line in lines:
@@ -41,7 +42,7 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
         except (IndexError, ValueError):
             raise ParseError("malformed score row", line=lineno) from None
     if not values:
-        raise DataError(f"{path}: no score rows")
+        raise ParseError("no score rows")
     authors = sorted(values)
     return ind_mod.ScoreVector(Path(path).stem, authors, [values[a] for a in authors])
 
@@ -118,7 +119,7 @@ def cmd_indicators(args) -> int:
         table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
         scores, diagnostics = pipe_mod.classical_indicators(
             filtered, graph, args.prestige, table)
-        prefix = f"indicator_{args.tag}_" if args.tag else "indicator_"
+        prefix = f"indicator_{pipe_mod.phase_tag(args.tag)}_" if args.tag else "indicator_"
         for sv in scores:
             with create(f"{prefix}{sv.name}.tsv") as fh:
                 ind_mod.dump_indicator(sv, fh)

@@ -41,6 +41,11 @@ def check_teleport(kind: str) -> None:
         raise ConfigError(f"teleports must be one of {', '.join(TELEPORTS)}, got {kind!r}")
 
 
+def variant_label(kind: str, damping: float) -> str:
+    """The name of the PageRank variant with teleport ``kind`` at ``damping``."""
+    return f"{TELEPORTS[kind][0]}_d{damping:g}"
+
+
 @dataclass(frozen=True)
 class TeleportVector:
     """A probability distribution over graph nodes."""

@@ -86,6 +86,11 @@ class RunConfig:
         for kind in self.teleports:
             pr_mod.check_teleport(kind)
         self.pagerank_configs()
+        labels = [pr_mod.variant_label(kind, d) for kind in self.teleports for d in self.dampings]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"teleports and dampings give two PageRank variants "
+                                  f"the label {label!r}")
         ind_mod.parse_prestige(self.prestige)
         stats_mod.check_subset_size(self.subset_size)
         stats_mod.parse_retention(self.pca_retention, self.indicator_count())
@@ -222,8 +227,9 @@ def dump_impact_factors(table: ind_mod.ImpactFactorTable, stream) -> None:
 def write_correlation(cm: stats_mod.CorrelationMatrix, stream) -> None:
     stream.write("indicator\t" + "\t".join(cm.labels) + "\n")
     for i, label in enumerate(cm.labels):
-        # The diagonal is exactly 1 and unflagged, so it prints as 1.000.
-        cells = [f"{cm.r[i, j]:.3f}{cm.flags[i][j]}" for j in range(len(cm.labels))]
+        # The diagonal is exactly 1 with p = 0, so it prints unflagged as 1.000.
+        cells = [f"{r:.3f}{stats_mod.significance_flag(p)}"
+                 for r, p in zip(cm.r[i], cm.p_two_tailed[i])]
         stream.write(label + "\t" + "\t".join(cells) + "\n")
 
 
@@ -337,7 +343,7 @@ def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
         teleport = pr_mod.make_teleport(graph, kind)
         for config in configs:
             result = pr_mod.weighted_pagerank(graph, teleport, config)
-            label = f"{pr_mod.TELEPORTS[kind][0]}_d{config.damping:g}"
+            label = pr_mod.variant_label(kind, config.damping)
             solves[label] = {
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,

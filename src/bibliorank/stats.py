@@ -14,30 +14,6 @@ from bibliorank.errors import ConfigError, StatsError
 from bibliorank.indicators import ScoreVector, average_ranks
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> tuple[float, float]:
-    """Spearman r of two rank columns, with a two-tailed t-approximation p.
-
-    r is the Pearson correlation of the ranks, which reduces to
-    1 - 6*sum(d^2)/(n(n^2-1)) without ties.
-    """
-    n = len(rx)
-    if n < 3:
-        raise StatsError(f"need at least 3 authors, got {n}")
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    vx = float(dx @ dx)
-    vy = float(dy @ dy)
-    if vx == 0.0 or vy == 0.0:
-        raise StatsError("degenerate ranking: zero variance")
-    r = float(dx @ dy) / math.sqrt(vx * vy)
-    r = max(-1.0, min(1.0, r))
-    if abs(r) == 1.0:
-        return r, 0.0
-    t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
-    return r, p
-
-
 def check_subset_size(size: int) -> None:
     """Refuse a rank-table subset too small for a Spearman correlation."""
     if size < 3:
@@ -57,7 +33,34 @@ def spearman(x, y) -> tuple[float, float]:
         raise StatsError(f"value arrays differ in shape: {x.shape} vs {y.shape}")
     if np.isnan(x).any() or np.isnan(y).any():
         raise StatsError("cannot rank NaN values")
-    return _rank_correlation(average_ranks(x), average_ranks(y))
+    r, p = rank_correlations(np.column_stack([average_ranks(x), average_ranks(y)]), ["x", "y"])
+    return float(r[0, 1]), float(p[0, 1])
+
+
+def rank_correlations(ranks: np.ndarray, labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Spearman r and its two-tailed t-approximation p for every column pair
+    of an (authors x indicators) rank matrix whose columns are ``labels``.
+
+    r is the Pearson correlation of the rank columns, which reduces to
+    1 - 6*sum(d^2)/(n(n^2-1)) without ties.  Average ranks are multiples of
+    1/2 with mean (n+1)/2, so the centred ranks, their products and sums
+    are exact (for n below about 10^5) whatever order BLAS sums in: each r
+    is the same float in any table, ``spearman`` included.  r is exactly
+    symmetric with a diagonal of exactly 1, where p is 0.
+    """
+    n = ranks.shape[0]
+    if n < 3:
+        raise StatsError(f"need at least 3 authors, got {n}")
+    d = ranks - ranks.mean(axis=0)
+    gram = d.T @ d
+    var = np.diag(gram)
+    if not var.all():
+        bad = [labels[j] for j in np.flatnonzero(var == 0)]
+        raise StatsError(f"degenerate ranking: zero-variance columns {bad!r}")
+    r = np.clip(gram / np.sqrt(np.outer(var, var)), -1.0, 1.0)
+    with np.errstate(divide="ignore"):  # |r| = 1: t is infinite and p is 0
+        t = r * np.sqrt((n - 2) / (1.0 - r * r))
+    return r, 2.0 * stdtr(n - 2, -np.abs(t))
 
 
 @dataclass
@@ -99,7 +102,6 @@ class CorrelationMatrix:
     labels: list[str]
     r: np.ndarray
     p_two_tailed: np.ndarray
-    flags: list[list[str]]
 
 
 def significance_flag(p: float) -> str:
@@ -112,18 +114,9 @@ def significance_flag(p: float) -> str:
 
 
 def correlation_matrix(table: IndicatorTable) -> CorrelationMatrix:
-    """Pairwise Spearman over all indicator columns of the table."""
-    m = len(table.indicators)
-    r = np.eye(m)
-    p = np.zeros((m, m))
-    flags = [["" for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            rij, pij = _rank_correlation(table.ranks[:, i], table.ranks[:, j])
-            r[i, j] = r[j, i] = rij
-            p[i, j] = p[j, i] = pij
-            flags[i][j] = flags[j][i] = significance_flag(pij)
-    return CorrelationMatrix(labels=list(table.indicators), r=r, p_two_tailed=p, flags=flags)
+    """Spearman over all indicator columns of the table."""
+    r, p = rank_correlations(table.ranks, table.indicators)
+    return CorrelationMatrix(labels=list(table.indicators), r=r, p_two_tailed=p)
 
 
 def eigh_descending(a: np.ndarray):
@@ -239,7 +232,8 @@ def pca_varimax(
 ) -> PcaResult:
     """Correlation-matrix PCA of the rank table with varimax rotation.
 
-    Columns are standardized; the correlation matrix is diagonalized with
+    The Spearman matrix of ``rank_correlations``, which
+    ``correlation_matrix`` also returns, is diagonalized with
     ``numpy.linalg.eigh``; components are retained as ``parse_retention``
     reads ``retention``; loadings are rotated by varimax with Kaiser
     normalization and sign-fixed so the largest magnitude entry of each
@@ -250,15 +244,7 @@ def pca_varimax(
     check_cutoff(loading_cutoff)
     if n <= m:
         raise StatsError(f"need more authors ({n}) than indicators ({m})")
-    x = np.array(table.ranks, dtype=np.float64)
-    std = x.std(axis=0, ddof=1)
-    if np.any(std == 0):
-        bad = [table.indicators[j] for j in np.flatnonzero(std == 0)]
-        raise StatsError(f"zero-variance columns: {bad!r}")
-    z = (x - x.mean(axis=0)) / std
-    corr = (z.T @ z) / (n - 1)
-    corr = (corr + corr.T) / 2.0
-
+    corr, _ = rank_correlations(table.ranks, table.indicators)
     eigenvalues, eigenvectors = eigh_descending(corr)
     # corr is positive semidefinite, so a negative eigenvalue is rounding error
     eigenvalues = np.maximum(eigenvalues, 0.0)

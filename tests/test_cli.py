@@ -270,6 +270,8 @@ class TestExitCodes:
          "line 2: author string '.' is empty after normalization"),
         ("config", "subset_size = 30\nsubset_size\n", "line 2: expected key = value"),
         ("scores", "author\tscore\nA\tx\n", "line 2: malformed score row"),
+        ("scores", "x\ty\n", "line 1: expected an 'author'/'score' header row"),
+        ("scores", "author\tscore\n", "no score rows"),
         ("nodes", "A\t1\n", "line 1: expected author<TAB>citations<TAB>publications"),
         ("edges", "A\tB\tx\n", "line 1: invalid weight 'x' (field: weight)"),
     ])
@@ -474,6 +476,20 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "'a-b'" in err and "'a_b'" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("settings,label", [
+        (["dampings=0.5,0.5000001"], "pagerank_d0.5"),
+        (["dampings=0.5,0.5"], "pagerank_d0.5"),
+        (["teleports=uniform,uniform", "dampings=0.85"], "pagerank_d0.85"),
+    ], ids=["same-tag", "repeated-damping", "repeated-teleport"])
+    def test_colliding_pagerank_labels_exit_1_before_work(self, settings, label, tmp_path,
+                                                          capsys):
+        argv = ["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
+                "--set", f"outdir={tmp_path / 'out'}"]
+        assert main(argv + [a for entry in settings for a in ("--set", entry)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: teleports and dampings give two PageRank variants the label {label!r}\n")
         assert not any(tmp_path.iterdir())
 
     def test_import_does_not_load_scipy_stats(self):
@@ -826,6 +842,17 @@ class TestStageComposition:
             stage_file = stage_dir / f"indicator_{tag}_{name}.tsv"
             assert stage_file.read_bytes() == (
                 Path(outdir) / f"indicator_{tag}_{name}.tsv").read_bytes()
+
+    @pytest.mark.parametrize("tag,file_tag", [("a/b", "a_b"), ("1981-1990", "1981_1990")])
+    def test_indicators_tag_is_a_phase_tag(self, tag, file_tag, small_run, tmp_path):
+        _, _, _, outdir = small_run
+        corpus = sorted(Path(outdir).glob("corpus_*.jsonl"))[0]
+        stage_dir = tmp_path / "stage"
+        assert main(["indicators", "--corpus", str(corpus), "--outdir", str(stage_dir),
+                     "--tag", tag]) == 0
+        assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
+            [*(f"indicator_{file_tag}_{name}.tsv"
+               for name in ("popularity", "prestige", "h_index")), "manifest.json"])
 
     def test_correlate_stage_matches_pipeline(self, small_run, tmp_path):
         _, _, _, outdir = small_run

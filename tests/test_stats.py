@@ -1,6 +1,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bibliorank.errors import ConfigError, StatsError
 from bibliorank.indicators import ScoreVector
@@ -308,6 +311,47 @@ class TestPcaVarimax:
         table = _table_from_matrix(np.random.default_rng(71).normal(size=(5, 6)))
         with pytest.raises(ConfigError):
             pca_varimax(table, retention=retention, loading_cutoff=cutoff)
+
+
+# Score values that tie often: signed zeros, repeats, and a few distinct values.
+_TIE_HEAVY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300]),
+                       st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _tie_heavy_tables(draw):
+    shape = (draw(st.integers(3, 60)), draw(st.integers(1, 13)))
+    return _table_from_matrix(draw(arrays(np.float64, shape, elements=_TIE_HEAVY)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+# About a third of the tables have no constant column; the rest check the error.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=_tie_heavy_tables())
+def test_one_correlation_matrix_for_table_spearman_and_pca(table):
+    n, m = table.ranks.shape
+    constant = [label for label, col in zip(table.indicators, table.ranks.T)
+                if np.all(col == col[0])]
+    if constant:
+        with pytest.raises(StatsError, match="degenerate ranking: zero-variance") as exc:
+            correlation_matrix(table)
+        assert repr(constant) in str(exc.value)
+        return
+    cm = correlation_matrix(table)
+    assert np.array_equal(_bits(cm.r), _bits(cm.r.T))
+    assert np.array_equal(_bits(np.diag(cm.r)), _bits(np.ones(m)))
+    assert np.array_equal(_bits(np.diag(cm.p_two_tailed)), _bits(np.zeros(m)))
+    assert np.max(np.abs(cm.r - np.corrcoef(table.ranks, rowvar=False))) <= 1e-12
+    for i in range(m):
+        for j in range(i + 1, m):
+            r, p = spearman(table.ranks[:, i], table.ranks[:, j])
+            assert _bits(r) == _bits(cm.r[i, j]) and _bits(p) == _bits(cm.p_two_tailed[i, j])
+    if n > m:
+        want = np.maximum(eigh_descending(cm.r)[0], 0.0)
+        assert np.array_equal(_bits(pca_varimax(table).eigenvalues), _bits(want))
 
 
 class TestIndicatorTable:

@@ -23,8 +23,8 @@ from bibliorank.evaluation import check_ks, coverage, load_winners
 
 
 @corpus_mod.reads_input
-def _read_score_file(path: str) -> ind_mod.ScoreVector:
-    """Read `author<TAB>score[<TAB>rank]` (header row required)."""
+def _read_score_file(path: str, name: str) -> ind_mod.ScoreVector:
+    """Read `author<TAB>score[<TAB>rank]` (header row required) as ``name``."""
     values: dict[str, float] = {}
     lines = corpus_mod.read_lines(path)
     header_line, header = next(lines, (1, ""))
@@ -44,21 +44,34 @@ def _read_score_file(path: str) -> ind_mod.ScoreVector:
     if not values:
         raise ParseError("no score rows")
     authors = sorted(values)
-    return ind_mod.ScoreVector(Path(path).stem, authors, [values[a] for a in authors])
+    return ind_mod.ScoreVector(name, authors, [values[a] for a in authors])
 
 
 def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVector]:
-    vectors = [_read_score_file(p) for p in paths]
-    if labels:
-        names = [s.strip() for s in labels.split(",")]
-        if len(names) != len(vectors):
-            raise ConfigError(f"{len(names)} labels for {len(vectors)} score files")
-        for sv, name in zip(vectors, names):
-            sv.name = name
-    return vectors
+    """Read each score file as a column labelled by its entry of the
+    comma-separated ``labels``, or else by its file stem.  The labels are
+    checked before any file is read: one per file, none repeated."""
+    names = [s.strip() for s in labels.split(",")] if labels else [Path(p).stem for p in paths]
+    if len(names) != len(paths):
+        raise ConfigError(f"{len(names)} labels for {len(paths)} score files")
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"two score files have the label {name!r}")
+    return list(map(_read_score_file, paths, names))
+
+
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse, before any work, an output file that cannot be created: one
+    whose directory does not exist, or that is itself a directory."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"output file {path}: no such directory")
 
 
 def cmd_generate(args) -> int:
+    _check_outputs(args.out, args.if_table_out)
     c = corpus_mod.generate_synthetic(
         seed=args.seed,
         n_papers=args.papers,
@@ -93,6 +106,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    _check_outputs(args.out)
     pr_mod.check_teleport(args.teleport)
     cfg = pr_mod.PageRankConfig(args.damping, args.tolerance, args.max_iterations,
                                 args.dangling_policy)
@@ -131,6 +145,7 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    _check_outputs(args.out)
     stats_mod.check_subset_size(args.subset_size)
     vectors = _score_vectors(args.scores, args.labels)
     table = pipe_mod.rank_table(vectors, args.subset_size)
@@ -142,6 +157,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_pca(args) -> int:
+    _check_outputs(args.out_loadings, args.out_components)
     stats_mod.check_subset_size(args.subset_size)
     stats_mod.parse_retention(args.retention, len(args.scores))
     stats_mod.check_cutoff(args.cutoff)
@@ -157,6 +173,7 @@ def cmd_pca(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(args.out)
     try:
         ks = [int(k) for k in args.ks.split(",")]
     except ValueError:
@@ -168,8 +185,7 @@ def cmd_evaluate(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         pipe_mod.write_coverage(res, fh)
     if res.missing_winners:
-        print(f"winners not in author universe: {', '.join(res.missing_winners)}",
-              file=sys.stderr)
+        print(f"winners not in author universe: {', '.join(res.missing_winners)}")
     print(f"wrote {args.out}")
     return 0
 

@@ -46,34 +46,17 @@ def variant_label(kind: str, damping: float) -> str:
     return f"{TELEPORTS[kind][0]}_d{damping:g}"
 
 
-@dataclass(frozen=True)
-class TeleportVector:
-    """A probability distribution over graph nodes."""
-
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        check_teleport(self.kind)
-        v = np.asarray(self.values, dtype=np.float64)
-        if np.any(v < 0):
-            raise ConfigError("teleport vector has negative entries")
-        if abs(v.sum() - 1.0) > 1e-12:
-            raise ConfigError(f"teleport vector sums to {v.sum()!r}, not 1")
-        object.__setattr__(self, "values", v)
-
-
-def make_teleport(g: AuthorCitationGraph, kind: str) -> TeleportVector:
-    """Build a teleport vector from graph node attributes."""
+def make_teleport(g: AuthorCitationGraph, kind: str) -> np.ndarray:
+    """The teleport distribution of ``kind`` over the graph's node ids."""
     check_teleport(kind)
     attribute = TELEPORTS[kind][1]
     if attribute is None:
-        return TeleportVector(kind, np.full(g.n_nodes, 1.0 / g.n_nodes))
+        return np.full(g.n_nodes, 1.0 / g.n_nodes)
     raw = getattr(g, attribute).astype(np.float64)
     total = raw.sum()
     if total <= 0:
         raise DegenerateTeleportError(f"degenerate teleport: all {kind} weights are zero")
-    return TeleportVector(kind, raw / total)
+    return raw / total
 
 
 @dataclass(frozen=True)
@@ -99,34 +82,47 @@ class PageRankConfig:
 
 @dataclass
 class PageRankResult:
+    """A solve's scores and convergence diagnostics.  ``error_bound`` bounds
+    the L1 distance from ``scores`` to the exact PageRank vector: one step
+    contracts the L1 distance between distributions by the damping d, so
+    the error is at most d/(1-d) times the last step."""
+
     scores: np.ndarray
     iterations: int
     final_residual: float
     converged: bool
-    damping: float
-
-    @property
-    def error_bound(self) -> float:
-        """Bound on the L1 distance from ``scores`` to the exact PageRank vector.
-
-        One step contracts the L1 distance between distributions by
-        ``damping``, so the error is at most d/(1-d) times the last step.
-        """
-        return self.damping / (1.0 - self.damping) * self.final_residual
+    error_bound: float
 
 
-def _power_iteration(
-    g: AuthorCitationGraph, teleport: TeleportVector, cfg: PageRankConfig
+def pagerank(g: AuthorCitationGraph, cfg: PageRankConfig | None = None) -> PageRankResult:
+    """Original PageRank (uniform teleport)."""
+    return weighted_pagerank(g, make_teleport(g, UNIFORM), cfg)
+
+
+def weighted_pagerank(
+    g: AuthorCitationGraph, teleport: np.ndarray, cfg: PageRankConfig | None = None
 ) -> PageRankResult:
+    """PageRank with ``teleport``, a distribution over the graph's node ids.
+
+    With a uniform teleport this is ``pagerank`` exactly.
+    """
+    cfg = cfg or PageRankConfig()
     n = g.n_nodes
+    teleport = np.asarray(teleport, dtype=np.float64)
+    if teleport.shape != (n,):
+        raise ConfigError(f"teleport shape {teleport.shape} != node count ({n},)")
+    if np.any(teleport < 0):
+        raise ConfigError("teleport vector has negative entries")
+    if not abs(teleport.sum() - 1.0) <= 1e-12:  # a NaN sum fails too
+        raise ConfigError(f"teleport vector sums to {teleport.sum()!r}, not 1")
     d = cfg.damping
     trans, dangling = g.transition
     dangling_ids = np.flatnonzero(dangling)
     if cfg.dangling_policy == "teleport":
-        redistribution = teleport.values
+        redistribution = teleport
     else:
         redistribution = np.full(n, 1.0 / n)
-    base = (1.0 - d) * teleport.values
+    base = (1.0 - d) * teleport
 
     # pi_next = (1 - d) * t + d * (trans @ pi + dangling_mass * redistribution),
     # in that order of operations, written into two buffers that swap.
@@ -152,24 +148,5 @@ def _power_iteration(
         iterations=iterations,
         final_residual=residual,
         converged=residual < cfg.tolerance,
-        damping=d,
+        error_bound=d / (1.0 - d) * residual,
     )
-
-
-def pagerank(g: AuthorCitationGraph, cfg: PageRankConfig | None = None) -> PageRankResult:
-    """Original PageRank (uniform teleport)."""
-    return weighted_pagerank(g, make_teleport(g, UNIFORM), cfg)
-
-
-def weighted_pagerank(
-    g: AuthorCitationGraph, teleport: TeleportVector, cfg: PageRankConfig | None = None
-) -> PageRankResult:
-    """Weighted PageRank with an arbitrary teleport distribution.
-
-    With a uniform teleport this reduces to ``pagerank`` exactly.
-    """
-    cfg = cfg or PageRankConfig()
-    if len(teleport.values) != g.n_nodes:
-        raise ConfigError(f"teleport length {len(teleport.values)} != node count {g.n_nodes}")
-    return _power_iteration(g, teleport, cfg)
-

@@ -391,12 +391,12 @@ def corpus_columns(corpus):
 
 def power_iteration_loop(g, teleport, cfg):
     """The sparse power iteration with a fresh array per step, as
-    ``pagerank._power_iteration`` computed it before it iterated in place.
+    ``pagerank.weighted_pagerank`` computed it before it iterated in place.
 
     Returns (scores, iterations, final residual).
     """
     n = g.n_nodes
-    t = teleport.values
+    t = teleport
     d = cfg.damping
     trans, dangling = g.transition
     redistribution = t if cfg.dangling_policy == "teleport" else np.full(n, 1.0 / n)

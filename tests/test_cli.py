@@ -218,7 +218,7 @@ class TestExitCodes:
     def test_malformed_score_row_exit_2(self, row, tmp_path, capsys):
         scores = tmp_path / "s.tsv"
         scores.write_text(f"author\tscore\nA00\t1\n{row}\n")
-        assert main(["correlate", "--scores", str(scores), str(scores),
+        assert main(["correlate", "--scores", str(scores), str(scores), "--labels", "a,b",
                      "--out", str(tmp_path / "corr.tsv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and str(scores) in err
@@ -298,7 +298,8 @@ class TestExitCodes:
                         "--set", f"winners={i['winners']}", "--set", f"outdir={out}"],
             "config": ["pipeline", "--config", i["config"], "--set", f"corpus={i['corpus']}",
                        "--set", f"outdir={out}"],
-            "scores": ["correlate", "--scores", i["scores"], i["scores"], "--out", out],
+            "scores": ["correlate", "--scores", i["scores"], i["scores"], "--labels", "a,b",
+                       "--out", out],
             "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
                       "--out", out],
             "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
@@ -312,7 +313,8 @@ class TestExitCodes:
         scores = tmp_path / "s.tsv"
         scores.write_text("author\tscore\nA\t1\nB\t2\nA\t9\n")
         out = tmp_path / "corr.tsv"
-        assert main(["correlate", "--scores", str(scores), str(scores), "--out", str(out)]) == 2
+        assert main(["correlate", "--scores", str(scores), str(scores), "--labels", "a,b",
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: ") and str(scores) in err and "'A'" in err
         assert not out.exists()
@@ -492,6 +494,47 @@ class TestExitCodes:
             f"error: teleports and dampings give two PageRank variants the label {label!r}\n")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,message", [
+        (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
+          "--out", "{t}/keep.tsv", "--if-table-out", "{t}/nodir/if.tsv"],
+         "{t}/nodir/if.tsv: no such directory"),
+        (["rank", "--edges", "{t}/nope", "--damping", "0.5", "--out", "{t}/nodir/o.tsv"],
+         "{t}/nodir/o.tsv: no such directory"),
+        (["correlate", "--scores", "{t}/nope", "--out", "{t}/nodir/c.tsv"],
+         "{t}/nodir/c.tsv: no such directory"),
+        (["pca", "--scores", "{t}/nope", "--out-loadings", "{t}/keep.tsv",
+          "--out-components", "{t}/nodir/c.tsv"],
+         "{t}/nodir/c.tsv: no such directory"),
+        (["evaluate", "--scores", "{t}/nope", "--winners", "{t}/nope",
+          "--out", "{t}/nodir/cov.csv"],
+         "{t}/nodir/cov.csv: no such directory"),
+        (["evaluate", "--scores", "{t}/nope", "--winners", "{t}/nope", "--out", "{t}"],
+         "{t} is a directory"),
+    ], ids=["generate", "rank", "correlate", "pca", "evaluate", "evaluate-dir"])
+    def test_unwritable_output_exit_1_before_work(self, argv, message, tmp_path, capsys):
+        keep = tmp_path / "keep.tsv"
+        keep.write_text("kept\n")
+        assert main([a.format(t=tmp_path) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: output file {message.format(t=tmp_path)}\n")
+        assert keep.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.tsv"]
+
+    @pytest.mark.parametrize("command", ["correlate", "pca", "evaluate"])
+    @pytest.mark.parametrize("scores,labels,message", [
+        (["a/x.tsv", "b/x.tsv"], [], "two score files have the label 'x'"),
+        (["a.tsv", "b.tsv"], ["--labels", "p, p"], "two score files have the label 'p'"),
+        (["a.tsv", "b.tsv"], ["--labels", "p"], "1 labels for 2 score files"),
+    ], ids=["same-stem", "same-label", "label-count"])
+    def test_score_labels_checked_before_files_are_read(self, command, scores, labels, message,
+                                                        tmp_path, capsys):
+        outputs = {"correlate": ["--out", "{t}/o"],
+                   "pca": ["--out-loadings", "{t}/l", "--out-components", "{t}/c"],
+                   "evaluate": ["--winners", "{t}/w", "--out", "{t}/o"]}[command]
+        argv = [command, "--scores", *(f"{{t}}/{s}" for s in scores), *labels, *outputs]
+        assert main([a.format(t=tmp_path) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_import_does_not_load_scipy_stats(self):
         env = {**os.environ, "PYTHONPATH": str(Path(bibliorank.__file__).parents[1])}
         proc = subprocess.run(
@@ -543,6 +586,19 @@ class TestEvaluateCommand:
         rows = _read(out).splitlines()
         assert rows[0] == "indicator,top@5,top@10,top@20,top@50"
         assert rows[1].split(",")[1:] == ["1", "2", "2", "3"]
+
+
+    def test_missing_winners_reported_on_stdout(self, tmp_path, capsys):
+        scores = tmp_path / "ind.tsv"
+        scores.write_text("author\tscore\nA001\t2\nA002\t1\n")
+        winners = tmp_path / "winners.txt"
+        winners.write_text("A002\nNOBODY\n")
+        out = tmp_path / "cov.csv"
+        assert main(["evaluate", "--scores", str(scores), "--winners", str(winners),
+                     "--ks", "1", "--out", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert stdout == f"winners not in author universe: NOBODY\nwrote {out}\n"
 
 
 class TestRunConfig:

@@ -25,7 +25,8 @@ from bibliorank.indicators import (
     unmatched_references,
 )
 from bibliorank.network import build_graph
-from bibliorank.pipeline import generate_impact_factors
+from bibliorank.pagerank import TELEPORTS, PageRankConfig
+from bibliorank.pipeline import classical_indicators, generate_impact_factors, pagerank_variants
 from tests import oracles
 from tests.conftest import paper, ref
 from tests.oracles import h_index
@@ -410,3 +411,40 @@ def _assert_reductions_equal_loop_oracles(c, allow_self_citation):
     loop_ifs, loop_misses = oracles.if_loop(records, factors)
     assert misses == loop_misses
     assert np.array_equal(ifs.values, _aligned(g, loop_ifs))
+
+
+def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
+    """``allow_self_citation=false`` (``indicators --drop-self-citations``)
+    removes self-citations from the graph's edges, so from popularity and
+    every PageRank variant.  Prestige, impact-factor scores and the internal
+    citation counts behind the h-index and the highly-cited threshold read
+    the phase's references, and still count them."""
+    cite_p0, cite_p1 = ("A", 1985, "J A", "1", "5"), ("A", 1990, "J A", "1", "10")
+    c = Corpus.from_records([
+        paper("p0", "A", 1985, "J A", volume="1", page="5", refs=[ref("A", 1980)]),
+        paper("p1", "A", 1990, "J A", volume="1", page="10", refs=[ref("A", 1980)]),
+        paper("p2", "A", 2000, "J B", refs=[cite_p0, cite_p1]),
+        paper("p3", "B", 2001, "J C", refs=[cite_p0, cite_p1, ref("C")]),
+    ])
+    # p0 and p1 reach min_citations:2 only with A's own citation from p2
+    assert internal_citation_counts(c).tolist() == [2, 2, 0, 0]
+    table = ImpactFactorTable({("J A", 1985): 1.0, ("J A", 1990): 1.0, ("J B", 2000): 2.0,
+                               ("J C", 2001): 4.0})
+    configs = [PageRankConfig(d) for d in (0.15, 0.5, 0.85)]
+    runs = []
+    for allow in (True, False):
+        g = build_graph(c, allow_self_citation=allow)
+        assert g.authors == ["A", "B", "C"]
+        classical, diagnostics = classical_indicators(c, g, "min_citations:2", table)
+        variants, _ = pagerank_variants(g, list(TELEPORTS), configs, strict=False)
+        assert diagnostics["highly_cited_papers"] == 2
+        runs.append({sv.name: sv.values.tolist() for sv in classical + variants})
+    kept, dropped = runs
+    assert (kept["popularity"], dropped["popularity"]) == ([6, 0, 1], [2, 0, 1])
+    for name in ("prestige", "h_index", "impact_factor"):
+        assert kept[name] == dropped[name]
+    assert kept["prestige"] == [2, 0, 0] and kept["h_index"] == [2, 0, 0]
+    assert kept["impact_factor"] == [1 + 1 + 2 + 2 + 4 + 4, 0, 4]
+    pageranks = [name for name in kept if name.startswith("pagerank")]
+    assert len(pageranks) == 9
+    assert all(kept[name] != dropped[name] for name in pageranks)

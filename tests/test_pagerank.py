@@ -12,7 +12,6 @@ from bibliorank.pagerank import (
     TELEPORTS,
     UNIFORM,
     PageRankConfig,
-    TeleportVector,
     make_teleport,
     pagerank,
     weighted_pagerank,
@@ -45,7 +44,7 @@ class TestAnalyticFixtures:
         assert np.allclose(r.scores, 1 / g.n_nodes, atol=1e-15)
         t = make_teleport(g, CITATION_WEIGHTED)
         rw = weighted_pagerank(g, t, PageRankConfig(damping=0.0))
-        assert np.allclose(rw.scores, t.values, atol=1e-15)
+        assert np.allclose(rw.scores, t, atol=1e-15)
 
 
 class TestMakeTeleport:
@@ -54,14 +53,14 @@ class TestMakeTeleport:
         # second graph has citation counts (2, 1, 1) for a clean normalization check
         g2 = graph_from_matrix([[0, 1, 0], [1, 0, 1], [1, 0, 0]])
         t = make_teleport(g2, CITATION_WEIGHTED)
-        assert np.allclose(t.values, np.array([2, 1, 1]) / 4)
-        assert t.values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(t, np.array([2, 1, 1]) / 4)
+        assert t.sum() == pytest.approx(1.0, abs=1e-12)
         assert g.n_nodes == 3
 
     def test_uniform(self):
         g = graph_from_matrix(np.eye(5, k=1, dtype=int))
         t = make_teleport(g, UNIFORM)
-        assert np.all(t.values == 0.2)
+        assert np.all(t == 0.2)
 
     def test_all_zero_publications_error(self):
         g = graph_from_matrix([[0, 1], [0, 0]], publications=[0, 0])
@@ -69,10 +68,11 @@ class TestMakeTeleport:
             make_teleport(g, PUBLICATION_WEIGHTED)
 
     def test_invalid_vector_rejected(self):
-        with pytest.raises(ConfigError):
-            TeleportVector(UNIFORM, np.array([0.5, 0.6]))
-        with pytest.raises(ConfigError):
-            TeleportVector(UNIFORM, np.array([1.5, -0.5]))
+        g = graph_from_matrix([[0, 1], [0, 0]])
+        for teleport, match in (([0.5, 0.6], "sums to"), ([1.5, -0.5], "negative"),
+                                ([np.nan, 0.5], "sums to")):
+            with pytest.raises(ConfigError, match=match):
+                weighted_pagerank(g, np.array(teleport))
 
 
 class TestAgainstDenseOracle:
@@ -84,7 +84,7 @@ class TestAgainstDenseOracle:
             for kind in (UNIFORM, CITATION_WEIGHTED, PUBLICATION_WEIGHTED):
                 t = make_teleport(g, kind)
                 got = weighted_pagerank(g, t, PageRankConfig(damping=d)).scores
-                want = dense_pagerank(w, t.values, d)
+                want = dense_pagerank(w, t, d)
                 assert np.max(np.abs(got - want)) < 1e-10
 
     def test_uniform_dangling_policy(self):
@@ -93,7 +93,7 @@ class TestAgainstDenseOracle:
         t = make_teleport(g, CITATION_WEIGHTED)
         cfg = PageRankConfig(damping=0.5, dangling_policy="uniform")
         got = weighted_pagerank(g, t, cfg).scores
-        want = dense_pagerank(w, t.values, 0.5, dangling_policy="uniform")
+        want = dense_pagerank(w, t, 0.5, dangling_policy="uniform")
         assert np.max(np.abs(got - want)) < 1e-10
 
     @pytest.mark.parametrize("policy", ["teleport", "uniform"])
@@ -106,7 +106,7 @@ class TestAgainstDenseOracle:
                 # a loose tolerance stops the iteration well short of the fixed point
                 r = weighted_pagerank(g, t, PageRankConfig(damping=d, tolerance=1e-3,
                                                            dangling_policy=policy))
-                want = dense_pagerank(w, t.values, d, dangling_policy=policy)
+                want = dense_pagerank(w, t, d, dangling_policy=policy)
                 assert np.abs(r.scores - want).sum() <= r.error_bound + 1e-12
 
 
@@ -160,14 +160,15 @@ class TestProperties:
         for kind in (UNIFORM, CITATION_WEIGHTED, PUBLICATION_WEIGHTED):
             for d in DAMPINGS:
                 r = weighted_pagerank(g, make_teleport(g, kind), PageRankConfig(damping=d))
-                assert np.allclose(r.scores, dense_pagerank(w, make_teleport(g, kind).values, d),
+                assert np.allclose(r.scores, dense_pagerank(w, make_teleport(g, kind), d),
                                    atol=1e-10)
         assert len(calls) == 1
 
     def test_teleport_length_mismatch(self):
         g = graph_from_matrix([[0, 1], [0, 0]])
-        with pytest.raises(ConfigError):
-            weighted_pagerank(g, TeleportVector(UNIFORM, np.full(3, 1 / 3)))
+        for teleport in (np.full(3, 1 / 3), np.full((1, 2), 0.5)):
+            with pytest.raises(ConfigError, match="node count"):
+                weighted_pagerank(g, teleport)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

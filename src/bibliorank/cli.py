@@ -18,60 +18,26 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import BiblioRankError, ConfigError, ParseError
+from bibliorank.errors import BiblioRankError, ConfigError
 from bibliorank.evaluation import check_ks, coverage, load_winners
-
-
-@corpus_mod.reads_input
-def _read_score_file(path: str, name: str) -> ind_mod.ScoreVector:
-    """Read `author<TAB>score[<TAB>rank]` (header row required) as ``name``."""
-    values: dict[str, float] = {}
-    lines = corpus_mod.read_lines(path)
-    header_line, header = next(lines, (1, ""))
-    header = header.split("\t")
-    if "author" not in header or "score" not in header:
-        raise ParseError("expected an 'author'/'score' header row", line=header_line)
-    a_col = header.index("author")
-    s_col = header.index("score")
-    for lineno, line in lines:
-        parts = line.split("\t")
-        try:
-            if parts[a_col] in values:
-                raise ParseError(f"duplicate author {parts[a_col]!r}", line=lineno)
-            values[parts[a_col]] = float(parts[s_col])
-        except (IndexError, ValueError):
-            raise ParseError("malformed score row", line=lineno) from None
-    if not values:
-        raise ParseError("no score rows")
-    authors = sorted(values)
-    return ind_mod.ScoreVector(name, authors, [values[a] for a in authors])
 
 
 def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVector]:
     """Read each score file as a column labelled by its entry of the
     comma-separated ``labels``, or else by its file stem.  The labels are
-    checked before any file is read: one per file, none repeated."""
+    checked before any file is read: one per file, none empty or repeated."""
     names = [s.strip() for s in labels.split(",")] if labels else [Path(p).stem for p in paths]
     if len(names) != len(paths):
         raise ConfigError(f"{len(names)} labels for {len(paths)} score files")
     for name in names:
+        if not name:
+            raise ConfigError("a score file has an empty label")
         if names.count(name) > 1:
             raise ConfigError(f"two score files have the label {name!r}")
-    return list(map(_read_score_file, paths, names))
-
-
-def _check_outputs(*paths: str | None) -> None:
-    """Refuse, before any work, an output file that cannot be created: one
-    whose directory does not exist, or that is itself a directory."""
-    for path in filter(None, paths):
-        if Path(path).is_dir():
-            raise ConfigError(f"output file {path} is a directory")
-        if not Path(path).parent.is_dir():
-            raise ConfigError(f"output file {path}: no such directory")
+    return list(map(ind_mod.load_indicator, paths, names))
 
 
 def cmd_generate(args) -> int:
-    _check_outputs(args.out, args.if_table_out)
     c = corpus_mod.generate_synthetic(
         seed=args.seed,
         n_papers=args.papers,
@@ -80,24 +46,23 @@ def cmd_generate(args) -> int:
         year_lo=args.year_lo,
         year_hi=args.year_hi,
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with pipe_mod.open_output(args.out) as fh:
         corpus_mod.serialize_corpus(c, fh)
     print(f"wrote {len(c)} synthetic papers to {args.out}")
     if args.if_table_out:
         table = pipe_mod.generate_impact_factors(c, args.seed)
-        with open(args.if_table_out, "w", encoding="utf-8", newline="\n") as fh:
+        with pipe_mod.open_output(args.if_table_out) as fh:
             pipe_mod.dump_impact_factors(table, fh)
         print(f"wrote {len(table.factors)} impact factors to {args.if_table_out}")
     return 0
 
 
 def cmd_ingest(args) -> int:
-    phases = pipe_mod.parse_phases(args.phases) if args.phases else corpus_mod.DEFAULT_PHASES
-    pipe_mod.check_phases(phases)
+    pipe_mod.check_phases(args.phases)
 
     def write(create) -> dict:
         full = corpus_mod.parse_corpus(args.corpus)
-        return pipe_mod.write_phase_corpora(full, phases, create)[1]
+        return pipe_mod.write_phase_corpora(full, args.phases, create)[1]
 
     manifest = pipe_mod.write_run(args.outdir, "ingest", write)
     del manifest["files"]
@@ -106,7 +71,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    _check_outputs(args.out)
     pr_mod.check_teleport(args.teleport)
     cfg = pr_mod.PageRankConfig(args.damping, args.tolerance, args.max_iterations,
                                 args.dangling_policy)
@@ -116,7 +80,7 @@ def cmd_rank(args) -> int:
     graph = net_mod.load_edges(args.edges, publications=publications)
     [scores], solves = pipe_mod.pagerank_variants(graph, [args.teleport], [cfg], args.strict)
     solve = solves[scores.name]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with pipe_mod.open_output(args.out) as fh:
         ind_mod.dump_indicator(scores, fh)
     print(f"{'converged' if solve['converged'] else 'NOT converged'} "
           f"after {solve['iterations']} iterations (residual {solve['final_residual']:.3e})")
@@ -133,10 +97,7 @@ def cmd_indicators(args) -> int:
         table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
         scores, diagnostics = pipe_mod.classical_indicators(
             filtered, graph, args.prestige, table)
-        prefix = f"indicator_{pipe_mod.phase_tag(args.tag)}_" if args.tag else "indicator_"
-        for sv in scores:
-            with create(f"{prefix}{sv.name}.tsv") as fh:
-                ind_mod.dump_indicator(sv, fh)
+        pipe_mod.write_indicators(scores, args.tag, create)
         return {"diagnostics": diagnostics}
 
     manifest = pipe_mod.write_run(args.outdir, "indicators", write)
@@ -145,27 +106,25 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    _check_outputs(args.out)
     stats_mod.check_subset_size(args.subset_size)
     vectors = _score_vectors(args.scores, args.labels)
     table = pipe_mod.rank_table(vectors, args.subset_size)
     cm = stats_mod.correlation_matrix(table)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with pipe_mod.open_output(args.out) as fh:
         pipe_mod.write_correlation(cm, fh)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_pca(args) -> int:
-    _check_outputs(args.out_loadings, args.out_components)
     stats_mod.check_subset_size(args.subset_size)
     stats_mod.parse_retention(args.retention, len(args.scores))
     stats_mod.check_cutoff(args.cutoff)
     vectors = _score_vectors(args.scores, args.labels)
     table = pipe_mod.rank_table(vectors, args.subset_size)
     res = stats_mod.pca_varimax(table, args.retention, args.cutoff)
-    with open(args.out_loadings, "w", encoding="utf-8", newline="\n") as fl, \
-            open(args.out_components, "w", encoding="utf-8", newline="\n") as fc:
+    with pipe_mod.open_output(args.out_loadings) as fl, \
+            pipe_mod.open_output(args.out_components) as fc:
         pipe_mod.write_pca(res, fl, fc)
     print(f"retained {res.n_retained} components "
           f"({100 * res.explained_variance_fractions[: res.n_retained].sum():.2f}% of variance)")
@@ -173,7 +132,6 @@ def cmd_pca(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _check_outputs(args.out)
     try:
         ks = [int(k) for k in args.ks.split(",")]
     except ValueError:
@@ -182,7 +140,7 @@ def cmd_evaluate(args) -> int:
     vectors = _score_vectors(args.scores, args.labels)
     winners = load_winners(args.winners)
     res = coverage(vectors, winners, ks=ks)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with pipe_mod.open_output(args.out) as fh:
         pipe_mod.write_coverage(res, fh)
     if res.missing_winners:
         print(f"winners not in author universe: {', '.join(res.missing_winners)}")
@@ -196,6 +154,11 @@ def cmd_pipeline(args) -> int:
     print(f"pipeline complete: {len(manifest['files'])} files in {cfg.outdir} "
           f"(config hash {manifest['config_hash'][:12]})")
     return 0
+
+
+class OutputFile(str):
+    """The type of an argument that names an output file: ``main`` checks
+    every one a command is given before the command runs."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -218,6 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Author citation networks, weighted PageRank, and rank comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags that several commands share, each declared once.
+    score_files = argparse.ArgumentParser(add_help=False)
+    score_files.add_argument("--scores", nargs="+", action="extend", required=True,
+                             help="score files, one per indicator (repeatable)")
+    score_files.add_argument("--labels", help="comma-separated column labels")
+    subset = argparse.ArgumentParser(add_help=False)
+    subset.add_argument("--subset-size", type=int, default=run.subset_size)
 
     p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
     p.add_argument("--seed", type=int, required=True)
@@ -226,14 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skew", type=float, default=pipe_mod.default_of(generate, "skew"))
     p.add_argument("--year-lo", type=int, default=pipe_mod.default_of(generate, "year_lo"))
     p.add_argument("--year-hi", type=int, default=pipe_mod.default_of(generate, "year_hi"))
-    p.add_argument("--out", required=True)
-    p.add_argument("--if-table-out", help="also write a synthetic impact-factor table")
+    p.add_argument("--out", type=OutputFile, required=True)
+    p.add_argument("--if-table-out", type=OutputFile,
+                   help="also write a synthetic impact-factor table")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("ingest", help="parse, phase-split, and filter a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--phases", help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
+    p.add_argument("--phases", type=pipe_mod.parse_phases, default=corpus_mod.DEFAULT_PHASES,
+                   help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("rank", help="PageRank over an edge-list dump")
@@ -246,41 +218,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dangling-policy", default=solve.dangling_policy,
                    help=", ".join(pr_mod.DANGLING_POLICIES))
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=OutputFile, required=True)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("indicators", help="non-PageRank indicators from a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--tag", default="", help="phase tag used in output file names")
+    p.add_argument("--tag", help="phase tag used in output file names")
     p.add_argument("--prestige", default=run.prestige, help="top_fraction:F or min_citations:M")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
     p.set_defaults(func=cmd_indicators)
 
-    p = sub.add_parser("correlate", help="Spearman matrix over score files")
-    p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--labels", help="comma-separated column labels")
-    p.add_argument("--subset-size", type=int, default=run.subset_size)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("correlate", parents=[score_files, subset],
+                       help="Spearman matrix over score files")
+    p.add_argument("--out", type=OutputFile, required=True)
     p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("pca", help="PCA with varimax rotation over score files")
-    p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--labels")
-    p.add_argument("--subset-size", type=int, default=run.subset_size)
+    p = sub.add_parser("pca", parents=[score_files, subset],
+                       help="PCA with varimax rotation over score files")
     p.add_argument("--retention", default=run.pca_retention, help="kaiser or fixed:K")
     p.add_argument("--cutoff", type=float, default=run.loading_cutoff)
-    p.add_argument("--out-loadings", required=True)
-    p.add_argument("--out-components", required=True)
+    p.add_argument("--out-loadings", type=OutputFile, required=True)
+    p.add_argument("--out-components", type=OutputFile, required=True)
     p.set_defaults(func=cmd_pca)
 
-    p = sub.add_parser("evaluate", help="award-winner coverage of top-k lists")
-    p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--labels")
+    p = sub.add_parser("evaluate", parents=[score_files],
+                       help="award-winner coverage of top-k lists")
     p.add_argument("--winners", required=True)
     p.add_argument("--ks", default=",".join(map(str, run.coverage_ks)))
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=OutputFile, required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config")
@@ -295,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        pipe_mod.check_output_files({f"--{dest.replace('_', '-')}": path for dest, path
+                                     in vars(args).items() if isinstance(path, OutputFile)})
         return args.func(args)
     except BiblioRankError as exc:
         print(f"error: {exc}", file=sys.stderr)

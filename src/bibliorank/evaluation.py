@@ -46,9 +46,9 @@ class CoverageResult:
 
 
 def check_ks(ks) -> None:
-    """Refuse top-k list sizes that are not ascending integers >= 1."""
+    """Refuse top-k list sizes that are not strictly ascending integers >= 1."""
     ks = list(ks)
-    if not ks or ks != sorted(ks) or ks[0] < 1:
+    if not ks or ks != sorted(set(ks)) or ks[0] < 1:
         raise ConfigError("coverage_ks must be ascending integers >= 1, got "
                           + ",".join(map(str, ks)))
 

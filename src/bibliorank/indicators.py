@@ -252,3 +252,30 @@ def dump_indicator(s: ScoreVector, stream) -> None:
     rows = (np.array(s.authors, dtype=object)[order]
             + np.repeat(np.array(tails, dtype=object), np.diff(starts, append=len(values))))
     stream.write("author\tscore\trank\n" + "".join(rows.tolist()))
+
+
+@reads_input
+def load_indicator(source, name: str) -> ScoreVector:
+    """Read a score file (a path or text lines) as the vector ``name``: a
+    header row naming its `author` and `score` columns, then one row per
+    author, as ``dump_indicator`` writes `author<TAB>score<TAB>rank`."""
+    values: dict[str, float] = {}
+    lines = read_lines(source)
+    header_line, header = next(lines, (1, ""))
+    header = header.split("\t")
+    if "author" not in header or "score" not in header:
+        raise ParseError("expected an 'author'/'score' header row", line=header_line)
+    a_col = header.index("author")
+    s_col = header.index("score")
+    for lineno, line in lines:
+        parts = line.split("\t")
+        try:
+            if parts[a_col] in values:
+                raise ParseError(f"duplicate author {parts[a_col]!r}", line=lineno)
+            values[parts[a_col]] = float(parts[s_col])
+        except (IndexError, ValueError):
+            raise ParseError("malformed score row", line=lineno) from None
+    if not values:
+        raise ParseError("no score rows")
+    authors = sorted(values)
+    return ScoreVector(name, authors, [values[a] for a in authors])

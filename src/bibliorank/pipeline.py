@@ -275,6 +275,16 @@ def phase_tag(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
+def write_indicators(scores: list[ind_mod.ScoreVector], phase_label: str | None, create) -> None:
+    """Write each score vector with ``create`` as `indicator_<tag>_<name>.tsv`
+    of the phase labelled ``phase_label``, or as `indicator_<name>.tsv` when
+    ``phase_label`` is None."""
+    tag = "" if phase_label is None else f"{phase_tag(phase_label)}_"
+    for sv in scores:
+        with create(f"indicator_{tag}{sv.name}.tsv") as fh:
+            ind_mod.dump_indicator(sv, fh)
+
+
 def check_phases(phases) -> None:
     """Refuse phases that overlap or whose labels give the same file tag."""
     corpus_mod.check_phase_overlap(phases)
@@ -398,6 +408,26 @@ def check_outdir(outdir: Path, command: str) -> None:
                               "an earlier run; remove it or choose another outdir")
 
 
+def open_output(path):
+    """Open an output text file for writing: UTF-8, with `\\n` newlines."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def check_output_files(outputs: dict[str, str]) -> None:
+    """Refuse, before any work, an output file that cannot be created (its
+    directory does not exist, or it is itself a directory) or that two
+    outputs name.  ``outputs`` maps each output flag of a command to its path."""
+    flags: dict[Path, str] = {}
+    for flag, path in outputs.items():
+        if Path(path).is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ConfigError(f"output file {path}: no such directory")
+        other = flags.setdefault(Path(path).resolve(), flag)
+        if other != flag:
+            raise ConfigError(f"output file {path} is named by both {other} and {flag}")
+
+
 def write_run(outdir: str, command: str, write) -> dict:
     """Write ``command``'s run directory through ``write(create)``; returns
     its manifest.
@@ -413,7 +443,7 @@ def write_run(outdir: str, command: str, write) -> dict:
     stage.mkdir(parents=True)
 
     def create(name: str):
-        return open(stage / name, "w", encoding="utf-8", newline="\n")
+        return open_output(stage / name)
 
     try:
         manifest = write(create)
@@ -492,9 +522,7 @@ def _write_run(cfg: RunConfig, create) -> dict:
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]
 
-        for sv in scores:
-            with create(f"indicator_{tag}_{sv.name}.tsv") as fh:
-                ind_mod.dump_indicator(sv, fh)
+        write_indicators(scores, phase.label, create)
 
         table = rank_table(scores, cfg.subset_size)
         with create(f"table_{tag}.tsv") as fh:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bibliorank
-from bibliorank.cli import main
+from bibliorank.cli import OutputFile, build_parser, main
 from bibliorank.errors import ConfigError, NonConvergenceError
 from bibliorank.pipeline import (
     RunConfig,
@@ -227,7 +228,7 @@ class TestExitCodes:
         "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
         "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
         "subset_size=2", "pca_retention=fixed:0", "pca_retention=fixed:14",
-        "coverage_ks=10,5", "tolerance=0",
+        "coverage_ks=10,5", "coverage_ks=5,5", "tolerance=0",
         "max_iterations=0", "dangling_policy=x",
     ])
     def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
@@ -510,7 +511,14 @@ class TestExitCodes:
          "{t}/nodir/cov.csv: no such directory"),
         (["evaluate", "--scores", "{t}/nope", "--winners", "{t}/nope", "--out", "{t}"],
          "{t} is a directory"),
-    ], ids=["generate", "rank", "correlate", "pca", "evaluate", "evaluate-dir"])
+        (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
+          "--out", "{t}/k.jsonl", "--if-table-out", "{t}/k.jsonl"],
+         "{t}/k.jsonl is named by both --out and --if-table-out"),
+        (["pca", "--scores", "{t}/nope", "{t}/nope2", "--out-loadings", "{t}/o.tsv",
+          "--out-components", "{t}/o.tsv"],
+         "{t}/o.tsv is named by both --out-loadings and --out-components"),
+    ], ids=["generate", "rank", "correlate", "pca", "evaluate", "evaluate-dir",
+            "generate-same-file", "pca-same-file"])
     def test_unwritable_output_exit_1_before_work(self, argv, message, tmp_path, capsys):
         keep = tmp_path / "keep.tsv"
         keep.write_text("kept\n")
@@ -519,12 +527,36 @@ class TestExitCodes:
         assert keep.read_text() == "kept\n"
         assert [p.name for p in tmp_path.iterdir()] == ["keep.tsv"]
 
+    def test_outputs_compared_as_resolved_paths(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--seed", "1", "--papers", "50", "--authors", "20",
+                     "--out", "k.jsonl", "--if-table-out", "./k.jsonl"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: output file ./k.jsonl is named by both --out and --if-table-out\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_every_output_option_is_checked(self):
+        [commands] = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        outputs = []
+        for command, parser in commands.choices.items():
+            for action in parser._actions:
+                dest = action.dest
+                if dest != "outdir" and (dest == "out" or dest.endswith("_out")
+                                         or dest.startswith("out_")):
+                    assert action.type is OutputFile, (command, dest)
+                    outputs.append(f"{command} {action.option_strings[0]}")
+        assert sorted(outputs) == [
+            "correlate --out", "evaluate --out", "generate --if-table-out", "generate --out",
+            "pca --out-components", "pca --out-loadings", "rank --out"]
+
     @pytest.mark.parametrize("command", ["correlate", "pca", "evaluate"])
     @pytest.mark.parametrize("scores,labels,message", [
         (["a/x.tsv", "b/x.tsv"], [], "two score files have the label 'x'"),
         (["a.tsv", "b.tsv"], ["--labels", "p, p"], "two score files have the label 'p'"),
         (["a.tsv", "b.tsv"], ["--labels", "p"], "1 labels for 2 score files"),
-    ], ids=["same-stem", "same-label", "label-count"])
+        (["a.tsv", "b.tsv"], ["--labels", "x,"], "a score file has an empty label"),
+    ], ids=["same-stem", "same-label", "label-count", "empty-label"])
     def test_score_labels_checked_before_files_are_read(self, command, scores, labels, message,
                                                         tmp_path, capsys):
         outputs = {"correlate": ["--out", "{t}/o"],
@@ -754,6 +786,9 @@ _SHARED_SETTINGS = [
     ("coverage_ks", "10,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "10,5",
                              "--out", "{o}"],
      "coverage_ks must be ascending integers >= 1, got 10,5"),
+    ("coverage_ks", "5,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "5,5",
+                            "--out", "{o}"],
+     "coverage_ks must be ascending integers >= 1, got 5,5"),
 ]
 
 
@@ -926,6 +961,17 @@ class TestStageComposition:
         assert main(["correlate", "--scores", *files, "--labels", ",".join(labels),
                      "--subset-size", "30", "--out", str(out)]) == 0
         assert out.read_bytes() == (Path(outdir) / f"correlation_{tag}.tsv").read_bytes()
+
+    def test_repeated_scores_flag_adds_files(self, small_run, tmp_path):
+        _, _, _, outdir = small_run
+        a, b = sorted(Path(outdir).glob("indicator_*.tsv"))[:2]
+        once, twice = tmp_path / "once.tsv", tmp_path / "twice.tsv"
+        assert main(["correlate", "--scores", str(a), str(b), "--subset-size", "3",
+                     "--out", str(once)]) == 0
+        assert main(["correlate", "--scores", str(a), "--scores", str(b), "--subset-size", "3",
+                     "--out", str(twice)]) == 0
+        assert twice.read_bytes() == once.read_bytes()
+        assert _read(once).splitlines()[0] == f"indicator\t{a.stem}\t{b.stem}"
 
     def test_pca_stage_matches_pipeline(self, small_run, tmp_path):
         _, _, _, outdir = small_run

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
@@ -38,14 +40,8 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
 
 
 def cmd_generate(args) -> int:
-    c = corpus_mod.generate_synthetic(
-        seed=args.seed,
-        n_papers=args.papers,
-        n_authors=args.authors,
-        skew=args.skew,
-        year_lo=args.year_lo,
-        year_hi=args.year_hi,
-    )
+    c = corpus_mod.generate_synthetic(args.seed, args.papers, args.authors, args.skew,
+                                      args.year_lo, args.year_hi)
     with pipe_mod.open_output(args.out) as fh:
         corpus_mod.serialize_corpus(c, fh)
     print(f"wrote {len(c)} synthetic papers to {args.out}")
@@ -91,8 +87,7 @@ def cmd_indicators(args) -> int:
     ind_mod.parse_prestige(args.prestige)
 
     def write(create) -> dict:
-        c = corpus_mod.parse_corpus(args.corpus)
-        filtered, _ = corpus_mod.filter_with_references(c)
+        filtered, _ = corpus_mod.filter_with_references(corpus_mod.parse_corpus(args.corpus))
         graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
         table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
         scores, diagnostics = pipe_mod.classical_indicators(
@@ -107,8 +102,7 @@ def cmd_indicators(args) -> int:
 
 def cmd_correlate(args) -> int:
     stats_mod.check_subset_size(args.subset_size)
-    vectors = _score_vectors(args.scores, args.labels)
-    table = pipe_mod.rank_table(vectors, args.subset_size)
+    table = pipe_mod.rank_table(_score_vectors(args.scores, args.labels), args.subset_size)
     cm = stats_mod.correlation_matrix(table)
     with pipe_mod.open_output(args.out) as fh:
         pipe_mod.write_correlation(cm, fh)
@@ -120,8 +114,7 @@ def cmd_pca(args) -> int:
     stats_mod.check_subset_size(args.subset_size)
     stats_mod.parse_retention(args.retention, len(args.scores))
     stats_mod.check_cutoff(args.cutoff)
-    vectors = _score_vectors(args.scores, args.labels)
-    table = pipe_mod.rank_table(vectors, args.subset_size)
+    table = pipe_mod.rank_table(_score_vectors(args.scores, args.labels), args.subset_size)
     res = stats_mod.pca_varimax(table, args.retention, args.cutoff)
     with pipe_mod.open_output(args.out_loadings) as fl, \
             pipe_mod.open_output(args.out_components) as fc:
@@ -132,14 +125,8 @@ def cmd_pca(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        ks = [int(k) for k in args.ks.split(",")]
-    except ValueError:
-        raise ConfigError(f"invalid --ks {args.ks!r}: expected integers") from None
-    check_ks(ks)
-    vectors = _score_vectors(args.scores, args.labels)
-    winners = load_winners(args.winners)
-    res = coverage(vectors, winners, ks=ks)
+    check_ks(args.ks)
+    res = coverage(_score_vectors(args.scores, args.labels), load_winners(args.winners), args.ks)
     with pipe_mod.open_output(args.out) as fh:
         pipe_mod.write_coverage(res, fh)
     if res.missing_winners:
@@ -161,6 +148,24 @@ class OutputFile(str):
     every one a command is given before the command runs."""
 
 
+def _written_text(value: str) -> str:
+    """The type of an argument written into an output: text UTF-8 can encode."""
+    if corpus_mod.encodes(value):
+        return value
+    raise argparse.ArgumentTypeError(f"{value!r} is not valid UTF-8")
+
+
+def _setting(parser, flag: str, key: str, one: bool = False, **kwargs) -> None:
+    """Declare ``flag``, which sets config ``key`` (one entry of it if ``one``),
+    with the key's parser, ``--set``'s message and ``RunConfig``'s default."""
+    parse, default = pipe_mod._FIELD_PARSERS[key], getattr(pipe_mod.RunConfig, key)
+    if one:
+        item = get_args(get_type_hints(pipe_mod.RunConfig)[key])[0]
+        parse, default = pipe_mod._value_parser(item), default[0]
+    parser.add_argument(flag, type=partial(pipe_mod.parse_setting, parse, name=flag),
+                        default=None if kwargs.get("required") else default, **kwargs)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError, the way every other error
     reaches ``main``."""
@@ -170,91 +175,84 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The flags of every subcommand.  A flag's default is the one of the
-    code that uses it, and its value is checked there, so ``pipeline``
-    and the stage subcommands refuse a setting with the same message."""
-    run = pipe_mod.RunConfig
-    solve = pr_mod.PageRankConfig
-    generate = corpus_mod.generate_synthetic
+    """The flags of every subcommand.  A flag that sets a config key is
+    parsed, defaulted and checked as the key is, so ``pipeline`` and the
+    stage subcommands refuse a setting with the same message."""
     parser = _ArgumentParser(
         prog="bibliorank",
         description="Author citation networks, weighted PageRank, and rank comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(func, **kwargs) -> argparse.ArgumentParser:
+        """The subcommand <name> that ``func``, ``cmd_<name>``, runs."""
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), **kwargs)
+        p.set_defaults(func=func)
+        return p
+
     # Flags that several commands share, each declared once.
     score_files = argparse.ArgumentParser(add_help=False)
     score_files.add_argument("--scores", nargs="+", action="extend", required=True,
                              help="score files, one per indicator (repeatable)")
-    score_files.add_argument("--labels", help="comma-separated column labels")
+    score_files.add_argument("--labels", type=_written_text, help="comma-separated column labels")
     subset = argparse.ArgumentParser(add_help=False)
-    subset.add_argument("--subset-size", type=int, default=run.subset_size)
+    _setting(subset, "--subset-size", "subset_size")
 
-    p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--papers", type=int, required=True)
-    p.add_argument("--authors", type=int, required=True)
-    p.add_argument("--skew", type=float, default=pipe_mod.default_of(generate, "skew"))
-    p.add_argument("--year-lo", type=int, default=pipe_mod.default_of(generate, "year_lo"))
-    p.add_argument("--year-hi", type=int, default=pipe_mod.default_of(generate, "year_hi"))
+    p = command(cmd_generate, help="generate a seeded synthetic corpus")
+    _setting(p, "--seed", "seed", required=True)
+    _setting(p, "--papers", "n_papers", required=True)
+    _setting(p, "--authors", "n_authors", required=True)
+    _setting(p, "--skew", "skew")
+    p.add_argument("--year-lo", type=int, default=corpus_mod.DEFAULT_PHASES[0].year_lo)
+    p.add_argument("--year-hi", type=int, default=corpus_mod.DEFAULT_PHASES[-1].year_hi)
     p.add_argument("--out", type=OutputFile, required=True)
     p.add_argument("--if-table-out", type=OutputFile,
                    help="also write a synthetic impact-factor table")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("ingest", help="parse, phase-split, and filter a corpus file")
+    p = command(cmd_ingest, help="parse, phase-split, and filter a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--phases", type=pipe_mod.parse_phases, default=corpus_mod.DEFAULT_PHASES,
-                   help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
-    p.set_defaults(func=cmd_ingest)
+    _setting(p, "--phases", "phases", help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
 
-    p = sub.add_parser("rank", help="PageRank over an edge-list dump")
+    p = command(cmd_rank, help="PageRank over an edge-list dump")
     p.add_argument("--edges", required=True)
     p.add_argument("--nodes", help="node dump supplying publication counts")
-    p.add_argument("--damping", type=float, required=True)
-    p.add_argument("--teleport", default=pr_mod.UNIFORM, help=", ".join(pr_mod.TELEPORTS))
-    p.add_argument("--tolerance", type=float, default=solve.tolerance)
-    p.add_argument("--max-iterations", type=int, default=solve.max_iterations)
-    p.add_argument("--dangling-policy", default=solve.dangling_policy,
-                   help=", ".join(pr_mod.DANGLING_POLICIES))
+    _setting(p, "--damping", "dampings", one=True, required=True)
+    _setting(p, "--teleport", "teleports", one=True, help=", ".join(pr_mod.TELEPORTS))
+    _setting(p, "--tolerance", "tolerance")
+    _setting(p, "--max-iterations", "max_iterations")
+    _setting(p, "--dangling-policy", "dangling_policy", help=", ".join(pr_mod.DANGLING_POLICIES))
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("indicators", help="non-PageRank indicators from a corpus file")
+    p = command(cmd_indicators, help="non-PageRank indicators from a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--tag", help="phase tag used in output file names")
-    p.add_argument("--prestige", default=run.prestige, help="top_fraction:F or min_citations:M")
+    p.add_argument("--tag", type=_written_text, help="phase tag used in output file names")
+    _setting(p, "--prestige", "prestige", help="top_fraction:F or min_citations:M")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
-    p.set_defaults(func=cmd_indicators)
 
-    p = sub.add_parser("correlate", parents=[score_files, subset],
-                       help="Spearman matrix over score files")
+    p = command(cmd_correlate, parents=[score_files, subset],
+                help="Spearman matrix over score files")
     p.add_argument("--out", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("pca", parents=[score_files, subset],
-                       help="PCA with varimax rotation over score files")
-    p.add_argument("--retention", default=run.pca_retention, help="kaiser or fixed:K")
-    p.add_argument("--cutoff", type=float, default=run.loading_cutoff)
+    p = command(cmd_pca, parents=[score_files, subset],
+                help="PCA with varimax rotation over score files")
+    _setting(p, "--retention", "pca_retention", help="kaiser or fixed:K")
+    _setting(p, "--cutoff", "loading_cutoff")
     p.add_argument("--out-loadings", type=OutputFile, required=True)
     p.add_argument("--out-components", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_pca)
 
-    p = sub.add_parser("evaluate", parents=[score_files],
-                       help="award-winner coverage of top-k lists")
+    p = command(cmd_evaluate, parents=[score_files], help="award-winner coverage of top-k lists")
     p.add_argument("--winners", required=True)
-    p.add_argument("--ks", default=",".join(map(str, run.coverage_ks)))
+    _setting(p, "--ks", "coverage_ks")
     p.add_argument("--out", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="run the full pipeline from a config")
+    p = command(cmd_pipeline, help="run the full pipeline from a config")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="config override (repeatable)")
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

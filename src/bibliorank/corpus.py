@@ -240,6 +240,15 @@ def _parse_ref(obj, line, strings: _StringTable) -> tuple:
             strings.optional(obj.get("page"), line, "refs.page"))
 
 
+def encodes(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``, that is, it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_lines(source) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each non-blank line of a text
     input, without its newline: a path, opened as UTF-8, or an iterable of
@@ -254,11 +263,8 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
             yield from read_lines(fh)
         return
     for lineno, raw in enumerate(source, start=1):
-        if not raw.isascii():
-            try:
-                raw.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError("not valid UTF-8", line=lineno) from None
+        if not raw.isascii() and not encodes(raw):
+            raise ParseError("not valid UTF-8", line=lineno)
         line = raw.rstrip("\n")
         if line.strip():
             yield lineno, line
@@ -291,12 +297,15 @@ def parse_corpus(source) -> Corpus:
     and ``refs``.  Errors carry 1-based line numbers.
 
     Each distinct author, venue, volume or page string is checked and
-    normalised once.
+    normalised once.  A string that UTF-8 cannot encode, a lone surrogate
+    from a JSON escape such as ``"\\ud800"``, is a ParseError naming the
+    first line and field that hold it.
     """
     strings = _StringTable()
     keys, stripped = strings.keys, strings.stripped
     ids, paper_keys, refs = array("i"), array("i"), array("i")  # refs: 5 values per reference
     offsets = array("q", [0])
+    linenos = array("i")  # each paper's line number
     seen_ids = set()
     for lineno, line in read_lines(source):
         try:
@@ -341,9 +350,29 @@ def parse_corpus(source) -> Corpus:
                            strings.optional(obj.get("volume"), lineno, "volume"),
                            strings.optional(obj.get("page"), lineno, "page")))
         offsets.append(len(refs) // 5)
-    return Corpus(list(strings.index), np.asarray(ids, dtype=np.int32),
-                  _key_rows(paper_keys), np.asarray(offsets, dtype=np.int64),
-                  _key_rows(refs))
+        linenos.append(lineno)
+    corpus = Corpus(list(strings.index), np.asarray(ids, dtype=np.int32),
+                    _key_rows(paper_keys), np.asarray(offsets, dtype=np.int64),
+                    _key_rows(refs))
+    if not encodes("".join(corpus.strings)):
+        raise _unencodable(corpus, linenos)
+    return corpus
+
+
+def _unencodable(corpus: Corpus, linenos) -> ParseError:
+    """The ParseError of the first paper, at its line ``linenos[paper]``, that
+    holds a string of ``corpus`` that UTF-8 cannot encode, naming its field."""
+    bad = next(i for i, text in enumerate(corpus.strings) if not encodes(text))
+    uses = [(np.flatnonzero(corpus.ids == bad), "id")]  # (papers, field)
+    for column, name in ((AUTHOR, "author"), (SOURCE, "source"), (VOLUME, "volume"),
+                         (PAGE, "page")):
+        uses.append((np.flatnonzero(corpus.keys[:, column] == bad), name))
+        in_refs = np.flatnonzero(corpus.refs[:, column] == bad)
+        uses.append((np.searchsorted(corpus.offsets, in_refs, side="right") - 1,
+                     f"refs.{name}"))
+    paper, field = min((papers[0], field) for papers, field in uses if len(papers))
+    return ParseError("string holds a lone surrogate, which is not valid UTF-8",
+                      line=linenos[paper], field=field)
 
 
 def _key_text(rows: np.ndarray, encoded: np.ndarray) -> np.ndarray:
@@ -425,7 +454,8 @@ _MAX_REFS = 120
 
 
 def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float,
-                    year_lo: int = 1956, year_hi: int = 2008) -> None:
+                    year_lo: int = DEFAULT_PHASES[0].year_lo,
+                    year_hi: int = DEFAULT_PHASES[-1].year_hi) -> None:
     """Refuse synthetic-corpus parameters that ``generate_synthetic`` cannot
     draw from, with a ConfigError naming the parameter."""
     if seed < 0:
@@ -456,8 +486,8 @@ def generate_synthetic(
     n_papers: int,
     n_authors: int,
     skew: float = 1.0,
-    year_lo: int = 1956,
-    year_hi: int = 2008,
+    year_lo: int = DEFAULT_PHASES[0].year_lo,
+    year_hi: int = DEFAULT_PHASES[-1].year_hi,
     internal_ref_prob: float = 0.4,
 ) -> Corpus:
     """Generate a deterministic synthetic corpus with heavy-tailed citations.

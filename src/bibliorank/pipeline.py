@@ -7,6 +7,7 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import inspect
 import json
@@ -138,6 +139,8 @@ def parse_phases(text: str) -> tuple[corpus_mod.Phase, ...]:
         if not piece:
             continue
         label, span = piece.split(":", 1) if ":" in piece else (piece, piece)
+        if not corpus_mod.encodes(label):  # a label is written into the manifest
+            raise ConfigError(f"invalid phases entry {piece!r}: the label is not valid UTF-8")
         try:
             lo, hi = span.split("-")
             phases.append(corpus_mod.Phase(label.strip(), int(lo), int(hi)))
@@ -178,16 +181,22 @@ _FIELD_PARSERS = {
 }
 
 
+def parse_setting(parse, value: str, name: str):
+    """``parse`` the stripped ``value`` of the setting ``name``, a config
+    key or a flag; a malformed value is a ConfigError naming it."""
+    value = value.strip()
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value {value!r} for {name}: {exc}") from None
+
+
 def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
     """Set one `key = value` config entry (file line or CLI override)."""
     key = key.strip()
-    value = value.strip()
     if key not in _FIELD_PARSERS:
         raise ConfigError(f"unknown config key {key!r}")
-    try:
-        setattr(cfg, key, _FIELD_PARSERS[key](value))
-    except ValueError as exc:
-        raise ConfigError(f"invalid value {value!r} for config key {key!r}: {exc}") from None
+    setattr(cfg, key, parse_setting(_FIELD_PARSERS[key], value, f"config key {key!r}"))
 
 
 @corpus_mod.reads_input
@@ -408,9 +417,25 @@ def check_outdir(outdir: Path, command: str) -> None:
                               "an earlier run; remove it or choose another outdir")
 
 
-def open_output(path):
-    """Open an output text file for writing: UTF-8, with `\\n` newlines."""
+def _open_text(path):
+    """Open a text file for writing: UTF-8, with `\\n` newlines."""
     return open(path, "w", encoding="utf-8", newline="\n")
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """Open the output text file ``path`` for writing, replaced whole or not
+    at all: the text goes to a hidden `.<name>.<pid>.tmp` beside it, renamed
+    to ``path`` when the block exits cleanly and removed otherwise."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with _open_text(tmp) as fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def check_output_files(outputs: dict[str, str]) -> None:
@@ -443,7 +468,7 @@ def write_run(outdir: str, command: str, write) -> dict:
     stage.mkdir(parents=True)
 
     def create(name: str):
-        return open_output(stage / name)
+        return _open_text(stage / name)
 
     try:
         manifest = write(create)

@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import errno
+import functools
 import hashlib
 import io
 import json
@@ -8,7 +10,9 @@ import platform
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -17,13 +21,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bibliorank
+from bibliorank import corpus as corpus_mod
+from bibliorank import indicators as ind_mod
+from bibliorank import pipeline as pipe_mod
 from bibliorank.cli import OutputFile, build_parser, main
+from bibliorank.corpus import check_synthetic, generate_synthetic
 from bibliorank.errors import ConfigError, NonConvergenceError
 from bibliorank.pipeline import (
+    _FIELD_PARSERS,
     RunConfig,
+    _value_parser,
     apply_config_entry,
+    default_of,
     load_config,
+    open_output,
     parse_phases,
+    parse_setting,
     run_pipeline,
 )
 from tests.oracles import parse_corpus_loop, unmatched_references_loop
@@ -803,6 +816,263 @@ def test_bad_setting_same_error_in_pipeline_and_stage_before_reading(
         assert main(argv) == 1, argv
         assert capsys.readouterr() == ("", f"error: {message}\n"), argv
         assert not any(tmp_path.iterdir())
+
+
+# Every flag that sets a config key: (command, flag, key).  rank's
+# --damping and --teleport set one entry of their tuple key.
+_KEY_FLAGS = [
+    ("generate", "--seed", "seed"), ("generate", "--papers", "n_papers"),
+    ("generate", "--authors", "n_authors"), ("generate", "--skew", "skew"),
+    ("ingest", "--phases", "phases"),
+    ("rank", "--damping", "dampings"), ("rank", "--teleport", "teleports"),
+    ("rank", "--tolerance", "tolerance"), ("rank", "--max-iterations", "max_iterations"),
+    ("rank", "--dangling-policy", "dangling_policy"),
+    ("indicators", "--prestige", "prestige"),
+    ("correlate", "--subset-size", "subset_size"), ("pca", "--subset-size", "subset_size"),
+    ("pca", "--retention", "pca_retention"), ("pca", "--cutoff", "loading_cutoff"),
+    ("evaluate", "--ks", "coverage_ks"),
+]
+_ONE_ENTRY_KEYS = {"dampings", "teleports"}
+
+
+def _subcommands() -> dict:
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def test_every_key_flag_is_declared_from_its_key():
+    hints = get_type_hints(RunConfig)
+    declared = []
+    for command, parser in _subcommands().items():
+        for action in parser._actions:
+            if action.type in (int, float):  # only the generator's years map to no key
+                assert (command, action.dest) in {("generate", "year_lo"),
+                                                  ("generate", "year_hi")}
+            if isinstance(action.type, functools.partial):
+                assert action.type.func is parse_setting
+                assert action.type.keywords == {"name": action.option_strings[0]}
+                declared.append((command, action.option_strings[0], action))
+    assert [(command, flag) for command, flag, _ in declared] == [
+        (command, flag) for command, flag, _ in _KEY_FLAGS]
+    for (command, flag, action), (_, _, key) in zip(declared, _KEY_FLAGS):
+        parse, default = _FIELD_PARSERS[key], getattr(RunConfig, key)
+        if key in _ONE_ENTRY_KEYS:
+            parse, default = _value_parser(get_args(hints[key])[0]), default[0]
+        assert action.type.args == (parse,), (command, flag)
+        assert action.default == (None if action.required else default), (command, flag)
+    required = {(c, a.option_strings[0]) for c, _, a in declared if a.required}
+    assert required == {("generate", "--seed"), ("generate", "--papers"),
+                        ("generate", "--authors"), ("rank", "--damping")}
+
+
+def test_generator_years_have_one_default():
+    defaults = {a.dest: a.default for a in _subcommands()["generate"]._actions}
+    for name in ("year_lo", "year_hi"):
+        assert defaults[name] == default_of(generate_synthetic, name) == \
+            default_of(check_synthetic, name)
+    assert (defaults["year_lo"], defaults["year_hi"]) == (1956, 2008)
+
+
+# Each command's required flags, with an input {m} that does not exist and
+# an output {o}; pca takes the pipeline's 12 indicators without an IF table.
+_REQUIRED_FLAGS = {
+    "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--out", "{o}"],
+    "ingest": ["--corpus", "{m}", "--outdir", "{o}"],
+    "rank": ["--edges", "{m}", "--damping", "0.5", "--out", "{o}"],
+    "indicators": ["--corpus", "{m}", "--outdir", "{o}"],
+    "correlate": ["--scores", "{m}", "{m}", "--out", "{o}"],
+    "pca": ["--scores", *["{m}"] * 12, "--out-loadings", "{o}", "--out-components", "{o}c"],
+    "evaluate": ["--scores", "{m}", "--winners", "{m}", "--out", "{o}"],
+}
+# A malformed value for each flag of _KEY_FLAGS, in the same order.
+_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e", "10.0", "x",
+                          "top_fraction:x", "3.5", "x", "fixed:x", "abc", "5,x"]
+
+
+@pytest.mark.parametrize("command,flag,key,value", [
+    (*flag, value) for flag, value in zip(_KEY_FLAGS, _MALFORMED_FLAG_VALUES, strict=True)],
+    ids=[f"{c} {f}" for c, f, _ in _KEY_FLAGS])
+def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, tmp_path,
+                                                     capsys):
+    missing, out = tmp_path / "missing", tmp_path / "out"
+    assert main(["pipeline", "--set", f"corpus={missing}", "--set", f"outdir={out}",
+                 "--set", f"{key}={value}"]) == 1
+    stdout, by_key = capsys.readouterr()
+    assert stdout == "" and by_key.startswith("error: ") and by_key.count("\n") == 1
+    argv = [command, *(a.format(m=missing, o=out) for a in _REQUIRED_FLAGS[command]),
+            flag, value]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", by_key.replace(f"config key {key!r}", flag))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["correlate", "--scores", "{t}/a", "{t}/b", "--labels", "\udcff,b", "--out", "{t}/good"],
+     "argument --labels: '\\udcff,b' is not valid UTF-8"),
+    (["evaluate", "--scores", "{t}/a", "--labels", "a\udcff", "--winners", "{t}/w",
+      "--out", "{t}/good"],
+     "argument --labels: 'a\\udcff' is not valid UTF-8"),
+    (["indicators", "--corpus", "{t}/c", "--outdir", "{t}/good", "--tag", "\udcff"],
+     "argument --tag: '\\udcff' is not valid UTF-8"),
+    (["ingest", "--corpus", "{t}/c", "--outdir", "{t}/good", "--phases", "\udcff:1956-2008"],
+     "invalid phases entry '\\udcff:1956-2008': the label is not valid UTF-8"),
+    (["pipeline", "--set", "seed=1", "--set", "outdir={t}/good",
+      "--set", "phases=1956-1990;x\udcff:1991-2008"],
+     "invalid phases entry 'x\\udcff:1991-2008': the label is not valid UTF-8"),
+], ids=["correlate-labels", "evaluate-labels", "indicators-tag", "ingest-phases",
+        "pipeline-phases"])
+def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, capsys):
+    """A non-UTF-8 byte of argv reaches Python as a lone surrogate, \\udcff
+    for 0xff; an argument that is written into an output is refused before
+    any work, and an existing output is kept."""
+    good = tmp_path / "good"
+    good.write_text("kept\n")
+    assert main([a.format(t=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["good"]
+    assert good.read_text() == "kept\n"
+
+
+def _fail_part_way(*args):
+    """A writer that writes part of its output to its stream, the last
+    argument, and then finds the disk full."""
+    args[-1].write("partial\n")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("module,writer,argv,outputs", [
+    (corpus_mod, "serialize_corpus",
+     ["generate", "--seed", "1", "--papers", "30", "--authors", "10", "--out", "{t}/c.jsonl"],
+     ["c.jsonl"]),
+    (pipe_mod, "dump_impact_factors",
+     ["generate", "--seed", "1", "--papers", "30", "--authors", "10", "--out", "{t}/c.jsonl",
+      "--if-table-out", "{t}/if.tsv"],
+     ["if.tsv"]),
+    (ind_mod, "dump_indicator",
+     ["rank", "--edges", "{edges}", "--damping", "0.5", "--out", "{t}/s.tsv"], ["s.tsv"]),
+    (pipe_mod, "write_correlation",
+     ["correlate", "--scores", "{a}", "{b}", "--subset-size", "20", "--out", "{t}/c.tsv"],
+     ["c.tsv"]),
+    (pipe_mod, "write_pca",
+     ["pca", "--scores", "{a}", "{b}", "--subset-size", "20",
+      "--out-loadings", "{t}/l.tsv", "--out-components", "{t}/p.tsv"], ["l.tsv", "p.tsv"]),
+    (pipe_mod, "write_coverage",
+     ["evaluate", "--scores", "{a}", "{b}", "--winners", "{t}/w.txt", "--out", "{t}/v.csv"],
+     ["v.csv"]),
+], ids=["generate-out", "generate-if-table-out", "rank", "correlate", "pca", "evaluate"])
+def test_failed_write_keeps_the_existing_output(module, writer, argv, outputs, small_run,
+                                                tmp_path, monkeypatch, capsys):
+    _, _, _, outdir = small_run
+    a, b = sorted(Path(outdir).glob("indicator_1991_2000_*.tsv"))[:2]
+    edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
+    (tmp_path / "w.txt").write_text("AUTH 000001\n")
+    for name in outputs:
+        (tmp_path / name).write_bytes(b"an earlier run\n")
+    before = _dir_bytes(tmp_path)
+    monkeypatch.setattr(module, writer, _fail_part_way)
+    assert main([x.format(t=tmp_path, a=a, b=b, edges=edges) for x in argv]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    after = _dir_bytes(tmp_path)
+    if argv[-2] == "--if-table-out":  # the corpus was written whole before the table failed
+        assert after.pop("c.jsonl").startswith(b'{"id":')
+    assert after == before  # the outputs are unchanged, and no .tmp file is left
+
+
+def test_open_output_replaces_whole_or_not_at_all(tmp_path):
+    target = tmp_path / "t.tsv"
+    target.write_text("old\n")
+    with pytest.raises(KeyboardInterrupt):
+        with open_output(target) as fh:
+            fh.write("half")
+            raise KeyboardInterrupt
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+    assert target.read_text() == "old\n"
+    with open_output(target) as fh:
+        fh.write("new\n")
+        assert target.read_text() == "old\n"  # replaced only when the block exits
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [
+            f".t.tsv.{os.getpid()}.tmp"]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+    assert target.read_text() == "new\n"
+
+
+def test_lone_surrogate_corpus_exit_2_names_line_field_and_file(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    record = {"id": "p1", "author": "A", "year": 2000, "source": "J",
+              "refs": [{"author": "B", "year": 1999, "source": "K"}]}
+    bad = {**record, "id": "p2", "refs": [{"author": "\ud800", "year": 1999, "source": "K"}]}
+    corpus.write_text(f"{json.dumps(record)}\n\n{json.dumps(bad)}\n")
+    assert '"\\ud800"' in corpus.read_text()  # the escape, in an ASCII file
+    outdir = tmp_path / "out"
+    for argv in (["pipeline", "--set", f"corpus={corpus}", "--set", f"outdir={outdir}"],
+                 ["ingest", "--corpus", str(corpus), "--outdir", str(outdir)],
+                 ["indicators", "--corpus", str(corpus), "--outdir", str(outdir)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: string holds a lone surrogate, which is not valid UTF-8 "
+            f"(field: refs.author) in {corpus}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+
+# The JSON strings of the corpus below: plain text amid control characters
+# and NUL, non-BMP characters, and characters that JSON writes as escapes.
+# A lone surrogate is put into one string of some corpora.
+_ODD_TEXT = st.lists(st.one_of(
+    st.sampled_from(['"', "\\", "/", " ", ",", ".", "\x7f", "\ufeff", "\ufffd"]),
+    st.integers(0, 0x1F).map(chr),
+    st.integers(0x10000, 0x10FFFF).map(chr),
+), max_size=2).map("".join)
+_JSON_STRINGS = st.tuples(_ODD_TEXT, st.text(alphabet="abcXYZ", min_size=1, max_size=3),
+                          _ODD_TEXT).map("".join)
+
+
+@st.composite
+def _odd_string_corpus(draw) -> list[dict]:
+    """Two or three records whose string fields are arbitrary JSON strings."""
+    records = []
+    for i in range(draw(st.integers(2, 3))):
+        refs = [{"author": draw(_JSON_STRINGS), "year": 1990, "source": draw(_JSON_STRINGS),
+                 "volume": draw(_JSON_STRINGS), "page": draw(_JSON_STRINGS)}
+                for _ in range(draw(st.integers(1, 2)))]
+        records.append({"id": f"p{i}" + draw(_JSON_STRINGS), "author": draw(_JSON_STRINGS),
+                        "year": 2000, "source": draw(_JSON_STRINGS),
+                        "volume": draw(_JSON_STRINGS), "page": draw(_JSON_STRINGS),
+                        "refs": refs})
+    if draw(st.booleans()):
+        record = draw(st.sampled_from(records))
+        where = draw(st.sampled_from([record, *record["refs"]]))
+        key = draw(st.sampled_from(sorted(k for k in where if isinstance(where[k], str))))
+        at = draw(st.integers(0, len(where[key])))
+        where[key] = where[key][:at] + chr(draw(st.integers(0xD800, 0xDFFF))) + where[key][at:]
+    return records
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(records=_odd_string_corpus(), ascii_only=st.booleans())
+def test_any_json_string_in_a_corpus_gives_a_run_or_one_error_line(records, ascii_only):
+    """A run on a corpus exits 0 when UTF-8 can encode each of its strings,
+    and otherwise 2 with one `error:` line; no exception leaves ``main``.
+    With ``ascii_only`` every character that is not ASCII is a JSON escape;
+    otherwise it is written as UTF-8, and a lone surrogate as the bytes
+    that are not UTF-8 (surrogatepass)."""
+    text = "".join(json.dumps(r, ensure_ascii=ascii_only) + "\n" for r in records)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, outdir = Path(tmp) / "c.jsonl", Path(tmp) / "out"
+        corpus.write_bytes(text.encode("utf-8", "surrogatepass"))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["pipeline", "--set", f"corpus={corpus}", "--set", f"outdir={outdir}",
+                       "--set", "subset_size=3", "--set", "phases=1956-2008"])
+        assert (rc == 0) == corpus_mod.encodes(json.dumps(records, ensure_ascii=False))
+        if rc == 0:
+            assert err.getvalue() == ""
+            assert (outdir / "manifest.json").is_file()
+        else:
+            assert rc == 2
+            assert err.getvalue().startswith("error: line ") and err.getvalue().count("\n") == 1
+            assert err.getvalue().endswith(f" in {corpus}\n")
+            assert not outdir.exists()
 
 
 class TestPipeline:

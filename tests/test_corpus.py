@@ -187,6 +187,28 @@ class TestParseCorpus:
             parse_corpus(io.StringIO(_record(source=" ,. ")))
         assert (exc.value.line, exc.value.field) == (1, "source")
 
+    @pytest.mark.parametrize("field", ["id", "author", "source", "volume", "page",
+                                       "refs.author", "refs.source", "refs.volume",
+                                       "refs.page"])
+    def test_lone_surrogate_names_first_line_and_field(self, field):
+        """A JSON escape of a lone surrogate parses to a string that UTF-8
+        cannot encode.  The error names the first line that holds it, found
+        only once the whole string table fails to encode, past a blank line
+        and a later line that holds it too."""
+        key = field.rsplit(".", 1)[-1]
+        value = "x\udc80" if key in ("id", "volume", "page") else "X\udc80"
+        if field.startswith("refs."):
+            bad = _record(id="p1", refs=[{"author": "B", "year": 1999, "source": "K",
+                                          key: value}])
+        else:
+            bad = _record(**{"id": "p1", key: value})
+        later = _record(id="p2", author="X\udc80", source="X\udc80")
+        text = f"{_record(id='p0')}\n\n{bad}\n{later}\n"
+        assert text.isascii()
+        with pytest.raises(ParseError, match="lone surrogate") as exc:
+            parse_corpus(io.StringIO(text))
+        assert (exc.value.line, exc.value.field) == (3, field)
+
 
 class TestInterning:
     TEXT = "".join(

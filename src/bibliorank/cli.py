@@ -8,6 +8,7 @@ error, 3 non-convergence under --strict; each error class carries its own.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from functools import partial
@@ -27,7 +28,8 @@ from bibliorank.evaluation import check_ks, coverage, load_winners
 def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVector]:
     """Read each score file as a column labelled by its entry of the
     comma-separated ``labels``, or else by its file stem.  The labels are
-    checked before any file is read: one per file, none empty or repeated."""
+    checked before any file is read: one per file, none empty or repeated,
+    and each text UTF-8 can encode, since it is written into the output."""
     names = [s.strip() for s in labels.split(",")] if labels else [Path(p).stem for p in paths]
     if len(names) != len(paths):
         raise ConfigError(f"{len(names)} labels for {len(paths)} score files")
@@ -36,19 +38,29 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
             raise ConfigError("a score file has an empty label")
         if names.count(name) > 1:
             raise ConfigError(f"two score files have the label {name!r}")
+        if not corpus_mod.encodes(name):
+            raise ConfigError(f"the score file label {name!r} is not valid UTF-8")
     return list(map(ind_mod.load_indicator, paths, names))
 
 
 def cmd_generate(args) -> int:
-    c = corpus_mod.generate_synthetic(args.seed, args.papers, args.authors, args.skew,
-                                      args.year_lo, args.year_hi)
-    with pipe_mod.open_output(args.out) as fh:
-        corpus_mod.serialize_corpus(c, fh)
+    c = corpus_mod.generate_synthetic(
+        seed=args.seed,
+        n_papers=args.papers,
+        n_authors=args.authors,
+        skew=args.skew,
+        year_lo=args.year_lo,
+        year_hi=args.year_hi,
+    )
+    table = pipe_mod.generate_impact_factors(c, args.seed) if args.if_table_out else None
+    # Both outputs are renamed into place only once both are written.
+    with contextlib.ExitStack() as outputs:
+        corpus_mod.serialize_corpus(c, outputs.enter_context(pipe_mod.open_output(args.out)))
+        if table:
+            pipe_mod.dump_impact_factors(
+                table, outputs.enter_context(pipe_mod.open_output(args.if_table_out)))
     print(f"wrote {len(c)} synthetic papers to {args.out}")
-    if args.if_table_out:
-        table = pipe_mod.generate_impact_factors(c, args.seed)
-        with pipe_mod.open_output(args.if_table_out) as fh:
-            pipe_mod.dump_impact_factors(table, fh)
+    if table:
         print(f"wrote {len(table.factors)} impact factors to {args.if_table_out}")
     return 0
 
@@ -87,7 +99,8 @@ def cmd_indicators(args) -> int:
     ind_mod.parse_prestige(args.prestige)
 
     def write(create) -> dict:
-        filtered, _ = corpus_mod.filter_with_references(corpus_mod.parse_corpus(args.corpus))
+        c = corpus_mod.parse_corpus(args.corpus)
+        filtered, _ = corpus_mod.filter_with_references(c)
         graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
         table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
         scores, diagnostics = pipe_mod.classical_indicators(
@@ -102,7 +115,8 @@ def cmd_indicators(args) -> int:
 
 def cmd_correlate(args) -> int:
     stats_mod.check_subset_size(args.subset_size)
-    table = pipe_mod.rank_table(_score_vectors(args.scores, args.labels), args.subset_size)
+    vectors = _score_vectors(args.scores, args.labels)
+    table = pipe_mod.rank_table(vectors, args.subset_size)
     cm = stats_mod.correlation_matrix(table)
     with pipe_mod.open_output(args.out) as fh:
         pipe_mod.write_correlation(cm, fh)
@@ -114,7 +128,8 @@ def cmd_pca(args) -> int:
     stats_mod.check_subset_size(args.subset_size)
     stats_mod.parse_retention(args.retention, len(args.scores))
     stats_mod.check_cutoff(args.cutoff)
-    table = pipe_mod.rank_table(_score_vectors(args.scores, args.labels), args.subset_size)
+    vectors = _score_vectors(args.scores, args.labels)
+    table = pipe_mod.rank_table(vectors, args.subset_size)
     res = stats_mod.pca_varimax(table, args.retention, args.cutoff)
     with pipe_mod.open_output(args.out_loadings) as fl, \
             pipe_mod.open_output(args.out_components) as fc:
@@ -126,7 +141,9 @@ def cmd_pca(args) -> int:
 
 def cmd_evaluate(args) -> int:
     check_ks(args.ks)
-    res = coverage(_score_vectors(args.scores, args.labels), load_winners(args.winners), args.ks)
+    vectors = _score_vectors(args.scores, args.labels)
+    winners = load_winners(args.winners)
+    res = coverage(vectors, winners, ks=args.ks)
     with pipe_mod.open_output(args.out) as fh:
         pipe_mod.write_coverage(res, fh)
     if res.missing_winners:
@@ -178,43 +195,39 @@ def build_parser() -> argparse.ArgumentParser:
     """The flags of every subcommand.  A flag that sets a config key is
     parsed, defaulted and checked as the key is, so ``pipeline`` and the
     stage subcommands refuse a setting with the same message."""
+    generate = corpus_mod.generate_synthetic
     parser = _ArgumentParser(
         prog="bibliorank",
         description="Author citation networks, weighted PageRank, and rank comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(func, **kwargs) -> argparse.ArgumentParser:
-        """The subcommand <name> that ``func``, ``cmd_<name>``, runs."""
-        p = sub.add_parser(func.__name__.removeprefix("cmd_"), **kwargs)
-        p.set_defaults(func=func)
-        return p
-
     # Flags that several commands share, each declared once.
     score_files = argparse.ArgumentParser(add_help=False)
     score_files.add_argument("--scores", nargs="+", action="extend", required=True,
                              help="score files, one per indicator (repeatable)")
-    score_files.add_argument("--labels", type=_written_text, help="comma-separated column labels")
+    score_files.add_argument("--labels", help="comma-separated column labels")
     subset = argparse.ArgumentParser(add_help=False)
     _setting(subset, "--subset-size", "subset_size")
 
-    p = command(cmd_generate, help="generate a seeded synthetic corpus")
+    p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
     _setting(p, "--seed", "seed", required=True)
     _setting(p, "--papers", "n_papers", required=True)
     _setting(p, "--authors", "n_authors", required=True)
     _setting(p, "--skew", "skew")
-    p.add_argument("--year-lo", type=int, default=corpus_mod.DEFAULT_PHASES[0].year_lo)
-    p.add_argument("--year-hi", type=int, default=corpus_mod.DEFAULT_PHASES[-1].year_hi)
+    p.add_argument("--year-lo", type=int, default=pipe_mod.default_of(generate, "year_lo"))
+    p.add_argument("--year-hi", type=int, default=pipe_mod.default_of(generate, "year_hi"))
     p.add_argument("--out", type=OutputFile, required=True)
     p.add_argument("--if-table-out", type=OutputFile,
                    help="also write a synthetic impact-factor table")
+    p.set_defaults(func=cmd_generate)
 
-    p = command(cmd_ingest, help="parse, phase-split, and filter a corpus file")
+    p = sub.add_parser("ingest", help="parse, phase-split, and filter a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
     _setting(p, "--phases", "phases", help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
+    p.set_defaults(func=cmd_ingest)
 
-    p = command(cmd_rank, help="PageRank over an edge-list dump")
+    p = sub.add_parser("rank", help="PageRank over an edge-list dump")
     p.add_argument("--edges", required=True)
     p.add_argument("--nodes", help="node dump supplying publication counts")
     _setting(p, "--damping", "dampings", one=True, required=True)
@@ -224,35 +237,42 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--dangling-policy", "dangling_policy", help=", ".join(pr_mod.DANGLING_POLICIES))
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", type=OutputFile, required=True)
+    p.set_defaults(func=cmd_rank)
 
-    p = command(cmd_indicators, help="non-PageRank indicators from a corpus file")
+    p = sub.add_parser("indicators", help="non-PageRank indicators from a corpus file")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--tag", type=_written_text, help="phase tag used in output file names")
     _setting(p, "--prestige", "prestige", help="top_fraction:F or min_citations:M")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
+    p.set_defaults(func=cmd_indicators)
 
-    p = command(cmd_correlate, parents=[score_files, subset],
-                help="Spearman matrix over score files")
+    p = sub.add_parser("correlate", parents=[score_files, subset],
+                       help="Spearman matrix over score files")
     p.add_argument("--out", type=OutputFile, required=True)
+    p.set_defaults(func=cmd_correlate)
 
-    p = command(cmd_pca, parents=[score_files, subset],
-                help="PCA with varimax rotation over score files")
+    p = sub.add_parser("pca", parents=[score_files, subset],
+                       help="PCA with varimax rotation over score files")
     _setting(p, "--retention", "pca_retention", help="kaiser or fixed:K")
     _setting(p, "--cutoff", "loading_cutoff")
     p.add_argument("--out-loadings", type=OutputFile, required=True)
     p.add_argument("--out-components", type=OutputFile, required=True)
+    p.set_defaults(func=cmd_pca)
 
-    p = command(cmd_evaluate, parents=[score_files], help="award-winner coverage of top-k lists")
+    p = sub.add_parser("evaluate", parents=[score_files],
+                       help="award-winner coverage of top-k lists")
     p.add_argument("--winners", required=True)
     _setting(p, "--ks", "coverage_ks")
     p.add_argument("--out", type=OutputFile, required=True)
+    p.set_defaults(func=cmd_evaluate)
 
-    p = command(cmd_pipeline, help="run the full pipeline from a config")
+    p = sub.add_parser("pipeline", help="run the full pipeline from a config")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="config override (repeatable)")
+    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

@@ -8,6 +8,7 @@ import json
 import os
 import platform
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -909,10 +910,12 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
 
 @pytest.mark.parametrize("argv,message", [
     (["correlate", "--scores", "{t}/a", "{t}/b", "--labels", "\udcff,b", "--out", "{t}/good"],
-     "argument --labels: '\\udcff,b' is not valid UTF-8"),
+     "the score file label '\\udcff' is not valid UTF-8"),
+    (["correlate", "--scores", "{t}/\udcff.tsv", "{t}/b.tsv", "--out", "{t}/good"],
+     "the score file label '\\udcff' is not valid UTF-8"),
     (["evaluate", "--scores", "{t}/a", "--labels", "a\udcff", "--winners", "{t}/w",
       "--out", "{t}/good"],
-     "argument --labels: 'a\\udcff' is not valid UTF-8"),
+     "the score file label 'a\\udcff' is not valid UTF-8"),
     (["indicators", "--corpus", "{t}/c", "--outdir", "{t}/good", "--tag", "\udcff"],
      "argument --tag: '\\udcff' is not valid UTF-8"),
     (["ingest", "--corpus", "{t}/c", "--outdir", "{t}/good", "--phases", "\udcff:1956-2008"],
@@ -920,7 +923,8 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
     (["pipeline", "--set", "seed=1", "--set", "outdir={t}/good",
       "--set", "phases=1956-1990;x\udcff:1991-2008"],
      "invalid phases entry 'x\\udcff:1991-2008': the label is not valid UTF-8"),
-], ids=["correlate-labels", "evaluate-labels", "indicators-tag", "ingest-phases",
+], ids=["correlate-labels", "correlate-file-stem", "evaluate-labels", "indicators-tag",
+        "ingest-phases",
         "pipeline-phases"])
 def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, capsys):
     """A non-UTF-8 byte of argv reaches Python as a lone surrogate, \\udcff
@@ -948,7 +952,7 @@ def _fail_part_way(*args):
     (pipe_mod, "dump_impact_factors",
      ["generate", "--seed", "1", "--papers", "30", "--authors", "10", "--out", "{t}/c.jsonl",
       "--if-table-out", "{t}/if.tsv"],
-     ["if.tsv"]),
+     ["c.jsonl", "if.tsv"]),
     (ind_mod, "dump_indicator",
      ["rank", "--edges", "{edges}", "--damping", "0.5", "--out", "{t}/s.tsv"], ["s.tsv"]),
     (pipe_mod, "write_correlation",
@@ -973,10 +977,7 @@ def test_failed_write_keeps_the_existing_output(module, writer, argv, outputs, s
     monkeypatch.setattr(module, writer, _fail_part_way)
     assert main([x.format(t=tmp_path, a=a, b=b, edges=edges) for x in argv]) == 2
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-    after = _dir_bytes(tmp_path)
-    if argv[-2] == "--if-table-out":  # the corpus was written whole before the table failed
-        assert after.pop("c.jsonl").startswith(b'{"id":')
-    assert after == before  # the outputs are unchanged, and no .tmp file is left
+    assert _dir_bytes(tmp_path) == before  # the outputs are unchanged, and no .tmp file is left
 
 
 def test_open_output_replaces_whole_or_not_at_all(tmp_path):
@@ -995,6 +996,44 @@ def test_open_output_replaces_whole_or_not_at_all(tmp_path):
             f".t.tsv.{os.getpid()}.tmp"]
     assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
     assert target.read_text() == "new\n"
+
+
+def test_open_output_writes_a_fifo_or_linked_file_in_place(tmp_path):
+    """Renaming over a target that is not a plain file of its own would
+    change more than its text, so such a target is written in place."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with open_output(fifo) as fh:
+            fh.write("through the fifo\n")
+        assert os.read(reader, 100) == b"through the fifo\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    linked, other = tmp_path / "linked.tsv", tmp_path / "other.tsv"
+    linked.write_text("old\n")
+    os.link(linked, other)
+    with open_output(linked) as fh:
+        fh.write("new\n")
+    assert other.read_text() == "new\n" and os.path.samefile(linked, other)
+    plain, alias = tmp_path / "plain.tsv", tmp_path / "alias.tsv"
+    plain.write_text("old\n")
+    alias.symlink_to(plain)
+    with open_output(alias) as fh:  # a symlink is followed, not replaced
+        fh.write("new\n")
+    assert alias.is_symlink() and plain.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "alias.tsv", "fifo", "linked.tsv", "other.tsv", "plain.tsv"]
+
+
+def test_open_output_keeps_the_mode_of_a_replaced_file(tmp_path):
+    target = tmp_path / "t.tsv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    with open_output(target) as fh:
+        fh.write("new\n")
+    assert target.read_text() == "new\n" and stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_lone_surrogate_corpus_exit_2_names_line_field_and_file(tmp_path, capsys):

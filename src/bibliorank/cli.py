@@ -101,15 +101,13 @@ def cmd_indicators(args) -> int:
     def write(create) -> dict:
         c = corpus_mod.parse_corpus(args.corpus)
         filtered, _ = corpus_mod.filter_with_references(c)
-        graph = net_mod.build_graph(filtered, allow_self_citation=not args.drop_self_citations)
         table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
-        scores, diagnostics = pipe_mod.classical_indicators(
-            filtered, graph, args.prestige, table)
-        pipe_mod.write_indicators(scores, args.tag, create)
-        return {"diagnostics": diagnostics}
+        _, _, entries = pipe_mod.write_phase_graph(
+            filtered, args.tag, not args.drop_self_citations, args.prestige, table, create)
+        return entries
 
     manifest = pipe_mod.write_run(args.outdir, "indicators", write)
-    print(f"wrote {len(manifest['files'])} indicator files and a manifest to {args.outdir}")
+    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
     return 0
 
 
@@ -165,8 +163,11 @@ class OutputFile(str):
     every one a command is given before the command runs."""
 
 
-def _written_text(value: str) -> str:
-    """The type of an argument written into an output: text UTF-8 can encode."""
+def _tag(value: str) -> str:
+    """The type of ``--tag``, which names output files: text that is not
+    empty and that UTF-8 can encode."""
+    if not value.strip():
+        raise argparse.ArgumentTypeError("the tag is empty")
     if corpus_mod.encodes(value):
         return value
     raise argparse.ArgumentTypeError(f"{value!r} is not valid UTF-8")
@@ -214,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--papers", "n_papers", required=True)
     _setting(p, "--authors", "n_authors", required=True)
     _setting(p, "--skew", "skew")
-    p.add_argument("--year-lo", type=int, default=pipe_mod.default_of(generate, "year_lo"))
-    p.add_argument("--year-hi", type=int, default=pipe_mod.default_of(generate, "year_hi"))
+    p.add_argument("--year-lo", type=partial(pipe_mod.parse_setting, int, name="--year-lo"),
+                   default=pipe_mod.default_of(generate, "year_lo"))
+    p.add_argument("--year-hi", type=partial(pipe_mod.parse_setting, int, name="--year-hi"),
+                   default=pipe_mod.default_of(generate, "year_hi"))
     p.add_argument("--out", type=OutputFile, required=True)
     p.add_argument("--if-table-out", type=OutputFile,
                    help="also write a synthetic impact-factor table")
@@ -239,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=OutputFile, required=True)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("indicators", help="non-PageRank indicators from a corpus file")
+    p = sub.add_parser("indicators", help="phase graph and non-PageRank indicators of a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--tag", type=_written_text, help="phase tag used in output file names")
+    p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
     _setting(p, "--prestige", "prestige", help="top_fraction:F or min_citations:M")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")

@@ -65,6 +65,8 @@ class Phase:
     year_hi: int
 
     def __post_init__(self):
+        if not self.label.strip():  # the label names the phase's files
+            raise ConfigError(f"phase {self.year_lo}-{self.year_hi}: the label is empty")
         if self.year_lo > self.year_hi:
             raise ConfigError(
                 f"phase {self.label!r}: year_lo {self.year_lo} > year_hi {self.year_hi}"

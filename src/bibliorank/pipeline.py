@@ -285,13 +285,17 @@ def phase_tag(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label)
 
 
+def tagged(stem: str, phase_label: str | None, suffix: str) -> str:
+    """The file name `<stem>_<tag><suffix>` of the phase labelled
+    ``phase_label``, or `<stem><suffix>` when ``phase_label`` is None."""
+    return stem + ("" if phase_label is None else f"_{phase_tag(phase_label)}") + suffix
+
+
 def write_indicators(scores: list[ind_mod.ScoreVector], phase_label: str | None, create) -> None:
     """Write each score vector with ``create`` as `indicator_<tag>_<name>.tsv`
-    of the phase labelled ``phase_label``, or as `indicator_<name>.tsv` when
-    ``phase_label`` is None."""
-    tag = "" if phase_label is None else f"{phase_tag(phase_label)}_"
+    of the phase labelled ``phase_label`` (see ``tagged``)."""
     for sv in scores:
-        with create(f"indicator_{tag}{sv.name}.tsv") as fh:
+        with create(tagged("indicator", phase_label, f"_{sv.name}.tsv")) as fh:
             ind_mod.dump_indicator(sv, fh)
 
 
@@ -353,6 +357,26 @@ def classical_indicators(
     return scores, diagnostics
 
 
+def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool,
+                      prestige: str, if_table, create,
+                      ) -> tuple[net_mod.AuthorCitationGraph, list[ind_mod.ScoreVector], dict]:
+    """The graph step of one phase, which the pipeline and the ``indicators``
+    stage share: build the author citation graph of ``corpus``, write it
+    with ``create`` as `edges_<tag>.tsv` and `nodes_<tag>.tsv` (see
+    ``tagged``), and score it with ``classical_indicators``, written by
+    ``write_indicators``.  Returns the graph, the classical score vectors
+    and the phase's manifest entries `graph` and `diagnostics`."""
+    graph = net_mod.build_graph(corpus, allow_self_citation=allow_self_citation)
+    with create(tagged("edges", phase_label, ".tsv")) as fh:
+        net_mod.dump_edges(graph, fh)
+    with create(tagged("nodes", phase_label, ".tsv")) as fh:
+        net_mod.dump_nodes(graph, fh)
+    scores, diagnostics = classical_indicators(corpus, graph, prestige, if_table)
+    write_indicators(scores, phase_label, create)
+    return graph, scores, {"graph": asdict(net_mod.graph_stats(graph)),
+                           "diagnostics": diagnostics}
+
+
 def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
                       strict: bool) -> tuple[list[ind_mod.ScoreVector], dict]:
     """Solve each teleport kind at each config; returns the labelled score
@@ -390,7 +414,7 @@ _COUNT_KEYS = frozenset({"input_papers", "dropped_outside_phases", "phases"})
 MANIFEST_KEYS = {
     "pipeline": _COUNT_KEYS | {"config", "config_hash", "inputs", "versions"},
     "ingest": _COUNT_KEYS,
-    "indicators": frozenset({"diagnostics"}),
+    "indicators": frozenset({"graph", "diagnostics"}),
 }
 
 
@@ -553,23 +577,15 @@ def _write_run(cfg: RunConfig, create) -> dict:
     for phase, filtered in phase_corpora:
         info = manifest["phases"][phase.label]
         tag = phase_tag(phase.label)
-        graph = net_mod.build_graph(filtered, allow_self_citation=cfg.allow_self_citation)
-        gstats = net_mod.graph_stats(graph)
-        info["graph"] = asdict(gstats)
-        with create(f"edges_{tag}.tsv") as fh:
-            net_mod.dump_edges(graph, fh)
-        with create(f"nodes_{tag}.tsv") as fh:
-            net_mod.dump_nodes(graph, fh)
-
-        classical, info["diagnostics"] = classical_indicators(
-            filtered, graph, cfg.prestige, if_table)
+        graph, classical, entries = write_phase_graph(
+            filtered, phase.label, cfg.allow_self_citation, cfg.prestige, if_table, create)
+        info.update(entries)
         pagerank_scores, solves = pagerank_variants(
             graph, cfg.teleports, cfg.pagerank_configs(), cfg.strict)
         info["diagnostics"].update(solves)
+        write_indicators(pagerank_scores, phase.label, create)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]
-
-        write_indicators(scores, phase.label, create)
 
         table = rank_table(scores, cfg.subset_size)
         with create(f"table_{tag}.tsv") as fh:

@@ -28,6 +28,7 @@ from bibliorank import pipeline as pipe_mod
 from bibliorank.cli import OutputFile, build_parser, main
 from bibliorank.corpus import check_synthetic, generate_synthetic
 from bibliorank.errors import ConfigError, NonConvergenceError
+from bibliorank.pagerank import variant_label
 from bibliorank.pipeline import (
     _FIELD_PARSERS,
     RunConfig,
@@ -209,24 +210,41 @@ class TestExitCodes:
         assert rc == 1
         assert not outdir.exists() or not any(outdir.iterdir())
 
-    @pytest.mark.parametrize("entry", ["subset_size=abc", "dampings=0.5,x", "phases=1990"])
+    @pytest.mark.parametrize("entry", ["subset_size=abc", "dampings=0.5,x", "phases=1990",
+                                       "phases=:1956-2008"])
     def test_malformed_set_value_exit_1(self, entry, capsys):
         assert main(["pipeline", "--set", "seed=1", "--set", entry]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and entry.split("=")[0] in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--phases", "1990"],
-        ["pca", "--scores", "{tmp}/nope", "--retention", "fixed:x",
-         "--out-loadings", "{tmp}/l", "--out-components", "{tmp}/c"],
-        ["evaluate", "--scores", "{tmp}/nope", "--ks", "5,x",
-         "--winners", "{tmp}/w", "--out", "{tmp}/o"],
-    ], ids=["ingest-phases", "pca-retention", "evaluate-ks"])
-    def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--phases", "1990"],
+         "invalid phases entry '1990': expected [label:]lo-hi"),
+        (["pca", "--scores", "{tmp}/nope", "--retention", "fixed:x",
+          "--out-loadings", "{tmp}/l", "--out-components", "{tmp}/c"],
+         "pca_retention must be kaiser or fixed:K with 1 <= K <= 1, the number of indicators, "
+         "got 'fixed:x'"),
+        (["evaluate", "--scores", "{tmp}/nope", "--ks", "5,x",
+          "--winners", "{tmp}/w", "--out", "{tmp}/o"],
+         "invalid value '5,x' for --ks: invalid literal for int() with base 10: 'x'"),
+        (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o",
+          "--phases", " :1956-2008"],
+         "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
+        (["indicators", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--tag", ""],
+         "argument --tag: the tag is empty"),
+        (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-lo", "x",
+          "--out", "{tmp}/o"],
+         "invalid value 'x' for --year-lo: invalid literal for int() with base 10: 'x'"),
+        (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-hi", "1.5",
+          "--out", "{tmp}/o"],
+         "invalid value '1.5' for --year-hi: invalid literal for int() with base 10: '1.5'"),
+    ], ids=["ingest-phases", "pca-retention", "evaluate-ks", "ingest-empty-label",
+            "indicators-empty-tag", "generate-year-lo", "generate-year-hi"])
+    def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
+                                                               capsys):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("row", ["A01\tx", "A01"], ids=["non-numeric", "short"])
@@ -365,7 +383,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,first,second,keys", [
         ("ingest", [], ["--phases", "1956-1990"],
          {"input_papers", "dropped_outside_phases", "phases", "files"}),
-        ("indicators", ["--if-table", "{if_table}"], [], {"diagnostics", "files"}),
+        ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics", "files"}),
     ])
     def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
                                                      small_run, tmp_path):
@@ -847,13 +865,14 @@ def test_every_key_flag_is_declared_from_its_key():
     declared = []
     for command, parser in _subcommands().items():
         for action in parser._actions:
-            if action.type in (int, float):  # only the generator's years map to no key
-                assert (command, action.dest) in {("generate", "year_lo"),
-                                                  ("generate", "year_hi")}
+            assert action.type not in (int, float), (command, action.dest)
             if isinstance(action.type, functools.partial):
                 assert action.type.func is parse_setting
                 assert action.type.keywords == {"name": action.option_strings[0]}
-                declared.append((command, action.option_strings[0], action))
+                if action.dest in ("year_lo", "year_hi"):  # the generator's, of no config key
+                    assert (command, action.type.args) == ("generate", (int,))
+                else:
+                    declared.append((command, action.option_strings[0], action))
     assert [(command, flag) for command, flag, _ in declared] == [
         (command, flag) for command, flag, _ in _KEY_FLAGS]
     for (command, flag, action), (_, _, key) in zip(declared, _KEY_FLAGS):
@@ -1182,21 +1201,6 @@ class TestPipeline:
 
 
 class TestStageComposition:
-    def test_rank_stage_matches_pipeline(self, small_run, tmp_path):
-        _, _, _, outdir = small_run
-        edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
-        tag = edges.stem.removeprefix("edges_")
-        nodes = Path(outdir) / f"nodes_{tag}.tsv"
-        for teleport, name in (("uniform", "pagerank"),
-                               ("citation_weighted", "pagerank_cit"),
-                               ("publication_weighted", "pagerank_pub")):
-            out = tmp_path / f"stage_{name}.tsv"
-            assert main(["rank", "--edges", str(edges), "--nodes", str(nodes),
-                         "--damping", "0.5", "--teleport", teleport,
-                         "--out", str(out)]) == 0
-            pipeline_file = Path(outdir) / f"indicator_{tag}_{name}_d0.5.tsv"
-            assert out.read_bytes() == pipeline_file.read_bytes()
-
     def test_ingest_stage_matches_pipeline(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         assert main(["generate", "--seed", "3", "--papers", "300", "--authors", "120",
@@ -1211,13 +1215,9 @@ class TestStageComposition:
         manifest = json.loads(_read(tmp_path / "ingest" / "manifest.json"))
         assert printed == {key: v for key, v in manifest.items() if key != "files"}
 
-        assert sorted(p.name for p in (tmp_path / "ingest").iterdir()) == [
-            "corpus_1956_2008.jsonl", "manifest.json"]
         assert manifest["files"] == {
             name: digest for name, digest in pipeline["files"].items()
             if name.startswith("corpus_")}
-        assert (tmp_path / "ingest" / "corpus_1956_2008.jsonl").read_bytes() == (
-            tmp_path / "pipe" / "corpus_1956_2008.jsonl").read_bytes()
 
         assert set(printed) == {"input_papers", "dropped_outside_phases", "phases"}
         for key in ("input_papers", "dropped_outside_phases"):
@@ -1227,49 +1227,18 @@ class TestStageComposition:
             assert info == {key: pipeline["phases"][label][key] for key in info}
         assert printed["phases"]["1900-1950"]["skipped"]
 
-    def test_indicators_stage_matches_pipeline(self, small_run, tmp_path):
-        _, _, if_table, outdir = small_run
-        edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
-        tag = edges.stem.removeprefix("edges_")
-        stage_dir = tmp_path / "stage"
-        assert main(["indicators", "--corpus", str(Path(outdir) / f"corpus_{tag}.jsonl"),
-                     "--outdir", str(stage_dir), "--tag", tag,
-                     "--if-table", str(if_table)]) == 0
-        names = ("popularity", "prestige", "h_index", "impact_factor")
-        assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
-            [*(f"indicator_{tag}_{name}.tsv" for name in names), "manifest.json"])
-        for name in names:
-            stage_file = stage_dir / f"indicator_{tag}_{name}.tsv"
-            assert stage_file.read_bytes() == (
-                Path(outdir) / f"indicator_{tag}_{name}.tsv").read_bytes()
-
-    @pytest.mark.parametrize("tag,file_tag", [("a/b", "a_b"), ("1981-1990", "1981_1990")])
+    @pytest.mark.parametrize("tag,file_tag", [("a/b", "a_b"), ("1981-1990", "1981_1990"),
+                                              (None, None)])
     def test_indicators_tag_is_a_phase_tag(self, tag, file_tag, small_run, tmp_path):
         _, _, _, outdir = small_run
         corpus = sorted(Path(outdir).glob("corpus_*.jsonl"))[0]
         stage_dir = tmp_path / "stage"
         assert main(["indicators", "--corpus", str(corpus), "--outdir", str(stage_dir),
-                     "--tag", tag]) == 0
+                     *(["--tag", tag] if tag else [])]) == 0
+        t = f"_{file_tag}" if file_tag else ""
         assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
-            [*(f"indicator_{file_tag}_{name}.tsv"
-               for name in ("popularity", "prestige", "h_index")), "manifest.json"])
-
-    def test_correlate_stage_matches_pipeline(self, small_run, tmp_path):
-        _, _, _, outdir = small_run
-        manifest = json.loads(_read(Path(outdir) / "manifest.json"))
-        tag = None
-        for label, info in manifest["phases"].items():
-            if "stats_skipped" not in info and "graph" in info:
-                tag = label.replace("-", "_")
-                break
-        assert tag, "no phase produced correlation output"
-        header = _read(Path(outdir) / f"correlation_{tag}.tsv").splitlines()[0]
-        labels = header.split("\t")[1:]
-        files = [str(Path(outdir) / f"indicator_{tag}_{name}.tsv") for name in labels]
-        out = tmp_path / "corr.tsv"
-        assert main(["correlate", "--scores", *files, "--labels", ",".join(labels),
-                     "--subset-size", "30", "--out", str(out)]) == 0
-        assert out.read_bytes() == (Path(outdir) / f"correlation_{tag}.tsv").read_bytes()
+            [*(f"indicator{t}_{name}.tsv" for name in ("popularity", "prestige", "h_index")),
+             f"edges{t}.tsv", f"nodes{t}.tsv", "manifest.json"])
 
     def test_repeated_scores_flag_adds_files(self, small_run, tmp_path):
         _, _, _, outdir = small_run
@@ -1282,18 +1251,68 @@ class TestStageComposition:
         assert twice.read_bytes() == once.read_bytes()
         assert _read(once).splitlines()[0] == f"indicator\t{a.stem}\t{b.stem}"
 
-    def test_pca_stage_matches_pipeline(self, small_run, tmp_path):
-        _, _, _, outdir = small_run
-        pca_files = sorted(Path(outdir).glob("pca_components_*.tsv"))
-        assert pca_files
-        tag = pca_files[0].stem.removeprefix("pca_components_")
-        header = _read(Path(outdir) / f"correlation_{tag}.tsv").splitlines()[0]
-        labels = header.split("\t")[1:]
-        files = [str(Path(outdir) / f"indicator_{tag}_{name}.tsv") for name in labels]
-        out_l = tmp_path / "pca.tsv"
-        out_c = tmp_path / "pca_components.tsv"
-        assert main(["pca", "--scores", *files, "--labels", ",".join(labels),
-                     "--subset-size", "30", "--retention", "kaiser",
-                     "--out-loadings", str(out_l), "--out-components", str(out_c)]) == 0
-        assert out_l.read_bytes() == (Path(outdir) / f"pca_{tag}.tsv").read_bytes()
-        assert out_c.read_bytes() == pca_files[0].read_bytes()
+    @pytest.mark.parametrize("allow_self_citation", [True, False])
+    def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, tmp_path, capsys):
+        """From one generated corpus file, generate, ingest and per phase
+        indicators, rank (each variant), correlate, pca and evaluate write
+        every file of the pipeline's run but table_<tag>.tsv, byte for byte.
+        Where the pipeline skipped a phase's stats, correlate and pca fail
+        with one error line and write nothing."""
+        cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
+                        allow_self_citation=allow_self_citation,
+                        winners=str(tmp_path / "winners.txt"), outdir=str(tmp_path / "pipe"))
+        # Raw spellings; the last id is past every generated author.
+        Path(cfg.winners).write_text("".join(f"Auth, {i:06d}.\n" for i in range(0, 151, 10)))
+        pipeline = run_pipeline(cfg)
+        chain, corpus = tmp_path / "chain", tmp_path / "corpus.jsonl"
+        files = chain / "files"  # every single-file output
+        files.mkdir(parents=True)
+
+        def run(*argv):
+            capsys.readouterr()
+            return main([str(a) for a in argv])
+
+        assert run("generate", "--seed", cfg.seed, "--papers", cfg.n_papers,
+                   "--authors", cfg.n_authors, "--out", corpus,
+                   "--if-table-out", files / "impact_factors.tsv") == 0
+        assert run("ingest", "--corpus", corpus, "--outdir", chain / "ingest") == 0
+        skipped = [label for label, info in pipeline["phases"].items() if "stats_skipped" in info]
+        assert 0 < len(skipped) < len(pipeline["phases"])
+        for label, info in pipeline["phases"].items():
+            tag = pipe_mod.phase_tag(label)
+            stage = chain / f"indicators_{tag}"
+            assert run("indicators", "--corpus", chain / "ingest" / f"corpus_{tag}.jsonl",
+                       "--outdir", stage, "--tag", label,
+                       "--if-table", files / "impact_factors.tsv",
+                       *([] if allow_self_citation else ["--drop-self-citations"])) == 0
+            manifest = json.loads(_read(stage / "manifest.json"))
+            assert manifest["graph"] == info["graph"]
+            assert manifest["diagnostics"].items() <= info["diagnostics"].items()
+            for kind in cfg.teleports:
+                for damping in cfg.dampings:
+                    name = variant_label(kind, damping)
+                    assert run("rank", "--edges", stage / f"edges_{tag}.tsv",
+                               "--nodes", stage / f"nodes_{tag}.tsv", "--damping", damping,
+                               "--teleport", kind,
+                               "--out", files / f"indicator_{tag}_{name}.tsv") == 0
+            names = _read(tmp_path / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
+            scores = ["--scores", *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv"))
+                                    for name in names), "--labels", ",".join(names)]
+            for argv in (["correlate", "--out", files / f"correlation_{tag}.tsv"],
+                         ["pca", "--out-loadings", files / f"pca_{tag}.tsv",
+                          "--out-components", files / f"pca_components_{tag}.tsv"]):
+                rc = run(*argv, *scores, "--subset-size", cfg.subset_size)
+                if label in skipped:
+                    err = capsys.readouterr().err
+                    assert rc != 0 and err.startswith("error: ") and err.count("\n") == 1
+                else:
+                    assert rc == 0
+            assert run("evaluate", *scores, "--winners", cfg.winners,
+                       "--out", files / f"coverage_{tag}.csv") == 0
+
+        written = {p.name: pipe_mod.file_sha256(p) for p in chain.glob("*/*")
+                   if p.name != "manifest.json"}
+        expected = {name: digest for name, digest in pipeline["files"].items()
+                    if not name.startswith("table_")}
+        assert sorted(name for name in written.keys() | expected.keys()
+                      if written.get(name) != expected.get(name)) == []

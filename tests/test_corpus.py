@@ -371,6 +371,10 @@ class TestSplitPhases:
         with pytest.raises(ConfigError):
             Phase("bad", 2000, 1990)
 
+    def test_empty_label_rejected(self):
+        with pytest.raises(ConfigError, match="phase 1956-2008: the label is empty"):
+            Phase(" ", 1956, 2008)
+
 
 class TestFilterWithReferences:
     def test_identity_when_all_have_refs(self):

@@ -1200,6 +1200,93 @@ class TestPipeline:
         assert manifest["input_papers"] == 150
 
 
+def _run_stage_chain(root, allow_self_citation):
+    """From one generated corpus file, generate, ingest and per phase
+    indicators, rank (each variant), correlate, pca and evaluate, each
+    command writing into its own directory. Where the pipeline skipped a
+    phase's stats, correlate and pca must fail with one error line. Returns
+    the sha256 of each written file but manifest.json, per command, and the
+    pipeline's files map but table_<tag>.tsv."""
+    cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
+                    allow_self_citation=allow_self_citation,
+                    winners=str(root / "winners.txt"), outdir=str(root / "pipe"))
+    # Raw spellings; the last id is past every generated author.
+    Path(cfg.winners).write_text("".join(f"Auth, {i:06d}.\n" for i in range(0, 151, 10)))
+    pipeline = run_pipeline(cfg)
+    chain, corpus = root / "chain", root / "corpus.jsonl"
+    for command in ("generate", "rank", "correlate", "pca", "evaluate"):
+        (chain / command).mkdir(parents=True)
+
+    def run(*argv):
+        """(exit code, stderr) of one command."""
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            return main([str(a) for a in argv]), err.getvalue()
+
+    assert run("generate", "--seed", cfg.seed, "--papers", cfg.n_papers,
+               "--authors", cfg.n_authors, "--out", corpus,
+               "--if-table-out", chain / "generate" / "impact_factors.tsv") == (0, "")
+    assert run("ingest", "--corpus", corpus, "--outdir", chain / "ingest") == (0, "")
+    skipped = [label for label, info in pipeline["phases"].items() if "stats_skipped" in info]
+    assert 0 < len(skipped) < len(pipeline["phases"])
+    for label, info in pipeline["phases"].items():
+        tag = pipe_mod.phase_tag(label)
+        stage = chain / f"indicators_{tag}"
+        assert run("indicators", "--corpus", chain / "ingest" / f"corpus_{tag}.jsonl",
+                   "--outdir", stage, "--tag", label,
+                   "--if-table", chain / "generate" / "impact_factors.tsv",
+                   *([] if allow_self_citation else ["--drop-self-citations"])) == (0, "")
+        manifest = json.loads(_read(stage / "manifest.json"))
+        assert manifest["graph"] == info["graph"]
+        assert manifest["diagnostics"].items() <= info["diagnostics"].items()
+        for kind in cfg.teleports:
+            for damping in cfg.dampings:
+                name = variant_label(kind, damping)
+                assert run("rank", "--edges", stage / f"edges_{tag}.tsv",
+                           "--nodes", stage / f"nodes_{tag}.tsv", "--damping", damping,
+                           "--teleport", kind,
+                           "--out", chain / "rank" / f"indicator_{tag}_{name}.tsv") == (0, "")
+        names = _read(root / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
+        scores = ["--scores", *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv"))
+                                for name in names), "--labels", ",".join(names)]
+        for argv in (["correlate", "--out", chain / "correlate" / f"correlation_{tag}.tsv"],
+                     ["pca", "--out-loadings", chain / "pca" / f"pca_{tag}.tsv",
+                      "--out-components", chain / "pca" / f"pca_components_{tag}.tsv"]):
+            rc, err = run(*argv, *scores, "--subset-size", cfg.subset_size)
+            if label in skipped:
+                assert rc != 0 and err.startswith("error: ") and err.count("\n") == 1
+            else:
+                assert (rc, err) == (0, "")
+        assert run("evaluate", *scores, "--winners", cfg.winners,
+                   "--out", chain / "evaluate" / f"coverage_{tag}.csv") == (0, "")
+
+    written = {}
+    for p in chain.glob("*/*"):
+        if p.name != "manifest.json":
+            command = p.parent.name.split("_")[0]
+            written.setdefault(command, {})[p.name] = pipe_mod.file_sha256(p)
+    expected = {name: digest for name, digest in pipeline["files"].items()
+                if not name.startswith("table_")}
+    return written, expected
+
+
+@pytest.fixture(scope="class")
+def stage_chain(tmp_path_factory):
+    """stage_chain(allow_self_citation) runs the stage chain of
+    `_run_stage_chain` once per class and setting and returns its result."""
+    return functools.cache(
+        lambda allow: _run_stage_chain(tmp_path_factory.mktemp("chain"), allow))
+
+
+def _assert_stage_matches_pipeline(stage_chain, command):
+    """Every file `command` wrote in the self-citing chain has the pipeline's
+    bytes; names each that does not."""
+    written, expected = stage_chain(True)
+    assert written[command]
+    assert sorted(name for name, digest in written[command].items()
+                  if expected.get(name) != digest) == []
+
+
 class TestStageComposition:
     def test_ingest_stage_matches_pipeline(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -1251,68 +1338,21 @@ class TestStageComposition:
         assert twice.read_bytes() == once.read_bytes()
         assert _read(once).splitlines()[0] == f"indicator\t{a.stem}\t{b.stem}"
 
+    def test_rank_stage_matches_pipeline(self, stage_chain):
+        _assert_stage_matches_pipeline(stage_chain, "rank")
+
+    def test_indicators_stage_matches_pipeline(self, stage_chain):
+        _assert_stage_matches_pipeline(stage_chain, "indicators")
+
+    def test_correlate_stage_matches_pipeline(self, stage_chain):
+        _assert_stage_matches_pipeline(stage_chain, "correlate")
+
+    def test_pca_stage_matches_pipeline(self, stage_chain):
+        _assert_stage_matches_pipeline(stage_chain, "pca")
+
     @pytest.mark.parametrize("allow_self_citation", [True, False])
-    def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, tmp_path, capsys):
-        """From one generated corpus file, generate, ingest and per phase
-        indicators, rank (each variant), correlate, pca and evaluate write
-        every file of the pipeline's run but table_<tag>.tsv, byte for byte.
-        Where the pipeline skipped a phase's stats, correlate and pca fail
-        with one error line and write nothing."""
-        cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
-                        allow_self_citation=allow_self_citation,
-                        winners=str(tmp_path / "winners.txt"), outdir=str(tmp_path / "pipe"))
-        # Raw spellings; the last id is past every generated author.
-        Path(cfg.winners).write_text("".join(f"Auth, {i:06d}.\n" for i in range(0, 151, 10)))
-        pipeline = run_pipeline(cfg)
-        chain, corpus = tmp_path / "chain", tmp_path / "corpus.jsonl"
-        files = chain / "files"  # every single-file output
-        files.mkdir(parents=True)
-
-        def run(*argv):
-            capsys.readouterr()
-            return main([str(a) for a in argv])
-
-        assert run("generate", "--seed", cfg.seed, "--papers", cfg.n_papers,
-                   "--authors", cfg.n_authors, "--out", corpus,
-                   "--if-table-out", files / "impact_factors.tsv") == 0
-        assert run("ingest", "--corpus", corpus, "--outdir", chain / "ingest") == 0
-        skipped = [label for label, info in pipeline["phases"].items() if "stats_skipped" in info]
-        assert 0 < len(skipped) < len(pipeline["phases"])
-        for label, info in pipeline["phases"].items():
-            tag = pipe_mod.phase_tag(label)
-            stage = chain / f"indicators_{tag}"
-            assert run("indicators", "--corpus", chain / "ingest" / f"corpus_{tag}.jsonl",
-                       "--outdir", stage, "--tag", label,
-                       "--if-table", files / "impact_factors.tsv",
-                       *([] if allow_self_citation else ["--drop-self-citations"])) == 0
-            manifest = json.loads(_read(stage / "manifest.json"))
-            assert manifest["graph"] == info["graph"]
-            assert manifest["diagnostics"].items() <= info["diagnostics"].items()
-            for kind in cfg.teleports:
-                for damping in cfg.dampings:
-                    name = variant_label(kind, damping)
-                    assert run("rank", "--edges", stage / f"edges_{tag}.tsv",
-                               "--nodes", stage / f"nodes_{tag}.tsv", "--damping", damping,
-                               "--teleport", kind,
-                               "--out", files / f"indicator_{tag}_{name}.tsv") == 0
-            names = _read(tmp_path / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
-            scores = ["--scores", *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv"))
-                                    for name in names), "--labels", ",".join(names)]
-            for argv in (["correlate", "--out", files / f"correlation_{tag}.tsv"],
-                         ["pca", "--out-loadings", files / f"pca_{tag}.tsv",
-                          "--out-components", files / f"pca_components_{tag}.tsv"]):
-                rc = run(*argv, *scores, "--subset-size", cfg.subset_size)
-                if label in skipped:
-                    err = capsys.readouterr().err
-                    assert rc != 0 and err.startswith("error: ") and err.count("\n") == 1
-                else:
-                    assert rc == 0
-            assert run("evaluate", *scores, "--winners", cfg.winners,
-                       "--out", files / f"coverage_{tag}.csv") == 0
-
-        written = {p.name: pipe_mod.file_sha256(p) for p in chain.glob("*/*")
-                   if p.name != "manifest.json"}
-        expected = {name: digest for name, digest in pipeline["files"].items()
-                    if not name.startswith("table_")}
-        assert sorted(name for name in written.keys() | expected.keys()
-                      if written.get(name) != expected.get(name)) == []
+    def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, stage_chain):
+        written, expected = stage_chain(allow_self_citation)
+        digests = {name: digest for files in written.values() for name, digest in files.items()}
+        assert sorted(name for name in digests.keys() | expected.keys()
+                      if digests.get(name) != expected.get(name)) == []

@@ -120,32 +120,6 @@ class Corpus:
     offsets: np.ndarray
     refs: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "Corpus":
-        """A corpus of ``(id, author, year, source, volume, page, refs)``
-        records, each reference an ``(author, year, source, volume, page)``
-        tuple and a missing volume or page None.  Keys are taken as given."""
-        table: dict[str, int] = {}
-        seen_ids = set()
-
-        def row(author, year, source, volume, page) -> tuple:
-            return (table.setdefault(author, len(table)), year,
-                    table.setdefault(source, len(table)),
-                    MISSING if volume is None else table.setdefault(volume, len(table)),
-                    MISSING if page is None else table.setdefault(page, len(table)))
-
-        ids, keys, refs, offsets = [], [], [], [0]
-        for paper_id, *key, paper_refs in records:
-            if paper_id in seen_ids:
-                raise DataError(f"duplicate paper_id {paper_id!r}")
-            seen_ids.add(paper_id)
-            ids.append(table.setdefault(paper_id, len(table)))
-            keys.append(row(*key))
-            refs.extend(row(*ref) for ref in paper_refs)
-            offsets.append(len(refs))
-        return cls(list(table), np.array(ids, dtype=np.int32), _key_rows(keys),
-                   np.array(offsets, dtype=np.int64), _key_rows(refs))
-
     def __len__(self):
         return len(self.ids)
 
@@ -197,8 +171,17 @@ class _StringTable:
         self.keys: dict[str, int] = {}  # raw author or venue -> its key's index
         self.stripped: dict[str, int] = {}  # raw volume or page -> its stripped index
 
-    def add(self, text: str) -> int:
-        return self.index.setdefault(text, len(self.index))
+    def add(self, text: str, line, field) -> int:
+        """The index of ``text``.  A new string that UTF-8 cannot encode, a
+        lone surrogate from a JSON escape such as ``"\\ud800"``, is a
+        ParseError naming ``line`` and ``field``."""
+        index = self.index.get(text)
+        if index is None:
+            if not text.isascii() and not encodes(text):
+                raise ParseError("string holds a lone surrogate, which is not valid UTF-8",
+                                 line=line, field=field)
+            index = self.index[text] = len(self.index)
+        return index
 
     def key(self, raw, what, line, field) -> int:
         """The index of the normalised key of ``raw``.  A non-string value,
@@ -216,16 +199,20 @@ class _StringTable:
             key = _normalize_key(raw, what)
         except DataError as exc:
             raise ParseError(str(exc), line=line, field=field) from exc
-        index = self.keys[raw] = self.add(key)
+        index = self.keys[raw] = self.add(key, line, field)
         return index
 
     def optional(self, raw, line, field) -> int:
         """The index of an optional string, stripped; MISSING for null."""
         if raw is None:
             return MISSING
+        if isinstance(raw, str):
+            index = self.stripped.get(raw)
+            if index is not None:
+                return index
         if not isinstance(raw, str) or not raw.strip():
             raise ParseError(f"{field} must be a non-empty string", line=line, field=field)
-        index = self.stripped[raw] = self.add(raw.strip())
+        index = self.stripped[raw] = self.add(raw.strip(), line, field)
         return index
 
 
@@ -299,15 +286,13 @@ def parse_corpus(source) -> Corpus:
     and ``refs``.  Errors carry 1-based line numbers.
 
     Each distinct author, venue, volume or page string is checked and
-    normalised once.  A string that UTF-8 cannot encode, a lone surrogate
-    from a JSON escape such as ``"\\ud800"``, is a ParseError naming the
-    first line and field that hold it.
+    normalised once, and refused where it first enters the string table
+    if UTF-8 cannot encode it (see ``_StringTable.add``).
     """
     strings = _StringTable()
     keys, stripped = strings.keys, strings.stripped
     ids, paper_keys, refs = array("i"), array("i"), array("i")  # refs: 5 values per reference
     offsets = array("q", [0])
-    linenos = array("i")  # each paper's line number
     seen_ids = set()
     for lineno, line in read_lines(source):
         try:
@@ -347,34 +332,14 @@ def parse_corpus(source) -> Corpus:
             if row is None or type(ref_year) is not int or not YEAR_MIN <= ref_year <= YEAR_MAX:
                 row = _parse_ref(r, lineno, strings)
             refs.extend(row)
-        ids.append(strings.add(paper_id))
+        ids.append(strings.add(paper_id, lineno, "id"))
         paper_keys.extend((author, year, source,
                            strings.optional(obj.get("volume"), lineno, "volume"),
                            strings.optional(obj.get("page"), lineno, "page")))
         offsets.append(len(refs) // 5)
-        linenos.append(lineno)
-    corpus = Corpus(list(strings.index), np.asarray(ids, dtype=np.int32),
-                    _key_rows(paper_keys), np.asarray(offsets, dtype=np.int64),
-                    _key_rows(refs))
-    if not encodes("".join(corpus.strings)):
-        raise _unencodable(corpus, linenos)
-    return corpus
-
-
-def _unencodable(corpus: Corpus, linenos) -> ParseError:
-    """The ParseError of the first paper, at its line ``linenos[paper]``, that
-    holds a string of ``corpus`` that UTF-8 cannot encode, naming its field."""
-    bad = next(i for i, text in enumerate(corpus.strings) if not encodes(text))
-    uses = [(np.flatnonzero(corpus.ids == bad), "id")]  # (papers, field)
-    for column, name in ((AUTHOR, "author"), (SOURCE, "source"), (VOLUME, "volume"),
-                         (PAGE, "page")):
-        uses.append((np.flatnonzero(corpus.keys[:, column] == bad), name))
-        in_refs = np.flatnonzero(corpus.refs[:, column] == bad)
-        uses.append((np.searchsorted(corpus.offsets, in_refs, side="right") - 1,
-                     f"refs.{name}"))
-    paper, field = min((papers[0], field) for papers, field in uses if len(papers))
-    return ParseError("string holds a lone surrogate, which is not valid UTF-8",
-                      line=linenos[paper], field=field)
+    return Corpus(list(strings.index), np.asarray(ids, dtype=np.int32),
+                  _key_rows(paper_keys), np.asarray(offsets, dtype=np.int64),
+                  _key_rows(refs))
 
 
 def _key_text(rows: np.ndarray, encoded: np.ndarray) -> np.ndarray:

@@ -2,29 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from bibliorank.corpus import normalize_author, read_lines, reads_input
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import ScoreVector, top_k
 
 
-@dataclass
-class WinnerList:
-    """Normalized, deduplicated award-winner author keys."""
-
-    authors: list[str]
-
-    @classmethod
-    def from_names(cls, names) -> "WinnerList":
-        """Each name's key once, in first-seen order."""
-        return cls(authors=list(dict.fromkeys(normalize_author(raw) for raw in names)))
-
-
 @reads_input
-def load_winners(source) -> WinnerList:
+def load_winners(source) -> list[str]:
     """Read one raw author name per line (a path or text lines); `#` starts
-    a comment.  Keeps each name's key once, in first-seen order; a name
+    a comment.  Returns each name's key once, in first-seen order; a name
     that normalises to nothing is a ParseError naming its line."""
     keys = []
     for lineno, line in read_lines(source):
@@ -34,7 +22,7 @@ def load_winners(source) -> WinnerList:
                 keys.append(normalize_author(name))
             except DataError as exc:
                 raise ParseError(str(exc), line=lineno) from None
-    return WinnerList(authors=list(dict.fromkeys(keys)))
+    return list(dict.fromkeys(keys))
 
 
 @dataclass
@@ -42,7 +30,7 @@ class CoverageResult:
     indicators: list[str]
     ks: list[int]
     counts: dict[tuple[str, int], int]
-    missing_winners: list[str] = field(default_factory=list)
+    missing_winners: list[str]
 
 
 def check_ks(ks) -> None:
@@ -53,7 +41,7 @@ def check_ks(ks) -> None:
                           + ",".join(map(str, ks)))
 
 
-def coverage(score_vectors: list[ScoreVector], winners: WinnerList, ks) -> CoverageResult:
+def coverage(score_vectors: list[ScoreVector], winners: list[str], ks) -> CoverageResult:
     """Count winners inside each indicator's top-k list.
 
     Winners absent from an indicator's author universe are excluded from
@@ -66,8 +54,8 @@ def coverage(score_vectors: list[ScoreVector], winners: WinnerList, ks) -> Cover
     if not score_vectors:
         raise ConfigError("no score vectors given")
     universe = set(score_vectors[0].authors)
-    missing = sorted(set(winners.authors) - universe)
-    present = set(winners.authors) & universe
+    missing = sorted(set(winners) - universe)
+    present = set(winners) & universe
     counts = {}
     for sv in score_vectors:
         chosen = top_k(sv, ks[-1])

@@ -8,7 +8,7 @@ weighted citation sums, plus the average-rank transform and top-k lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ScoreVector:
 class ImpactFactorTable:
     """(venue, year) -> journal impact factor."""
 
-    factors: dict[tuple[str, int], float] = field(default_factory=dict)
+    factors: dict[tuple[str, int], float]
 
 
 @reads_input
@@ -220,11 +220,6 @@ def average_ranks(values) -> np.ndarray:
     ranks = np.empty(len(values))
     ranks[order] = _sorted_average_ranks(values[order])
     return ranks
-
-
-def to_ranks(s: ScoreVector) -> np.ndarray:
-    """Average-rank transform of descending scores (rank 1 = best)."""
-    return average_ranks(-s.values)
 
 
 def top_k(s: ScoreVector, k: int) -> list[str]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,12 +46,6 @@ class AuthorCitationGraph:
     def n_nodes(self) -> int:
         return len(self.authors)
 
-    def node_id(self, author: str) -> int:
-        i = bisect_left(self.authors, author)
-        if i == len(self.authors) or self.authors[i] != author:
-            raise GraphError(f"unknown author key {author!r}")
-        return i
-
     def out_weights(self) -> np.ndarray:
         """Per-node sum of out-edge weights (0 for dangling nodes)."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
@@ -70,14 +63,6 @@ class AuthorCitationGraph:
         inv_out = np.zeros(self.n_nodes)
         inv_out[~dangling] = 1.0 / out[~dangling]
         return self.adjacency.multiply(inv_out[:, None]).T.tocsr(), dangling
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    n_nodes: int
-    n_edges: int
-    total_weight: int
-    n_dangling: int
 
 
 def _graph(authors, citer, cited, weights, publications, references=None):
@@ -128,15 +113,14 @@ def build_graph(corpus: Corpus, allow_self_citation: bool = True) -> AuthorCitat
                   np.bincount(table.paper_author, minlength=len(authors)), table)
 
 
-def graph_stats(g: AuthorCitationGraph) -> GraphStats:
+def graph_stats(g: AuthorCitationGraph) -> dict[str, int]:
     """Summary counts: nodes, distinct edges, total weight, dangling nodes."""
-    out = g.out_weights()
-    return GraphStats(
-        n_nodes=g.n_nodes,
-        n_edges=int(g.adjacency.nnz),
-        total_weight=int(g.adjacency.sum()),
-        n_dangling=int(np.count_nonzero(out == 0)),
-    )
+    return {
+        "n_nodes": g.n_nodes,
+        "n_edges": int(g.adjacency.nnz),
+        "total_weight": int(g.adjacency.sum()),
+        "n_dangling": int(np.count_nonzero(g.out_weights() == 0)),
+    }
 
 
 #: Edges formatted at a time by dump_edges, which bounds the text it holds.

@@ -323,7 +323,7 @@ def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
                                                 "papers_without_references": removed,
                                                 "papers_used": len(filtered)}
         if len(filtered):
-            with create(f"corpus_{phase_tag(phase.label)}.jsonl") as fh:
+            with create(tagged("corpus", phase.label, ".jsonl")) as fh:
                 corpus_mod.serialize_corpus(filtered, fh)
             kept.append((phase, filtered))
         else:
@@ -373,7 +373,7 @@ def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool
         net_mod.dump_nodes(graph, fh)
     scores, diagnostics = classical_indicators(corpus, graph, prestige, if_table)
     write_indicators(scores, phase_label, create)
-    return graph, scores, {"graph": asdict(net_mod.graph_stats(graph)),
+    return graph, scores, {"graph": net_mod.graph_stats(graph),
                            "diagnostics": diagnostics}
 
 
@@ -576,7 +576,6 @@ def _write_run(cfg: RunConfig, create) -> dict:
 
     for phase, filtered in phase_corpora:
         info = manifest["phases"][phase.label]
-        tag = phase_tag(phase.label)
         graph, classical, entries = write_phase_graph(
             filtered, phase.label, cfg.allow_self_citation, cfg.prestige, if_table, create)
         info.update(entries)
@@ -588,16 +587,16 @@ def _write_run(cfg: RunConfig, create) -> dict:
         scores = classical[:2] + pagerank_scores + classical[2:]
 
         table = rank_table(scores, cfg.subset_size)
-        with create(f"table_{tag}.tsv") as fh:
+        with create(tagged("table", phase.label, ".tsv")) as fh:
             write_table(table, fh)
 
         try:
             cm = stats_mod.correlation_matrix(table)
-            with create(f"correlation_{tag}.tsv") as fh:
+            with create(tagged("correlation", phase.label, ".tsv")) as fh:
                 write_correlation(cm, fh)
             pca = stats_mod.pca_varimax(table, cfg.pca_retention, cfg.loading_cutoff)
-            with create(f"pca_{tag}.tsv") as fl, \
-                    create(f"pca_components_{tag}.tsv") as fc:
+            with create(tagged("pca", phase.label, ".tsv")) as fl, \
+                    create(tagged("pca_components", phase.label, ".tsv")) as fc:
                 write_pca(pca, fl, fc)
             info["pca_retained"] = pca.n_retained
             info["pca_explained"] = float(
@@ -610,7 +609,7 @@ def _write_run(cfg: RunConfig, create) -> dict:
 
         if winners is not None:
             cov = coverage(scores, winners, ks=cfg.coverage_ks)
-            with create(f"coverage_{tag}.csv") as fh:
+            with create(tagged("coverage", phase.label, ".csv")) as fh:
                 write_coverage(cov, fh)
             info["winners_missing"] = cov.missing_winners
     return manifest

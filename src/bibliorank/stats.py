@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -139,14 +139,12 @@ def _varimax_criterion(loadings: np.ndarray) -> float:
     return float(np.sum(np.sum(sq**2, axis=0) / p - (np.sum(sq, axis=0) / p) ** 2))
 
 
-def varimax_rotate(
-    loadings: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def varimax_rotate(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Varimax rotation with Kaiser normalization.
 
     Rows are divided by their communality square roots, pairwise planar
-    rotations maximize the varimax criterion until improvement per sweep
-    drops below ``tol`` (or ``max_sweeps``), and rows are denormalized.
+    rotations maximize the varimax criterion, for at most 100 sweeps, until
+    improvement per sweep drops below 1e-10, and rows are denormalized.
     Returns (rotated loadings, rotation matrix, criterion history).
     """
     a = np.array(loadings, dtype=np.float64)
@@ -157,7 +155,7 @@ def varimax_rotate(
     rot = np.eye(k)
     history = [_varimax_criterion(a)]
     if k > 1:
-        for _ in range(max_sweeps):
+        for _ in range(100):
             for i in range(k - 1):
                 for j in range(i + 1, k):
                     x = a[:, i]
@@ -182,7 +180,7 @@ def varimax_rotate(
                     rot[:, i] = ri
                     rot[:, j] = rj
             history.append(_varimax_criterion(a))
-            if history[-1] - history[-2] < tol:
+            if history[-1] - history[-2] < 1e-10:
                 break
     a *= scale[:, None]
     return a, rot, history
@@ -203,8 +201,8 @@ class PcaResult:
     rotated_loadings: np.ndarray  # m x k, sign-fixed
     communalities: np.ndarray  # per variable over retained components
     loading_cutoff: float  # |loading| above it is salient
-    rotation: np.ndarray = field(repr=False, default=None)
-    criterion_history: list[float] = field(default_factory=list)
+    rotation: np.ndarray
+    criterion_history: list[float]
 
 
 def parse_retention(spec: str, n_indicators: int) -> int | None:

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from bibliorank.corpus import Corpus
+from bibliorank.corpus import Corpus, parse_corpus
 from bibliorank.network import AuthorCitationGraph
 
 
@@ -23,7 +25,7 @@ def graph_from_matrix(weights, publications=None, authors=None) -> AuthorCitatio
 
 
 def paper(pid, author, year=2000, source="J TEST", refs=(), volume=None, page=None):
-    """One record of Corpus.from_records."""
+    """One record of ``corpus_of``."""
     return (pid, author, year, source, volume, page, tuple(refs))
 
 
@@ -31,10 +33,22 @@ def ref(author, year=1999, source="J TEST", volume=None, page=None):
     return (author, year, source, volume, page)
 
 
+def _key(author, year, source, volume, page) -> dict:
+    obj = {"author": author, "year": year, "source": source, "volume": volume, "page": page}
+    return {name: value for name, value in obj.items() if value is not None}
+
+
+def corpus_of(papers) -> Corpus:
+    """``parse_corpus`` over the JSON lines of ``paper()`` records, each
+    reference a ``ref()`` tuple."""
+    return parse_corpus([json.dumps({"id": pid, **_key(*key), "refs": [_key(*r) for r in refs]})
+                         for pid, *key, refs in papers])
+
+
 @pytest.fixture
 def two_node_corpus():
     # single paper by A citing one work by B: edge A->B weight 1, B dangling
-    return Corpus.from_records([paper("p1", "A", refs=[ref("B")])])
+    return corpus_of([paper("p1", "A", refs=[ref("B")])])
 
 
 @pytest.fixture
@@ -44,13 +58,13 @@ def cycle_corpus():
         paper("p2", "B", refs=[ref("C")]),
         paper("p3", "C", refs=[ref("A")]),
     ]
-    return Corpus.from_records(papers)
+    return corpus_of(papers)
 
 
 @pytest.fixture
 def two_paper_corpus():
     # paper by X citing Y twice and Z once; second paper by X citing Y once
-    return Corpus.from_records([
+    return corpus_of([
         paper("p1", "X", refs=[ref("Y"), ref("Y"), ref("Z")]),
         paper("p2", "X", refs=[ref("Y")]),
     ])

@@ -363,6 +363,17 @@ class TestExitCodes:
         assert err.startswith("error: line 3: ") and str(nodes) in err and "'A'" in err
         assert not out.exists()
 
+    def test_rank_degenerate_teleport_exit_2_writes_no_out(self, tmp_path, capsys):
+        """Without --nodes every publication count is zero, so the
+        publication-weighted teleport has no mass."""
+        edges, out = tmp_path / "edges.tsv", tmp_path / "scores.tsv"
+        edges.write_text("A\tB\t1\nB\tA\t1\n")
+        assert main(["rank", "--edges", str(edges), "--teleport", "publication_weighted",
+                     "--damping", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: degenerate teleport: all publication_weighted weights are zero\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["edges.tsv"]
+
     def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys):
         _, _, _, outdir = small_run
         edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]

@@ -12,7 +12,6 @@ from bibliorank.corpus import (
     AUTHOR,
     DEFAULT_PHASES,
     SOURCE,
-    Corpus,
     Phase,
     filter_with_references,
     generate_synthetic,
@@ -22,7 +21,7 @@ from bibliorank.corpus import (
     split_phases,
 )
 from bibliorank.errors import ConfigError, DataError, ParseError
-from tests.conftest import paper, ref
+from tests.conftest import corpus_of, paper, ref
 from tests.oracles import (
     OracleParseError,
     corpus_columns,
@@ -192,9 +191,9 @@ class TestParseCorpus:
                                        "refs.page"])
     def test_lone_surrogate_names_first_line_and_field(self, field):
         """A JSON escape of a lone surrogate parses to a string that UTF-8
-        cannot encode.  The error names the first line that holds it, found
-        only once the whole string table fails to encode, past a blank line
-        and a later line that holds it too."""
+        cannot encode.  The error names the line and field where the string
+        first enters the string table, past a blank line, and not a later
+        line that holds it too."""
         key = field.rsplit(".", 1)[-1]
         value = "x\udc80" if key in ("id", "volume", "page") else "X\udc80"
         if field.startswith("refs."):
@@ -208,6 +207,16 @@ class TestParseCorpus:
         with pytest.raises(ParseError, match="lone surrogate") as exc:
             parse_corpus(io.StringIO(text))
         assert (exc.value.line, exc.value.field) == (3, field)
+
+    def test_lone_surrogate_is_refused_before_a_later_bad_line(self):
+        """The error names the first bad line in file order: a lone
+        surrogate on line 2 comes before invalid JSON on line 4."""
+        text = "\n".join([_record(id="p0"), _record(id="p1", author="\ud800"),
+                          _record(id="p2"), "{"]) + "\n"
+        assert text.isascii()
+        with pytest.raises(ParseError, match="lone surrogate") as exc:
+            parse_corpus(io.StringIO(text))
+        assert (exc.value.line, exc.value.field) == (2, "author")
 
 
 class TestInterning:
@@ -334,7 +343,7 @@ def test_parse_interns_and_round_trips(text):
 
 
 def test_roundtrip_serialize_parse():
-    c = Corpus.from_records([
+    c = corpus_of([
         paper("p1", "A", 1975, refs=[ref("B"), ref("C", volume="7", page="11")]),
         paper("p2", "B", 1990, volume="3", page="100"),
     ])
@@ -347,7 +356,7 @@ def test_roundtrip_serialize_parse():
 
 class TestSplitPhases:
     def test_paper_boundary_years(self):
-        c = Corpus.from_records([
+        c = corpus_of([
             paper("p1", "A", 1956),
             paper("p2", "B", 1980),
             paper("p3", "C", 1981),
@@ -359,13 +368,13 @@ class TestSplitPhases:
         assert dropped == 1
 
     def test_partition_identity(self):
-        c = Corpus.from_records([paper(f"p{y}", "A", y) for y in range(1950, 2020)])
+        c = corpus_of([paper(f"p{y}", "A", y) for y in range(1950, 2020)])
         phases, dropped = split_phases(c, DEFAULT_PHASES)
         assert sum(len(p) for p in phases) + dropped == len(c)
 
     def test_overlap_rejected(self):
         with pytest.raises(ConfigError, match="overlap"):
-            split_phases(Corpus.from_records([]), [Phase("a", 1990, 2000), Phase("b", 2000, 2010)])
+            split_phases(corpus_of([]), [Phase("a", 1990, 2000), Phase("b", 2000, 2010)])
 
     def test_inverted_phase_rejected(self):
         with pytest.raises(ConfigError):
@@ -378,13 +387,13 @@ class TestSplitPhases:
 
 class TestFilterWithReferences:
     def test_identity_when_all_have_refs(self):
-        c = Corpus.from_records([paper("p1", "A", refs=[ref("B")])])
+        c = corpus_of([paper("p1", "A", refs=[ref("B")])])
         kept, removed = filter_with_references(c)
         assert removed == 0
         assert corpus_records(kept) == corpus_records(c)
 
     def test_counts(self):
-        c = Corpus.from_records(
+        c = corpus_of(
             [paper(f"r{i}", "A", refs=[ref("B")]) for i in range(2)]
             + [paper(f"n{i}", "A") for i in range(3)]
         )
@@ -395,7 +404,7 @@ class TestFilterWithReferences:
         assert all(p[6] for p in corpus_records(kept))
 
     def test_empty(self):
-        kept, removed = filter_with_references(Corpus.from_records([]))
+        kept, removed = filter_with_references(corpus_of([]))
         assert len(kept) == 0 and removed == 0
 
 

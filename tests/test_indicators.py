@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from bibliorank.corpus import Corpus, filter_with_references, generate_synthetic
+from bibliorank.corpus import filter_with_references, generate_synthetic
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.indicators import (
     ImpactFactorTable,
@@ -20,7 +20,6 @@ from bibliorank.indicators import (
     load_impact_factors,
     popularity_scores,
     prestige_scores,
-    to_ranks,
     top_k,
     unmatched_references,
 )
@@ -28,7 +27,7 @@ from bibliorank.network import build_graph
 from bibliorank.pagerank import TELEPORTS, PageRankConfig
 from bibliorank.pipeline import classical_indicators, generate_impact_factors, pagerank_variants
 from tests import oracles
-from tests.conftest import paper, ref
+from tests.conftest import corpus_of, paper, ref
 from tests.oracles import h_index
 
 
@@ -41,14 +40,14 @@ def _corpus_with_internal_citations():
     cite_p2 = ("B", 1991, "J B", None, None)
     p4 = paper("p4", "D", 2000, "J D", refs=[cite_p1])
     p5 = paper("p5", "E", 2001, "J E", refs=[cite_p1, cite_p1, cite_p2])
-    return Corpus.from_records([p1, p2, p3, p4, p5])
+    return corpus_of([p1, p2, p3, p4, p5])
 
 
 def _shared_key_corpus():
     """p1 and p2 share one match key; p3 and p4 cite it, p3 also cites itself."""
     twin = dict(year=1990, source="J A", volume="1", page="10")
     twin_ref = ("A", 1990, "J A", "1", "10")
-    return Corpus.from_records([
+    return corpus_of([
         paper("p1", "A", refs=[ref("Z")], **twin),
         paper("p2", "A", refs=[ref("B")], **twin),
         paper("p3", "B", 2000, "J B", refs=[twin_ref, ref("B")]),
@@ -64,7 +63,7 @@ class TestInternalCitationCounts:
     def test_volume_mismatch_blocks_match(self):
         p1 = paper("p1", "A", 1990, "J A", volume="1")
         p2 = paper("p2", "B", 2000, "J B", refs=[("A", 1990, "J A", None, None)])
-        counts = internal_citation_counts(Corpus.from_records([p1, p2]))
+        counts = internal_citation_counts(corpus_of([p1, p2]))
         assert counts[0] == 0  # ref omits volume, paper has one
 
     def test_shared_key_credits_each_paper(self):
@@ -80,12 +79,12 @@ class TestPopularity:
 
     def test_never_cited_publishing_author(self, two_paper_corpus):
         g = build_graph(two_paper_corpus)
-        assert popularity_scores(g).values[g.node_id("X")] == 0.0
+        assert popularity_scores(g).values[g.authors.index("X")] == 0.0
 
 
 class TestHighlyCited:
     def test_all_uncited_empty(self):
-        c = Corpus.from_records([paper("p1", "A", refs=[ref("Z")])])
+        c = corpus_of([paper("p1", "A", refs=[ref("Z")])])
         assert not highly_cited_papers(internal_citation_counts(c), top_fraction=0.5).any()
 
     def test_min_citations_one_is_cited_set(self):
@@ -133,16 +132,16 @@ class TestPrestige:
         assert np.array_equal(prestige.values, popularity_scores(g).values)
 
     def test_single_highly_cited_paper(self):
-        c = Corpus.from_records([
+        c = corpus_of([
             paper("P", "X", refs=[ref("A"), ref("A"), ref("B")]),
             paper("q", "Y", refs=[ref("A")]),
             paper("r", "Z", refs=[ref("B")]),
         ])
         g = build_graph(c)
         s = prestige_scores(g, np.array([True, False, False]))
-        assert s.values[g.node_id("A")] == 2.0
-        assert s.values[g.node_id("B")] == 1.0
-        assert s.values[g.node_id("X")] == 0.0
+        assert s.values[g.authors.index("A")] == 2.0
+        assert s.values[g.authors.index("B")] == 1.0
+        assert s.values[g.authors.index("X")] == 0.0
 
     def test_prestige_le_popularity_pointwise(self):
         c, _ = filter_with_references(generate_synthetic(seed=4, n_papers=400, n_authors=120))
@@ -158,17 +157,17 @@ class TestHIndex:
         # counts {10,8,5,4,3} -> sort-and-scan oracle says 4
         assert h_index([10, 8, 5, 4, 3]) == 4
         counts = np.array([10, 8, 5, 4, 3])
-        c = Corpus.from_records([paper(f"p{i}", "A", refs=[ref("Z")]) for i in range(5)])
+        c = corpus_of([paper(f"p{i}", "A", refs=[ref("Z")]) for i in range(5)])
         g = build_graph(c)
         s = h_index_scores(g, counts)
-        assert s.values[g.node_id("A")] == 4.0
+        assert s.values[g.authors.index("A")] == 4.0
 
     def test_zero_and_ones(self):
         assert h_index([0]) == 0
         assert h_index([1, 1, 1]) == 1
-        c = Corpus.from_records([paper("p1", "A", refs=[ref("Z")])])
+        c = corpus_of([paper("p1", "A", refs=[ref("Z")])])
         g = build_graph(c)
-        assert h_index_scores(g, np.array([0])).values[g.node_id("A")] == 0.0
+        assert h_index_scores(g, np.array([0])).values[g.authors.index("A")] == 0.0
 
     def test_matches_oracle_on_synthetic(self):
         c, _ = filter_with_references(generate_synthetic(seed=8, n_papers=300, n_authors=60))
@@ -179,34 +178,34 @@ class TestHIndex:
         for p, count in zip(oracles.corpus_records(c), counts.tolist()):
             per_author.setdefault(p[1], []).append(count)
         for author, cites in per_author.items():
-            assert s.values[g.node_id(author)] == h_index(cites)
+            assert s.values[g.authors.index(author)] == h_index(cites)
 
 
 class TestIfScores:
     def test_single_citation(self):
-        c = Corpus.from_records([paper("p1", "A", 2005, "J", refs=[ref("B")])])
+        c = corpus_of([paper("p1", "A", 2005, "J", refs=[ref("B")])])
         table = ImpactFactorTable({("J", 2005): 2.5})
         g = build_graph(c)
         s, misses = if_scores(g, c, table)
-        assert s.values[g.node_id("B")] == 2.5
+        assert s.values[g.authors.index("B")] == 2.5
         assert misses == 0
 
     def test_missing_venue_counts_miss(self):
-        c = Corpus.from_records([paper("p1", "A", 2005, "J", refs=[ref("B")])])
+        c = corpus_of([paper("p1", "A", 2005, "J", refs=[ref("B")])])
         g = build_graph(c)
         s, misses = if_scores(g, c, ImpactFactorTable({}))
-        assert s.values[g.node_id("B")] == 0.0
+        assert s.values[g.authors.index("B")] == 0.0
         assert misses == 1
 
     def test_additivity(self):
-        c = Corpus.from_records([
+        c = corpus_of([
             paper("p1", "A", 2005, "J", refs=[ref("B")]),
             paper("p2", "C", 2006, "K", refs=[ref("B")]),
         ])
         table = ImpactFactorTable({("J", 2005): 2.5, ("K", 2006): 1.0})
         g = build_graph(c)
         s, _ = if_scores(g, c, table)
-        assert s.values[g.node_id("B")] == 3.5
+        assert s.values[g.authors.index("B")] == 3.5
 
     def test_unit_ifs_equal_popularity(self):
         c, _ = filter_with_references(generate_synthetic(seed=2, n_papers=200, n_authors=80))
@@ -227,16 +226,19 @@ class TestIfScores:
 
 
 class TestToRanks:
+    """Ranks of descending scores, ``average_ranks(-values)``, as the
+    indicator table takes them (rank 1 = best)."""
+
     def test_distinct(self):
-        r = to_ranks(ScoreVector("s", ["A", "B", "C"], [5, 3, 1]))
+        r = average_ranks(-np.array([5, 3, 1]))
         assert r.tolist() == [1, 2, 3]
 
     def test_tie_average(self):
-        r = to_ranks(ScoreVector("s", ["A", "B", "C"], [5, 5, 1]))
+        r = average_ranks(-np.array([5, 5, 1]))
         assert r.tolist() == [1.5, 1.5, 3]
 
     def test_all_equal(self):
-        r = to_ranks(ScoreVector("s", list("ABCD"), [7] * 4))
+        r = average_ranks(-np.array([7] * 4))
         assert np.all(r == 2.5)
 
     def test_rank_sum_identity_random(self):
@@ -245,14 +247,11 @@ class TestToRanks:
         rng = random.Random(3)
         for _ in range(50):
             n = rng.randint(1, 40)
-            s = ScoreVector("s", [f"a{i:02d}" for i in range(n)],
-                            [rng.randint(0, 5) for _ in range(n)])
-            r = to_ranks(s)
+            r = average_ranks(-np.array([rng.randint(0, 5) for _ in range(n)]))
             assert sum(r) == pytest.approx(n * (n + 1) / 2)
 
     def test_strict_monotonicity(self):
-        s = ScoreVector("s", list("ABCD"), [9, 4, 4, 1])
-        a, b, c, d = to_ranks(s)
+        a, b, c, d = average_ranks(-np.array([9, 4, 4, 1]))
         assert a < b == c < d
 
 
@@ -337,7 +336,7 @@ class TestScoreVector:
 def _aligned(g, by_author):
     values = np.zeros(g.n_nodes)
     for author, v in by_author.items():
-        values[g.node_id(author)] = v
+        values[g.authors.index(author)] = v
     return values
 
 
@@ -375,7 +374,7 @@ def _records(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_records(), st.booleans())
 def test_reductions_equal_loop_oracles_on_generated_corpora(records, allow_self_citation):
-    _assert_reductions_equal_loop_oracles(Corpus.from_records(records), allow_self_citation)
+    _assert_reductions_equal_loop_oracles(corpus_of(records), allow_self_citation)
 
 
 def _assert_reductions_equal_loop_oracles(c, allow_self_citation):
@@ -420,7 +419,7 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
     citation counts behind the h-index and the highly-cited threshold read
     the phase's references, and still count them."""
     cite_p0, cite_p1 = ("A", 1985, "J A", "1", "5"), ("A", 1990, "J A", "1", "10")
-    c = Corpus.from_records([
+    c = corpus_of([
         paper("p0", "A", 1985, "J A", volume="1", page="5", refs=[ref("A", 1980)]),
         paper("p1", "A", 1990, "J A", volume="1", page="10", refs=[ref("A", 1980)]),
         paper("p2", "A", 2000, "J B", refs=[cite_p0, cite_p1]),

@@ -35,7 +35,7 @@ class TestAnalyticFixtures:
         r = pagerank(g, PageRankConfig(damping=0.5))
         expected = {"A": 0.4, "B": 0.6}
         for author, want in expected.items():
-            assert r.scores[g.node_id(author)] == pytest.approx(want, abs=1e-10)
+            assert r.scores[g.authors.index(author)] == pytest.approx(want, abs=1e-10)
 
     def test_damping_zero_gives_teleport(self):
         w, pubs = random_graph_corpus(seed=11)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bibliorank.errors import ConfigError, StatsError
-from bibliorank.indicators import ScoreVector
+from bibliorank.indicators import ScoreVector, average_ranks
 from bibliorank.stats import (
     IndicatorTable,
     correlation_matrix,
@@ -59,12 +59,9 @@ class TestSpearman:
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         scores = rng.random(20)
-        from bibliorank.indicators import to_ranks
-
-        authors = [f"a{i:02d}" for i in range(20)]
-        base = to_ranks(ScoreVector("b", authors, scores))
-        transformed = to_ranks(ScoreVector("t", authors, np.exp(3 * scores)))
-        other = to_ranks(ScoreVector("o", authors, rng.random(20)))
+        base = average_ranks(-scores)
+        transformed = average_ranks(-np.exp(3 * scores))
+        other = average_ranks(-rng.random(20))
         r1, _ = spearman(base, other)
         r2, _ = spearman(transformed, other)
         assert r1 == pytest.approx(r2, abs=1e-14)

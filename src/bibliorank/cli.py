@@ -115,9 +115,9 @@ def cmd_correlate(args) -> int:
     stats_mod.check_subset_size(args.subset_size)
     vectors = _score_vectors(args.scores, args.labels)
     table = pipe_mod.rank_table(vectors, args.subset_size)
-    cm = stats_mod.correlation_matrix(table)
+    r, p = table.correlations
     with pipe_mod.open_output(args.out) as fh:
-        pipe_mod.write_correlation(cm, fh)
+        pipe_mod.write_correlation(table.indicators, r, p, fh)
     print(f"wrote {args.out}")
     return 0
 

@@ -82,8 +82,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.corpus is None and self.seed is None:
             raise ConfigError("either a corpus path or a synthetic seed is required")
-        if self.corpus is None:
-            corpus_mod.check_synthetic(self.seed, self.n_papers, self.n_authors, self.skew)
+        # The manifest records the synthetic settings in corpus mode too.
+        corpus_mod.check_synthetic(self.seed or 0, self.n_papers, self.n_authors, self.skew)
         check_phases(self.phases)
         for kind in self.teleports:
             pr_mod.check_teleport(kind)
@@ -234,12 +234,13 @@ def dump_impact_factors(table: ind_mod.ImpactFactorTable, stream) -> None:
         stream.write(f"{venue}\t{year}\t{impact:g}\n")
 
 
-def write_correlation(cm: stats_mod.CorrelationMatrix, stream) -> None:
-    stream.write("indicator\t" + "\t".join(cm.labels) + "\n")
-    for i, label in enumerate(cm.labels):
+def write_correlation(labels: list[str], r: np.ndarray, p: np.ndarray, stream) -> None:
+    """Write the Spearman ``r`` matrix over ``labels``, each cell flagged
+    by its two-tailed ``p`` (see ``stats.significance_flag``)."""
+    stream.write("indicator\t" + "\t".join(labels) + "\n")
+    for i, label in enumerate(labels):
         # The diagonal is exactly 1 with p = 0, so it prints unflagged as 1.000.
-        cells = [f"{r:.3f}{stats_mod.significance_flag(p)}"
-                 for r, p in zip(cm.r[i], cm.p_two_tailed[i])]
+        cells = [f"{rij:.3f}{stats_mod.significance_flag(pij)}" for rij, pij in zip(r[i], p[i])]
         stream.write(label + "\t" + "\t".join(cells) + "\n")
 
 
@@ -507,7 +508,7 @@ def write_run(outdir: str, command: str, write) -> dict:
     returns the manifest without ``files``.  The files go into a stage
     beside ``outdir`` that is renamed to ``outdir`` only once complete, so a
     failed run leaves ``outdir`` as it was."""
-    outdir = Path(os.path.abspath(outdir))
+    outdir = Path(os.path.realpath(outdir))  # a symlinked outdir is followed
     check_outdir(outdir, command)
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.tmp")
     shutil.rmtree(stage, ignore_errors=True)  # left by a killed run with this pid
@@ -591,9 +592,9 @@ def _write_run(cfg: RunConfig, create) -> dict:
             write_table(table, fh)
 
         try:
-            cm = stats_mod.correlation_matrix(table)
+            r, p = table.correlations
             with create(tagged("correlation", phase.label, ".tsv")) as fh:
-                write_correlation(cm, fh)
+                write_correlation(table.indicators, r, p, fh)
             pca = stats_mod.pca_varimax(table, cfg.pca_retention, cfg.loading_cutoff)
             with create(tagged("pca", phase.label, ".tsv")) as fl, \
                     create(tagged("pca_components", phase.label, ".tsv")) as fc:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import stdtr
@@ -96,12 +97,12 @@ class IndicatorTable:
             ranks=np.column_stack(cols),
         )
 
-
-@dataclass
-class CorrelationMatrix:
-    labels: list[str]
-    r: np.ndarray
-    p_two_tailed: np.ndarray
+    @cached_property
+    def correlations(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Spearman (r, p) matrices over the indicator columns, from
+        ``rank_correlations``; computed once, for both the correlation
+        table and the PCA."""
+        return rank_correlations(self.ranks, self.indicators)
 
 
 def significance_flag(p: float) -> str:
@@ -111,12 +112,6 @@ def significance_flag(p: float) -> str:
     if p >= 0.01:
         return "**"
     return ""
-
-
-def correlation_matrix(table: IndicatorTable) -> CorrelationMatrix:
-    """Spearman over all indicator columns of the table."""
-    r, p = rank_correlations(table.ranks, table.indicators)
-    return CorrelationMatrix(labels=list(table.indicators), r=r, p_two_tailed=p)
 
 
 def eigh_descending(a: np.ndarray):
@@ -230,8 +225,7 @@ def pca_varimax(
 ) -> PcaResult:
     """Correlation-matrix PCA of the rank table with varimax rotation.
 
-    The Spearman matrix of ``rank_correlations``, which
-    ``correlation_matrix`` also returns, is diagonalized with
+    The Spearman matrix ``table.correlations`` is diagonalized with
     ``numpy.linalg.eigh``; components are retained as ``parse_retention``
     reads ``retention``; loadings are rotated by varimax with Kaiser
     normalization and sign-fixed so the largest magnitude entry of each
@@ -242,7 +236,7 @@ def pca_varimax(
     check_cutoff(loading_cutoff)
     if n <= m:
         raise StatsError(f"need more authors ({n}) than indicators ({m})")
-    corr, _ = rank_correlations(table.ranks, table.indicators)
+    corr, _ = table.correlations
     eigenvalues, eigenvectors = eigh_descending(corr)
     # corr is positive semidefinite, so a negative eigenvalue is rounding error
     eigenvalues = np.maximum(eigenvalues, 0.0)

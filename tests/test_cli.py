@@ -25,6 +25,7 @@ import bibliorank
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
 from bibliorank import pipeline as pipe_mod
+from bibliorank import stats as stats_mod
 from bibliorank.cli import OutputFile, build_parser, main
 from bibliorank.corpus import check_synthetic, generate_synthetic
 from bibliorank.errors import ConfigError, NonConvergenceError
@@ -271,7 +272,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["pipeline", "generate"])
+    @pytest.mark.parametrize("command", ["pipeline", "pipeline-with-corpus", "generate"])
     @pytest.mark.parametrize("setting,message", [
         (("seed", "-1"), "seed must be >= 0, got -1"),
         (("skew", "nan"), "skew must be finite and positive, got nan"),
@@ -284,9 +285,11 @@ class TestExitCodes:
                                                         tmp_path, capsys):
         settings = {"seed": "1", "n_papers": "50", "n_authors": "20", "skew": "1"}
         settings.update([setting])
-        if command == "pipeline":
+        if command.startswith("pipeline"):
             argv = ["pipeline", "--set", f"outdir={tmp_path / 'out'}"]
             argv += [a for key, value in settings.items() for a in ("--set", f"{key}={value}")]
+            if command == "pipeline-with-corpus":  # the manifest records them in this mode too
+                argv += ["--set", f"corpus={tmp_path / 'nope.jsonl'}"]
         else:
             options = {"seed": "--seed", "n_papers": "--papers", "n_authors": "--authors",
                        "skew": "--skew"}
@@ -493,6 +496,17 @@ class TestExitCodes:
         assert sorted(p.name for p in outdir.iterdir()) == sorted(
             [*second["files"], "manifest.json"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "out"]
+
+    def test_rerun_into_a_symlinked_outdir_follows_the_link(self, tmp_path):
+        real, link = tmp_path / "real", tmp_path / "o_link"
+        run_pipeline(RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(real)))
+        link.symlink_to(real)
+        second = run_pipeline(RunConfig(seed=4, n_papers=200, n_authors=80, outdir=str(link)))
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(_read(real / "manifest.json"))["config_hash"] == second["config_hash"]
+        assert sorted(p.name for p in real.iterdir()) == sorted([*second["files"],
+                                                                  "manifest.json"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o_link", "real"]
 
     @pytest.mark.parametrize("earlier_run,name,content", [
         (False, "notes.txt", "mine\n"),
@@ -1202,6 +1216,27 @@ class TestPipeline:
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         }
+
+    def test_one_spearman_matrix_per_phase(self, tmp_path, monkeypatch):
+        """The correlation table and the PCA of a phase share one
+        ``rank_correlations`` call, also in the phases whose stats are skipped."""
+        corpus = tmp_path / "c.jsonl"
+        assert main(["generate", "--seed", "1", "--papers", "60", "--authors", "20",
+                     "--out", str(corpus)]) == 0
+        calls, real = [], stats_mod.rank_correlations
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stats_mod, "rank_correlations", counted)
+        outdir = tmp_path / "out"
+        manifest = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(outdir)))
+        tables = sorted(outdir.glob("table_*.tsv"))
+        skipped = [info["stats_skipped"] for info in manifest["phases"].values()
+                   if "stats_skipped" in info]
+        assert len(calls) == len(tables) == 4
+        assert len(skipped) == 3  # one phase too small for the PCA, two degenerate
 
     def test_synthetic_mode_without_corpus_file(self, tmp_path):
         outdir = tmp_path / "out"

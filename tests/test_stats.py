@@ -9,7 +9,6 @@ from bibliorank.errors import ConfigError, StatsError
 from bibliorank.indicators import ScoreVector, average_ranks
 from bibliorank.stats import (
     IndicatorTable,
-    correlation_matrix,
     eigh_descending,
     pca_varimax,
     significance_flag,
@@ -126,13 +125,13 @@ class TestCorrelationMatrix:
 
     def test_identical_columns(self):
         vals = {f"a{i}": float(i) for i in range(10)}
-        cm = correlation_matrix(self._table({"x": vals, "y": dict(vals)}))
-        assert cm.r[0, 1] == 1.0
+        r, _ = self._table({"x": vals, "y": dict(vals)}).correlations
+        assert r[0, 1] == 1.0
 
     def test_single_column(self):
         vals = {f"a{i}": float(i) for i in range(5)}
-        cm = correlation_matrix(self._table({"x": vals}))
-        assert cm.r.shape == (1, 1) and cm.r[0, 0] == 1.0
+        r, _ = self._table({"x": vals}).correlations
+        assert r.shape == (1, 1) and r[0, 0] == 1.0
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(77)
@@ -141,16 +140,16 @@ class TestCorrelationMatrix:
             f"c{j}": {a: float(rng.random()) for a in names} for j in range(3)
         }
         table = self._table(cols)
-        cm = correlation_matrix(table)
+        r, p = table.correlations
         labels = list(cols)
         for i in range(3):
             for j in range(3):
                 if i == j:
                     continue
                 want, wantp = spearman(table.ranks[:, i], table.ranks[:, j])
-                assert cm.r[i, j] == want
-                assert cm.p_two_tailed[i, j] == wantp
-        assert np.array_equal(cm.r, cm.r.T)
+                assert r[i, j] == want
+                assert p[i, j] == wantp
+        assert np.array_equal(r, r.T)
 
     def test_flag_convention(self):
         assert significance_flag(0.2) == "*"
@@ -334,20 +333,20 @@ def test_one_correlation_matrix_for_table_spearman_and_pca(table):
                 if np.all(col == col[0])]
     if constant:
         with pytest.raises(StatsError, match="degenerate ranking: zero-variance") as exc:
-            correlation_matrix(table)
+            table.correlations
         assert repr(constant) in str(exc.value)
         return
-    cm = correlation_matrix(table)
-    assert np.array_equal(_bits(cm.r), _bits(cm.r.T))
-    assert np.array_equal(_bits(np.diag(cm.r)), _bits(np.ones(m)))
-    assert np.array_equal(_bits(np.diag(cm.p_two_tailed)), _bits(np.zeros(m)))
-    assert np.max(np.abs(cm.r - np.corrcoef(table.ranks, rowvar=False))) <= 1e-12
+    r, p = table.correlations
+    assert np.array_equal(_bits(r), _bits(r.T))
+    assert np.array_equal(_bits(np.diag(r)), _bits(np.ones(m)))
+    assert np.array_equal(_bits(np.diag(p)), _bits(np.zeros(m)))
+    assert np.max(np.abs(r - np.corrcoef(table.ranks, rowvar=False))) <= 1e-12
     for i in range(m):
         for j in range(i + 1, m):
-            r, p = spearman(table.ranks[:, i], table.ranks[:, j])
-            assert _bits(r) == _bits(cm.r[i, j]) and _bits(p) == _bits(cm.p_two_tailed[i, j])
+            rij, pij = spearman(table.ranks[:, i], table.ranks[:, j])
+            assert _bits(rij) == _bits(r[i, j]) and _bits(pij) == _bits(p[i, j])
     if n > m:
-        want = np.maximum(eigh_descending(cm.r)[0], 0.0)
+        want = np.maximum(eigh_descending(r)[0], 0.0)
         assert np.array_equal(_bits(pca_varimax(table).eigenvalues), _bits(want))
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from functools import partial
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
@@ -29,7 +29,8 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
     """Read each score file as a column labelled by its entry of the
     comma-separated ``labels``, or else by its file stem.  The labels are
     checked before any file is read: one per file, none empty or repeated,
-    and each text UTF-8 can encode, since it is written into the output."""
+    and each text UTF-8 can encode with no tab, line break or comma, since
+    it is written into a TSV or CSV output."""
     names = [s.strip() for s in labels.split(",")] if labels else [Path(p).stem for p in paths]
     if len(names) != len(paths):
         raise ConfigError(f"{len(names)} labels for {len(paths)} score files")
@@ -40,6 +41,8 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
             raise ConfigError(f"two score files have the label {name!r}")
         if not corpus_mod.encodes(name):
             raise ConfigError(f"the score file label {name!r} is not valid UTF-8")
+        if any(ch in name for ch in "\t\n\r,"):
+            raise ConfigError(f"the score file label {name!r} holds a tab, line break or comma")
     return list(map(ind_mod.load_indicator, paths, names))
 
 
@@ -79,19 +82,23 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    pr_mod.check_teleport(args.teleport)
-    cfg = pr_mod.PageRankConfig(args.damping, args.tolerance, args.max_iterations,
-                                args.dangling_policy)
-    publications = None
-    if args.nodes:
-        publications = {a: pubs for a, (_, pubs) in net_mod.load_nodes(args.nodes).items()}
-    graph = net_mod.load_edges(args.edges, publications=publications)
-    [scores], solves = pipe_mod.pagerank_variants(graph, [args.teleport], [cfg], args.strict)
-    solve = solves[scores.name]
-    with pipe_mod.open_output(args.out) as fh:
-        ind_mod.dump_indicator(scores, fh)
-    print(f"{'converged' if solve['converged'] else 'NOT converged'} "
-          f"after {solve['iterations']} iterations (residual {solve['final_residual']:.3e})")
+    configs = pipe_mod.RunConfig(dampings=args.dampings, teleports=args.teleports,
+                                 tolerance=args.tolerance, max_iterations=args.max_iterations,
+                                 dangling_policy=args.dangling_policy).pagerank_configs()
+    match = re.fullmatch(r"edges_(.+)\.tsv", Path(args.edges).name, re.DOTALL)
+    tag = match[1] if match else None
+    if tag is not None and not corpus_mod.encodes(tag):
+        raise ConfigError(f"the --edges file name gives the tag {tag!r}, which is not valid UTF-8")
+
+    def write(create) -> dict:
+        nodes = net_mod.load_nodes(args.nodes) if args.nodes else {}
+        graph = net_mod.load_edges(args.edges, {a: pubs for a, (_, pubs) in nodes.items()})
+        _, solves = pipe_mod.write_phase_ranks(
+            graph, tag, args.teleports, configs, args.strict, create)
+        return {"diagnostics": solves}
+
+    manifest = pipe_mod.write_run(args.outdir, "rank", write)
+    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
     return 0
 
 
@@ -173,13 +180,10 @@ def _tag(value: str) -> str:
     raise argparse.ArgumentTypeError(f"{value!r} is not valid UTF-8")
 
 
-def _setting(parser, flag: str, key: str, one: bool = False, **kwargs) -> None:
-    """Declare ``flag``, which sets config ``key`` (one entry of it if ``one``),
-    with the key's parser, ``--set``'s message and ``RunConfig``'s default."""
+def _setting(parser, flag: str, key: str, **kwargs) -> None:
+    """Declare ``flag``, which sets config ``key``, with the key's parser,
+    ``--set``'s message and ``RunConfig``'s default."""
     parse, default = pipe_mod._FIELD_PARSERS[key], getattr(pipe_mod.RunConfig, key)
-    if one:
-        item = get_args(get_type_hints(pipe_mod.RunConfig)[key])[0]
-        parse, default = pipe_mod._value_parser(item), default[0]
     parser.add_argument(flag, type=partial(pipe_mod.parse_setting, parse, name=flag),
                         default=None if kwargs.get("required") else default, **kwargs)
 
@@ -230,16 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--phases", "phases", help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("rank", help="PageRank over an edge-list dump")
-    p.add_argument("--edges", required=True)
+    p = sub.add_parser("rank", help="PageRank variants of an edge-list dump")
+    p.add_argument("--edges", required=True, help="edges_<tag>.tsv gives indicator_<tag>_*.tsv")
     p.add_argument("--nodes", help="node dump supplying publication counts")
-    _setting(p, "--damping", "dampings", one=True, required=True)
-    _setting(p, "--teleport", "teleports", one=True, help=", ".join(pr_mod.TELEPORTS))
+    _setting(p, "--dampings", "dampings")
+    _setting(p, "--teleports", "teleports", help=", ".join(pr_mod.TELEPORTS))
     _setting(p, "--tolerance", "tolerance")
     _setting(p, "--max-iterations", "max_iterations")
     _setting(p, "--dangling-policy", "dangling_policy", help=", ".join(pr_mod.DANGLING_POLICIES))
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", type=OutputFile, required=True)
+    p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("indicators", help="phase graph and non-PageRank indicators of a corpus")

@@ -267,9 +267,13 @@ def load_indicator(source, name: str) -> ScoreVector:
         try:
             if parts[a_col] in values:
                 raise ParseError(f"duplicate author {parts[a_col]!r}", line=lineno)
-            values[parts[a_col]] = float(parts[s_col])
+            score = float(parts[s_col])
         except (IndexError, ValueError):
             raise ParseError("malformed score row", line=lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score!r} for author {parts[a_col]!r}",
+                             line=lineno)
+        values[parts[a_col]] = score
     if not values:
         raise ParseError("no score rows")
     authors = sorted(values)

@@ -197,7 +197,10 @@ def load_nodes(source) -> dict[str, tuple[int, int]]:
         if parts[0] in out:
             raise ParseError(f"duplicate author {parts[0]!r}", line=lineno)
         try:
-            out[parts[0]] = (int(parts[1]), int(parts[2]))
+            counts = int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError("invalid integer attribute", line=lineno) from None
+        if min(counts) < 0:
+            raise ParseError("negative citation or publication count", line=lineno)
+        out[parts[0]] = counts
     return out

@@ -85,14 +85,7 @@ class RunConfig:
         # The manifest records the synthetic settings in corpus mode too.
         corpus_mod.check_synthetic(self.seed or 0, self.n_papers, self.n_authors, self.skew)
         check_phases(self.phases)
-        for kind in self.teleports:
-            pr_mod.check_teleport(kind)
         self.pagerank_configs()
-        labels = [pr_mod.variant_label(kind, d) for kind in self.teleports for d in self.dampings]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ConfigError(f"teleports and dampings give two PageRank variants "
-                                  f"the label {label!r}")
         ind_mod.parse_prestige(self.prestige)
         stats_mod.check_subset_size(self.subset_size)
         stats_mod.parse_retention(self.pca_retention, self.indicator_count())
@@ -107,9 +100,18 @@ class RunConfig:
         return len(self.teleports) * len(self.dampings) + 3 + has_impact_factor
 
     def pagerank_configs(self) -> list[pr_mod.PageRankConfig]:
-        """The solve settings at each damping, checked."""
-        return [pr_mod.PageRankConfig(d, self.tolerance, self.max_iterations, self.dangling_policy)
-                for d in self.dampings]
+        """The solve settings at each damping, checked with the teleports
+        and the variant labels, which name score files and must differ."""
+        for kind in self.teleports:
+            pr_mod.check_teleport(kind)
+        configs = [pr_mod.PageRankConfig(d, self.tolerance, self.max_iterations,
+                                         self.dangling_policy) for d in self.dampings]
+        labels = [pr_mod.variant_label(kind, d) for kind in self.teleports for d in self.dampings]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"teleports and dampings give two PageRank variants "
+                                  f"the label {label!r}")
+        return configs
 
     def canonical(self) -> dict:
         d = asdict(self)
@@ -378,11 +380,14 @@ def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool
                            "diagnostics": diagnostics}
 
 
-def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
-                      strict: bool) -> tuple[list[ind_mod.ScoreVector], dict]:
-    """Solve each teleport kind at each config; returns the labelled score
-    vectors and each label's diagnostics entry.  Under ``strict``, solves
-    that did not converge raise one NonConvergenceError once all have run."""
+def write_phase_ranks(graph, phase_label: str | None, teleports,
+                      configs: list[pr_mod.PageRankConfig], strict: bool, create,
+                      ) -> tuple[list[ind_mod.ScoreVector], dict]:
+    """The PageRank step of one phase, which the pipeline and the ``rank``
+    stage share: solve each teleport kind at each config, then write the
+    variants with ``write_indicators``; returns the labelled score vectors
+    and each label's diagnostics entry.  Under ``strict``, solves that did
+    not converge raise one NonConvergenceError once all have run."""
     scores, solves = [], {}
     for kind in teleports:
         teleport = pr_mod.make_teleport(graph, kind)
@@ -399,6 +404,7 @@ def pagerank_variants(graph, teleports, configs: list[pr_mod.PageRankConfig],
     stalled = [label for label, entry in solves.items() if not entry["converged"]]
     if strict and stalled:
         raise NonConvergenceError(f"power iteration did not converge: {', '.join(stalled)}")
+    write_indicators(scores, phase_label, create)
     return scores, solves
 
 
@@ -416,6 +422,7 @@ MANIFEST_KEYS = {
     "pipeline": _COUNT_KEYS | {"config", "config_hash", "inputs", "versions"},
     "ingest": _COUNT_KEYS,
     "indicators": frozenset({"graph", "diagnostics"}),
+    "rank": frozenset({"diagnostics"}),
 }
 
 
@@ -580,10 +587,9 @@ def _write_run(cfg: RunConfig, create) -> dict:
         graph, classical, entries = write_phase_graph(
             filtered, phase.label, cfg.allow_self_citation, cfg.prestige, if_table, create)
         info.update(entries)
-        pagerank_scores, solves = pagerank_variants(
-            graph, cfg.teleports, cfg.pagerank_configs(), cfg.strict)
+        pagerank_scores, solves = write_phase_ranks(
+            graph, phase.label, cfg.teleports, cfg.pagerank_configs(), cfg.strict, create)
         info["diagnostics"].update(solves)
-        write_indicators(pagerank_scores, phase.label, create)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]
 

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from bibliorank.pagerank import variant_label
 from bibliorank.pipeline import (
     _FIELD_PARSERS,
     RunConfig,
-    _value_parser,
     apply_config_entry,
     default_of,
     load_config,
@@ -119,7 +117,7 @@ class TestExitCodes:
         assert f"(field: {field})" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
-        ["rank", "--edges", "{tmp}/e", "--damping", "abc", "--out", "{tmp}/o"],
+        ["rank", "--edges", "{tmp}/e", "--dampings", "abc", "--outdir", "{tmp}/o"],
         ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--out", "{tmp}/o"],
         ["correlate", "--scores", "{tmp}/s"],
         [],
@@ -191,10 +189,10 @@ class TestExitCodes:
                         "--out", str(tmp_path / "out")],
             "scores": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
                        "--out", str(tmp_path / "out")],
-            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
-                      "--out", str(tmp_path / "out")],
-            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
-                      "--out", str(tmp_path / "out")],
+            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--dampings", "0.5",
+                      "--outdir", str(tmp_path / "out")],
+            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--dampings", "0.5",
+                      "--outdir", str(tmp_path / "out")],
         }[bad]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: line 1: not valid UTF-8 in {inputs[bad]}\n"
@@ -308,7 +306,15 @@ class TestExitCodes:
         ("scores", "author\tscore\nA\tx\n", "line 2: malformed score row"),
         ("scores", "x\ty\n", "line 1: expected an 'author'/'score' header row"),
         ("scores", "author\tscore\n", "no score rows"),
+        ("scores", "author\tscore\nA\t1\nB\tnan\n", "line 3: non-finite score nan for author 'B'"),
+        ("scores", "author\tscore\nA\tinf\n", "line 2: non-finite score inf for author 'A'"),
+        ("scores", "author\tscore\nA\t-inf\n", "line 2: non-finite score -inf for author 'A'"),
         ("nodes", "A\t1\n", "line 1: expected author<TAB>citations<TAB>publications"),
+        ("nodes", "A\t3\t-1\n", "line 1: negative citation or publication count"),
+        ("nodes", "A\t-2\t1\nB\t1\t1\nC\t1\t1\n",
+         "line 1: negative citation or publication count"),
+        ("nodes", "A\t1\t-2\nB\t1\t1\nC\t1\t1\n",
+         "line 1: negative citation or publication count"),
         ("edges", "A\tB\tx\n", "line 1: invalid weight 'x' (field: weight)"),
     ])
     def test_input_error_names_line_and_file(self, bad, text, message, small_run, tmp_path,
@@ -336,10 +342,8 @@ class TestExitCodes:
                        "--set", f"outdir={out}"],
             "scores": ["correlate", "--scores", i["scores"], i["scores"], "--labels", "a,b",
                        "--out", out],
-            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
-                      "--out", out],
-            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--damping", "0.5",
-                      "--out", out],
+            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--outdir", out],
+            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--outdir", out],
         }[bad]
         assert main(argv) == (1 if bad == "config" else 2)
         assert capsys.readouterr().err == f"error: {message} in {inputs[bad]}\n"
@@ -359,9 +363,9 @@ class TestExitCodes:
         edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
         edges.write_text("A\tB\t1\nB\tA\t1\n")
         nodes.write_text("A\t1\t1\nB\t1\t2\nA\t1\t5\n")
-        out = tmp_path / "scores.tsv"
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--damping", "0.5",
-                     "--teleport", "publication_weighted", "--out", str(out)]) == 2
+        out = tmp_path / "out"
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.5",
+                     "--teleports", "publication_weighted", "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and str(nodes) in err and "'A'" in err
         assert not out.exists()
@@ -369,10 +373,10 @@ class TestExitCodes:
     def test_rank_degenerate_teleport_exit_2_writes_no_out(self, tmp_path, capsys):
         """Without --nodes every publication count is zero, so the
         publication-weighted teleport has no mass."""
-        edges, out = tmp_path / "edges.tsv", tmp_path / "scores.tsv"
+        edges, out = tmp_path / "edges.tsv", tmp_path / "out"
         edges.write_text("A\tB\t1\nB\tA\t1\n")
-        assert main(["rank", "--edges", str(edges), "--teleport", "publication_weighted",
-                     "--damping", "0.5", "--out", str(out)]) == 2
+        assert main(["rank", "--edges", str(edges), "--teleports", "publication_weighted",
+                     "--dampings", "0.5", "--outdir", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: degenerate teleport: all publication_weighted weights are zero\n")
         assert [p.name for p in tmp_path.iterdir()] == ["edges.tsv"]
@@ -380,10 +384,13 @@ class TestExitCodes:
     def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys):
         _, _, _, outdir = small_run
         edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
-        out = tmp_path / "scores.tsv"
-        assert main(["rank", "--edges", str(edges), "--damping", "0.85", "--strict",
-                     "--max-iterations", "1", "--out", str(out)]) == 3
-        assert "pagerank_d0.85" in capsys.readouterr().err
+        nodes = sorted(Path(outdir).glob("nodes_*.tsv"))[0]
+        out = tmp_path / "out"
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.85",
+                     "--strict", "--max-iterations", "1", "--outdir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: power iteration did not converge: "
+            "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85\n")
         assert not any(tmp_path.iterdir())
 
     def test_ingest_colliding_phase_tags_exit_1_before_corpus_is_opened(self, tmp_path, capsys):
@@ -398,17 +405,22 @@ class TestExitCodes:
         ("ingest", [], ["--phases", "1956-1990"],
          {"input_papers", "dropped_outside_phases", "phases", "files"}),
         ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics", "files"}),
+        ("rank", ["--nodes", "{nodes}"], ["--teleports", "uniform"], {"diagnostics", "files"}),
     ])
     def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
                                                      small_run, tmp_path):
-        _, corpus, if_table, _ = small_run
+        _, corpus, if_table, pipeline_out = small_run
+        nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
+        # rank reads the phase graph of the pipeline run, the others the corpus
+        flag, good = (("--edges", sorted(pipeline_out.glob("edges_*.tsv"))[0]) if command == "rank"
+                      else ("--corpus", corpus))
         outdir = tmp_path / "out"
 
-        def run(corpus_path, extra):
-            return main([command, "--corpus", str(corpus_path), "--outdir", str(outdir),
-                         *(a.format(if_table=if_table) for a in extra)])
+        def run(input_path, extra):
+            return main([command, flag, str(input_path), "--outdir", str(outdir),
+                         *(a.format(if_table=if_table, nodes=nodes) for a in extra)])
 
-        assert run(corpus, first) == 0
+        assert run(good, first) == 0
         before = _dir_bytes(outdir)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -416,7 +428,7 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out"]
 
-        assert run(corpus, second) == 0
+        assert run(good, second) == 0
         manifest = json.loads(_read(outdir / "manifest.json"))
         assert set(manifest) == keys
         files = manifest["files"]
@@ -426,6 +438,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,owner", [
         ("indicators", "ingest"), ("ingest", "pipeline"), ("pipeline", "indicators"),
+        ("rank", "indicators"), ("indicators", "rank"),
     ])
     def test_other_commands_run_exit_1_and_is_kept(self, command, owner, small_run, tmp_path,
                                                    capsys):
@@ -434,6 +447,10 @@ class TestExitCodes:
         def argv(cmd, corpus_path, outdir):
             if cmd == "pipeline":
                 return [cmd, "--set", f"corpus={corpus_path}", "--set", f"outdir={outdir}"]
+            if cmd == "rank":
+                return [cmd, "--edges", str(sorted(pipeline_out.glob("edges_*.tsv"))[0]),
+                        "--nodes", str(sorted(pipeline_out.glob("nodes_*.tsv"))[0]),
+                        "--outdir", str(outdir)]
             return [cmd, "--corpus", str(corpus_path), "--outdir", str(outdir)]
 
         outdir = tmp_path / "out"
@@ -556,8 +573,6 @@ class TestExitCodes:
         (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
           "--out", "{t}/keep.tsv", "--if-table-out", "{t}/nodir/if.tsv"],
          "{t}/nodir/if.tsv: no such directory"),
-        (["rank", "--edges", "{t}/nope", "--damping", "0.5", "--out", "{t}/nodir/o.tsv"],
-         "{t}/nodir/o.tsv: no such directory"),
         (["correlate", "--scores", "{t}/nope", "--out", "{t}/nodir/c.tsv"],
          "{t}/nodir/c.tsv: no such directory"),
         (["pca", "--scores", "{t}/nope", "--out-loadings", "{t}/keep.tsv",
@@ -574,7 +589,7 @@ class TestExitCodes:
         (["pca", "--scores", "{t}/nope", "{t}/nope2", "--out-loadings", "{t}/o.tsv",
           "--out-components", "{t}/o.tsv"],
          "{t}/o.tsv is named by both --out-loadings and --out-components"),
-    ], ids=["generate", "rank", "correlate", "pca", "evaluate", "evaluate-dir",
+    ], ids=["generate", "correlate", "pca", "evaluate", "evaluate-dir",
             "generate-same-file", "pca-same-file"])
     def test_unwritable_output_exit_1_before_work(self, argv, message, tmp_path, capsys):
         keep = tmp_path / "keep.tsv"
@@ -605,7 +620,7 @@ class TestExitCodes:
                     outputs.append(f"{command} {action.option_strings[0]}")
         assert sorted(outputs) == [
             "correlate --out", "evaluate --out", "generate --if-table-out", "generate --out",
-            "pca --out-components", "pca --out-loadings", "rank --out"]
+            "pca --out-components", "pca --out-loadings"]
 
     @pytest.mark.parametrize("command", ["correlate", "pca", "evaluate"])
     @pytest.mark.parametrize("scores,labels,message", [
@@ -613,7 +628,17 @@ class TestExitCodes:
         (["a.tsv", "b.tsv"], ["--labels", "p, p"], "two score files have the label 'p'"),
         (["a.tsv", "b.tsv"], ["--labels", "p"], "1 labels for 2 score files"),
         (["a.tsv", "b.tsv"], ["--labels", "x,"], "a score file has an empty label"),
-    ], ids=["same-stem", "same-label", "label-count", "empty-label"])
+        (["a.tsv", "b.tsv"], ["--labels", "a\tx,b"],
+         "the score file label 'a\\tx' holds a tab, line break or comma"),
+        (["we\tird.tsv", "b.tsv"], [],
+         "the score file label 'we\\tird' holds a tab, line break or comma"),
+        (["a,b.tsv", "c.tsv"], [], "the score file label 'a,b' holds a tab, line break or comma"),
+        (["a\nb.tsv", "c.tsv"], [],
+         "the score file label 'a\\nb' holds a tab, line break or comma"),
+        (["a.tsv", "b.tsv"], ["--labels", "a\rx,b"],
+         "the score file label 'a\\rx' holds a tab, line break or comma"),
+    ], ids=["same-stem", "same-label", "label-count", "empty-label", "label-tab", "stem-tab",
+            "stem-comma", "stem-newline", "label-carriage-return"])
     def test_score_labels_checked_before_files_are_read(self, command, scores, labels, message,
                                                         tmp_path, capsys):
         outputs = {"correlate": ["--out", "{t}/o"],
@@ -638,13 +663,28 @@ class TestRankCommand:
     def test_cycle_edge_list_uniform(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
         edges.write_text("A\tB\t1\nB\tC\t1\nC\tA\t1\n")
-        out = tmp_path / "scores.tsv"
-        assert main(["rank", "--edges", str(edges), "--damping", "0.85",
-                     "--out", str(out)]) == 0
-        lines = _read(out).splitlines()
+        out = tmp_path / "out"
+        assert main(["rank", "--edges", str(edges), "--dampings", "0.85",
+                     "--teleports", "uniform", "--outdir", str(out)]) == 0
+        lines = _read(out / "indicator_pagerank_d0.85.tsv").splitlines()
         assert lines[0] == "author\tscore\trank"
         scores = {ln.split("\t")[0]: float(ln.split("\t")[1]) for ln in lines[1:]}
         assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
+
+    @pytest.mark.parametrize("name,tag", [
+        ("edges_1981_1990.tsv", "_1981_1990"), ("edges_a-b.tsv", "_a_b"), ("edges.tsv", ""),
+        ("edges_.tsv", ""), ("g_1981.tsv", ""), ("edges_1981.txt", ""),
+    ])
+    def test_file_tag_comes_from_the_edges_file_name(self, name, tag, tmp_path):
+        edges, out = tmp_path / name, tmp_path / "out"
+        edges.write_text("A\tB\t1\nB\tA\t2\n")
+        assert main(["rank", "--edges", str(edges), "--teleports", "uniform,citation_weighted",
+                     "--dampings", "0.5", "--outdir", str(out)]) == 0
+        manifest = json.loads(_read(out / "manifest.json"))
+        assert sorted(manifest["files"]) == [f"indicator{tag}_pagerank_cit_d0.5.tsv",
+                                             f"indicator{tag}_pagerank_d0.5.tsv"]
+        assert sorted(manifest["diagnostics"]) == ["pagerank_cit_d0.5", "pagerank_d0.5"]
+        assert all(entry["converged"] for entry in manifest["diagnostics"].values())
 
 
 class TestCorrelateCommand:
@@ -802,19 +842,22 @@ def test_malformed_set_value_exit_1_names_key(key, junk, at):
 # {m} is an input path that does not exist and {o} an output path.
 _RETENTION_SCORES = ["{m}"] * 12  # the pipeline's 12 indicators without an IF table
 _SHARED_SETTINGS = [
-    ("dampings", "1.5", ["rank", "--edges", "{m}", "--damping", "1.5", "--out", "{o}"],
+    ("dampings", "1.5", ["rank", "--edges", "{m}", "--dampings", "1.5", "--outdir", "{o}"],
      "dampings must be in [0, 1), got 1.5"),
-    ("tolerance", "0", ["rank", "--edges", "{m}", "--damping", "0.5", "--tolerance", "0",
-                        "--out", "{o}"],
+    ("dampings", "0.5,0.50", ["rank", "--edges", "{m}", "--dampings", "0.5,0.50",
+                              "--outdir", "{o}"],
+     "teleports and dampings give two PageRank variants the label 'pagerank_d0.5'"),
+    ("tolerance", "0", ["rank", "--edges", "{m}", "--dampings", "0.5", "--tolerance", "0",
+                        "--outdir", "{o}"],
      "tolerance must be finite and positive, got 0.0"),
-    ("tolerance", "nan", ["rank", "--edges", "{m}", "--damping", "0.5", "--tolerance", "nan",
-                          "--out", "{o}"],
+    ("tolerance", "nan", ["rank", "--edges", "{m}", "--dampings", "0.5", "--tolerance", "nan",
+                          "--outdir", "{o}"],
      "tolerance must be finite and positive, got nan"),
-    ("max_iterations", "0", ["rank", "--edges", "{m}", "--damping", "0.5",
-                             "--max-iterations", "0", "--out", "{o}"],
+    ("max_iterations", "0", ["rank", "--edges", "{m}", "--dampings", "0.5",
+                             "--max-iterations", "0", "--outdir", "{o}"],
      "max_iterations must be >= 1, got 0"),
-    ("teleports", "custom", ["rank", "--edges", "{m}", "--damping", "0.5",
-                             "--teleport", "custom", "--out", "{o}"],
+    ("teleports", "custom", ["rank", "--edges", "{m}", "--dampings", "0.5",
+                             "--teleports", "custom", "--outdir", "{o}"],
      "teleports must be one of uniform, citation_weighted, publication_weighted, got 'custom'"),
     ("prestige", "top_fraction:2", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
                                     "--prestige", "top_fraction:2"],
@@ -862,13 +905,12 @@ def test_bad_setting_same_error_in_pipeline_and_stage_before_reading(
         assert not any(tmp_path.iterdir())
 
 
-# Every flag that sets a config key: (command, flag, key).  rank's
-# --damping and --teleport set one entry of their tuple key.
+# Every flag that sets a config key: (command, flag, key).
 _KEY_FLAGS = [
     ("generate", "--seed", "seed"), ("generate", "--papers", "n_papers"),
     ("generate", "--authors", "n_authors"), ("generate", "--skew", "skew"),
     ("ingest", "--phases", "phases"),
-    ("rank", "--damping", "dampings"), ("rank", "--teleport", "teleports"),
+    ("rank", "--dampings", "dampings"), ("rank", "--teleports", "teleports"),
     ("rank", "--tolerance", "tolerance"), ("rank", "--max-iterations", "max_iterations"),
     ("rank", "--dangling-policy", "dangling_policy"),
     ("indicators", "--prestige", "prestige"),
@@ -876,7 +918,6 @@ _KEY_FLAGS = [
     ("pca", "--retention", "pca_retention"), ("pca", "--cutoff", "loading_cutoff"),
     ("evaluate", "--ks", "coverage_ks"),
 ]
-_ONE_ENTRY_KEYS = {"dampings", "teleports"}
 
 
 def _subcommands() -> dict:
@@ -886,7 +927,6 @@ def _subcommands() -> dict:
 
 
 def test_every_key_flag_is_declared_from_its_key():
-    hints = get_type_hints(RunConfig)
     declared = []
     for command, parser in _subcommands().items():
         for action in parser._actions:
@@ -902,13 +942,11 @@ def test_every_key_flag_is_declared_from_its_key():
         (command, flag) for command, flag, _ in _KEY_FLAGS]
     for (command, flag, action), (_, _, key) in zip(declared, _KEY_FLAGS):
         parse, default = _FIELD_PARSERS[key], getattr(RunConfig, key)
-        if key in _ONE_ENTRY_KEYS:
-            parse, default = _value_parser(get_args(hints[key])[0]), default[0]
         assert action.type.args == (parse,), (command, flag)
         assert action.default == (None if action.required else default), (command, flag)
     required = {(c, a.option_strings[0]) for c, _, a in declared if a.required}
     assert required == {("generate", "--seed"), ("generate", "--papers"),
-                        ("generate", "--authors"), ("rank", "--damping")}
+                        ("generate", "--authors")}
 
 
 def test_generator_years_have_one_default():
@@ -924,7 +962,7 @@ def test_generator_years_have_one_default():
 _REQUIRED_FLAGS = {
     "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--out", "{o}"],
     "ingest": ["--corpus", "{m}", "--outdir", "{o}"],
-    "rank": ["--edges", "{m}", "--damping", "0.5", "--out", "{o}"],
+    "rank": ["--edges", "{m}", "--outdir", "{o}"],
     "indicators": ["--corpus", "{m}", "--outdir", "{o}"],
     "correlate": ["--scores", "{m}", "{m}", "--out", "{o}"],
     "pca": ["--scores", *["{m}"] * 12, "--out-loadings", "{o}", "--out-components", "{o}c"],
@@ -962,13 +1000,15 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
      "the score file label 'a\\udcff' is not valid UTF-8"),
     (["indicators", "--corpus", "{t}/c", "--outdir", "{t}/good", "--tag", "\udcff"],
      "argument --tag: '\\udcff' is not valid UTF-8"),
+    (["rank", "--edges", "{t}/edges_\udcff.tsv", "--outdir", "{t}/good"],
+     "the --edges file name gives the tag '\\udcff', which is not valid UTF-8"),
     (["ingest", "--corpus", "{t}/c", "--outdir", "{t}/good", "--phases", "\udcff:1956-2008"],
      "invalid phases entry '\\udcff:1956-2008': the label is not valid UTF-8"),
     (["pipeline", "--set", "seed=1", "--set", "outdir={t}/good",
       "--set", "phases=1956-1990;x\udcff:1991-2008"],
      "invalid phases entry 'x\\udcff:1991-2008': the label is not valid UTF-8"),
 ], ids=["correlate-labels", "correlate-file-stem", "evaluate-labels", "indicators-tag",
-        "ingest-phases",
+        "rank-edges-tag", "ingest-phases",
         "pipeline-phases"])
 def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, capsys):
     """A non-UTF-8 byte of argv reaches Python as a lone surrogate, \\udcff
@@ -997,8 +1037,8 @@ def _fail_part_way(*args):
      ["generate", "--seed", "1", "--papers", "30", "--authors", "10", "--out", "{t}/c.jsonl",
       "--if-table-out", "{t}/if.tsv"],
      ["c.jsonl", "if.tsv"]),
-    (ind_mod, "dump_indicator",
-     ["rank", "--edges", "{edges}", "--damping", "0.5", "--out", "{t}/s.tsv"], ["s.tsv"]),
+    (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
+     ["rank", "--edges", "{edges}", "--teleports", "uniform", "--outdir", "{t}/run"], []),
     (pipe_mod, "write_correlation",
      ["correlate", "--scores", "{a}", "{b}", "--subset-size", "20", "--out", "{t}/c.tsv"],
      ["c.tsv"]),
@@ -1248,11 +1288,11 @@ class TestPipeline:
 
 def _run_stage_chain(root, allow_self_citation):
     """From one generated corpus file, generate, ingest and per phase
-    indicators, rank (each variant), correlate, pca and evaluate, each
-    command writing into its own directory. Where the pipeline skipped a
-    phase's stats, correlate and pca must fail with one error line. Returns
-    the sha256 of each written file but manifest.json, per command, and the
-    pipeline's files map but table_<tag>.tsv."""
+    indicators, rank, correlate, pca and evaluate, 22 commands for the 4
+    phases, each command writing into its own directory. Where the
+    pipeline skipped a phase's stats, correlate and pca must fail with one
+    error line. Returns the sha256 of each written file but manifest.json,
+    per command, and the pipeline's files map but table_<tag>.tsv."""
     cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
                     allow_self_citation=allow_self_citation,
                     winners=str(root / "winners.txt"), outdir=str(root / "pipe"))
@@ -1260,7 +1300,7 @@ def _run_stage_chain(root, allow_self_citation):
     Path(cfg.winners).write_text("".join(f"Auth, {i:06d}.\n" for i in range(0, 151, 10)))
     pipeline = run_pipeline(cfg)
     chain, corpus = root / "chain", root / "corpus.jsonl"
-    for command in ("generate", "rank", "correlate", "pca", "evaluate"):
+    for command in ("generate", "correlate", "pca", "evaluate"):
         (chain / command).mkdir(parents=True)
 
     def run(*argv):
@@ -1285,13 +1325,12 @@ def _run_stage_chain(root, allow_self_citation):
         manifest = json.loads(_read(stage / "manifest.json"))
         assert manifest["graph"] == info["graph"]
         assert manifest["diagnostics"].items() <= info["diagnostics"].items()
-        for kind in cfg.teleports:
-            for damping in cfg.dampings:
-                name = variant_label(kind, damping)
-                assert run("rank", "--edges", stage / f"edges_{tag}.tsv",
-                           "--nodes", stage / f"nodes_{tag}.tsv", "--damping", damping,
-                           "--teleport", kind,
-                           "--out", chain / "rank" / f"indicator_{tag}_{name}.tsv") == (0, "")
+        assert run("rank", "--edges", stage / f"edges_{tag}.tsv", "--nodes",
+                   stage / f"nodes_{tag}.tsv", "--outdir", chain / f"rank_{tag}") == (0, "")
+        ranks = json.loads(_read(chain / f"rank_{tag}" / "manifest.json"))
+        assert ranks["diagnostics"] == {
+            name: info["diagnostics"][name]
+            for name in (variant_label(kind, d) for kind in cfg.teleports for d in cfg.dampings)}
         names = _read(root / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
         scores = ["--scores", *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv"))
                                 for name in names), "--labels", ",".join(names)]

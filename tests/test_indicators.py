@@ -1,3 +1,4 @@
+import contextlib
 import io
 
 import numpy as np
@@ -25,7 +26,7 @@ from bibliorank.indicators import (
 )
 from bibliorank.network import build_graph
 from bibliorank.pagerank import TELEPORTS, PageRankConfig
-from bibliorank.pipeline import classical_indicators, generate_impact_factors, pagerank_variants
+from bibliorank.pipeline import classical_indicators, generate_impact_factors, write_phase_ranks
 from tests import oracles
 from tests.conftest import corpus_of, paper, ref
 from tests.oracles import h_index
@@ -435,7 +436,8 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
         g = build_graph(c, allow_self_citation=allow)
         assert g.authors == ["A", "B", "C"]
         classical, diagnostics = classical_indicators(c, g, "min_citations:2", table)
-        variants, _ = pagerank_variants(g, list(TELEPORTS), configs, strict=False)
+        variants, _ = write_phase_ranks(g, None, list(TELEPORTS), configs, False,
+                                        lambda name: contextlib.nullcontext(io.StringIO()))
         assert diagnostics["highly_cited_papers"] == 2
         runs.append({sv.name: sv.values.tolist() for sv in classical + variants})
     kept, dropped = runs

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: generate, ingest, rank, indicators, correlate, pca, evaluate,
-pipeline.  Exit codes: 0 success, 1 usage or validation error, 2 data/input
-error, 3 non-convergence under --strict; each error class carries its own.
+Subcommands: generate, ingest, indicators, rank, compare, pipeline.  Exit
+codes: 0 success, 1 usage or validation error, 2 data/input error, 3
+non-convergence under --strict; each error class carries its own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import BiblioRankError, ConfigError
-from bibliorank.evaluation import check_ks, coverage, load_winners
+from bibliorank.evaluation import check_ks, load_winners
 
 
 def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVector]:
@@ -118,42 +118,21 @@ def cmd_indicators(args) -> int:
     return 0
 
 
-def cmd_correlate(args) -> int:
-    stats_mod.check_subset_size(args.subset_size)
-    vectors = _score_vectors(args.scores, args.labels)
-    table = pipe_mod.rank_table(vectors, args.subset_size)
-    r, p = table.correlations
-    with pipe_mod.open_output(args.out) as fh:
-        pipe_mod.write_correlation(table.indicators, r, p, fh)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_pca(args) -> int:
+def cmd_compare(args) -> int:
     stats_mod.check_subset_size(args.subset_size)
     stats_mod.parse_retention(args.retention, len(args.scores))
     stats_mod.check_cutoff(args.cutoff)
-    vectors = _score_vectors(args.scores, args.labels)
-    table = pipe_mod.rank_table(vectors, args.subset_size)
-    res = stats_mod.pca_varimax(table, args.retention, args.cutoff)
-    with pipe_mod.open_output(args.out_loadings) as fl, \
-            pipe_mod.open_output(args.out_components) as fc:
-        pipe_mod.write_pca(res, fl, fc)
-    print(f"retained {res.n_retained} components "
-          f"({100 * res.explained_variance_fractions[: res.n_retained].sum():.2f}% of variance)")
-    return 0
-
-
-def cmd_evaluate(args) -> int:
     check_ks(args.ks)
-    vectors = _score_vectors(args.scores, args.labels)
-    winners = load_winners(args.winners)
-    res = coverage(vectors, winners, ks=args.ks)
-    with pipe_mod.open_output(args.out) as fh:
-        pipe_mod.write_coverage(res, fh)
-    if res.missing_winners:
-        print(f"winners not in author universe: {', '.join(res.missing_winners)}")
-    print(f"wrote {args.out}")
+
+    def write(create) -> dict:
+        vectors = _score_vectors(args.scores, args.labels)
+        winners = None if args.winners is None else load_winners(args.winners)
+        return {"stats": pipe_mod.write_phase_stats(
+            vectors, args.tag, args.subset_size, args.retention, args.cutoff, winners, args.ks,
+            create)}
+
+    manifest = pipe_mod.write_run(args.outdir, "compare", write)
+    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
     return 0
 
 
@@ -206,13 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Author citation networks, weighted PageRank, and rank comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags that several commands share, each declared once.
-    score_files = argparse.ArgumentParser(add_help=False)
-    score_files.add_argument("--scores", nargs="+", action="extend", required=True,
-                             help="score files, one per indicator (repeatable)")
-    score_files.add_argument("--labels", help="comma-separated column labels")
-    subset = argparse.ArgumentParser(add_help=False)
-    _setting(subset, "--subset-size", "subset_size")
 
     p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
     _setting(p, "--seed", "seed", required=True)
@@ -255,25 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-self-citations", action="store_true")
     p.set_defaults(func=cmd_indicators)
 
-    p = sub.add_parser("correlate", parents=[score_files, subset],
-                       help="Spearman matrix over score files")
-    p.add_argument("--out", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("pca", parents=[score_files, subset],
-                       help="PCA with varimax rotation over score files")
+    p = sub.add_parser("compare", help="rank table, Spearman matrix, PCA and winner coverage "
+                                       "of one phase's score files")
+    p.add_argument("--scores", nargs="+", action="extend", required=True,
+                   help="score files, one per indicator (repeatable)")
+    p.add_argument("--labels", help="comma-separated column labels")
+    p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
+    _setting(p, "--subset-size", "subset_size")
     _setting(p, "--retention", "pca_retention", help="kaiser or fixed:K")
     _setting(p, "--cutoff", "loading_cutoff")
-    p.add_argument("--out-loadings", type=OutputFile, required=True)
-    p.add_argument("--out-components", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_pca)
-
-    p = sub.add_parser("evaluate", parents=[score_files],
-                       help="award-winner coverage of top-k lists")
-    p.add_argument("--winners", required=True)
+    p.add_argument("--winners", help="award-winner list, one raw author name per line")
     _setting(p, "--ks", "coverage_ks")
-    p.add_argument("--out", type=OutputFile, required=True)
-    p.set_defaults(func=cmd_evaluate)
+    p.add_argument("--outdir", required=True)
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config")
     p.add_argument("--config", help="key = value config file")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import platform
@@ -408,11 +409,42 @@ def write_phase_ranks(graph, phase_label: str | None, teleports,
     return scores, solves
 
 
-def rank_table(scores: list[ind_mod.ScoreVector], subset_size: int) -> stats_mod.IndicatorTable:
-    """The rank table of the top ``subset_size`` authors by the first score vector."""
+def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None,
+                      subset_size: int, retention: str, cutoff: float,
+                      winners: list[str] | None, ks, create) -> dict:
+    """The comparison step of one phase, which the pipeline and the ``compare``
+    stage share: write the rank table of ``scores`` over the top
+    ``subset_size`` authors by the first score vector as `table_<tag>.tsv`
+    (see ``tagged``), its Spearman matrix as `correlation_<tag>.tsv`, its
+    PCA as `pca_<tag>.tsv` and `pca_components_<tag>.tsv` and, given
+    ``winners``, the top-k ``coverage`` of ``scores`` as `coverage_<tag>.csv`.
+    Returns the phase's manifest entries: `pca_retained` and `pca_explained`,
+    or `stats_skipped` when the subset is degenerate, and `winners_missing`."""
     stats_mod.check_subset_size(subset_size)
-    subset = ind_mod.top_k(scores[0], subset_size)
-    return stats_mod.IndicatorTable.from_scores(scores, subset)
+    table = stats_mod.IndicatorTable.from_scores(scores, ind_mod.top_k(scores[0], subset_size))
+    entries: dict = {}
+    with create(tagged("table", phase_label, ".tsv")) as fh:
+        write_table(table, fh)
+    try:
+        r, p = table.correlations
+        with create(tagged("correlation", phase_label, ".tsv")) as fh:
+            write_correlation(table.indicators, r, p, fh)
+        pca = stats_mod.pca_varimax(table, retention, cutoff)
+        with create(tagged("pca", phase_label, ".tsv")) as fl, \
+                create(tagged("pca_components", phase_label, ".tsv")) as fc:
+            write_pca(pca, fl, fc)
+        entries["pca_retained"] = pca.n_retained
+        entries["pca_explained"] = float(np.sum(pca.explained_variance_fractions[: pca.n_retained]))
+    except stats_mod.StatsError as exc:
+        # Degenerate subset (constant column, too few authors): record
+        # and move on rather than abort the whole run.
+        entries["stats_skipped"] = str(exc)
+    if winners is not None:
+        cov = coverage(scores, winners, ks=ks)
+        with create(tagged("coverage", phase_label, ".csv")) as fh:
+            write_coverage(cov, fh)
+        entries["winners_missing"] = cov.missing_winners
+    return entries
 
 
 _COUNT_KEYS = frozenset({"input_papers", "dropped_outside_phases", "phases"})
@@ -423,6 +455,7 @@ MANIFEST_KEYS = {
     "ingest": _COUNT_KEYS,
     "indicators": frozenset({"graph", "diagnostics"}),
     "rank": frozenset({"diagnostics"}),
+    "compare": frozenset({"stats"}),
 }
 
 
@@ -514,17 +547,19 @@ def write_run(outdir: str, command: str, write) -> dict:
     ``write`` opens its inputs, writes each file with ``create(name)`` and
     returns the manifest without ``files``.  The files go into a stage
     beside ``outdir`` that is renamed to ``outdir`` only once complete, so a
-    failed run leaves ``outdir`` as it was."""
+    failed run leaves ``outdir`` as it was; it also removes the missing
+    parent directories it made for the stage."""
     outdir = Path(os.path.realpath(outdir))  # a symlinked outdir is followed
     check_outdir(outdir, command)
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.tmp")
     shutil.rmtree(stage, ignore_errors=True)  # left by a killed run with this pid
-    stage.mkdir(parents=True)
+    made = list(itertools.takewhile(lambda parent: not parent.exists(), stage.parents))
 
     def create(name: str):
         return _open_text(stage / name)
 
     try:
+        stage.mkdir(parents=True)
         manifest = write(create)
         manifest["files"] = {path.name: file_sha256(path) for path in sorted(stage.iterdir())}
         with create("manifest.json") as fh:
@@ -537,6 +572,9 @@ def write_run(outdir: str, command: str, write) -> dict:
         shutil.rmtree(old, ignore_errors=True)
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        for parent in made:  # innermost first
+            with contextlib.suppress(OSError):
+                parent.rmdir()
         raise
     return manifest
 
@@ -592,31 +630,6 @@ def _write_run(cfg: RunConfig, create) -> dict:
         info["diagnostics"].update(solves)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]
-
-        table = rank_table(scores, cfg.subset_size)
-        with create(tagged("table", phase.label, ".tsv")) as fh:
-            write_table(table, fh)
-
-        try:
-            r, p = table.correlations
-            with create(tagged("correlation", phase.label, ".tsv")) as fh:
-                write_correlation(table.indicators, r, p, fh)
-            pca = stats_mod.pca_varimax(table, cfg.pca_retention, cfg.loading_cutoff)
-            with create(tagged("pca", phase.label, ".tsv")) as fl, \
-                    create(tagged("pca_components", phase.label, ".tsv")) as fc:
-                write_pca(pca, fl, fc)
-            info["pca_retained"] = pca.n_retained
-            info["pca_explained"] = float(
-                np.sum(pca.explained_variance_fractions[: pca.n_retained])
-            )
-        except stats_mod.StatsError as exc:
-            # Degenerate subset (constant column, too few authors): record
-            # and move on rather than abort the whole run.
-            info["stats_skipped"] = str(exc)
-
-        if winners is not None:
-            cov = coverage(scores, winners, ks=cfg.coverage_ks)
-            with create(tagged("coverage", phase.label, ".csv")) as fh:
-                write_coverage(cov, fh)
-            info["winners_missing"] = cov.missing_winners
+        info.update(write_phase_stats(scores, phase.label, cfg.subset_size, cfg.pca_retention,
+                                      cfg.loading_cutoff, winners, cfg.coverage_ks, create))
     return manifest

@@ -119,9 +119,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["rank", "--edges", "{tmp}/e", "--dampings", "abc", "--outdir", "{tmp}/o"],
         ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--out", "{tmp}/o"],
-        ["correlate", "--scores", "{tmp}/s"],
+        ["compare", "--scores", "{tmp}/s"],
         [],
-    ], ids=["rank-damping", "generate-papers", "correlate-no-out", "no-command"])
+    ], ids=["rank-damping", "generate-papers", "compare-no-outdir", "no-command"])
     def test_usage_error_exit_1_one_error_line(self, argv, tmp_path, capsys):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 1
         out, err = capsys.readouterr()
@@ -133,8 +133,8 @@ class TestExitCodes:
         scores = sorted(Path(outdir).glob("indicator_*.tsv"))[0]
         winners = tmp_path / "winners.txt"
         winners.write_text("AUTH 000001\n\n.\n")
-        assert main(["evaluate", "--scores", str(scores), "--winners", str(winners),
-                     "--out", str(tmp_path / "out")]) == 2
+        assert main(["compare", "--scores", str(scores), "--winners", str(winners),
+                     "--outdir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"error: line 3: author string '.' is empty after normalization in {winners}\n")
 
@@ -185,10 +185,10 @@ class TestExitCodes:
                          "--set", f"outdir={tmp_path / 'out'}"],
             "config": ["pipeline", "--config", i["config"], "--set", f"corpus={corpus}",
                        "--set", f"outdir={tmp_path / 'out'}"],
-            "winners": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
-                        "--out", str(tmp_path / "out")],
-            "scores": ["evaluate", "--scores", i["scores"], "--winners", i["winners"],
-                       "--out", str(tmp_path / "out")],
+            "winners": ["compare", "--scores", i["scores"], "--winners", i["winners"],
+                        "--outdir", str(tmp_path / "out")],
+            "scores": ["compare", "--scores", i["scores"], "--winners", i["winners"],
+                       "--outdir", str(tmp_path / "out")],
             "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--dampings", "0.5",
                       "--outdir", str(tmp_path / "out")],
             "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--dampings", "0.5",
@@ -220,12 +220,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--phases", "1990"],
          "invalid phases entry '1990': expected [label:]lo-hi"),
-        (["pca", "--scores", "{tmp}/nope", "--retention", "fixed:x",
-          "--out-loadings", "{tmp}/l", "--out-components", "{tmp}/c"],
+        (["compare", "--scores", "{tmp}/nope", "--retention", "fixed:x", "--outdir", "{tmp}/o"],
          "pca_retention must be kaiser or fixed:K with 1 <= K <= 1, the number of indicators, "
          "got 'fixed:x'"),
-        (["evaluate", "--scores", "{tmp}/nope", "--ks", "5,x",
-          "--winners", "{tmp}/w", "--out", "{tmp}/o"],
+        (["compare", "--scores", "{tmp}/nope", "--ks", "5,x",
+          "--winners", "{tmp}/w", "--outdir", "{tmp}/o"],
          "invalid value '5,x' for --ks: invalid literal for int() with base 10: 'x'"),
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o",
           "--phases", " :1956-2008"],
@@ -238,7 +237,7 @@ class TestExitCodes:
         (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-hi", "1.5",
           "--out", "{tmp}/o"],
          "invalid value '1.5' for --year-hi: invalid literal for int() with base 10: '1.5'"),
-    ], ids=["ingest-phases", "pca-retention", "evaluate-ks", "ingest-empty-label",
+    ], ids=["ingest-phases", "compare-retention", "compare-ks", "ingest-empty-label",
             "indicators-empty-tag", "generate-year-lo", "generate-year-hi"])
     def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
                                                                capsys):
@@ -250,8 +249,8 @@ class TestExitCodes:
     def test_malformed_score_row_exit_2(self, row, tmp_path, capsys):
         scores = tmp_path / "s.tsv"
         scores.write_text(f"author\tscore\nA00\t1\n{row}\n")
-        assert main(["correlate", "--scores", str(scores), str(scores), "--labels", "a,b",
-                     "--out", str(tmp_path / "corr.tsv")]) == 2
+        assert main(["compare", "--scores", str(scores), str(scores), "--labels", "a,b",
+                     "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and str(scores) in err
 
@@ -340,8 +339,8 @@ class TestExitCodes:
                         "--set", f"winners={i['winners']}", "--set", f"outdir={out}"],
             "config": ["pipeline", "--config", i["config"], "--set", f"corpus={i['corpus']}",
                        "--set", f"outdir={out}"],
-            "scores": ["correlate", "--scores", i["scores"], i["scores"], "--labels", "a,b",
-                       "--out", out],
+            "scores": ["compare", "--scores", i["scores"], i["scores"], "--labels", "a,b",
+                       "--outdir", out],
             "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--outdir", out],
             "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--outdir", out],
         }[bad]
@@ -352,9 +351,9 @@ class TestExitCodes:
     def test_duplicate_score_row_exit_2(self, tmp_path, capsys):
         scores = tmp_path / "s.tsv"
         scores.write_text("author\tscore\nA\t1\nB\t2\nA\t9\n")
-        out = tmp_path / "corr.tsv"
-        assert main(["correlate", "--scores", str(scores), str(scores), "--labels", "a,b",
-                     "--out", str(out)]) == 2
+        out = tmp_path / "out"
+        assert main(["compare", "--scores", str(scores), str(scores), "--labels", "a,b",
+                     "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 4: ") and str(scores) in err and "'A'" in err
         assert not out.exists()
@@ -406,19 +405,24 @@ class TestExitCodes:
          {"input_papers", "dropped_outside_phases", "phases", "files"}),
         ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics", "files"}),
         ("rank", ["--nodes", "{nodes}"], ["--teleports", "uniform"], {"diagnostics", "files"}),
+        ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"],
+         {"stats", "files"}),
     ])
     def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
                                                      small_run, tmp_path):
         _, corpus, if_table, pipeline_out = small_run
         nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
-        # rank reads the phase graph of the pipeline run, the others the corpus
-        flag, good = (("--edges", sorted(pipeline_out.glob("edges_*.tsv"))[0]) if command == "rank"
-                      else ("--corpus", corpus))
+        scores, good_scores = sorted(pipeline_out.glob("indicator_*.tsv"))[:2]
+        # rank reads the phase graph of the pipeline run, compare two of its
+        # score files, the others the corpus
+        flag, good = {"rank": ("--edges", sorted(pipeline_out.glob("edges_*.tsv"))[0]),
+                      "compare": ("--scores", good_scores)}.get(command, ("--corpus", corpus))
         outdir = tmp_path / "out"
 
         def run(input_path, extra):
             return main([command, flag, str(input_path), "--outdir", str(outdir),
-                         *(a.format(if_table=if_table, nodes=nodes) for a in extra)])
+                         *(a.format(if_table=if_table, nodes=nodes, scores=scores)
+                           for a in extra)])
 
         assert run(good, first) == 0
         before = _dir_bytes(outdir)
@@ -438,7 +442,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,owner", [
         ("indicators", "ingest"), ("ingest", "pipeline"), ("pipeline", "indicators"),
-        ("rank", "indicators"), ("indicators", "rank"),
+        ("rank", "indicators"), ("indicators", "rank"), ("compare", "rank"), ("rank", "compare"),
     ])
     def test_other_commands_run_exit_1_and_is_kept(self, command, owner, small_run, tmp_path,
                                                    capsys):
@@ -451,6 +455,9 @@ class TestExitCodes:
                 return [cmd, "--edges", str(sorted(pipeline_out.glob("edges_*.tsv"))[0]),
                         "--nodes", str(sorted(pipeline_out.glob("nodes_*.tsv"))[0]),
                         "--outdir", str(outdir)]
+            if cmd == "compare":
+                scores = sorted(pipeline_out.glob("indicator_*.tsv"))[:2]
+                return [cmd, "--scores", *map(str, scores), "--outdir", str(outdir)]
             return [cmd, "--corpus", str(corpus_path), "--outdir", str(outdir)]
 
         outdir = tmp_path / "out"
@@ -501,6 +508,33 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators", "rank", "compare"])
+    def test_failed_run_removes_the_parent_directories_it_made(self, command, small_run,
+                                                               tmp_path):
+        _, corpus, _, pipeline_out = small_run
+        nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
+        good = {"rank": sorted(pipeline_out.glob("edges_*.tsv"))[0],
+                "compare": sorted(pipeline_out.glob("indicator_*.tsv"))[0]}.get(command, corpus)
+        bad = tmp_path / "bad"
+        bad.write_text("not json\n")
+        outdir = tmp_path / "q" / "r" / "run"
+
+        def run(path):
+            return main({
+                "pipeline": ["pipeline", "--set", f"corpus={path}", "--set", f"outdir={outdir}"],
+                "ingest": ["ingest", "--corpus", str(path), "--outdir", str(outdir)],
+                "indicators": ["indicators", "--corpus", str(path), "--outdir", str(outdir)],
+                "rank": ["rank", "--edges", str(path), "--nodes", str(nodes),
+                         "--outdir", str(outdir)],
+                "compare": ["compare", "--scores", str(path), "--outdir", str(outdir)],
+            }[command])
+
+        assert run(bad) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["bad"]
+        assert run(good) == 0
+        assert [p.name for p in outdir.parent.iterdir()] == ["run"]
+        assert (outdir / "manifest.json").is_file()
+
     def test_rerun_leaves_only_its_own_files(self, tmp_path):
         outdir = tmp_path / "out"
         first = run_pipeline(RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(outdir)))
@@ -525,23 +559,33 @@ class TestExitCodes:
                                                                   "manifest.json"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o_link", "real"]
 
-    @pytest.mark.parametrize("earlier_run,name,content", [
-        (False, "notes.txt", "mine\n"),
-        (True, "notes.txt", "mine\n"),
-        (False, "manifest.json", "{"),
-    ], ids=["alone", "beside-a-run", "unreadable-manifest"])
+    @pytest.mark.parametrize("command,earlier_run,name,content", [
+        ("pipeline", False, "notes.txt", "mine\n"),
+        ("pipeline", True, "notes.txt", "mine\n"),
+        ("pipeline", False, "manifest.json", "{"),
+        ("compare", False, "notes.txt", "mine\n"),
+        ("compare", True, "notes.txt", "mine\n"),
+    ], ids=["alone", "beside-a-run", "unreadable-manifest", "compare-alone",
+            "compare-beside-a-run"])
     def test_foreign_entry_in_outdir_exit_1_before_inputs_are_opened(
-            self, earlier_run, name, content, tmp_path, capsys):
+            self, command, earlier_run, name, content, small_run, tmp_path, capsys):
         outdir = tmp_path / "out"
-        run = ["pipeline", "--set", "seed=3", "--set", "n_papers=200", "--set", "n_authors=80",
-               "--set", f"outdir={outdir}"]
+        scores = sorted(small_run[3].glob("indicator_*.tsv"))[:2]
+        # a run, and the input that does not exist which the second run adds
+        run, missing = {
+            "pipeline": (["pipeline", "--set", "seed=3", "--set", "n_papers=200",
+                          "--set", "n_authors=80", "--set", f"outdir={outdir}"],
+                         ["--set", f"corpus={tmp_path / 'nope.jsonl'}"]),
+            "compare": (["compare", "--outdir", str(outdir), "--scores", *map(str, scores)],
+                        [str(tmp_path / "nope.tsv")]),
+        }[command]
         if earlier_run:
             assert main(run) == 0
         else:
             outdir.mkdir()
         (outdir / name).write_text(content)
         before = _dir_bytes(outdir)
-        assert main([*run, "--set", f"corpus={tmp_path / 'nope.jsonl'}"]) == 1
+        assert main([*run, *missing]) == 1
         assert f"holds {name!r}" in capsys.readouterr().err
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
@@ -573,24 +617,12 @@ class TestExitCodes:
         (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
           "--out", "{t}/keep.tsv", "--if-table-out", "{t}/nodir/if.tsv"],
          "{t}/nodir/if.tsv: no such directory"),
-        (["correlate", "--scores", "{t}/nope", "--out", "{t}/nodir/c.tsv"],
-         "{t}/nodir/c.tsv: no such directory"),
-        (["pca", "--scores", "{t}/nope", "--out-loadings", "{t}/keep.tsv",
-          "--out-components", "{t}/nodir/c.tsv"],
-         "{t}/nodir/c.tsv: no such directory"),
-        (["evaluate", "--scores", "{t}/nope", "--winners", "{t}/nope",
-          "--out", "{t}/nodir/cov.csv"],
-         "{t}/nodir/cov.csv: no such directory"),
-        (["evaluate", "--scores", "{t}/nope", "--winners", "{t}/nope", "--out", "{t}"],
+        (["generate", "--seed", "1", "--papers", "50", "--authors", "20", "--out", "{t}"],
          "{t} is a directory"),
         (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
           "--out", "{t}/k.jsonl", "--if-table-out", "{t}/k.jsonl"],
          "{t}/k.jsonl is named by both --out and --if-table-out"),
-        (["pca", "--scores", "{t}/nope", "{t}/nope2", "--out-loadings", "{t}/o.tsv",
-          "--out-components", "{t}/o.tsv"],
-         "{t}/o.tsv is named by both --out-loadings and --out-components"),
-    ], ids=["generate", "correlate", "pca", "evaluate", "evaluate-dir",
-            "generate-same-file", "pca-same-file"])
+    ], ids=["generate", "generate-dir", "generate-same-file"])
     def test_unwritable_output_exit_1_before_work(self, argv, message, tmp_path, capsys):
         keep = tmp_path / "keep.tsv"
         keep.write_text("kept\n")
@@ -618,11 +650,8 @@ class TestExitCodes:
                                          or dest.startswith("out_")):
                     assert action.type is OutputFile, (command, dest)
                     outputs.append(f"{command} {action.option_strings[0]}")
-        assert sorted(outputs) == [
-            "correlate --out", "evaluate --out", "generate --if-table-out", "generate --out",
-            "pca --out-components", "pca --out-loadings"]
+        assert sorted(outputs) == ["generate --if-table-out", "generate --out"]
 
-    @pytest.mark.parametrize("command", ["correlate", "pca", "evaluate"])
     @pytest.mark.parametrize("scores,labels,message", [
         (["a/x.tsv", "b/x.tsv"], [], "two score files have the label 'x'"),
         (["a.tsv", "b.tsv"], ["--labels", "p, p"], "two score files have the label 'p'"),
@@ -639,12 +668,10 @@ class TestExitCodes:
          "the score file label 'a\\rx' holds a tab, line break or comma"),
     ], ids=["same-stem", "same-label", "label-count", "empty-label", "label-tab", "stem-tab",
             "stem-comma", "stem-newline", "label-carriage-return"])
-    def test_score_labels_checked_before_files_are_read(self, command, scores, labels, message,
-                                                        tmp_path, capsys):
-        outputs = {"correlate": ["--out", "{t}/o"],
-                   "pca": ["--out-loadings", "{t}/l", "--out-components", "{t}/c"],
-                   "evaluate": ["--winners", "{t}/w", "--out", "{t}/o"]}[command]
-        argv = [command, "--scores", *(f"{{t}}/{s}" for s in scores), *labels, *outputs]
+    def test_score_labels_checked_before_files_are_read(self, scores, labels, message, tmp_path,
+                                                        capsys):
+        argv = ["compare", "--scores", *(f"{{t}}/{s}" for s in scores), *labels,
+                "--winners", "{t}/w", "--outdir", "{t}/o"]
         assert main([a.format(t=tmp_path) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
@@ -687,21 +714,19 @@ class TestRankCommand:
         assert all(entry["converged"] for entry in manifest["diagnostics"].values())
 
 
-class TestCorrelateCommand:
+class TestCompareCommand:
     def test_identical_rank_files_r_one(self, tmp_path):
         f1 = tmp_path / "s1.tsv"
         f2 = tmp_path / "s2.tsv"
         body = "author\tscore\n" + "".join(f"A{i:02d}\t{i}\n" for i in range(12))
         f1.write_text(body)
         f2.write_text(body)
-        out = tmp_path / "corr.tsv"
-        assert main(["correlate", "--scores", str(f1), str(f2),
-                     "--subset-size", "12", "--out", str(out)]) == 0
-        rows = _read(out).splitlines()
+        out = tmp_path / "out"
+        assert main(["compare", "--scores", str(f1), str(f2),
+                     "--subset-size", "12", "--outdir", str(out)]) == 0
+        rows = _read(out / "correlation.tsv").splitlines()
         assert rows[1].split("\t")[2] == "1.000"
 
-
-class TestEvaluateCommand:
     def test_fixture_counts(self, tmp_path):
         scores = tmp_path / "ind.tsv"
         scores.write_text(
@@ -709,25 +734,62 @@ class TestEvaluateCommand:
         )
         winners = tmp_path / "winners.txt"
         winners.write_text("A002\nA008\nA030\n# comment line\n")
-        out = tmp_path / "cov.csv"
-        assert main(["evaluate", "--scores", str(scores), "--winners", str(winners),
-                     "--ks", "5,10,20,50", "--out", str(out)]) == 0
-        rows = _read(out).splitlines()
+        out = tmp_path / "out"
+        assert main(["compare", "--scores", str(scores), "--winners", str(winners),
+                     "--ks", "5,10,20,50", "--outdir", str(out)]) == 0
+        rows = _read(out / "coverage.csv").splitlines()
         assert rows[0] == "indicator,top@5,top@10,top@20,top@50"
         assert rows[1].split(",")[1:] == ["1", "2", "2", "3"]
 
-
-    def test_missing_winners_reported_on_stdout(self, tmp_path, capsys):
+    def test_missing_winners_recorded_in_the_manifest(self, tmp_path, capsys):
         scores = tmp_path / "ind.tsv"
         scores.write_text("author\tscore\nA001\t2\nA002\t1\n")
         winners = tmp_path / "winners.txt"
         winners.write_text("A002\nNOBODY\n")
-        out = tmp_path / "cov.csv"
-        assert main(["evaluate", "--scores", str(scores), "--winners", str(winners),
-                     "--ks", "1", "--out", str(out)]) == 0
-        stdout, stderr = capsys.readouterr()
-        assert stderr == ""
-        assert stdout == f"winners not in author universe: NOBODY\nwrote {out}\n"
+        out = tmp_path / "out"
+        assert main(["compare", "--scores", str(scores), "--winners", str(winners),
+                     "--ks", "1", "--outdir", str(out)]) == 0
+        manifest = json.loads(_read(out / "manifest.json"))
+        assert capsys.readouterr() == (
+            f"wrote {len(manifest['files'])} files and a manifest to {out}\n", "")
+        assert manifest["stats"]["winners_missing"] == ["NOBODY"]
+        assert "coverage.csv" in manifest["files"]
+
+    def test_without_winners_no_coverage_is_written(self, tmp_path):
+        scores = tmp_path / "ind.tsv"
+        scores.write_text("author\tscore\nA001\t2\nA002\t1\nA003\t0\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--scores", str(scores), str(scores), "--labels", "a,b",
+                     "--outdir", str(out)]) == 0
+        manifest = json.loads(_read(out / "manifest.json"))
+        assert sorted(manifest["files"]) == [
+            "correlation.tsv", "pca.tsv", "pca_components.tsv", "table.tsv"]
+        assert sorted(manifest["stats"]) == ["pca_explained", "pca_retained"]
+
+    def test_skipped_stats_write_the_table_and_exit_0(self, tmp_path):
+        """Where the pipeline records `stats_skipped` for a phase whose rank
+        table has no correlation, compare writes only the table and records
+        the same entry."""
+        corpus = tmp_path / "c.jsonl"
+        assert main(["generate", "--seed", "1", "--papers", "60", "--authors", "20",
+                     "--out", str(corpus)]) == 0
+        pipe = tmp_path / "pipe"
+        pipeline = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(pipe)))
+        skipped = [label for label, info in pipeline["phases"].items()
+                   if "stats_skipped" in info
+                   and f"correlation_{pipe_mod.phase_tag(label)}.tsv" not in pipeline["files"]]
+        assert skipped
+        for label in skipped:
+            tag = pipe_mod.phase_tag(label)
+            names = _read(pipe / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
+            out = tmp_path / f"compare_{tag}"
+            assert main(["compare", "--scores", *(str(pipe / f"indicator_{tag}_{name}.tsv")
+                                                 for name in names),
+                         "--labels", ",".join(names), "--tag", label, "--outdir", str(out)]) == 0
+            manifest = json.loads(_read(out / "manifest.json"))
+            assert manifest["stats"] == {
+                "stats_skipped": pipeline["phases"][label]["stats_skipped"]}
+            assert manifest["files"] == {f"table_{tag}.tsv": pipeline["files"][f"table_{tag}.tsv"]}
 
 
 class TestRunConfig:
@@ -865,30 +927,21 @@ _SHARED_SETTINGS = [
     ("prestige", "min_citations:0.5", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
                                        "--prestige", "min_citations:0.5"],
      "prestige must be top_fraction:F with 0 < F <= 1 or min_citations:M with an integer M >= 1"),
-    ("pca_retention", "fixed:13", ["pca", "--scores", *_RETENTION_SCORES,
-                                   "--retention", "fixed:13",
-                                   "--out-loadings", "{o}", "--out-components", "{o}c"],
+    ("pca_retention", "fixed:13", ["compare", "--scores", *_RETENTION_SCORES,
+                                   "--retention", "fixed:13", "--outdir", "{o}"],
      "pca_retention must be kaiser or fixed:K with 1 <= K <= 12, the number of indicators, "
      "got 'fixed:13'"),
-    *[("loading_cutoff", cutoff, ["pca", "--scores", "{m}", "{m}", "--cutoff", cutoff,
-                                  "--out-loadings", "{o}", "--out-components", "{o}c"],
+    *[("loading_cutoff", cutoff, ["compare", "--scores", "{m}", "{m}", "--cutoff", cutoff,
+                                  "--outdir", "{o}"],
        f"loading_cutoff must be in [0, 1], got {float(cutoff)}")
       for cutoff in ("nan", "-0.1", "1.5")],
-    ("subset_size", "2", ["correlate", "--scores", "{m}", "{m}", "--subset-size", "2",
-                          "--out", "{o}"],
+    ("subset_size", "2", ["compare", "--scores", "{m}", "{m}", "--subset-size", "2",
+                          "--outdir", "{o}"],
      "subset_size must be >= 3, got 2"),
-    ("subset_size", "2", ["pca", "--scores", "{m}", "{m}", "--subset-size", "2",
-                          "--out-loadings", "{o}", "--out-components", "{o}c"],
-     "subset_size must be >= 3, got 2"),
-    ("coverage_ks", "0,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "0,5",
-                            "--out", "{o}"],
-     "coverage_ks must be ascending integers >= 1, got 0,5"),
-    ("coverage_ks", "10,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "10,5",
-                             "--out", "{o}"],
-     "coverage_ks must be ascending integers >= 1, got 10,5"),
-    ("coverage_ks", "5,5", ["evaluate", "--scores", "{m}", "--winners", "{m}", "--ks", "5,5",
-                            "--out", "{o}"],
-     "coverage_ks must be ascending integers >= 1, got 5,5"),
+    *[("coverage_ks", ks, ["compare", "--scores", "{m}", "--winners", "{m}", "--ks", ks,
+                           "--outdir", "{o}"],
+       f"coverage_ks must be ascending integers >= 1, got {ks}")
+      for ks in ("0,5", "10,5", "5,5")],
 ]
 
 
@@ -914,9 +967,8 @@ _KEY_FLAGS = [
     ("rank", "--tolerance", "tolerance"), ("rank", "--max-iterations", "max_iterations"),
     ("rank", "--dangling-policy", "dangling_policy"),
     ("indicators", "--prestige", "prestige"),
-    ("correlate", "--subset-size", "subset_size"), ("pca", "--subset-size", "subset_size"),
-    ("pca", "--retention", "pca_retention"), ("pca", "--cutoff", "loading_cutoff"),
-    ("evaluate", "--ks", "coverage_ks"),
+    ("compare", "--subset-size", "subset_size"), ("compare", "--retention", "pca_retention"),
+    ("compare", "--cutoff", "loading_cutoff"), ("compare", "--ks", "coverage_ks"),
 ]
 
 
@@ -958,19 +1010,17 @@ def test_generator_years_have_one_default():
 
 
 # Each command's required flags, with an input {m} that does not exist and
-# an output {o}; pca takes the pipeline's 12 indicators without an IF table.
+# an output {o}; compare takes the pipeline's 12 indicators without an IF table.
 _REQUIRED_FLAGS = {
     "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--out", "{o}"],
     "ingest": ["--corpus", "{m}", "--outdir", "{o}"],
     "rank": ["--edges", "{m}", "--outdir", "{o}"],
     "indicators": ["--corpus", "{m}", "--outdir", "{o}"],
-    "correlate": ["--scores", "{m}", "{m}", "--out", "{o}"],
-    "pca": ["--scores", *["{m}"] * 12, "--out-loadings", "{o}", "--out-components", "{o}c"],
-    "evaluate": ["--scores", "{m}", "--winners", "{m}", "--out", "{o}"],
+    "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
 # A malformed value for each flag of _KEY_FLAGS, in the same order.
 _MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e", "10.0", "x",
-                          "top_fraction:x", "3.5", "x", "fixed:x", "abc", "5,x"]
+                          "top_fraction:x", "3.5", "fixed:x", "abc", "5,x"]
 
 
 @pytest.mark.parametrize("command,flag,key,value", [
@@ -991,13 +1041,10 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["correlate", "--scores", "{t}/a", "{t}/b", "--labels", "\udcff,b", "--out", "{t}/good"],
+    (["compare", "--scores", "{t}/a", "{t}/b", "--labels", "\udcff,b", "--outdir", "{t}/out"],
      "the score file label '\\udcff' is not valid UTF-8"),
-    (["correlate", "--scores", "{t}/\udcff.tsv", "{t}/b.tsv", "--out", "{t}/good"],
+    (["compare", "--scores", "{t}/\udcff.tsv", "{t}/b.tsv", "--outdir", "{t}/out"],
      "the score file label '\\udcff' is not valid UTF-8"),
-    (["evaluate", "--scores", "{t}/a", "--labels", "a\udcff", "--winners", "{t}/w",
-      "--out", "{t}/good"],
-     "the score file label 'a\\udcff' is not valid UTF-8"),
     (["indicators", "--corpus", "{t}/c", "--outdir", "{t}/good", "--tag", "\udcff"],
      "argument --tag: '\\udcff' is not valid UTF-8"),
     (["rank", "--edges", "{t}/edges_\udcff.tsv", "--outdir", "{t}/good"],
@@ -1007,7 +1054,7 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
     (["pipeline", "--set", "seed=1", "--set", "outdir={t}/good",
       "--set", "phases=1956-1990;x\udcff:1991-2008"],
      "invalid phases entry 'x\\udcff:1991-2008': the label is not valid UTF-8"),
-], ids=["correlate-labels", "correlate-file-stem", "evaluate-labels", "indicators-tag",
+], ids=["compare-labels", "compare-file-stem", "indicators-tag",
         "rank-edges-tag", "ingest-phases",
         "pipeline-phases"])
 def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, capsys):
@@ -1039,16 +1086,10 @@ def _fail_part_way(*args):
      ["c.jsonl", "if.tsv"]),
     (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
      ["rank", "--edges", "{edges}", "--teleports", "uniform", "--outdir", "{t}/run"], []),
-    (pipe_mod, "write_correlation",
-     ["correlate", "--scores", "{a}", "{b}", "--subset-size", "20", "--out", "{t}/c.tsv"],
-     ["c.tsv"]),
-    (pipe_mod, "write_pca",
-     ["pca", "--scores", "{a}", "{b}", "--subset-size", "20",
-      "--out-loadings", "{t}/l.tsv", "--out-components", "{t}/p.tsv"], ["l.tsv", "p.tsv"]),
-    (pipe_mod, "write_coverage",
-     ["evaluate", "--scores", "{a}", "{b}", "--winners", "{t}/w.txt", "--out", "{t}/v.csv"],
-     ["v.csv"]),
-], ids=["generate-out", "generate-if-table-out", "rank", "correlate", "pca", "evaluate"])
+    (pipe_mod, "write_coverage",  # the last file of the comparison step
+     ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
+      "--outdir", "{t}/run"], []),
+], ids=["generate-out", "generate-if-table-out", "rank", "compare"])
 def test_failed_write_keeps_the_existing_output(module, writer, argv, outputs, small_run,
                                                 tmp_path, monkeypatch, capsys):
     _, _, _, outdir = small_run
@@ -1288,11 +1329,9 @@ class TestPipeline:
 
 def _run_stage_chain(root, allow_self_citation):
     """From one generated corpus file, generate, ingest and per phase
-    indicators, rank, correlate, pca and evaluate, 22 commands for the 4
-    phases, each command writing into its own directory. Where the
-    pipeline skipped a phase's stats, correlate and pca must fail with one
-    error line. Returns the sha256 of each written file but manifest.json,
-    per command, and the pipeline's files map but table_<tag>.tsv."""
+    indicators, rank and compare, 14 commands for the 4 phases, each command
+    writing into its own directory. Returns the sha256 of each written file
+    but manifest.json, per command, and the pipeline's files map."""
     cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
                     allow_self_citation=allow_self_citation,
                     winners=str(root / "winners.txt"), outdir=str(root / "pipe"))
@@ -1300,8 +1339,7 @@ def _run_stage_chain(root, allow_self_citation):
     Path(cfg.winners).write_text("".join(f"Auth, {i:06d}.\n" for i in range(0, 151, 10)))
     pipeline = run_pipeline(cfg)
     chain, corpus = root / "chain", root / "corpus.jsonl"
-    for command in ("generate", "correlate", "pca", "evaluate"):
-        (chain / command).mkdir(parents=True)
+    (chain / "generate").mkdir(parents=True)
 
     def run(*argv):
         """(exit code, stderr) of one command."""
@@ -1332,27 +1370,21 @@ def _run_stage_chain(root, allow_self_citation):
             name: info["diagnostics"][name]
             for name in (variant_label(kind, d) for kind in cfg.teleports for d in cfg.dampings)}
         names = _read(root / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
-        scores = ["--scores", *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv"))
-                                for name in names), "--labels", ",".join(names)]
-        for argv in (["correlate", "--out", chain / "correlate" / f"correlation_{tag}.tsv"],
-                     ["pca", "--out-loadings", chain / "pca" / f"pca_{tag}.tsv",
-                      "--out-components", chain / "pca" / f"pca_components_{tag}.tsv"]):
-            rc, err = run(*argv, *scores, "--subset-size", cfg.subset_size)
-            if label in skipped:
-                assert rc != 0 and err.startswith("error: ") and err.count("\n") == 1
-            else:
-                assert (rc, err) == (0, "")
-        assert run("evaluate", *scores, "--winners", cfg.winners,
-                   "--out", chain / "evaluate" / f"coverage_{tag}.csv") == (0, "")
+        assert run("compare", "--scores",
+                   *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv")) for name in names),
+                   "--labels", ",".join(names), "--tag", label, "--subset-size", cfg.subset_size,
+                   "--winners", cfg.winners, "--outdir", chain / f"compare_{tag}") == (0, "")
+        stats = json.loads(_read(chain / f"compare_{tag}" / "manifest.json"))["stats"]
+        assert stats == {key: info[key] for key in ("pca_retained", "pca_explained",
+                                                    "stats_skipped", "winners_missing")
+                         if key in info}
 
     written = {}
     for p in chain.glob("*/*"):
         if p.name != "manifest.json":
             command = p.parent.name.split("_")[0]
             written.setdefault(command, {})[p.name] = pipe_mod.file_sha256(p)
-    expected = {name: digest for name, digest in pipeline["files"].items()
-                if not name.startswith("table_")}
-    return written, expected
+    return written, pipeline["files"]
 
 
 @pytest.fixture(scope="class")
@@ -1415,13 +1447,13 @@ class TestStageComposition:
     def test_repeated_scores_flag_adds_files(self, small_run, tmp_path):
         _, _, _, outdir = small_run
         a, b = sorted(Path(outdir).glob("indicator_*.tsv"))[:2]
-        once, twice = tmp_path / "once.tsv", tmp_path / "twice.tsv"
-        assert main(["correlate", "--scores", str(a), str(b), "--subset-size", "3",
-                     "--out", str(once)]) == 0
-        assert main(["correlate", "--scores", str(a), "--scores", str(b), "--subset-size", "3",
-                     "--out", str(twice)]) == 0
-        assert twice.read_bytes() == once.read_bytes()
-        assert _read(once).splitlines()[0] == f"indicator\t{a.stem}\t{b.stem}"
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert main(["compare", "--scores", str(a), str(b), "--subset-size", "3",
+                     "--outdir", str(once)]) == 0
+        assert main(["compare", "--scores", str(a), "--scores", str(b), "--subset-size", "3",
+                     "--outdir", str(twice)]) == 0
+        assert _dir_bytes(twice) == _dir_bytes(once)
+        assert _read(once / "table.tsv").splitlines()[0] == f"author\t{a.stem}\t{b.stem}"
 
     def test_rank_stage_matches_pipeline(self, stage_chain):
         _assert_stage_matches_pipeline(stage_chain, "rank")
@@ -1429,11 +1461,8 @@ class TestStageComposition:
     def test_indicators_stage_matches_pipeline(self, stage_chain):
         _assert_stage_matches_pipeline(stage_chain, "indicators")
 
-    def test_correlate_stage_matches_pipeline(self, stage_chain):
-        _assert_stage_matches_pipeline(stage_chain, "correlate")
-
-    def test_pca_stage_matches_pipeline(self, stage_chain):
-        _assert_stage_matches_pipeline(stage_chain, "pca")
+    def test_compare_stage_matches_pipeline(self, stage_chain):
+        _assert_stage_matches_pipeline(stage_chain, "compare")
 
     @pytest.mark.parametrize("allow_self_citation", [True, False])
     def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, stage_chain):

@@ -1086,10 +1086,12 @@ def _fail_part_way(*args):
      ["c.jsonl", "if.tsv"]),
     (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
      ["rank", "--edges", "{edges}", "--teleports", "uniform", "--outdir", "{t}/run"], []),
-    (pipe_mod, "write_coverage",  # the last file of the comparison step
-     ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
-      "--outdir", "{t}/run"], []),
-], ids=["generate-out", "generate-if-table-out", "rank", "compare"])
+    # compare failing in each step of the comparison: correlate, pca, evaluate
+    *[(pipe_mod, writer,
+       ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
+        "--outdir", "{t}/run"], [])
+      for writer in ("write_correlation", "write_pca", "write_coverage")],
+], ids=["generate-out", "generate-if-table-out", "rank", "correlate", "pca", "evaluate"])
 def test_failed_write_keeps_the_existing_output(module, writer, argv, outputs, small_run,
                                                 tmp_path, monkeypatch, capsys):
     _, _, _, outdir = small_run
@@ -1395,13 +1397,14 @@ def stage_chain(tmp_path_factory):
         lambda allow: _run_stage_chain(tmp_path_factory.mktemp("chain"), allow))
 
 
-def _assert_stage_matches_pipeline(stage_chain, command):
-    """Every file `command` wrote in the self-citing chain has the pipeline's
-    bytes; names each that does not."""
+def _assert_stage_matches_pipeline(stage_chain, command, prefix=""):
+    """Every file `command` wrote in the self-citing chain whose name starts
+    with `prefix` has the pipeline's bytes; names each that does not."""
     written, expected = stage_chain(True)
-    assert written[command]
-    assert sorted(name for name, digest in written[command].items()
-                  if expected.get(name) != digest) == []
+    files = {name: digest for name, digest in written[command].items()
+             if name.startswith(prefix)}
+    assert files
+    assert sorted(name for name, digest in files.items() if expected.get(name) != digest) == []
 
 
 class TestStageComposition:
@@ -1463,6 +1466,14 @@ class TestStageComposition:
 
     def test_compare_stage_matches_pipeline(self, stage_chain):
         _assert_stage_matches_pipeline(stage_chain, "compare")
+
+    def test_correlate_stage_matches_pipeline(self, stage_chain):
+        """compare writes correlation files, with the pipeline's bytes."""
+        _assert_stage_matches_pipeline(stage_chain, "compare", "correlation_")
+
+    def test_pca_stage_matches_pipeline(self, stage_chain):
+        """compare writes PCA files, with the pipeline's bytes."""
+        _assert_stage_matches_pipeline(stage_chain, "compare", "pca_")
 
     @pytest.mark.parametrize("allow_self_citation", [True, False])
     def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, stage_chain):

@@ -1,14 +1,15 @@
 """Command-line entry points.
 
-Subcommands: generate, ingest, indicators, rank, compare, pipeline.  Exit
-codes: 0 success, 1 usage or validation error, 2 data/input error, 3
-non-convergence under --strict; each error class carries its own.
+Subcommands: generate, ingest, indicators, rank, compare, pipeline.  Each
+writes a run directory through ``pipeline.write_run``: its files and a
+``manifest.json``, written whole or not at all.  Exit codes: 0 success, 1
+usage or validation error, 2 data/input error, 3 non-convergence under
+--strict; each error class carries its own.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import re
 import sys
@@ -47,24 +48,20 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
 
 
 def cmd_generate(args) -> int:
-    c = corpus_mod.generate_synthetic(
-        seed=args.seed,
-        n_papers=args.papers,
-        n_authors=args.authors,
-        skew=args.skew,
-        year_lo=args.year_lo,
-        year_hi=args.year_hi,
-    )
-    table = pipe_mod.generate_impact_factors(c, args.seed) if args.if_table_out else None
-    # Both outputs are renamed into place only once both are written.
-    with contextlib.ExitStack() as outputs:
-        corpus_mod.serialize_corpus(c, outputs.enter_context(pipe_mod.open_output(args.out)))
-        if table:
-            pipe_mod.dump_impact_factors(
-                table, outputs.enter_context(pipe_mod.open_output(args.if_table_out)))
-    print(f"wrote {len(c)} synthetic papers to {args.out}")
-    if table:
-        print(f"wrote {len(table.factors)} impact factors to {args.if_table_out}")
+    synthetic = {"seed": args.seed, "n_papers": args.papers, "n_authors": args.authors,
+                 "skew": args.skew, "year_lo": args.year_lo, "year_hi": args.year_hi}
+    corpus_mod.check_synthetic(**synthetic)
+
+    def write(create) -> dict:
+        c = corpus_mod.generate_synthetic(**synthetic)
+        with create("corpus.jsonl") as fh:
+            corpus_mod.serialize_corpus(c, fh)
+        with create("impact_factors.tsv") as fh:
+            pipe_mod.dump_impact_factors(pipe_mod.generate_impact_factors(c, args.seed), fh)
+        return {"synthetic": synthetic}
+
+    manifest = pipe_mod.write_run(args.outdir, "generate", write)
+    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
     return 0
 
 
@@ -91,7 +88,7 @@ def cmd_rank(args) -> int:
         raise ConfigError(f"the --edges file name gives the tag {tag!r}, which is not valid UTF-8")
 
     def write(create) -> dict:
-        nodes = net_mod.load_nodes(args.nodes) if args.nodes else {}
+        nodes = {} if args.nodes is None else net_mod.load_nodes(args.nodes)
         graph = net_mod.load_edges(args.edges, {a: pubs for a, (_, pubs) in nodes.items()})
         _, solves = pipe_mod.write_phase_ranks(
             graph, tag, args.teleports, configs, args.strict, create)
@@ -108,7 +105,7 @@ def cmd_indicators(args) -> int:
     def write(create) -> dict:
         c = corpus_mod.parse_corpus(args.corpus)
         filtered, _ = corpus_mod.filter_with_references(c)
-        table = ind_mod.load_impact_factors(args.if_table) if args.if_table else None
+        table = None if args.if_table is None else ind_mod.load_impact_factors(args.if_table)
         _, _, entries = pipe_mod.write_phase_graph(
             filtered, args.tag, not args.drop_self_citations, args.prestige, table, create)
         return entries
@@ -142,11 +139,6 @@ def cmd_pipeline(args) -> int:
     print(f"pipeline complete: {len(manifest['files'])} files in {cfg.outdir} "
           f"(config hash {manifest['config_hash'][:12]})")
     return 0
-
-
-class OutputFile(str):
-    """The type of an argument that names an output file: ``main`` checks
-    every one a command is given before the command runs."""
 
 
 def _tag(value: str) -> str:
@@ -186,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a seeded synthetic corpus")
+    p = sub.add_parser("generate", help="generate a seeded corpus and impact-factor table")
     _setting(p, "--seed", "seed", required=True)
     _setting(p, "--papers", "n_papers", required=True)
     _setting(p, "--authors", "n_authors", required=True)
@@ -195,9 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=pipe_mod.default_of(generate, "year_lo"))
     p.add_argument("--year-hi", type=partial(pipe_mod.parse_setting, int, name="--year-hi"),
                    default=pipe_mod.default_of(generate, "year_hi"))
-    p.add_argument("--out", type=OutputFile, required=True)
-    p.add_argument("--if-table-out", type=OutputFile,
-                   help="also write a synthetic impact-factor table")
+    p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("ingest", help="parse, phase-split, and filter a corpus file")
@@ -253,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        pipe_mod.check_output_files({f"--{dest.replace('_', '-')}": path for dest, path
-                                     in vars(args).items() if isinstance(path, OutputFile)})
         return args.func(args)
     except BiblioRankError as exc:
         print(f"error: {exc}", file=sys.stderr)

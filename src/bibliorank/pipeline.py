@@ -15,7 +15,6 @@ import json
 import os
 import platform
 import shutil
-import stat
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -456,6 +455,7 @@ MANIFEST_KEYS = {
     "indicators": frozenset({"graph", "diagnostics"}),
     "rank": frozenset({"diagnostics"}),
     "compare": frozenset({"stats"}),
+    "generate": frozenset({"synthetic"}),
 }
 
 
@@ -486,58 +486,6 @@ def check_outdir(outdir: Path, command: str) -> None:
 def _open_text(path):
     """Open a text file for writing: UTF-8, with `\\n` newlines."""
     return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _replaceable(path: Path) -> bool:
-    """Whether a new file renamed over ``path`` leaves nothing else changed:
-    ``path`` is absent, or a regular file of this user with no other hard
-    link that this user may write, in a directory this user may write."""
-    try:
-        st = path.stat()
-    except FileNotFoundError:
-        return os.access(path.parent, os.W_OK)
-    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
-            and os.access(path, os.W_OK) and os.access(path.parent, os.W_OK))
-
-
-@contextlib.contextmanager
-def open_output(path):
-    """Open the output text file ``path`` for writing.  A file that can be
-    replaced (``_replaceable``) is replaced whole or not at all: the text
-    goes to a hidden `.<name>.<pid>.tmp` beside it, with its mode, renamed
-    over it when the block exits cleanly and removed otherwise.  Any other
-    target, such as /dev/null, a FIFO or a file with another hard link, is
-    written in place.  A symlink is followed in either case."""
-    path = Path(path).resolve()
-    if not _replaceable(path):
-        with _open_text(path) as fh:
-            yield fh
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with _open_text(tmp) as fh:
-            if path.exists():
-                shutil.copymode(path, tmp)
-            yield fh
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def check_output_files(outputs: dict[str, str]) -> None:
-    """Refuse, before any work, an output file that cannot be created (its
-    directory does not exist, or it is itself a directory) or that two
-    outputs name.  ``outputs`` maps each output flag of a command to its path."""
-    flags: dict[Path, str] = {}
-    for flag, path in outputs.items():
-        if Path(path).is_dir():
-            raise ConfigError(f"output file {path} is a directory")
-        if not Path(path).parent.is_dir():
-            raise ConfigError(f"output file {path}: no such directory")
-        other = flags.setdefault(Path(path).resolve(), flag)
-        if other != flag:
-            raise ConfigError(f"output file {path} is named by both {other} and {flag}")
 
 
 def write_run(outdir: str, command: str, write) -> dict:

@@ -8,7 +8,6 @@ import json
 import os
 import platform
 import shutil
-import stat
 import subprocess
 import sys
 import tempfile
@@ -25,7 +24,7 @@ from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
-from bibliorank.cli import OutputFile, build_parser, main
+from bibliorank.cli import build_parser, main
 from bibliorank.corpus import check_synthetic, generate_synthetic
 from bibliorank.errors import ConfigError, NonConvergenceError
 from bibliorank.pagerank import variant_label
@@ -35,7 +34,6 @@ from bibliorank.pipeline import (
     apply_config_entry,
     default_of,
     load_config,
-    open_output,
     parse_phases,
     parse_setting,
     run_pipeline,
@@ -51,16 +49,29 @@ def _dir_bytes(outdir):
     return {p.name: p.read_bytes() for p in sorted(Path(outdir).iterdir())}
 
 
+def _tree_bytes(root):
+    """Every path under ``root``, mapped to its bytes if it is a file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(Path(root).rglob("*"))}
+
+
+# A small generate run, without its --outdir.
+_GENERATE = ["generate", "--seed", "1", "--papers", "30", "--authors", "10"]
+
+
+def _generate(outdir, seed, papers, authors):
+    """Run ``generate`` into ``outdir``; returns the corpus it wrote."""
+    assert main(["generate", "--seed", str(seed), "--papers", str(papers),
+                 "--authors", str(authors), "--outdir", str(outdir)]) == 0
+    return Path(outdir) / "corpus.jsonl"
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """One small synthetic pipeline run shared by the composition tests."""
     root = tmp_path_factory.mktemp("run")
-    corpus = root / "corpus.jsonl"
-    if_table = root / "if.tsv"
-    assert main([
-        "generate", "--seed", "1", "--papers", "400", "--authors", "150",
-        "--skew", "1.0", "--out", str(corpus), "--if-table-out", str(if_table),
-    ]) == 0
+    corpus = _generate(root / "generate", 1, 400, 150)
+    if_table = root / "generate" / "impact_factors.tsv"
     outdir = root / "out"
     assert main([
         "pipeline",
@@ -73,18 +84,28 @@ def small_run(tmp_path_factory):
 
 
 class TestGenerate:
-    def test_deterministic_files(self, tmp_path):
-        a = tmp_path / "a.jsonl"
-        b = tmp_path / "b.jsonl"
-        for out in (a, b):
-            assert main(["generate", "--seed", "7", "--papers", "50",
-                         "--authors", "20", "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_deterministic_files(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            _generate(tmp_path / name, 7, 50, 20)
+        assert _dir_bytes(tmp_path / "a") == _dir_bytes(tmp_path / "b")
+        assert capsys.readouterr().out == "".join(
+            f"wrote 2 files and a manifest to {tmp_path / name}\n" for name in ("a", "b"))
+        manifest = json.loads(_read(tmp_path / "a" / "manifest.json"))
+        assert sorted(manifest["files"]) == ["corpus.jsonl", "impact_factors.tsv"]
+        assert manifest["synthetic"] == {"seed": 7, "n_papers": 50, "n_authors": 20, "skew": 1.0,
+                                         "year_lo": 1956, "year_hi": 2008}
 
-    def test_invalid_sizes_exit_1(self, tmp_path):
-        out = tmp_path / "x.jsonl"
-        assert main(["generate", "--seed", "1", "--papers", "0",
-                     "--authors", "5", "--out", str(out)]) == 1
+    def test_invalid_sizes_exit_1(self, tmp_path, capsys, monkeypatch):
+        """Sizes and years out of range are refused before ``write_run``
+        makes ``--outdir``, its missing parent or its stage."""
+        monkeypatch.setattr(pipe_mod, "write_run", None)  # calling it is a TypeError
+        for settings, message in [(["--papers", "0"], "n_papers and n_authors must be >= 1"),
+                                  (["--year-lo", "2009", "--year-hi", "2000"],
+                                   "year_lo must be <= year_hi")]:
+            assert main(["generate", "--seed", "1", "--papers", "5", "--authors", "5", *settings,
+                         "--outdir", str(tmp_path / "q" / "run")]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            assert not any(tmp_path.iterdir())
 
 
 class TestExitCodes:
@@ -93,6 +114,25 @@ class TestExitCodes:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 2
         assert "nope.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--set", "corpus={corpus}", "--set", "if_table=", "--set", "outdir={o}"],
+        ["pipeline", "--set", "corpus={corpus}", "--set", "winners=", "--set", "outdir={o}"],
+        ["indicators", "--corpus", "{corpus}", "--if-table", "", "--outdir", "{o}"],
+        ["rank", "--edges", "{edges}", "--nodes", "", "--outdir", "{o}"],
+        ["compare", "--scores", "{scores}", "--winners", "", "--outdir", "{o}"],
+    ], ids=["pipeline-if_table", "pipeline-winners", "indicators-if-table", "rank-nodes",
+            "compare-winners"])
+    def test_empty_input_path_exit_2_as_a_missing_file(self, argv, small_run, tmp_path, capsys):
+        """An optional input given as '' is a file that does not exist, not
+        an input left out."""
+        _, corpus, _, pipeline_out = small_run
+        paths = {"corpus": corpus, "o": tmp_path / "out",
+                 "edges": sorted(pipeline_out.glob("edges_*.tsv"))[0],
+                 "scores": sorted(pipeline_out.glob("indicator_*.tsv"))[0]}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr() == ("", "error: missing input file: \n")
+        assert not any(tmp_path.iterdir())
 
     def test_parse_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -118,7 +158,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["rank", "--edges", "{tmp}/e", "--dampings", "abc", "--outdir", "{tmp}/o"],
-        ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--out", "{tmp}/o"],
+        ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--outdir", "{tmp}/o"],
         ["compare", "--scores", "{tmp}/s"],
         [],
     ], ids=["rank-damping", "generate-papers", "compare-no-outdir", "no-command"])
@@ -199,9 +239,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_overlapping_phases_exit_1_before_work(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        main(["generate", "--seed", "1", "--papers", "20", "--authors", "10",
-              "--out", str(corpus)])
+        corpus = _generate(tmp_path / "c", 1, 20, 10)
         outdir = tmp_path / "out"
         rc = main(["pipeline", "--set", f"corpus={corpus}",
                    "--set", f"outdir={outdir}",
@@ -232,10 +270,10 @@ class TestExitCodes:
         (["indicators", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--tag", ""],
          "argument --tag: the tag is empty"),
         (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-lo", "x",
-          "--out", "{tmp}/o"],
+          "--outdir", "{tmp}/o"],
          "invalid value 'x' for --year-lo: invalid literal for int() with base 10: 'x'"),
         (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-hi", "1.5",
-          "--out", "{tmp}/o"],
+          "--outdir", "{tmp}/o"],
          "invalid value '1.5' for --year-hi: invalid literal for int() with base 10: '1.5'"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "ingest-empty-label",
             "indicators-empty-tag", "generate-year-lo", "generate-year-hi"])
@@ -290,7 +328,7 @@ class TestExitCodes:
         else:
             options = {"seed": "--seed", "n_papers": "--papers", "n_authors": "--authors",
                        "skew": "--skew"}
-            argv = ["generate", "--out", str(tmp_path / "c.jsonl")]
+            argv = ["generate", "--outdir", str(tmp_path / "c")]
             argv += [a for key, value in settings.items() for a in (options[key], value)]
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -407,9 +445,10 @@ class TestExitCodes:
         ("rank", ["--nodes", "{nodes}"], ["--teleports", "uniform"], {"diagnostics", "files"}),
         ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"],
          {"stats", "files"}),
+        ("generate", ["--seed", "1"], ["--seed", "2"], {"synthetic", "files"}),
     ])
     def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
-                                                     small_run, tmp_path):
+                                                     small_run, tmp_path, monkeypatch):
         _, corpus, if_table, pipeline_out = small_run
         nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
         scores, good_scores = sorted(pipeline_out.glob("indicator_*.tsv"))[:2]
@@ -420,7 +459,8 @@ class TestExitCodes:
         outdir = tmp_path / "out"
 
         def run(input_path, extra):
-            return main([command, flag, str(input_path), "--outdir", str(outdir),
+            source = _GENERATE[1:] if command == "generate" else [flag, str(input_path)]
+            return main([command, *source, "--outdir", str(outdir),
                          *(a.format(if_table=if_table, nodes=nodes, scores=scores)
                            for a in extra)])
 
@@ -428,7 +468,8 @@ class TestExitCodes:
         before = _dir_bytes(outdir)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert run(bad, first) == 2
+        with _failing(command, monkeypatch):
+            assert run(bad, first) == 2
         assert _dir_bytes(outdir) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out"]
 
@@ -436,13 +477,17 @@ class TestExitCodes:
         manifest = json.loads(_read(outdir / "manifest.json"))
         assert set(manifest) == keys
         files = manifest["files"]
-        assert set(before) - set(files) - {"manifest.json"}  # files the rerun must remove
-        assert sorted(p.name for p in outdir.iterdir()) == sorted([*files, "manifest.json"])
+        after = _dir_bytes(outdir)
+        # files of the first run that the rerun must remove or rewrite
+        assert [name for name in before
+                if name != "manifest.json" and after.get(name) != before[name]]
+        assert sorted(after) == sorted([*files, "manifest.json"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "out"]
 
     @pytest.mark.parametrize("command,owner", [
         ("indicators", "ingest"), ("ingest", "pipeline"), ("pipeline", "indicators"),
         ("rank", "indicators"), ("indicators", "rank"), ("compare", "rank"), ("rank", "compare"),
+        ("generate", "pipeline"), ("ingest", "generate"),
     ])
     def test_other_commands_run_exit_1_and_is_kept(self, command, owner, small_run, tmp_path,
                                                    capsys):
@@ -458,6 +503,8 @@ class TestExitCodes:
             if cmd == "compare":
                 scores = sorted(pipeline_out.glob("indicator_*.tsv"))[:2]
                 return [cmd, "--scores", *map(str, scores), "--outdir", str(outdir)]
+            if cmd == "generate":
+                return [*_GENERATE, "--outdir", str(outdir)]
             return [cmd, "--corpus", str(corpus_path), "--outdir", str(outdir)]
 
         outdir = tmp_path / "out"
@@ -465,8 +512,8 @@ class TestExitCodes:
             shutil.copytree(pipeline_out, outdir)
         else:
             assert main(argv(owner, corpus, outdir)) == 0
-        # read a phase corpus of the run itself where it has one
-        corpus_path = ([*sorted(outdir.glob("corpus_*.jsonl")), corpus])[0]
+        # read a corpus of the run itself where it has one
+        corpus_path = ([*sorted(outdir.glob("corpus*.jsonl")), corpus])[0]
         before = _dir_bytes(outdir)
         capsys.readouterr()
         assert main(argv(command, corpus_path, outdir)) == 1
@@ -481,9 +528,7 @@ class TestExitCodes:
         assert rc == 1
 
     def test_strict_nonconvergence_exit_3(self, tmp_path):
-        corpus = tmp_path / "c.jsonl"
-        main(["generate", "--seed", "1", "--papers", "200", "--authors", "80",
-              "--out", str(corpus)])
+        corpus = _generate(tmp_path / "c", 1, 200, 80)
         outdir = tmp_path / "out"
         rc = main(["pipeline", "--set", f"corpus={corpus}",
                    "--set", f"outdir={outdir}",
@@ -493,7 +538,7 @@ class TestExitCodes:
         assert rc == 3
         # no outdir, and no stage directory left beside it
         assert not outdir.exists()
-        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
     def test_failed_rerun_keeps_previous_run(self, tmp_path):
         outdir = tmp_path / "out"
@@ -508,9 +553,10 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators", "rank", "compare"])
+    @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators", "rank", "compare",
+                                         "generate"])
     def test_failed_run_removes_the_parent_directories_it_made(self, command, small_run,
-                                                               tmp_path):
+                                                               tmp_path, monkeypatch):
         _, corpus, _, pipeline_out = small_run
         nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
         good = {"rank": sorted(pipeline_out.glob("edges_*.tsv"))[0],
@@ -527,9 +573,11 @@ class TestExitCodes:
                 "rank": ["rank", "--edges", str(path), "--nodes", str(nodes),
                          "--outdir", str(outdir)],
                 "compare": ["compare", "--scores", str(path), "--outdir", str(outdir)],
+                "generate": [*_GENERATE, "--outdir", str(outdir)],
             }[command])
 
-        assert run(bad) == 2
+        with _failing(command, monkeypatch):
+            assert run(bad) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["bad"]
         assert run(good) == 0
         assert [p.name for p in outdir.parent.iterdir()] == ["run"]
@@ -538,15 +586,13 @@ class TestExitCodes:
     def test_rerun_leaves_only_its_own_files(self, tmp_path):
         outdir = tmp_path / "out"
         first = run_pipeline(RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(outdir)))
-        corpus = tmp_path / "c.jsonl"
-        assert main(["generate", "--seed", "3", "--papers", "200", "--authors", "80",
-                     "--out", str(corpus)]) == 0
+        corpus = _generate(tmp_path / "c", 3, 200, 80)
         second = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(outdir)))
         assert "impact_factors.tsv" in first["files"]
         assert "impact_factors.tsv" not in second["files"]
         assert sorted(p.name for p in outdir.iterdir()) == sorted(
             [*second["files"], "manifest.json"])
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "out"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "out"]
 
     def test_rerun_into_a_symlinked_outdir_follows_the_link(self, tmp_path):
         real, link = tmp_path / "real", tmp_path / "o_link"
@@ -565,19 +611,23 @@ class TestExitCodes:
         ("pipeline", False, "manifest.json", "{"),
         ("compare", False, "notes.txt", "mine\n"),
         ("compare", True, "notes.txt", "mine\n"),
+        ("generate", False, "notes.txt", "mine\n"),
+        ("generate", True, "notes.txt", "mine\n"),
     ], ids=["alone", "beside-a-run", "unreadable-manifest", "compare-alone",
-            "compare-beside-a-run"])
+            "compare-beside-a-run", "generate-alone", "generate-beside-a-run"])
     def test_foreign_entry_in_outdir_exit_1_before_inputs_are_opened(
             self, command, earlier_run, name, content, small_run, tmp_path, capsys):
         outdir = tmp_path / "out"
         scores = sorted(small_run[3].glob("indicator_*.tsv"))[:2]
         # a run, and the input that does not exist which the second run adds
+        # (generate reads none, so its second run is the first one again)
         run, missing = {
             "pipeline": (["pipeline", "--set", "seed=3", "--set", "n_papers=200",
                           "--set", "n_authors=80", "--set", f"outdir={outdir}"],
                          ["--set", f"corpus={tmp_path / 'nope.jsonl'}"]),
             "compare": (["compare", "--outdir", str(outdir), "--scores", *map(str, scores)],
                         [str(tmp_path / "nope.tsv")]),
+            "generate": ([*_GENERATE, "--outdir", str(outdir)], []),
         }[command]
         if earlier_run:
             assert main(run) == 0
@@ -612,45 +662,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: teleports and dampings give two PageRank variants the label {label!r}\n")
         assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("argv,message", [
-        (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
-          "--out", "{t}/keep.tsv", "--if-table-out", "{t}/nodir/if.tsv"],
-         "{t}/nodir/if.tsv: no such directory"),
-        (["generate", "--seed", "1", "--papers", "50", "--authors", "20", "--out", "{t}"],
-         "{t} is a directory"),
-        (["generate", "--seed", "1", "--papers", "50", "--authors", "20",
-          "--out", "{t}/k.jsonl", "--if-table-out", "{t}/k.jsonl"],
-         "{t}/k.jsonl is named by both --out and --if-table-out"),
-    ], ids=["generate", "generate-dir", "generate-same-file"])
-    def test_unwritable_output_exit_1_before_work(self, argv, message, tmp_path, capsys):
-        keep = tmp_path / "keep.tsv"
-        keep.write_text("kept\n")
-        assert main([a.format(t=tmp_path) for a in argv]) == 1
-        assert capsys.readouterr() == ("", f"error: output file {message.format(t=tmp_path)}\n")
-        assert keep.read_text() == "kept\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["keep.tsv"]
-
-    def test_outputs_compared_as_resolved_paths(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["generate", "--seed", "1", "--papers", "50", "--authors", "20",
-                     "--out", "k.jsonl", "--if-table-out", "./k.jsonl"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: output file ./k.jsonl is named by both --out and --if-table-out\n")
-        assert not any(tmp_path.iterdir())
-
-    def test_every_output_option_is_checked(self):
-        [commands] = [a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction)]
-        outputs = []
-        for command, parser in commands.choices.items():
-            for action in parser._actions:
-                dest = action.dest
-                if dest != "outdir" and (dest == "out" or dest.endswith("_out")
-                                         or dest.startswith("out_")):
-                    assert action.type is OutputFile, (command, dest)
-                    outputs.append(f"{command} {action.option_strings[0]}")
-        assert sorted(outputs) == ["generate --if-table-out", "generate --out"]
 
     @pytest.mark.parametrize("scores,labels,message", [
         (["a/x.tsv", "b/x.tsv"], [], "two score files have the label 'x'"),
@@ -770,9 +781,7 @@ class TestCompareCommand:
         """Where the pipeline records `stats_skipped` for a phase whose rank
         table has no correlation, compare writes only the table and records
         the same entry."""
-        corpus = tmp_path / "c.jsonl"
-        assert main(["generate", "--seed", "1", "--papers", "60", "--authors", "20",
-                     "--out", str(corpus)]) == 0
+        corpus = _generate(tmp_path / "c", 1, 60, 20)
         pipe = tmp_path / "pipe"
         pipeline = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(pipe)))
         skipped = [label for label, info in pipeline["phases"].items()
@@ -832,14 +841,13 @@ class TestRunConfig:
 
     def test_config_hash_follows_input_content_not_paths(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        a.mkdir()
-        assert main(["generate", "--seed", "1", "--papers", "80", "--authors", "30",
-                     "--out", str(a / "corpus.jsonl"), "--if-table-out", str(a / "if.tsv")]) == 0
+        _generate(a, 1, 80, 30)
         (a / "winners.txt").write_text("Auth, 000001.\n")
         shutil.copytree(a, b)
 
         def config(inputs, out):
-            return RunConfig(corpus=str(inputs / "corpus.jsonl"), if_table=str(inputs / "if.tsv"),
+            return RunConfig(corpus=str(inputs / "corpus.jsonl"),
+                             if_table=str(inputs / "impact_factors.tsv"),
                              winners=str(inputs / "winners.txt"), outdir=str(tmp_path / out),
                              subset_size=20)
 
@@ -849,7 +857,7 @@ class TestRunConfig:
         assert ma["inputs"] == mb["inputs"]
         assert ma["inputs"] == {
             key: hashlib.sha256((a / name).read_bytes()).hexdigest()
-            for key, name in (("corpus", "corpus.jsonl"), ("if_table", "if.tsv"),
+            for key, name in (("corpus", "corpus.jsonl"), ("if_table", "impact_factors.tsv"),
                               ("winners", "winners.txt"))
         }
         with open(b / "corpus.jsonl", "a", encoding="utf-8") as fh:
@@ -1012,7 +1020,7 @@ def test_generator_years_have_one_default():
 # Each command's required flags, with an input {m} that does not exist and
 # an output {o}; compare takes the pipeline's 12 indicators without an IF table.
 _REQUIRED_FLAGS = {
-    "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--out", "{o}"],
+    "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--outdir", "{o}"],
     "ingest": ["--corpus", "{m}", "--outdir", "{o}"],
     "rank": ["--edges", "{m}", "--outdir", "{o}"],
     "indicators": ["--corpus", "{m}", "--outdir", "{o}"],
@@ -1069,6 +1077,16 @@ def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, c
     assert good.read_text() == "kept\n"
 
 
+@contextlib.contextmanager
+def _failing(command, monkeypatch):
+    """Where ``command`` fails on a bad input file; ``generate``, which
+    reads none, fails at its corpus writer instead."""
+    with monkeypatch.context() as patch:
+        if command == "generate":
+            patch.setattr(corpus_mod, "serialize_corpus", _fail_part_way)
+        yield
+
+
 def _fail_part_way(*args):
     """A writer that writes part of its output to its stream, the last
     argument, and then finds the disk full."""
@@ -1076,91 +1094,33 @@ def _fail_part_way(*args):
     raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@pytest.mark.parametrize("module,writer,argv,outputs", [
-    (corpus_mod, "serialize_corpus",
-     ["generate", "--seed", "1", "--papers", "30", "--authors", "10", "--out", "{t}/c.jsonl"],
-     ["c.jsonl"]),
-    (pipe_mod, "dump_impact_factors",
-     ["generate", "--seed", "1", "--papers", "30", "--authors", "10", "--out", "{t}/c.jsonl",
-      "--if-table-out", "{t}/if.tsv"],
-     ["c.jsonl", "if.tsv"]),
+@pytest.mark.parametrize("module,writer,argv,earlier_run", [
+    # generate failing at its corpus, then at its impact-factor table, over an earlier run
+    (corpus_mod, "serialize_corpus", [*_GENERATE, "--outdir", "{t}/run"], True),
+    (pipe_mod, "dump_impact_factors", [*_GENERATE, "--outdir", "{t}/run"], True),
     (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
-     ["rank", "--edges", "{edges}", "--teleports", "uniform", "--outdir", "{t}/run"], []),
+     ["rank", "--edges", "{edges}", "--teleports", "uniform", "--outdir", "{t}/run"], False),
     # compare failing in each step of the comparison: correlate, pca, evaluate
     *[(pipe_mod, writer,
        ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
-        "--outdir", "{t}/run"], [])
+        "--outdir", "{t}/run"], False)
       for writer in ("write_correlation", "write_pca", "write_coverage")],
-], ids=["generate-out", "generate-if-table-out", "rank", "correlate", "pca", "evaluate"])
-def test_failed_write_keeps_the_existing_output(module, writer, argv, outputs, small_run,
+], ids=["generate-out", "generate-impact-factors", "rank", "correlate", "pca", "evaluate"])
+def test_failed_write_keeps_the_existing_output(module, writer, argv, earlier_run, small_run,
                                                 tmp_path, monkeypatch, capsys):
     _, _, _, outdir = small_run
     a, b = sorted(Path(outdir).glob("indicator_1991_2000_*.tsv"))[:2]
     edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
     (tmp_path / "w.txt").write_text("AUTH 000001\n")
-    for name in outputs:
-        (tmp_path / name).write_bytes(b"an earlier run\n")
-    before = _dir_bytes(tmp_path)
+    argv = [x.format(t=tmp_path, a=a, b=b, edges=edges) for x in argv]
+    if earlier_run:
+        assert main(argv) == 0
+    before = _tree_bytes(tmp_path)
     monkeypatch.setattr(module, writer, _fail_part_way)
-    assert main([x.format(t=tmp_path, a=a, b=b, edges=edges) for x in argv]) == 2
+    capsys.readouterr()
+    assert main(argv) == 2
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-    assert _dir_bytes(tmp_path) == before  # the outputs are unchanged, and no .tmp file is left
-
-
-def test_open_output_replaces_whole_or_not_at_all(tmp_path):
-    target = tmp_path / "t.tsv"
-    target.write_text("old\n")
-    with pytest.raises(KeyboardInterrupt):
-        with open_output(target) as fh:
-            fh.write("half")
-            raise KeyboardInterrupt
-    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
-    assert target.read_text() == "old\n"
-    with open_output(target) as fh:
-        fh.write("new\n")
-        assert target.read_text() == "old\n"  # replaced only when the block exits
-        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == [
-            f".t.tsv.{os.getpid()}.tmp"]
-    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
-    assert target.read_text() == "new\n"
-
-
-def test_open_output_writes_a_fifo_or_linked_file_in_place(tmp_path):
-    """Renaming over a target that is not a plain file of its own would
-    change more than its text, so such a target is written in place."""
-    fifo = tmp_path / "fifo"
-    os.mkfifo(fifo)
-    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        with open_output(fifo) as fh:
-            fh.write("through the fifo\n")
-        assert os.read(reader, 100) == b"through the fifo\n"
-    finally:
-        os.close(reader)
-    assert stat.S_ISFIFO(fifo.lstat().st_mode)
-    linked, other = tmp_path / "linked.tsv", tmp_path / "other.tsv"
-    linked.write_text("old\n")
-    os.link(linked, other)
-    with open_output(linked) as fh:
-        fh.write("new\n")
-    assert other.read_text() == "new\n" and os.path.samefile(linked, other)
-    plain, alias = tmp_path / "plain.tsv", tmp_path / "alias.tsv"
-    plain.write_text("old\n")
-    alias.symlink_to(plain)
-    with open_output(alias) as fh:  # a symlink is followed, not replaced
-        fh.write("new\n")
-    assert alias.is_symlink() and plain.read_text() == "new\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "alias.tsv", "fifo", "linked.tsv", "other.tsv", "plain.tsv"]
-
-
-def test_open_output_keeps_the_mode_of_a_replaced_file(tmp_path):
-    target = tmp_path / "t.tsv"
-    target.write_text("old\n")
-    target.chmod(0o640)
-    with open_output(target) as fh:
-        fh.write("new\n")
-    assert target.read_text() == "new\n" and stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert _tree_bytes(tmp_path) == before  # an earlier run is unchanged, and no stage is left
 
 
 def test_lone_surrogate_corpus_exit_2_names_line_field_and_file(tmp_path, capsys):
@@ -1303,9 +1263,7 @@ class TestPipeline:
     def test_one_spearman_matrix_per_phase(self, tmp_path, monkeypatch):
         """The correlation table and the PCA of a phase share one
         ``rank_correlations`` call, also in the phases whose stats are skipped."""
-        corpus = tmp_path / "c.jsonl"
-        assert main(["generate", "--seed", "1", "--papers", "60", "--authors", "20",
-                     "--out", str(corpus)]) == 0
+        corpus = _generate(tmp_path / "c", 1, 60, 20)
         calls, real = [], stats_mod.rank_correlations
 
         def counted(*args):
@@ -1330,18 +1288,17 @@ class TestPipeline:
 
 
 def _run_stage_chain(root, allow_self_citation):
-    """From one generated corpus file, generate, ingest and per phase
-    indicators, rank and compare, 14 commands for the 4 phases, each command
-    writing into its own directory. Returns the sha256 of each written file
-    but manifest.json, per command, and the pipeline's files map."""
+    """generate, ingest and per phase indicators, rank and compare, 14
+    commands for the 4 phases, each command writing into its own directory.
+    Returns the sha256 of each written file but manifest.json, per command,
+    and the pipeline's files map."""
     cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
                     allow_self_citation=allow_self_citation,
                     winners=str(root / "winners.txt"), outdir=str(root / "pipe"))
     # Raw spellings; the last id is past every generated author.
     Path(cfg.winners).write_text("".join(f"Auth, {i:06d}.\n" for i in range(0, 151, 10)))
     pipeline = run_pipeline(cfg)
-    chain, corpus = root / "chain", root / "corpus.jsonl"
-    (chain / "generate").mkdir(parents=True)
+    chain = root / "chain"
 
     def run(*argv):
         """(exit code, stderr) of one command."""
@@ -1350,9 +1307,12 @@ def _run_stage_chain(root, allow_self_citation):
             return main([str(a) for a in argv]), err.getvalue()
 
     assert run("generate", "--seed", cfg.seed, "--papers", cfg.n_papers,
-               "--authors", cfg.n_authors, "--out", corpus,
-               "--if-table-out", chain / "generate" / "impact_factors.tsv") == (0, "")
-    assert run("ingest", "--corpus", corpus, "--outdir", chain / "ingest") == (0, "")
+               "--authors", cfg.n_authors, "--outdir", chain / "generate") == (0, "")
+    synthetic = json.loads(_read(chain / "generate" / "manifest.json"))["synthetic"]
+    assert synthetic.items() >= {key: pipeline["config"][key] for key in
+                                 ("seed", "n_papers", "n_authors", "skew")}.items()
+    assert run("ingest", "--corpus", chain / "generate" / "corpus.jsonl",
+               "--outdir", chain / "ingest") == (0, "")
     skipped = [label for label, info in pipeline["phases"].items() if "stats_skipped" in info]
     assert 0 < len(skipped) < len(pipeline["phases"])
     for label, info in pipeline["phases"].items():
@@ -1409,9 +1369,7 @@ def _assert_stage_matches_pipeline(stage_chain, command, prefix=""):
 
 class TestStageComposition:
     def test_ingest_stage_matches_pipeline(self, tmp_path, capsys):
-        corpus = tmp_path / "c.jsonl"
-        assert main(["generate", "--seed", "3", "--papers", "300", "--authors", "120",
-                     "--out", str(corpus)]) == 0
+        corpus = _generate(tmp_path / "c", 3, 300, 120)
         phases = "1900-1950;1956-2008"  # the first phase has no papers
         pipeline = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(tmp_path / "pipe"),
                                           phases=parse_phases(phases), subset_size=20))
@@ -1478,6 +1436,9 @@ class TestStageComposition:
     @pytest.mark.parametrize("allow_self_citation", [True, False])
     def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, stage_chain):
         written, expected = stage_chain(allow_self_citation)
-        digests = {name: digest for files in written.values() for name, digest in files.items()}
+        # generate's corpus.jsonl is the chain's input, which a pipeline run does not write
+        digests = {name: digest for command, files in written.items()
+                   for name, digest in files.items()
+                   if (command, name) != ("generate", "corpus.jsonl")}
         assert sorted(name for name in digests.keys() | expected.keys()
                       if digests.get(name) != expected.get(name)) == []

@@ -2,16 +2,16 @@
 
 Subcommands: generate, ingest, indicators, rank, compare, pipeline.  Each
 writes a run directory through ``pipeline.write_run``: its files and a
-``manifest.json``, written whole or not at all.  Exit codes: 0 success, 1
-usage or validation error, 2 data/input error, 3 non-convergence under
---strict; each error class carries its own.
+``manifest.json``, written whole or not at all; rank reads back the phase
+graph that indicators wrote.  Exit codes: 0 success, 1 usage or
+validation error, 2 data/input error, 3 non-convergence under --strict;
+each error class carries its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -82,16 +82,11 @@ def cmd_rank(args) -> int:
     configs = pipe_mod.RunConfig(dampings=args.dampings, teleports=args.teleports,
                                  tolerance=args.tolerance, max_iterations=args.max_iterations,
                                  dangling_policy=args.dangling_policy).pagerank_configs()
-    match = re.fullmatch(r"edges_(.+)\.tsv", Path(args.edges).name, re.DOTALL)
-    tag = match[1] if match else None
-    if tag is not None and not corpus_mod.encodes(tag):
-        raise ConfigError(f"the --edges file name gives the tag {tag!r}, which is not valid UTF-8")
 
     def write(create) -> dict:
-        nodes = {} if args.nodes is None else net_mod.load_nodes(args.nodes)
-        graph = net_mod.load_edges(args.edges, {a: pubs for a, (_, pubs) in nodes.items()})
+        graph = net_mod.load_graph(args.edges, args.nodes)
         _, solves = pipe_mod.write_phase_ranks(
-            graph, tag, args.teleports, configs, args.strict, create)
+            graph, args.tag, args.teleports, configs, args.strict, create)
         return {"diagnostics": solves}
 
     manifest = pipe_mod.write_run(args.outdir, "rank", write)
@@ -196,9 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--phases", "phases", help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("rank", help="PageRank variants of an edge-list dump")
-    p.add_argument("--edges", required=True, help="edges_<tag>.tsv gives indicator_<tag>_*.tsv")
-    p.add_argument("--nodes", help="node dump supplying publication counts")
+    p = sub.add_parser("rank", help="PageRank variants of a phase graph")
+    p.add_argument("--edges", required=True, help="edge dump of the graph")
+    p.add_argument("--nodes", required=True, help="node dump of the same graph")
+    p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
     _setting(p, "--dampings", "dampings")
     _setting(p, "--teleports", "teleports", help=", ".join(pr_mod.TELEPORTS))
     _setting(p, "--tolerance", "tolerance")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from bibliorank.errors import ConfigError, DataError, ParseError
+from bibliorank.errors import ConfigError, ParseError
 
 _TRAILING_PUNCT = string.punctuation + " \t"
 
@@ -32,28 +32,31 @@ AUTHOR, YEAR, SOURCE, VOLUME, PAGE = range(5)
 MISSING = -1
 
 
-def _normalize_key(raw: str, what: str) -> str:
+def normalize_key(raw: str, what: str, line=None, field=None) -> str:
+    """Normalize a raw ``what`` string, an author or a venue, into its key.
+
+    Uppercases, drops periods, turns commas into spaces, collapses
+    whitespace, and strips leading/trailing whitespace and trailing
+    punctuation.  Idempotent.  A null, or a string of which nothing
+    survives, is a ParseError naming ``line`` and ``field``.
+
+    >>> normalize_key("Salton, G.", "author")
+    'SALTON G'
+    """
     if raw is None:
-        raise DataError(f"{what} string is missing")
+        raise ParseError(f"{what} string is missing", line=line, field=field)
     key = raw.upper().replace(".", "").replace(",", " ")
     key = " ".join(key.split())
     key = key.rstrip(_TRAILING_PUNCT)
     if not key:
-        raise DataError(f"{what} string {raw!r} is empty after normalization")
+        raise ParseError(f"{what} string {raw!r} is empty after normalization",
+                         line=line, field=field)
     return key
 
 
 def normalize_author(raw: str) -> str:
-    """Normalize a raw author string into a canonical author key.
-
-    Uppercases, drops periods, turns commas into spaces, collapses
-    whitespace, and strips leading/trailing whitespace and trailing
-    punctuation.  Idempotent.  Raises DataError if nothing survives.
-
-    >>> normalize_author("Salton, G.")
-    'SALTON G'
-    """
-    return _normalize_key(raw, "author")
+    """The author key of ``raw`` (see ``normalize_key``)."""
+    return normalize_key(raw, "author")
 
 
 @dataclass(frozen=True)
@@ -195,11 +198,7 @@ class _StringTable:
             raise ParseError(
                 f"{what} must be a string, got {type(raw).__name__}", line=line, field=field
             )
-        try:
-            key = _normalize_key(raw, what)
-        except DataError as exc:
-            raise ParseError(str(exc), line=line, field=field) from exc
-        index = self.keys[raw] = self.add(key, line, field)
+        index = self.keys[raw] = self.add(normalize_key(raw, what, line, field), line, field)
         return index
 
     def optional(self, raw, line, field) -> int:
@@ -243,12 +242,13 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
     input, without its newline: a path, opened as UTF-8, or an iterable of
     text lines such as an ``io.StringIO``.
 
-    A path is opened with ``errors="surrogateescape"``, so a byte that is
+    A path is opened as ``utf-8-sig``, which drops a byte-order mark at
+    its start, and with ``errors="surrogateescape"``, so a byte that is
     not UTF-8 reaches its line as a lone surrogate instead of failing the
     read; such a line is a ParseError ``line N: not valid UTF-8``.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(source, encoding="utf-8-sig", errors="surrogateescape") as fh:
             yield from read_lines(fh)
         return
     for lineno, raw in enumerate(source, start=1):

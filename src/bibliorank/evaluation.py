@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bibliorank.corpus import normalize_author, read_lines, reads_input
-from bibliorank.errors import ConfigError, DataError, ParseError
+from bibliorank.corpus import normalize_key, read_lines, reads_input
+from bibliorank.errors import ConfigError
 from bibliorank.indicators import ScoreVector, top_k
 
 
@@ -18,10 +18,7 @@ def load_winners(source) -> list[str]:
     for lineno, line in read_lines(source):
         name = line.split("#", 1)[0].strip()
         if name:
-            try:
-                keys.append(normalize_author(name))
-            except DataError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+            keys.append(normalize_key(name, "author", lineno))
     return list(dict.fromkeys(keys))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bibliorank.corpus import Corpus, read_lines, reads_input
+from bibliorank.corpus import Corpus, normalize_key, read_lines, reads_input
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.network import AuthorCitationGraph
 
@@ -51,7 +51,8 @@ class ImpactFactorTable:
 @reads_input
 def load_impact_factors(source) -> ImpactFactorTable:
     """Read a `venue<TAB>year<TAB>impact_factor` table (a path or text
-    lines); `#` at the start of a line marks a comment, and duplicates error."""
+    lines); `#` at the start of a line marks a comment.  Venues are
+    normalised as the corpus's are, and two lines of one key error."""
     factors: dict[tuple[str, int], float] = {}
     for lineno, line in read_lines(source):
         if line.startswith("#"):
@@ -59,7 +60,7 @@ def load_impact_factors(source) -> ImpactFactorTable:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError("expected venue<TAB>year<TAB>impact_factor", line=lineno)
-        venue = parts[0]
+        venue = normalize_key(parts[0], "venue", lineno)
         try:
             year = int(parts[1])
             impact = float(parts[2])

@@ -1,4 +1,4 @@
-"""Directed weighted author citation graph construction."""
+"""Author citation graph: built from a phase corpus, dumped, and read back."""
 
 from __future__ import annotations
 
@@ -149,14 +149,34 @@ def dump_nodes(g: AuthorCitationGraph, stream) -> None:
 
 
 @reads_input
-def load_edges(source, publications: dict[str, int] | None = None) -> AuthorCitationGraph:
-    """Rebuild a graph from an edge-list dump (a path or text lines) and
-    optional node pubs.
+def load_nodes(source) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read a node dump (a path or text lines); returns the sorted authors
+    and their citations and publications as int64 arrays."""
+    rows = {}
+    for lineno, line in read_lines(source):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError("expected author<TAB>citations<TAB>publications", line=lineno)
+        if parts[0] in rows:
+            raise ParseError(f"duplicate author {parts[0]!r}", line=lineno)
+        try:
+            counts = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError("invalid integer attribute", line=lineno) from None
+        if min(counts) < 0:
+            raise ParseError("negative citation or publication count", line=lineno)
+        rows[parts[0]] = counts
+    authors = sorted(rows)
+    counts = np.array([rows[a] for a in authors], dtype=np.int64).reshape(-1, 2)
+    return authors, counts[:, 0], counts[:, 1]
 
-    citations_received is recomputed from the edges; publications default
-    to zero unless a mapping (e.g. from a node dump) is supplied.
-    """
-    citers, citeds, weights = [], [], []
+
+@reads_input
+def load_edges(source, index: dict[str, int]) -> np.ndarray:
+    """Read an edge-list dump (a path or text lines) as an int64 array of
+    rows (citer, cited, weight), each author mapped to its node id by
+    ``index``.  An author that ``index`` lacks is a ParseError."""
+    rows = []
     for lineno, line in read_lines(source):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -168,39 +188,25 @@ def load_edges(source, publications: dict[str, int] | None = None) -> AuthorCita
             raise ParseError(f"invalid weight {w!r}", line=lineno, field="weight") from None
         if weight < 1:
             raise ParseError(f"edge weight {weight} < 1", line=lineno, field="weight")
-        citers.append(citer)
-        citeds.append(cited)
-        weights.append(weight)
-    publications = publications or {}
-    authors = sorted(set(citers).union(citeds, publications))
-    if not authors:
-        raise GraphError("empty graph: edge list has no entries")
-    index = {a: i for i, a in enumerate(authors)}
-    pubs = np.zeros(len(authors), dtype=np.int64)
-    for a, c in publications.items():
-        pubs[index[a]] = c
-    return _graph(authors,
-                  np.array([index[a] for a in citers], dtype=np.int64),
-                  np.array([index[a] for a in citeds], dtype=np.int64),
-                  np.array(weights, dtype=np.int64), pubs)
-
-
-@reads_input
-def load_nodes(source) -> dict[str, tuple[int, int]]:
-    """Read a node dump (a path or text lines); returns author ->
-    (citations, publications)."""
-    out = {}
-    for lineno, line in read_lines(source):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError("expected author<TAB>citations<TAB>publications", line=lineno)
-        if parts[0] in out:
-            raise ParseError(f"duplicate author {parts[0]!r}", line=lineno)
         try:
-            counts = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("invalid integer attribute", line=lineno) from None
-        if min(counts) < 0:
-            raise ParseError("negative citation or publication count", line=lineno)
-        out[parts[0]] = counts
-    return out
+            rows.append((index[citer], index[cited], weight))
+        except KeyError as exc:
+            raise ParseError(f"author {exc.args[0]!r} is not in the node dump",
+                             line=lineno) from None
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def load_graph(edges, nodes) -> AuthorCitationGraph:
+    """Rebuild the graph that ``dump_edges`` and ``dump_nodes`` wrote as
+    ``edges`` and ``nodes`` (paths or text lines).  Edges whose in-weight
+    sums are not the node dump's citations are of another graph: a GraphError."""
+    authors, citations, publications = load_nodes(nodes)
+    if not authors:
+        raise GraphError("empty graph: the node dump has no entries")
+    citer, cited, weights = load_edges(edges, {a: i for i, a in enumerate(authors)}).T
+    g = _graph(authors, citer, cited, weights, publications)
+    i = int(np.argmax(g.citations_received != citations))  # the first that differs, or 0
+    if g.citations_received[i] != citations[i]:
+        raise GraphError(f"the node dump gives {authors[i]!r} {citations[i]} citations, "
+                         f"the edge list {g.citations_received[i]}")
+    return g

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import errno
 import functools
@@ -22,11 +23,14 @@ from hypothesis import strategies as st
 import bibliorank
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
+from bibliorank import network as net_mod
+from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
 from bibliorank.cli import build_parser, main
 from bibliorank.corpus import check_synthetic, generate_synthetic
 from bibliorank.errors import ConfigError, NonConvergenceError
+from bibliorank.evaluation import load_winners
 from bibliorank.pagerank import variant_label
 from bibliorank.pipeline import (
     _FIELD_PARSERS,
@@ -38,7 +42,7 @@ from bibliorank.pipeline import (
     parse_setting,
     run_pipeline,
 )
-from tests.oracles import parse_corpus_loop, unmatched_references_loop
+from tests.oracles import corpus_records, parse_corpus_loop, unmatched_references_loop
 
 
 def _read(path):
@@ -269,6 +273,8 @@ class TestExitCodes:
          "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
         (["indicators", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--tag", ""],
          "argument --tag: the tag is empty"),
+        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--outdir", "{tmp}/o", "--tag", " "],
+         "argument --tag: the tag is empty"),
         (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-lo", "x",
           "--outdir", "{tmp}/o"],
          "invalid value 'x' for --year-lo: invalid literal for int() with base 10: 'x'"),
@@ -276,7 +282,7 @@ class TestExitCodes:
           "--outdir", "{tmp}/o"],
          "invalid value '1.5' for --year-hi: invalid literal for int() with base 10: '1.5'"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "ingest-empty-label",
-            "indicators-empty-tag", "generate-year-lo", "generate-year-hi"])
+            "indicators-empty-tag", "rank-empty-tag", "generate-year-lo", "generate-year-hi"])
     def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
                                                                capsys):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 1
@@ -408,15 +414,17 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_rank_degenerate_teleport_exit_2_writes_no_out(self, tmp_path, capsys):
-        """Without --nodes every publication count is zero, so the
+        """Where every publication count of the node dump is zero, the
         publication-weighted teleport has no mass."""
-        edges, out = tmp_path / "edges.tsv", tmp_path / "out"
+        edges, nodes, out = tmp_path / "edges.tsv", tmp_path / "nodes.tsv", tmp_path / "out"
         edges.write_text("A\tB\t1\nB\tA\t1\n")
-        assert main(["rank", "--edges", str(edges), "--teleports", "publication_weighted",
-                     "--dampings", "0.5", "--outdir", str(out)]) == 2
+        nodes.write_text("A\t1\t0\nB\t1\t0\n")
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes),
+                     "--teleports", "publication_weighted", "--dampings", "0.5",
+                     "--outdir", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: degenerate teleport: all publication_weighted weights are zero\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["edges.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "nodes.tsv"]
 
     def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys):
         _, _, _, outdir = small_run
@@ -442,7 +450,8 @@ class TestExitCodes:
         ("ingest", [], ["--phases", "1956-1990"],
          {"input_papers", "dropped_outside_phases", "phases", "files"}),
         ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics", "files"}),
-        ("rank", ["--nodes", "{nodes}"], ["--teleports", "uniform"], {"diagnostics", "files"}),
+        ("rank", ["--nodes", "{nodes}"], ["--nodes", "{nodes}", "--teleports", "uniform"],
+         {"diagnostics", "files"}),
         ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"],
          {"stats", "files"}),
         ("generate", ["--seed", "1"], ["--seed", "2"], {"synthetic", "files"}),
@@ -699,30 +708,82 @@ class TestExitCodes:
 
 class TestRankCommand:
     def test_cycle_edge_list_uniform(self, tmp_path, capsys):
-        edges = tmp_path / "edges.tsv"
+        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
         edges.write_text("A\tB\t1\nB\tC\t1\nC\tA\t1\n")
+        nodes.write_text("A\t1\t1\nB\t1\t1\nC\t1\t1\n")
         out = tmp_path / "out"
-        assert main(["rank", "--edges", str(edges), "--dampings", "0.85",
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.85",
                      "--teleports", "uniform", "--outdir", str(out)]) == 0
         lines = _read(out / "indicator_pagerank_d0.85.tsv").splitlines()
         assert lines[0] == "author\tscore\trank"
         scores = {ln.split("\t")[0]: float(ln.split("\t")[1]) for ln in lines[1:]}
         assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
 
-    @pytest.mark.parametrize("name,tag", [
-        ("edges_1981_1990.tsv", "_1981_1990"), ("edges_a-b.tsv", "_a_b"), ("edges.tsv", ""),
-        ("edges_.tsv", ""), ("g_1981.tsv", ""), ("edges_1981.txt", ""),
-    ])
-    def test_file_tag_comes_from_the_edges_file_name(self, name, tag, tmp_path):
-        edges, out = tmp_path / name, tmp_path / "out"
-        edges.write_text("A\tB\t1\nB\tA\t2\n")
-        assert main(["rank", "--edges", str(edges), "--teleports", "uniform,citation_weighted",
-                     "--dampings", "0.5", "--outdir", str(out)]) == 0
-        manifest = json.loads(_read(out / "manifest.json"))
-        assert sorted(manifest["files"]) == [f"indicator{tag}_pagerank_cit_d0.5.tsv",
-                                             f"indicator{tag}_pagerank_d0.5.tsv"]
-        assert sorted(manifest["diagnostics"]) == ["pagerank_cit_d0.5", "pagerank_d0.5"]
-        assert all(entry["converged"] for entry in manifest["diagnostics"].values())
+    @pytest.mark.parametrize("drop", [False, True], ids=["self-citing", "no-self-citations"])
+    def test_node_dump_of_the_other_self_citation_setting_exit_2(self, drop, small_run,
+                                                                 tmp_path, capsys):
+        """The two settings give one node set, whose citation counts differ
+        where an author cites themself; the first such author is named."""
+        _, _, _, outdir = small_run
+        corpus = outdir / "corpus_1956_1980.jsonl"
+        for name, setting in (("keep", []), ("drop", ["--drop-self-citations"])):
+            assert main(["indicators", "--corpus", str(corpus), "--tag", "1956-1980",
+                         "--outdir", str(tmp_path / name), *setting]) == 0
+        edges_of, nodes_of = ("drop", "keep") if drop else ("keep", "drop")
+        graph = net_mod.load_graph(*(tmp_path / edges_of / f"{stem}_1956_1980.tsv"
+                                     for stem in ("edges", "nodes")))
+        _, citations, _ = net_mod.load_nodes(tmp_path / nodes_of / "nodes_1956_1980.tsv")
+        first = int(np.flatnonzero(graph.citations_received != citations)[0])
+        before = _tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main(["rank", "--edges", str(tmp_path / edges_of / "edges_1956_1980.tsv"),
+                     "--nodes", str(tmp_path / nodes_of / "nodes_1956_1980.tsv"),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: the node dump gives {graph.authors[first]!r} {citations[first]} "
+            f"citations, the edge list {graph.citations_received[first]}\n"))
+        assert _tree_bytes(tmp_path) == before
+
+    def test_node_dump_of_another_phase_exit_2(self, small_run, tmp_path, capsys):
+        _, _, _, outdir = small_run
+        edges, nodes = outdir / "edges_1956_1980.tsv", outdir / "nodes_2001_2008.tsv"
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line ") and err.count("\n") == 1
+        assert "is not in the node dump" in err and err.endswith(f" in {edges}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_scores_are_those_of_the_phase_graph(self, tmp_path):
+        """Without self-citations, an author who only cites themself has
+        no edge but stays a node of the phase graph, and so of rank's."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": pid, "author": author, "year": 2000, "source": "J",
+                        "refs": [{"author": cited, "year": 1999, "source": "J"}]}) + "\n"
+            for pid, author, cited in (("p1", "A", "A"), ("p2", "B", "C"), ("p3", "C", "B"))))
+        stage = tmp_path / "indicators"
+        assert main(["indicators", "--corpus", str(corpus), "--tag", "x",
+                     "--drop-self-citations", "--outdir", str(stage)]) == 0
+        assert main(["rank", "--edges", str(stage / "edges_x.tsv"),
+                     "--nodes", str(stage / "nodes_x.tsv"), "--tag", "x",
+                     "--outdir", str(tmp_path / "rank")]) == 0
+
+        graph = net_mod.build_graph(corpus_mod.parse_corpus(corpus), allow_self_citation=False)
+        assert graph.authors == ["A", "B", "C"] and graph.adjacency.nnz == 2
+        written = {}
+
+        @contextlib.contextmanager
+        def create(name):
+            written[name] = io.StringIO()
+            yield written[name]
+
+        cfg = RunConfig()
+        pipe_mod.write_phase_ranks(graph, "x", cfg.teleports, cfg.pagerank_configs(), False,
+                                   create)
+        assert len(written) == 9
+        assert {name: buf.getvalue() for name, buf in written.items()} == {
+            p.name: _read(p) for p in (tmp_path / "rank").iterdir() if p.name != "manifest.json"}
 
 
 class TestCompareCommand:
@@ -911,23 +972,22 @@ def test_malformed_set_value_exit_1_names_key(key, junk, at):
 # pipeline: (config key, value, the stage's argv, the one error message).
 # {m} is an input path that does not exist and {o} an output path.
 _RETENTION_SCORES = ["{m}"] * 12  # the pipeline's 12 indicators without an IF table
+_RANK = ["rank", "--edges", "{m}", "--nodes", "{m}"]
 _SHARED_SETTINGS = [
-    ("dampings", "1.5", ["rank", "--edges", "{m}", "--dampings", "1.5", "--outdir", "{o}"],
+    ("dampings", "1.5", [*_RANK, "--dampings", "1.5", "--outdir", "{o}"],
      "dampings must be in [0, 1), got 1.5"),
-    ("dampings", "0.5,0.50", ["rank", "--edges", "{m}", "--dampings", "0.5,0.50",
-                              "--outdir", "{o}"],
+    ("dampings", "0.5,0.50", [*_RANK, "--dampings", "0.5,0.50", "--outdir", "{o}"],
      "teleports and dampings give two PageRank variants the label 'pagerank_d0.5'"),
-    ("tolerance", "0", ["rank", "--edges", "{m}", "--dampings", "0.5", "--tolerance", "0",
-                        "--outdir", "{o}"],
+    ("tolerance", "0", [*_RANK, "--dampings", "0.5", "--tolerance", "0", "--outdir", "{o}"],
      "tolerance must be finite and positive, got 0.0"),
-    ("tolerance", "nan", ["rank", "--edges", "{m}", "--dampings", "0.5", "--tolerance", "nan",
+    ("tolerance", "nan", [*_RANK, "--dampings", "0.5", "--tolerance", "nan",
                           "--outdir", "{o}"],
      "tolerance must be finite and positive, got nan"),
-    ("max_iterations", "0", ["rank", "--edges", "{m}", "--dampings", "0.5",
-                             "--max-iterations", "0", "--outdir", "{o}"],
+    ("max_iterations", "0", [*_RANK, "--dampings", "0.5", "--max-iterations", "0",
+                             "--outdir", "{o}"],
      "max_iterations must be >= 1, got 0"),
-    ("teleports", "custom", ["rank", "--edges", "{m}", "--dampings", "0.5",
-                             "--teleports", "custom", "--outdir", "{o}"],
+    ("teleports", "custom", [*_RANK, "--dampings", "0.5", "--teleports", "custom",
+                             "--outdir", "{o}"],
      "teleports must be one of uniform, citation_weighted, publication_weighted, got 'custom'"),
     ("prestige", "top_fraction:2", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
                                     "--prestige", "top_fraction:2"],
@@ -1022,7 +1082,7 @@ def test_generator_years_have_one_default():
 _REQUIRED_FLAGS = {
     "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--outdir", "{o}"],
     "ingest": ["--corpus", "{m}", "--outdir", "{o}"],
-    "rank": ["--edges", "{m}", "--outdir", "{o}"],
+    "rank": ["--edges", "{m}", "--nodes", "{m}", "--outdir", "{o}"],
     "indicators": ["--corpus", "{m}", "--outdir", "{o}"],
     "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
@@ -1055,15 +1115,16 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
      "the score file label '\\udcff' is not valid UTF-8"),
     (["indicators", "--corpus", "{t}/c", "--outdir", "{t}/good", "--tag", "\udcff"],
      "argument --tag: '\\udcff' is not valid UTF-8"),
-    (["rank", "--edges", "{t}/edges_\udcff.tsv", "--outdir", "{t}/good"],
-     "the --edges file name gives the tag '\\udcff', which is not valid UTF-8"),
+    (["rank", "--edges", "{t}/e", "--nodes", "{t}/n", "--outdir", "{t}/good",
+      "--tag", "\udcff"],
+     "argument --tag: '\\udcff' is not valid UTF-8"),
     (["ingest", "--corpus", "{t}/c", "--outdir", "{t}/good", "--phases", "\udcff:1956-2008"],
      "invalid phases entry '\\udcff:1956-2008': the label is not valid UTF-8"),
     (["pipeline", "--set", "seed=1", "--set", "outdir={t}/good",
       "--set", "phases=1956-1990;x\udcff:1991-2008"],
      "invalid phases entry 'x\\udcff:1991-2008': the label is not valid UTF-8"),
 ], ids=["compare-labels", "compare-file-stem", "indicators-tag",
-        "rank-edges-tag", "ingest-phases",
+        "rank-tag", "ingest-phases",
         "pipeline-phases"])
 def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, capsys):
     """A non-UTF-8 byte of argv reaches Python as a lone surrogate, \\udcff
@@ -1075,6 +1136,30 @@ def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, c
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["good"]
     assert good.read_text() == "kept\n"
+
+
+_BOM_CORPUS = json.dumps({"id": "p1", "author": "A", "year": 2000, "source": "J",
+                          "refs": [{"author": "B", "year": 1999, "source": "K"}]}) + "\n"
+
+
+@pytest.mark.parametrize("read,text", [
+    (load_winners, "Auth, 000001.\nAUTH 000002\n"),
+    (load_config, "seed = 3\nsubset_size = 30\n"),
+    (lambda path: corpus_records(corpus_mod.parse_corpus(path)), _BOM_CORPUS),
+    (lambda path: ind_mod.load_impact_factors(path).factors, "J. Test\t1990\t2.5\n"),
+    (lambda path: vars(ind_mod.load_indicator(path, "s")), "author\tscore\nA\t1\nB\t2\n"),
+    (net_mod.load_nodes, "A\t1\t2\nB\t0\t1\n"),
+], ids=["winners", "config", "corpus", "if_table", "scores", "nodes"])
+def test_byte_order_mark_of_a_text_input_is_dropped(read, text, tmp_path):
+    """A file that starts with the UTF-8 byte-order mark, as some editors
+    write it, reads as the same file without it."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == codecs.BOM_UTF8 + plain.read_bytes()
+    assert repr(read(marked)) == repr(read(plain))
+    if read is load_winners:
+        assert read(marked) == ["AUTH 000001", "AUTH 000002"]
 
 
 @contextlib.contextmanager
@@ -1099,7 +1184,8 @@ def _fail_part_way(*args):
     (corpus_mod, "serialize_corpus", [*_GENERATE, "--outdir", "{t}/run"], True),
     (pipe_mod, "dump_impact_factors", [*_GENERATE, "--outdir", "{t}/run"], True),
     (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
-     ["rank", "--edges", "{edges}", "--teleports", "uniform", "--outdir", "{t}/run"], False),
+     ["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--teleports", "uniform",
+      "--outdir", "{t}/run"], False),
     # compare failing in each step of the comparison: correlate, pca, evaluate
     *[(pipe_mod, writer,
        ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
@@ -1111,8 +1197,9 @@ def test_failed_write_keeps_the_existing_output(module, writer, argv, earlier_ru
     _, _, _, outdir = small_run
     a, b = sorted(Path(outdir).glob("indicator_1991_2000_*.tsv"))[:2]
     edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
+    nodes = sorted(Path(outdir).glob("nodes_*.tsv"))[0]
     (tmp_path / "w.txt").write_text("AUTH 000001\n")
-    argv = [x.format(t=tmp_path, a=a, b=b, edges=edges) for x in argv]
+    argv = [x.format(t=tmp_path, a=a, b=b, edges=edges, nodes=nodes) for x in argv]
     if earlier_run:
         assert main(argv) == 0
     before = _tree_bytes(tmp_path)
@@ -1326,7 +1413,8 @@ def _run_stage_chain(root, allow_self_citation):
         assert manifest["graph"] == info["graph"]
         assert manifest["diagnostics"].items() <= info["diagnostics"].items()
         assert run("rank", "--edges", stage / f"edges_{tag}.tsv", "--nodes",
-                   stage / f"nodes_{tag}.tsv", "--outdir", chain / f"rank_{tag}") == (0, "")
+                   stage / f"nodes_{tag}.tsv", "--tag", label,
+                   "--outdir", chain / f"rank_{tag}") == (0, "")
         ranks = json.loads(_read(chain / f"rank_{tag}" / "manifest.json"))
         assert ranks["diagnostics"] == {
             name: info["diagnostics"][name]
@@ -1395,15 +1483,24 @@ class TestStageComposition:
     @pytest.mark.parametrize("tag,file_tag", [("a/b", "a_b"), ("1981-1990", "1981_1990"),
                                               (None, None)])
     def test_indicators_tag_is_a_phase_tag(self, tag, file_tag, small_run, tmp_path):
+        """``indicators --tag`` and ``rank --tag`` name their files as the
+        pipeline names a phase's."""
         _, _, _, outdir = small_run
         corpus = sorted(Path(outdir).glob("corpus_*.jsonl"))[0]
         stage_dir = tmp_path / "stage"
+        tagged = ["--tag", tag] if tag else []
         assert main(["indicators", "--corpus", str(corpus), "--outdir", str(stage_dir),
-                     *(["--tag", tag] if tag else [])]) == 0
+                     *tagged]) == 0
         t = f"_{file_tag}" if file_tag else ""
         assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
             [*(f"indicator{t}_{name}.tsv" for name in ("popularity", "prestige", "h_index")),
              f"edges{t}.tsv", f"nodes{t}.tsv", "manifest.json"])
+        assert main(["rank", "--edges", str(stage_dir / f"edges{t}.tsv"),
+                     "--nodes", str(stage_dir / f"nodes{t}.tsv"), "--dampings", "0.5",
+                     "--outdir", str(tmp_path / "rank"), *tagged]) == 0
+        assert sorted(p.name for p in (tmp_path / "rank").iterdir()) == sorted(
+            [*(f"indicator{t}_{variant_label(kind, 0.5)}.tsv" for kind in pr_mod.TELEPORTS),
+             "manifest.json"])
 
     def test_repeated_scores_flag_adds_files(self, small_run, tmp_path):
         _, _, _, outdir = small_run

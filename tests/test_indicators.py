@@ -220,6 +220,27 @@ class TestIfScores:
         with pytest.raises(ParseError, match="duplicate"):
             load_impact_factors(io.StringIO("J\t2005\t2.5\nJ\t2005\t3.0\n"))
 
+    def test_load_table_normalises_venues_as_the_corpus(self):
+        """A venue spelled as in the corpus hits that corpus's papers."""
+        c = corpus_of([paper("p1", "A", 1990, "J. Test", refs=[ref("B")])])
+        table = load_impact_factors(io.StringIO("j. test\t1990\t2.5\n"))
+        assert table.factors == {("J TEST", 1990): 2.5}
+        g = build_graph(c)
+        s, misses = if_scores(g, c, table)
+        assert s.values[g.authors.index("B")] == 2.5
+        assert misses == 0
+
+    def test_load_table_two_spellings_of_one_venue_are_a_duplicate(self):
+        with pytest.raises(ParseError, match=r"^line 2: duplicate impact-factor key "
+                                             r"\('J TEST', 1990\)$"):
+            load_impact_factors(io.StringIO("J. Test\t1990\t2.5\nJ TEST\t1990\t3.0\n"))
+
+    @pytest.mark.parametrize("venue", ["", " ", ".", ", ."])
+    def test_load_table_venue_empty_after_normalization_names_line(self, venue):
+        with pytest.raises(ParseError, match=r"^line 2: venue string .* is empty after "
+                                             r"normalization$"):
+            load_impact_factors(io.StringIO(f"J\t2005\t2.5\n{venue}\t2005\t1.0\n"))
+
     @pytest.mark.parametrize("impact", ["inf", "nan", "-inf"])
     def test_load_table_non_finite_factor_names_line(self, impact):
         with pytest.raises(ParseError, match=r"^line 2: non-finite impact factor"):

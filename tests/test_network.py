@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibliorank.corpus import filter_with_references, generate_synthetic
-from bibliorank.errors import GraphError
+from bibliorank.errors import GraphError, ParseError
 from bibliorank.network import (
     build_graph,
     dump_edges,
     dump_nodes,
     graph_stats,
-    load_edges,
+    load_graph,
     load_nodes,
 )
 from tests.conftest import corpus_of, graph_from_matrix, paper, ref
@@ -87,23 +87,27 @@ class TestGraphStats:
 class TestDumps:
     def test_edge_dump_roundtrip(self, two_paper_corpus):
         g = build_graph(two_paper_corpus)
-        buf = io.StringIO()
-        dump_edges(g, buf)
-        lines = buf.getvalue().splitlines()
+        edges, nodes = _dumps(g)
+        lines = edges.getvalue().splitlines()
         assert lines == sorted(lines)
-        buf.seek(0)
-        g2 = load_edges(buf)
+        g2 = load_graph(edges, nodes)
         assert g2.authors == g.authors
         assert (g2.adjacency != g.adjacency).nnz == 0
 
     def test_node_dump_roundtrip(self, two_paper_corpus):
         g = build_graph(two_paper_corpus)
-        buf = io.StringIO()
-        dump_nodes(g, buf)
-        buf.seek(0)
-        attrs = load_nodes(buf)
-        assert attrs["X"] == (0, 2)
-        assert attrs["Y"] == (3, 0)
+        _, nodes = _dumps(g)
+        authors, citations, publications = load_nodes(nodes)
+        assert authors == g.authors
+        assert citations.dtype == publications.dtype == np.int64
+        x, y = authors.index("X"), authors.index("Y")
+        assert (citations[x], publications[x]) == (0, 2)
+        assert (citations[y], publications[y]) == (3, 0)
+
+    def test_node_dump_in_any_row_order_gives_sorted_authors(self):
+        authors, citations, publications = load_nodes(io.StringIO("B\t1\t0\nA\t0\t2\n"))
+        assert authors == ["A", "B"]
+        assert citations.tolist() == [0, 1] and publications.tolist() == [2, 0]
 
     def test_dump_load_roundtrip_random_graphs(self):
         for seed in range(1, 51):
@@ -130,14 +134,18 @@ class TestDumps:
             assert got.getvalue() == want.getvalue()
 
 
-def _assert_dump_load_roundtrip(g):
+def _dumps(g):
+    """The edge and node dumps of ``g``, each a text stream at its start."""
     edges, nodes = io.StringIO(), io.StringIO()
     dump_edges(g, edges)
     dump_nodes(g, nodes)
     edges.seek(0)
     nodes.seek(0)
-    pubs = {a: p for a, (_, p) in load_nodes(nodes).items()}
-    g2 = load_edges(edges, publications=pubs)
+    return edges, nodes
+
+
+def _assert_dump_load_roundtrip(g):
+    g2 = load_graph(*_dumps(g))
     assert g2.authors == g.authors
     assert g2.adjacency.has_canonical_format
     for part in ("indptr", "indices", "data"):
@@ -164,3 +172,39 @@ def _graphs(draw):
 @given(_graphs())
 def test_load_edges_of_dump_edges_equals_graph(g):
     _assert_dump_load_roundtrip(g)
+
+
+class TestLoadGraph:
+    def test_isolated_authors_are_kept(self):
+        """An author with no edge left, such as one who only cites
+        themself once self-citations are dropped, stays a node."""
+        c = corpus_of([paper("p1", "A", refs=[ref("A")]), paper("p2", "B", refs=[ref("C")]),
+                       paper("p3", "C", refs=[ref("B")])])
+        g = build_graph(c, allow_self_citation=False)
+        assert g.authors == ["A", "B", "C"] and g.adjacency.nnz == 2
+        _assert_dump_load_roundtrip(g)
+
+    def test_edge_author_missing_from_the_node_dump_names_the_line(self):
+        with pytest.raises(ParseError, match=r"^line 2: author 'C' is not in the node dump$"):
+            load_graph(io.StringIO("A\tB\t1\nB\tC\t1\n"), io.StringIO("A\t0\t1\nB\t1\t1\n"))
+
+    def test_citations_that_differ_from_the_edges_name_the_first_author(self):
+        with pytest.raises(GraphError, match=r"^the node dump gives 'B' 2 citations, "
+                                             r"the edge list 1$"):
+            load_graph(io.StringIO("A\tB\t1\nB\tC\t3\n"),
+                       io.StringIO("A\t0\t1\nB\t2\t1\nC\t4\t0\n"))
+
+    def test_empty_node_dump_errors(self):
+        with pytest.raises(GraphError, match="empty graph"):
+            load_graph(io.StringIO(""), io.StringIO(""))
+
+    def test_errors_name_the_file_that_holds_them(self, tmp_path):
+        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
+        edges.write_text("A\tB\t1\n")
+        for node_dump, message in [
+                ("A\t0\t1\nB\t1\tx\n", f"line 2: invalid integer attribute in {nodes}"),
+                ("A\t0\t1\n", f"line 1: author 'B' is not in the node dump in {edges}")]:
+            nodes.write_text(node_dump)
+            with pytest.raises(ParseError) as exc:
+                load_graph(edges, nodes)
+            assert str(exc.value) == message

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from bibliorank.corpus import normalize_key, read_lines, reads_input
 from bibliorank.errors import ConfigError
-from bibliorank.indicators import ScoreVector, top_k
+from bibliorank.indicators import ScoreVector, shared_authors, top_k
 
 
 @reads_input
@@ -41,26 +41,22 @@ def check_ks(ks) -> None:
 def coverage(score_vectors: list[ScoreVector], winners: list[str], ks) -> CoverageResult:
     """Count winners inside each indicator's top-k list.
 
-    Winners absent from an indicator's author universe are excluded from
-    that count and reported once in ``missing_winners`` (universe taken
-    from the first indicator; all indicators share one universe in the
-    pipeline).
+    The vectors share one author list (``shared_authors``).  Winners absent
+    from it are excluded from the counts and reported in ``missing_winners``.
     """
     check_ks(ks)
     ks = list(ks)
-    if not score_vectors:
-        raise ConfigError("no score vectors given")
-    universe = set(score_vectors[0].authors)
-    missing = sorted(set(winners) - universe)
-    present = set(winners) & universe
+    authors = shared_authors(score_vectors)
+    winners = set(winners)
+    is_winner = [a in winners for a in authors]
     counts = {}
     for sv in score_vectors:
-        chosen = top_k(sv, ks[-1])
+        chosen = [is_winner[i] for i in top_k(sv, ks[-1])]
         for k in ks:
-            counts[(sv.name, k)] = len(present.intersection(chosen[:k]))
+            counts[(sv.name, k)] = sum(chosen[:k])
     return CoverageResult(
         indicators=[sv.name for sv in score_vectors],
         ks=ks,
         counts=counts,
-        missing_winners=missing,
+        missing_winners=sorted(winners.difference(authors)),
     )

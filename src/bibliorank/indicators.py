@@ -223,13 +223,22 @@ def average_ranks(values) -> np.ndarray:
     return ranks
 
 
-def top_k(s: ScoreVector, k: int) -> list[str]:
-    """First k authors by descending score, ties broken lexicographically;
-    all of them when k exceeds their count."""
+def top_k(s: ScoreVector, k: int) -> np.ndarray:
+    """Node ids of the first k authors by descending score, ties in author
+    order; all of them when k exceeds their count."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    order = np.argsort(-s.values, kind="stable")  # ties stay in author order
-    return [s.authors[i] for i in order[:k]]
+    return np.argsort(-s.values, kind="stable")[:k]
+
+
+def shared_authors(score_vectors: list[ScoreVector]) -> list[str]:
+    """The one author list that all ``score_vectors`` hold, so that a node id
+    names one author in each; vectors over two lists are a DataError."""
+    first = score_vectors[0]
+    for sv in score_vectors[1:]:
+        if sv.authors is not first.authors and sv.authors != first.authors:
+            raise DataError(f"score vectors {first.name!r} and {sv.name!r} list different authors")
+    return first.authors
 
 
 def dump_indicator(s: ScoreVector, stream) -> None:

@@ -148,6 +148,17 @@ def dump_nodes(g: AuthorCitationGraph, stream) -> None:
         g.authors, g.citations_received.tolist(), g.publications.tolist())))
 
 
+def _int64(text: str, invalid: str, lineno: int, **field) -> int:
+    """``text`` as an integer below 2**63, or a ParseError at ``lineno`` (``invalid`` if none)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(invalid, line=lineno, **field) from None
+    if value >= 2**63:
+        raise ParseError(f"integer {value} is 2**63 or more", line=lineno, **field)
+    return value
+
+
 @reads_input
 def load_nodes(source) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read a node dump (a path or text lines); returns the sorted authors
@@ -159,10 +170,7 @@ def load_nodes(source) -> tuple[list[str], np.ndarray, np.ndarray]:
             raise ParseError("expected author<TAB>citations<TAB>publications", line=lineno)
         if parts[0] in rows:
             raise ParseError(f"duplicate author {parts[0]!r}", line=lineno)
-        try:
-            counts = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("invalid integer attribute", line=lineno) from None
+        counts = [_int64(text, "invalid integer attribute", lineno) for text in parts[1:]]
         if min(counts) < 0:
             raise ParseError("negative citation or publication count", line=lineno)
         rows[parts[0]] = counts
@@ -182,10 +190,7 @@ def load_edges(source, index: dict[str, int]) -> np.ndarray:
         if len(parts) != 3:
             raise ParseError("expected citer<TAB>cited<TAB>weight", line=lineno)
         citer, cited, w = parts
-        try:
-            weight = int(w)
-        except ValueError:
-            raise ParseError(f"invalid weight {w!r}", line=lineno, field="weight") from None
+        weight = _int64(w, f"invalid weight {w!r}", lineno, field="weight")
         if weight < 1:
             raise ParseError(f"edge weight {weight} < 1", line=lineno, field="weight")
         try:

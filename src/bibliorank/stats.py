@@ -4,7 +4,6 @@ varimax rotation over an authors x indicators rank matrix."""
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -12,7 +11,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from bibliorank.errors import ConfigError, StatsError
-from bibliorank.indicators import ScoreVector, average_ranks
+from bibliorank.indicators import ScoreVector, average_ranks, shared_authors
 
 
 def check_subset_size(size: int) -> None:
@@ -77,24 +76,14 @@ class IndicatorTable:
     ranks: np.ndarray  # shape (n authors, m indicators)
 
     @classmethod
-    def from_scores(cls, score_vectors: list[ScoreVector], subset: list[str]) -> "IndicatorTable":
-        if len(set(subset)) != len(subset):
-            raise StatsError("subset contains duplicate authors")
-        cols = []
-        for sv in score_vectors:
-            # sv.authors is sorted, so a binary search finds each subset author.
-            pos = [bisect_left(sv.authors, a) for a in subset]
-            missing = [a for a, i in zip(subset, pos)
-                       if i == len(sv.authors) or sv.authors[i] != a]
-            if missing:
-                raise StatsError(
-                    f"indicator {sv.name!r} missing authors: {missing[:5]!r}"
-                )
-            cols.append(average_ranks(-sv.values[pos]))
+    def from_scores(cls, score_vectors: list[ScoreVector], rows) -> "IndicatorTable":
+        """The table of ``score_vectors``, which share one author list, over
+        its distinct node ids ``rows``, such as ``top_k`` returns."""
+        authors = shared_authors(score_vectors)
         return cls(
-            authors=list(subset),
+            authors=[authors[i] for i in rows],
             indicators=[sv.name for sv in score_vectors],
-            ranks=np.column_stack(cols),
+            ranks=np.column_stack([average_ranks(-sv.values[rows]) for sv in score_vectors]),
         )
 
     @cached_property

@@ -6,10 +6,12 @@ PageRank oracle iterates a dense transition matrix (and the loop oracle
 allocates each step, as the solver once did), the Spearman oracle
 uses the no-ties closed form or full permutation enumeration, the tiny
 eigen checks go through numpy, the graph and classical-indicator
-oracles walk papers x references one record at a time, and the writer
-oracles format and write one output row at a time.
+oracles walk papers x references one record at a time, the writer
+oracles format and write one output row at a time, and the comparison
+oracles (top-k lists, rank table, coverage) look each author up by name.
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -164,6 +166,42 @@ def rank_average(values_desc):
             ranks[order[k]] = avg
         i = j + 1
     return ranks
+
+
+def top_k_names_loop(s, k):
+    """The first k author names of a score vector by descending score, ties
+    in author order: Python's sort is stable, and 0.0 and -0.0 tie."""
+    order = sorted(range(len(s.authors)), key=lambda i: -s.values[i])
+    return [s.authors[i] for i in order[:k]]
+
+
+def table_by_names_loop(score_vectors, subset):
+    """The (authors, ranks) of the rank table over the author names
+    ``subset``: each name is looked up in each vector's own sorted author
+    list, one at a time, and each column re-ranked within the subset."""
+    columns = []
+    for sv in score_vectors:
+        values = []
+        for author in subset:
+            i = bisect.bisect_left(sv.authors, author)
+            if i == len(sv.authors) or sv.authors[i] != author:
+                raise KeyError(author)
+            values.append(float(sv.values[i]))
+        columns.append(rank_average(values))
+    return list(subset), np.array(columns, dtype=np.float64).T
+
+
+def coverage_by_names_loop(score_vectors, winners, ks):
+    """The (counts, missing winners) of the top-k coverage: the winners in
+    each vector's ``top_k_names_loop`` list, over the first vector's
+    authors, and the winners sorted that it lacks."""
+    universe = set(score_vectors[0].authors)
+    counts = {}
+    for sv in score_vectors:
+        chosen = top_k_names_loop(sv, ks[-1])
+        for k in ks:
+            counts[(sv.name, k)] = sum(1 for a in chosen[:k] if a in universe and a in winners)
+    return counts, sorted(set(winners) - universe)
 
 
 def exact_spearman_pvalue(x, y):

@@ -202,7 +202,7 @@ def test_07_pca_correctness():
     authors = [f"A{i:03d}" for i in range(100)]
     svs = [ScoreVector(name, authors, col)
            for name, col in (("m1", -a), ("m2", -a), ("m3", -b), ("m4", -b))]
-    res = pca_varimax(IndicatorTable.from_scores(svs, authors))
+    res = pca_varimax(IndicatorTable.from_scores(svs, range(100)))
     frac = float(np.sum(res.explained_variance_fractions[: res.n_retained]))
     comm_dev = float(np.max(np.abs(
         res.communalities - (res.loadings ** 2).sum(axis=1))))

@@ -359,6 +359,10 @@ class TestExitCodes:
         ("nodes", "A\t1\t-2\nB\t1\t1\nC\t1\t1\n",
          "line 1: negative citation or publication count"),
         ("edges", "A\tB\tx\n", "line 1: invalid weight 'x' (field: weight)"),
+        ("nodes", "A\t99999999999999999999\t1\n",
+         "line 1: integer 99999999999999999999 is 2**63 or more"),
+        ("edges", "A\tB\t99999999999999999999\n",
+         "line 1: integer 99999999999999999999 is 2**63 or more (field: weight)"),
     ])
     def test_input_error_names_line_and_file(self, bad, text, message, small_run, tmp_path,
                                              capsys):
@@ -837,6 +841,31 @@ class TestCompareCommand:
         assert sorted(manifest["files"]) == [
             "correlation.tsv", "pca.tsv", "pca_components.tsv", "table.tsv"]
         assert sorted(manifest["stats"]) == ["pca_explained", "pca_retained"]
+
+    def test_score_files_of_different_authors_exit_2(self, tmp_path, capsys):
+        """Score files over different authors are refused before any file is
+        written, and an earlier run in the outdir stays as it was."""
+        s1, s2, winners = tmp_path / "s1.tsv", tmp_path / "s2.tsv", tmp_path / "w.txt"
+        s1.write_text("author\tscore\nA\t3\nB\t2\nC\t1\nE\t0\n")
+        s2.write_text("author\tscore\nD\t9\nA\t3\nB\t2\nC\t1\n")
+        winners.write_text("D\n")
+        out = tmp_path / "out"
+
+        def compare(first, second):
+            return main(["compare", "--scores", str(first), str(second), "--labels", "a,b",
+                         "--subset-size", "3", "--ks", "1", "--winners", str(winners),
+                         "--outdir", str(out)])
+
+        error = ("", "error: score vectors 'a' and 'b' list different authors\n")
+        assert compare(s1, s2) == 2
+        assert capsys.readouterr() == error
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s1.tsv", "s2.tsv", "w.txt"]
+        assert compare(s1, s1) == 0
+        capsys.readouterr()
+        earlier = _tree_bytes(tmp_path)
+        assert compare(s1, s2) == 2
+        assert capsys.readouterr() == error
+        assert _tree_bytes(tmp_path) == earlier
 
     def test_skipped_stats_write_the_table_and_exit_0(self, tmp_path):
         """Where the pipeline records `stats_skipped` for a phase whose rank

@@ -1,10 +1,14 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bibliorank.errors import ConfigError
+from bibliorank.errors import ConfigError, DataError
 from bibliorank.evaluation import coverage, load_winners
-from bibliorank.indicators import ScoreVector
+from bibliorank.indicators import ScoreVector, top_k
+from bibliorank.stats import IndicatorTable
+from tests.oracles import coverage_by_names_loop, table_by_names_loop, top_k_names_loop
 
 
 def _ranking(n):
@@ -66,3 +70,49 @@ class TestCoverage:
     def test_unsorted_ks_rejected(self):
         with pytest.raises(ConfigError):
             coverage([_ranking(5)], ["A001"], ks=[10, 5])
+
+    def test_vectors_over_different_authors_rejected(self):
+        a = ScoreVector("a", ["A", "B", "C"], [3.0, 2.0, 1.0])
+        b = ScoreVector("b", ["A", "B", "C", "D"], [3.0, 2.0, 1.0, 9.0])
+        message = "^score vectors 'a' and 'b' list different authors$"
+        with pytest.raises(DataError, match=message) as info:
+            coverage([a, b], ["D"], ks=[1])
+        assert type(info.value) is DataError
+
+
+@st.composite
+def _phase_scores(draw):
+    """Score vectors over one author list, tie-heavy with signed zeros, some
+    holding the list itself and some an equal copy, with a subset of node
+    ids, a winner list with absent and repeated names, and top-k sizes up
+    to past the number of authors."""
+    authors = sorted(draw(st.lists(st.text("ABC", min_size=1, max_size=3),
+                                   min_size=1, max_size=12, unique=True)))
+    n = len(authors)
+    values = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]), min_size=n, max_size=n)
+    vectors = [ScoreVector(f"s{j}", authors if draw(st.booleans()) else list(authors),
+                           draw(values))
+               for j in range(draw(st.integers(1, 4)))]
+    rows = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    winners = draw(st.lists(st.sampled_from(authors + ["ZZ", "Q"]), max_size=n + 2))
+    ks = sorted(draw(st.sets(st.integers(1, n + 3), min_size=1)))
+    return vectors, rows, winners, ks
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_phase_scores())
+def test_node_id_comparison_matches_the_name_oracles(case):
+    """top_k, the rank table and coverage by node id agree with the loop
+    oracles that look each author up by name."""
+    vectors, rows, winners, ks = case
+    authors = vectors[0].authors
+    for sv in vectors:
+        for k in ks:
+            assert [authors[i] for i in top_k(sv, k)] == top_k_names_loop(sv, k)
+    table = IndicatorTable.from_scores(vectors, rows)
+    want_authors, want_ranks = table_by_names_loop(vectors, [authors[i] for i in rows])
+    assert table.authors == want_authors
+    assert table.ranks.shape == want_ranks.shape
+    assert table.ranks.tobytes() == want_ranks.tobytes()
+    res = coverage(vectors, winners, ks)
+    assert (res.counts, res.missing_winners) == coverage_by_names_loop(vectors, winners, ks)

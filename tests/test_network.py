@@ -194,6 +194,17 @@ class TestLoadGraph:
             load_graph(io.StringIO("A\tB\t1\nB\tC\t3\n"),
                        io.StringIO("A\t0\t1\nB\t2\t1\nC\t4\t0\n"))
 
+    def test_counts_and_weights_must_fit_int64(self):
+        top = 2**63 - 1
+        g = load_graph(io.StringIO(f"A\tB\t{top}\n"), io.StringIO(f"A\t0\t{top}\nB\t{top}\t0\n"))
+        assert g.adjacency[0, 1] == g.citations_received[1] == g.publications[0] == top
+        with pytest.raises(ParseError, match=r"^line 2: integer 9223372036854775808 is 2\*\*63 "
+                                             r"or more$"):
+            load_nodes(io.StringIO(f"A\t0\t1\nB\t{top + 1}\t1\n"))
+        with pytest.raises(ParseError, match=r"^line 1: integer 9223372036854775808 is 2\*\*63 "
+                                             r"or more \(field: weight\)$"):
+            load_graph(io.StringIO(f"A\tB\t{top + 1}\n"), io.StringIO("A\t0\t1\nB\t1\t1\n"))
+
     def test_empty_node_dump_errors(self):
         with pytest.raises(GraphError, match="empty graph"):
             load_graph(io.StringIO(""), io.StringIO(""))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bibliorank.errors import ConfigError, StatsError
+from bibliorank.errors import ConfigError, DataError, StatsError
 from bibliorank.indicators import ScoreVector, average_ranks
 from bibliorank.stats import (
     IndicatorTable,
@@ -120,8 +120,7 @@ class TestCorrelationMatrix:
     def _table(self, cols):
         svs = [ScoreVector(name, sorted(vals), [vals[a] for a in sorted(vals)])
                for name, vals in cols.items()]
-        subset = svs[0].authors
-        return IndicatorTable.from_scores(svs, subset)
+        return IndicatorTable.from_scores(svs, range(len(svs[0].authors)))
 
     def test_identical_columns(self):
         vals = {f"a{i}": float(i) for i in range(10)}
@@ -202,7 +201,7 @@ def _table_from_matrix(data, labels=None):
     labels = labels or [f"v{j}" for j in range(m)]
     authors = [f"a{i:03d}" for i in range(n)]
     svs = [ScoreVector(labels[j], authors, data[:, j]) for j in range(m)]
-    return IndicatorTable.from_scores(svs, authors)
+    return IndicatorTable.from_scores(svs, range(n))
 
 
 class TestPcaVarimax:
@@ -359,7 +358,10 @@ class TestIndicatorTable:
         for j in range(3):
             assert table.ranks[:, j].sum() == pytest.approx(n * (n + 1) / 2)
 
-    def test_missing_author_rejected(self):
-        sv = ScoreVector("x", ["a"], [1.0])
-        with pytest.raises(StatsError, match="missing"):
-            IndicatorTable.from_scores([sv], ["a", "b"])
+    def test_vectors_over_different_authors_rejected(self):
+        a = ScoreVector("a", ["A", "B", "C"], [3.0, 2.0, 1.0])
+        b = ScoreVector("b", ["A", "B", "D"], [3.0, 2.0, 1.0])
+        message = "^score vectors 'a' and 'b' list different authors$"
+        with pytest.raises(DataError, match=message) as info:
+            IndicatorTable.from_scores([a, b], [0, 1, 2])
+        assert type(info.value) is DataError  # not a StatsError, which skips the stats

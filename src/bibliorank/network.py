@@ -53,7 +53,7 @@ class AuthorCitationGraph:
     @cached_property
     def transition(self) -> tuple[sparse.csr_matrix, np.ndarray]:
         """The row-normalized transition matrix, transposed so that a
-        PageRank step is one CSR matvec, and the mask of dangling nodes.
+        PageRank step is one CSR matvec, and the ids of the dangling nodes.
 
         Built on first use and shared by every solve on the graph, so the
         adjacency must not change after that.
@@ -62,7 +62,7 @@ class AuthorCitationGraph:
         dangling = out == 0.0
         inv_out = np.zeros(self.n_nodes)
         inv_out[~dangling] = 1.0 / out[~dangling]
-        return self.adjacency.multiply(inv_out[:, None]).T.tocsr(), dangling
+        return self.adjacency.multiply(inv_out[:, None]).T.tocsr(), np.flatnonzero(dangling)
 
 
 def _graph(authors, citer, cited, weights, publications, references=None):
@@ -183,8 +183,9 @@ def load_nodes(source) -> tuple[list[str], np.ndarray, np.ndarray]:
 def load_edges(source, index: dict[str, int]) -> np.ndarray:
     """Read an edge-list dump (a path or text lines) as an int64 array of
     rows (citer, cited, weight), each author mapped to its node id by
-    ``index``.  An author that ``index`` lacks is a ParseError."""
-    rows = []
+    ``index``.  An author that ``index`` lacks is a ParseError, and so are
+    weights that sum to 2**63 or more, so that every sum of them fits int64."""
+    rows, total = [], 0
     for lineno, line in read_lines(source):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -193,6 +194,10 @@ def load_edges(source, index: dict[str, int]) -> np.ndarray:
         weight = _int64(w, f"invalid weight {w!r}", lineno, field="weight")
         if weight < 1:
             raise ParseError(f"edge weight {weight} < 1", line=lineno, field="weight")
+        total += weight
+        if total >= 2**63:
+            raise ParseError(f"edge weights sum to {total}, 2**63 or more", line=lineno,
+                             field="weight")
         try:
             rows.append((index[citer], index[cited], weight))
         except KeyError as exc:

@@ -116,31 +116,20 @@ def weighted_pagerank(
     if not abs(teleport.sum() - 1.0) <= 1e-12:  # a NaN sum fails too
         raise ConfigError(f"teleport vector sums to {teleport.sum()!r}, not 1")
     d = cfg.damping
-    trans, dangling = g.transition
-    dangling_ids = np.flatnonzero(dangling)
+    trans, dangling_ids = g.transition
     if cfg.dangling_policy == "teleport":
         redistribution = teleport
     else:
         redistribution = np.full(n, 1.0 / n)
     base = (1.0 - d) * teleport
 
-    # pi_next = (1 - d) * t + d * (trans @ pi + dangling_mass * redistribution),
-    # in that order of operations, written into two buffers that swap.
     pi = np.full(n, 1.0 / n)
-    nxt = np.empty(n)
-    scratch = np.empty(n)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        dangling_mass = pi.take(dangling_ids).sum()
-        step = trans @ pi
-        np.multiply(dangling_mass, redistribution, out=scratch)
-        np.add(step, scratch, out=step)
-        np.multiply(d, step, out=step)
-        np.add(base, step, out=nxt)
-        np.subtract(nxt, pi, out=scratch)
-        residual = float(np.abs(scratch, out=scratch).sum())
-        pi, nxt = nxt, pi
+        nxt = base + d * (trans @ pi + pi[dangling_ids].sum() * redistribution)
+        residual = float(np.abs(nxt - pi).sum())
+        pi = nxt
         if residual < cfg.tolerance:
             break
     return PageRankResult(

@@ -316,7 +316,8 @@ def check_phases(phases) -> None:
 def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
     """Split ``full`` into ``phases``, drop papers without references and
     write ``corpus_<tag>.jsonl`` for each phase with papers left; returns
-    those (phase, corpus) pairs and the manifest counts."""
+    those (phase, corpus) pairs and the manifest counts, which give such a
+    phase's `references`: those of the papers it wrote."""
     phase_corpora, dropped = corpus_mod.split_phases(full, phases)
     counts = {"input_papers": len(full), "dropped_outside_phases": dropped, "phases": {}}
     kept = []
@@ -326,6 +327,7 @@ def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
                                                 "papers_without_references": removed,
                                                 "papers_used": len(filtered)}
         if len(filtered):
+            info["references"] = int(filtered.offsets[-1])
             with create(tagged("corpus", phase.label, ".jsonl")) as fh:
                 corpus_mod.serialize_corpus(filtered, fh)
             kept.append((phase, filtered))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bibliorank
@@ -363,6 +363,8 @@ class TestExitCodes:
          "line 1: integer 99999999999999999999 is 2**63 or more"),
         ("edges", "A\tB\t99999999999999999999\n",
          "line 1: integer 99999999999999999999 is 2**63 or more (field: weight)"),
+        ("edges", "A\tB\t4611686018427387904\nA\tC\t4611686018427387904\n",
+         "line 2: edge weights sum to 9223372036854775808, 2**63 or more (field: weight)"),
     ])
     def test_input_error_names_line_and_file(self, bad, text, message, small_run, tmp_path,
                                              capsys):
@@ -375,6 +377,10 @@ class TestExitCodes:
                   "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0]}
         inputs["winners"].write_text("AUTH 000001\n")
         inputs["config"].write_text("subset_size = 30\n")
+        if bad == "edges":  # the node dump of A->B and A->C, each of weight 2**62
+            inputs["nodes"] = tmp_path / "nodes"
+            inputs["nodes"].write_text("A\t0\t1\nB\t4611686018427387904\t1\n"
+                                       "C\t4611686018427387904\t1\n")
         inputs[bad] = tmp_path / "bad"
         inputs[bad].write_text(text)
         i = {key: str(path) for key, path in inputs.items()}
@@ -788,6 +794,50 @@ class TestRankCommand:
         assert len(written) == 9
         assert {name: buf.getvalue() for name, buf in written.items()} == {
             p.name: _read(p) for p in (tmp_path / "rank").iterdir() if p.name != "manifest.json"}
+
+
+@st.composite
+def _extreme_graph_dumps(draw) -> tuple[str, str]:
+    """An edge dump and the node dump that agrees with it, over one to three
+    authors, with weights and publication counts up to 2**63 - 1."""
+    n = draw(st.integers(1, 3))
+    weights = st.sampled_from([1, 2**62, 2**63 - 1]) | st.integers(1, 2**63 - 1)
+    edges = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 weights, min_size=1, max_size=6))
+    publications = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+    citations = [sum(w for (_, cited), w in edges.items() if cited == i) for i in range(n)]
+    return ("".join(f"A{citer}\tA{cited}\t{w}\n" for (citer, cited), w in edges.items()),
+            "".join(f"A{i}\t{c}\t{p}\n" for i, (c, p) in enumerate(zip(citations, publications))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dumps=_extreme_graph_dumps(), damping=st.sampled_from(["0.5", "0.85", "0.99"]))
+@example(dumps=(f"A0\tA1\t{2**62}\nA0\tA2\t{2**62}\n",
+                f"A0\t0\t1\nA1\t{2**62}\t1\nA2\t{2**62}\t1\n"), damping="0.85")
+def test_extreme_graph_dumps_give_sound_scores_or_one_error_line(dumps, damping):
+    """``rank`` on dumps that agree either exits 2 with one `error:` line and
+    no outdir, or writes score files that are finite, non-negative and sum
+    to 1: a sum of weights past int64 must not come back as a wrapped one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges, nodes, outdir = Path(tmp) / "edges.tsv", Path(tmp) / "nodes.tsv", Path(tmp) / "out"
+        edges.write_text(dumps[0])
+        nodes.write_text(dumps[1])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(["rank", "--edges", str(edges), "--nodes", str(nodes),
+                       "--dampings", damping, "--outdir", str(outdir)])
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not outdir.exists()
+            return
+        assert rc == 0 and err.getvalue() == ""
+        files = sorted(outdir.glob("indicator_pagerank*.tsv"))
+        assert len(files) == 3
+        for path in files:
+            scores = np.array([float(line.split("\t")[1])
+                               for line in _read(path).splitlines()[1:]])
+            assert np.all(np.isfinite(scores)) and np.all(scores >= 0), path.name
+            assert abs(scores.sum() - 1.0) <= 1e-9, path.name
 
 
 class TestCompareCommand:
@@ -1365,6 +1415,25 @@ class TestPipeline:
                 records = parse_corpus_loop(fh)
             assert info["diagnostics"]["unmatched_references"] == \
                 unmatched_references_loop(records) > 0
+
+    @pytest.mark.parametrize("command", ["pipeline", "ingest"])
+    def test_manifest_counts_the_references_of_each_phase_corpus(self, command, small_run,
+                                                                 tmp_path):
+        """A used phase's `references` is the count its corpus copy holds;
+        a skipped phase, which writes no copy, has none."""
+        _, corpus, _, outdir = small_run
+        if command == "ingest":  # the first phase has no papers
+            outdir = tmp_path / "ingest"
+            assert main(["ingest", "--corpus", str(corpus), "--outdir", str(outdir),
+                         "--phases", "1900-1950;1956-1990;1991-2008"]) == 0
+        phases = json.loads(_read(Path(outdir) / "manifest.json"))["phases"]
+        assert all(("references" in info) != ("skipped" in info) for info in phases.values())
+        used = {label: info for label, info in phases.items() if "skipped" not in info}
+        assert len(used) >= 2
+        for label, info in used.items():
+            path = Path(outdir) / f"corpus_{pipe_mod.phase_tag(label)}.jsonl"
+            with open(path, encoding="utf-8") as fh:
+                assert info["references"] == sum(len(json.loads(line)["refs"]) for line in fh) > 0
 
     def test_manifest_versions(self, small_run):
         _, _, _, outdir = small_run

@@ -204,6 +204,15 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match=r"^line 1: integer 9223372036854775808 is 2\*\*63 "
                                              r"or more \(field: weight\)$"):
             load_graph(io.StringIO(f"A\tB\t{top + 1}\n"), io.StringIO("A\t0\t1\nB\t1\t1\n"))
+        # so must the sum of the weights, and with it every out-weight and in-weight sum
+        half = 2**62
+        g = load_graph(io.StringIO(f"A\tB\t{half}\nA\tC\t{half - 1}\n"),
+                       io.StringIO(f"A\t0\t1\nB\t{half}\t1\nC\t{half - 1}\t1\n"))
+        assert g.out_weights()[0] == graph_stats(g)["total_weight"] == top
+        with pytest.raises(ParseError, match=r"^line 2: edge weights sum to 9223372036854775808, "
+                                             r"2\*\*63 or more \(field: weight\)$"):
+            load_graph(io.StringIO(f"A\tB\t{half}\nA\tC\t{half}\n"),
+                       io.StringIO(f"A\t0\t1\nB\t{half}\t1\nC\t{half}\t1\n"))
 
     def test_empty_node_dump_errors(self):
         with pytest.raises(GraphError, match="empty graph"):

@@ -418,6 +418,9 @@ _VENUE_POOL_SIZE = 40
 #: The most references a paper draws, so also the most entries it adds to
 #: the preferential-attachment pool.
 _MAX_REFS = 120
+#: The weight of a uniform draw against the attachment pool, per author and
+#: unit of skew.
+_UNIFORM_SHARE = 0.05
 
 
 def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float,
@@ -431,6 +434,10 @@ def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float,
         raise ConfigError("n_papers and n_authors must be >= 1")
     if not (math.isfinite(skew) and skew > 0):
         raise ConfigError(f"skew must be finite and positive, got {skew}")
+    mass = _UNIFORM_SHARE * n_authors * skew
+    if not (math.isfinite(mass) and mass > 0):
+        raise ConfigError(f"skew must keep the uniform attachment mass {_UNIFORM_SHARE} * "
+                          f"n_authors * skew finite and positive, got {mass} at skew {skew}")
     if year_lo > year_hi:
         raise ConfigError("year_lo must be <= year_hi")
     if year_lo < YEAR_MIN or year_hi > YEAR_MAX:  # parse_corpus would refuse them
@@ -540,7 +547,7 @@ def generate_synthetic(
     refs = array("i")  # the reference key rows, flattened
     offsets = [0]
     n_years = year_hi - year_lo + 1
-    uniform_mass = 0.05 * n_authors * skew
+    uniform_mass = _UNIFORM_SHARE * n_authors * skew
 
     for pid in range(n_papers):
         author_idx = integers(n_authors)

@@ -7,8 +7,7 @@ The update is
 where t is the teleport distribution (uniform for the original
 formulation, node-weight proportional for the weighted one), L(j) is the
 sum of out-edge weights of j, D is the total score mass sitting on
-dangling nodes, and r is the dangling redistribution distribution
-(the teleport vector by default, uniform as an alternative policy).
+dangling nodes, and r = t: the dangling mass goes to the teleport.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ TELEPORTS = {
     CITATION_WEIGHTED: ("pagerank_cit", "citations_received"),
     PUBLICATION_WEIGHTED: ("pagerank_pub", "publications"),
 }
-DANGLING_POLICIES = ("teleport", "uniform")
 
 
 def check_teleport(kind: str) -> None:
@@ -66,7 +64,6 @@ class PageRankConfig:
     damping: float = 0.15
     tolerance: float = 1e-12
     max_iterations: int = 1000
-    dangling_policy: str = "teleport"
 
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
@@ -75,9 +72,6 @@ class PageRankConfig:
             raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.dangling_policy not in DANGLING_POLICIES:
-            raise ConfigError(f"dangling_policy must be one of {', '.join(DANGLING_POLICIES)}, "
-                              f"got {self.dangling_policy!r}")
 
 
 @dataclass
@@ -117,17 +111,13 @@ def weighted_pagerank(
         raise ConfigError(f"teleport vector sums to {teleport.sum()!r}, not 1")
     d = cfg.damping
     trans, dangling_ids = g.transition
-    if cfg.dangling_policy == "teleport":
-        redistribution = teleport
-    else:
-        redistribution = np.full(n, 1.0 / n)
     base = (1.0 - d) * teleport
 
     pi = np.full(n, 1.0 / n)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        nxt = base + d * (trans @ pi + pi[dangling_ids].sum() * redistribution)
+        nxt = base + d * (trans @ pi + pi[dangling_ids].sum() * teleport)
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
         if residual < cfg.tolerance:

@@ -71,7 +71,6 @@ class RunConfig:
     allow_self_citation: bool = True
     tolerance: float = pr_mod.PageRankConfig.tolerance
     max_iterations: int = pr_mod.PageRankConfig.max_iterations
-    dangling_policy: str = pr_mod.PageRankConfig.dangling_policy
     strict: bool = False
     # synthetic mode (used when corpus is not set)
     seed: int | None = None
@@ -104,8 +103,8 @@ class RunConfig:
         and the variant labels, which name score files and must differ."""
         for kind in self.teleports:
             pr_mod.check_teleport(kind)
-        configs = [pr_mod.PageRankConfig(d, self.tolerance, self.max_iterations,
-                                         self.dangling_policy) for d in self.dampings]
+        configs = [pr_mod.PageRankConfig(d, self.tolerance, self.max_iterations)
+                   for d in self.dampings]
         labels = [pr_mod.variant_label(kind, d) for kind in self.teleports for d in self.dampings]
         for label in labels:
             if labels.count(label) > 1:
@@ -303,14 +302,17 @@ def write_indicators(scores: list[ind_mod.ScoreVector], phase_label: str | None,
 
 
 def check_phases(phases) -> None:
-    """Refuse phases that overlap or whose labels give the same file tag."""
+    """Refuse phases that overlap or that would write a file of the same
+    name: their labels give the same file tag, or the `pca_components_<tag>`
+    of one is the `pca_<tag>` of the other."""
     corpus_mod.check_phase_overlap(phases)
-    by_tag: dict[str, corpus_mod.Phase] = {}
-    for phase in phases:
-        other = by_tag.setdefault(phase_tag(phase.label), phase)
+    writers: dict[str, corpus_mod.Phase] = {}
+    for phase, stem in itertools.product(phases, ("pca", "pca_components")):
+        name = tagged(stem, phase.label, ".tsv")
+        other = writers.setdefault(name, phase)
         if other is not phase:
-            raise ConfigError(f"phases {other.label!r} and {phase.label!r} would write "
-                              f"the same files, tagged {phase_tag(phase.label)!r}")
+            raise ConfigError(f"phases {other.label!r} and {phase.label!r} would both "
+                              f"write {name}")
 
 
 def write_phase_corpora(full, phases, create) -> tuple[list, dict]:

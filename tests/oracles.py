@@ -109,9 +109,9 @@ def parse_corpus_loop(lines):
     return records
 
 
-def dense_pagerank(weights, teleport, damping, dangling_policy="teleport",
-                   tol=1e-14, max_iter=5000):
-    """Dense power iteration on an explicit N x N weight matrix.
+def dense_pagerank(weights, teleport, damping, tol=1e-14, max_iter=5000):
+    """Dense power iteration on an explicit N x N weight matrix, which
+    gives the dangling mass to the teleport.
 
     ``weights[j, i]`` is the edge weight j -> i.  Returns the score vector.
     """
@@ -124,10 +124,9 @@ def dense_pagerank(weights, teleport, damping, dangling_policy="teleport",
         if out[j] > 0:
             p[j] = w[j] / out[j]
     dangling = out == 0
-    r = t if dangling_policy == "teleport" else np.full(n, 1.0 / n)
     pi = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = (1 - damping) * t + damping * (p.T @ pi + pi[dangling].sum() * r)
+        nxt = (1 - damping) * t + damping * (p.T @ pi + pi[dangling].sum() * t)
         if np.abs(nxt - pi).sum() < tol:
             return nxt
         pi = nxt
@@ -437,13 +436,12 @@ def power_iteration_loop(g, teleport, cfg):
     t = teleport
     d = cfg.damping
     trans, dangling = g.transition
-    redistribution = t if cfg.dangling_policy == "teleport" else np.full(n, 1.0 / n)
     pi = np.full(n, 1.0 / n)
     residual = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         dangling_mass = pi[dangling].sum()
-        nxt = (1.0 - d) * t + d * (trans @ pi + dangling_mass * redistribution)
+        nxt = (1.0 - d) * t + d * (trans @ pi + dangling_mass * t)
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
         if residual < cfg.tolerance:

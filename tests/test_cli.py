@@ -103,9 +103,15 @@ class TestGenerate:
         """Sizes and years out of range are refused before ``write_run``
         makes ``--outdir``, its missing parent or its stage."""
         monkeypatch.setattr(pipe_mod, "write_run", None)  # calling it is a TypeError
+        mass = ("skew must keep the uniform attachment mass 0.05 * n_authors * skew "
+                "finite and positive")
         for settings, message in [(["--papers", "0"], "n_papers and n_authors must be >= 1"),
                                   (["--year-lo", "2009", "--year-hi", "2000"],
-                                   "year_lo must be <= year_hi")]:
+                                   "year_lo must be <= year_hi"),
+                                  (["--authors", "2000", "--skew", "1e308"],
+                                   f"{mass}, got inf at skew 1e+308"),
+                                  (["--authors", "1", "--skew", "5e-324"],
+                                   f"{mass}, got 0.0 at skew 5e-324")]:
             assert main(["generate", "--seed", "1", "--papers", "5", "--authors", "5", *settings,
                          "--outdir", str(tmp_path / "q" / "run")]) == 1
             assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -303,13 +309,15 @@ class TestExitCodes:
         "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
         "subset_size=2", "pca_retention=fixed:0", "pca_retention=fixed:14",
         "coverage_ks=10,5", "coverage_ks=5,5", "tolerance=0",
-        "max_iterations=0", "dangling_policy=x",
+        "max_iterations=0", "skew=1e308", "n_authors=1 skew=5e-324",
     ])
     def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
-        assert main(["pipeline", "--set", "seed=1", "--set", f"outdir={tmp_path / 'out'}",
-                     "--set", entry]) == 1
+        """``entry`` is one or more space-separated settings; the error names
+        the key of the last."""
+        argv = ["pipeline", "--set", "seed=1", "--set", f"outdir={tmp_path / 'out'}"]
+        assert main(argv + [a for item in entry.split() for a in ("--set", item)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and entry.split("=")[0] in err
+        assert err.startswith("error: ") and entry.split()[-1].split("=")[0] in err
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
@@ -543,7 +551,7 @@ class TestExitCodes:
     def test_invalid_field_exit_1_before_corpus_is_opened(self, tmp_path):
         rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
                    "--set", f"outdir={tmp_path / 'out'}",
-                   "--set", "dangling_policy=bogus"])
+                   "--set", "tolerance=0"])
         assert rc == 1
 
     def test_strict_nonconvergence_exit_3(self, tmp_path):
@@ -659,13 +667,15 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    def test_colliding_phase_tags_exit_1_before_work(self, tmp_path, capsys):
+    @pytest.mark.parametrize("first,second", [("a-b", "a_b"), ("components 1990", "1990")],
+                             ids=["same-tag", "pca-components"])
+    def test_colliding_phase_tags_exit_1_before_work(self, first, second, tmp_path, capsys):
         rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
                    "--set", f"outdir={tmp_path / 'out'}",
-                   "--set", "phases=a-b:1956-1990;a_b:1991-2008"])
+                   "--set", f"phases={first}:1956-1990;{second}:1991-2008"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "'a-b'" in err and "'a_b'" in err
+        assert f"'{first}'" in err and f"'{second}'" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("settings,label", [
@@ -833,11 +843,96 @@ def test_extreme_graph_dumps_give_sound_scores_or_one_error_line(dumps, damping)
         assert rc == 0 and err.getvalue() == ""
         files = sorted(outdir.glob("indicator_pagerank*.tsv"))
         assert len(files) == 3
-        for path in files:
-            scores = np.array([float(line.split("\t")[1])
-                               for line in _read(path).splitlines()[1:]])
-            assert np.all(np.isfinite(scores)) and np.all(scores >= 0), path.name
-            assert abs(scores.sum() - 1.0) <= 1e-9, path.name
+        _assert_distributions(files)
+
+
+def _assert_distributions(score_files) -> None:
+    """Each score file is finite, non-negative and sums to 1."""
+    for path in score_files:
+        scores = np.array([float(line.split("\t")[1]) for line in _read(path).splitlines()[1:]])
+        assert np.all(np.isfinite(scores)) and np.all(scores >= 0), path.name
+        assert abs(scores.sum() - 1.0) <= 1e-9, path.name
+
+
+def _exit_0_or_one_error_line(argv, outdir) -> bool:
+    """Run ``main(argv)``: True if it exits 0 and writes nothing to stderr,
+    False if it exits 2 with one `error:` line and leaves no ``outdir``."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = main(argv)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not outdir.exists()
+        return False
+    assert rc == 0 and err.getvalue() == ""
+    return True
+
+
+def _assert_finite_correlations(outdir) -> None:
+    """Every cell of each correlation file in ``outdir`` is finite."""
+    for path in outdir.glob("correlation*.tsv"):
+        for row in _read(path).splitlines()[1:]:
+            cells = [float(cell.rstrip("*")) for cell in row.split("\t")[1:]]
+            assert np.all(np.isfinite(cells)), path.name
+
+
+_FLOAT_MAX = sys.float_info.max
+_FLOAT_LIMITS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _FLOAT_MAX, -_FLOAT_MAX])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(columns=st.lists(st.lists(_FLOAT_LIMITS | st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=5, max_size=5), min_size=2, max_size=3),
+       subset_size=st.integers(3, 5))
+def test_float_limit_scores_give_finite_correlations_or_one_error_line(columns, subset_size):
+    """``compare`` on score files at the float limits either exits 2 with one
+    `error:` line, or writes a Spearman matrix whose cells are finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, outdir = [Path(tmp) / f"s{j}.tsv" for j in range(len(columns))], Path(tmp) / "out"
+        for path, column in zip(paths, columns):
+            path.write_text("author\tscore\n" + "".join(f"A{i}\t{x!r}\n"
+                                                         for i, x in enumerate(column)))
+        (Path(tmp) / "w.txt").write_text("A0\nA3\n")
+        if _exit_0_or_one_error_line(["compare", "--scores", *map(str, paths),
+                                      "--subset-size", str(subset_size), "--ks", "1,3",
+                                      "--winners", str(Path(tmp) / "w.txt"),
+                                      "--outdir", str(outdir)], outdir):
+            _assert_finite_correlations(outdir)
+
+
+@functools.cache
+def _small_corpus() -> tuple[str, list]:
+    """The text of a 60-paper synthetic corpus and its (venue, year) pairs."""
+    c = generate_synthetic(seed=3, n_papers=60, n_authors=20)
+    text = io.StringIO()
+    corpus_mod.serialize_corpus(c, text)
+    return text.getvalue(), sorted(pipe_mod.generate_impact_factors(c, 3).factors)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(factors=st.lists(st.sampled_from([_FLOAT_MAX, _FLOAT_MAX / 2, _FLOAT_MAX / 64,
+                                         _FLOAT_MAX / 1024, 5e-324, 0.0]),
+                        min_size=1, max_size=4))
+@example(factors=[_FLOAT_MAX / 1024])
+@example(factors=[_FLOAT_MAX])
+def test_impact_factors_near_float_max_give_sound_outputs_or_one_error_line(factors):
+    """``pipeline`` with impact factors near the float maximum either exits 2
+    with one `error:` line, or writes finite correlations and PageRank files
+    that are distributions."""
+    text, pairs = _small_corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, if_table, outdir = Path(tmp) / "c.jsonl", Path(tmp) / "if.tsv", Path(tmp) / "out"
+        corpus.write_text(text)
+        if_table.write_text("".join(f"{venue}\t{year}\t{factors[k % len(factors)]!r}\n"
+                                    for k, (venue, year) in enumerate(pairs)))
+        if _exit_0_or_one_error_line(["pipeline", "--set", f"corpus={corpus}",
+                                      "--set", f"if_table={if_table}",
+                                      "--set", "phases=1956-2008", "--set", "subset_size=5",
+                                      "--set", f"outdir={outdir}"], outdir):
+            _assert_finite_correlations(outdir)
+            files = sorted(outdir.glob("indicator_*_pagerank*.tsv"))
+            assert len(files) == 9
+            _assert_distributions(files)
 
 
 class TestCompareCommand:
@@ -1112,7 +1207,6 @@ _KEY_FLAGS = [
     ("ingest", "--phases", "phases"),
     ("rank", "--dampings", "dampings"), ("rank", "--teleports", "teleports"),
     ("rank", "--tolerance", "tolerance"), ("rank", "--max-iterations", "max_iterations"),
-    ("rank", "--dangling-policy", "dangling_policy"),
     ("indicators", "--prestige", "prestige"),
     ("compare", "--subset-size", "subset_size"), ("compare", "--retention", "pca_retention"),
     ("compare", "--cutoff", "loading_cutoff"), ("compare", "--ks", "coverage_ks"),
@@ -1166,7 +1260,7 @@ _REQUIRED_FLAGS = {
     "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
 # A malformed value for each flag of _KEY_FLAGS, in the same order.
-_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e", "10.0", "x",
+_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e", "10.0",
                           "top_fraction:x", "3.5", "fixed:x", "abc", "5,x"]
 
 

@@ -7,7 +7,6 @@ from bibliorank.errors import ConfigError, DegenerateTeleportError
 from bibliorank.network import build_graph
 from bibliorank.pagerank import (
     CITATION_WEIGHTED,
-    DANGLING_POLICIES,
     PUBLICATION_WEIGHTED,
     TELEPORTS,
     UNIFORM,
@@ -87,26 +86,15 @@ class TestAgainstDenseOracle:
                 want = dense_pagerank(w, t, d)
                 assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_uniform_dangling_policy(self):
-        w, pubs = random_graph_corpus(seed=42)
-        g = graph_from_matrix(w, pubs)
-        t = make_teleport(g, CITATION_WEIGHTED)
-        cfg = PageRankConfig(damping=0.5, dangling_policy="uniform")
-        got = weighted_pagerank(g, t, cfg).scores
-        want = dense_pagerank(w, t, 0.5, dangling_policy="uniform")
-        assert np.max(np.abs(got - want)) < 1e-10
-
-    @pytest.mark.parametrize("policy", ["teleport", "uniform"])
-    def test_error_bound_covers_distance_to_fixed_point(self, policy):
+    def test_error_bound_covers_distance_to_fixed_point(self):
         for seed in range(1, 11):
             w, pubs = random_graph_corpus(seed)
             g = graph_from_matrix(w, pubs)
             t = make_teleport(g, PUBLICATION_WEIGHTED)
             for d in DAMPINGS:
                 # a loose tolerance stops the iteration well short of the fixed point
-                r = weighted_pagerank(g, t, PageRankConfig(damping=d, tolerance=1e-3,
-                                                           dangling_policy=policy))
-                want = dense_pagerank(w, t, d, dangling_policy=policy)
+                r = weighted_pagerank(g, t, PageRankConfig(damping=d, tolerance=1e-3))
+                want = dense_pagerank(w, t, d)
                 assert np.abs(r.scores - want).sum() <= r.error_bound + 1e-12
 
 
@@ -175,13 +163,12 @@ class TestProperties:
 @given(seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.15, 0.5, 0.85, 0.99]) | st.floats(0.0, 0.999),
        kind=st.sampled_from(list(TELEPORTS)),
-       policy=st.sampled_from(DANGLING_POLICIES),
        max_iterations=st.sampled_from([1, 7, 1000]))
-def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, policy, max_iterations):
+def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, max_iterations):
     w, pubs = random_graph_corpus(seed)
     g = graph_from_matrix(w, pubs)
     teleport = make_teleport(g, kind)
-    cfg = PageRankConfig(damping, max_iterations=max_iterations, dangling_policy=policy)
+    cfg = PageRankConfig(damping, max_iterations=max_iterations)
     got = weighted_pagerank(g, teleport, cfg)
     scores, iterations, residual = power_iteration_loop(g, teleport, cfg)
     assert got.scores.tobytes() == scores.tobytes()

@@ -47,6 +47,14 @@ def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVe
     return list(map(ind_mod.load_indicator, paths, names))
 
 
+def _write_stage(args, write) -> int:
+    """Write the run of the subcommand ``args.command`` into ``--outdir``
+    through ``write`` (see ``pipeline.write_run``) and report it."""
+    manifest = pipe_mod.write_run(args.outdir, args.command, write)
+    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
+    return 0
+
+
 def cmd_generate(args) -> int:
     synthetic = {"seed": args.seed, "n_papers": args.papers, "n_authors": args.authors,
                  "skew": args.skew, "year_lo": args.year_lo, "year_hi": args.year_hi}
@@ -60,9 +68,7 @@ def cmd_generate(args) -> int:
             pipe_mod.dump_impact_factors(pipe_mod.generate_impact_factors(c, args.seed), fh)
         return {"synthetic": synthetic}
 
-    manifest = pipe_mod.write_run(args.outdir, "generate", write)
-    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
-    return 0
+    return _write_stage(args, write)
 
 
 def cmd_ingest(args) -> int:
@@ -72,8 +78,8 @@ def cmd_ingest(args) -> int:
         full = corpus_mod.parse_corpus(args.corpus)
         return pipe_mod.write_phase_corpora(full, args.phases, create)[1]
 
-    manifest = pipe_mod.write_run(args.outdir, "ingest", write)
-    del manifest["files"]
+    manifest = pipe_mod.write_run(args.outdir, args.command, write)
+    del manifest["command"], manifest["files"]
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
 
@@ -89,9 +95,7 @@ def cmd_rank(args) -> int:
             graph, args.tag, args.teleports, configs, args.strict, create)
         return {"diagnostics": solves}
 
-    manifest = pipe_mod.write_run(args.outdir, "rank", write)
-    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
-    return 0
+    return _write_stage(args, write)
 
 
 def cmd_indicators(args) -> int:
@@ -105,9 +109,7 @@ def cmd_indicators(args) -> int:
             filtered, args.tag, not args.drop_self_citations, args.prestige, table, create)
         return entries
 
-    manifest = pipe_mod.write_run(args.outdir, "indicators", write)
-    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
-    return 0
+    return _write_stage(args, write)
 
 
 def cmd_compare(args) -> int:
@@ -123,9 +125,7 @@ def cmd_compare(args) -> int:
             vectors, args.tag, args.subset_size, args.retention, args.cutoff, winners, args.ks,
             create)}
 
-    manifest = pipe_mod.write_run(args.outdir, "compare", write)
-    print(f"wrote {len(manifest['files'])} files and a manifest to {args.outdir}")
-    return 0
+    return _write_stage(args, write)
 
 
 def cmd_pipeline(args) -> int:

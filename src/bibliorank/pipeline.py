@@ -14,6 +14,7 @@ import itertools
 import json
 import os
 import platform
+import re
 import shutil
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -203,11 +204,12 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
 
 @corpus_mod.reads_input
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
-    """Read a key = value config file, if given, then apply CLI overrides."""
+    """Read a key = value config file, if given, then apply CLI overrides.
+    A `#` first on a file line or after whitespace begins a comment."""
     entries = []  # (entry, error if it is not key=value)
     if path is not None:
         for lineno, line in corpus_mod.read_lines(path):
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if line:
                 entries.append((line, f"line {lineno}: expected key = value in {path}"))
     entries += [(item, f"override {item!r} is not key=value") for item in overrides or []]
@@ -402,6 +404,7 @@ def write_phase_ranks(graph, phase_label: str | None, teleports,
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
                 "error_bound": result.error_bound,
+                "unresolved_pairs": result.unresolved_pairs,
                 "converged": result.converged,
             }
             scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
@@ -450,22 +453,10 @@ def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None
     return entries
 
 
-_COUNT_KEYS = frozenset({"input_papers", "dropped_outside_phases", "phases"})
-# The top-level manifest keys, besides "files", of each command's run.
-# check_outdir tells runs apart by them, so no command replaces another's run.
-MANIFEST_KEYS = {
-    "pipeline": _COUNT_KEYS | {"config", "config_hash", "inputs", "versions"},
-    "ingest": _COUNT_KEYS,
-    "indicators": frozenset({"graph", "diagnostics"}),
-    "rank": frozenset({"diagnostics"}),
-    "compare": frozenset({"stats"}),
-    "generate": frozenset({"synthetic"}),
-}
-
-
 def check_outdir(outdir: Path, command: str) -> None:
     """Refuse an ``outdir`` that is not absent, empty or a complete run of
-    ``command``: ``manifest.json`` and the files its ``files`` map names."""
+    ``command``: a ``manifest.json`` whose ``command`` is ``command``, and
+    the files its ``files`` map names."""
     if not outdir.exists():
         return
     if not outdir.is_dir():
@@ -476,11 +467,10 @@ def check_outdir(outdir: Path, command: str) -> None:
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         known = set()  # no readable manifest: every entry is foreign
     else:
-        keys = manifest.keys() - {"files"}
-        if keys != MANIFEST_KEYS[command]:
-            other = next((c for c, k in MANIFEST_KEYS.items() if k == keys), "another command")
-            raise ConfigError(f"outdir {outdir} holds a run of {other}, not of {command}; "
-                              "choose another outdir")
+        owner = manifest.get("command")
+        if owner != command:
+            run = f"of {owner}, not of {command}" if owner else "written without a command key"
+            raise ConfigError(f"outdir {outdir} holds a run {run}; choose another outdir")
     for entry in sorted(outdir.iterdir()):
         if entry.name not in known or entry.is_dir():
             raise ConfigError(f"outdir {outdir} holds {entry.name!r}, which is not part of "
@@ -497,10 +487,10 @@ def write_run(outdir: str, command: str, write) -> dict:
     its manifest.
 
     ``write`` opens its inputs, writes each file with ``create(name)`` and
-    returns the manifest without ``files``.  The files go into a stage
-    beside ``outdir`` that is renamed to ``outdir`` only once complete, so a
-    failed run leaves ``outdir`` as it was; it also removes the missing
-    parent directories it made for the stage."""
+    returns the manifest without ``command`` and ``files``.  The files go
+    into a stage beside ``outdir`` that is renamed to ``outdir`` only once
+    complete, so a failed run leaves ``outdir`` as it was; it also removes
+    the missing parent directories it made for the stage."""
     outdir = Path(os.path.realpath(outdir))  # a symlinked outdir is followed
     check_outdir(outdir, command)
     stage = outdir.with_name(f".{outdir.name}.{os.getpid()}.tmp")
@@ -513,6 +503,7 @@ def write_run(outdir: str, command: str, write) -> dict:
     try:
         stage.mkdir(parents=True)
         manifest = write(create)
+        manifest["command"] = command
         manifest["files"] = {path.name: file_sha256(path) for path in sorted(stage.iterdir())}
         with create("manifest.json") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

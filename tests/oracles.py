@@ -133,6 +133,14 @@ def dense_pagerank(weights, teleport, damping, tol=1e-14, max_iter=5000):
     return pi
 
 
+def unresolved_pairs_loop(scores, error_bound):
+    """The neighbours in descending score order whose scores differ by at
+    most 2 * ``error_bound``, but differ."""
+    ordered = sorted(scores, reverse=True)
+    return sum(1 for hi, lo in zip(ordered, ordered[1:])
+               if hi != lo and hi - lo <= 2 * error_bound)
+
+
 def spearman_closed_form(x_ranks, y_ranks):
     """1 - 6*sum(d^2)/(n(n^2-1)); valid only without ties."""
     x = np.asarray(x_ranks, dtype=np.float64)

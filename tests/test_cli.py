@@ -466,13 +466,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,first,second,keys", [
         ("ingest", [], ["--phases", "1956-1990"],
-         {"input_papers", "dropped_outside_phases", "phases", "files"}),
-        ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics", "files"}),
+         {"input_papers", "dropped_outside_phases", "phases"}),
+        ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics"}),
         ("rank", ["--nodes", "{nodes}"], ["--nodes", "{nodes}", "--teleports", "uniform"],
-         {"diagnostics", "files"}),
-        ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"],
-         {"stats", "files"}),
-        ("generate", ["--seed", "1"], ["--seed", "2"], {"synthetic", "files"}),
+         {"diagnostics"}),
+        ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"], {"stats"}),
+        ("generate", ["--seed", "1"], ["--seed", "2"], {"synthetic"}),
     ])
     def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
                                                      small_run, tmp_path, monkeypatch):
@@ -502,7 +501,8 @@ class TestExitCodes:
 
         assert run(good, second) == 0
         manifest = json.loads(_read(outdir / "manifest.json"))
-        assert set(manifest) == keys
+        assert set(manifest) == {"command", "files", *keys}
+        assert manifest["command"] == command
         files = manifest["files"]
         after = _dir_bytes(outdir)
         # files of the first run that the rerun must remove or rewrite
@@ -545,6 +545,29 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv(command, corpus_path, outdir)) == 1
         assert f"holds a run of {owner}, not of {command}" in capsys.readouterr().err
+        assert _dir_bytes(outdir) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("command", ["pipeline", "rank"])
+    def test_run_without_command_key_exit_1_and_is_kept(self, command, small_run, tmp_path,
+                                                        capsys):
+        """A manifest written before runs named their command is refused by
+        every command, even the one that wrote it."""
+        _, corpus, _, pipeline_out = small_run
+        outdir = tmp_path / "out"
+        shutil.copytree(pipeline_out, outdir)
+        manifest = json.loads(_read(outdir / "manifest.json"))
+        assert manifest.pop("command") == "pipeline"
+        (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        before = _dir_bytes(outdir)
+        capsys.readouterr()
+        argv = {"pipeline": ["pipeline", "--set", f"corpus={corpus}", "--set", f"outdir={outdir}"],
+                "rank": ["rank", "--edges", str(sorted(outdir.glob("edges_*.tsv"))[0]),
+                         "--nodes", str(sorted(outdir.glob("nodes_*.tsv"))[0]),
+                         "--outdir", str(outdir)]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (f"error: outdir {outdir} holds a run written without "
+                                           "a command key; choose another outdir\n")
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
@@ -1057,6 +1080,21 @@ class TestRunConfig:
         assert cfg.prestige == "min_citations:2"
         assert cfg.pca_retention == "fixed:4"
         assert cfg.subset_size == 40
+
+    def test_hash_begins_a_comment_only_first_or_after_whitespace(self, small_run, tmp_path,
+                                                                   monkeypatch, capsys):
+        """`outdir = run#2` names `run#2`, as `--set outdir=run#2` does; it
+        once cut the value to `run` and the run went there."""
+        _, corpus, _, _ = small_run
+        monkeypatch.chdir(tmp_path)
+        Path("c.cfg").write_text(f"# a run\ncorpus = {corpus}\noutdir = run#2\t# its outdir\n"
+                                 "  # subset_size = 3\nsubset_size = 20 #20\n")
+        flag = load_config(None, ["seed=1", "outdir=run#2"])
+        assert load_config("c.cfg").outdir == flag.outdir == "run#2"
+        assert main(["pipeline", "--config", "c.cfg", "--set", "phases=1956-1990"]) == 0
+        assert capsys.readouterr().out.startswith("pipeline complete: 19 files in run#2 ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "run#2"]
+        assert json.loads(_read("run#2/manifest.json"))["config"]["subset_size"] == 20
 
     def test_indicator_count_is_the_table_columns(self, small_run):
         _, corpus, if_table, outdir = small_run
@@ -1658,7 +1696,8 @@ class TestStageComposition:
                      "--phases", phases]) == 0
         printed = json.loads(capsys.readouterr().out)
         manifest = json.loads(_read(tmp_path / "ingest" / "manifest.json"))
-        assert printed == {key: v for key, v in manifest.items() if key != "files"}
+        assert printed == {key: v for key, v in manifest.items()
+                           if key not in ("command", "files")}
 
         assert manifest["files"] == {
             name: digest for name, digest in pipeline["files"].items()

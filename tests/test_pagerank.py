@@ -11,12 +11,18 @@ from bibliorank.pagerank import (
     TELEPORTS,
     UNIFORM,
     PageRankConfig,
+    PageRankResult,
     make_teleport,
     pagerank,
     weighted_pagerank,
 )
 from tests.conftest import graph_from_matrix
-from tests.oracles import dense_pagerank, power_iteration_loop, random_graph_corpus
+from tests.oracles import (
+    dense_pagerank,
+    power_iteration_loop,
+    random_graph_corpus,
+    unresolved_pairs_loop,
+)
 
 DAMPINGS = (0.15, 0.5, 0.85)
 
@@ -173,3 +179,39 @@ def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, max_iterations):
     scores, iterations, residual = power_iteration_loop(g, teleport, cfg)
     assert got.scores.tobytes() == scores.tobytes()
     assert (got.iterations, got.final_residual) == (iterations, residual)
+
+
+class TestUnresolvedPairs:
+    def test_near_tie_is_unresolved_and_exact_ties_never(self):
+        """Node 0 cites node 1 1000 times and node 2 1001 times, so their
+        exact scores differ by about 1e-4; nodes 4-7, which cite node 3
+        alone, tie exactly."""
+        w = np.zeros((8, 8), dtype=np.int64)
+        w[0, 1], w[0, 2], w[3, 0] = 1000, 1001, 1
+        w[4:, 3] = 1
+        g = graph_from_matrix(w)
+        for tolerance, want in ((1e-4, 1), (1e-6, 0), (1e-300, 0)):
+            r = pagerank(g, PageRankConfig(0.85, tolerance, 4000))
+            assert len(set(r.scores[4:].tolist())) == 1
+            assert 0 < r.scores[2] - r.scores[1] < 2e-4
+            assert r.unresolved_pairs == want
+        # one step leaves the bound above every gap: each pair of distinct
+        # neighbours counts, and no tie does
+        r = pagerank(g, PageRankConfig(0.85, max_iterations=1))
+        assert r.unresolved_pairs == len(np.unique(r.scores)) - 1 == 4
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.1 + 1e-17, 0.1 + 3e-17, 0.2, 0.25, 1.0])
+                    | st.floats(0, 1), min_size=1, max_size=12),
+           st.sampled_from([0.0, 1e-17, 0.025, 0.05]) | st.floats(0, 1))
+    def test_equals_sorted_gap_oracle(self, scores, error_bound):
+        r = PageRankResult(np.array(scores), 1, 2 * error_bound, True, error_bound)
+        assert r.unresolved_pairs == unresolved_pairs_loop(scores, error_bound)
+
+    def test_equals_sorted_gap_oracle_on_solves(self):
+        for seed in range(1, 11):
+            g = graph_from_matrix(*random_graph_corpus(seed))
+            for kind in TELEPORTS:
+                r = weighted_pagerank(g, make_teleport(g, kind), PageRankConfig(0.85, 1e-3))
+                assert r.unresolved_pairs == unresolved_pairs_loop(r.scores.tolist(),
+                                                                    r.error_bound)

@@ -57,7 +57,7 @@ def _write_stage(args, write) -> int:
 
 def cmd_generate(args) -> int:
     synthetic = {"seed": args.seed, "n_papers": args.papers, "n_authors": args.authors,
-                 "skew": args.skew, "year_lo": args.year_lo, "year_hi": args.year_hi}
+                 "skew": args.skew}
     corpus_mod.check_synthetic(**synthetic)
 
     def write(create) -> dict:
@@ -102,18 +102,17 @@ def cmd_indicators(args) -> int:
     ind_mod.parse_prestige(args.prestige)
 
     def write(create) -> dict:
-        c = corpus_mod.parse_corpus(args.corpus)
-        filtered, _ = corpus_mod.filter_with_references(c)
+        used, counts = pipe_mod.papers_used(corpus_mod.parse_corpus(args.corpus))
         table = None if args.if_table is None else ind_mod.load_impact_factors(args.if_table)
         _, _, entries = pipe_mod.write_phase_graph(
-            filtered, args.tag, not args.drop_self_citations, args.prestige, table, create)
-        return entries
+            used, args.tag, not args.drop_self_citations, args.prestige, table, create)
+        return {**counts, **entries}
 
     return _write_stage(args, write)
 
 
 def cmd_compare(args) -> int:
-    stats_mod.check_subset_size(args.subset_size)
+    stats_mod.check_subset_size(args.subset_size, len(args.scores))
     stats_mod.parse_retention(args.retention, len(args.scores))
     stats_mod.check_cutoff(args.cutoff)
     check_ks(args.ks)
@@ -166,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The flags of every subcommand.  A flag that sets a config key is
     parsed, defaulted and checked as the key is, so ``pipeline`` and the
     stage subcommands refuse a setting with the same message."""
-    generate = corpus_mod.generate_synthetic
     parser = _ArgumentParser(
         prog="bibliorank",
         description="Author citation networks, weighted PageRank, and rank comparison.",
@@ -178,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--papers", "n_papers", required=True)
     _setting(p, "--authors", "n_authors", required=True)
     _setting(p, "--skew", "skew")
-    p.add_argument("--year-lo", type=partial(pipe_mod.parse_setting, int, name="--year-lo"),
-                   default=pipe_mod.default_of(generate, "year_lo"))
-    p.add_argument("--year-hi", type=partial(pipe_mod.parse_setting, int, name="--year-hi"),
-                   default=pipe_mod.default_of(generate, "year_hi"))
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -421,11 +421,12 @@ _MAX_REFS = 120
 #: The weight of a uniform draw against the attachment pool, per author and
 #: unit of skew.
 _UNIFORM_SHARE = 0.05
+#: The chance that a reference to an author with earlier corpus papers
+#: cites one of them.
+_INTERNAL_REF_PROB = 0.4
 
 
-def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float,
-                    year_lo: int = DEFAULT_PHASES[0].year_lo,
-                    year_hi: int = DEFAULT_PHASES[-1].year_hi) -> None:
+def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float) -> None:
     """Refuse synthetic-corpus parameters that ``generate_synthetic`` cannot
     draw from, with a ConfigError naming the parameter."""
     if seed < 0:
@@ -438,10 +439,6 @@ def check_synthetic(seed: int, n_papers: int, n_authors: int, skew: float,
     if not (math.isfinite(mass) and mass > 0):
         raise ConfigError(f"skew must keep the uniform attachment mass {_UNIFORM_SHARE} * "
                           f"n_authors * skew finite and positive, got {mass} at skew {skew}")
-    if year_lo > year_hi:
-        raise ConfigError("year_lo must be <= year_hi")
-    if year_lo < YEAR_MIN or year_hi > YEAR_MAX:  # parse_corpus would refuse them
-        raise ConfigError(f"years {year_lo}-{year_hi} outside [{YEAR_MIN}, {YEAR_MAX}]")
     n_strings = n_authors + _VENUE_POOL_SIZE + n_papers + 900
     if n_strings > 2**31:
         raise ConfigError(f"n_papers + n_authors too large: {n_strings} strings "
@@ -455,15 +452,7 @@ _RAW_BLOCK = 64
 _LOW32 = 0xFFFFFFFF
 
 
-def generate_synthetic(
-    seed: int,
-    n_papers: int,
-    n_authors: int,
-    skew: float = 1.0,
-    year_lo: int = DEFAULT_PHASES[0].year_lo,
-    year_hi: int = DEFAULT_PHASES[-1].year_hi,
-    internal_ref_prob: float = 0.4,
-) -> Corpus:
+def generate_synthetic(seed: int, n_papers: int, n_authors: int, skew: float = 1.0) -> Corpus:
     """Generate a deterministic synthetic corpus with heavy-tailed citations.
 
     First authors are drawn uniformly from ``n_authors`` synthetic names.
@@ -472,6 +461,7 @@ def generate_synthetic(
     already received plus ``skew``), so smaller skew means a heavier tail.
     A fraction of references point at earlier corpus papers (exact keys),
     which feeds the internal citation counts used by prestige and h-index.
+    Years are drawn from the paper's window, the span of ``DEFAULT_PHASES``.
 
     The corpus is a function of the seed: its values are numpy's scalar
     ``Generator`` stream for ``np.random.default_rng(seed)`` (calls to
@@ -484,7 +474,7 @@ def generate_synthetic(
     parameters are checked by ``check_synthetic`` first; a ConfigError
     names the one at fault.
     """
-    check_synthetic(seed, n_papers, n_authors, skew, year_lo, year_hi)
+    check_synthetic(seed, n_papers, n_authors, skew)
     rng = np.random.default_rng(seed)
     bitgen = rng.bit_generator
     words: list[int] = []  # a block of _RAW_BLOCK raw words, used from ``used`` on
@@ -546,7 +536,8 @@ def generate_synthetic(
     keys: list[tuple] = []
     refs = array("i")  # the reference key rows, flattened
     offsets = [0]
-    n_years = year_hi - year_lo + 1
+    year_lo = DEFAULT_PHASES[0].year_lo
+    n_years = DEFAULT_PHASES[-1].year_hi - year_lo + 1
     uniform_mass = _UNIFORM_SHARE * n_authors * skew
 
     for pid in range(n_papers):
@@ -561,7 +552,7 @@ def generate_synthetic(
                 target = pool[integers(len(pool))]
             pool.append(target)
             prior = papers_by_author[target]
-            if prior and random() < internal_ref_prob:
+            if prior and random() < _INTERNAL_REF_PROB:
                 refs.extend(prior[integers(len(prior))])
             else:
                 refs.extend((target, year_lo + integers(n_years),

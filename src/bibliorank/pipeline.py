@@ -87,7 +87,7 @@ class RunConfig:
         check_phases(self.phases)
         self.pagerank_configs()
         ind_mod.parse_prestige(self.prestige)
-        stats_mod.check_subset_size(self.subset_size)
+        stats_mod.check_subset_size(self.subset_size, self.indicator_count())
         stats_mod.parse_retention(self.pca_retention, self.indicator_count())
         stats_mod.check_cutoff(self.loading_cutoff)
         check_ks(self.coverage_ks)
@@ -317,21 +317,29 @@ def check_phases(phases) -> None:
                               f"write {name}")
 
 
+def papers_used(corpus) -> tuple[corpus_mod.Corpus, dict]:
+    """Drop the papers of ``corpus`` without references; returns the papers
+    used and the manifest counts `papers`, `papers_without_references`,
+    `papers_used` and, when some are used, their `references`."""
+    used, removed = corpus_mod.filter_with_references(corpus)
+    counts = {"papers": len(corpus), "papers_without_references": removed,
+              "papers_used": len(used)}
+    if len(used):
+        counts["references"] = int(used.offsets[-1])
+    return used, counts
+
+
 def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
-    """Split ``full`` into ``phases``, drop papers without references and
+    """Split ``full`` into ``phases``, keep each phase's ``papers_used`` and
     write ``corpus_<tag>.jsonl`` for each phase with papers left; returns
-    those (phase, corpus) pairs and the manifest counts, which give such a
-    phase's `references`: those of the papers it wrote."""
+    those (phase, corpus) pairs and the manifest counts."""
     phase_corpora, dropped = corpus_mod.split_phases(full, phases)
     counts = {"input_papers": len(full), "dropped_outside_phases": dropped, "phases": {}}
     kept = []
     for phase, phase_corpus in zip(phases, phase_corpora):
-        filtered, removed = corpus_mod.filter_with_references(phase_corpus)
-        info = counts["phases"][phase.label] = {"papers": len(phase_corpus),
-                                                "papers_without_references": removed,
-                                                "papers_used": len(filtered)}
+        filtered, info = papers_used(phase_corpus)
+        counts["phases"][phase.label] = info
         if len(filtered):
-            info["references"] = int(filtered.offsets[-1])
             with create(tagged("corpus", phase.label, ".jsonl")) as fh:
                 corpus_mod.serialize_corpus(filtered, fh)
             kept.append((phase, filtered))
@@ -426,7 +434,7 @@ def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None
     ``winners``, the top-k ``coverage`` of ``scores`` as `coverage_<tag>.csv`.
     Returns the phase's manifest entries: `pca_retained` and `pca_explained`,
     or `stats_skipped` when the subset is degenerate, and `winners_missing`."""
-    stats_mod.check_subset_size(subset_size)
+    stats_mod.check_subset_size(subset_size, len(scores))
     table = stats_mod.IndicatorTable.from_scores(scores, ind_mod.top_k(scores[0], subset_size))
     entries: dict = {}
     with create(tagged("table", phase_label, ".tsv")) as fh:

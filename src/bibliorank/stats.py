@@ -14,10 +14,14 @@ from bibliorank.errors import ConfigError, StatsError
 from bibliorank.indicators import ScoreVector, average_ranks, shared_authors
 
 
-def check_subset_size(size: int) -> None:
-    """Refuse a rank-table subset too small for a Spearman correlation."""
+def check_subset_size(size: int, n_indicators: int) -> None:
+    """Refuse a rank-table subset too small for a Spearman correlation, or
+    no larger than its ``n_indicators`` columns, which PCA needs it to exceed."""
     if size < 3:
         raise ConfigError(f"subset_size must be >= 3, got {size}")
+    if size <= n_indicators:
+        raise ConfigError(f"subset_size must be larger than the {n_indicators} indicators "
+                          f"for PCA, got {size}")
 
 
 def spearman(x, y) -> tuple[float, float]:

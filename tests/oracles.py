@@ -29,7 +29,7 @@ class OracleParseError(Exception):
         self.field = field
 
 
-def _normalized_loop(raw, line, field):
+def normalized_loop(raw, line, field):
     if not isinstance(raw, str):
         raise OracleParseError(line, field)
     key = " ".join(raw.upper().replace(".", "").replace(",", " ").split())
@@ -85,8 +85,8 @@ def parse_corpus_loop(lines):
         if not isinstance(pid, str) or not pid or pid in seen:
             raise OracleParseError(lineno, "id")
         seen.add(pid)
-        author = _normalized_loop(obj["author"], lineno, "author")
-        source = _normalized_loop(obj["source"], lineno, "source")
+        author = normalized_loop(obj["author"], lineno, "author")
+        source = normalized_loop(obj["source"], lineno, "source")
         year = _year_loop(obj["year"], lineno, "year")
         refs_raw = obj.get("refs", [])
         if not isinstance(refs_raw, list):
@@ -98,8 +98,8 @@ def parse_corpus_loop(lines):
             for req in ("author", "year", "source"):
                 if req not in r:
                     raise OracleParseError(lineno, f"refs.{req}")
-            ref_author = _normalized_loop(r["author"], lineno, "refs.author")
-            ref_source = _normalized_loop(r["source"], lineno, "refs.source")
+            ref_author = normalized_loop(r["author"], lineno, "refs.author")
+            ref_source = normalized_loop(r["source"], lineno, "refs.source")
             ref_year = _year_loop(r["year"], lineno, "refs.year")
             refs.append((ref_author, ref_year, ref_source,
                          _opt_str_loop(r, "volume", lineno, "refs."),
@@ -383,9 +383,9 @@ def random_graph_corpus(seed, n_nodes_max=50):
     return w.astype(np.int64), pubs.astype(np.int64)
 
 
-def generate_synthetic_loop(seed, n_papers, n_authors, skew=1.0, year_lo=1956,
-                            year_hi=2008, internal_ref_prob=0.4):
-    """The synthetic corpus drawn with one scalar ``Generator`` call per value.
+def generate_synthetic_loop(seed, n_papers, n_authors, skew=1.0):
+    """The synthetic corpus drawn with one scalar ``Generator`` call per value,
+    over the years 1956-2008, with 0.4 the chance of an internal reference.
 
     Returns the columns ``(strings, ids, keys, offsets, refs)`` as lists,
     ``keys`` and ``refs`` as 5-tuples, in the layout of ``Corpus``; compare
@@ -405,7 +405,7 @@ def generate_synthetic_loop(seed, n_papers, n_authors, skew=1.0, year_lo=1956,
     keys, refs, offsets = [], [], [0]
     for pid in range(n_papers):
         author_idx = int(rng.integers(n_authors))
-        year = year_lo + int(rng.integers(year_hi - year_lo + 1))
+        year = 1956 + int(rng.integers(53))
         venue = venue0 + int(rng.integers(venues))
         n_refs = min(2 + int(rng.pareto(1.8) * 6.0), 120)
         uniform_mass = 0.05 * n_authors * skew
@@ -416,10 +416,10 @@ def generate_synthetic_loop(seed, n_papers, n_authors, skew=1.0, year_lo=1956,
                 target = pool[int(rng.integers(len(pool)))]
             pool.append(target)
             prior = papers_by_author[target]
-            if prior and rng.random() < internal_ref_prob:
+            if prior and rng.random() < 0.4:
                 refs.append(prior[int(rng.integers(len(prior)))])
             else:
-                refs.append((target, year_lo + int(rng.integers(year_hi - year_lo + 1)),
+                refs.append((target, 1956 + int(rng.integers(53)),
                              venue0 + int(rng.integers(venues)), -1, -1))
         key = (author_idx, year, venue, number0 + pid % 50, number0 + pid % 900)
         keys.append(key)

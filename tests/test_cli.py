@@ -28,7 +28,7 @@ from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
 from bibliorank.cli import build_parser, main
-from bibliorank.corpus import check_synthetic, generate_synthetic
+from bibliorank.corpus import generate_synthetic
 from bibliorank.errors import ConfigError, NonConvergenceError
 from bibliorank.evaluation import load_winners
 from bibliorank.pagerank import variant_label
@@ -36,7 +36,6 @@ from bibliorank.pipeline import (
     _FIELD_PARSERS,
     RunConfig,
     apply_config_entry,
-    default_of,
     load_config,
     parse_phases,
     parse_setting,
@@ -96,18 +95,15 @@ class TestGenerate:
             f"wrote 2 files and a manifest to {tmp_path / name}\n" for name in ("a", "b"))
         manifest = json.loads(_read(tmp_path / "a" / "manifest.json"))
         assert sorted(manifest["files"]) == ["corpus.jsonl", "impact_factors.tsv"]
-        assert manifest["synthetic"] == {"seed": 7, "n_papers": 50, "n_authors": 20, "skew": 1.0,
-                                         "year_lo": 1956, "year_hi": 2008}
+        assert manifest["synthetic"] == {"seed": 7, "n_papers": 50, "n_authors": 20, "skew": 1.0}
 
     def test_invalid_sizes_exit_1(self, tmp_path, capsys, monkeypatch):
-        """Sizes and years out of range are refused before ``write_run``
+        """Sizes out of range are refused before ``write_run``
         makes ``--outdir``, its missing parent or its stage."""
         monkeypatch.setattr(pipe_mod, "write_run", None)  # calling it is a TypeError
         mass = ("skew must keep the uniform attachment mass 0.05 * n_authors * skew "
                 "finite and positive")
         for settings, message in [(["--papers", "0"], "n_papers and n_authors must be >= 1"),
-                                  (["--year-lo", "2009", "--year-hi", "2000"],
-                                   "year_lo must be <= year_hi"),
                                   (["--authors", "2000", "--skew", "1e308"],
                                    f"{mass}, got inf at skew 1e+308"),
                                   (["--authors", "1", "--skew", "5e-324"],
@@ -195,7 +191,7 @@ class TestExitCodes:
         env = {**os.environ, "PYTHONPATH": str(Path(bibliorank.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "bibliorank.cli", "pipeline", "--set", "seed=2",
-             "--set", "n_papers=120", "--set", "n_authors=40", "--set", "subset_size=10",
+             "--set", "n_papers=120", "--set", "n_authors=40", "--set", "subset_size=14",
              "--set", f"winners={winners}", "--set", f"outdir={outdir}"],
             capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -281,14 +277,17 @@ class TestExitCodes:
          "argument --tag: the tag is empty"),
         (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--outdir", "{tmp}/o", "--tag", " "],
          "argument --tag: the tag is empty"),
-        (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-lo", "x",
+        (["generate", "--seed", "1", "--papers", "10", "--authors", "10", "--year-lo", "1990",
           "--outdir", "{tmp}/o"],
-         "invalid value 'x' for --year-lo: invalid literal for int() with base 10: 'x'"),
-        (["generate", "--seed", "1", "--papers", "5", "--authors", "5", "--year-hi", "1.5",
+         "unrecognized arguments: --year-lo 1990"),
+        (["pipeline", "--set", "seed=1", "--set", "subset_size=13", "--set", "outdir={tmp}/o"],
+         "subset_size must be larger than the 13 indicators for PCA, got 13"),
+        (["compare", "--scores", "{tmp}/a", "{tmp}/b", "{tmp}/c", "--subset-size", "3",
           "--outdir", "{tmp}/o"],
-         "invalid value '1.5' for --year-hi: invalid literal for int() with base 10: '1.5'"),
+         "subset_size must be larger than the 3 indicators for PCA, got 3"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "ingest-empty-label",
-            "indicators-empty-tag", "rank-empty-tag", "generate-year-lo", "generate-year-hi"])
+            "indicators-empty-tag", "rank-empty-tag", "generate-year-lo",
+            "pipeline-subset", "compare-subset"])
     def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
                                                                capsys):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 1
@@ -467,7 +466,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,first,second,keys", [
         ("ingest", [], ["--phases", "1956-1990"],
          {"input_papers", "dropped_outside_phases", "phases"}),
-        ("indicators", ["--if-table", "{if_table}"], [], {"graph", "diagnostics"}),
+        ("indicators", ["--if-table", "{if_table}"], [],
+         {"papers", "papers_without_references", "papers_used", "references", "graph",
+          "diagnostics"}),
         ("rank", ["--nodes", "{nodes}"], ["--nodes", "{nodes}", "--teleports", "uniform"],
          {"diagnostics"}),
         ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"], {"stats"}),
@@ -906,7 +907,7 @@ _FLOAT_LIMITS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _FLOAT_MAX, -_FLOAT
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(columns=st.lists(st.lists(_FLOAT_LIMITS | st.floats(allow_nan=False, allow_infinity=False),
                                  min_size=5, max_size=5), min_size=2, max_size=3),
-       subset_size=st.integers(3, 5))
+       subset_size=st.integers(4, 5))
 def test_float_limit_scores_give_finite_correlations_or_one_error_line(columns, subset_size):
     """``compare`` on score files at the float limits either exits 2 with one
     `error:` line, or writes a Spearman matrix whose cells are finite."""
@@ -950,7 +951,7 @@ def test_impact_factors_near_float_max_give_sound_outputs_or_one_error_line(fact
                                     for k, (venue, year) in enumerate(pairs)))
         if _exit_0_or_one_error_line(["pipeline", "--set", f"corpus={corpus}",
                                       "--set", f"if_table={if_table}",
-                                      "--set", "phases=1956-2008", "--set", "subset_size=5",
+                                      "--set", "phases=1956-2008", "--set", "subset_size=14",
                                       "--set", f"outdir={outdir}"], outdir):
             _assert_finite_correlations(outdir)
             files = sorted(outdir.glob("indicator_*_pagerank*.tsv"))
@@ -1218,6 +1219,9 @@ _SHARED_SETTINGS = [
     ("subset_size", "2", ["compare", "--scores", "{m}", "{m}", "--subset-size", "2",
                           "--outdir", "{o}"],
      "subset_size must be >= 3, got 2"),
+    ("subset_size", "12", ["compare", "--scores", *["{m}"] * 12, "--subset-size", "12",
+                           "--outdir", "{o}"],
+     "subset_size must be larger than the 12 indicators for PCA, got 12"),
     *[("coverage_ks", ks, ["compare", "--scores", "{m}", "--winners", "{m}", "--ks", ks,
                            "--outdir", "{o}"],
        f"coverage_ks must be ascending integers >= 1, got {ks}")
@@ -1265,10 +1269,7 @@ def test_every_key_flag_is_declared_from_its_key():
             if isinstance(action.type, functools.partial):
                 assert action.type.func is parse_setting
                 assert action.type.keywords == {"name": action.option_strings[0]}
-                if action.dest in ("year_lo", "year_hi"):  # the generator's, of no config key
-                    assert (command, action.type.args) == ("generate", (int,))
-                else:
-                    declared.append((command, action.option_strings[0], action))
+                declared.append((command, action.option_strings[0], action))
     assert [(command, flag) for command, flag, _ in declared] == [
         (command, flag) for command, flag, _ in _KEY_FLAGS]
     for (command, flag, action), (_, _, key) in zip(declared, _KEY_FLAGS):
@@ -1278,14 +1279,6 @@ def test_every_key_flag_is_declared_from_its_key():
     required = {(c, a.option_strings[0]) for c, _, a in declared if a.required}
     assert required == {("generate", "--seed"), ("generate", "--papers"),
                         ("generate", "--authors")}
-
-
-def test_generator_years_have_one_default():
-    defaults = {a.dest: a.default for a in _subcommands()["generate"]._actions}
-    for name in ("year_lo", "year_hi"):
-        assert defaults[name] == default_of(generate_synthetic, name) == \
-            default_of(check_synthetic, name)
-    assert (defaults["year_lo"], defaults["year_hi"]) == (1956, 2008)
 
 
 # Each command's required flags, with an input {m} that does not exist and
@@ -1487,7 +1480,7 @@ def test_any_json_string_in_a_corpus_gives_a_run_or_one_error_line(records, asci
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             rc = main(["pipeline", "--set", f"corpus={corpus}", "--set", f"outdir={outdir}",
-                       "--set", "subset_size=3", "--set", "phases=1956-2008"])
+                       "--set", "subset_size=13", "--set", "phases=1956-2008"])
         assert (rc == 0) == corpus_mod.encodes(json.dumps(records, ensure_ascii=False))
         if rc == 0:
             assert err.getvalue() == ""
@@ -1640,7 +1633,8 @@ def _run_stage_chain(root, allow_self_citation):
                    "--if-table", chain / "generate" / "impact_factors.tsv",
                    *([] if allow_self_citation else ["--drop-self-citations"])) == (0, "")
         manifest = json.loads(_read(stage / "manifest.json"))
-        assert manifest["graph"] == info["graph"]
+        for key in ("papers_used", "references", "graph"):
+            assert manifest[key] == info[key], key
         assert manifest["diagnostics"].items() <= info["diagnostics"].items()
         assert run("rank", "--edges", stage / f"edges_{tag}.tsv", "--nodes",
                    stage / f"nodes_{tag}.tsv", "--tag", label,
@@ -1710,6 +1704,24 @@ class TestStageComposition:
         for label, info in printed["phases"].items():
             assert info == {key: pipeline["phases"][label][key] for key in info}
         assert printed["phases"]["1900-1950"]["skipped"]
+
+    def test_indicators_counts_the_papers_as_a_pipeline_phase(self, tmp_path):
+        """``indicators`` records the papers it reads, drops for having no
+        references and uses, and their references, as a phase entry does."""
+        corpus = tmp_path / "c.jsonl"
+        cites = {"A": ["B", "C"], "B": ["A"], "C": []}  # C's paper has no references
+        corpus.write_text("".join(json.dumps({
+            "id": f"p{author}", "author": author, "year": 2000, "source": "J",
+            "refs": [{"author": ref, "year": 1999, "source": "K"} for ref in refs]}) + "\n"
+            for author, refs in cites.items()))
+        pipeline = run_pipeline(RunConfig(corpus=str(corpus), outdir=str(tmp_path / "pipe"),
+                                          phases=parse_phases("1956-2008"), subset_size=20))
+        out = tmp_path / "indicators"
+        assert main(["indicators", "--corpus", str(corpus), "--outdir", str(out)]) == 0
+        manifest = json.loads(_read(out / "manifest.json"))
+        counts = {"papers": 3, "papers_without_references": 1, "papers_used": 2, "references": 3}
+        assert {key: manifest[key] for key in counts} == counts
+        assert {key: pipeline["phases"]["1956-2008"][key] for key in counts} == counts
 
     @pytest.mark.parametrize("tag,file_tag", [("a/b", "a_b"), ("1981-1990", "1981_1990"),
                                               (None, None)])

@@ -443,10 +443,6 @@ class TestGenerateSynthetic:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "8f77c1bfd97fa4bee1a13993c64c8f09f6afbcc56f7f2139106505870ad32473")
 
-    def test_years_within_range(self):
-        c = generate_synthetic(seed=3, n_papers=100, n_authors=50, year_lo=1990, year_hi=1995)
-        assert all(1990 <= p[2] <= 1995 for p in corpus_records(c))
-
     @pytest.mark.parametrize("kwargs,message", [
         (dict(seed=-1), "seed must be >= 0, got -1"),
         (dict(skew=float("nan")), "skew must be finite and positive, got nan"),
@@ -454,8 +450,7 @@ class TestGenerateSynthetic:
         (dict(n_authors=2**31), "n_papers + n_authors too large: 2147484598 strings "
                                 "overflow the int32 string table"),
         (dict(n_papers=35_791_395), "n_papers must be <= 35791394, got 35791395"),
-        (dict(year_lo=500, year_hi=600), "years 500-600 outside [1000, 3000]"),
-    ], ids=["negative-seed", "nan-skew", "inf-skew", "string-table", "pool", "years"])
+    ], ids=["negative-seed", "nan-skew", "inf-skew", "string-table", "pool"])
     def test_parameters_checked_before_any_work(self, kwargs, message):
         with pytest.raises(ConfigError) as exc:
             generate_synthetic(**{"seed": 1, "n_papers": 10, "n_authors": 10, **kwargs})
@@ -464,17 +459,10 @@ class TestGenerateSynthetic:
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n_papers=st.integers(1, 200),
-       n_authors=st.integers(1, 300), skew=st.floats(0.05, 50.0),
-       year_lo=st.integers(1956, 2008), span=st.integers(0, 60),
-       internal_ref_prob=st.sampled_from([0.0, 0.4, 1.0]))
-@example(seed=0, n_papers=200, n_authors=1, skew=1.0, year_lo=1990, span=0,
-         internal_ref_prob=0.4)
-@example(seed=5, n_papers=150, n_authors=40, skew=0.05, year_lo=1956, span=52,
-         internal_ref_prob=1.0)
-@example(seed=6, n_papers=150, n_authors=40, skew=50.0, year_lo=2000, span=0,
-         internal_ref_prob=0.0)
-def test_generator_equals_scalar_draw_oracle(seed, n_papers, n_authors, skew, year_lo, span,
-                                             internal_ref_prob):
-    kwargs = dict(seed=seed, n_papers=n_papers, n_authors=n_authors, skew=skew,
-                  year_lo=year_lo, year_hi=year_lo + span, internal_ref_prob=internal_ref_prob)
+       n_authors=st.integers(1, 300), skew=st.floats(0.05, 50.0))
+@example(seed=0, n_papers=200, n_authors=1, skew=1.0)
+@example(seed=5, n_papers=150, n_authors=40, skew=0.05)
+@example(seed=6, n_papers=150, n_authors=40, skew=50.0)
+def test_generator_equals_scalar_draw_oracle(seed, n_papers, n_authors, skew):
+    kwargs = dict(seed=seed, n_papers=n_papers, n_authors=n_authors, skew=skew)
     assert corpus_columns(generate_synthetic(**kwargs)) == generate_synthetic_loop(**kwargs)

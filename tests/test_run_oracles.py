@@ -4,8 +4,9 @@ Each case runs ``run_pipeline`` on a small corpus file, splits that file
 into phases itself with ``parse_corpus_loop``, and checks every phase of
 the run directory against ``tests/oracles.py``: the manifest counts, the
 classical indicator files exactly, each PageRank file within its
-manifest ``error_bound`` of ``dense_pagerank``, the rank table, and the
-Spearman matrix as printed.  The layer tests check each function alone;
+manifest ``error_bound`` of ``dense_pagerank``, the rank table, the
+Spearman matrix as printed, the winner coverage, and the PCA numbers that
+do not depend on the rotation.  The layer tests check each function alone;
 this checks how the pipeline composes them: which phase feeds which
 graph, the table's column order and author subset, and where the
 self-citation setting reaches.
@@ -29,6 +30,9 @@ from tests import oracles
 PHASES = "early:1956-1975;mid:1980-1995;late:1996-2008;none:2009-2020"
 DAMPINGS = (0.15, 0.5, 0.85)
 SLACK = 1e-13  # the error of the dense solve and of float sums
+# Raw spellings of authors of both corpora, and one name of neither
+WINNERS = ([f"Auth, {i:06d}." for i in range(0, 50, 3)] + [f"n.{i:03d}," for i in range(0, 40, 3)]
+           + ["Nobody, X."])
 
 
 def _synthetic_lines(seed):
@@ -87,10 +91,10 @@ def _scores(path, authors) -> np.ndarray:
     return np.array([by_author[a] for a in authors])
 
 
-def _check_phase(out, tag, info, records, cfg, factors) -> bool:
+def _check_phase(out, tag, info, records, cfg, factors, winners) -> bool:
     """Check one phase of the run in ``out`` against the oracles over its
-    ``records``, the papers with references; returns whether the phase
-    has a correlation matrix."""
+    ``records``, the papers with references, and the author keys
+    ``winners``; returns whether the phase has a correlation matrix."""
     authors, weights, publications = oracles.build_graph_loop(records, cfg.allow_self_citation)
     n = len(authors)
     w = np.zeros((n, n), dtype=np.int64)
@@ -144,22 +148,45 @@ def _check_phase(out, tag, info, records, cfg, factors) -> bool:
         [["author", *names], *([a, *map("{:.17g}".format, row)]
                                for a, row in zip(subset, ranks.tolist()))])
 
+    counts, missing = oracles.coverage_by_names_loop(vectors, winners, cfg.coverage_ks)
+    assert info["winners_missing"] == missing
+    rows = [["indicator", *(f"top@{k}" for k in cfg.coverage_ks)],
+            *([name, *(str(counts[(name, k)]) for k in cfg.coverage_ks)] for name in names)]
+    assert _read(out / f"coverage_{tag}.csv") == "".join(",".join(row) + "\n" for row in rows)
+
     correlation = out / f"correlation_{tag}.tsv"
     if any(len(set(column)) == 1 for column in ranks.T.tolist()):
         assert "stats_skipped" in info and not correlation.exists()
         return False
     m = len(subset)
+    spearman = np.array([[oracles.pearson(x, y) for y in ranks.T] for x in ranks.T])
     rows = []
-    for x in ranks.T:
+    for row in spearman.tolist():
         cells = []
-        for y in ranks.T:
-            r = oracles.pearson(x, y)
+        for r in row:
             t = abs(r) * math.sqrt((m - 2) / (1 - r * r)) if abs(r) < 1 else math.inf
             p = 2 * sp_stats.t.sf(t, m - 2)
             cells.append(f"{r:.3f}" + ("*" if p >= 0.05 else "**" if p >= 0.01 else ""))
         rows.append(cells)
     assert _read(correlation) == _tsv(
         [["indicator", *names], *([name, *cells] for name, cells in zip(names, rows))])
+
+    # PCA needs more authors than indicators; kaiser retention is the default
+    loadings, components = out / f"pca_{tag}.tsv", out / f"pca_components_{tag}.tsv"
+    if m <= len(names):
+        assert "stats_skipped" in info and not loadings.exists()
+        return True
+    eigenvalues, eigenvectors = np.linalg.eigh(spearman)
+    eigenvalues, eigenvectors = np.maximum(eigenvalues[::-1], 0.0), eigenvectors[:, ::-1]
+    k = max(1, int(np.count_nonzero(eigenvalues > 1.0)))
+    rows = [line.split("\t") for line in _read(components).splitlines()[1:]]
+    assert [row[3] for row in rows] == ["yes"] * k + ["no"] * (len(names) - k)
+    printed = np.array([[float(row[1]), float(row[2])] for row in rows])
+    assert np.abs(printed - np.column_stack([eigenvalues, eigenvalues / len(names)])).max() <= 1e-6
+    rows = [line.split("\t") for line in _read(loadings).splitlines()[1:]]
+    assert [row[0] for row in rows] == names
+    printed = np.array([float(row[1 + k]) for row in rows])  # the communality column
+    assert np.abs(printed - (eigenvectors[:, :k] ** 2 * eigenvalues[:k]).sum(axis=1)).max() <= 1e-6
     return True
 
 
@@ -175,7 +202,8 @@ def test_run_directory_equals_loop_oracles(lines, with_if_table, allow_self_cita
     # a loose tolerance puts each error_bound far above the dense solve's error
     cfg = RunConfig(corpus=str(corpus), outdir=str(tmp_path / "out"),
                     phases=parse_phases(PHASES), subset_size=20, tolerance=1e-8,
-                    allow_self_citation=allow_self_citation)
+                    allow_self_citation=allow_self_citation, winners=str(tmp_path / "w.txt"))
+    Path(cfg.winners).write_text("".join(name + "\n" for name in WINNERS), encoding="utf-8")
     if factors is not None:
         cfg.if_table = str(tmp_path / "if.tsv")
         Path(cfg.if_table).write_text("".join(f"{source}\t{year}\t{factor!r}\n"
@@ -183,6 +211,7 @@ def test_run_directory_equals_loop_oracles(lines, with_if_table, allow_self_cita
     run_pipeline(cfg)
     manifest = json.loads(_read(tmp_path / "out" / "manifest.json"))
 
+    winners = {oracles.normalized_loop(name, i, "author") for i, name in enumerate(WINNERS)}
     phases = cfg.phases
     in_phase = [[r for r in records if p.year_lo <= r[2] <= p.year_hi] for p in phases]
     assert manifest["input_papers"] == len(records)
@@ -199,6 +228,6 @@ def test_run_directory_equals_loop_oracles(lines, with_if_table, allow_self_cita
             continue
         assert info["references"] == sum(len(r[-1]) for r in used)
         correlated += _check_phase(tmp_path / "out", phase_tag(phase.label), info, used, cfg,
-                                   factors)
+                                   factors, winners)
     assert correlated >= 2
     assert manifest["phases"]["none"]["papers"] == 0

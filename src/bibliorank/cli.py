@@ -23,7 +23,7 @@ from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import BiblioRankError, ConfigError
-from bibliorank.evaluation import check_ks, load_winners
+from bibliorank.evaluation import load_winners
 
 
 def _score_vectors(paths: list[str], labels: str | None) -> list[ind_mod.ScoreVector]:
@@ -113,16 +113,12 @@ def cmd_indicators(args) -> int:
 
 def cmd_compare(args) -> int:
     stats_mod.check_subset_size(args.subset_size, len(args.scores))
-    stats_mod.parse_retention(args.retention, len(args.scores))
-    stats_mod.check_cutoff(args.cutoff)
-    check_ks(args.ks)
 
     def write(create) -> dict:
         vectors = _score_vectors(args.scores, args.labels)
         winners = None if args.winners is None else load_winners(args.winners)
-        return {"stats": pipe_mod.write_phase_stats(
-            vectors, args.tag, args.subset_size, args.retention, args.cutoff, winners, args.ks,
-            create)}
+        return {"stats": pipe_mod.write_phase_stats(vectors, args.tag, args.subset_size,
+                                                    winners, create)}
 
     return _write_stage(args, write)
 
@@ -213,10 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", help="comma-separated column labels")
     p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
     _setting(p, "--subset-size", "subset_size")
-    _setting(p, "--retention", "pca_retention", help="kaiser or fixed:K")
-    _setting(p, "--cutoff", "loading_cutoff")
     p.add_argument("--winners", help="award-winner list, one raw author name per line")
-    _setting(p, "--ks", "coverage_ks")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_compare)
 

@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import os
+import re
 import string
 from array import array
 from collections.abc import Iterator
@@ -257,6 +258,17 @@ def read_lines(source) -> Iterator[tuple[int, str]]:
         line = raw.rstrip("\n")
         if line.strip():
             yield lineno, line
+
+
+def read_uncommented(source) -> Iterator[tuple[int, str]]:
+    """``read_lines`` without comments: a `#` first on a line or after
+    whitespace begins a comment that runs to the end of the line, so
+    ``O#Brien`` keeps its `#`.  Yields ``(line number, text)`` for each
+    line that holds more than a comment, with trailing whitespace removed."""
+    for lineno, line in read_lines(source):
+        text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].rstrip()
+        if text:
+            yield lineno, text
 
 
 def reads_input(load):

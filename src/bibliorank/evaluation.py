@@ -4,21 +4,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from bibliorank.corpus import normalize_key, read_lines, reads_input
+from bibliorank.corpus import normalize_key, read_uncommented, reads_input
 from bibliorank.errors import ConfigError
 from bibliorank.indicators import ScoreVector, shared_authors, top_k
 
 
 @reads_input
 def load_winners(source) -> list[str]:
-    """Read one raw author name per line (a path or text lines); `#` starts
-    a comment.  Returns each name's key once, in first-seen order; a name
-    that normalises to nothing is a ParseError naming its line."""
-    keys = []
-    for lineno, line in read_lines(source):
-        name = line.split("#", 1)[0].strip()
-        if name:
-            keys.append(normalize_key(name, "author", lineno))
+    """Read one raw author name per line (a path or text lines); a `#`
+    first on a line or after whitespace begins a comment
+    (``corpus.read_uncommented``), so ``O#Brien`` keeps its `#`.  Returns
+    each name's key once, in first-seen order; a name that normalises to
+    nothing is a ParseError naming its line."""
+    keys = [normalize_key(name, "author", lineno) for lineno, name in read_uncommented(source)]
     return list(dict.fromkeys(keys))
 
 
@@ -34,11 +32,12 @@ def check_ks(ks) -> None:
     """Refuse top-k list sizes that are not strictly ascending integers >= 1."""
     ks = list(ks)
     if not ks or ks != sorted(set(ks)) or ks[0] < 1:
-        raise ConfigError("coverage_ks must be ascending integers >= 1, got "
+        raise ConfigError("top-k sizes must be ascending integers >= 1, got "
                           + ",".join(map(str, ks)))
 
 
-def coverage(score_vectors: list[ScoreVector], winners: list[str], ks) -> CoverageResult:
+def coverage(score_vectors: list[ScoreVector], winners: list[str],
+             ks=(5, 10, 20, 50)) -> CoverageResult:
     """Count winners inside each indicator's top-k list.
 
     The vectors share one author list (``shared_authors``).  Winners absent

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bibliorank.corpus import Corpus, normalize_key, read_lines, reads_input
+from bibliorank.corpus import Corpus, normalize_key, read_lines, read_uncommented, reads_input
 from bibliorank.errors import ConfigError, DataError, ParseError
 from bibliorank.network import AuthorCitationGraph
 
@@ -51,12 +51,11 @@ class ImpactFactorTable:
 @reads_input
 def load_impact_factors(source) -> ImpactFactorTable:
     """Read a `venue<TAB>year<TAB>impact_factor` table (a path or text
-    lines); `#` at the start of a line marks a comment.  Venues are
-    normalised as the corpus's are, and two lines of one key error."""
+    lines); a `#` first on a line or after whitespace begins a comment
+    (``corpus.read_uncommented``).  Venues are normalised as the corpus's
+    are, and two lines of one key error."""
     factors: dict[tuple[str, int], float] = {}
-    for lineno, line in read_lines(source):
-        if line.startswith("#"):
-            continue
+    for lineno, line in read_uncommented(source):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError("expected venue<TAB>year<TAB>impact_factor", line=lineno)

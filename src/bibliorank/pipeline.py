@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import platform
-import re
 import shutil
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -30,7 +29,7 @@ from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import ConfigError, NonConvergenceError
-from bibliorank.evaluation import CoverageResult, check_ks, coverage, load_winners
+from bibliorank.evaluation import CoverageResult, coverage, load_winners
 
 INPUT_FILES = ("corpus", "if_table", "winners")  # RunConfig keys naming input files
 
@@ -64,11 +63,8 @@ class RunConfig:
     teleports: tuple[str, ...] = tuple(pr_mod.TELEPORTS)
     prestige: str = "top_fraction:0.10"  # or min_citations:M
     subset_size: int = 100
-    pca_retention: str = default_of(stats_mod.pca_varimax, "retention")  # or fixed:K
-    loading_cutoff: float = default_of(stats_mod.pca_varimax, "loading_cutoff")
     if_table: str | None = None
     winners: str | None = None
-    coverage_ks: tuple[int, ...] = (5, 10, 20, 50)
     allow_self_citation: bool = True
     tolerance: float = pr_mod.PageRankConfig.tolerance
     max_iterations: int = pr_mod.PageRankConfig.max_iterations
@@ -88,9 +84,6 @@ class RunConfig:
         self.pagerank_configs()
         ind_mod.parse_prestige(self.prestige)
         stats_mod.check_subset_size(self.subset_size, self.indicator_count())
-        stats_mod.parse_retention(self.pca_retention, self.indicator_count())
-        stats_mod.check_cutoff(self.loading_cutoff)
-        check_ks(self.coverage_ks)
 
     def indicator_count(self) -> int:
         """The indicator columns of each phase's rank table: one per PageRank
@@ -205,13 +198,12 @@ def apply_config_entry(cfg: RunConfig, key: str, value: str) -> None:
 @corpus_mod.reads_input
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
     """Read a key = value config file, if given, then apply CLI overrides.
-    A `#` first on a file line or after whitespace begins a comment."""
+    A `#` first on a file line or after whitespace begins a comment
+    (``corpus.read_uncommented``)."""
     entries = []  # (entry, error if it is not key=value)
     if path is not None:
-        for lineno, line in corpus_mod.read_lines(path):
-            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
-            if line:
-                entries.append((line, f"line {lineno}: expected key = value in {path}"))
+        for lineno, line in corpus_mod.read_uncommented(path):
+            entries.append((line, f"line {lineno}: expected key = value in {path}"))
     entries += [(item, f"override {item!r} is not key=value") for item in overrides or []]
     cfg = RunConfig()
     for entry, error in entries:
@@ -257,7 +249,7 @@ def write_pca(res: stats_mod.PcaResult, stream_loadings, stream_components) -> N
         for j in range(k):
             val = res.rotated_loadings[i, j]
             row.append(f"{val:.6f}")
-            if abs(val) > res.loading_cutoff:
+            if abs(val) > stats_mod.SALIENT_LOADING:
                 salient.append(str(j + 1))
         row.append(f"{res.communalities[i]:.6f}")
         row.append(",".join(salient) if salient else "-")
@@ -424,8 +416,7 @@ def write_phase_ranks(graph, phase_label: str | None, teleports,
 
 
 def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None,
-                      subset_size: int, retention: str, cutoff: float,
-                      winners: list[str] | None, ks, create) -> dict:
+                      subset_size: int, winners: list[str] | None, create) -> dict:
     """The comparison step of one phase, which the pipeline and the ``compare``
     stage share: write the rank table of ``scores`` over the top
     ``subset_size`` authors by the first score vector as `table_<tag>.tsv`
@@ -443,7 +434,7 @@ def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None
         r, p = table.correlations
         with create(tagged("correlation", phase_label, ".tsv")) as fh:
             write_correlation(table.indicators, r, p, fh)
-        pca = stats_mod.pca_varimax(table, retention, cutoff)
+        pca = stats_mod.pca_varimax(table)
         with create(tagged("pca", phase_label, ".tsv")) as fl, \
                 create(tagged("pca_components", phase_label, ".tsv")) as fc:
             write_pca(pca, fl, fc)
@@ -454,7 +445,7 @@ def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None
         # and move on rather than abort the whole run.
         entries["stats_skipped"] = str(exc)
     if winners is not None:
-        cov = coverage(scores, winners, ks=ks)
+        cov = coverage(scores, winners)
         with create(tagged("coverage", phase_label, ".csv")) as fh:
             write_coverage(cov, fh)
         entries["winners_missing"] = cov.missing_winners
@@ -581,6 +572,5 @@ def _write_run(cfg: RunConfig, create) -> dict:
         info["diagnostics"].update(solves)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]
-        info.update(write_phase_stats(scores, phase.label, cfg.subset_size, cfg.pca_retention,
-                                      cfg.loading_cutoff, winners, cfg.coverage_ks, create))
+        info.update(write_phase_stats(scores, phase.label, cfg.subset_size, winners, create))
     return manifest

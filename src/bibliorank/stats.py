@@ -188,52 +188,30 @@ class PcaResult:
     loadings: np.ndarray  # unrotated, m x k, sign-fixed
     rotated_loadings: np.ndarray  # m x k, sign-fixed
     communalities: np.ndarray  # per variable over retained components
-    loading_cutoff: float  # |loading| above it is salient
     rotation: np.ndarray
     criterion_history: list[float]
 
 
-def parse_retention(spec: str, n_indicators: int) -> int | None:
-    """The pca_retention setting -> the number of components it fixes:
-    None for `kaiser` (eigenvalue > 1, at least one), K for `fixed:K`
-    with 1 <= K <= ``n_indicators``."""
-    mode, colon, value = spec.partition(":")
-    mode = mode.strip()
-    if mode == "kaiser" and not colon:
-        return None
-    if mode == "fixed" and value.strip().isdecimal() and 1 <= int(value) <= n_indicators:
-        return int(value)
-    raise ConfigError(f"pca_retention must be kaiser or fixed:K with 1 <= K <= {n_indicators}, "
-                      f"the number of indicators, got {spec!r}")
+SALIENT_LOADING = 0.4  # a rotated loading of larger magnitude is salient
 
 
-def check_cutoff(cutoff: float) -> None:
-    """Refuse a salient-loading cutoff outside [0, 1], nan included."""
-    if not 0.0 <= cutoff <= 1.0:
-        raise ConfigError(f"loading_cutoff must be in [0, 1], got {cutoff}")
-
-
-def pca_varimax(
-    table: IndicatorTable, retention: str = "kaiser", loading_cutoff: float = 0.4
-) -> PcaResult:
+def pca_varimax(table: IndicatorTable) -> PcaResult:
     """Correlation-matrix PCA of the rank table with varimax rotation.
 
     The Spearman matrix ``table.correlations`` is diagonalized with
-    ``numpy.linalg.eigh``; components are retained as ``parse_retention``
-    reads ``retention``; loadings are rotated by varimax with Kaiser
-    normalization and sign-fixed so the largest magnitude entry of each
-    column is positive.
+    ``numpy.linalg.eigh``; the components whose eigenvalue is above 1 are
+    retained (Kaiser's rule), and at least one; loadings are rotated by
+    varimax with Kaiser normalization and sign-fixed so the largest
+    magnitude entry of each column is positive.
     """
     n, m = table.ranks.shape
-    fixed_k = parse_retention(retention, m)
-    check_cutoff(loading_cutoff)
     if n <= m:
         raise StatsError(f"need more authors ({n}) than indicators ({m})")
     corr, _ = table.correlations
     eigenvalues, eigenvectors = eigh_descending(corr)
     # corr is positive semidefinite, so a negative eigenvalue is rounding error
     eigenvalues = np.maximum(eigenvalues, 0.0)
-    k = max(1, int(np.count_nonzero(eigenvalues > 1.0))) if fixed_k is None else fixed_k
+    k = max(1, int(np.count_nonzero(eigenvalues > 1.0)))
 
     loadings = eigenvectors[:, :k] * np.sqrt(eigenvalues[:k])
     loadings = _fix_column_signs(loadings)
@@ -247,7 +225,6 @@ def pca_varimax(
         loadings=loadings,
         rotated_loadings=rotated,
         communalities=np.sum(rotated**2, axis=1),
-        loading_cutoff=loading_cutoff,
         rotation=rotation,
         criterion_history=history,
     )

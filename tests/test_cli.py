@@ -265,11 +265,15 @@ class TestExitCodes:
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--phases", "1990"],
          "invalid phases entry '1990': expected [label:]lo-hi"),
         (["compare", "--scores", "{tmp}/nope", "--retention", "fixed:x", "--outdir", "{tmp}/o"],
-         "pca_retention must be kaiser or fixed:K with 1 <= K <= 1, the number of indicators, "
-         "got 'fixed:x'"),
-        (["compare", "--scores", "{tmp}/nope", "--ks", "5,x",
+         "unrecognized arguments: --retention fixed:x"),
+        (["compare", "--scores", "{tmp}/nope", "--ks", "5",
           "--winners", "{tmp}/w", "--outdir", "{tmp}/o"],
-         "invalid value '5,x' for --ks: invalid literal for int() with base 10: 'x'"),
+         "unrecognized arguments: --ks 5"),
+        (["compare", "--scores", "{tmp}/nope", "--cutoff", "0.4", "--outdir", "{tmp}/o"],
+         "unrecognized arguments: --cutoff 0.4"),
+        (["pipeline", "--set", "seed=1", "--set", "pca_retention=kaiser",
+          "--set", "outdir={tmp}/o"],
+         "unknown config key 'pca_retention'"),
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o",
           "--phases", " :1956-2008"],
          "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
@@ -285,7 +289,8 @@ class TestExitCodes:
         (["compare", "--scores", "{tmp}/a", "{tmp}/b", "{tmp}/c", "--subset-size", "3",
           "--outdir", "{tmp}/o"],
          "subset_size must be larger than the 3 indicators for PCA, got 3"),
-    ], ids=["ingest-phases", "compare-retention", "compare-ks", "ingest-empty-label",
+    ], ids=["ingest-phases", "compare-retention", "compare-ks", "compare-cutoff",
+            "pipeline-retention", "ingest-empty-label",
             "indicators-empty-tag", "rank-empty-tag", "generate-year-lo",
             "pipeline-subset", "compare-subset"])
     def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
@@ -306,9 +311,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry", [
         "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
         "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
-        "subset_size=2", "pca_retention=fixed:0", "pca_retention=fixed:14",
-        "coverage_ks=10,5", "coverage_ks=5,5", "tolerance=0",
-        "max_iterations=0", "skew=1e308", "n_authors=1 skew=5e-324",
+        "subset_size=2", "tolerance=0", "max_iterations=0", "skew=1e308",
+        "n_authors=1 skew=5e-324",
+        # keys of settings that were deleted are refused by name as well
+        "pca_retention=fixed:0", "pca_retention=fixed:14", "coverage_ks=10,5", "coverage_ks=5,5",
     ])
     def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
         """``entry`` is one or more space-separated settings; the error names
@@ -918,7 +924,7 @@ def test_float_limit_scores_give_finite_correlations_or_one_error_line(columns, 
                                                          for i, x in enumerate(column)))
         (Path(tmp) / "w.txt").write_text("A0\nA3\n")
         if _exit_0_or_one_error_line(["compare", "--scores", *map(str, paths),
-                                      "--subset-size", str(subset_size), "--ks", "1,3",
+                                      "--subset-size", str(subset_size),
                                       "--winners", str(Path(tmp) / "w.txt"),
                                       "--outdir", str(outdir)], outdir):
             _assert_finite_correlations(outdir)
@@ -981,7 +987,7 @@ class TestCompareCommand:
         winners.write_text("A002\nA008\nA030\n# comment line\n")
         out = tmp_path / "out"
         assert main(["compare", "--scores", str(scores), "--winners", str(winners),
-                     "--ks", "5,10,20,50", "--outdir", str(out)]) == 0
+                     "--outdir", str(out)]) == 0
         rows = _read(out / "coverage.csv").splitlines()
         assert rows[0] == "indicator,top@5,top@10,top@20,top@50"
         assert rows[1].split(",")[1:] == ["1", "2", "2", "3"]
@@ -993,7 +999,7 @@ class TestCompareCommand:
         winners.write_text("A002\nNOBODY\n")
         out = tmp_path / "out"
         assert main(["compare", "--scores", str(scores), "--winners", str(winners),
-                     "--ks", "1", "--outdir", str(out)]) == 0
+                     "--outdir", str(out)]) == 0
         manifest = json.loads(_read(out / "manifest.json"))
         assert capsys.readouterr() == (
             f"wrote {len(manifest['files'])} files and a manifest to {out}\n", "")
@@ -1022,7 +1028,7 @@ class TestCompareCommand:
 
         def compare(first, second):
             return main(["compare", "--scores", str(first), str(second), "--labels", "a,b",
-                         "--subset-size", "3", "--ks", "1", "--winners", str(winners),
+                         "--subset-size", "3", "--winners", str(winners),
                          "--outdir", str(out)])
 
         error = ("", "error: score vectors 'a' and 'b' list different authors\n")
@@ -1073,13 +1079,11 @@ class TestRunConfig:
             "outdir = out  # comment\n"
             "dampings = 0.15,0.85\n"
             "prestige = min_citations:2\n"
-            "pca_retention = fixed:4\n"
         )
         cfg = load_config(str(f), overrides=["subset_size=40"])
         assert cfg.seed == 3
         assert cfg.dampings == (0.15, 0.85)
         assert cfg.prestige == "min_citations:2"
-        assert cfg.pca_retention == "fixed:4"
         assert cfg.subset_size == 40
 
     def test_hash_begins_a_comment_only_first_or_after_whitespace(self, small_run, tmp_path,
@@ -1144,7 +1148,6 @@ class TestRunConfig:
         ("strict", "yes", True),
         ("allow_self_citation", "off", False),
         ("dampings", "0.5,0.85", (0.5, 0.85)),
-        ("coverage_ks", "5, 10", (5, 10)),
         ("teleports", "uniform, citation_weighted", ("uniform", "citation_weighted")),
         ("winners", " w.txt ", "w.txt"),
     ])
@@ -1158,8 +1161,7 @@ class TestRunConfig:
 # character anywhere in it makes it malformed.
 _SET_SAMPLES = {
     "phases": "1956-1990", "dampings": "0.5,0.85", "prestige": "top_fraction:0.1",
-    "subset_size": "30", "pca_retention": "fixed:3", "loading_cutoff": "0.4",
-    "coverage_ks": "5,10", "allow_self_citation": "true", "tolerance": "1e-12",
+    "subset_size": "30", "allow_self_citation": "true", "tolerance": "1e-12",
     "max_iterations": "100", "strict": "false", "seed": "1", "n_papers": "100",
     "n_authors": "50", "skew": "1.5",
 }
@@ -1184,7 +1186,6 @@ def test_malformed_set_value_exit_1_names_key(key, junk, at):
 # A bad value of each setting that a stage subcommand shares with the
 # pipeline: (config key, value, the stage's argv, the one error message).
 # {m} is an input path that does not exist and {o} an output path.
-_RETENTION_SCORES = ["{m}"] * 12  # the pipeline's 12 indicators without an IF table
 _RANK = ["rank", "--edges", "{m}", "--nodes", "{m}"]
 _SHARED_SETTINGS = [
     ("dampings", "1.5", [*_RANK, "--dampings", "1.5", "--outdir", "{o}"],
@@ -1208,24 +1209,12 @@ _SHARED_SETTINGS = [
     ("prestige", "min_citations:0.5", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
                                        "--prestige", "min_citations:0.5"],
      "prestige must be top_fraction:F with 0 < F <= 1 or min_citations:M with an integer M >= 1"),
-    ("pca_retention", "fixed:13", ["compare", "--scores", *_RETENTION_SCORES,
-                                   "--retention", "fixed:13", "--outdir", "{o}"],
-     "pca_retention must be kaiser or fixed:K with 1 <= K <= 12, the number of indicators, "
-     "got 'fixed:13'"),
-    *[("loading_cutoff", cutoff, ["compare", "--scores", "{m}", "{m}", "--cutoff", cutoff,
-                                  "--outdir", "{o}"],
-       f"loading_cutoff must be in [0, 1], got {float(cutoff)}")
-      for cutoff in ("nan", "-0.1", "1.5")],
     ("subset_size", "2", ["compare", "--scores", "{m}", "{m}", "--subset-size", "2",
                           "--outdir", "{o}"],
      "subset_size must be >= 3, got 2"),
     ("subset_size", "12", ["compare", "--scores", *["{m}"] * 12, "--subset-size", "12",
                            "--outdir", "{o}"],
      "subset_size must be larger than the 12 indicators for PCA, got 12"),
-    *[("coverage_ks", ks, ["compare", "--scores", "{m}", "--winners", "{m}", "--ks", ks,
-                           "--outdir", "{o}"],
-       f"coverage_ks must be ascending integers >= 1, got {ks}")
-      for ks in ("0,5", "10,5", "5,5")],
 ]
 
 
@@ -1250,8 +1239,7 @@ _KEY_FLAGS = [
     ("rank", "--dampings", "dampings"), ("rank", "--teleports", "teleports"),
     ("rank", "--tolerance", "tolerance"), ("rank", "--max-iterations", "max_iterations"),
     ("indicators", "--prestige", "prestige"),
-    ("compare", "--subset-size", "subset_size"), ("compare", "--retention", "pca_retention"),
-    ("compare", "--cutoff", "loading_cutoff"), ("compare", "--ks", "coverage_ks"),
+    ("compare", "--subset-size", "subset_size"),
 ]
 
 
@@ -1292,7 +1280,7 @@ _REQUIRED_FLAGS = {
 }
 # A malformed value for each flag of _KEY_FLAGS, in the same order.
 _MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e", "10.0",
-                          "top_fraction:x", "3.5", "fixed:x", "abc", "5,x"]
+                          "top_fraction:x", "3.5"]
 
 
 @pytest.mark.parametrize("command,flag,key,value", [

@@ -19,8 +19,12 @@ def _ranking(n):
 
 class TestWinnerList:
     def test_load_normalizes_and_dedups(self):
-        text = "Salton, G.\n# a comment\nSALTON G  # same person\nvan Rijsbergen,C.J.\n"
-        assert load_winners(io.StringIO(text)) == ["SALTON G", "VAN RIJSBERGEN CJ"]
+        # a `#` first on a line or after whitespace begins a comment; one
+        # inside a name is part of it
+        text = ("Salton, G.\n# a comment\nSALTON G  # same person\nvan Rijsbergen,C.J.\n"
+                "  # an indented comment\nO#Brien, K.\nSmith, J.\t# note\n")
+        assert load_winners(io.StringIO(text)) == [
+            "SALTON G", "VAN RIJSBERGEN CJ", "O#BRIEN K", "SMITH J"]
 
     def test_from_names_keeps_order(self):
         assert load_winners(["B. One", "A. Two", "B. One"]) == ["B ONE", "A TWO"]

@@ -241,6 +241,14 @@ class TestIfScores:
                                              r"normalization$"):
             load_impact_factors(io.StringIO(f"J\t2005\t2.5\n{venue}\t2005\t1.0\n"))
 
+    def test_load_table_comment_first_or_after_whitespace(self):
+        """A `#` first on a line, after indentation or after a field's
+        whitespace begins a comment; inside a venue it is text."""
+        text = ("# venue\tyear\tfactor\n  # an indented note\nJ\t2005\t2.5  # a trailing note\n"
+                "K\t2005\t1.5\t# after a tab\nC#J\t2005\t3.0\n")
+        assert load_impact_factors(io.StringIO(text)).factors == {
+            ("J", 2005): 2.5, ("K", 2005): 1.5, ("C#J", 2005): 3.0}
+
     @pytest.mark.parametrize("impact", ["inf", "nan", "-inf"])
     def test_load_table_non_finite_factor_names_line(self, impact):
         with pytest.raises(ParseError, match=r"^line 2: non-finite impact factor"):

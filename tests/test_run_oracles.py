@@ -23,7 +23,8 @@ import pytest
 from scipy import stats as sp_stats
 
 from bibliorank import corpus as corpus_mod
-from bibliorank.pipeline import RunConfig, parse_phases, phase_tag, run_pipeline
+from bibliorank.evaluation import coverage
+from bibliorank.pipeline import RunConfig, default_of, parse_phases, phase_tag, run_pipeline
 from tests import oracles
 
 # a gap (1976-1979) drops papers, and no paper falls in the last phase
@@ -33,6 +34,7 @@ SLACK = 1e-13  # the error of the dense solve and of float sums
 # Raw spellings of authors of both corpora, and one name of neither
 WINNERS = ([f"Auth, {i:06d}." for i in range(0, 50, 3)] + [f"n.{i:03d}," for i in range(0, 40, 3)]
            + ["Nobody, X."])
+KS = default_of(coverage, "ks")  # the top-k sizes of the run's coverage file
 
 
 def _synthetic_lines(seed):
@@ -148,10 +150,10 @@ def _check_phase(out, tag, info, records, cfg, factors, winners) -> bool:
         [["author", *names], *([a, *map("{:.17g}".format, row)]
                                for a, row in zip(subset, ranks.tolist()))])
 
-    counts, missing = oracles.coverage_by_names_loop(vectors, winners, cfg.coverage_ks)
+    counts, missing = oracles.coverage_by_names_loop(vectors, winners, KS)
     assert info["winners_missing"] == missing
-    rows = [["indicator", *(f"top@{k}" for k in cfg.coverage_ks)],
-            *([name, *(str(counts[(name, k)]) for k in cfg.coverage_ks)] for name in names)]
+    rows = [["indicator", *(f"top@{k}" for k in KS)],
+            *([name, *(str(counts[(name, k)]) for k in KS)] for name in names)]
     assert _read(out / f"coverage_{tag}.csv") == "".join(",".join(row) + "\n" for row in rows)
 
     correlation = out / f"correlation_{tag}.tsv"

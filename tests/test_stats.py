@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bibliorank.errors import ConfigError, DataError, StatsError
+from bibliorank.errors import DataError, StatsError
 from bibliorank.indicators import ScoreVector, average_ranks
 from bibliorank.stats import (
     IndicatorTable,
@@ -213,7 +213,7 @@ class TestPcaVarimax:
         a = np.arange(1, 101, dtype=float)
         b = np.array(ZERO_CORR_PERM, dtype=float)
         data = np.column_stack([-a, -a, -b, -b])  # negated: rank 1 = best score
-        res = pca_varimax(_table_from_matrix(data), retention="kaiser")
+        res = pca_varimax(_table_from_matrix(data))
         assert np.allclose(np.sort(res.eigenvalues)[::-1], [2, 2, 0, 0], atol=1e-8)
         assert res.n_retained == 2
         explained = res.explained_variance_fractions[:2].sum()
@@ -227,7 +227,7 @@ class TestPcaVarimax:
         rng = np.random.default_rng(21)
         data = rng.normal(size=(80, 6)) @ rng.normal(size=(6, 6))
         table = _table_from_matrix(data)
-        res = pca_varimax(table, retention="fixed:6")
+        res = pca_varimax(table)
         m = 6
         assert abs(res.eigenvalues.sum() - m) < 1e-8
         z = (table.ranks - table.ranks.mean(axis=0)) / table.ranks.std(axis=0, ddof=1)
@@ -247,7 +247,8 @@ class TestPcaVarimax:
     def test_varimax_preserves_communalities_and_orthogonality(self):
         rng = np.random.default_rng(31)
         data = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-        res = pca_varimax(_table_from_matrix(data), retention="fixed:3")
+        res = pca_varimax(_table_from_matrix(data))
+        assert res.n_retained == 2  # eigenvalues 2.33 and 1.70 are above 1
         before = np.sum(res.loadings**2, axis=1)
         after = np.sum(res.rotated_loadings**2, axis=1)
         assert np.max(np.abs(before - after)) < 1e-8
@@ -272,14 +273,19 @@ class TestPcaVarimax:
     def test_uncorrelated_noise_fixed_k(self):
         rng = np.random.default_rng(51)
         data = rng.normal(size=(200, 4))
-        res = pca_varimax(_table_from_matrix(data), retention="fixed:2")
-        assert res.n_retained == 2
+        res = pca_varimax(_table_from_matrix(data))
+        assert res.n_retained == 2  # eigenvalues 1.13 and 1.07 are above 1
         assert np.all(np.abs(res.eigenvalues - 1.0) < 0.5)
 
     def test_sign_convention(self):
+        # two factors, each in a column and its negation, so two components
+        # are retained and each has loadings of both signs
         rng = np.random.default_rng(61)
-        data = rng.normal(size=(50, 4)) @ rng.normal(size=(4, 4))
-        res = pca_varimax(_table_from_matrix(data), retention="fixed:3")
+        f = rng.normal(size=(50, 2))
+        data = np.column_stack([f[:, 0], -f[:, 0], f[:, 1], -f[:, 1]])
+        data += 0.3 * rng.normal(size=(50, 4))
+        res = pca_varimax(_table_from_matrix(data))
+        assert res.n_retained == 2
         for j in range(res.n_retained):
             col = res.rotated_loadings[:, j]
             assert col[np.argmax(np.abs(col))] > 0
@@ -293,19 +299,6 @@ class TestPcaVarimax:
         # constant column: identical ranks -> zero variance
         with pytest.raises(StatsError, match="zero-variance"):
             pca_varimax(_table_from_matrix(const))
-        good = rng.normal(size=(20, 3))
-        with pytest.raises(ConfigError):
-            pca_varimax(_table_from_matrix(good), retention="fixed:9")
-
-    @pytest.mark.parametrize("retention,cutoff", [
-        ("fixed:0", 0.4), ("fixed:x", 0.4), ("kaiser:2", 0.4), ("varimax", 0.4),
-        ("kaiser", float("nan")), ("kaiser", -0.1), ("kaiser", 1.5),
-    ])
-    def test_bad_setting_rejected_before_any_work(self, retention, cutoff):
-        # five authors for six indicators: the data error would come next
-        table = _table_from_matrix(np.random.default_rng(71).normal(size=(5, 6)))
-        with pytest.raises(ConfigError):
-            pca_varimax(table, retention=retention, loading_cutoff=cutoff)
 
 
 # Score values that tie often: signed zeros, repeats, and a few distinct values.

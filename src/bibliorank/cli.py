@@ -86,8 +86,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_rank(args) -> int:
     configs = pipe_mod.RunConfig(dampings=args.dampings, teleports=args.teleports,
-                                 tolerance=args.tolerance,
-                                 max_iterations=args.max_iterations).pagerank_configs()
+                                 tolerance=args.tolerance).pagerank_configs()
 
     def write(create) -> dict:
         graph = net_mod.load_graph(args.edges, args.nodes)
@@ -188,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--dampings", "dampings")
     _setting(p, "--teleports", "teleports", help=", ".join(pr_mod.TELEPORTS))
     _setting(p, "--tolerance", "tolerance")
-    _setting(p, "--max-iterations", "max_iterations")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_rank)

@@ -67,7 +67,6 @@ class RunConfig:
     winners: str | None = None
     allow_self_citation: bool = True
     tolerance: float = pr_mod.PageRankConfig.tolerance
-    max_iterations: int = pr_mod.PageRankConfig.max_iterations
     strict: bool = False
     # synthetic mode (used when corpus is not set)
     seed: int | None = None
@@ -97,8 +96,7 @@ class RunConfig:
         and the variant labels, which name score files and must differ."""
         for kind in self.teleports:
             pr_mod.check_teleport(kind)
-        configs = [pr_mod.PageRankConfig(d, self.tolerance, self.max_iterations)
-                   for d in self.dampings]
+        configs = [pr_mod.PageRankConfig(d, self.tolerance) for d in self.dampings]
         labels = [pr_mod.variant_label(kind, d) for kind in self.teleports for d in self.dampings]
         for label in labels:
             if labels.count(label) > 1:

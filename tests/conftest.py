@@ -6,6 +6,7 @@ from scipy import sparse
 
 from bibliorank.corpus import Corpus, parse_corpus
 from bibliorank.network import AuthorCitationGraph
+from bibliorank.pagerank import PageRankConfig
 
 
 def graph_from_matrix(weights, publications=None, authors=None) -> AuthorCitationGraph:
@@ -43,6 +44,13 @@ def corpus_of(papers) -> Corpus:
     reference a ``ref()`` tuple."""
     return parse_corpus([json.dumps({"id": pid, **_key(*key), "refs": [_key(*r) for r in refs]})
                          for pid, *key, refs in papers])
+
+
+@pytest.fixture
+def one_step_cap(monkeypatch):
+    """Caps every solve at one step, so a solve that needs more stalls:
+    it records ``converged: false`` and fails a ``strict`` run."""
+    monkeypatch.setattr(PageRankConfig, "max_iterations", property(lambda self: 1))
 
 
 @pytest.fixture

@@ -274,6 +274,12 @@ class TestExitCodes:
         (["pipeline", "--set", "seed=1", "--set", "pca_retention=kaiser",
           "--set", "outdir={tmp}/o"],
          "unknown config key 'pca_retention'"),
+        (["pipeline", "--set", "seed=1", "--set", "max_iterations=1000",
+          "--set", "outdir={tmp}/o"],
+         "unknown config key 'max_iterations'"),
+        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--max-iterations", "5",
+          "--outdir", "{tmp}/o"],
+         "unrecognized arguments: --max-iterations 5"),
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o",
           "--phases", " :1956-2008"],
          "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
@@ -290,7 +296,8 @@ class TestExitCodes:
           "--outdir", "{tmp}/o"],
          "subset_size must be larger than the 3 indicators for PCA, got 3"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "compare-cutoff",
-            "pipeline-retention", "ingest-empty-label",
+            "pipeline-retention", "pipeline-max-iterations", "rank-max-iterations",
+            "ingest-empty-label",
             "indicators-empty-tag", "rank-empty-tag", "generate-year-lo",
             "pipeline-subset", "compare-subset"])
     def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
@@ -311,7 +318,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry", [
         "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
         "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
-        "subset_size=2", "tolerance=0", "max_iterations=0", "skew=1e308",
+        "subset_size=2", "tolerance=0", "skew=1e308",
         "n_authors=1 skew=5e-324",
         # keys of settings that were deleted are refused by name as well
         "pca_retention=fixed:0", "pca_retention=fixed:14", "coverage_ks=10,5", "coverage_ks=5,5",
@@ -449,17 +456,32 @@ class TestExitCodes:
             "error: degenerate teleport: all publication_weighted weights are zero\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "nodes.tsv"]
 
-    def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys):
+    def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys,
+                                                             one_step_cap):
         _, _, _, outdir = small_run
         edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
         nodes = sorted(Path(outdir).glob("nodes_*.tsv"))[0]
         out = tmp_path / "out"
         assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.85",
-                     "--strict", "--max-iterations", "1", "--outdir", str(out)]) == 3
+                     "--strict", "--outdir", str(out)]) == 3
         assert capsys.readouterr().err == (
             "error: power iteration did not converge: "
             "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85\n")
         assert not any(tmp_path.iterdir())
+
+    def test_rank_at_damping_099_converges_within_its_cap(self, tmp_path):
+        """At d = 0.99 these three nodes need about 2,710 steps: every
+        variant converges, within the cap its damping derives."""
+        edges, nodes, out = tmp_path / "edges.tsv", tmp_path / "nodes.tsv", tmp_path / "out"
+        edges.write_text("A\tB\t1\nB\tA\t1\nC\tA\t1\n")
+        nodes.write_text("A\t2\t1\nB\t1\t1\nC\t0\t1\n")
+        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.99",
+                     "--outdir", str(out)]) == 0
+        solves = json.loads(_read(out / "manifest.json"))["diagnostics"]
+        cap = pr_mod.PageRankConfig(0.99).max_iterations
+        assert sorted(solves) == ["pagerank_cit_d0.99", "pagerank_d0.99", "pagerank_pub_d0.99"]
+        for entry in solves.values():
+            assert entry["converged"] and 1000 < entry["iterations"] <= cap, entry
 
     def test_ingest_colliding_phase_tags_exit_1_before_corpus_is_opened(self, tmp_path, capsys):
         rc = main(["ingest", "--corpus", str(tmp_path / "nope.jsonl"),
@@ -584,12 +606,11 @@ class TestExitCodes:
                    "--set", "tolerance=0"])
         assert rc == 1
 
-    def test_strict_nonconvergence_exit_3(self, tmp_path):
+    def test_strict_nonconvergence_exit_3(self, tmp_path, one_step_cap):
         corpus = _generate(tmp_path / "c", 1, 200, 80)
         outdir = tmp_path / "out"
         rc = main(["pipeline", "--set", f"corpus={corpus}",
                    "--set", f"outdir={outdir}",
-                   "--set", "max_iterations=1",
                    "--set", "strict=true",
                    "--set", "subset_size=20"])
         assert rc == 3
@@ -597,13 +618,13 @@ class TestExitCodes:
         assert not outdir.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
-    def test_failed_rerun_keeps_previous_run(self, tmp_path):
+    def test_failed_rerun_keeps_previous_run(self, tmp_path, request):
         outdir = tmp_path / "out"
         cfg = RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(outdir),
                         subset_size=20)
         run_pipeline(cfg)
         before = _dir_bytes(outdir)
-        cfg.max_iterations = 1
+        request.getfixturevalue("one_step_cap")
         cfg.strict = True
         with pytest.raises(NonConvergenceError):
             run_pipeline(cfg)
@@ -1162,7 +1183,7 @@ class TestRunConfig:
 _SET_SAMPLES = {
     "phases": "1956-1990", "dampings": "0.5,0.85", "prestige": "top_fraction:0.1",
     "subset_size": "30", "allow_self_citation": "true", "tolerance": "1e-12",
-    "max_iterations": "100", "strict": "false", "seed": "1", "n_papers": "100",
+    "strict": "false", "seed": "1", "n_papers": "100",
     "n_authors": "50", "skew": "1.5",
 }
 
@@ -1197,9 +1218,9 @@ _SHARED_SETTINGS = [
     ("tolerance", "nan", [*_RANK, "--dampings", "0.5", "--tolerance", "nan",
                           "--outdir", "{o}"],
      "tolerance must be finite and positive, got nan"),
-    ("max_iterations", "0", [*_RANK, "--dampings", "0.5", "--max-iterations", "0",
-                             "--outdir", "{o}"],
-     "max_iterations must be >= 1, got 0"),
+    ("dampings", "0.99999", [*_RANK, "--dampings", "0.99999", "--outdir", "{o}"],
+     "dampings: 0.99999 at tolerance 1e-12 needs up to 2832405 iterations, more than the "
+     "100000 a solve may take"),
     ("teleports", "custom", [*_RANK, "--dampings", "0.5", "--teleports", "custom",
                              "--outdir", "{o}"],
      "teleports must be one of uniform, citation_weighted, publication_weighted, got 'custom'"),
@@ -1237,7 +1258,7 @@ _KEY_FLAGS = [
     ("generate", "--authors", "n_authors"), ("generate", "--skew", "skew"),
     ("ingest", "--phases", "phases"),
     ("rank", "--dampings", "dampings"), ("rank", "--teleports", "teleports"),
-    ("rank", "--tolerance", "tolerance"), ("rank", "--max-iterations", "max_iterations"),
+    ("rank", "--tolerance", "tolerance"),
     ("indicators", "--prestige", "prestige"),
     ("compare", "--subset-size", "subset_size"),
 ]
@@ -1279,7 +1300,7 @@ _REQUIRED_FLAGS = {
     "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
 # A malformed value for each flag of _KEY_FLAGS, in the same order.
-_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e", "10.0",
+_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e",
                           "top_fraction:x", "3.5"]
 
 

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibliorank.errors import ConfigError, DegenerateTeleportError
 from bibliorank.network import build_graph
 from bibliorank.pagerank import (
+    CAP_LIMIT,
     CITATION_WEIGHTED,
     PUBLICATION_WEIGHTED,
     TELEPORTS,
@@ -132,11 +135,11 @@ class TestProperties:
         assert r.converged
         assert r.final_residual < 1e-12
 
-    def test_non_convergence_flagged_not_raised(self):
+    def test_non_convergence_flagged_not_raised(self, one_step_cap):
         w, pubs = random_graph_corpus(seed=5)
         g = graph_from_matrix(w, pubs)
-        r = pagerank(g, PageRankConfig(damping=0.85, max_iterations=2))
-        assert not r.converged
+        r = pagerank(g, PageRankConfig(damping=0.85))
+        assert (r.iterations, r.converged) == (1, False)
 
     def test_determinism(self):
         w, pubs = random_graph_corpus(seed=9)
@@ -169,16 +172,41 @@ class TestProperties:
 @given(seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.15, 0.5, 0.85, 0.99]) | st.floats(0.0, 0.999),
        kind=st.sampled_from(list(TELEPORTS)),
-       max_iterations=st.sampled_from([1, 7, 1000]))
-def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, max_iterations):
+       tolerance=st.sampled_from([3, 1e-3, 1e-12, 1e-300]))
+def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, tolerance):
+    assume(tolerance > 1e-300 or damping <= 0.99)  # else the cap is above CAP_LIMIT
     w, pubs = random_graph_corpus(seed)
     g = graph_from_matrix(w, pubs)
     teleport = make_teleport(g, kind)
-    cfg = PageRankConfig(damping, max_iterations=max_iterations)
+    cfg = PageRankConfig(damping, tolerance)
     got = weighted_pagerank(g, teleport, cfg)
     scores, iterations, residual = power_iteration_loop(g, teleport, cfg)
     assert got.scores.tobytes() == scores.tobytes()
     assert (got.iterations, got.final_residual) == (iterations, residual)
+    assert got.iterations <= cfg.max_iterations
+
+
+@pytest.mark.parametrize("damping", [0.0, 5e-324, 0.15, 0.5, 0.85, 0.99])
+@pytest.mark.parametrize("tolerance", [5e-324, 1e-300, 1e-12, 1, 2, 3])
+def test_cap_covers_the_contraction_bound(damping, tolerance):
+    """The residual after step k is at most 2 * d**(k - 1), so a cap with
+    2 * d**(cap - 2) <= tol leaves a step of slack; in logs, since d**k
+    underflows at these values.  At d = 0 the second step is exact."""
+    cap = PageRankConfig(damping, tolerance).max_iterations
+    assert cap >= 1
+    if damping == 0:
+        assert cap >= 2
+    else:
+        assert math.log(2) + (cap - 2) * math.log(damping) <= math.log(tolerance)
+
+
+def test_cap_above_the_limit_is_refused():
+    assert PageRankConfig(0.999).max_iterations <= CAP_LIMIT
+    for damping, tolerance in ((0.99999, 1e-12), (0.999, 5e-324), (np.nextafter(1, 0), 1.0)):
+        with pytest.raises(ConfigError, match=f"dampings: {damping} at tolerance {tolerance} "
+                                              f"needs up to [0-9]+ iterations, more than the "
+                                              f"{CAP_LIMIT} a solve may take"):
+            PageRankConfig(damping, tolerance)
 
 
 class TestUnresolvedPairs:
@@ -191,13 +219,14 @@ class TestUnresolvedPairs:
         w[4:, 3] = 1
         g = graph_from_matrix(w)
         for tolerance, want in ((1e-4, 1), (1e-6, 0), (1e-300, 0)):
-            r = pagerank(g, PageRankConfig(0.85, tolerance, 4000))
+            r = pagerank(g, PageRankConfig(0.85, tolerance))
             assert len(set(r.scores[4:].tolist())) == 1
             assert 0 < r.scores[2] - r.scores[1] < 2e-4
             assert r.unresolved_pairs == want
-        # one step leaves the bound above every gap: each pair of distinct
-        # neighbours counts, and no tie does
-        r = pagerank(g, PageRankConfig(0.85, max_iterations=1))
+        # one step (every first residual is below 2) leaves the bound above
+        # every gap: each pair of distinct neighbours counts, and no tie does
+        r = pagerank(g, PageRankConfig(0.85, 3))
+        assert r.iterations == 1
         assert r.unresolved_pairs == len(np.unique(r.scores)) - 1 == 4
 
     @settings(derandomize=True, max_examples=100, deadline=None)

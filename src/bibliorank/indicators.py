@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class ScoreVector:
 
     ``values[i]`` is the score of ``authors[i]``, and ``authors`` is sorted
     and unique: in the pipeline it is the phase graph's author list, so the
-    array index is the node id.
+    array index is the node id.  ``order`` is cached on first read, so
+    ``values`` must not change after that.
     """
 
     name: str
@@ -39,6 +41,18 @@ class ScoreVector:
             i = int(np.flatnonzero(~np.isfinite(self.values))[0])
             raise DataError(f"non-finite score {float(self.values[i])!r} for author "
                             f"{self.authors[i]!r} in {self.name!r}")
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Node ids by descending score, ties in author order; 0.0 and -0.0 tie."""
+        return np.argsort(-self.values, kind="stable")
+
+    def unresolved_pairs(self, error_bound: float) -> int:
+        """The adjacent pairs of distinct scores, in score order, whose gap
+        is at most 2 * ``error_bound``: exact scores within that L1 bound may
+        order them the other way.  A wider gap is ordered as they are."""
+        gaps = -np.diff(self.values[self.order])
+        return int(np.count_nonzero((gaps > 0) & (gaps <= 2 * error_bound)))
 
 
 @dataclass
@@ -227,7 +241,7 @@ def top_k(s: ScoreVector, k: int) -> np.ndarray:
     order; all of them when k exceeds their count."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    return np.argsort(-s.values, kind="stable")[:k]
+    return s.order[:k]
 
 
 def shared_authors(score_vectors: list[ScoreVector]) -> list[str]:
@@ -247,13 +261,12 @@ def dump_indicator(s: ScoreVector, stream) -> None:
     is formatted once.  Text runs split on the float bits, so 0.0 and -0.0
     keep their own text; ranks split on value equality, so they share a rank.
     """
-    order = np.argsort(-s.values, kind="stable")
-    values = s.values[order]
+    values = s.values[s.order]
     ranks = _sorted_average_ranks(values)
     starts = _run_starts(values.view(np.int64))
     tails = [f"\t{score:.17g}\t{rank:.17g}\n" for score, rank in
              zip(values[starts].tolist(), ranks[starts].tolist())]
-    rows = (np.array(s.authors, dtype=object)[order]
+    rows = (np.array(s.authors, dtype=object)[s.order]
             + np.repeat(np.array(tails, dtype=object), np.diff(starts, append=len(values))))
     stream.write("author\tscore\trank\n" + "".join(rows.tolist()))
 

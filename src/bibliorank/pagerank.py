@@ -108,14 +108,6 @@ class PageRankResult:
     converged: bool
     error_bound: float
 
-    @property
-    def unresolved_pairs(self) -> int:
-        """The adjacent pairs of distinct scores, in score order, whose gap
-        is at most 2 * ``error_bound``: the exact scores may order them the
-        other way.  A wider gap is ordered as the exact scores are."""
-        gaps = np.diff(np.sort(self.scores))
-        return int(np.count_nonzero((gaps > 0) & (gaps <= 2 * self.error_bound)))
-
 
 def pagerank(g: AuthorCitationGraph, cfg: PageRankConfig | None = None) -> PageRankResult:
     """Original PageRank (uniform teleport)."""

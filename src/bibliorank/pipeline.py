@@ -28,7 +28,7 @@ from bibliorank import indicators as ind_mod
 from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import ConfigError, NonConvergenceError
+from bibliorank.errors import ConfigError, DegenerateTeleportError, NonConvergenceError
 from bibliorank.evaluation import CoverageResult, coverage, load_winners
 
 INPUT_FILES = ("corpus", "if_table", "winners")  # RunConfig keys naming input files
@@ -390,22 +390,28 @@ def write_phase_ranks(graph, phase_label: str | None, teleports,
     """The PageRank step of one phase, which the pipeline and the ``rank``
     stage share: solve each teleport kind at each config, then write the
     variants with ``write_indicators``; returns the labelled score vectors
-    and each label's diagnostics entry.  Under ``strict``, solves that did
-    not converge raise one NonConvergenceError once all have run."""
+    and each label's diagnostics entry.  A degenerate teleport's error names
+    the phase.  Under ``strict``, solves that did not converge raise one
+    NonConvergenceError once all have run."""
     scores, solves = [], {}
     for kind in teleports:
-        teleport = pr_mod.make_teleport(graph, kind)
+        try:
+            teleport = pr_mod.make_teleport(graph, kind)
+        except DegenerateTeleportError as exc:
+            if phase_label is not None:
+                exc.args = (f"phase {phase_label!r}: {exc}",)
+            raise
         for config in configs:
             result = pr_mod.weighted_pagerank(graph, teleport, config)
             label = pr_mod.variant_label(kind, config.damping)
+            scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
             solves[label] = {
                 "iterations": result.iterations,
                 "final_residual": result.final_residual,
                 "error_bound": result.error_bound,
-                "unresolved_pairs": result.unresolved_pairs,
+                "unresolved_pairs": scores[-1].unresolved_pairs(result.error_bound),
                 "converged": result.converged,
             }
-            scores.append(ind_mod.ScoreVector(label, graph.authors, result.scores))
     stalled = [label for label, entry in solves.items() if not entry["converged"]]
     if strict and stalled:
         raise NonConvergenceError(f"power iteration did not converge: {', '.join(stalled)}")

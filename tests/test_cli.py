@@ -443,18 +443,34 @@ class TestExitCodes:
         assert err.startswith("error: line 3: ") and str(nodes) in err and "'A'" in err
         assert not out.exists()
 
-    def test_rank_degenerate_teleport_exit_2_writes_no_out(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,message", [
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--teleports",
+          "publication_weighted", "--dampings", "0.5", "--outdir", "{out}"],
+         "degenerate teleport: all publication_weighted weights are zero"),
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--teleports",
+          "publication_weighted", "--dampings", "0.5", "--tag", "1956-1980", "--outdir", "{out}"],
+         "phase '1956-1980': degenerate teleport: all publication_weighted weights are zero"),
+        (["pipeline", "--set", "corpus={corpus}", "--set", "allow_self_citation=false",
+          "--set", "outdir={out}"],
+         "phase '1956-1980': degenerate teleport: all citation_weighted weights are zero"),
+    ], ids=["rank", "rank-tag", "pipeline"])
+    def test_degenerate_teleport_exit_2_names_the_phase_writes_no_out(self, argv, message,
+                                                                       tmp_path, capsys):
         """Where every publication count of the node dump is zero, the
-        publication-weighted teleport has no mass."""
-        edges, nodes, out = tmp_path / "edges.tsv", tmp_path / "nodes.tsv", tmp_path / "out"
-        edges.write_text("A\tB\t1\nB\tA\t1\n")
-        nodes.write_text("A\t1\t0\nB\t1\t0\n")
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes),
-                     "--teleports", "publication_weighted", "--dampings", "0.5",
-                     "--outdir", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: degenerate teleport: all publication_weighted weights are zero\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "nodes.tsv"]
+        publication-weighted teleport has no mass; in the corpus, the one
+        paper of 1956-1980 cites only its own author, so without self
+        citations no author of that phase is cited."""
+        inputs = {"edges": "A\tB\t1\nB\tA\t1\n", "nodes": "A\t1\t0\nB\t1\t0\n",
+                  "corpus": '{"id":"p1","author":"A","year":1960,"source":"J",'
+                            '"refs":[{"author":"A","year":1950,"source":"J"}]}\n'
+                            '{"id":"p2","author":"B","year":1985,"source":"J",'
+                            '"refs":[{"author":"C","year":1950,"source":"J"}]}\n'}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        paths = {name: tmp_path / name for name in (*inputs, "out")}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
     def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys,
                                                              one_step_cap):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bibliorank.errors import ConfigError, DataError
 from bibliorank.evaluation import coverage, load_winners
-from bibliorank.indicators import ScoreVector, top_k
+from bibliorank.indicators import ScoreVector, dump_indicator, top_k
 from bibliorank.stats import IndicatorTable
 from tests.oracles import coverage_by_names_loop, table_by_names_loop, top_k_names_loop
 
@@ -107,10 +107,15 @@ def _phase_scores(draw):
 @given(_phase_scores())
 def test_node_id_comparison_matches_the_name_oracles(case):
     """top_k, the rank table and coverage by node id agree with the loop
-    oracles that look each author up by name."""
+    oracles that look each author up by name, and the score file lists its
+    rows in the order of every top-k cut."""
     vectors, rows, winners, ks = case
     authors = vectors[0].authors
     for sv in vectors:
+        written = io.StringIO()
+        dump_indicator(sv, written)
+        assert ([row.split("\t")[0] for row in written.getvalue().splitlines()[1:]]
+                == top_k_names_loop(sv, len(authors)))
         for k in ks:
             assert [authors[i] for i in top_k(sv, k)] == top_k_names_loop(sv, k)
     table = IndicatorTable.from_scores(vectors, rows)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bibliorank.errors import ConfigError, DegenerateTeleportError
+from bibliorank.indicators import ScoreVector
 from bibliorank.network import build_graph
 from bibliorank.pagerank import (
     CAP_LIMIT,
@@ -14,7 +15,6 @@ from bibliorank.pagerank import (
     TELEPORTS,
     UNIFORM,
     PageRankConfig,
-    PageRankResult,
     make_teleport,
     pagerank,
     weighted_pagerank,
@@ -209,6 +209,11 @@ def test_cap_above_the_limit_is_refused():
             PageRankConfig(damping, tolerance)
 
 
+def unresolved_pairs(g, r):
+    """The unresolved pairs of the solve ``r`` over the graph ``g``."""
+    return ScoreVector("s", g.authors, r.scores).unresolved_pairs(r.error_bound)
+
+
 class TestUnresolvedPairs:
     def test_near_tie_is_unresolved_and_exact_ties_never(self):
         """Node 0 cites node 1 1000 times and node 2 1001 times, so their
@@ -222,25 +227,25 @@ class TestUnresolvedPairs:
             r = pagerank(g, PageRankConfig(0.85, tolerance))
             assert len(set(r.scores[4:].tolist())) == 1
             assert 0 < r.scores[2] - r.scores[1] < 2e-4
-            assert r.unresolved_pairs == want
+            assert unresolved_pairs(g, r) == want
         # one step (every first residual is below 2) leaves the bound above
         # every gap: each pair of distinct neighbours counts, and no tie does
         r = pagerank(g, PageRankConfig(0.85, 3))
         assert r.iterations == 1
-        assert r.unresolved_pairs == len(np.unique(r.scores)) - 1 == 4
+        assert unresolved_pairs(g, r) == len(np.unique(r.scores)) - 1 == 4
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([0.0, 0.1, 0.1 + 1e-17, 0.1 + 3e-17, 0.2, 0.25, 1.0])
                     | st.floats(0, 1), min_size=1, max_size=12),
            st.sampled_from([0.0, 1e-17, 0.025, 0.05]) | st.floats(0, 1))
     def test_equals_sorted_gap_oracle(self, scores, error_bound):
-        r = PageRankResult(np.array(scores), 1, 2 * error_bound, True, error_bound)
-        assert r.unresolved_pairs == unresolved_pairs_loop(scores, error_bound)
+        sv = ScoreVector("s", [f"A{i:02d}" for i in range(len(scores))], scores)
+        assert sv.unresolved_pairs(error_bound) == unresolved_pairs_loop(scores, error_bound)
 
     def test_equals_sorted_gap_oracle_on_solves(self):
         for seed in range(1, 11):
             g = graph_from_matrix(*random_graph_corpus(seed))
             for kind in TELEPORTS:
                 r = weighted_pagerank(g, make_teleport(g, kind), PageRankConfig(0.85, 1e-3))
-                assert r.unresolved_pairs == unresolved_pairs_loop(r.scores.tolist(),
-                                                                    r.error_bound)
+                assert unresolved_pairs(g, r) == unresolved_pairs_loop(r.scores.tolist(),
+                                                                        r.error_bound)

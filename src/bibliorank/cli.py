@@ -3,9 +3,8 @@
 Subcommands: generate, ingest, indicators, rank, compare, pipeline.  Each
 writes a run directory through ``pipeline.write_run``: its files and a
 ``manifest.json``, written whole or not at all; rank reads back the phase
-graph that indicators wrote.  Exit codes: 0 success, 1 usage or
-validation error, 2 data/input error, 3 non-convergence under --strict;
-each error class carries its own.
+graph that indicators wrote.  Exit codes: 0 success, 1 usage or validation
+error, 2 data/input error, 3 non-convergence; each error class has its own.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def cmd_rank(args) -> int:
     def write(create) -> dict:
         graph = net_mod.load_graph(args.edges, args.nodes)
         _, solves = pipe_mod.write_phase_ranks(
-            graph, args.tag, args.teleports, configs, args.strict, create)
+            graph, args.tag, args.teleports, configs, create)
         return {"diagnostics": solves}
 
     return _write_stage(args, write)
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--dampings", "dampings")
     _setting(p, "--teleports", "teleports", help=", ".join(pr_mod.TELEPORTS))
     _setting(p, "--tolerance", "tolerance")
-    p.add_argument("--strict", action="store_true")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_rank)
 

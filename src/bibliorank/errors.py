@@ -54,6 +54,6 @@ class StatsError(DataError):
 
 
 class NonConvergenceError(BiblioRankError):
-    """Power iteration hit the iteration cap under a strict run."""
+    """Power iteration hit the iteration cap; the run fails."""
 
     exit_code = 3

@@ -67,7 +67,6 @@ class RunConfig:
     winners: str | None = None
     allow_self_citation: bool = True
     tolerance: float = pr_mod.PageRankConfig.tolerance
-    strict: bool = False
     # synthetic mode (used when corpus is not set)
     seed: int | None = None
     n_papers: int = 1000
@@ -385,21 +384,21 @@ def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool
 
 
 def write_phase_ranks(graph, phase_label: str | None, teleports,
-                      configs: list[pr_mod.PageRankConfig], strict: bool, create,
+                      configs: list[pr_mod.PageRankConfig], create,
                       ) -> tuple[list[ind_mod.ScoreVector], dict]:
     """The PageRank step of one phase, which the pipeline and the ``rank``
     stage share: solve each teleport kind at each config, then write the
     variants with ``write_indicators``; returns the labelled score vectors
-    and each label's diagnostics entry.  A degenerate teleport's error names
-    the phase.  Under ``strict``, solves that did not converge raise one
-    NonConvergenceError once all have run."""
+    and each label's diagnostics entry.  Solves that did not converge raise
+    one NonConvergenceError once all have run, with the largest residual;
+    it and a degenerate teleport's error name the phase."""
+    where = "" if phase_label is None else f"phase {phase_label!r}: "
     scores, solves = [], {}
     for kind in teleports:
         try:
             teleport = pr_mod.make_teleport(graph, kind)
         except DegenerateTeleportError as exc:
-            if phase_label is not None:
-                exc.args = (f"phase {phase_label!r}: {exc}",)
+            exc.args = (f"{where}{exc}",)
             raise
         for config in configs:
             result = pr_mod.weighted_pagerank(graph, teleport, config)
@@ -413,8 +412,11 @@ def write_phase_ranks(graph, phase_label: str | None, teleports,
                 "converged": result.converged,
             }
     stalled = [label for label, entry in solves.items() if not entry["converged"]]
-    if strict and stalled:
-        raise NonConvergenceError(f"power iteration did not converge: {', '.join(stalled)}")
+    if stalled:
+        residual = max(solves[label]["final_residual"] for label in stalled)
+        raise NonConvergenceError(
+            f"{where}power iteration did not converge: {', '.join(stalled)} "
+            f"(residual up to {residual:.3g} at tolerance {configs[0].tolerance:g})")
     write_indicators(scores, phase_label, create)
     return scores, solves
 
@@ -572,7 +574,7 @@ def _write_run(cfg: RunConfig, create) -> dict:
             filtered, phase.label, cfg.allow_self_citation, cfg.prestige, if_table, create)
         info.update(entries)
         pagerank_scores, solves = write_phase_ranks(
-            graph, phase.label, cfg.teleports, cfg.pagerank_configs(), cfg.strict, create)
+            graph, phase.label, cfg.teleports, cfg.pagerank_configs(), create)
         info["diagnostics"].update(solves)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]

@@ -49,7 +49,7 @@ def corpus_of(papers) -> Corpus:
 @pytest.fixture
 def one_step_cap(monkeypatch):
     """Caps every solve at one step, so a solve that needs more stalls:
-    it records ``converged: false`` and fails a ``strict`` run."""
+    it records ``converged: false`` and fails its run."""
     monkeypatch.setattr(PageRankConfig, "max_iterations", property(lambda self: 1))
 
 

@@ -280,6 +280,10 @@ class TestExitCodes:
         (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--max-iterations", "5",
           "--outdir", "{tmp}/o"],
          "unrecognized arguments: --max-iterations 5"),
+        (["pipeline", "--set", "seed=1", "--set", "strict=true", "--set", "outdir={tmp}/o"],
+         "unknown config key 'strict'"),
+        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--strict", "--outdir", "{tmp}/o"],
+         "unrecognized arguments: --strict"),
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o",
           "--phases", " :1956-2008"],
          "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
@@ -297,6 +301,7 @@ class TestExitCodes:
          "subset_size must be larger than the 3 indicators for PCA, got 3"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "compare-cutoff",
             "pipeline-retention", "pipeline-max-iterations", "rank-max-iterations",
+            "pipeline-strict", "rank-strict",
             "ingest-empty-label",
             "indicators-empty-tag", "rank-empty-tag", "generate-year-lo",
             "pipeline-subset", "compare-subset"])
@@ -472,18 +477,46 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
-    def test_rank_strict_nonconvergence_exit_3_writes_no_out(self, small_run, tmp_path, capsys,
-                                                             one_step_cap):
-        _, _, _, outdir = small_run
-        edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
-        nodes = sorted(Path(outdir).glob("nodes_*.tsv"))[0]
-        out = tmp_path / "out"
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.85",
-                     "--strict", "--outdir", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "error: power iteration did not converge: "
-            "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85\n")
-        assert not any(tmp_path.iterdir())
+    @pytest.mark.parametrize("argv,fixture,tolerance,prefix,variants", [
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.85",
+          "--outdir", "{out}"],
+         "one_step_cap", pr_mod.PageRankConfig.tolerance, "",
+         "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.85",
+          "--tolerance", "1e-16", "--outdir", "{out}"],
+         None, 1e-16, "",
+         "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.85",
+          "--tolerance", "1e-16", "--tag", "1956-1980", "--outdir", "{out}"],
+         None, 1e-16, "phase '1956-1980': ",
+         "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
+        (["pipeline", "--set", "corpus={corpus}", "--set", "tolerance=1e-16",
+          "--set", "subset_size=20", "--set", "outdir={out}"],
+         None, 1e-16, "phase '1956-1980': ", "pagerank_d0.5, pagerank_pub_d0.85"),
+    ], ids=["rank", "rank-tolerance", "rank-tag", "pipeline"])
+    def test_stall_exit_3_names_the_phase_writes_no_out(self, argv, fixture, tolerance, prefix,
+                                                        variants, tmp_path, capsys, request):
+        """A solve stalls under a one-step cap (the first row, without a
+        tolerance) or, within its derived cap, at the float floor: at 1e-16
+        the residuals of the three-node dump stay near 4e-16, and those of
+        the 300-paper corpus near 3e-16 in 1956-1980.  The run fails with
+        one line naming the variants, the largest residual and the phase."""
+        if fixture is not None:
+            request.getfixturevalue(fixture)
+        (tmp_path / "edges").write_text("A\tB\t1\nB\tA\t1\nC\tA\t1\n")
+        (tmp_path / "nodes").write_text("A\t2\t1\nB\t1\t1\nC\t0\t1\n")
+        _generate(tmp_path / "gen", 1, 300, 150)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        paths = {"edges": tmp_path / "edges", "nodes": tmp_path / "nodes",
+                 "corpus": tmp_path / "gen" / "corpus.jsonl", "out": tmp_path / "out"}
+        capsys.readouterr()
+        assert main([a.format(**paths) for a in argv]) == 3
+        out, err = capsys.readouterr()
+        head = f"error: {prefix}power iteration did not converge: {variants} (residual up to "
+        tail = f" at tolerance {tolerance:g})\n"
+        assert out == "" and err.startswith(head) and err.endswith(tail), err
+        assert float(err[len(head):-len(tail)]) > tolerance
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_rank_at_damping_099_converges_within_its_cap(self, tmp_path):
         """At d = 0.99 these three nodes need about 2,710 steps: every
@@ -627,7 +660,6 @@ class TestExitCodes:
         outdir = tmp_path / "out"
         rc = main(["pipeline", "--set", f"corpus={corpus}",
                    "--set", f"outdir={outdir}",
-                   "--set", "strict=true",
                    "--set", "subset_size=20"])
         assert rc == 3
         # no outdir, and no stage directory left beside it
@@ -641,7 +673,6 @@ class TestExitCodes:
         run_pipeline(cfg)
         before = _dir_bytes(outdir)
         request.getfixturevalue("one_step_cap")
-        cfg.strict = True
         with pytest.raises(NonConvergenceError):
             run_pipeline(cfg)
         assert _dir_bytes(outdir) == before
@@ -866,8 +897,7 @@ class TestRankCommand:
             yield written[name]
 
         cfg = RunConfig()
-        pipe_mod.write_phase_ranks(graph, "x", cfg.teleports, cfg.pagerank_configs(), False,
-                                   create)
+        pipe_mod.write_phase_ranks(graph, "x", cfg.teleports, cfg.pagerank_configs(), create)
         assert len(written) == 9
         assert {name: buf.getvalue() for name, buf in written.items()} == {
             p.name: _read(p) for p in (tmp_path / "rank").iterdir() if p.name != "manifest.json"}
@@ -1182,7 +1212,6 @@ class TestRunConfig:
     @pytest.mark.parametrize("key,value,want", [
         ("seed", "7", 7),
         ("skew", "2.5", 2.5),
-        ("strict", "yes", True),
         ("allow_self_citation", "off", False),
         ("dampings", "0.5,0.85", (0.5, 0.85)),
         ("teleports", "uniform, citation_weighted", ("uniform", "citation_weighted")),
@@ -1199,8 +1228,7 @@ class TestRunConfig:
 _SET_SAMPLES = {
     "phases": "1956-1990", "dampings": "0.5,0.85", "prestige": "top_fraction:0.1",
     "subset_size": "30", "allow_self_citation": "true", "tolerance": "1e-12",
-    "strict": "false", "seed": "1", "n_papers": "100",
-    "n_authors": "50", "skew": "1.5",
+    "seed": "1", "n_papers": "100", "n_authors": "50", "skew": "1.5",
 }
 
 

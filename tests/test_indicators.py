@@ -465,7 +465,7 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
         g = build_graph(c, allow_self_citation=allow)
         assert g.authors == ["A", "B", "C"]
         classical, diagnostics = classical_indicators(c, g, "min_citations:2", table)
-        variants, _ = write_phase_ranks(g, None, list(TELEPORTS), configs, False,
+        variants, _ = write_phase_ranks(g, None, list(TELEPORTS), configs,
                                         lambda name: contextlib.nullcontext(io.StringIO()))
         assert diagnostics["highly_cited_papers"] == 2
         runs.append({sv.name: sv.values.tolist() for sv in classical + variants})

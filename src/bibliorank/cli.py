@@ -18,7 +18,6 @@ from pathlib import Path
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
 from bibliorank import network as net_mod
-from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
 from bibliorank.errors import BiblioRankError, ConfigError
@@ -84,26 +83,23 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    configs = pipe_mod.RunConfig(dampings=args.dampings, teleports=args.teleports,
+    configs = pipe_mod.RunConfig(dampings=args.dampings,
                                  tolerance=args.tolerance).pagerank_configs()
 
     def write(create) -> dict:
         graph = net_mod.load_graph(args.edges, args.nodes)
-        _, solves = pipe_mod.write_phase_ranks(
-            graph, args.tag, args.teleports, configs, create)
+        _, solves = pipe_mod.write_phase_ranks(graph, args.tag, configs, create)
         return {"diagnostics": solves}
 
     return _write_stage(args, write)
 
 
 def cmd_indicators(args) -> int:
-    ind_mod.parse_prestige(args.prestige)
-
     def write(create) -> dict:
         used, counts = pipe_mod.papers_used(corpus_mod.parse_corpus(args.corpus))
         table = None if args.if_table is None else ind_mod.load_impact_factors(args.if_table)
         _, _, entries = pipe_mod.write_phase_graph(
-            used, args.tag, not args.drop_self_citations, args.prestige, table, create)
+            used, args.tag, not args.drop_self_citations, table, create)
         return {**counts, **entries}
 
     return _write_stage(args, write)
@@ -184,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True, help="node dump of the same graph")
     p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
     _setting(p, "--dampings", "dampings")
-    _setting(p, "--teleports", "teleports", help=", ".join(pr_mod.TELEPORTS))
     _setting(p, "--tolerance", "tolerance")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=cmd_rank)
@@ -193,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
-    _setting(p, "--prestige", "prestige", help="top_fraction:F or min_citations:M")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
     p.set_defaults(func=cmd_indicators)

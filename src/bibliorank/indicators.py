@@ -113,47 +113,16 @@ def unmatched_references(corpus: Corpus) -> int:
     return int(np.count_nonzero(~np.isin(ref_key, paper_key)))
 
 
-_PRESTIGE_ERROR = ("prestige must be top_fraction:F with 0 < F <= 1 "
-                   "or min_citations:M with an integer M >= 1")
-
-
-def check_prestige(top_fraction: float | None = None, min_citations: int | None = None) -> None:
-    """Refuse a highly-cited threshold other than exactly one of
-    0 < ``top_fraction`` <= 1 and ``min_citations`` >= 1."""
-    if (top_fraction is None) == (min_citations is None) or not (
-            0.0 < top_fraction <= 1.0 if min_citations is None else min_citations >= 1):
-        raise ConfigError(_PRESTIGE_ERROR)
-
-
-def parse_prestige(spec: str) -> dict:
-    """The prestige setting `top_fraction:F` or `min_citations:M` -> the
-    checked keyword argument of ``highly_cited_papers`` that it names."""
-    mode, _, value = spec.partition(":")
-    mode = mode.strip()
-    try:
-        threshold = {mode: {"top_fraction": float, "min_citations": int}[mode](value)}
-    except (KeyError, ValueError):
-        raise ConfigError(_PRESTIGE_ERROR) from None
-    check_prestige(**threshold)
-    return threshold
-
-
-def highly_cited_papers(
-    counts: np.ndarray,
-    top_fraction: float | None = None,
-    min_citations: int | None = None,
-) -> np.ndarray:
-    """Boolean mask of the papers clearing the highly-cited threshold.
+def highly_cited_papers(counts: np.ndarray, top_fraction: float = 0.10) -> np.ndarray:
+    """Boolean mask of the papers in the top ``top_fraction`` by citation count.
 
     ``counts`` are internal citation counts aligned to the corpus papers.
-    Exactly one of ``top_fraction`` (cut at the (1 - f) quantile of the
-    counts, ties included, uncited papers never qualify) or
-    ``min_citations`` must be given; ``check_prestige`` checks them.
+    The cut is at the (1 - f) quantile of the counts, ties at the cut
+    included, and uncited papers never qualify; 0 < f <= 1.
     """
-    check_prestige(top_fraction, min_citations)
+    if not 0.0 < top_fraction <= 1.0:
+        raise ConfigError(f"top_fraction must be in (0, 1], got {top_fraction}")
     counts = np.asarray(counts)
-    if min_citations is not None:
-        return counts >= min_citations
     if not len(counts):
         return np.zeros(0, dtype=bool)
     k = max(1, math.ceil(top_fraction * len(counts)))

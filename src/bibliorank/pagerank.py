@@ -33,20 +33,14 @@ TELEPORTS = {
 }
 
 
-def check_teleport(kind: str) -> None:
-    """Refuse a teleport kind that ``TELEPORTS`` does not name."""
-    if kind not in TELEPORTS:
-        raise ConfigError(f"teleports must be one of {', '.join(TELEPORTS)}, got {kind!r}")
-
-
 def variant_label(kind: str, damping: float) -> str:
     """The name of the PageRank variant with teleport ``kind`` at ``damping``."""
     return f"{TELEPORTS[kind][0]}_d{damping:g}"
 
 
 def make_teleport(g: AuthorCitationGraph, kind: str) -> np.ndarray:
-    """The teleport distribution of ``kind`` over the graph's node ids."""
-    check_teleport(kind)
+    """The teleport distribution of ``kind``, a key of ``TELEPORTS``, over
+    the graph's node ids."""
     attribute = TELEPORTS[kind][1]
     if attribute is None:
         return np.full(g.n_nodes, 1.0 / g.n_nodes)

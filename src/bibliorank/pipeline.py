@@ -60,8 +60,6 @@ class RunConfig:
     outdir: str = "out"
     phases: tuple[corpus_mod.Phase, ...] = corpus_mod.DEFAULT_PHASES
     dampings: tuple[float, ...] = (0.15, 0.5, 0.85)
-    teleports: tuple[str, ...] = tuple(pr_mod.TELEPORTS)
-    prestige: str = "top_fraction:0.10"  # or min_citations:M
     subset_size: int = 100
     if_table: str | None = None
     winners: str | None = None
@@ -80,7 +78,6 @@ class RunConfig:
         corpus_mod.check_synthetic(self.seed or 0, self.n_papers, self.n_authors, self.skew)
         check_phases(self.phases)
         self.pagerank_configs()
-        ind_mod.parse_prestige(self.prestige)
         stats_mod.check_subset_size(self.subset_size, self.indicator_count())
 
     def indicator_count(self) -> int:
@@ -88,19 +85,17 @@ class RunConfig:
         variant, popularity, prestige, h-index, and impact factor when an IF
         table is given or the corpus is synthetic."""
         has_impact_factor = self.if_table is not None or self.corpus is None
-        return len(self.teleports) * len(self.dampings) + 3 + has_impact_factor
+        return len(pr_mod.TELEPORTS) * len(self.dampings) + 3 + has_impact_factor
 
     def pagerank_configs(self) -> list[pr_mod.PageRankConfig]:
-        """The solve settings at each damping, checked with the teleports
-        and the variant labels, which name score files and must differ."""
-        for kind in self.teleports:
-            pr_mod.check_teleport(kind)
+        """The solve settings at each damping, checked with the variant
+        labels, which name score files and must differ: two dampings can
+        print alike (0.5 and 0.5000001 are both `d0.5`)."""
         configs = [pr_mod.PageRankConfig(d, self.tolerance) for d in self.dampings]
-        labels = [pr_mod.variant_label(kind, d) for kind in self.teleports for d in self.dampings]
+        labels = [pr_mod.variant_label(pr_mod.UNIFORM, d) for d in self.dampings]
         for label in labels:
             if labels.count(label) > 1:
-                raise ConfigError(f"teleports and dampings give two PageRank variants "
-                                  f"the label {label!r}")
+                raise ConfigError(f"dampings give two PageRank variants the label {label!r}")
         return configs
 
     def canonical(self) -> dict:
@@ -337,18 +332,17 @@ def write_phase_corpora(full, phases, create) -> tuple[list, dict]:
     return kept, counts
 
 
-def classical_indicators(
-    corpus, graph, prestige: str, if_table=None
-) -> tuple[list[ind_mod.ScoreVector], dict]:
+def classical_indicators(corpus, graph, if_table=None) -> tuple[list[ind_mod.ScoreVector], dict]:
     """Popularity, prestige, h-index and, given a table, impact-factor scores.
 
     ``graph`` is ``build_graph(corpus)``; the indicators are reductions over
-    its reference table.  ``prestige`` is the setting that
-    ``indicators.parse_prestige`` reads.  Returns the score vectors in that
-    order, over the graph's authors, and diagnostics.
+    its reference table.  Prestige counts the citations from the papers
+    that ``indicators.highly_cited_papers`` selects: the top 10% of
+    ``corpus`` by internal citation count.  Returns the score vectors in
+    that order, over the graph's authors, and diagnostics.
     """
     counts = ind_mod.internal_citation_counts(corpus)
-    hc = ind_mod.highly_cited_papers(counts, **ind_mod.parse_prestige(prestige))
+    hc = ind_mod.highly_cited_papers(counts)
     diagnostics = {"highly_cited_papers": int(np.count_nonzero(hc)),
                    "unmatched_references": ind_mod.unmatched_references(corpus)}
     scores = [
@@ -364,7 +358,7 @@ def classical_indicators(
 
 
 def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool,
-                      prestige: str, if_table, create,
+                      if_table, create,
                       ) -> tuple[net_mod.AuthorCitationGraph, list[ind_mod.ScoreVector], dict]:
     """The graph step of one phase, which the pipeline and the ``indicators``
     stage share: build the author citation graph of ``corpus``, write it
@@ -377,24 +371,24 @@ def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool
         net_mod.dump_edges(graph, fh)
     with create(tagged("nodes", phase_label, ".tsv")) as fh:
         net_mod.dump_nodes(graph, fh)
-    scores, diagnostics = classical_indicators(corpus, graph, prestige, if_table)
+    scores, diagnostics = classical_indicators(corpus, graph, if_table)
     write_indicators(scores, phase_label, create)
     return graph, scores, {"graph": net_mod.graph_stats(graph),
                            "diagnostics": diagnostics}
 
 
-def write_phase_ranks(graph, phase_label: str | None, teleports,
-                      configs: list[pr_mod.PageRankConfig], create,
-                      ) -> tuple[list[ind_mod.ScoreVector], dict]:
+def write_phase_ranks(graph, phase_label: str | None, configs: list[pr_mod.PageRankConfig],
+                      create) -> tuple[list[ind_mod.ScoreVector], dict]:
     """The PageRank step of one phase, which the pipeline and the ``rank``
-    stage share: solve each teleport kind at each config, then write the
-    variants with ``write_indicators``; returns the labelled score vectors
-    and each label's diagnostics entry.  Solves that did not converge raise
-    one NonConvergenceError once all have run, with the largest residual;
-    it and a degenerate teleport's error name the phase."""
+    stage share: solve each of the ``pagerank.TELEPORTS`` kinds at each
+    config, then write the variants with ``write_indicators``; returns the
+    labelled score vectors and each label's diagnostics entry.  Solves that
+    did not converge raise one NonConvergenceError once all have run, with
+    the largest residual; it and a degenerate teleport's error name the
+    phase."""
     where = "" if phase_label is None else f"phase {phase_label!r}: "
     scores, solves = [], {}
-    for kind in teleports:
+    for kind in pr_mod.TELEPORTS:
         try:
             teleport = pr_mod.make_teleport(graph, kind)
         except DegenerateTeleportError as exc:
@@ -568,13 +562,13 @@ def _write_run(cfg: RunConfig, create) -> dict:
         **counts,
     }
 
+    configs = cfg.pagerank_configs()  # checked by validate, built once for every phase
     for phase, filtered in phase_corpora:
         info = manifest["phases"][phase.label]
         graph, classical, entries = write_phase_graph(
-            filtered, phase.label, cfg.allow_self_citation, cfg.prestige, if_table, create)
+            filtered, phase.label, cfg.allow_self_citation, if_table, create)
         info.update(entries)
-        pagerank_scores, solves = write_phase_ranks(
-            graph, phase.label, cfg.teleports, cfg.pagerank_configs(), create)
+        pagerank_scores, solves = write_phase_ranks(graph, phase.label, configs, create)
         info["diagnostics"].update(solves)
         # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
         scores = classical[:2] + pagerank_scores + classical[2:]

@@ -284,6 +284,17 @@ class TestExitCodes:
          "unknown config key 'strict'"),
         (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--strict", "--outdir", "{tmp}/o"],
          "unrecognized arguments: --strict"),
+        (["pipeline", "--set", "seed=1", "--set", "teleports=uniform", "--set", "outdir={tmp}/o"],
+         "unknown config key 'teleports'"),
+        (["pipeline", "--set", "seed=1", "--set", "prestige=min_citations:2",
+          "--set", "outdir={tmp}/o"],
+         "unknown config key 'prestige'"),
+        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--teleports", "uniform",
+          "--outdir", "{tmp}/o"],
+         "unrecognized arguments: --teleports uniform"),
+        (["indicators", "--corpus", "{tmp}/nope", "--prestige", "top_fraction:0.1",
+          "--outdir", "{tmp}/o"],
+         "unrecognized arguments: --prestige top_fraction:0.1"),
         (["ingest", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o",
           "--phases", " :1956-2008"],
          "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
@@ -302,6 +313,7 @@ class TestExitCodes:
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "compare-cutoff",
             "pipeline-retention", "pipeline-max-iterations", "rank-max-iterations",
             "pipeline-strict", "rank-strict",
+            "pipeline-teleports", "pipeline-prestige", "rank-teleports", "indicators-prestige",
             "ingest-empty-label",
             "indicators-empty-tag", "rank-empty-tag", "generate-year-lo",
             "pipeline-subset", "compare-subset"])
@@ -322,11 +334,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("entry", [
         "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
-        "dampings=0.5,1", "teleports=uniform,bogus", "prestige=top_fraction:2",
-        "subset_size=2", "tolerance=0", "skew=1e308",
+        "dampings=0.5,1", "subset_size=2", "tolerance=0", "skew=1e308",
         "n_authors=1 skew=5e-324",
         # keys of settings that were deleted are refused by name as well
         "pca_retention=fixed:0", "pca_retention=fixed:14", "coverage_ks=10,5", "coverage_ks=5,5",
+        "teleports=uniform,bogus", "prestige=top_fraction:2",
     ])
     def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
         """``entry`` is one or more space-separated settings; the error names
@@ -443,17 +455,17 @@ class TestExitCodes:
         nodes.write_text("A\t1\t1\nB\t1\t2\nA\t1\t5\n")
         out = tmp_path / "out"
         assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.5",
-                     "--teleports", "publication_weighted", "--outdir", str(out)]) == 2
+                     "--outdir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: ") and str(nodes) in err and "'A'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,message", [
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--teleports",
-          "publication_weighted", "--dampings", "0.5", "--outdir", "{out}"],
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.5",
+          "--outdir", "{out}"],
          "degenerate teleport: all publication_weighted weights are zero"),
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--teleports",
-          "publication_weighted", "--dampings", "0.5", "--tag", "1956-1980", "--outdir", "{out}"],
+        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.5",
+          "--tag", "1956-1980", "--outdir", "{out}"],
          "phase '1956-1980': degenerate teleport: all publication_weighted weights are zero"),
         (["pipeline", "--set", "corpus={corpus}", "--set", "allow_self_citation=false",
           "--set", "outdir={out}"],
@@ -546,7 +558,7 @@ class TestExitCodes:
         ("indicators", ["--if-table", "{if_table}"], [],
          {"papers", "papers_without_references", "papers_used", "references", "graph",
           "diagnostics"}),
-        ("rank", ["--nodes", "{nodes}"], ["--nodes", "{nodes}", "--teleports", "uniform"],
+        ("rank", ["--nodes", "{nodes}"], ["--nodes", "{nodes}", "--dampings", "0.5"],
          {"diagnostics"}),
         ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"], {"stats"}),
         ("generate", ["--seed", "1"], ["--seed", "2"], {"synthetic"}),
@@ -779,15 +791,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("settings,label", [
         (["dampings=0.5,0.5000001"], "pagerank_d0.5"),
         (["dampings=0.5,0.5"], "pagerank_d0.5"),
-        (["teleports=uniform,uniform", "dampings=0.85"], "pagerank_d0.85"),
-    ], ids=["same-tag", "repeated-damping", "repeated-teleport"])
+    ], ids=["same-tag", "repeated-damping"])
     def test_colliding_pagerank_labels_exit_1_before_work(self, settings, label, tmp_path,
                                                           capsys):
         argv = ["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
                 "--set", f"outdir={tmp_path / 'out'}"]
         assert main(argv + [a for entry in settings for a in ("--set", entry)]) == 1
         assert capsys.readouterr().err == (
-            f"error: teleports and dampings give two PageRank variants the label {label!r}\n")
+            f"error: dampings give two PageRank variants the label {label!r}\n")
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("scores,labels,message", [
@@ -831,7 +842,7 @@ class TestRankCommand:
         nodes.write_text("A\t1\t1\nB\t1\t1\nC\t1\t1\n")
         out = tmp_path / "out"
         assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.85",
-                     "--teleports", "uniform", "--outdir", str(out)]) == 0
+                     "--outdir", str(out)]) == 0
         lines = _read(out / "indicator_pagerank_d0.85.tsv").splitlines()
         assert lines[0] == "author\tscore\trank"
         scores = {ln.split("\t")[0]: float(ln.split("\t")[1]) for ln in lines[1:]}
@@ -897,7 +908,7 @@ class TestRankCommand:
             yield written[name]
 
         cfg = RunConfig()
-        pipe_mod.write_phase_ranks(graph, "x", cfg.teleports, cfg.pagerank_configs(), create)
+        pipe_mod.write_phase_ranks(graph, "x", cfg.pagerank_configs(), create)
         assert len(written) == 9
         assert {name: buf.getvalue() for name, buf in written.items()} == {
             p.name: _read(p) for p in (tmp_path / "rank").iterdir() if p.name != "manifest.json"}
@@ -1145,12 +1156,12 @@ class TestRunConfig:
             "seed = 3\n"
             "outdir = out  # comment\n"
             "dampings = 0.15,0.85\n"
-            "prestige = min_citations:2\n"
+            "tolerance = 1e-10\n"
         )
         cfg = load_config(str(f), overrides=["subset_size=40"])
         assert cfg.seed == 3
         assert cfg.dampings == (0.15, 0.85)
-        assert cfg.prestige == "min_citations:2"
+        assert cfg.tolerance == 1e-10
         assert cfg.subset_size == 40
 
     def test_hash_begins_a_comment_only_first_or_after_whitespace(self, small_run, tmp_path,
@@ -1214,7 +1225,6 @@ class TestRunConfig:
         ("skew", "2.5", 2.5),
         ("allow_self_citation", "off", False),
         ("dampings", "0.5,0.85", (0.5, 0.85)),
-        ("teleports", "uniform, citation_weighted", ("uniform", "citation_weighted")),
         ("winners", " w.txt ", "w.txt"),
     ])
     def test_value_parsed_by_field_type(self, key, value, want):
@@ -1226,8 +1236,8 @@ class TestRunConfig:
 # A valid value of each config key whose value is not free text; a junk
 # character anywhere in it makes it malformed.
 _SET_SAMPLES = {
-    "phases": "1956-1990", "dampings": "0.5,0.85", "prestige": "top_fraction:0.1",
-    "subset_size": "30", "allow_self_citation": "true", "tolerance": "1e-12",
+    "phases": "1956-1990", "dampings": "0.5,0.85", "subset_size": "30",
+    "allow_self_citation": "true", "tolerance": "1e-12",
     "seed": "1", "n_papers": "100", "n_authors": "50", "skew": "1.5",
 }
 
@@ -1256,7 +1266,7 @@ _SHARED_SETTINGS = [
     ("dampings", "1.5", [*_RANK, "--dampings", "1.5", "--outdir", "{o}"],
      "dampings must be in [0, 1), got 1.5"),
     ("dampings", "0.5,0.50", [*_RANK, "--dampings", "0.5,0.50", "--outdir", "{o}"],
-     "teleports and dampings give two PageRank variants the label 'pagerank_d0.5'"),
+     "dampings give two PageRank variants the label 'pagerank_d0.5'"),
     ("tolerance", "0", [*_RANK, "--dampings", "0.5", "--tolerance", "0", "--outdir", "{o}"],
      "tolerance must be finite and positive, got 0.0"),
     ("tolerance", "nan", [*_RANK, "--dampings", "0.5", "--tolerance", "nan",
@@ -1265,15 +1275,6 @@ _SHARED_SETTINGS = [
     ("dampings", "0.99999", [*_RANK, "--dampings", "0.99999", "--outdir", "{o}"],
      "dampings: 0.99999 at tolerance 1e-12 needs up to 2832405 iterations, more than the "
      "100000 a solve may take"),
-    ("teleports", "custom", [*_RANK, "--dampings", "0.5", "--teleports", "custom",
-                             "--outdir", "{o}"],
-     "teleports must be one of uniform, citation_weighted, publication_weighted, got 'custom'"),
-    ("prestige", "top_fraction:2", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
-                                    "--prestige", "top_fraction:2"],
-     "prestige must be top_fraction:F with 0 < F <= 1 or min_citations:M with an integer M >= 1"),
-    ("prestige", "min_citations:0.5", ["indicators", "--corpus", "{m}", "--outdir", "{o}",
-                                       "--prestige", "min_citations:0.5"],
-     "prestige must be top_fraction:F with 0 < F <= 1 or min_citations:M with an integer M >= 1"),
     ("subset_size", "2", ["compare", "--scores", "{m}", "{m}", "--subset-size", "2",
                           "--outdir", "{o}"],
      "subset_size must be >= 3, got 2"),
@@ -1301,9 +1302,7 @@ _KEY_FLAGS = [
     ("generate", "--seed", "seed"), ("generate", "--papers", "n_papers"),
     ("generate", "--authors", "n_authors"), ("generate", "--skew", "skew"),
     ("ingest", "--phases", "phases"),
-    ("rank", "--dampings", "dampings"), ("rank", "--teleports", "teleports"),
-    ("rank", "--tolerance", "tolerance"),
-    ("indicators", "--prestige", "prestige"),
+    ("rank", "--dampings", "dampings"), ("rank", "--tolerance", "tolerance"),
     ("compare", "--subset-size", "subset_size"),
 ]
 
@@ -1344,8 +1343,7 @@ _REQUIRED_FLAGS = {
     "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
 # A malformed value for each flag of _KEY_FLAGS, in the same order.
-_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "custom", "1e",
-                          "top_fraction:x", "3.5"]
+_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "1e", "3.5"]
 
 
 @pytest.mark.parametrize("command,flag,key,value", [
@@ -1441,8 +1439,7 @@ def _fail_part_way(*args):
     (corpus_mod, "serialize_corpus", [*_GENERATE, "--outdir", "{t}/run"], True),
     (pipe_mod, "dump_impact_factors", [*_GENERATE, "--outdir", "{t}/run"], True),
     (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
-     ["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--teleports", "uniform",
-      "--outdir", "{t}/run"], False),
+     ["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--outdir", "{t}/run"], False),
     # compare failing in each step of the comparison: correlate, pca, evaluate
     *[(pipe_mod, writer,
        ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
@@ -1695,7 +1692,8 @@ def _run_stage_chain(root, allow_self_citation):
         ranks = json.loads(_read(chain / f"rank_{tag}" / "manifest.json"))
         assert ranks["diagnostics"] == {
             name: info["diagnostics"][name]
-            for name in (variant_label(kind, d) for kind in cfg.teleports for d in cfg.dampings)}
+            for name in (variant_label(kind, d)
+                         for kind in pr_mod.TELEPORTS for d in cfg.dampings)}
         names = _read(root / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
         assert run("compare", "--scores",
                    *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv")) for name in names),

@@ -25,7 +25,7 @@ from bibliorank.indicators import (
     unmatched_references,
 )
 from bibliorank.network import build_graph
-from bibliorank.pagerank import TELEPORTS, PageRankConfig
+from bibliorank.pagerank import PageRankConfig
 from bibliorank.pipeline import classical_indicators, generate_impact_factors, write_phase_ranks
 from tests import oracles
 from tests.conftest import corpus_of, paper, ref
@@ -88,11 +88,6 @@ class TestHighlyCited:
         c = corpus_of([paper("p1", "A", refs=[ref("Z")])])
         assert not highly_cited_papers(internal_citation_counts(c), top_fraction=0.5).any()
 
-    def test_min_citations_one_is_cited_set(self):
-        c = _corpus_with_internal_citations()
-        hc = highly_cited_papers(internal_citation_counts(c), min_citations=1)
-        assert hc.tolist() == [True, True, False, False, False]
-
     def test_top_fraction_includes_ties_at_cut(self):
         # counts {9,5,5,2,1,0,0,0,0,0}; f=0.2 cuts at the 2nd largest (5)
         # and keeps both papers tied at 5 (hand enumeration)
@@ -104,19 +99,18 @@ class TestHighlyCited:
         c = _corpus_with_internal_citations()
         counts = internal_citation_counts(c)
         prev = None
-        for m in (1, 2, 3, 4):
-            hc = highly_cited_papers(counts, min_citations=m)
+        for f in (0.1, 0.2, 0.5, 1.0):
+            hc = highly_cited_papers(counts, top_fraction=f)
             if prev is not None:
-                assert np.all(hc <= prev)
+                assert np.all(prev <= hc)
             prev = hc
+        assert prev.tolist() == [True, True, False, False, False]  # f = 1: every cited paper
 
     def test_invalid_fraction(self):
         counts = internal_citation_counts(_corpus_with_internal_citations())
         for f in (0.0, 1.1, -0.5):
             with pytest.raises(ConfigError):
                 highly_cited_papers(counts, top_fraction=f)
-        with pytest.raises(ConfigError):
-            highly_cited_papers(counts, top_fraction=0.5, min_citations=1)
 
 
 class TestPrestige:
@@ -455,7 +449,7 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
         paper("p2", "A", 2000, "J B", refs=[cite_p0, cite_p1]),
         paper("p3", "B", 2001, "J C", refs=[cite_p0, cite_p1, ref("C")]),
     ])
-    # p0 and p1 reach min_citations:2 only with A's own citation from p2
+    # p0 and p1 tie at the cut of the top 10%, each count with A's own citation from p2
     assert internal_citation_counts(c).tolist() == [2, 2, 0, 0]
     table = ImpactFactorTable({("J A", 1985): 1.0, ("J A", 1990): 1.0, ("J B", 2000): 2.0,
                                ("J C", 2001): 4.0})
@@ -464,8 +458,8 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
     for allow in (True, False):
         g = build_graph(c, allow_self_citation=allow)
         assert g.authors == ["A", "B", "C"]
-        classical, diagnostics = classical_indicators(c, g, "min_citations:2", table)
-        variants, _ = write_phase_ranks(g, None, list(TELEPORTS), configs,
+        classical, diagnostics = classical_indicators(c, g, table)
+        variants, _ = write_phase_ranks(g, None, configs,
                                         lambda name: contextlib.nullcontext(io.StringIO()))
         assert diagnostics["highly_cited_papers"] == 2
         runs.append({sv.name: sv.values.tolist() for sv in classical + variants})

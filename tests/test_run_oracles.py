@@ -105,7 +105,7 @@ def _check_phase(out, tag, info, records, cfg, factors, winners) -> bool:
     received = w.sum(axis=0)
 
     counts = oracles.internal_citation_counts_loop(records)
-    k = max(1, math.ceil(0.1 * len(records)))  # prestige = top_fraction:0.10
+    k = max(1, math.ceil(0.1 * len(records)))  # the top 10% by citation count
     threshold = max(sorted(counts.values())[-k], 1)
     highly_cited = {pid for pid, count in counts.items() if count >= threshold}
     diagnostics = info["diagnostics"]

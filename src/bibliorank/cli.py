@@ -1,10 +1,10 @@
 """Command-line entry points.
 
-Subcommands: generate, ingest, indicators, rank, compare, pipeline.  Each
-writes a run directory through ``pipeline.write_run``: its files and a
-``manifest.json``, written whole or not at all; rank reads back the phase
-graph that indicators wrote.  Exit codes: 0 success, 1 usage or validation
-error, 2 data/input error, 3 non-convergence; each error class has its own.
+Subcommands: generate, ingest, indicators, compare, pipeline.  Each writes
+a run directory through ``pipeline.write_run``: its files and a
+``manifest.json``, written whole or not at all.  Exit codes: 0 success, 1
+usage or validation error, 2 data/input error, 3 non-convergence; each
+error class has its own.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from pathlib import Path
 
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
-from bibliorank import network as net_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import BiblioRankError, ConfigError
+from bibliorank.errors import BiblioRankError, ConfigError, GraphError
 from bibliorank.evaluation import load_winners
 
 
@@ -82,24 +81,17 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_rank(args) -> int:
+def cmd_indicators(args) -> int:
     configs = pipe_mod.RunConfig(dampings=args.dampings,
                                  tolerance=args.tolerance).pagerank_configs()
 
     def write(create) -> dict:
-        graph = net_mod.load_graph(args.edges, args.nodes)
-        _, solves = pipe_mod.write_phase_ranks(graph, args.tag, configs, create)
-        return {"diagnostics": solves}
-
-    return _write_stage(args, write)
-
-
-def cmd_indicators(args) -> int:
-    def write(create) -> dict:
         used, counts = pipe_mod.papers_used(corpus_mod.parse_corpus(args.corpus))
+        if not len(used):
+            raise GraphError("empty graph: the corpus has no papers with references")
         table = None if args.if_table is None else ind_mod.load_impact_factors(args.if_table)
-        _, _, entries = pipe_mod.write_phase_graph(
-            used, args.tag, not args.drop_self_citations, table, create)
+        _, entries = pipe_mod.write_phase_scores(used, args.tag, not args.drop_self_citations,
+                                                 table, configs, create)
         return {**counts, **entries}
 
     return _write_stage(args, write)
@@ -175,21 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     _setting(p, "--phases", "phases", help='e.g. "1956-1980;1981-1990;1991-2000;2001-2008"')
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("rank", help="PageRank variants of a phase graph")
-    p.add_argument("--edges", required=True, help="edge dump of the graph")
-    p.add_argument("--nodes", required=True, help="node dump of the same graph")
-    p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
-    _setting(p, "--dampings", "dampings")
-    _setting(p, "--tolerance", "tolerance")
-    p.add_argument("--outdir", required=True)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("indicators", help="phase graph and non-PageRank indicators of a corpus")
+    p = sub.add_parser("indicators", help="phase graph, PageRank variants and classical "
+                                          "indicators of a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--tag", type=_tag, help="phase tag used in output file names")
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
+    _setting(p, "--dampings", "dampings")
+    _setting(p, "--tolerance", "tolerance")
     p.set_defaults(func=cmd_indicators)
 
     p = sub.add_parser("compare", help="rank table, Spearman matrix, PCA and winner coverage "

@@ -357,35 +357,13 @@ def classical_indicators(corpus, graph, if_table=None) -> tuple[list[ind_mod.Sco
     return scores, diagnostics
 
 
-def write_phase_graph(corpus, phase_label: str | None, allow_self_citation: bool,
-                      if_table, create,
-                      ) -> tuple[net_mod.AuthorCitationGraph, list[ind_mod.ScoreVector], dict]:
-    """The graph step of one phase, which the pipeline and the ``indicators``
-    stage share: build the author citation graph of ``corpus``, write it
-    with ``create`` as `edges_<tag>.tsv` and `nodes_<tag>.tsv` (see
-    ``tagged``), and score it with ``classical_indicators``, written by
-    ``write_indicators``.  Returns the graph, the classical score vectors
-    and the phase's manifest entries `graph` and `diagnostics`."""
-    graph = net_mod.build_graph(corpus, allow_self_citation=allow_self_citation)
-    with create(tagged("edges", phase_label, ".tsv")) as fh:
-        net_mod.dump_edges(graph, fh)
-    with create(tagged("nodes", phase_label, ".tsv")) as fh:
-        net_mod.dump_nodes(graph, fh)
-    scores, diagnostics = classical_indicators(corpus, graph, if_table)
-    write_indicators(scores, phase_label, create)
-    return graph, scores, {"graph": net_mod.graph_stats(graph),
-                           "diagnostics": diagnostics}
-
-
-def write_phase_ranks(graph, phase_label: str | None, configs: list[pr_mod.PageRankConfig],
-                      create) -> tuple[list[ind_mod.ScoreVector], dict]:
-    """The PageRank step of one phase, which the pipeline and the ``rank``
-    stage share: solve each of the ``pagerank.TELEPORTS`` kinds at each
-    config, then write the variants with ``write_indicators``; returns the
-    labelled score vectors and each label's diagnostics entry.  Solves that
-    did not converge raise one NonConvergenceError once all have run, with
-    the largest residual; it and a degenerate teleport's error name the
-    phase."""
+def pagerank_indicators(graph, configs: list[pr_mod.PageRankConfig], phase_label: str | None,
+                        ) -> tuple[list[ind_mod.ScoreVector], dict]:
+    """Each of the ``pagerank.TELEPORTS`` kinds solved on ``graph`` at each
+    config; returns the labelled score vectors and each label's diagnostics
+    entry.  Solves that did not converge raise one NonConvergenceError once
+    all have run, with the largest residual; it and a degenerate teleport's
+    error name the phase labelled ``phase_label``."""
     where = "" if phase_label is None else f"phase {phase_label!r}: "
     scores, solves = [], {}
     for kind in pr_mod.TELEPORTS:
@@ -411,8 +389,31 @@ def write_phase_ranks(graph, phase_label: str | None, configs: list[pr_mod.PageR
         raise NonConvergenceError(
             f"{where}power iteration did not converge: {', '.join(stalled)} "
             f"(residual up to {residual:.3g} at tolerance {configs[0].tolerance:g})")
-    write_indicators(scores, phase_label, create)
     return scores, solves
+
+
+def write_phase_scores(corpus, phase_label: str | None, allow_self_citation: bool, if_table,
+                       configs: list[pr_mod.PageRankConfig], create,
+                       ) -> tuple[list[ind_mod.ScoreVector], dict]:
+    """The graph and scoring step of one phase, which the pipeline and the
+    ``indicators`` stage share: build the author citation graph of
+    ``corpus``, write it with ``create`` as `edges_<tag>.tsv` and
+    `nodes_<tag>.tsv` (see ``tagged``), score it with
+    ``classical_indicators`` and ``pagerank_indicators``, and write the
+    score vectors with ``write_indicators``.  Returns them in the paper's
+    column order (popularity, prestige, PageRank, h-index, impact factor)
+    and the phase's manifest entries `graph` and `diagnostics`."""
+    graph = net_mod.build_graph(corpus, allow_self_citation=allow_self_citation)
+    with create(tagged("edges", phase_label, ".tsv")) as fh:
+        net_mod.dump_edges(graph, fh)
+    with create(tagged("nodes", phase_label, ".tsv")) as fh:
+        net_mod.dump_nodes(graph, fh)
+    classical, diagnostics = classical_indicators(corpus, graph, if_table)
+    pagerank, solves = pagerank_indicators(graph, configs, phase_label)
+    scores = classical[:2] + pagerank + classical[2:]
+    write_indicators(scores, phase_label, create)
+    return scores, {"graph": net_mod.graph_stats(graph),
+                    "diagnostics": {**diagnostics, **solves}}
 
 
 def write_phase_stats(scores: list[ind_mod.ScoreVector], phase_label: str | None,
@@ -565,12 +566,8 @@ def _write_run(cfg: RunConfig, create) -> dict:
     configs = cfg.pagerank_configs()  # checked by validate, built once for every phase
     for phase, filtered in phase_corpora:
         info = manifest["phases"][phase.label]
-        graph, classical, entries = write_phase_graph(
-            filtered, phase.label, cfg.allow_self_citation, if_table, create)
+        scores, entries = write_phase_scores(filtered, phase.label, cfg.allow_self_citation,
+                                             if_table, configs, create)
         info.update(entries)
-        pagerank_scores, solves = write_phase_ranks(graph, phase.label, configs, create)
-        info["diagnostics"].update(solves)
-        # The paper's column order: popularity, prestige, PageRank, h-index, impact factor.
-        scores = classical[:2] + pagerank_scores + classical[2:]
         info.update(write_phase_stats(scores, phase.label, cfg.subset_size, winners, create))
     return manifest

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import bibliorank
 from bibliorank import corpus as corpus_mod
 from bibliorank import indicators as ind_mod
-from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import pipeline as pipe_mod
 from bibliorank import stats as stats_mod
@@ -60,6 +59,13 @@ def _tree_bytes(root):
 
 # A small generate run, without its --outdir.
 _GENERATE = ["generate", "--seed", "1", "--papers", "30", "--authors", "10"]
+
+# A corpus whose phase graph is A->B, B->A, C->A: A cites B, B cites A and
+# C cites A, all in 1960, so each author has one paper.
+_THREE_PAPERS = "".join(
+    json.dumps({"id": f"p{i}", "author": author, "year": 1960, "source": "J",
+                "refs": [{"author": cited, "year": 1950, "source": "J"}]}) + "\n"
+    for i, (author, cited) in enumerate((("A", "B"), ("B", "A"), ("C", "A")), 1))
 
 
 def _generate(outdir, seed, papers, authors):
@@ -125,16 +131,15 @@ class TestExitCodes:
         ["pipeline", "--set", "corpus={corpus}", "--set", "if_table=", "--set", "outdir={o}"],
         ["pipeline", "--set", "corpus={corpus}", "--set", "winners=", "--set", "outdir={o}"],
         ["indicators", "--corpus", "{corpus}", "--if-table", "", "--outdir", "{o}"],
-        ["rank", "--edges", "{edges}", "--nodes", "", "--outdir", "{o}"],
+        ["indicators", "--corpus", "", "--outdir", "{o}"],
         ["compare", "--scores", "{scores}", "--winners", "", "--outdir", "{o}"],
-    ], ids=["pipeline-if_table", "pipeline-winners", "indicators-if-table", "rank-nodes",
+    ], ids=["pipeline-if_table", "pipeline-winners", "indicators-if-table", "indicators-corpus",
             "compare-winners"])
     def test_empty_input_path_exit_2_as_a_missing_file(self, argv, small_run, tmp_path, capsys):
         """An optional input given as '' is a file that does not exist, not
         an input left out."""
         _, corpus, _, pipeline_out = small_run
         paths = {"corpus": corpus, "o": tmp_path / "out",
-                 "edges": sorted(pipeline_out.glob("edges_*.tsv"))[0],
                  "scores": sorted(pipeline_out.glob("indicator_*.tsv"))[0]}
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr() == ("", "error: missing input file: \n")
@@ -163,11 +168,14 @@ class TestExitCodes:
         assert f"(field: {field})" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
+        # not a command: indicators runs the PageRank step
         ["rank", "--edges", "{tmp}/e", "--dampings", "abc", "--outdir", "{tmp}/o"],
+        ["indicators", "--corpus", "{tmp}/c", "--dampings", "abc", "--outdir", "{tmp}/o"],
         ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--outdir", "{tmp}/o"],
         ["compare", "--scores", "{tmp}/s"],
         [],
-    ], ids=["rank-damping", "generate-papers", "compare-no-outdir", "no-command"])
+    ], ids=["rank-damping", "indicators-damping", "generate-papers", "compare-no-outdir",
+            "no-command"])
     def test_usage_error_exit_1_one_error_line(self, argv, tmp_path, capsys):
         assert main([a.format(tmp=tmp_path) for a in argv]) == 1
         out, err = capsys.readouterr()
@@ -213,13 +221,11 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: line 2: not valid UTF-8 in {corpus}\n"
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("bad", ["if_table", "winners", "scores", "nodes", "edges", "config"])
+    @pytest.mark.parametrize("bad", ["if_table", "winners", "scores", "config"])
     def test_non_utf8_text_input_exit_2(self, bad, small_run, tmp_path, capsys):
         _, corpus, if_table, outdir = small_run
         inputs = {"if_table": if_table, "winners": tmp_path / "winners.txt",
                   "scores": sorted(Path(outdir).glob("indicator_*.tsv"))[0],
-                  "nodes": sorted(Path(outdir).glob("nodes_*.tsv"))[0],
-                  "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0],
                   "config": tmp_path / "run.cfg"}
         inputs["winners"].write_text("AUTH 000001\n")
         inputs["config"].write_text("subset_size = 30\n")
@@ -235,10 +241,6 @@ class TestExitCodes:
                         "--outdir", str(tmp_path / "out")],
             "scores": ["compare", "--scores", i["scores"], "--winners", i["winners"],
                        "--outdir", str(tmp_path / "out")],
-            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--dampings", "0.5",
-                      "--outdir", str(tmp_path / "out")],
-            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--dampings", "0.5",
-                      "--outdir", str(tmp_path / "out")],
         }[bad]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: line 1: not valid UTF-8 in {inputs[bad]}\n"
@@ -277,20 +279,18 @@ class TestExitCodes:
         (["pipeline", "--set", "seed=1", "--set", "max_iterations=1000",
           "--set", "outdir={tmp}/o"],
          "unknown config key 'max_iterations'"),
-        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--max-iterations", "5",
-          "--outdir", "{tmp}/o"],
+        (["indicators", "--corpus", "{tmp}/nope", "--max-iterations", "5", "--outdir", "{tmp}/o"],
          "unrecognized arguments: --max-iterations 5"),
         (["pipeline", "--set", "seed=1", "--set", "strict=true", "--set", "outdir={tmp}/o"],
          "unknown config key 'strict'"),
-        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--strict", "--outdir", "{tmp}/o"],
+        (["indicators", "--corpus", "{tmp}/nope", "--strict", "--outdir", "{tmp}/o"],
          "unrecognized arguments: --strict"),
         (["pipeline", "--set", "seed=1", "--set", "teleports=uniform", "--set", "outdir={tmp}/o"],
          "unknown config key 'teleports'"),
         (["pipeline", "--set", "seed=1", "--set", "prestige=min_citations:2",
           "--set", "outdir={tmp}/o"],
          "unknown config key 'prestige'"),
-        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--teleports", "uniform",
-          "--outdir", "{tmp}/o"],
+        (["indicators", "--corpus", "{tmp}/nope", "--teleports", "uniform", "--outdir", "{tmp}/o"],
          "unrecognized arguments: --teleports uniform"),
         (["indicators", "--corpus", "{tmp}/nope", "--prestige", "top_fraction:0.1",
           "--outdir", "{tmp}/o"],
@@ -300,7 +300,7 @@ class TestExitCodes:
          "invalid phases entry ':1956-2008': phase 1956-2008: the label is empty"),
         (["indicators", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--tag", ""],
          "argument --tag: the tag is empty"),
-        (["rank", "--edges", "{tmp}/e", "--nodes", "{tmp}/n", "--outdir", "{tmp}/o", "--tag", " "],
+        (["indicators", "--corpus", "{tmp}/nope", "--outdir", "{tmp}/o", "--tag", " "],
          "argument --tag: the tag is empty"),
         (["generate", "--seed", "1", "--papers", "10", "--authors", "10", "--year-lo", "1990",
           "--outdir", "{tmp}/o"],
@@ -311,11 +311,11 @@ class TestExitCodes:
           "--outdir", "{tmp}/o"],
          "subset_size must be larger than the 3 indicators for PCA, got 3"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "compare-cutoff",
-            "pipeline-retention", "pipeline-max-iterations", "rank-max-iterations",
-            "pipeline-strict", "rank-strict",
-            "pipeline-teleports", "pipeline-prestige", "rank-teleports", "indicators-prestige",
-            "ingest-empty-label",
-            "indicators-empty-tag", "rank-empty-tag", "generate-year-lo",
+            "pipeline-retention", "pipeline-max-iterations", "indicators-max-iterations",
+            "pipeline-strict", "indicators-strict",
+            "pipeline-teleports", "pipeline-prestige", "indicators-teleports",
+            "indicators-prestige", "ingest-empty-label",
+            "indicators-empty-tag", "indicators-blank-tag", "generate-year-lo",
             "pipeline-subset", "compare-subset"])
     def test_malformed_argument_exit_1_before_inputs_are_opened(self, argv, message, tmp_path,
                                                                capsys):
@@ -389,19 +389,6 @@ class TestExitCodes:
         ("scores", "author\tscore\nA\t1\nB\tnan\n", "line 3: non-finite score nan for author 'B'"),
         ("scores", "author\tscore\nA\tinf\n", "line 2: non-finite score inf for author 'A'"),
         ("scores", "author\tscore\nA\t-inf\n", "line 2: non-finite score -inf for author 'A'"),
-        ("nodes", "A\t1\n", "line 1: expected author<TAB>citations<TAB>publications"),
-        ("nodes", "A\t3\t-1\n", "line 1: negative citation or publication count"),
-        ("nodes", "A\t-2\t1\nB\t1\t1\nC\t1\t1\n",
-         "line 1: negative citation or publication count"),
-        ("nodes", "A\t1\t-2\nB\t1\t1\nC\t1\t1\n",
-         "line 1: negative citation or publication count"),
-        ("edges", "A\tB\tx\n", "line 1: invalid weight 'x' (field: weight)"),
-        ("nodes", "A\t99999999999999999999\t1\n",
-         "line 1: integer 99999999999999999999 is 2**63 or more"),
-        ("edges", "A\tB\t99999999999999999999\n",
-         "line 1: integer 99999999999999999999 is 2**63 or more (field: weight)"),
-        ("edges", "A\tB\t4611686018427387904\nA\tC\t4611686018427387904\n",
-         "line 2: edge weights sum to 9223372036854775808, 2**63 or more (field: weight)"),
     ])
     def test_input_error_names_line_and_file(self, bad, text, message, small_run, tmp_path,
                                              capsys):
@@ -409,15 +396,9 @@ class TestExitCodes:
         inputs = {"corpus": corpus, "if_table": if_table,
                   "winners": tmp_path / "winners.txt",
                   "config": tmp_path / "run.cfg",
-                  "scores": sorted(Path(outdir).glob("indicator_*.tsv"))[0],
-                  "nodes": sorted(Path(outdir).glob("nodes_*.tsv"))[0],
-                  "edges": sorted(Path(outdir).glob("edges_*.tsv"))[0]}
+                  "scores": sorted(Path(outdir).glob("indicator_*.tsv"))[0]}
         inputs["winners"].write_text("AUTH 000001\n")
         inputs["config"].write_text("subset_size = 30\n")
-        if bad == "edges":  # the node dump of A->B and A->C, each of weight 2**62
-            inputs["nodes"] = tmp_path / "nodes"
-            inputs["nodes"].write_text("A\t0\t1\nB\t4611686018427387904\t1\n"
-                                       "C\t4611686018427387904\t1\n")
         inputs[bad] = tmp_path / "bad"
         inputs[bad].write_text(text)
         i = {key: str(path) for key, path in inputs.items()}
@@ -432,8 +413,6 @@ class TestExitCodes:
                        "--set", f"outdir={out}"],
             "scores": ["compare", "--scores", i["scores"], i["scores"], "--labels", "a,b",
                        "--outdir", out],
-            "nodes": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--outdir", out],
-            "edges": ["rank", "--edges", i["edges"], "--nodes", i["nodes"], "--outdir", out],
         }[bad]
         assert main(argv) == (1 if bad == "config" else 2)
         assert capsys.readouterr().err == f"error: {message} in {inputs[bad]}\n"
@@ -449,39 +428,26 @@ class TestExitCodes:
         assert err.startswith("error: line 4: ") and str(scores) in err and "'A'" in err
         assert not out.exists()
 
-    def test_duplicate_node_row_exit_2(self, tmp_path, capsys):
-        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
-        edges.write_text("A\tB\t1\nB\tA\t1\n")
-        nodes.write_text("A\t1\t1\nB\t1\t2\nA\t1\t5\n")
-        out = tmp_path / "out"
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.5",
-                     "--outdir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 3: ") and str(nodes) in err and "'A'" in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("argv,message", [
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.5",
+        (["indicators", "--corpus", "{self}", "--drop-self-citations", "--outdir", "{out}"],
+         "degenerate teleport: all citation_weighted weights are zero"),
+        (["indicators", "--corpus", "{self}", "--drop-self-citations", "--tag", "1956-1980",
           "--outdir", "{out}"],
-         "degenerate teleport: all publication_weighted weights are zero"),
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.5",
-          "--tag", "1956-1980", "--outdir", "{out}"],
-         "phase '1956-1980': degenerate teleport: all publication_weighted weights are zero"),
+         "phase '1956-1980': degenerate teleport: all citation_weighted weights are zero"),
         (["pipeline", "--set", "corpus={corpus}", "--set", "allow_self_citation=false",
           "--set", "outdir={out}"],
          "phase '1956-1980': degenerate teleport: all citation_weighted weights are zero"),
-    ], ids=["rank", "rank-tag", "pipeline"])
+    ], ids=["indicators", "indicators-tag", "pipeline"])
     def test_degenerate_teleport_exit_2_names_the_phase_writes_no_out(self, argv, message,
                                                                        tmp_path, capsys):
-        """Where every publication count of the node dump is zero, the
-        publication-weighted teleport has no mass; in the corpus, the one
-        paper of 1956-1980 cites only its own author, so without self
-        citations no author of that phase is cited."""
-        inputs = {"edges": "A\tB\t1\nB\tA\t1\n", "nodes": "A\t1\t0\nB\t1\t0\n",
-                  "corpus": '{"id":"p1","author":"A","year":1960,"source":"J",'
-                            '"refs":[{"author":"A","year":1950,"source":"J"}]}\n'
-                            '{"id":"p2","author":"B","year":1985,"source":"J",'
-                            '"refs":[{"author":"C","year":1950,"source":"J"}]}\n'}
+        """The one paper of ``self``, and of 1956-1980 in ``corpus``, cites
+        only its own author, so without self citations no author is cited
+        and the citation-weighted teleport has no mass."""
+        self_citing = ('{"id":"p1","author":"A","year":1960,"source":"J",'
+                       '"refs":[{"author":"A","year":1950,"source":"J"}]}\n')
+        inputs = {"self": self_citing,
+                  "corpus": self_citing + '{"id":"p2","author":"B","year":1985,"source":"J",'
+                                          '"refs":[{"author":"C","year":1950,"source":"J"}]}\n'}
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
         paths = {name: tmp_path / name for name in (*inputs, "out")}
@@ -489,38 +455,48 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
+    @pytest.mark.parametrize("refs", [', "refs": []', ""], ids=["empty-refs", "no-refs"])
+    def test_corpus_without_references_exit_2_as_a_skipped_phase(self, refs, tmp_path, capsys):
+        """``indicators`` on a corpus whose papers all lack references fails
+        as the pipeline skips such a phase: no paper has references."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(f'{{"id": "p{i}", "author": "A", "year": 1960, '
+                                  f'"source": "J"{refs}}}\n' for i in (1, 2)))
+        assert main(["indicators", "--corpus", str(corpus), "--outdir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: empty graph: the corpus has no papers with references\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
     @pytest.mark.parametrize("argv,fixture,tolerance,prefix,variants", [
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.85",
-          "--outdir", "{out}"],
+        (["indicators", "--corpus", "{three}", "--dampings", "0.85", "--outdir", "{out}"],
          "one_step_cap", pr_mod.PageRankConfig.tolerance, "",
          "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.85",
-          "--tolerance", "1e-16", "--outdir", "{out}"],
+        (["indicators", "--corpus", "{three}", "--dampings", "0.85", "--tolerance", "1e-16",
+          "--outdir", "{out}"],
          None, 1e-16, "",
          "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
-        (["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--dampings", "0.85",
-          "--tolerance", "1e-16", "--tag", "1956-1980", "--outdir", "{out}"],
+        (["indicators", "--corpus", "{three}", "--dampings", "0.85", "--tolerance", "1e-16",
+          "--tag", "1956-1980", "--outdir", "{out}"],
          None, 1e-16, "phase '1956-1980': ",
          "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
         (["pipeline", "--set", "corpus={corpus}", "--set", "tolerance=1e-16",
           "--set", "subset_size=20", "--set", "outdir={out}"],
          None, 1e-16, "phase '1956-1980': ", "pagerank_d0.5, pagerank_pub_d0.85"),
-    ], ids=["rank", "rank-tolerance", "rank-tag", "pipeline"])
+    ], ids=["indicators", "indicators-tolerance", "indicators-tag", "pipeline"])
     def test_stall_exit_3_names_the_phase_writes_no_out(self, argv, fixture, tolerance, prefix,
                                                         variants, tmp_path, capsys, request):
         """A solve stalls under a one-step cap (the first row, without a
         tolerance) or, within its derived cap, at the float floor: at 1e-16
-        the residuals of the three-node dump stay near 4e-16, and those of
+        the residuals of the three-paper graph stay near 4e-16, and those of
         the 300-paper corpus near 3e-16 in 1956-1980.  The run fails with
         one line naming the variants, the largest residual and the phase."""
         if fixture is not None:
             request.getfixturevalue(fixture)
-        (tmp_path / "edges").write_text("A\tB\t1\nB\tA\t1\nC\tA\t1\n")
-        (tmp_path / "nodes").write_text("A\t2\t1\nB\t1\t1\nC\t0\t1\n")
+        (tmp_path / "three.jsonl").write_text(_THREE_PAPERS)
         _generate(tmp_path / "gen", 1, 300, 150)
         inputs = sorted(p.name for p in tmp_path.iterdir())
-        paths = {"edges": tmp_path / "edges", "nodes": tmp_path / "nodes",
-                 "corpus": tmp_path / "gen" / "corpus.jsonl", "out": tmp_path / "out"}
+        paths = {"three": tmp_path / "three.jsonl", "corpus": tmp_path / "gen" / "corpus.jsonl",
+                 "out": tmp_path / "out"}
         capsys.readouterr()
         assert main([a.format(**paths) for a in argv]) == 3
         out, err = capsys.readouterr()
@@ -531,14 +507,14 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     def test_rank_at_damping_099_converges_within_its_cap(self, tmp_path):
-        """At d = 0.99 these three nodes need about 2,710 steps: every
+        """At d = 0.99 the three-paper graph needs about 2,710 steps: every
         variant converges, within the cap its damping derives."""
-        edges, nodes, out = tmp_path / "edges.tsv", tmp_path / "nodes.tsv", tmp_path / "out"
-        edges.write_text("A\tB\t1\nB\tA\t1\nC\tA\t1\n")
-        nodes.write_text("A\t2\t1\nB\t1\t1\nC\t0\t1\n")
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.99",
+        corpus, out = tmp_path / "three.jsonl", tmp_path / "out"
+        corpus.write_text(_THREE_PAPERS)
+        assert main(["indicators", "--corpus", str(corpus), "--dampings", "0.99",
                      "--outdir", str(out)]) == 0
-        solves = json.loads(_read(out / "manifest.json"))["diagnostics"]
+        diagnostics = json.loads(_read(out / "manifest.json"))["diagnostics"]
+        solves = {label: v for label, v in diagnostics.items() if label.startswith("pagerank")}
         cap = pr_mod.PageRankConfig(0.99).max_iterations
         assert sorted(solves) == ["pagerank_cit_d0.99", "pagerank_d0.99", "pagerank_pub_d0.99"]
         for entry in solves.values():
@@ -558,27 +534,24 @@ class TestExitCodes:
         ("indicators", ["--if-table", "{if_table}"], [],
          {"papers", "papers_without_references", "papers_used", "references", "graph",
           "diagnostics"}),
-        ("rank", ["--nodes", "{nodes}"], ["--nodes", "{nodes}", "--dampings", "0.5"],
-         {"diagnostics"}),
+        ("indicators", [], ["--dampings", "0.5"],
+         {"papers", "papers_without_references", "papers_used", "references", "graph",
+          "diagnostics"}),
         ("compare", ["--scores", "{scores}", "--tag", "x"], ["--scores", "{scores}"], {"stats"}),
         ("generate", ["--seed", "1"], ["--seed", "2"], {"synthetic"}),
     ])
     def test_stage_rerun_replaces_previous_run_whole(self, command, first, second, keys,
                                                      small_run, tmp_path, monkeypatch):
         _, corpus, if_table, pipeline_out = small_run
-        nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
         scores, good_scores = sorted(pipeline_out.glob("indicator_*.tsv"))[:2]
-        # rank reads the phase graph of the pipeline run, compare two of its
-        # score files, the others the corpus
-        flag, good = {"rank": ("--edges", sorted(pipeline_out.glob("edges_*.tsv"))[0]),
-                      "compare": ("--scores", good_scores)}.get(command, ("--corpus", corpus))
+        # compare reads two score files of the pipeline run, the others the corpus
+        flag, good = {"compare": ("--scores", good_scores)}.get(command, ("--corpus", corpus))
         outdir = tmp_path / "out"
 
         def run(input_path, extra):
             source = _GENERATE[1:] if command == "generate" else [flag, str(input_path)]
             return main([command, *source, "--outdir", str(outdir),
-                         *(a.format(if_table=if_table, nodes=nodes, scores=scores)
-                           for a in extra)])
+                         *(a.format(if_table=if_table, scores=scores) for a in extra)])
 
         assert run(good, first) == 0
         before = _dir_bytes(outdir)
@@ -603,8 +576,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,owner", [
         ("indicators", "ingest"), ("ingest", "pipeline"), ("pipeline", "indicators"),
-        ("rank", "indicators"), ("indicators", "rank"), ("compare", "rank"), ("rank", "compare"),
-        ("generate", "pipeline"), ("ingest", "generate"),
+        ("ingest", "indicators"), ("indicators", "generate"), ("compare", "indicators"),
+        ("indicators", "compare"), ("generate", "pipeline"), ("ingest", "generate"),
     ])
     def test_other_commands_run_exit_1_and_is_kept(self, command, owner, small_run, tmp_path,
                                                    capsys):
@@ -613,10 +586,6 @@ class TestExitCodes:
         def argv(cmd, corpus_path, outdir):
             if cmd == "pipeline":
                 return [cmd, "--set", f"corpus={corpus_path}", "--set", f"outdir={outdir}"]
-            if cmd == "rank":
-                return [cmd, "--edges", str(sorted(pipeline_out.glob("edges_*.tsv"))[0]),
-                        "--nodes", str(sorted(pipeline_out.glob("nodes_*.tsv"))[0]),
-                        "--outdir", str(outdir)]
             if cmd == "compare":
                 scores = sorted(pipeline_out.glob("indicator_*.tsv"))[:2]
                 return [cmd, "--scores", *map(str, scores), "--outdir", str(outdir)]
@@ -638,7 +607,7 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    @pytest.mark.parametrize("command", ["pipeline", "rank"])
+    @pytest.mark.parametrize("command", ["pipeline", "indicators"])
     def test_run_without_command_key_exit_1_and_is_kept(self, command, small_run, tmp_path,
                                                         capsys):
         """A manifest written before runs named their command is refused by
@@ -652,9 +621,9 @@ class TestExitCodes:
         before = _dir_bytes(outdir)
         capsys.readouterr()
         argv = {"pipeline": ["pipeline", "--set", f"corpus={corpus}", "--set", f"outdir={outdir}"],
-                "rank": ["rank", "--edges", str(sorted(outdir.glob("edges_*.tsv"))[0]),
-                         "--nodes", str(sorted(outdir.glob("nodes_*.tsv"))[0]),
-                         "--outdir", str(outdir)]}[command]
+                "indicators": ["indicators", "--corpus",
+                               str(sorted(outdir.glob("corpus_*.jsonl"))[0]),
+                               "--outdir", str(outdir)]}[command]
         assert main(argv) == 1
         assert capsys.readouterr().err == (f"error: outdir {outdir} holds a run written without "
                                            "a command key; choose another outdir\n")
@@ -690,14 +659,12 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators", "rank", "compare",
+    @pytest.mark.parametrize("command", ["pipeline", "ingest", "indicators", "compare",
                                          "generate"])
     def test_failed_run_removes_the_parent_directories_it_made(self, command, small_run,
                                                                tmp_path, monkeypatch):
         _, corpus, _, pipeline_out = small_run
-        nodes = sorted(pipeline_out.glob("nodes_*.tsv"))[0]
-        good = {"rank": sorted(pipeline_out.glob("edges_*.tsv"))[0],
-                "compare": sorted(pipeline_out.glob("indicator_*.tsv"))[0]}.get(command, corpus)
+        good = {"compare": sorted(pipeline_out.glob("indicator_*.tsv"))[0]}.get(command, corpus)
         bad = tmp_path / "bad"
         bad.write_text("not json\n")
         outdir = tmp_path / "q" / "r" / "run"
@@ -707,8 +674,6 @@ class TestExitCodes:
                 "pipeline": ["pipeline", "--set", f"corpus={path}", "--set", f"outdir={outdir}"],
                 "ingest": ["ingest", "--corpus", str(path), "--outdir", str(outdir)],
                 "indicators": ["indicators", "--corpus", str(path), "--outdir", str(outdir)],
-                "rank": ["rank", "--edges", str(path), "--nodes", str(nodes),
-                         "--outdir", str(outdir)],
                 "compare": ["compare", "--scores", str(path), "--outdir", str(outdir)],
                 "generate": [*_GENERATE, "--outdir", str(outdir)],
             }[command])
@@ -833,125 +798,6 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
-
-
-class TestRankCommand:
-    def test_cycle_edge_list_uniform(self, tmp_path, capsys):
-        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.tsv"
-        edges.write_text("A\tB\t1\nB\tC\t1\nC\tA\t1\n")
-        nodes.write_text("A\t1\t1\nB\t1\t1\nC\t1\t1\n")
-        out = tmp_path / "out"
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes), "--dampings", "0.85",
-                     "--outdir", str(out)]) == 0
-        lines = _read(out / "indicator_pagerank_d0.85.tsv").splitlines()
-        assert lines[0] == "author\tscore\trank"
-        scores = {ln.split("\t")[0]: float(ln.split("\t")[1]) for ln in lines[1:]}
-        assert all(abs(v - 1 / 3) < 1e-12 for v in scores.values())
-
-    @pytest.mark.parametrize("drop", [False, True], ids=["self-citing", "no-self-citations"])
-    def test_node_dump_of_the_other_self_citation_setting_exit_2(self, drop, small_run,
-                                                                 tmp_path, capsys):
-        """The two settings give one node set, whose citation counts differ
-        where an author cites themself; the first such author is named."""
-        _, _, _, outdir = small_run
-        corpus = outdir / "corpus_1956_1980.jsonl"
-        for name, setting in (("keep", []), ("drop", ["--drop-self-citations"])):
-            assert main(["indicators", "--corpus", str(corpus), "--tag", "1956-1980",
-                         "--outdir", str(tmp_path / name), *setting]) == 0
-        edges_of, nodes_of = ("drop", "keep") if drop else ("keep", "drop")
-        graph = net_mod.load_graph(*(tmp_path / edges_of / f"{stem}_1956_1980.tsv"
-                                     for stem in ("edges", "nodes")))
-        _, citations, _ = net_mod.load_nodes(tmp_path / nodes_of / "nodes_1956_1980.tsv")
-        first = int(np.flatnonzero(graph.citations_received != citations)[0])
-        before = _tree_bytes(tmp_path)
-        capsys.readouterr()
-        assert main(["rank", "--edges", str(tmp_path / edges_of / "edges_1956_1980.tsv"),
-                     "--nodes", str(tmp_path / nodes_of / "nodes_1956_1980.tsv"),
-                     "--outdir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr() == ("", (
-            f"error: the node dump gives {graph.authors[first]!r} {citations[first]} "
-            f"citations, the edge list {graph.citations_received[first]}\n"))
-        assert _tree_bytes(tmp_path) == before
-
-    def test_node_dump_of_another_phase_exit_2(self, small_run, tmp_path, capsys):
-        _, _, _, outdir = small_run
-        edges, nodes = outdir / "edges_1956_1980.tsv", outdir / "nodes_2001_2008.tsv"
-        assert main(["rank", "--edges", str(edges), "--nodes", str(nodes),
-                     "--outdir", str(tmp_path / "out")]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: line ") and err.count("\n") == 1
-        assert "is not in the node dump" in err and err.endswith(f" in {edges}\n")
-        assert not any(tmp_path.iterdir())
-
-    def test_scores_are_those_of_the_phase_graph(self, tmp_path):
-        """Without self-citations, an author who only cites themself has
-        no edge but stays a node of the phase graph, and so of rank's."""
-        corpus = tmp_path / "c.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"id": pid, "author": author, "year": 2000, "source": "J",
-                        "refs": [{"author": cited, "year": 1999, "source": "J"}]}) + "\n"
-            for pid, author, cited in (("p1", "A", "A"), ("p2", "B", "C"), ("p3", "C", "B"))))
-        stage = tmp_path / "indicators"
-        assert main(["indicators", "--corpus", str(corpus), "--tag", "x",
-                     "--drop-self-citations", "--outdir", str(stage)]) == 0
-        assert main(["rank", "--edges", str(stage / "edges_x.tsv"),
-                     "--nodes", str(stage / "nodes_x.tsv"), "--tag", "x",
-                     "--outdir", str(tmp_path / "rank")]) == 0
-
-        graph = net_mod.build_graph(corpus_mod.parse_corpus(corpus), allow_self_citation=False)
-        assert graph.authors == ["A", "B", "C"] and graph.adjacency.nnz == 2
-        written = {}
-
-        @contextlib.contextmanager
-        def create(name):
-            written[name] = io.StringIO()
-            yield written[name]
-
-        cfg = RunConfig()
-        pipe_mod.write_phase_ranks(graph, "x", cfg.pagerank_configs(), create)
-        assert len(written) == 9
-        assert {name: buf.getvalue() for name, buf in written.items()} == {
-            p.name: _read(p) for p in (tmp_path / "rank").iterdir() if p.name != "manifest.json"}
-
-
-@st.composite
-def _extreme_graph_dumps(draw) -> tuple[str, str]:
-    """An edge dump and the node dump that agrees with it, over one to three
-    authors, with weights and publication counts up to 2**63 - 1."""
-    n = draw(st.integers(1, 3))
-    weights = st.sampled_from([1, 2**62, 2**63 - 1]) | st.integers(1, 2**63 - 1)
-    edges = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                                 weights, min_size=1, max_size=6))
-    publications = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
-    citations = [sum(w for (_, cited), w in edges.items() if cited == i) for i in range(n)]
-    return ("".join(f"A{citer}\tA{cited}\t{w}\n" for (citer, cited), w in edges.items()),
-            "".join(f"A{i}\t{c}\t{p}\n" for i, (c, p) in enumerate(zip(citations, publications))))
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(dumps=_extreme_graph_dumps(), damping=st.sampled_from(["0.5", "0.85", "0.99"]))
-@example(dumps=(f"A0\tA1\t{2**62}\nA0\tA2\t{2**62}\n",
-                f"A0\t0\t1\nA1\t{2**62}\t1\nA2\t{2**62}\t1\n"), damping="0.85")
-def test_extreme_graph_dumps_give_sound_scores_or_one_error_line(dumps, damping):
-    """``rank`` on dumps that agree either exits 2 with one `error:` line and
-    no outdir, or writes score files that are finite, non-negative and sum
-    to 1: a sum of weights past int64 must not come back as a wrapped one."""
-    with tempfile.TemporaryDirectory() as tmp:
-        edges, nodes, outdir = Path(tmp) / "edges.tsv", Path(tmp) / "nodes.tsv", Path(tmp) / "out"
-        edges.write_text(dumps[0])
-        nodes.write_text(dumps[1])
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
-            rc = main(["rank", "--edges", str(edges), "--nodes", str(nodes),
-                       "--dampings", damping, "--outdir", str(outdir)])
-        if rc == 2:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-            assert not outdir.exists()
-            return
-        assert rc == 0 and err.getvalue() == ""
-        files = sorted(outdir.glob("indicator_pagerank*.tsv"))
-        assert len(files) == 3
-        _assert_distributions(files)
 
 
 def _assert_distributions(score_files) -> None:
@@ -1261,18 +1107,19 @@ def test_malformed_set_value_exit_1_names_key(key, junk, at):
 # A bad value of each setting that a stage subcommand shares with the
 # pipeline: (config key, value, the stage's argv, the one error message).
 # {m} is an input path that does not exist and {o} an output path.
-_RANK = ["rank", "--edges", "{m}", "--nodes", "{m}"]
+_INDICATORS = ["indicators", "--corpus", "{m}"]
 _SHARED_SETTINGS = [
-    ("dampings", "1.5", [*_RANK, "--dampings", "1.5", "--outdir", "{o}"],
+    ("dampings", "1.5", [*_INDICATORS, "--dampings", "1.5", "--outdir", "{o}"],
      "dampings must be in [0, 1), got 1.5"),
-    ("dampings", "0.5,0.50", [*_RANK, "--dampings", "0.5,0.50", "--outdir", "{o}"],
+    ("dampings", "0.5,0.50", [*_INDICATORS, "--dampings", "0.5,0.50", "--outdir", "{o}"],
      "dampings give two PageRank variants the label 'pagerank_d0.5'"),
-    ("tolerance", "0", [*_RANK, "--dampings", "0.5", "--tolerance", "0", "--outdir", "{o}"],
+    ("tolerance", "0", [*_INDICATORS, "--dampings", "0.5", "--tolerance", "0",
+                        "--outdir", "{o}"],
      "tolerance must be finite and positive, got 0.0"),
-    ("tolerance", "nan", [*_RANK, "--dampings", "0.5", "--tolerance", "nan",
+    ("tolerance", "nan", [*_INDICATORS, "--dampings", "0.5", "--tolerance", "nan",
                           "--outdir", "{o}"],
      "tolerance must be finite and positive, got nan"),
-    ("dampings", "0.99999", [*_RANK, "--dampings", "0.99999", "--outdir", "{o}"],
+    ("dampings", "0.99999", [*_INDICATORS, "--dampings", "0.99999", "--outdir", "{o}"],
      "dampings: 0.99999 at tolerance 1e-12 needs up to 2832405 iterations, more than the "
      "100000 a solve may take"),
     ("subset_size", "2", ["compare", "--scores", "{m}", "{m}", "--subset-size", "2",
@@ -1302,7 +1149,7 @@ _KEY_FLAGS = [
     ("generate", "--seed", "seed"), ("generate", "--papers", "n_papers"),
     ("generate", "--authors", "n_authors"), ("generate", "--skew", "skew"),
     ("ingest", "--phases", "phases"),
-    ("rank", "--dampings", "dampings"), ("rank", "--tolerance", "tolerance"),
+    ("indicators", "--dampings", "dampings"), ("indicators", "--tolerance", "tolerance"),
     ("compare", "--subset-size", "subset_size"),
 ]
 
@@ -1338,7 +1185,6 @@ def test_every_key_flag_is_declared_from_its_key():
 _REQUIRED_FLAGS = {
     "generate": ["--seed", "1", "--papers", "50", "--authors", "20", "--outdir", "{o}"],
     "ingest": ["--corpus", "{m}", "--outdir", "{o}"],
-    "rank": ["--edges", "{m}", "--nodes", "{m}", "--outdir", "{o}"],
     "indicators": ["--corpus", "{m}", "--outdir", "{o}"],
     "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
@@ -1370,16 +1216,12 @@ def test_flag_and_set_refuse_a_malformed_value_alike(command, flag, key, value, 
      "the score file label '\\udcff' is not valid UTF-8"),
     (["indicators", "--corpus", "{t}/c", "--outdir", "{t}/good", "--tag", "\udcff"],
      "argument --tag: '\\udcff' is not valid UTF-8"),
-    (["rank", "--edges", "{t}/e", "--nodes", "{t}/n", "--outdir", "{t}/good",
-      "--tag", "\udcff"],
-     "argument --tag: '\\udcff' is not valid UTF-8"),
     (["ingest", "--corpus", "{t}/c", "--outdir", "{t}/good", "--phases", "\udcff:1956-2008"],
      "invalid phases entry '\\udcff:1956-2008': the label is not valid UTF-8"),
     (["pipeline", "--set", "seed=1", "--set", "outdir={t}/good",
       "--set", "phases=1956-1990;x\udcff:1991-2008"],
      "invalid phases entry 'x\\udcff:1991-2008': the label is not valid UTF-8"),
-], ids=["compare-labels", "compare-file-stem", "indicators-tag",
-        "rank-tag", "ingest-phases",
+], ids=["compare-labels", "compare-file-stem", "indicators-tag", "ingest-phases",
         "pipeline-phases"])
 def test_argument_written_into_an_output_must_be_utf8(argv, message, tmp_path, capsys):
     """A non-UTF-8 byte of argv reaches Python as a lone surrogate, \\udcff
@@ -1403,8 +1245,7 @@ _BOM_CORPUS = json.dumps({"id": "p1", "author": "A", "year": 2000, "source": "J"
     (lambda path: corpus_records(corpus_mod.parse_corpus(path)), _BOM_CORPUS),
     (lambda path: ind_mod.load_impact_factors(path).factors, "J. Test\t1990\t2.5\n"),
     (lambda path: vars(ind_mod.load_indicator(path, "s")), "author\tscore\nA\t1\nB\t2\n"),
-    (net_mod.load_nodes, "A\t1\t2\nB\t0\t1\n"),
-], ids=["winners", "config", "corpus", "if_table", "scores", "nodes"])
+], ids=["winners", "config", "corpus", "if_table", "scores"])
 def test_byte_order_mark_of_a_text_input_is_dropped(read, text, tmp_path):
     """A file that starts with the UTF-8 byte-order mark, as some editors
     write it, reads as the same file without it."""
@@ -1439,21 +1280,21 @@ def _fail_part_way(*args):
     (corpus_mod, "serialize_corpus", [*_GENERATE, "--outdir", "{t}/run"], True),
     (pipe_mod, "dump_impact_factors", [*_GENERATE, "--outdir", "{t}/run"], True),
     (ind_mod, "dump_indicator",  # a run directory: none is left, nor its stage
-     ["rank", "--edges", "{edges}", "--nodes", "{nodes}", "--outdir", "{t}/run"], False),
+     ["indicators", "--corpus", "{corpus}", "--outdir", "{t}/run"], False),
     # compare failing in each step of the comparison: correlate, pca, evaluate
     *[(pipe_mod, writer,
        ["compare", "--scores", "{a}", "{b}", "--subset-size", "20", "--winners", "{t}/w.txt",
         "--outdir", "{t}/run"], False)
       for writer in ("write_correlation", "write_pca", "write_coverage")],
-], ids=["generate-out", "generate-impact-factors", "rank", "correlate", "pca", "evaluate"])
+], ids=["generate-out", "generate-impact-factors", "indicators", "correlate", "pca",
+        "evaluate"])
 def test_failed_write_keeps_the_existing_output(module, writer, argv, earlier_run, small_run,
                                                 tmp_path, monkeypatch, capsys):
     _, _, _, outdir = small_run
     a, b = sorted(Path(outdir).glob("indicator_1991_2000_*.tsv"))[:2]
-    edges = sorted(Path(outdir).glob("edges_*.tsv"))[0]
-    nodes = sorted(Path(outdir).glob("nodes_*.tsv"))[0]
+    corpus = sorted(Path(outdir).glob("corpus_*.jsonl"))[0]
     (tmp_path / "w.txt").write_text("AUTH 000001\n")
-    argv = [x.format(t=tmp_path, a=a, b=b, edges=edges, nodes=nodes) for x in argv]
+    argv = [x.format(t=tmp_path, a=a, b=b, corpus=corpus) for x in argv]
     if earlier_run:
         assert main(argv) == 0
     before = _tree_bytes(tmp_path)
@@ -1648,10 +1489,10 @@ class TestPipeline:
 
 
 def _run_stage_chain(root, allow_self_citation):
-    """generate, ingest and per phase indicators, rank and compare, 14
-    commands for the 4 phases, each command writing into its own directory.
-    Returns the sha256 of each written file but manifest.json, per command,
-    and the pipeline's files map."""
+    """generate, ingest and per phase indicators and compare, 10 commands
+    for the 4 phases, each command writing into its own directory.  Returns
+    the sha256 of each written file but manifest.json, per command, the
+    pipeline's manifest and the `indicators` manifest of each phase label."""
     cfg = RunConfig(seed=1, n_papers=300, n_authors=150, subset_size=20,
                     allow_self_citation=allow_self_citation,
                     winners=str(root / "winners.txt"), outdir=str(root / "pipe"))
@@ -1675,6 +1516,7 @@ def _run_stage_chain(root, allow_self_citation):
                "--outdir", chain / "ingest") == (0, "")
     skipped = [label for label, info in pipeline["phases"].items() if "stats_skipped" in info]
     assert 0 < len(skipped) < len(pipeline["phases"])
+    indicators = {}
     for label, info in pipeline["phases"].items():
         tag = pipe_mod.phase_tag(label)
         stage = chain / f"indicators_{tag}"
@@ -1682,21 +1524,13 @@ def _run_stage_chain(root, allow_self_citation):
                    "--outdir", stage, "--tag", label,
                    "--if-table", chain / "generate" / "impact_factors.tsv",
                    *([] if allow_self_citation else ["--drop-self-citations"])) == (0, "")
-        manifest = json.loads(_read(stage / "manifest.json"))
-        for key in ("papers_used", "references", "graph"):
-            assert manifest[key] == info[key], key
-        assert manifest["diagnostics"].items() <= info["diagnostics"].items()
-        assert run("rank", "--edges", stage / f"edges_{tag}.tsv", "--nodes",
-                   stage / f"nodes_{tag}.tsv", "--tag", label,
-                   "--outdir", chain / f"rank_{tag}") == (0, "")
-        ranks = json.loads(_read(chain / f"rank_{tag}" / "manifest.json"))
-        assert ranks["diagnostics"] == {
-            name: info["diagnostics"][name]
-            for name in (variant_label(kind, d)
-                         for kind in pr_mod.TELEPORTS for d in cfg.dampings)}
+        indicators[label] = json.loads(_read(stage / "manifest.json"))
+        for key in ("papers", "papers_without_references", "papers_used", "references",
+                    "graph", "diagnostics"):
+            assert indicators[label][key] == info[key], key
         names = _read(root / "pipe" / f"table_{tag}.tsv").split("\n")[0].split("\t")[1:]
         assert run("compare", "--scores",
-                   *(next(chain.glob(f"*/indicator_{tag}_{name}.tsv")) for name in names),
+                   *(stage / f"indicator_{tag}_{name}.tsv" for name in names),
                    "--labels", ",".join(names), "--tag", label, "--subset-size", cfg.subset_size,
                    "--winners", cfg.winners, "--outdir", chain / f"compare_{tag}") == (0, "")
         stats = json.loads(_read(chain / f"compare_{tag}" / "manifest.json"))["stats"]
@@ -1709,7 +1543,7 @@ def _run_stage_chain(root, allow_self_citation):
         if p.name != "manifest.json":
             command = p.parent.name.split("_")[0]
             written.setdefault(command, {})[p.name] = pipe_mod.file_sha256(p)
-    return written, pipeline["files"]
+    return written, pipeline, indicators
 
 
 @pytest.fixture(scope="class")
@@ -1722,12 +1556,23 @@ def stage_chain(tmp_path_factory):
 
 def _assert_stage_matches_pipeline(stage_chain, command, prefix=""):
     """Every file `command` wrote in the self-citing chain whose name starts
-    with `prefix` has the pipeline's bytes; names each that does not."""
-    written, expected = stage_chain(True)
+    with `prefix` has the pipeline's bytes; names each that does not.  Each
+    `indicators` manifest's `diagnostics` holds the 3·len(dampings) solve
+    entries of the pipeline's phase."""
+    written, pipeline, indicators = stage_chain(True)
     files = {name: digest for name, digest in written[command].items()
              if name.startswith(prefix)}
     assert files
-    assert sorted(name for name, digest in files.items() if expected.get(name) != digest) == []
+    assert sorted(name for name, digest in files.items()
+                  if pipeline["files"].get(name) != digest) == []
+    if command == "indicators":
+        solves = [variant_label(kind, d) for kind in pr_mod.TELEPORTS
+                  for d in pipeline["config"]["dampings"]]
+        assert len(indicators) == len(pipeline["phases"]) and len(solves) == 9
+        for label, manifest in indicators.items():
+            diagnostics = pipeline["phases"][label]["diagnostics"]
+            assert {name: manifest["diagnostics"].get(name) for name in solves} == {
+                name: diagnostics[name] for name in solves}
 
 
 class TestStageComposition:
@@ -1777,24 +1622,20 @@ class TestStageComposition:
     @pytest.mark.parametrize("tag,file_tag", [("a/b", "a_b"), ("1981-1990", "1981_1990"),
                                               (None, None)])
     def test_indicators_tag_is_a_phase_tag(self, tag, file_tag, small_run, tmp_path):
-        """``indicators --tag`` and ``rank --tag`` name their files as the
-        pipeline names a phase's."""
+        """``indicators --tag`` names its files, the classical and the
+        PageRank ones, as the pipeline names a phase's."""
         _, _, _, outdir = small_run
         corpus = sorted(Path(outdir).glob("corpus_*.jsonl"))[0]
         stage_dir = tmp_path / "stage"
         tagged = ["--tag", tag] if tag else []
-        assert main(["indicators", "--corpus", str(corpus), "--outdir", str(stage_dir),
-                     *tagged]) == 0
+        assert main(["indicators", "--corpus", str(corpus), "--dampings", "0.5",
+                     "--outdir", str(stage_dir), *tagged]) == 0
         t = f"_{file_tag}" if file_tag else ""
+        names = ["popularity", "prestige", "h_index",
+                 *(variant_label(kind, 0.5) for kind in pr_mod.TELEPORTS)]
         assert sorted(p.name for p in stage_dir.iterdir()) == sorted(
-            [*(f"indicator{t}_{name}.tsv" for name in ("popularity", "prestige", "h_index")),
+            [*(f"indicator{t}_{name}.tsv" for name in names),
              f"edges{t}.tsv", f"nodes{t}.tsv", "manifest.json"])
-        assert main(["rank", "--edges", str(stage_dir / f"edges{t}.tsv"),
-                     "--nodes", str(stage_dir / f"nodes{t}.tsv"), "--dampings", "0.5",
-                     "--outdir", str(tmp_path / "rank"), *tagged]) == 0
-        assert sorted(p.name for p in (tmp_path / "rank").iterdir()) == sorted(
-            [*(f"indicator{t}_{variant_label(kind, 0.5)}.tsv" for kind in pr_mod.TELEPORTS),
-             "manifest.json"])
 
     def test_repeated_scores_flag_adds_files(self, small_run, tmp_path):
         _, _, _, outdir = small_run
@@ -1806,9 +1647,6 @@ class TestStageComposition:
                      "--outdir", str(twice)]) == 0
         assert _dir_bytes(twice) == _dir_bytes(once)
         assert _read(once / "table.tsv").splitlines()[0] == f"author\t{a.stem}\t{b.stem}"
-
-    def test_rank_stage_matches_pipeline(self, stage_chain):
-        _assert_stage_matches_pipeline(stage_chain, "rank")
 
     def test_indicators_stage_matches_pipeline(self, stage_chain):
         _assert_stage_matches_pipeline(stage_chain, "indicators")
@@ -1826,7 +1664,8 @@ class TestStageComposition:
 
     @pytest.mark.parametrize("allow_self_citation", [True, False])
     def test_stage_chain_reproduces_a_pipeline_run(self, allow_self_citation, stage_chain):
-        written, expected = stage_chain(allow_self_citation)
+        written, pipeline, _ = stage_chain(allow_self_citation)
+        expected = pipeline["files"]
         # generate's corpus.jsonl is the chain's input, which a pipeline run does not write
         digests = {name: digest for command, files in written.items()
                    for name, digest in files.items()

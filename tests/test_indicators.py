@@ -1,4 +1,3 @@
-import contextlib
 import io
 
 import numpy as np
@@ -26,7 +25,7 @@ from bibliorank.indicators import (
 )
 from bibliorank.network import build_graph
 from bibliorank.pagerank import PageRankConfig
-from bibliorank.pipeline import classical_indicators, generate_impact_factors, write_phase_ranks
+from bibliorank.pipeline import classical_indicators, generate_impact_factors, pagerank_indicators
 from tests import oracles
 from tests.conftest import corpus_of, paper, ref
 from tests.oracles import h_index
@@ -459,8 +458,7 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
         g = build_graph(c, allow_self_citation=allow)
         assert g.authors == ["A", "B", "C"]
         classical, diagnostics = classical_indicators(c, g, table)
-        variants, _ = write_phase_ranks(g, None, configs,
-                                        lambda name: contextlib.nullcontext(io.StringIO()))
+        variants, _ = pagerank_indicators(g, configs, None)
         assert diagnostics["highly_cited_papers"] == 2
         runs.append({sv.name: sv.values.tolist() for sv in classical + variants})
     kept, dropped = runs

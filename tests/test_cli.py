@@ -437,7 +437,7 @@ class TestExitCodes:
         (["pipeline", "--set", "corpus={corpus}", "--set", "allow_self_citation=false",
           "--set", "outdir={out}"],
          "phase '1956-1980': degenerate teleport: all citation_weighted weights are zero"),
-    ], ids=["indicators", "indicators-tag", "pipeline"])
+    ], ids=["stage", "stage-tag", "pipeline"])
     def test_degenerate_teleport_exit_2_names_the_phase_writes_no_out(self, argv, message,
                                                                        tmp_path, capsys):
         """The one paper of ``self``, and of 1956-1980 in ``corpus``, cites
@@ -1131,8 +1131,10 @@ _SHARED_SETTINGS = [
 ]
 
 
+# Ids name the setting, and its stage where that is not indicators.
 @pytest.mark.parametrize("key,value,stage,message", _SHARED_SETTINGS,
-                         ids=[f"{s[2][0]}-{s[0]}={s[1]}" for s in _SHARED_SETTINGS])
+                         ids=[f"{s[0]}={s[1]}" if s[2][0] == "indicators" else
+                              f"{s[2][0]}-{s[0]}={s[1]}" for s in _SHARED_SETTINGS])
 def test_bad_setting_same_error_in_pipeline_and_stage_before_reading(
         key, value, stage, message, tmp_path, capsys):
     missing, out = tmp_path / "missing", tmp_path / "out"
@@ -1554,14 +1556,14 @@ def stage_chain(tmp_path_factory):
         lambda allow: _run_stage_chain(tmp_path_factory.mktemp("chain"), allow))
 
 
-def _assert_stage_matches_pipeline(stage_chain, command, prefix=""):
-    """Every file `command` wrote in the self-citing chain whose name starts
-    with `prefix` has the pipeline's bytes; names each that does not.  Each
+def _assert_stage_matches_pipeline(stage_chain, command, part=""):
+    """Every file `command` wrote in the self-citing chain whose name holds
+    `part` has the pipeline's bytes; names each that does not.  Each
     `indicators` manifest's `diagnostics` holds the 3·len(dampings) solve
     entries of the pipeline's phase."""
     written, pipeline, indicators = stage_chain(True)
     files = {name: digest for name, digest in written[command].items()
-             if name.startswith(prefix)}
+             if part in name}
     assert files
     assert sorted(name for name, digest in files.items()
                   if pipeline["files"].get(name) != digest) == []
@@ -1647,6 +1649,10 @@ class TestStageComposition:
                      "--outdir", str(twice)]) == 0
         assert _dir_bytes(twice) == _dir_bytes(once)
         assert _read(once / "table.tsv").splitlines()[0] == f"author\t{a.stem}\t{b.stem}"
+
+    def test_rank_stage_matches_pipeline(self, stage_chain):
+        """indicators writes the PageRank variants, with the pipeline's bytes."""
+        _assert_stage_matches_pipeline(stage_chain, "indicators", "_pagerank")
 
     def test_indicators_stage_matches_pipeline(self, stage_chain):
         _assert_stage_matches_pipeline(stage_chain, "indicators")

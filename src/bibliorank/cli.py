@@ -82,8 +82,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    configs = pipe_mod.RunConfig(dampings=args.dampings,
-                                 tolerance=args.tolerance).pagerank_configs()
+    configs = pipe_mod.RunConfig(dampings=args.dampings).pagerank_configs()
 
     def write(create) -> dict:
         used, counts = pipe_mod.papers_used(corpus_mod.parse_corpus(args.corpus))
@@ -175,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--if-table")
     p.add_argument("--drop-self-citations", action="store_true")
     _setting(p, "--dampings", "dampings")
-    _setting(p, "--tolerance", "tolerance")
     p.set_defaults(func=cmd_indicators)
 
     p = sub.add_parser("compare", help="rank table, Spearman matrix, PCA and winner coverage "

@@ -51,42 +51,37 @@ def make_teleport(g: AuthorCitationGraph, kind: str) -> np.ndarray:
     return raw / total
 
 
+#: A solve stops at the first step whose L1 change is below this.
+TOLERANCE = 1e-12
+
 #: The largest iteration cap a solve may have.  Near d = 1 the residual's
-#: float floor, about eps/(1-d), sits above any small tolerance, so such a
-#: solve would run its whole cap, for hours, and still not converge.
+#: float floor, about eps/(1-d), sits above ``TOLERANCE``, so such a solve
+#: would run its whole cap, for hours, and still not converge.
 CAP_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
 class PageRankConfig:
-    """One solve's settings, checked on construction."""
+    """One solve's damping, checked on construction."""
 
     damping: float = 0.15
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
             raise ConfigError(f"dampings must be in [0, 1), got {self.damping}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations > CAP_LIMIT:
-            raise ConfigError(f"dampings: {self.damping} at tolerance {self.tolerance} needs "
-                              f"up to {self.max_iterations} iterations, more than the "
-                              f"{CAP_LIMIT} a solve may take")
+            raise ConfigError(f"dampings: {self.damping} needs up to {self.max_iterations} "
+                              f"iterations, more than the {CAP_LIMIT} a solve may take")
 
     @property
     def max_iterations(self) -> int:
         """The most steps the solve takes.  Each step multiplies the L1
         residual by at most d and the first residual is at most 2, so
-        ceil(1 + log(tol/2)/log d) steps reach the tolerance (2 at d = 0),
-        plus one step of slack, since the bound can be exactly tight.  The
-        log is taken as log(tol) - log(2): at tol = 5e-324, tol/2 rounds to 0."""
+        ceil(1 + log(TOLERANCE/2)/log d) steps reach ``TOLERANCE`` (2 at
+        d = 0), plus one step of slack, since the bound can be exactly tight."""
         if self.damping == 0:
-            steps = 2
-        else:
-            steps = math.ceil(1 + (math.log(self.tolerance) - math.log(2))
-                              / math.log(self.damping))
-        return max(1, steps + 1)
+            return 3
+        return math.ceil(1 + math.log(TOLERANCE / 2) / math.log(self.damping)) + 1
 
 
 @dataclass
@@ -135,12 +130,12 @@ def weighted_pagerank(
         nxt = base + d * (trans @ pi + pi[dangling_ids].sum() * teleport)
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
-        if residual < cfg.tolerance:
+        if residual < TOLERANCE:
             break
     return PageRankResult(
         scores=pi,
         iterations=iterations,
         final_residual=residual,
-        converged=residual < cfg.tolerance,
+        converged=residual < TOLERANCE,
         error_bound=d / (1.0 - d) * residual,
     )

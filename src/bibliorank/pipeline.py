@@ -64,7 +64,6 @@ class RunConfig:
     if_table: str | None = None
     winners: str | None = None
     allow_self_citation: bool = True
-    tolerance: float = pr_mod.PageRankConfig.tolerance
     # synthetic mode (used when corpus is not set)
     seed: int | None = None
     n_papers: int = 1000
@@ -91,7 +90,7 @@ class RunConfig:
         """The solve settings at each damping, checked with the variant
         labels, which name score files and must differ: two dampings can
         print alike (0.5 and 0.5000001 are both `d0.5`)."""
-        configs = [pr_mod.PageRankConfig(d, self.tolerance) for d in self.dampings]
+        configs = [pr_mod.PageRankConfig(d) for d in self.dampings]
         labels = [pr_mod.variant_label(pr_mod.UNIFORM, d) for d in self.dampings]
         for label in labels:
             if labels.count(label) > 1:
@@ -388,7 +387,7 @@ def pagerank_indicators(graph, configs: list[pr_mod.PageRankConfig], phase_label
         residual = max(solves[label]["final_residual"] for label in stalled)
         raise NonConvergenceError(
             f"{where}power iteration did not converge: {', '.join(stalled)} "
-            f"(residual up to {residual:.3g} at tolerance {configs[0].tolerance:g})")
+            f"(residual up to {residual:.3g} at tolerance {pr_mod.TOLERANCE:g})")
     return scores, solves
 
 

@@ -19,6 +19,8 @@ import string
 
 import numpy as np
 
+from bibliorank import pagerank
+
 
 class OracleParseError(Exception):
     """A corpus line the loop parser rejects: its 1-based line and field."""
@@ -437,6 +439,7 @@ def corpus_columns(corpus):
 def power_iteration_loop(g, teleport, cfg):
     """The sparse power iteration with a fresh array per step, as
     ``pagerank.weighted_pagerank`` computed it before it iterated in place.
+    It stops below ``pagerank.TOLERANCE``, read at each call.
 
     Returns (scores, iterations, final residual).
     """
@@ -452,6 +455,6 @@ def power_iteration_loop(g, teleport, cfg):
         nxt = (1.0 - d) * t + d * (trans @ pi + dangling_mass * t)
         residual = float(np.abs(nxt - pi).sum())
         pi = nxt
-        if residual < cfg.tolerance:
+        if residual < pagerank.TOLERANCE:
             break
     return pi, iterations, residual

@@ -66,6 +66,9 @@ _THREE_PAPERS = "".join(
     json.dumps({"id": f"p{i}", "author": author, "year": 1960, "source": "J",
                 "refs": [{"author": cited, "year": 1950, "source": "J"}]}) + "\n"
     for i, (author, cited) in enumerate((("A", "B"), ("B", "A"), ("C", "A")), 1))
+# The PageRank variants of the default dampings, in the order a stall names them.
+_DEFAULT_VARIANTS = ", ".join(variant_label(kind, d) for kind in pr_mod.TELEPORTS
+                              for d in RunConfig.dampings)
 
 
 def _generate(outdir, seed, papers, authors):
@@ -285,6 +288,10 @@ class TestExitCodes:
          "unknown config key 'strict'"),
         (["indicators", "--corpus", "{tmp}/nope", "--strict", "--outdir", "{tmp}/o"],
          "unrecognized arguments: --strict"),
+        (["pipeline", "--set", "seed=1", "--set", "tolerance=1e-10", "--set", "outdir={tmp}/o"],
+         "unknown config key 'tolerance'"),
+        (["indicators", "--corpus", "{tmp}/nope", "--tolerance", "1e-10", "--outdir", "{tmp}/o"],
+         "unrecognized arguments: --tolerance 1e-10"),
         (["pipeline", "--set", "seed=1", "--set", "teleports=uniform", "--set", "outdir={tmp}/o"],
          "unknown config key 'teleports'"),
         (["pipeline", "--set", "seed=1", "--set", "prestige=min_citations:2",
@@ -312,7 +319,7 @@ class TestExitCodes:
          "subset_size must be larger than the 3 indicators for PCA, got 3"),
     ], ids=["ingest-phases", "compare-retention", "compare-ks", "compare-cutoff",
             "pipeline-retention", "pipeline-max-iterations", "indicators-max-iterations",
-            "pipeline-strict", "indicators-strict",
+            "pipeline-strict", "indicators-strict", "pipeline-tolerance", "indicators-tolerance",
             "pipeline-teleports", "pipeline-prestige", "indicators-teleports",
             "indicators-prestige", "ingest-empty-label",
             "indicators-empty-tag", "indicators-blank-tag", "generate-year-lo",
@@ -334,11 +341,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("entry", [
         "n_papers=0", "n_authors=0", "skew=0", "phases=1956-1990;1980-2008", "phases=2000-1990",
-        "dampings=0.5,1", "subset_size=2", "tolerance=0", "skew=1e308",
+        "dampings=0.5,1", "subset_size=2", "skew=1e308",
         "n_authors=1 skew=5e-324",
         # keys of settings that were deleted are refused by name as well
-        "pca_retention=fixed:0", "pca_retention=fixed:14", "coverage_ks=10,5", "coverage_ks=5,5",
-        "teleports=uniform,bogus", "prestige=top_fraction:2",
+        "tolerance=0", "pca_retention=fixed:0", "pca_retention=fixed:14", "coverage_ks=10,5",
+        "coverage_ks=5,5", "teleports=uniform,bogus", "prestige=top_fraction:2",
     ])
     def test_out_of_range_set_value_exit_1_names_key(self, entry, tmp_path, capsys):
         """``entry`` is one or more space-separated settings; the error names
@@ -467,31 +474,24 @@ class TestExitCodes:
             "", "error: empty graph: the corpus has no papers with references\n")
         assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
-    @pytest.mark.parametrize("argv,fixture,tolerance,prefix,variants", [
+    @pytest.mark.parametrize("argv,prefix,variants", [
         (["indicators", "--corpus", "{three}", "--dampings", "0.85", "--outdir", "{out}"],
-         "one_step_cap", pr_mod.PageRankConfig.tolerance, "",
-         "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
-        (["indicators", "--corpus", "{three}", "--dampings", "0.85", "--tolerance", "1e-16",
-          "--outdir", "{out}"],
-         None, 1e-16, "",
-         "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
-        (["indicators", "--corpus", "{three}", "--dampings", "0.85", "--tolerance", "1e-16",
+         "", "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
+        (["indicators", "--corpus", "{three}", "--outdir", "{out}"],
+         "", _DEFAULT_VARIANTS),
+        (["indicators", "--corpus", "{three}", "--dampings", "0.85",
           "--tag", "1956-1980", "--outdir", "{out}"],
-         None, 1e-16, "phase '1956-1980': ",
-         "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
-        (["pipeline", "--set", "corpus={corpus}", "--set", "tolerance=1e-16",
-          "--set", "subset_size=20", "--set", "outdir={out}"],
-         None, 1e-16, "phase '1956-1980': ", "pagerank_d0.5, pagerank_pub_d0.85"),
+         "phase '1956-1980': ", "pagerank_d0.85, pagerank_cit_d0.85, pagerank_pub_d0.85"),
+        (["pipeline", "--set", "corpus={corpus}", "--set", "subset_size=20",
+          "--set", "outdir={out}"],
+         "phase '1956-1980': ", _DEFAULT_VARIANTS),
     ], ids=["indicators", "indicators-tolerance", "indicators-tag", "pipeline"])
-    def test_stall_exit_3_names_the_phase_writes_no_out(self, argv, fixture, tolerance, prefix,
-                                                        variants, tmp_path, capsys, request):
-        """A solve stalls under a one-step cap (the first row, without a
-        tolerance) or, within its derived cap, at the float floor: at 1e-16
-        the residuals of the three-paper graph stay near 4e-16, and those of
-        the 300-paper corpus near 3e-16 in 1956-1980.  The run fails with
-        one line naming the variants, the largest residual and the phase."""
-        if fixture is not None:
-            request.getfixturevalue(fixture)
+    def test_stall_exit_3_names_the_phase_writes_no_out(self, argv, prefix, variants, tmp_path,
+                                                        capsys, one_step_cap):
+        """A solve stalls under a one-step cap.  The run fails with one line
+        naming the variants (at the default dampings, all nine), the largest
+        residual, the one tolerance and the phase.  No outdir is left, and
+        no stage directory beside it."""
         (tmp_path / "three.jsonl").write_text(_THREE_PAPERS)
         _generate(tmp_path / "gen", 1, 300, 150)
         inputs = sorted(p.name for p in tmp_path.iterdir())
@@ -501,12 +501,12 @@ class TestExitCodes:
         assert main([a.format(**paths) for a in argv]) == 3
         out, err = capsys.readouterr()
         head = f"error: {prefix}power iteration did not converge: {variants} (residual up to "
-        tail = f" at tolerance {tolerance:g})\n"
+        tail = " at tolerance 1e-12)\n"
         assert out == "" and err.startswith(head) and err.endswith(tail), err
-        assert float(err[len(head):-len(tail)]) > tolerance
+        assert float(err[len(head):-len(tail)]) > 1e-12
         assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
-    def test_rank_at_damping_099_converges_within_its_cap(self, tmp_path):
+    def test_damping_099_converges_within_its_cap(self, tmp_path):
         """At d = 0.99 the three-paper graph needs about 2,710 steps: every
         variant converges, within the cap its damping derives."""
         corpus, out = tmp_path / "three.jsonl", tmp_path / "out"
@@ -633,19 +633,8 @@ class TestExitCodes:
     def test_invalid_field_exit_1_before_corpus_is_opened(self, tmp_path):
         rc = main(["pipeline", "--set", f"corpus={tmp_path / 'nope.jsonl'}",
                    "--set", f"outdir={tmp_path / 'out'}",
-                   "--set", "tolerance=0"])
+                   "--set", "dampings=1"])
         assert rc == 1
-
-    def test_strict_nonconvergence_exit_3(self, tmp_path, one_step_cap):
-        corpus = _generate(tmp_path / "c", 1, 200, 80)
-        outdir = tmp_path / "out"
-        rc = main(["pipeline", "--set", f"corpus={corpus}",
-                   "--set", f"outdir={outdir}",
-                   "--set", "subset_size=20"])
-        assert rc == 3
-        # no outdir, and no stage directory left beside it
-        assert not outdir.exists()
-        assert [p.name for p in tmp_path.iterdir()] == ["c"]
 
     def test_failed_rerun_keeps_previous_run(self, tmp_path, request):
         outdir = tmp_path / "out"
@@ -1002,12 +991,12 @@ class TestRunConfig:
             "seed = 3\n"
             "outdir = out  # comment\n"
             "dampings = 0.15,0.85\n"
-            "tolerance = 1e-10\n"
+            "skew = 1.5\n"
         )
         cfg = load_config(str(f), overrides=["subset_size=40"])
         assert cfg.seed == 3
         assert cfg.dampings == (0.15, 0.85)
-        assert cfg.tolerance == 1e-10
+        assert cfg.skew == 1.5
         assert cfg.subset_size == 40
 
     def test_hash_begins_a_comment_only_first_or_after_whitespace(self, small_run, tmp_path,
@@ -1083,7 +1072,7 @@ class TestRunConfig:
 # character anywhere in it makes it malformed.
 _SET_SAMPLES = {
     "phases": "1956-1990", "dampings": "0.5,0.85", "subset_size": "30",
-    "allow_self_citation": "true", "tolerance": "1e-12",
+    "allow_self_citation": "true",
     "seed": "1", "n_papers": "100", "n_authors": "50", "skew": "1.5",
 }
 
@@ -1113,15 +1102,8 @@ _SHARED_SETTINGS = [
      "dampings must be in [0, 1), got 1.5"),
     ("dampings", "0.5,0.50", [*_INDICATORS, "--dampings", "0.5,0.50", "--outdir", "{o}"],
      "dampings give two PageRank variants the label 'pagerank_d0.5'"),
-    ("tolerance", "0", [*_INDICATORS, "--dampings", "0.5", "--tolerance", "0",
-                        "--outdir", "{o}"],
-     "tolerance must be finite and positive, got 0.0"),
-    ("tolerance", "nan", [*_INDICATORS, "--dampings", "0.5", "--tolerance", "nan",
-                          "--outdir", "{o}"],
-     "tolerance must be finite and positive, got nan"),
     ("dampings", "0.99999", [*_INDICATORS, "--dampings", "0.99999", "--outdir", "{o}"],
-     "dampings: 0.99999 at tolerance 1e-12 needs up to 2832405 iterations, more than the "
-     "100000 a solve may take"),
+     "dampings: 0.99999 needs up to 2832405 iterations, more than the 100000 a solve may take"),
     ("subset_size", "2", ["compare", "--scores", "{m}", "{m}", "--subset-size", "2",
                           "--outdir", "{o}"],
      "subset_size must be >= 3, got 2"),
@@ -1151,7 +1133,7 @@ _KEY_FLAGS = [
     ("generate", "--seed", "seed"), ("generate", "--papers", "n_papers"),
     ("generate", "--authors", "n_authors"), ("generate", "--skew", "skew"),
     ("ingest", "--phases", "phases"),
-    ("indicators", "--dampings", "dampings"), ("indicators", "--tolerance", "tolerance"),
+    ("indicators", "--dampings", "dampings"),
     ("compare", "--subset-size", "subset_size"),
 ]
 
@@ -1191,7 +1173,7 @@ _REQUIRED_FLAGS = {
     "compare": ["--scores", *["{m}"] * 12, "--outdir", "{o}"],
 }
 # A malformed value for each flag of _KEY_FLAGS, in the same order.
-_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "1e", "3.5"]
+_MALFORMED_FLAG_VALUES = ["x", "1.5", "", "abc", "1990", "0.5x", "3.5"]
 
 
 @pytest.mark.parametrize("command,flag,key,value", [

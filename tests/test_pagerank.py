@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bibliorank import pagerank as pr_mod
 from bibliorank.errors import ConfigError, DegenerateTeleportError
 from bibliorank.indicators import ScoreVector
 from bibliorank.network import build_graph
@@ -102,7 +104,8 @@ class TestAgainstDenseOracle:
             t = make_teleport(g, PUBLICATION_WEIGHTED)
             for d in DAMPINGS:
                 # a loose tolerance stops the iteration well short of the fixed point
-                r = weighted_pagerank(g, t, PageRankConfig(damping=d, tolerance=1e-3))
+                with mock.patch.object(pr_mod, "TOLERANCE", 1e-3):
+                    r = weighted_pagerank(g, t, PageRankConfig(damping=d))
                 want = dense_pagerank(w, t, d)
                 assert np.abs(r.scores - want).sum() <= r.error_bound + 1e-12
 
@@ -172,27 +175,33 @@ class TestProperties:
 @given(seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.15, 0.5, 0.85, 0.99]) | st.floats(0.0, 0.999),
        kind=st.sampled_from(list(TELEPORTS)),
-       tolerance=st.sampled_from([3, 1e-3, 1e-12, 1e-300]))
+       tolerance=st.sampled_from([2, 1e-3, 1e-12, 1e-300]))
 def test_solver_equals_loop_oracle_bitwise(seed, damping, kind, tolerance):
+    """Both loops stop at ``pagerank.TOLERANCE``, patched here to loose and
+    tight values."""
     assume(tolerance > 1e-300 or damping <= 0.99)  # else the cap is above CAP_LIMIT
     w, pubs = random_graph_corpus(seed)
     g = graph_from_matrix(w, pubs)
     teleport = make_teleport(g, kind)
-    cfg = PageRankConfig(damping, tolerance)
-    got = weighted_pagerank(g, teleport, cfg)
-    scores, iterations, residual = power_iteration_loop(g, teleport, cfg)
+    with mock.patch.object(pr_mod, "TOLERANCE", tolerance):
+        cfg = PageRankConfig(damping)
+        got = weighted_pagerank(g, teleport, cfg)
+        scores, iterations, residual = power_iteration_loop(g, teleport, cfg)
+        assert got.iterations <= cfg.max_iterations
     assert got.scores.tobytes() == scores.tobytes()
     assert (got.iterations, got.final_residual) == (iterations, residual)
-    assert got.iterations <= cfg.max_iterations
 
 
 @pytest.mark.parametrize("damping", [0.0, 5e-324, 0.15, 0.5, 0.85, 0.99])
-@pytest.mark.parametrize("tolerance", [5e-324, 1e-300, 1e-12, 1, 2, 3])
+@pytest.mark.parametrize("tolerance", [1e-300, 1e-12, 1, 2])
 def test_cap_covers_the_contraction_bound(damping, tolerance):
     """The residual after step k is at most 2 * d**(k - 1), so a cap with
     2 * d**(cap - 2) <= tol leaves a step of slack; in logs, since d**k
-    underflows at these values.  At d = 0 the second step is exact."""
-    cap = PageRankConfig(damping, tolerance).max_iterations
+    underflows at these values.  At d = 0 the second step is exact.  The
+    cap reads ``pagerank.TOLERANCE``, patched here to each value of (0, 2]
+    for which the bound can be checked."""
+    with mock.patch.object(pr_mod, "TOLERANCE", tolerance):
+        cap = PageRankConfig(damping).max_iterations
     assert cap >= 1
     if damping == 0:
         assert cap >= 2
@@ -202,11 +211,24 @@ def test_cap_covers_the_contraction_bound(damping, tolerance):
 
 def test_cap_above_the_limit_is_refused():
     assert PageRankConfig(0.999).max_iterations <= CAP_LIMIT
-    for damping, tolerance in ((0.99999, 1e-12), (0.999, 5e-324), (np.nextafter(1, 0), 1.0)):
-        with pytest.raises(ConfigError, match=f"dampings: {damping} at tolerance {tolerance} "
-                                              f"needs up to [0-9]+ iterations, more than the "
-                                              f"{CAP_LIMIT} a solve may take"):
-            PageRankConfig(damping, tolerance)
+    for damping in (0.99999, np.nextafter(1, 0)):
+        with pytest.raises(ConfigError, match=f"dampings: {damping} needs up to [0-9]+ "
+                                              f"iterations, more than the {CAP_LIMIT} a solve "
+                                              f"may take"):
+            PageRankConfig(damping)
+
+
+def test_cap_limit_admits_what_the_float_floor_lets_converge():
+    """CAP_LIMIT and the float floor agree at TOLERANCE: at d = 0.9997, with
+    a cap of 94,402, the three-node graph A->B, B->A, C->A converges in
+    about 90,700 steps, and d = 0.9998, whose cap would be 141,609, is
+    refused."""
+    cfg = PageRankConfig(0.9997)
+    assert cfg.max_iterations == 94_402
+    r = pagerank(graph_from_matrix([[0, 1, 0], [1, 0, 0], [1, 0, 0]]), cfg)
+    assert r.converged and 90_000 < r.iterations <= cfg.max_iterations, r.iterations
+    with pytest.raises(ConfigError, match="dampings: 0.9998 needs up to 141609 iterations"):
+        PageRankConfig(0.9998)
 
 
 def unresolved_pairs(g, r):
@@ -224,13 +246,15 @@ class TestUnresolvedPairs:
         w[4:, 3] = 1
         g = graph_from_matrix(w)
         for tolerance, want in ((1e-4, 1), (1e-6, 0), (1e-300, 0)):
-            r = pagerank(g, PageRankConfig(0.85, tolerance))
+            with mock.patch.object(pr_mod, "TOLERANCE", tolerance):
+                r = pagerank(g, PageRankConfig(0.85))
             assert len(set(r.scores[4:].tolist())) == 1
             assert 0 < r.scores[2] - r.scores[1] < 2e-4
             assert unresolved_pairs(g, r) == want
         # one step (every first residual is below 2) leaves the bound above
         # every gap: each pair of distinct neighbours counts, and no tie does
-        r = pagerank(g, PageRankConfig(0.85, 3))
+        with mock.patch.object(pr_mod, "TOLERANCE", 2):
+            r = pagerank(g, PageRankConfig(0.85))
         assert r.iterations == 1
         assert unresolved_pairs(g, r) == len(np.unique(r.scores)) - 1 == 4
 
@@ -242,10 +266,11 @@ class TestUnresolvedPairs:
         sv = ScoreVector("s", [f"A{i:02d}" for i in range(len(scores))], scores)
         assert sv.unresolved_pairs(error_bound) == unresolved_pairs_loop(scores, error_bound)
 
+    @mock.patch.object(pr_mod, "TOLERANCE", 1e-3)
     def test_equals_sorted_gap_oracle_on_solves(self):
         for seed in range(1, 11):
             g = graph_from_matrix(*random_graph_corpus(seed))
             for kind in TELEPORTS:
-                r = weighted_pagerank(g, make_teleport(g, kind), PageRankConfig(0.85, 1e-3))
+                r = weighted_pagerank(g, make_teleport(g, kind), PageRankConfig(0.85))
                 assert unresolved_pairs(g, r) == unresolved_pairs_loop(r.scores.tolist(),
                                                                         r.error_bound)

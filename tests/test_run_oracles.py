@@ -201,9 +201,8 @@ def test_run_directory_equals_loop_oracles(lines, with_if_table, allow_self_cita
     with open(corpus, encoding="utf-8") as fh:
         records = oracles.parse_corpus_loop(fh)
     factors = _impact_factors(records) if with_if_table else None
-    # a loose tolerance puts each error_bound far above the dense solve's error
     cfg = RunConfig(corpus=str(corpus), outdir=str(tmp_path / "out"),
-                    phases=parse_phases(PHASES), subset_size=20, tolerance=1e-8,
+                    phases=parse_phases(PHASES), subset_size=20,
                     allow_self_citation=allow_self_citation, winners=str(tmp_path / "w.txt"))
     Path(cfg.winners).write_text("".join(name + "\n" for name in WINNERS), encoding="utf-8")
     if factors is not None:

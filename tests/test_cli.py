@@ -636,6 +636,17 @@ class TestExitCodes:
                    "--set", "dampings=1"])
         assert rc == 1
 
+    def test_strict_nonconvergence_exit_3(self, tmp_path, one_step_cap):
+        corpus = _generate(tmp_path / "c", 1, 200, 80)
+        outdir = tmp_path / "out"
+        rc = main(["pipeline", "--set", f"corpus={corpus}",
+                   "--set", f"outdir={outdir}",
+                   "--set", "subset_size=20"])
+        assert rc == 3
+        # no outdir, and no stage directory left beside it
+        assert not outdir.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["c"]
+
     def test_failed_rerun_keeps_previous_run(self, tmp_path, request):
         outdir = tmp_path / "out"
         cfg = RunConfig(seed=3, n_papers=200, n_authors=80, outdir=str(outdir),

@@ -376,17 +376,10 @@ def serialize_corpus(corpus: Corpus, stream) -> None:
 
     The lines are those of ``json.dumps`` with compact separators, members
     in the order id, author, year, source, volume, page, refs, and no
-    volume or page member where it is missing.  Each string the corpus
-    uses is JSON-encoded once.
+    volume or page member where it is missing.  Each string of the table
+    is JSON-encoded once, by the function ``json.dumps`` uses for a string.
     """
-    used = np.zeros(len(corpus.strings) + 1, dtype=bool)  # the last slot takes MISSING
-    used[corpus.ids] = True
-    for rows in (corpus.keys, corpus.refs):
-        for column in (AUTHOR, SOURCE, VOLUME, PAGE):
-            used[rows[:, column]] = True
-    used = np.flatnonzero(used[:-1])
-    encoded = np.empty(len(corpus.strings), dtype=object)
-    encoded[used] = [json.dumps(corpus.strings[i]) for i in used.tolist()]
+    encoded = np.array([*map(json.encoder.encode_basestring_ascii, corpus.strings)], dtype=object)
     for lo in range(0, len(corpus), _WRITE_BATCH):
         papers = slice(lo, lo + _WRITE_BATCH)
         offsets = corpus.offsets[lo:lo + _WRITE_BATCH + 1]

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bibliorank.corpus import (
@@ -352,6 +352,67 @@ def test_roundtrip_serialize_parse():
     buf.seek(0)
     again = parse_corpus(buf)
     assert corpus_records(again) == corpus_records(c)
+
+
+# Latin-1, CJK and an astral character, with every character JSON escapes:
+# the quote, the backslash, U+0000-U+001F and U+007F.  No lone surrogate:
+# the string table refuses them.
+_ESCAPED_TEXT = st.text(st.sampled_from(
+    "aZ9 ,." + "éÿµÄ" + "中文" + "\U0001F600" + '"\\' + "".join(map(chr, range(0x20))) + "\x7f"),
+    min_size=2, max_size=6)
+
+
+def _survives_normalization(raw):
+    try:
+        normalize_author(raw)
+    except ParseError:
+        return False
+    return True
+
+
+@st.composite
+def _escaped_key(draw):
+    obj = {"author": draw(_ESCAPED_TEXT), "year": draw(st.integers(1950, 2010)),
+           "source": draw(_ESCAPED_TEXT)}
+    assume(_survives_normalization(obj["author"]) and _survives_normalization(obj["source"]))
+    for name in ("volume", "page"):
+        value = draw(st.none() | _ESCAPED_TEXT.filter(str.strip))
+        if value is not None:
+            obj[name] = value
+    return obj
+
+
+@st.composite
+def _escaped_corpus_text(draw):
+    ids = draw(st.lists(_ESCAPED_TEXT, max_size=4, unique=True))
+    records = [{"id": paper_id, **draw(_escaped_key()),
+                "refs": draw(st.lists(_escaped_key(), max_size=2))} for paper_id in ids]
+    ascii_only = draw(st.booleans())
+    return "".join(json.dumps(r, ensure_ascii=ascii_only) + "\n" for r in records)
+
+
+def _dumps_record(paper_id, author, year, source, volume, page, refs):
+    def key(author, year, source, volume, page):
+        obj = {"author": author, "year": year, "source": source}
+        obj.update({name: value for name, value in (("volume", volume), ("page", page))
+                    if value is not None})
+        return obj
+
+    obj = {"id": paper_id, **key(author, year, source, volume, page),
+           "refs": [key(*r) for r in refs]}
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_escaped_corpus_text())
+def test_serialize_escapes_as_json_dumps(text):
+    c = parse_corpus(io.StringIO(text))
+    # the phase copy shares the table, so it is written with strings it does not use
+    for corpus in (c, filter_with_references(c)[0]):
+        records = corpus_records(corpus)
+        out = _text(corpus)
+        assert out.splitlines() == [_dumps_record(*r) for r in records]
+        assert corpus_records(parse_corpus(io.StringIO(out))) == records
 
 
 class TestSplitPhases:

@@ -170,19 +170,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: line 1: ")
         assert f"(field: {field})" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,message", [
         # not a command: indicators runs the PageRank step
-        ["rank", "--edges", "{tmp}/e", "--dampings", "abc", "--outdir", "{tmp}/o"],
-        ["indicators", "--corpus", "{tmp}/c", "--dampings", "abc", "--outdir", "{tmp}/o"],
-        ["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--outdir", "{tmp}/o"],
-        ["compare", "--scores", "{tmp}/s"],
-        [],
+        (["rank", "--edges", "{tmp}/e", "--dampings", "abc", "--outdir", "{tmp}/o"],
+         "invalid choice: 'rank'"),
+        (["indicators", "--corpus", "{tmp}/c", "--dampings", "abc", "--outdir", "{tmp}/o"],
+         "invalid value 'abc' for --dampings"),
+        (["generate", "--seed", "1", "--papers", "x", "--authors", "5", "--outdir", "{tmp}/o"],
+         "invalid value 'x' for --papers"),
+        (["compare", "--scores", "{tmp}/s"], "the following arguments are required: --outdir"),
+        ([], "the following arguments are required: command"),
     ], ids=["rank-damping", "indicators-damping", "generate-papers", "compare-no-outdir",
             "no-command"])
-    def test_usage_error_exit_1_one_error_line(self, argv, tmp_path, capsys):
+    def test_usage_error_exit_1_one_error_line(self, argv, message, tmp_path, capsys):
+        """Each error line holds ``message``; argparse's wording around it,
+        such as the list of commands, is not pinned."""
         assert main([a.format(tmp=tmp_path) for a in argv]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert not any(tmp_path.iterdir())
 
     def test_empty_winner_name_exit_2_names_line_and_file(self, small_run, tmp_path, capsys):
@@ -259,7 +265,7 @@ class TestExitCodes:
         assert not outdir.exists() or not any(outdir.iterdir())
 
     @pytest.mark.parametrize("entry", ["subset_size=abc", "dampings=0.5,x", "phases=1990",
-                                       "phases=:1956-2008"])
+                                       "phases=:1956-2008", "phases=;"])
     def test_malformed_set_value_exit_1(self, entry, capsys):
         assert main(["pipeline", "--set", "seed=1", "--set", entry]) == 1
         err = capsys.readouterr().err
@@ -386,7 +392,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad,text,message", [
         ("corpus", "not json\n", "line 1: invalid JSON: Expecting value"),
+        ("corpus", '{"id":"p1","author":"A","year":1960,"source":"J","refs":[1]}\n',
+         "line 1: reference entry must be an object, got 1 (field: refs)"),
         ("if_table", "J\t2005\tx\n", "line 1: invalid year or impact factor"),
+        ("if_table", "J\t2005\n", "line 1: expected venue<TAB>year<TAB>impact_factor"),
+        ("if_table", "J\t2005\t-1.5\n", "line 1: negative impact factor -1.5"),
         ("winners", "AUTH 000001\n.\n",
          "line 2: author string '.' is empty after normalization"),
         ("config", "subset_size = 30\nsubset_size\n", "line 2: expected key = value"),
@@ -742,6 +752,15 @@ class TestExitCodes:
         assert _dir_bytes(outdir) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    def test_outdir_that_is_a_file_exit_1_and_is_kept(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        outdir.write_text("mine\n")
+        assert main(["pipeline", "--set", "seed=3", "--set", "n_papers=200",
+                     "--set", "n_authors=80", "--set", f"outdir={outdir}"]) == 1
+        assert capsys.readouterr() == ("", f"error: outdir {outdir} is not a directory\n")
+        assert outdir.read_text() == "mine\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
     @pytest.mark.parametrize("first,second", [("a-b", "a_b"), ("components 1990", "1990")],
                              ids=["same-tag", "pca-components"])
     def test_colliding_phase_tags_exit_1_before_work(self, first, second, tmp_path, capsys):
@@ -930,6 +949,19 @@ class TestCompareCommand:
         assert manifest["stats"]["winners_missing"] == ["NOBODY"]
         assert "coverage.csv" in manifest["files"]
 
+    def test_hash_inside_a_winner_name_is_part_of_the_name(self, tmp_path):
+        scores = tmp_path / "ind.tsv"
+        scores.write_text("author\tscore\nO#BRIEN K\t4\nA\t3\nB\t2\nC\t1\n")
+        winners = tmp_path / "winners.txt"
+        winners.write_text("O#Brien, K.\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--scores", str(scores), str(scores), "--labels", "a,b",
+                     "--subset-size", "3", "--winners", str(winners),
+                     "--outdir", str(out)]) == 0
+        rows = _read(out / "coverage.csv").splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["a", "1"], ["b", "1"]]
+        assert json.loads(_read(out / "manifest.json"))["stats"]["winners_missing"] == []
+
     def test_without_winners_no_coverage_is_written(self, tmp_path):
         scores = tmp_path / "ind.tsv"
         scores.write_text("author\tscore\nA001\t2\nA002\t1\nA003\t0\n")
@@ -1072,6 +1104,9 @@ class TestRunConfig:
         ("allow_self_citation", "off", False),
         ("dampings", "0.5,0.85", (0.5, 0.85)),
         ("winners", " w.txt ", "w.txt"),
+        ("allow_self_citation", "true", True),
+        ("allow_self_citation", " YES ", True),
+        ("phases", "a:1956-1990;;", (corpus_mod.Phase("a", 1956, 1990),)),
     ])
     def test_value_parsed_by_field_type(self, key, value, want):
         cfg = RunConfig()

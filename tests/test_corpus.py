@@ -524,6 +524,7 @@ class TestGenerateSynthetic:
 @example(seed=0, n_papers=200, n_authors=1, skew=1.0)
 @example(seed=5, n_papers=150, n_authors=40, skew=0.05)
 @example(seed=6, n_papers=150, n_authors=40, skew=50.0)
+@example(seed=13, n_papers=5000, n_authors=1500, skew=1.0)  # 30% of refs repeat an earlier key
 def test_generator_equals_scalar_draw_oracle(seed, n_papers, n_authors, skew):
     kwargs = dict(seed=seed, n_papers=n_papers, n_authors=n_authors, skew=skew)
     assert corpus_columns(generate_synthetic(**kwargs)) == generate_synthetic_loop(**kwargs)

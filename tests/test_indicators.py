@@ -86,6 +86,8 @@ class TestHighlyCited:
     def test_all_uncited_empty(self):
         c = corpus_of([paper("p1", "A", refs=[ref("Z")])])
         assert not highly_cited_papers(internal_citation_counts(c), top_fraction=0.5).any()
+        none = highly_cited_papers(np.zeros(0, dtype=np.int64), top_fraction=0.5)
+        assert none.dtype == bool and none.shape == (0,)
 
     def test_top_fraction_includes_ties_at_cut(self):
         # counts {9,5,5,2,1,0,0,0,0,0}; f=0.2 cuts at the 2nd largest (5)
@@ -354,6 +356,10 @@ class TestScoreVector:
     def test_non_finite_score_names_first_bad_author(self):
         with pytest.raises(DataError, match="'B'"):
             ScoreVector("s", ["A", "B", "C"], [1.0, float("nan"), float("inf")])
+
+    def test_score_count_must_match_the_authors(self):
+        with pytest.raises(DataError, match=r"^'s': \(1,\) scores for 2 authors$"):
+            ScoreVector("s", ["A", "B"], [1.0])
 
 
 def _aligned(g, by_author):

@@ -101,6 +101,8 @@ class TestSpearman:
         var = [1, 2, 3]
         with pytest.raises(StatsError, match="degenerate"):
             spearman(const, var)
+        with pytest.raises(StatsError, match=r"^value arrays differ in shape: \(3,\) vs \(2,\)$"):
+            spearman([1, 2, 3], [1, 2])
 
     @pytest.mark.parametrize("x,y", [
         ([1, 2, np.nan, 4], [4, 3, 1, 2]),

@@ -69,6 +69,7 @@ class PageRankConfig:
     def __post_init__(self):
         if not 0.0 <= self.damping < 1.0:
             raise ConfigError(f"dampings must be in [0, 1), got {self.damping}")
+        object.__setattr__(self, "damping", abs(self.damping))  # -0.0 is the damping 0
         if self.max_iterations > CAP_LIMIT:
             raise ConfigError(f"dampings: {self.damping} needs up to {self.max_iterations} "
                               f"iterations, more than the {CAP_LIMIT} a solve may take")

@@ -1,7 +1,9 @@
 """End-to-end pipeline: configuration, stage functions, and output files.
 
-All artifacts are plain text tables with header rows so every stage can be
-inspected or rerun independently; reruns with identical inputs produce
+Every artifact is UTF-8 text, so each stage can be inspected or rerun
+independently: JSON lines (`corpus_`), JSON (`manifest.json`), CSV
+(`coverage_`) or TSV with a header row, but for the headerless `edges_`,
+`nodes_` and `impact_factors.tsv`.  Reruns with identical inputs produce
 byte-identical outputs.
 """
 
@@ -28,7 +30,7 @@ from bibliorank import indicators as ind_mod
 from bibliorank import network as net_mod
 from bibliorank import pagerank as pr_mod
 from bibliorank import stats as stats_mod
-from bibliorank.errors import ConfigError, DegenerateTeleportError, NonConvergenceError
+from bibliorank.errors import BiblioRankError, ConfigError, NonConvergenceError
 from bibliorank.evaluation import CoverageResult, coverage, load_winners
 
 INPUT_FILES = ("corpus", "if_table", "winners")  # RunConfig keys naming input files
@@ -89,9 +91,9 @@ class RunConfig:
     def pagerank_configs(self) -> list[pr_mod.PageRankConfig]:
         """The solve settings at each damping, checked with the variant
         labels, which name score files and must differ: two dampings can
-        print alike (0.5 and 0.5000001 are both `d0.5`)."""
+        print alike (0.5 and 0.5000001 are both `d0.5`, 0 and -0 both `d0`)."""
         configs = [pr_mod.PageRankConfig(d) for d in self.dampings]
-        labels = [pr_mod.variant_label(pr_mod.UNIFORM, d) for d in self.dampings]
+        labels = [pr_mod.variant_label(pr_mod.UNIFORM, c.damping) for c in configs]
         for label in labels:
             if labels.count(label) > 1:
                 raise ConfigError(f"dampings give two PageRank variants the label {label!r}")
@@ -278,14 +280,6 @@ def tagged(stem: str, phase_label: str | None, suffix: str) -> str:
     return stem + ("" if phase_label is None else f"_{phase_tag(phase_label)}") + suffix
 
 
-def write_indicators(scores: list[ind_mod.ScoreVector], phase_label: str | None, create) -> None:
-    """Write each score vector with ``create`` as `indicator_<tag>_<name>.tsv`
-    of the phase labelled ``phase_label`` (see ``tagged``)."""
-    for sv in scores:
-        with create(tagged("indicator", phase_label, f"_{sv.name}.tsv")) as fh:
-            ind_mod.dump_indicator(sv, fh)
-
-
 def check_phases(phases) -> None:
     """Refuse phases that overlap or that would write a file of the same
     name: their labels give the same file tag, or the `pca_components_<tag>`
@@ -356,21 +350,15 @@ def classical_indicators(corpus, graph, if_table=None) -> tuple[list[ind_mod.Sco
     return scores, diagnostics
 
 
-def pagerank_indicators(graph, configs: list[pr_mod.PageRankConfig], phase_label: str | None,
+def pagerank_indicators(graph, configs: list[pr_mod.PageRankConfig],
                         ) -> tuple[list[ind_mod.ScoreVector], dict]:
     """Each of the ``pagerank.TELEPORTS`` kinds solved on ``graph`` at each
     config; returns the labelled score vectors and each label's diagnostics
     entry.  Solves that did not converge raise one NonConvergenceError once
-    all have run, with the largest residual; it and a degenerate teleport's
-    error name the phase labelled ``phase_label``."""
-    where = "" if phase_label is None else f"phase {phase_label!r}: "
+    all have run, with the largest residual."""
     scores, solves = [], {}
     for kind in pr_mod.TELEPORTS:
-        try:
-            teleport = pr_mod.make_teleport(graph, kind)
-        except DegenerateTeleportError as exc:
-            exc.args = (f"{where}{exc}",)
-            raise
+        teleport = pr_mod.make_teleport(graph, kind)
         for config in configs:
             result = pr_mod.weighted_pagerank(graph, teleport, config)
             label = pr_mod.variant_label(kind, config.damping)
@@ -386,7 +374,7 @@ def pagerank_indicators(graph, configs: list[pr_mod.PageRankConfig], phase_label
     if stalled:
         residual = max(solves[label]["final_residual"] for label in stalled)
         raise NonConvergenceError(
-            f"{where}power iteration did not converge: {', '.join(stalled)} "
+            f"power iteration did not converge: {', '.join(stalled)} "
             f"(residual up to {residual:.3g} at tolerance {pr_mod.TOLERANCE:g})")
     return scores, solves
 
@@ -398,19 +386,27 @@ def write_phase_scores(corpus, phase_label: str | None, allow_self_citation: boo
     ``indicators`` stage share: build the author citation graph of
     ``corpus``, write it with ``create`` as `edges_<tag>.tsv` and
     `nodes_<tag>.tsv` (see ``tagged``), score it with
-    ``classical_indicators`` and ``pagerank_indicators``, and write the
-    score vectors with ``write_indicators``.  Returns them in the paper's
-    column order (popularity, prestige, PageRank, h-index, impact factor)
-    and the phase's manifest entries `graph` and `diagnostics`."""
+    ``classical_indicators`` and ``pagerank_indicators``, and write each
+    score vector as `indicator_<tag>_<name>.tsv`.  A scoring error names
+    the phase labelled ``phase_label``.  Returns the score vectors in the
+    paper's column order (popularity, prestige, PageRank, h-index, impact
+    factor) and the phase's manifest entries `graph` and `diagnostics`."""
     graph = net_mod.build_graph(corpus, allow_self_citation=allow_self_citation)
     with create(tagged("edges", phase_label, ".tsv")) as fh:
         net_mod.dump_edges(graph, fh)
     with create(tagged("nodes", phase_label, ".tsv")) as fh:
         net_mod.dump_nodes(graph, fh)
-    classical, diagnostics = classical_indicators(corpus, graph, if_table)
-    pagerank, solves = pagerank_indicators(graph, configs, phase_label)
+    try:
+        classical, diagnostics = classical_indicators(corpus, graph, if_table)
+        pagerank, solves = pagerank_indicators(graph, configs)
+    except BiblioRankError as exc:
+        if phase_label is not None:
+            exc.args = (f"phase {phase_label!r}: {exc}",)
+        raise
     scores = classical[:2] + pagerank + classical[2:]
-    write_indicators(scores, phase_label, create)
+    for sv in scores:
+        with create(tagged("indicator", phase_label, f"_{sv.name}.tsv")) as fh:
+            ind_mod.dump_indicator(sv, fh)
     return scores, {"graph": net_mod.graph_stats(graph),
                     "diagnostics": {**diagnostics, **solves}}
 

@@ -2,11 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import sparse
 
 from bibliorank.corpus import Corpus, parse_corpus
 from bibliorank.network import AuthorCitationGraph
 from bibliorank.pagerank import PageRankConfig
+
+# Every property test draws the same examples on each run and has no time
+# limit; its @settings sets only max_examples.
+settings.register_profile("bibliorank", derandomize=True, deadline=None)
+settings.load_profile("bibliorank")
 
 
 def graph_from_matrix(weights, publications=None, authors=None) -> AuthorCitationGraph:

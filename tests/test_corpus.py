@@ -315,7 +315,7 @@ def _corpus_text(draw, malformed):
     return "".join(line + "\n" for line in lines)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_corpus_text(malformed=True))
 def test_parse_matches_loop_oracle(text):
     try:
@@ -328,7 +328,7 @@ def test_parse_matches_loop_oracle(text):
         assert corpus_records(parse_corpus(io.StringIO(text))) == expected
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_corpus_text(malformed=False))
 def test_parse_interns_and_round_trips(text):
     c = parse_corpus(io.StringIO(text))
@@ -403,7 +403,7 @@ def _dumps_record(paper_id, author, year, source, volume, page, refs):
     return json.dumps(obj, separators=(",", ":"))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(_escaped_corpus_text())
 def test_serialize_escapes_as_json_dumps(text):
     c = parse_corpus(io.StringIO(text))
@@ -518,7 +518,7 @@ class TestGenerateSynthetic:
         assert str(exc.value) == message
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**64 - 1), n_papers=st.integers(1, 200),
        n_authors=st.integers(1, 300), skew=st.floats(0.05, 50.0))
 @example(seed=0, n_papers=200, n_authors=1, skew=1.0)

@@ -103,7 +103,7 @@ def _phase_scores(draw):
     return vectors, rows, winners, ks
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_phase_scores())
 def test_node_id_comparison_matches_the_name_oracles(case):
     """top_k, the rank table and coverage by node id agree with the loop

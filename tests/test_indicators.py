@@ -286,13 +286,13 @@ _TIE_HEAVY = st.lists(st.one_of(
     st.floats(allow_nan=False)), max_size=80)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_TIE_HEAVY)
 def test_average_ranks_equal_rankdata(values):
     assert np.array_equal(average_ranks(values), rankdata(values, method="average"))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_TIE_HEAVY)
 def test_average_ranks_sum_identity(values):
     n = len(values)
@@ -400,7 +400,7 @@ def _records(draw):
             for i, key in enumerate(keys)]
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_records(), st.booleans())
 def test_reductions_equal_loop_oracles_on_generated_corpora(records, allow_self_citation):
     _assert_reductions_equal_loop_oracles(corpus_of(records), allow_self_citation)
@@ -464,7 +464,7 @@ def test_dropped_self_citations_leave_the_graph_but_not_the_reference_counts():
         g = build_graph(c, allow_self_citation=allow)
         assert g.authors == ["A", "B", "C"]
         classical, diagnostics = classical_indicators(c, g, table)
-        variants, _ = pagerank_indicators(g, configs, None)
+        variants, _ = pagerank_indicators(g, configs)
         assert diagnostics["highly_cited_papers"] == 2
         runs.append({sv.name: sv.values.tolist() for sv in classical + variants})
     kept, dropped = runs

@@ -178,7 +178,7 @@ def _graphs(draw):
     return graph_from_matrix(weights, publications, authors)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_graphs())
 def test_dumps_read_back_as_the_graph(g):
     _assert_dump_load_roundtrip(g)

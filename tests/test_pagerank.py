@@ -171,7 +171,7 @@ class TestProperties:
                 weighted_pagerank(g, teleport)
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1),
        damping=st.sampled_from([0.0, 0.15, 0.5, 0.85, 0.99]) | st.floats(0.0, 0.999),
        kind=st.sampled_from(list(TELEPORTS)),
@@ -258,7 +258,7 @@ class TestUnresolvedPairs:
         assert r.iterations == 1
         assert unresolved_pairs(g, r) == len(np.unique(r.scores)) - 1 == 4
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.sampled_from([0.0, 0.1, 0.1 + 1e-17, 0.1 + 3e-17, 0.2, 0.25, 1.0])
                     | st.floats(0, 1), min_size=1, max_size=12),
            st.sampled_from([0.0, 1e-17, 0.025, 0.05]) | st.floats(0, 1))

@@ -319,7 +319,7 @@ def _bits(a):
 
 
 # About a third of the tables have no constant column; the rest check the error.
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(table=_tie_heavy_tables())
 def test_one_correlation_matrix_for_table_spearman_and_pca(table):
     n, m = table.ranks.shape
